@@ -1,13 +1,16 @@
 """Automorphism groups, orbits and canonical forms.
 
 Permutations are tuples of images: ``p[v-1]`` is the image of vertex v.
-Groups store their full element list when enumeration fits the budget;
-orbit closures only ever need the generators.
+``automorphism_group`` finds a Sims stabilizer chain: one automorphism per
+point of each basic orbit, not one search leaf per group element. Elements
+are listed only when they fit the budget; orbit closures only ever need the
+generators.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from math import prod
+from typing import Callable, Iterable, Sequence
 
 from .errors import GroupError
 from .graph import Graph, distances
@@ -22,13 +25,6 @@ def identity(n: int) -> Permutation:
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """Apply q first, then p."""
     return tuple(p[x - 1] for x in q)
-
-
-def invert(p: Permutation) -> Permutation:
-    inv = [0] * len(p)
-    for v, x in enumerate(p, start=1):
-        inv[x - 1] = v
-    return tuple(inv)
 
 
 def apply_to_vertex_set(p: Permutation, s: Iterable[int]) -> frozenset[int]:
@@ -53,24 +49,6 @@ def cycle_notation(p: Permutation) -> str:
     return "".join(out) or "()"
 
 
-def mulclose(n: int, gens: Sequence[Permutation], limit: int | None = None) -> set[Permutation]:
-    """Closure of the generators under composition (breadth-first)."""
-    closed = {identity(n)}
-    frontier = [identity(n)]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for q in gens:
-                r = compose(q, p)
-                if r not in closed:
-                    closed.add(r)
-                    nxt.append(r)
-                    if limit is not None and len(closed) > limit:
-                        return closed
-        frontier = nxt
-    return closed
-
-
 @dataclass(frozen=True)
 class PermutationGroup:
     """A vertex-permutation group, possibly with its full element list."""
@@ -90,23 +68,11 @@ class PermutationGroup:
         return self.elements
 
     def vertex_orbits(self) -> tuple[tuple[int, ...], ...]:
-        parent = list(range(self.n + 1))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for p in self.generators:
-            for v in range(1, self.n + 1):
-                a, b = find(v), find(p[v - 1])
-                if a != b:
-                    parent[max(a, b)] = min(a, b)
+        label = _orbit_labels(self.n, self.generators, lambda p, x: p[x] - 1)
         buckets: dict[int, list[int]] = {}
         for v in range(1, self.n + 1):
-            buckets.setdefault(find(v), []).append(v)
-        return tuple(tuple(sorted(b)) for _, b in sorted(buckets.items()))
+            buckets.setdefault(label[v - 1], []).append(v)
+        return tuple(tuple(b) for _, b in sorted(buckets.items()))
 
     def orbit_of_vertex(self, v: int) -> tuple[int, ...]:
         for orb in self.vertex_orbits():
@@ -117,6 +83,27 @@ class PermutationGroup:
     def stabilizer_order(self, v: int) -> int:
         elems = self.require_enumerated("stabilizer_order")
         return sum(1 for p in elems if p[v - 1] == v)
+
+
+def _orbit_labels(
+    size: int, gens: Iterable[Permutation], image: Callable[[Permutation, int], int]
+) -> list[int]:
+    """Orbits of the points 0..size-1 by union-find over the generator images
+    ``image(p, x)``: entry x is the least point of x's orbit."""
+    parent = list(range(size))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for p in gens:
+        for x in range(size):
+            a, b = find(x), find(image(p, x))
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    return [find(x) for x in range(size)]
 
 
 def _refinement_signature(g: Graph, colors: Sequence[int]) -> list:
@@ -162,16 +149,24 @@ def _search_order(g: Graph, colors: Sequence[int]) -> list[int]:
 
 
 def automorphism_group(g: Graph, enumerate_budget: int = 10_000_000) -> PermutationGroup:
-    """Enumerate Aut(g) by anchored backtracking.
+    """Aut(g) as a stabilizer chain, by coset-pruned anchored backtracking.
 
-    Vertices are visited in an order where each non-root vertex has an
-    already-mapped neighbor (its anchor), so candidate images come from the
-    anchor image's neighborhood; a candidate is kept only if its mapped
-    neighborhood pulls back exactly onto the vertex's mapped neighborhood.
+    ``_search_order`` is both the visit order and the base b_0, b_1, ...:
+    each non-root vertex has an already-mapped neighbor (its anchor), so
+    candidate images come from the anchor image's neighborhood, and must pull
+    their mapped neighborhood back exactly onto the vertex's.
 
-    When the element count would exceed ``enumerate_budget``, enumeration is
-    abandoned: the group comes back flagged not-enumerated, with generators
-    distilled from the elements found so far (possibly a proper subgroup).
+    Levels run from the deepest up to 0. At level i, b_0..b_{i-1} are fixed,
+    and each candidate image of b_i outside the orbit of b_i under the
+    generators found so far gets one search for its first leaf. A hit is a
+    strong generator; a miss exhausts the subtree, proving that no
+    automorphism fixing b_0..b_{i-1} maps b_i there. So the generators
+    always generate the whole group, of order the product of the basic orbit
+    lengths.
+
+    ``enumerate_budget`` bounds search nodes plus group order. Within it the
+    sorted element list is built as products of transversal representatives;
+    beyond it the group comes back flagged not-enumerated, without elements.
     """
     n = g.n
     if n == 0:
@@ -190,8 +185,6 @@ def automorphism_group(g: Graph, enumerate_budget: int = 10_000_000) -> Permutat
     img = [0] * (n + 1)
     inv = [0] * (n + 1)
     mapped_nbrs = [0] * (n + 1)  # how many mapped neighbors each image vertex has
-    found: list[Permutation] = []
-    truncated = False
     nodes = 0
 
     def assign(v: int, c: int) -> None:
@@ -206,52 +199,71 @@ def automorphism_group(g: Graph, enumerate_budget: int = 10_000_000) -> Permutat
         for x in adjset[c]:
             mapped_nbrs[x] -= 1
 
-    def extend(k: int) -> bool:
-        nonlocal truncated, nodes
-        nodes += 1
-        if nodes > enumerate_budget:
-            truncated = True
-            return False
-        if k == n:
-            found.append(tuple(img[1:]))
-            return True
-        v = order[k]
+    def candidates(k: int) -> list[int]:
         anchors = earlier[k]
-        if anchors:
-            pool: Iterable[int] = adjset[img[anchors[0]]]
-        else:
-            pool = by_color[colors[v - 1]]
-        want = len(anchors)
-        cv = colors[v - 1]
-        for c in sorted(pool):
-            if inv[c] or colors[c - 1] != cv or mapped_nbrs[c] != want:
-                continue
-            if any(img[w] not in adjset[c] for w in anchors):
-                continue
+        cv = colors[order[k] - 1]
+        pool = adjset[img[anchors[0]]] if anchors else by_color[cv]
+        return [
+            c for c in sorted(pool)
+            if not inv[c] and colors[c - 1] == cv and mapped_nbrs[c] == len(anchors)
+            and all(img[w] in adjset[c] for w in anchors)
+        ]
+
+    def first_leaf(k: int) -> Permutation | None:
+        nonlocal nodes
+        nodes += 1
+        if k == n:
+            return tuple(img[1:])
+        v = order[k]
+        for c in candidates(k):
             assign(v, c)
-            ok = extend(k + 1)
+            hit = first_leaf(k + 1)
             unassign(v, c)
-            if not ok:
-                return False
-        return True
+            if hit is not None:
+                return hit
+        return None
 
-    extend(0)
-    found.sort()
-    elements = tuple(found)
-    gens = _distill_generators(n, elements)
-    if truncated:
-        return PermutationGroup(n, gens, None, False)
-    return PermutationGroup(n, gens, elements, True)
-
-
-def _distill_generators(n: int, elements: Sequence[Permutation]) -> tuple[Permutation, ...]:
     gens: list[Permutation] = []
-    closed: set[Permutation] = {identity(n)}
-    for p in elements:
-        if p not in closed:
-            gens.append(p)
-            closed = mulclose(n, gens)
-    return tuple(gens)
+    transversals: list[dict[int, Permutation]] = []  # deepest level first
+    for v in order:
+        assign(v, v)
+    for k in reversed(range(n)):
+        b = order[k]
+        unassign(b, b)
+        nodes += 1
+        reps = _transversal(n, b, gens)
+        for c in candidates(k):
+            if c in reps:
+                continue
+            assign(b, c)
+            hit = first_leaf(k + 1)
+            unassign(b, c)
+            if hit is not None:
+                gens.append(hit)
+                reps = _transversal(n, b, gens)
+        if len(reps) > 1:
+            transversals.append(reps)
+
+    size = prod(len(reps) for reps in transversals)
+    if nodes + size > enumerate_budget:
+        return PermutationGroup(n, tuple(gens), None, False)
+    elements = [identity(n)]
+    for reps in transversals:
+        elements = [compose(u, h) for u in reps.values() for h in elements]
+    return PermutationGroup(n, tuple(gens), tuple(sorted(elements)), True)
+
+
+def _transversal(n: int, b: int, gens: Sequence[Permutation]) -> dict[int, Permutation]:
+    """For each point c of the orbit of b, a group element mapping b to c."""
+    reps = {b: identity(n)}
+    queue = [b]
+    for x in queue:
+        for p in gens:
+            y = p[x - 1]
+            if y not in reps:
+                reps[y] = compose(p, reps[x])
+                queue.append(y)
+    return reps
 
 
 def orbit_of_vertex_set(grp: PermutationGroup, s: Iterable[int]) -> tuple[frozenset[int], ...]:
@@ -269,29 +281,17 @@ def orbit_of_vertex_set(grp: PermutationGroup, s: Iterable[int]) -> tuple[frozen
     return tuple(sorted(seen, key=sorted))
 
 
-def orbit_multiset_counts(
-    grp: PermutationGroup, family: Sequence[Iterable[int]]
-) -> dict[int, int]:
-    """For each vertex, how many (group element, family member) pairs put it
-    inside the image set. Counts the orbit closure with multiplicity."""
-    elems = grp.require_enumerated("orbit_multiset_counts")
-    counts = {v: 0 for v in range(1, grp.n + 1)}
-    for p in elems:
-        for member in family:
-            for v in member:
-                counts[p[v - 1]] += 1
-    return counts
-
-
 def is_distance_transitive(g: Graph, grp: PermutationGroup):
     """True iff for every d, the group is transitive on ordered pairs at
     distance d. Returns (flag, witness): the witness names two unmatched
     pairs when the check fails.
 
-    This is transitivity on pairs, which is strictly stronger than the
-    counting form of distance-regularity.
+    Orbits on ordered pairs come from the generators alone, so the group
+    need not be enumerated. This is transitivity on pairs, which is strictly
+    stronger than the counting form of distance-regularity.
     """
-    elems = grp.require_enumerated("is_distance_transitive")
+    n = g.n
+    label = _orbit_labels(n * n, grp.generators, lambda p, x: (p[x // n] - 1) * n + p[x % n] - 1)
     table = distances(g)
     pairs_by_d: dict = {}
     for u in g.vertices():
@@ -302,11 +302,10 @@ def is_distance_transitive(g: Graph, grp: PermutationGroup):
     for d in sorted(pairs_by_d, key=str):
         pairs = pairs_by_d[d]
         u0, v0 = pairs[0]
-        orbit = {(p[u0 - 1], p[v0 - 1]) for p in elems}
-        if len(orbit) != len(pairs):
-            for pair in pairs:
-                if pair not in orbit:
-                    return False, {"distance": d, "pair": pair, "unreachable_from": (u0, v0)}
+        root = label[(u0 - 1) * n + v0 - 1]
+        for u, v in pairs:
+            if label[(u - 1) * n + v - 1] != root:
+                return False, {"distance": d, "pair": (u, v), "unreachable_from": (u0, v0)}
     return True, None
 
 

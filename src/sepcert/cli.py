@@ -543,7 +543,12 @@ def _build_parser() -> argparse.ArgumentParser:
     aut = sub.add_parser("aut", help="automorphism group")
     _add_graph_source(aut)
     aut.add_argument("--elements", action="store_true", help="dump all elements")
-    aut.add_argument("--budget", type=int, default=10_000_000)
+    aut.add_argument(
+        "--budget",
+        type=int,
+        default=10_000_000,
+        help="list the elements only if search nodes plus group order fit in this many",
+    )
     aut.add_argument("--out")
     aut.set_defaults(fn=_cmd_aut, command="aut")
 

@@ -449,7 +449,10 @@ def parse_graph(text: str) -> tuple[Graph, Metric]:
                 raise GraphFormatError(f"line {lineno}: stray header")
             if len(parts) != 3:
                 raise GraphFormatError(f"line {lineno}: header needs 'p <n> <m>'")
-            header = (int(parts[1]), int(parts[2]))
+            try:
+                header = (int(parts[1]), int(parts[2]))
+            except ValueError as exc:
+                raise GraphFormatError(f"line {lineno}: header counts must be integers") from exc
             continue
         if len(parts) not in (2, 3):
             raise GraphFormatError(f"line {lineno}: expected 'u v' or 'u v p/q'")

@@ -45,7 +45,7 @@ _SPLITS = ((1, 2), (2, 18), (0, 90))
 
 #: Pinned vertex pairs, one per distance 3..8; each must be separated by
 #: some member of the orbit closure.
-_PAIRS = {3: (2, 17), 4: (3, 19), 5: (2, 9), 6: (3, 9), 7: (16, 39), 8: (16, 63)}
+_PAIRS = {3: (2, 17), 4: (3, 19), 5: (2, 9), 6: (3, 9), 7: (16, 39), 8: (16, 46)}
 
 #: Vertices used for the orbit-stabilizer consistency check.
 _OS_VERTICES = (1, 45, 90)

@@ -4,8 +4,11 @@ factorial-filter and natural-order backtracking oracles."""
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
+from sympy.combinatorics import Permutation as SympyPermutation
+from sympy.combinatorics import PermutationGroup as SympyGroup
 
 from _oracles import brute_automorphisms, natural_order_aut_count
 from sepcert.aut import (
@@ -20,6 +23,14 @@ from sepcert.aut import (
 from sepcert.datasets import named_graph
 from sepcert.errors import GroupError
 from sepcert.graph import Graph
+
+
+def _sympy_order(grp):
+    return SympyGroup([SympyPermutation([x - 1 for x in p]) for p in grp.generators]).order()
+
+
+def _k8():
+    return Graph(8, combinations(range(1, 9), 2))
 
 
 @pytest.mark.parametrize("name", ["k4", "c5", "p4", "q3", "theta"])
@@ -119,3 +130,38 @@ def test_canonical_form_labeling_is_consistent():
     form = canonical_form(g)
     assert sorted(form.labeling) == list(g.vertices())
     assert form.certificate == canonical_certificate(g)
+
+
+def test_f090a_group_is_enumerated(f090a_group):
+    assert f090a_group.enumerated
+    assert f090a_group.order == 4320
+    assert _sympy_order(f090a_group) == 4320
+
+
+def test_f090a_group_of_relabelled_graph(f090a):
+    perm = list(range(1, f090a.n + 1))
+    random.Random(2).shuffle(perm)
+    g = f090a.relabel(perm)
+    grp = automorphism_group(g)
+    assert grp.enumerated
+    assert grp.order == 4320
+    assert _sympy_order(grp) == 4320
+
+
+def test_f090a_elements_are_distinct_automorphisms(f090a, f090a_group):
+    edges = set(f090a.edges())
+    assert len(set(f090a_group.elements)) == 4320
+    assert list(f090a_group.elements) == sorted(f090a_group.elements)
+    for p in f090a_group.elements:
+        assert {tuple(sorted((p[u - 1], p[v - 1]))) for u, v in edges} == edges
+
+
+def test_generators_generate_whole_group_beyond_budget():
+    grp = automorphism_group(_k8(), enumerate_budget=1000)
+    assert not grp.enumerated
+    assert _sympy_order(grp) == 40320
+
+
+def test_distance_transitivity_without_elements():
+    g = _k8()
+    assert is_distance_transitive(g, automorphism_group(g, enumerate_budget=1000)) == (True, None)

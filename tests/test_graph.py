@@ -92,6 +92,7 @@ def test_parse_graph_lengths():
         "1 2\n1 2 1/3\n",  # mixed rows
         "1 2\np 2 1\n",  # stray header
         "p 2\n1 2\n",  # short header
+        "p x 3\n1 2\n",  # non-integer header
         "1 2 0\n",  # non-positive length
         "1 two\n",  # bad id
         "1 2 3 4\n",  # too many fields
