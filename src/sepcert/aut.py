@@ -2,9 +2,11 @@
 
 Permutations are tuples of images: ``p[v-1]`` is the image of vertex v.
 ``automorphism_group`` finds a Sims stabilizer chain: one automorphism per
-point of each basic orbit, not one search leaf per group element. Elements
-are listed only when they fit the budget; orbit closures only ever need the
-generators.
+point of each basic orbit, not one search leaf per group element. The
+group keeps that chain, so its order and point stabilizers come from the
+transversals; orbit closures only ever need the generators, and the element
+list is built only on request. ``canonical_form`` prunes its
+individualization-refinement tree with the same generators.
 """
 from __future__ import annotations
 
@@ -51,21 +53,29 @@ def cycle_notation(p: Permutation) -> str:
 
 @dataclass(frozen=True)
 class PermutationGroup:
-    """A vertex-permutation group, possibly with its full element list."""
+    """A vertex-permutation group as a stabilizer chain.
+
+    ``transversals[i]`` holds one element for each point of the orbit of
+    ``base[i]`` under the pointwise stabilizer of ``base[:i]``, so every
+    element is uniquely a product ``u_0 u_1 ... u_k`` with ``u_i`` from
+    ``transversals[i]``. Base points with a trivial basic orbit are left out.
+    """
 
     n: int
     generators: tuple[Permutation, ...]
-    elements: tuple[Permutation, ...] | None
-    enumerated: bool
+    base: tuple[int, ...]
+    transversals: tuple[tuple[Permutation, ...], ...]
 
     @property
-    def order(self) -> int | None:
-        return len(self.elements) if self.enumerated else None
+    def order(self) -> int:
+        return prod(len(reps) for reps in self.transversals)
 
-    def require_enumerated(self, what: str) -> tuple[Permutation, ...]:
-        if not self.enumerated or self.elements is None:
-            raise GroupError(f"{what} needs a fully enumerated group")
-        return self.elements
+    def elements(self) -> tuple[Permutation, ...]:
+        """Every element, sorted; there are ``order`` of them."""
+        elements = [identity(self.n)]
+        for reps in reversed(self.transversals):
+            elements = [compose(u, h) for u in reps for h in elements]
+        return tuple(sorted(elements))
 
     def vertex_orbits(self) -> tuple[tuple[int, ...], ...]:
         label = _orbit_labels(self.n, self.generators, lambda p, x: p[x] - 1)
@@ -81,8 +91,17 @@ class PermutationGroup:
         raise GroupError(f"vertex {v} out of range")
 
     def stabilizer_order(self, v: int) -> int:
-        elems = self.require_enumerated("stabilizer_order")
-        return sum(1 for p in elems if p[v - 1] == v)
+        """How many elements fix v: v is pushed through the transversals
+        from the deepest up, counting the products that send it to each
+        point, so no element list and no orbit is needed."""
+        counts = {v: 1}
+        for reps in reversed(self.transversals):
+            pushed: dict[int, int] = {}
+            for x, k in counts.items():
+                for u in reps:
+                    pushed[u[x - 1]] = pushed.get(u[x - 1], 0) + k
+            counts = pushed
+        return counts.get(v, 0)
 
 
 def _orbit_labels(
@@ -148,7 +167,7 @@ def _search_order(g: Graph, colors: Sequence[int]) -> list[int]:
     return order
 
 
-def automorphism_group(g: Graph, enumerate_budget: int = 10_000_000) -> PermutationGroup:
+def automorphism_group(g: Graph) -> PermutationGroup:
     """Aut(g) as a stabilizer chain, by coset-pruned anchored backtracking.
 
     ``_search_order`` is both the visit order and the base b_0, b_1, ...:
@@ -161,16 +180,12 @@ def automorphism_group(g: Graph, enumerate_budget: int = 10_000_000) -> Permutat
     generators found so far gets one search for its first leaf. A hit is a
     strong generator; a miss exhausts the subtree, proving that no
     automorphism fixing b_0..b_{i-1} maps b_i there. So the generators
-    always generate the whole group, of order the product of the basic orbit
-    lengths.
-
-    ``enumerate_budget`` bounds search nodes plus group order. Within it the
-    sorted element list is built as products of transversal representatives;
-    beyond it the group comes back flagged not-enumerated, without elements.
+    always generate the whole group, and the transversals of the basic
+    orbits are the chain that ``PermutationGroup`` keeps.
     """
     n = g.n
     if n == 0:
-        return PermutationGroup(0, (), ((),), True)
+        return PermutationGroup(0, (), (), ())
     colors = refinement_colors(g)
     order = _search_order(g, colors)
     pos = {v: k for k, v in enumerate(order)}
@@ -185,7 +200,6 @@ def automorphism_group(g: Graph, enumerate_budget: int = 10_000_000) -> Permutat
     img = [0] * (n + 1)
     inv = [0] * (n + 1)
     mapped_nbrs = [0] * (n + 1)  # how many mapped neighbors each image vertex has
-    nodes = 0
 
     def assign(v: int, c: int) -> None:
         img[v] = c
@@ -193,7 +207,8 @@ def automorphism_group(g: Graph, enumerate_budget: int = 10_000_000) -> Permutat
         for x in adjset[c]:
             mapped_nbrs[x] += 1
 
-    def unassign(v: int, c: int) -> None:
+    def unassign(v: int) -> None:
+        c = img[v]
         img[v] = 0
         inv[c] = 0
         for x in adjset[c]:
@@ -209,48 +224,51 @@ def automorphism_group(g: Graph, enumerate_budget: int = 10_000_000) -> Permutat
             and all(img[w] in adjset[c] for w in anchors)
         ]
 
-    def first_leaf(k: int) -> Permutation | None:
-        nonlocal nodes
-        nodes += 1
-        if k == n:
+    def first_leaf(start: int) -> Permutation | None:
+        """Depth-first from level ``start`` with order[:start] mapped; the
+        first complete automorphism, or None. An explicit stack of untried
+        candidates per level keeps deep searches off the call stack."""
+        if start == n:
             return tuple(img[1:])
-        v = order[k]
-        for c in candidates(k):
-            assign(v, c)
-            hit = first_leaf(k + 1)
-            unassign(v, c)
-            if hit is not None:
-                return hit
+        stack = [candidates(start)[::-1]]
+        while stack:
+            v = order[start + len(stack) - 1]
+            if img[v]:
+                unassign(v)
+            if not stack[-1]:
+                stack.pop()
+                continue
+            assign(v, stack[-1].pop())
+            if start + len(stack) == n:
+                leaf = tuple(img[1:])
+                for w in order[start:]:
+                    unassign(w)
+                return leaf
+            stack.append(candidates(start + len(stack))[::-1])
         return None
 
     gens: list[Permutation] = []
-    transversals: list[dict[int, Permutation]] = []  # deepest level first
+    base: list[int] = []
+    transversals: list[tuple[Permutation, ...]] = []
     for v in order:
         assign(v, v)
     for k in reversed(range(n)):
         b = order[k]
-        unassign(b, b)
-        nodes += 1
+        unassign(b)
         reps = _transversal(n, b, gens)
         for c in candidates(k):
             if c in reps:
                 continue
             assign(b, c)
             hit = first_leaf(k + 1)
-            unassign(b, c)
+            unassign(b)
             if hit is not None:
                 gens.append(hit)
                 reps = _transversal(n, b, gens)
         if len(reps) > 1:
-            transversals.append(reps)
-
-    size = prod(len(reps) for reps in transversals)
-    if nodes + size > enumerate_budget:
-        return PermutationGroup(n, tuple(gens), None, False)
-    elements = [identity(n)]
-    for reps in transversals:
-        elements = [compose(u, h) for u in reps.values() for h in elements]
-    return PermutationGroup(n, tuple(gens), tuple(sorted(elements)), True)
+            base.append(b)
+            transversals.append(tuple(reps.values()))
+    return PermutationGroup(n, tuple(gens), tuple(reversed(base)), tuple(reversed(transversals)))
 
 
 def _transversal(n: int, b: int, gens: Sequence[Permutation]) -> dict[int, Permutation]:
@@ -286,8 +304,8 @@ def is_distance_transitive(g: Graph, grp: PermutationGroup):
     distance d. Returns (flag, witness): the witness names two unmatched
     pairs when the check fails.
 
-    Orbits on ordered pairs come from the generators alone, so the group
-    need not be enumerated. This is transitivity on pairs, which is strictly
+    Orbits on ordered pairs come from the generators alone, with no
+    element list. This is transitivity on pairs, which is strictly
     stronger than the counting form of distance-regularity.
     """
     n = g.n
@@ -328,9 +346,11 @@ def canonical_form(g: Graph) -> CanonicalForm:
     """Canonical labeling by individualization-refinement.
 
     The search minimizes (node-invariant trace, adjacency encoding) over all
-    refinement leaves; equal certificates at two leaves expose automorphisms,
-    which prune sibling branches. Certificates of two graphs are equal iff
-    the graphs are isomorphic.
+    refinement leaves. At each node, only one cell vertex per orbit of the
+    generators of Aut(g) that fix the individualized vertices is tried:
+    those generators map the node to itself, so siblings in one orbit root
+    isomorphic subtrees. Certificates of two graphs are equal iff the graphs
+    are isomorphic.
     """
     n = g.n
     if n == 0:
@@ -367,25 +387,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
         return f"n={n};m={g.m};{body}", lab
 
     best = _Best()
-    gens: list[Permutation] = []
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def add_gen(p: Permutation) -> None:
-        # only record genuine automorphisms
-        for u, v in g.edges():
-            if not g.has_edge(p[u - 1], p[v - 1]):
-                return
-        gens.append(p)
-        for v in range(1, n + 1):
-            a, b = find(v), find(p[v - 1])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
+    gens = automorphism_group(g).generators
 
     def rec(colors: tuple[int, ...], depth: int, trace: tuple, base: tuple[int, ...]) -> None:
         key = node_key(colors)
@@ -407,23 +409,17 @@ def canonical_form(g: Graph) -> CanonicalForm:
                 trace == best.trace and cert < best.cert
             ):
                 best.trace, best.cert, best.labeling = trace, cert, lab
-            elif trace == best.trace and cert == best.cert:
-                where = [0] * (n + 1)
-                for v in g.vertices():
-                    where[best.labeling[v - 1]] = v
-                add_gen(tuple(where[lab[v - 1]] for v in g.vertices()))
             return
         ordered = sorted(cells.items())
         size = max(len(cell) for _, cell in ordered if len(cell) > 1)
         target = next(cell for _, cell in ordered if len(cell) == size)
         fixing = [p for p in gens if all(p[b - 1] == b for b in base)]
-        tried: list[int] = []
+        label = _orbit_labels(n, fixing, lambda p, x: p[x] - 1)
+        tried: set[int] = set()
         for c in target:
-            if depth == 0 and any(find(c) == find(t) for t in tried):
+            if label[c - 1] in tried:
                 continue
-            if depth > 0 and any(p[t - 1] == c for t in tried for p in fixing):
-                continue
-            tried.append(c)
+            tried.add(label[c - 1])
             rec(individualize(colors, c), depth + 1, trace, base + (c,))
 
     rec(refinement_colors(g), 0, (), ())

@@ -180,7 +180,14 @@ def parse_complex(text: str) -> PolygonalComplex:
         raise ComplexError(f"bad complex document: {exc}") from None
     if not isinstance(doc, dict) or "vertices" not in doc or "faces" not in doc:
         raise ComplexError('a complex document needs "vertices" and "faces"')
-    x = PolygonalComplex(doc["vertices"], doc["faces"])
+    n, faces = doc["vertices"], doc["faces"]
+    if type(n) is not int:
+        raise ComplexError(f'"vertices" must be an integer, got {n!r}')
+    if not isinstance(faces, list) or not all(
+        isinstance(f, list) and all(type(v) is int for v in f) for f in faces
+    ):
+        raise ComplexError('"faces" must be a list of lists of integer vertex ids')
+    x = PolygonalComplex(n, faces)
     if "edges" in doc:
         try:
             declared = {edge_key(int(u), int(v)) for u, v in doc["edges"]}

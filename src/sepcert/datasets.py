@@ -145,10 +145,6 @@ _BUILDERS = {
     "p4": lambda: _path(4),
 }
 
-# Trivalent connected graphs on <= 14 vertices for exhaustive search checks.
-STAR_SEARCH_CORPUS = ("k4", "k33", "prism", "q3", "petersen", "bridge10", "heawood")
-
-
 def builtin_names() -> tuple[str, ...]:
     return tuple(sorted(_BUILDERS))
 

@@ -18,7 +18,7 @@ class CutsetError(SepcertError, ValueError):
 
 
 class GroupError(SepcertError, RuntimeError):
-    """Group operations that need full enumeration on a non-enumerated group."""
+    """Group queries about points outside the group's domain."""
 
 
 class SearchError(SepcertError, ValueError):

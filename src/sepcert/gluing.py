@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .aut import PermutationGroup, Permutation
+from .aut import Permutation, PermutationGroup, _orbit_labels
 from .cutset import (
     Cutset,
     CutsetPartition,
@@ -313,29 +313,21 @@ def orbits_of_pairs(
     if grp is None:
         return tuple((cp,) for cp in sorted(li.pairs, key=pair_key))
     index = {pair_key(cp): i for i, cp in enumerate(li.pairs)}
-    parent = list(range(len(li.pairs)))
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    def image(gen, i: int) -> int:
+        img = act_on_pair(li.graph, gen, li.pairs[i])
+        k = pair_key(img)
+        if k not in index:
+            raise GluingError(
+                f"family of link {li.name!r} is not closed under its group: "
+                f"image {img.cutset.sorted_elements()} missing"
+            )
+        return index[k]
 
-    for i, cp in enumerate(li.pairs):
-        for gen in grp.generators:
-            img = act_on_pair(li.graph, gen, cp)
-            k = pair_key(img)
-            if k not in index:
-                raise GluingError(
-                    f"family of link {li.name!r} is not closed under its group: "
-                    f"image {img.cutset.sorted_elements()} missing"
-                )
-            ri, rj = find(i), find(index[k])
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
+    label = _orbit_labels(len(li.pairs), grp.generators, image)
     buckets: dict[int, list[CutsetPartition]] = {}
     for i, cp in enumerate(li.pairs):
-        buckets.setdefault(find(i), []).append(cp)
+        buckets.setdefault(label[i], []).append(cp)
     orbits = [tuple(sorted(ms, key=pair_key)) for ms in buckets.values()]
     return tuple(sorted(orbits, key=lambda ms: pair_key(ms[0])))
 

@@ -126,13 +126,17 @@ def dumps(obj) -> str:
 
 
 def stripped(report_json: str) -> str:
-    """The same JSON with every 'millis' value nulled, for byte-level
-    comparison of two runs."""
+    """The same JSON with every 'millis' and 'millis_*' value nulled (check
+    timings and the stage timings in ``stats``), for byte-level comparison
+    of two runs."""
     data = json.loads(report_json)
 
     def scrub(node):
         if isinstance(node, dict):
-            return {k: (None if k == "millis" else scrub(v)) for k, v in node.items()}
+            return {
+                k: (None if k == "millis" or k.startswith("millis_") else scrub(v))
+                for k, v in node.items()
+            }
         if isinstance(node, list):
             return [scrub(x) for x in node]
         return node

@@ -9,31 +9,19 @@ leaves are validated through the cutset predicates before emission; every
 reported cutset has passed them.
 
 Work is split deterministically: the tree is expanded breadth-first into a
-fixed number of decision prefixes regardless of worker count, each prefix is
-searched under its own node budget, and results merge in prefix order.
+fixed number of decision prefixes, each prefix is searched under its own
+share of the node budget, and results merge in prefix order.
 """
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .aut import PermutationGroup, apply_to_vertex_set
-from .cutset import (
-    Cutset,
-    NeighborOrdering,
-    is_cutset,
-    is_proper,
-    is_sigma_separated,
-    is_star_cutset,
-    point_node,
-    require_cubic,
-    _subdivision_distances,
-)
+from .cutset import Cutset, NeighborOrdering, is_star_cutset, require_cubic
 from .errors import SearchError
-from .graph import Graph, Metric, is_connected
+from .graph import Graph
 
 UNDECIDED, SIDE_A, SIDE_B, CUT = 0, 1, 2, 3
 _BIT = {SIDE_A: 1, SIDE_B: 2, CUT: 4}
@@ -76,7 +64,6 @@ class SearchTask:
     kind: str = "vertex"
     node_budget: int = 10_000_000
     time_budget_s: float | None = 600.0
-    workers: int = 1
     ordering: NeighborOrdering | None = None
 
 
@@ -263,14 +250,7 @@ def search_star_cutsets(task: SearchTask) -> SearchResult:
     )
     per_budget = max(0, task.node_budget - spent) // max(1, len(prefixes))
 
-    def run(prefix: tuple[tuple[int, int], ...]):
-        return _search_subtree(task, seeds, ball2, prefix, per_budget, deadline)
-
-    if task.workers > 1 and len(prefixes) > 1:
-        with ThreadPoolExecutor(max_workers=task.workers) as pool:
-            outcomes = list(pool.map(run, prefixes))
-    else:
-        outcomes = [run(p) for p in prefixes]
+    outcomes = [_search_subtree(task, seeds, ball2, p, per_budget, deadline) for p in prefixes]
 
     merged: dict[frozenset[int], Cutset] = {}
     for c in found0:
@@ -326,8 +306,7 @@ def _emit_leaf(g: Graph, state: _Coloring, found: list[Cutset], stats: dict) -> 
 
 def _expand_prefixes(task, seeds, ball2, found, stats, deadline, target: int):
     """Breadth-first expansion of decision prefixes until at least `target`
-    live subtrees exist. Depends only on the task, never on worker count.
-    Leaves met along the way are emitted here; branching charges the node
+    live subtrees exist. Depends only on the task. Leaves met along the way are emitted here; branching charges the node
     budget just as the depth-first stage does."""
     from collections import deque
 
@@ -392,132 +371,3 @@ def _search_subtree(task, seeds, ball2, prefix, node_budget, deadline):
 
     rec()
     return found, exhausted[0], stats
-
-
-def dedup_up_to_aut(
-    grp: PermutationGroup, cutsets: Iterable[Cutset]
-) -> tuple[tuple[Cutset, int], ...]:
-    """Orbit representatives (least sorted element tuple) with full orbit
-    sizes under the group."""
-    elems = grp.require_enumerated("dedup_up_to_aut")
-    seen: set[frozenset[int]] = set()
-    reps: list[tuple[Cutset, int]] = []
-    for c in sorted(cutsets, key=Cutset.key):
-        if c.kind != "vertex":
-            raise SearchError("orbit dedup applies to vertex cutsets")
-        if c.elements in seen:
-            continue
-        orbit = {apply_to_vertex_set(p, c.elements) for p in elems}
-        seen.update(orbit)
-        rep = min(orbit, key=sorted)
-        reps.append((Cutset.of_vertices(rep), len(orbit)))
-    return tuple(sorted(reps, key=lambda rc: rc[0].key()))
-
-
-@dataclass(frozen=True)
-class EdgeCoverResult:
-    family: tuple[Cutset, ...]
-    uncoverable: tuple
-    stats: dict
-
-    @property
-    def ok(self) -> bool:
-        return not self.uncoverable
-
-
-def search_edge_cutset_cover(
-    g: Graph,
-    metric: Metric | None = None,
-    sigma: Fraction | int = 3,
-    node_budget: int = 10_000_000,
-) -> EdgeCoverResult:
-    """Grow a covering family of proper sigma-separated edge cutsets, one
-    backtracking search per still-uncovered edge.
-
-    Each search two-colors the vertices around the target edge; the cutset is
-    the set of edges crossing the coloring, which makes properness automatic,
-    and crossing-pair midpoint distances prune against sigma as they appear.
-    """
-    metric = metric or Metric.combinatorial()
-    metric.validate_for(g)
-    if not is_connected(g):
-        raise SearchError("graph is not connected")
-    bad = next((v for v in g.vertices() if g.degree(v) <= 1), None)
-    if bad is not None:
-        raise SearchError(f"vertex {bad} has degree {g.degree(bad)} < 2")
-    table = _subdivision_distances(g, metric)
-    mid = {e: point_node(g, e) for e in g.edges()}
-    stats = {"nodes": 0, "searches": 0}
-    family: list[Cutset] = []
-    covered: set = set()
-    uncoverable: list = []
-    for e0 in g.edges():
-        if e0 in covered:
-            continue
-        stats["searches"] += 1
-        c = _edge_cover_search(g, e0, sigma, table, mid, stats, node_budget)
-        if c is None:
-            uncoverable.append(e0)
-            continue
-        verdicts = (
-            is_cutset(g, c),
-            is_proper(g, c),
-            is_sigma_separated(g, metric, c, sigma),
-        )
-        if not all(v.ok for v in verdicts) or len(c) < 2:
-            raise SearchError(f"edge search produced an invalid cutset {c.sorted_elements()}")
-        family.append(c)
-        covered.update(c.elements)
-    return EdgeCoverResult(tuple(family), tuple(uncoverable), stats)
-
-
-def _edge_cover_search(g, e0, sigma, table, mid, stats, node_budget):
-    u0, v0 = e0
-    color = [0] * (g.n + 1)  # 0 undecided, 1 side A, 2 side B
-    color[u0], color[v0] = 1, 2
-    crossing: list = [e0]
-    budget = [node_budget]
-
-    def crossings_ok(v: int) -> bool:
-        added = []
-        for w in g.neighbors(v):
-            if color[w] and color[w] != color[v]:
-                e = (v, w) if v < w else (w, v)
-                for other in crossing:
-                    if table.get(mid[e], mid[other]) < sigma:
-                        for a in added:
-                            crossing.remove(a)
-                        return False
-                crossing.append(e)
-                added.append(e)
-        return True
-
-    def undo_crossings(v: int) -> None:
-        for w in g.neighbors(v):
-            if color[w] and color[w] != color[v]:
-                e = (v, w) if v < w else (w, v)
-                crossing.remove(e)
-
-    def rec() -> Cutset | None:
-        if budget[0] <= 0:
-            return None
-        nxt = next((v for v in g.vertices() if not color[v]), None)
-        if nxt is None:
-            if len(crossing) >= 2:
-                return Cutset.of_edges(crossing)
-            return None
-        for c in (1, 2):
-            budget[0] -= 1
-            stats["nodes"] += 1
-            color[nxt] = c
-            if crossings_ok(nxt):
-                hit = rec()
-                if hit is not None:
-                    undo_crossings(nxt)
-                    color[nxt] = 0
-                    return hit
-                undo_crossings(nxt)
-            color[nxt] = 0
-        return None
-
-    return rec()

@@ -37,8 +37,9 @@ def _k8():
 def test_elements_match_factorial_filter(name):
     g = named_graph(name)
     grp = automorphism_group(g)
-    assert grp.enumerated
-    assert set(grp.elements) == set(brute_automorphisms(g))
+    elements = grp.elements()
+    assert set(elements) == set(brute_automorphisms(g))
+    assert grp.order == len(elements)
 
 
 @pytest.mark.parametrize(
@@ -55,7 +56,7 @@ def test_order_matches_backtracking_oracle(name, order):
 def test_every_element_is_an_automorphism():
     g = named_graph("petersen")
     edges = set(g.edges())
-    for p in automorphism_group(g).elements:
+    for p in automorphism_group(g).elements():
         mapped = {tuple(sorted((p[u - 1], p[v - 1]))) for u, v in edges}
         assert mapped == edges
 
@@ -75,16 +76,26 @@ def test_vertex_orbits_partition():
     assert (1, 3) in orbits and (2,) in orbits and (4,) in orbits
 
 
-def test_enumeration_budget():
-    g = named_graph("heawood")
-    grp = automorphism_group(g, enumerate_budget=10)
-    assert not grp.enumerated
-    assert grp.order is None
+@pytest.mark.parametrize("name", ["k4", "c5", "p4", "q3", "theta", "prism", "petersen"])
+def test_stabilizer_order_matches_element_count(name):
+    grp = automorphism_group(named_graph(name))
+    elements = grp.elements()
+    for v in range(1, grp.n + 1):
+        assert grp.stabilizer_order(v) == sum(1 for p in elements if p[v - 1] == v)
+
+
+def test_transversals_fix_the_earlier_base_points(f090a_group):
+    grp = f090a_group
+    assert len(grp.base) == len(grp.transversals)
+    for i, reps in enumerate(grp.transversals):
+        assert len({u[grp.base[i] - 1] for u in reps}) == len(reps) > 1
+        for u in reps:
+            assert all(u[b - 1] == b for b in grp.base[:i])
+
+
+def test_orbit_of_vertex_out_of_range():
     with pytest.raises(GroupError):
-        grp.require_enumerated("test")
-    # generators still generate: closing them recovers the order
-    full = automorphism_group(g)
-    assert full.order == 336
+        automorphism_group(named_graph("c5")).orbit_of_vertex(6)
 
 
 def test_orbit_of_vertex_set():
@@ -133,7 +144,6 @@ def test_canonical_form_labeling_is_consistent():
 
 
 def test_f090a_group_is_enumerated(f090a_group):
-    assert f090a_group.enumerated
     assert f090a_group.order == 4320
     assert _sympy_order(f090a_group) == 4320
 
@@ -143,25 +153,33 @@ def test_f090a_group_of_relabelled_graph(f090a):
     random.Random(2).shuffle(perm)
     g = f090a.relabel(perm)
     grp = automorphism_group(g)
-    assert grp.enumerated
     assert grp.order == 4320
     assert _sympy_order(grp) == 4320
 
 
 def test_f090a_elements_are_distinct_automorphisms(f090a, f090a_group):
     edges = set(f090a.edges())
-    assert len(set(f090a_group.elements)) == 4320
-    assert list(f090a_group.elements) == sorted(f090a_group.elements)
-    for p in f090a_group.elements:
+    elements = f090a_group.elements()
+    assert len(set(elements)) == 4320
+    assert list(elements) == sorted(elements)
+    for p in elements:
         assert {tuple(sorted((p[u - 1], p[v - 1]))) for u, v in edges} == edges
 
 
-def test_generators_generate_whole_group_beyond_budget():
-    grp = automorphism_group(_k8(), enumerate_budget=1000)
-    assert not grp.enumerated
+def test_k8_order_matches_sympy():
+    grp = automorphism_group(_k8())
+    assert grp.order == 40320
     assert _sympy_order(grp) == 40320
 
 
 def test_distance_transitivity_without_elements():
     g = _k8()
-    assert is_distance_transitive(g, automorphism_group(g, enumerate_budget=1000)) == (True, None)
+    assert is_distance_transitive(g, automorphism_group(g)) == (True, None)
+
+
+def test_f090a_canonical_certificate_is_relabelling_invariant(f090a):
+    base = canonical_certificate(f090a)
+    for seed in (1, 2, 3):
+        perm = list(range(1, f090a.n + 1))
+        random.Random(seed).shuffle(perm)
+        assert canonical_certificate(f090a.relabel(perm)) == base

@@ -75,6 +75,8 @@ def test_parse_validates_edges_key(grid):
         {"vertices": 3, "faces": [[1, 2, 4]]},  # vertex out of range
         {"vertices": 4, "faces": [[1, 2, 3]]},  # isolated vertex 4
         {"vertices": 3, "faces": [[1, 2, 1]]},  # repeated vertex
+        {"vertices": 3, "faces": [["a", 2, 3]]},  # non-integer face vertex
+        {"vertices": "3", "faces": [[1, 2, 3]]},  # non-integer vertex count
     ],
 )
 def test_parse_rejects_bad_complexes(doc):

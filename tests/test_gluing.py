@@ -151,7 +151,7 @@ def test_orbits_under_full_symmetry(c6_diameters):
 def test_act_on_pair_rotates_cutsets(c6_diameters):
     grp = automorphism_group(named_graph("c6"))
     cp = c6_diameters.pairs_at(1)[0]
-    images = {act_on_pair(c6_diameters.graph, p, cp).cutset.sorted_elements() for p in grp.elements}
+    images = {act_on_pair(c6_diameters.graph, p, cp).cutset.sorted_elements() for p in grp.elements()}
     assert images == {(1, 4), (2, 5), (3, 6)}
 
 

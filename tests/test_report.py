@@ -96,3 +96,9 @@ def test_stripped_makes_reruns_byte_identical():
         return dumps(rep)
 
     assert stripped(run()) == stripped(run())
+
+
+def test_stripped_nulls_stage_timings_in_stats():
+    rep = RunReport(command="demo", stats={"millis_stage": 12.5, "nodes": 3})
+    doc = json.loads(stripped(dumps(rep)))
+    assert doc["stats"] == {"millis_stage": None, "nodes": 3}

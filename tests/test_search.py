@@ -1,5 +1,5 @@
 """Star-cutset search: soundness of emissions, goal satisfaction,
-exhaustiveness against the subset-enumeration oracle, and determinism."""
+exhaustiveness against the subset-enumeration oracle, and budgets."""
 
 from __future__ import annotations
 
@@ -84,18 +84,6 @@ def test_goal_validates_positions():
         search_star_cutsets(SearchTask(g, NeighborSplitGoal(1, 2, 2)))
     with pytest.raises(SearchError):
         search_star_cutsets(SearchTask(g, PairGoal(3, 3)))
-
-
-def test_results_deterministic_across_workers():
-    g = named_graph("heawood")
-    runs = [
-        search_star_cutsets(SearchTask(g, node_budget=10**18, time_budget_s=None, workers=w))
-        for w in (1, 2, 4)
-    ]
-    base = runs[0]
-    for other in runs[1:]:
-        assert other.cutsets == base.cutsets
-        assert other.exhausted == base.exhausted
 
 
 def test_stats_are_reported():
