@@ -5,7 +5,8 @@ informational (``aut`` prints the exact group order, from the stabilizer
 chain, and lists the elements only with ``--elements``); ``cutset
 check``/``cutset search``, ``certify ...``, ``gluing ...``, ``complex ...``
 and ``f090a`` emit certificates.  Exit status is 0 when every emitted
-check passes, 1 when a certificate fails, and 2 on usage or input errors.
+check passes, 1 when a certificate fails, 2 on usage or input errors, and
+141 (as for SIGPIPE) when the reader closes stdout early.
 ``--out`` writes the full report as JSON:
 ``{"target": ..., "pass": ..., "checks": [{"name", "pass", "witness?",
 "millis?"}]}`` per certificate.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -635,7 +637,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout early (``sepcert ... | head``): drop the
+        # rest of the output and exit as a process killed by SIGPIPE would.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,6 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import CutsetError
 from .graph import (
+    INF,
     Edge,
     Graph,
     Metric,
@@ -175,12 +176,12 @@ class NeighborOrdering:
                 raise CutsetError(f"ordering at {v} is not its neighbor set")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _subdivision(g: Graph, metric: Metric):
     return subdivide(g, metric)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _subdivision_distances(g: Graph, metric: Metric):
     g2, m2, _ = _subdivision(g, metric)
     return distances(g2, m2)
@@ -282,20 +283,31 @@ def midpoint_distance(g: Graph, metric: Metric, a, b):
 
 def is_sigma_separated(g: Graph, metric: Metric, c: Cutset, sigma) -> Verdict:
     """Are all distinct element midpoints pairwise at distance >= sigma,
-    measured in the ambient graph? Witness reports the closest pair."""
+    measured in the ambient graph? Witness reports the closest pair (the
+    first one in sorted element order) with its exact distance."""
     c.validate_for(g)
     table = _subdivision_distances(g, metric)
-    pts = [(e, point_node(g, e)) for e in c.sorted_elements()]
+    elems = c.sorted_elements()
+    if c.kind == "vertex":
+        nodes = elems
+    else:
+        _, _, mid = _subdivision(g, Metric.combinatorial())
+        nodes = [mid[e] for e in elems]
+    cols = [x - 1 for x in nodes]
     closest = None
-    for (ea, na), (eb, nb) in combinations(pts, 2):
-        d = table.get(na, nb)
-        if closest is None or d < closest[1]:
-            closest = ((ea, eb), d)
+    best = INF
+    for i in range(len(cols) - 1):
+        row = table.scaled_row(nodes[i])
+        ds = [row[k] for k in cols[i + 1 :]]
+        d = min(ds)
+        if d < best or closest is None:
+            closest, best = (i, i + 1 + ds.index(d)), d
     if closest is None:
         return _passed(pairs=0)
-    pair, d = closest
-    if d < sigma:
-        return _failed(pair=pair, distance=d)
+    i, j = closest
+    d = table.get(nodes[i], nodes[j])
+    if best < sigma * table.denominator:
+        return _failed(pair=(elems[i], elems[j]), distance=d)
     return _passed(min_distance=d)
 
 
@@ -319,12 +331,22 @@ def is_minimal_cutset(g: Graph, c: Cutset) -> Verdict:
     return _passed()
 
 
-def require_cubic(g: Graph) -> None:
+@lru_cache(maxsize=16)
+def _cubic_problem(g: Graph) -> str | None:
     if not is_connected(g):
-        raise CutsetError("graph is not connected")
+        return "graph is not connected"
     bad = next((v for v in g.vertices() if g.degree(v) != 3), None)
     if bad is not None:
-        raise CutsetError(f"graph is not trivalent: vertex {bad} has degree {g.degree(bad)}")
+        return f"graph is not trivalent: vertex {bad} has degree {g.degree(bad)}"
+    return None
+
+
+def require_cubic(g: Graph) -> None:
+    """Raise unless g is connected and trivalent; the verdict is computed
+    once per graph, since searches ask at every leaf."""
+    problem = _cubic_problem(g)
+    if problem is not None:
+        raise CutsetError(problem)
 
 
 def is_star_cutset(g: Graph, c: Cutset) -> Verdict:

@@ -364,14 +364,24 @@ def verify_gluing(structure: GluingStructure, w: WeightAssignment) -> Certificat
             {"orbits": orbit_count, "violations": bad_orbit[:8]},
         )
 
+    # Class sums at each element, shared by both balance checks; instance
+    # names are unique within a structure.
+    sums_at: dict[tuple[str, object], dict[frozenset, int]] = {}
+
+    def class_sums(li: LinkInstance, x) -> dict[frozenset, int]:
+        key = (li.name, x)
+        if key not in sums_at:
+            sums_at[key] = _class_sums(li, x, w)
+        return sums_at[key]
+
     edge_eqs = 0
     edge_bad = []
     for gi, germ in enumerate(structure.germs):
         for direction, (src, dst) in enumerate(
             ((germ, germ.reversed()), (germ.reversed(), germ))
         ):
-            sums_here = _class_sums(src.start, src.element_a, w)
-            sums_there = _class_sums(src.end, src.element_b, w)
+            sums_here = class_sums(src.start, src.element_a)
+            sums_there = class_sums(src.end, src.element_b)
             for key, lhs in sorted(sums_here.items(), key=lambda kv: sorted(map(sorted, kv[0]))):
                 edge_eqs += 1
                 rhs = sums_there.get(src.forward(key), 0)
@@ -390,14 +400,11 @@ def verify_gluing(structure: GluingStructure, w: WeightAssignment) -> Certificat
     cross_eqs = 0
     cross_bad = []
     for li in structure.instances:
-        sums_at: dict = {}
         for cp in li.pairs:
             elems = cp.cutset.sorted_elements()
             first = None
             for x in elems:
-                if x not in sums_at:
-                    sums_at[x] = _class_sums(li, x, w)
-                val = sums_at[x][induced_star_partition(li, cp, x)]
+                val = class_sums(li, x)[induced_star_partition(li, cp, x)]
                 if first is None:
                     first = (x, val)
                 else:

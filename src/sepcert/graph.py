@@ -3,8 +3,14 @@
 Vertices are integers 1..n. Edges are unordered pairs stored as sorted tuples.
 Two metrics are supported: the combinatorial metric (every edge has length 1)
 and angular metrics, where each edge carries a positive rational length
-understood as that multiple of pi. All distance arithmetic is exact; the only
-non-rational value that can appear is ``INF`` for disconnected pairs.
+understood as that multiple of pi.
+
+Distances are integers over one common denominator D, the least common
+multiple of the edge-length denominators (1 for the combinatorial metric, 2
+for a subdivided one): BFS when every scaled length is the same, integer
+Dijkstra otherwise. Values are exact at the API: an ``int`` for the
+combinatorial metric, a ``Fraction`` for angular ones, and ``INF`` for
+disconnected pairs, the only non-rational value that can appear.
 """
 from __future__ import annotations
 
@@ -12,7 +18,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import inf as INF
+from math import inf as INF, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import GraphFormatError, MetricError
@@ -168,42 +174,73 @@ def _length_table(metric: Metric) -> dict[Edge, Fraction]:
 
 
 class DistanceTable:
-    """All-pairs shortest-path distances; entries are exact or ``INF``."""
+    """All-pairs shortest-path distances.
 
-    __slots__ = ("n", "units", "_rows")
+    Entries are stored as integers over one common denominator, ``INF`` for
+    unreachable pairs. Lookups return the exact value: an ``int`` for the
+    combinatorial metric, a ``Fraction`` (multiples of pi) for angular ones.
+    """
 
-    def __init__(self, n: int, units: str, rows: Sequence[Sequence]):
+    __slots__ = ("n", "units", "denominator", "_rows")
+
+    def __init__(self, n: int, units: str, denominator: int, rows: Sequence[Sequence]):
         self.n = n
         self.units = units
+        self.denominator = denominator
         self._rows = tuple(tuple(r) for r in rows)
 
+    def _exact(self, d):
+        if d is INF or self.units == "edges":
+            return d
+        return Fraction(d, self.denominator)
+
     def get(self, u: int, v: int):
-        return self._rows[u - 1][v - 1]
+        return self._exact(self._rows[u - 1][v - 1])
 
     def row(self, u: int) -> tuple:
+        return tuple(self._exact(d) for d in self._rows[u - 1])
+
+    def scaled_row(self, u: int) -> tuple:
+        """Row of u as integers over ``denominator`` (``INF`` if unreachable)."""
         return self._rows[u - 1]
 
     def diameter(self):
-        worst = 0
-        for row in self._rows:
-            for d in row:
-                if d > worst:
-                    worst = d
-        return worst
+        worst = max((max(row) for row in self._rows), default=0)
+        return worst if worst == 0 else self._exact(worst)
 
     def pairs_at_least(self, bound) -> list[tuple[int, int]]:
         """Ordered list of pairs u < v with finite distance >= bound."""
+        need = bound * self.denominator
         out = []
         for u in range(1, self.n + 1):
             row = self._rows[u - 1]
             for v in range(u + 1, self.n + 1):
                 d = row[v - 1]
-                if d is not INF and d >= bound:
+                if d is not INF and d >= need:
                     out.append((u, v))
         return out
 
 
+def _scaled_lengths(g: Graph, metric: Metric) -> tuple[int, dict[Edge, int]]:
+    """Common denominator D of the edge lengths of g, and each length times D."""
+    if metric.kind == "combinatorial":
+        return 1, dict.fromkeys(g.edges(), 1)
+    table = _length_table(metric)
+    denom = lcm(*(table[e].denominator for e in g.edges()))
+    return denom, {e: table[e].numerator * (denom // table[e].denominator) for e in g.edges()}
+
+
+def _uniform_step(lengths: Mapping[Edge, int]) -> int | None:
+    """The common scaled length when all edges have the same one (1 when
+    there are no edges), else None."""
+    steps = set(lengths.values())
+    if len(steps) > 1:
+        return None
+    return steps.pop() if steps else 1
+
+
 def _bfs_row(g: Graph, source: int) -> list:
+    adj = g._adj
     dist = [INF] * (g.n + 1)
     dist[source] = 0
     frontier = [source]
@@ -212,7 +249,7 @@ def _bfs_row(g: Graph, source: int) -> list:
         d += 1
         nxt = []
         for u in frontier:
-            for w in g.neighbors(u):
+            for w in adj[u - 1]:
                 if dist[w] is INF:
                     dist[w] = d
                     nxt.append(w)
@@ -220,11 +257,13 @@ def _bfs_row(g: Graph, source: int) -> list:
     return dist[1:]
 
 
-def _dijkstra_row(g: Graph, metric: Metric, source: int, skip_edge: Edge | None = None) -> list:
-    table = _length_table(metric)
+def _dijkstra_row(
+    g: Graph, lengths: Mapping[Edge, int], source: int, skip_edge: Edge | None = None
+) -> list:
+    """Integer Dijkstra over scaled edge lengths, optionally avoiding one edge."""
     dist: list = [INF] * (g.n + 1)
-    dist[source] = Fraction(0)
-    heap: list[tuple[Fraction, int]] = [(Fraction(0), source)]
+    dist[source] = 0
+    heap = [(0, source)]
     done = [False] * (g.n + 1)
     while heap:
         d, u = heapq.heappop(heap)
@@ -232,70 +271,83 @@ def _dijkstra_row(g: Graph, metric: Metric, source: int, skip_edge: Edge | None 
             continue
         done[u] = True
         for w in g.neighbors(u):
-            e = edge_key(u, w)
-            if skip_edge is not None and e == skip_edge:
+            e = (u, w) if u < w else (w, u)
+            if e == skip_edge:
                 continue
-            try:
-                nd = d + table[e]
-            except KeyError:
-                raise MetricError(f"no length assigned to edge {e}") from None
-            if dist[w] is INF or nd < dist[w]:
+            nd = d + lengths[e]
+            if nd < dist[w]:
                 dist[w] = nd
                 heapq.heappush(heap, (nd, w))
     return dist[1:]
 
 
 def distances(g: Graph, metric: Metric | None = None) -> DistanceTable:
-    """All-pairs exact distances (BFS per vertex, or Dijkstra for angular)."""
+    """All-pairs exact distances: BFS per vertex when every edge has the same
+    length, integer Dijkstra otherwise."""
     metric = metric or Metric.combinatorial()
     metric.validate_for(g)
-    if metric.kind == "combinatorial":
-        rows = [_bfs_row(g, s) for s in g.vertices()]
+    denom, lengths = _scaled_lengths(g, metric)
+    step = _uniform_step(lengths)
+    if step is None:
+        rows = [_dijkstra_row(g, lengths, s) for s in g.vertices()]
     else:
-        rows = [_dijkstra_row(g, metric, s) for s in g.vertices()]
-    return DistanceTable(g.n, metric.units, rows)
+        rows = [_bfs_row(g, s) for s in g.vertices()]
+        if step != 1:
+            rows = [[d if d is INF else d * step for d in row] for row in rows]
+    return DistanceTable(g.n, metric.units, denom, rows)
+
+
+def _bfs_girth(g: Graph):
+    """Fewest edges on a cycle: one BFS per root, taking the best cycle
+    closed by a non-tree edge."""
+    best = INF
+    for r in g.vertices():
+        dist = [INF] * (g.n + 1)
+        parent = [0] * (g.n + 1)
+        dist[r] = 0
+        frontier = [r]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for w in g.neighbors(u):
+                    if dist[w] is INF:
+                        dist[w] = dist[u] + 1
+                        parent[w] = u
+                        nxt.append(w)
+                    elif w != parent[u] and dist[w] >= dist[u]:
+                        cand = dist[u] + dist[w] + 1
+                        if cand < best:
+                            best = cand
+            if best is not INF and nxt and 2 * dist[nxt[0]] >= best:
+                break
+            frontier = nxt
+    return best
 
 
 def girth(g: Graph, metric: Metric | None = None):
     """Length of a shortest cycle; ``INF`` for forests.
 
-    Combinatorial: one BFS per root, taking the best cycle closed by a
-    non-tree edge. Angular: for each edge, its length plus the shortest
-    path between its endpoints avoiding it.
+    When every edge has the same length: the fewest edges on a cycle (BFS)
+    times that length. Otherwise: for each edge, its length plus the
+    shortest path between its endpoints avoiding it.
     """
     metric = metric or Metric.combinatorial()
     metric.validate_for(g)
-    best = INF
-    if metric.kind == "combinatorial":
-        for r in g.vertices():
-            dist = [INF] * (g.n + 1)
-            parent = [0] * (g.n + 1)
-            dist[r] = 0
-            frontier = [r]
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    for w in g.neighbors(u):
-                        if dist[w] is INF:
-                            dist[w] = dist[u] + 1
-                            parent[w] = u
-                            nxt.append(w)
-                        elif w != parent[u] and dist[w] >= dist[u]:
-                            cand = dist[u] + dist[w] + 1
-                            if cand < best:
-                                best = cand
-                if best is not INF and nxt and 2 * dist[nxt[0]] >= best:
-                    break
-                frontier = nxt
-        return best
-    for u, v in g.edges():
-        row = _dijkstra_row(g, metric, u, skip_edge=(u, v))
-        around = row[v - 1]
-        if around is not INF:
-            cand = around + metric.edge_length((u, v))
+    denom, lengths = _scaled_lengths(g, metric)
+    step = _uniform_step(lengths)
+    if step is not None:
+        best = _bfs_girth(g)
+        if best is not INF:
+            best *= step
+    else:
+        best = INF
+        for u, v in g.edges():
+            cand = _dijkstra_row(g, lengths, u, skip_edge=(u, v))[v - 1] + lengths[(u, v)]
             if cand < best:
                 best = cand
-    return best
+    if best is INF or metric.kind == "combinatorial":
+        return best
+    return Fraction(best, denom)
 
 
 def components(

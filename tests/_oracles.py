@@ -88,6 +88,18 @@ def numpy_distances(g: Graph) -> dict[tuple[int, int], float]:
     }
 
 
+def nx_angular_distances(g: Graph, metric: Metric) -> dict[tuple[int, int], Fraction | float]:
+    """All-pairs distances by networkx Dijkstra on exact ``Fraction``
+    weights; unreachable pairs are ``math.inf``."""
+    h = nx_graph(g)
+    for u, v in g.edges():
+        h[u][v]["w"] = metric.edge_length((u, v))
+    found = dict(nx.all_pairs_dijkstra_path_length(h, weight="w"))
+    return {
+        (u, v): found[u].get(v, math.inf) for u in g.vertices() for v in g.vertices()
+    }
+
+
 def brute_girth(g: Graph) -> float:
     """Shortest cycle length: for each edge, shortest path between its ends
     avoiding the edge, plus one."""

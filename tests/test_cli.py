@@ -1,14 +1,20 @@
-"""The command line: exact group orders from ``sepcert aut``, and exit 2
-with an ``error:`` line on bad options and malformed input."""
+"""The command line: exact group orders from ``sepcert aut``, exit 2 with
+an ``error:`` line on bad options and malformed input, and a quiet exit 141
+when the reader closes stdout early."""
 
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import sepcert
 from sepcert.cli import main
 from sepcert.graph import Graph, format_graph
 
@@ -64,3 +70,38 @@ def test_complex_check_rejects_malformed_input(doc, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ComplexError:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "g,message",
+    [
+        (Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)]), "graph is not trivalent: vertex 1 has degree 2"),
+        (
+            Graph(8, [e for base in (0, 4) for e in combinations(range(base + 1, base + 5), 2)]),
+            "graph is not connected",
+        ),
+    ],
+)
+def test_star_search_rejects_non_cubic_graphs(g, message, tmp_path, capsys):
+    path = _graph_file(tmp_path, g)
+    for _ in range(2):  # the second run asks the memoised verdict
+        assert main(["cutset", "search", path, "--star", "--exhaust"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: CutsetError: {message}\n"
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    env = dict(os.environ, PYTHONPATH=str(Path(sepcert.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sepcert.cli", "aut", "--builtin", "f090a", "--elements"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    head = [proc.stdout.readline() for _ in range(3)]
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert head[0] == b"order: 4320\n"
+    assert "Traceback" not in err and "BrokenPipeError" not in err

@@ -3,10 +3,13 @@ bundled F090A seed facts."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from _oracles import nx_angular_distances
 from _oracles import separates as oracle_separates
 from sepcert.cutset import (
     Cutset,
@@ -31,7 +34,7 @@ from sepcert.cutset import (
 )
 from sepcert.datasets import named_graph
 from sepcert.errors import CutsetError
-from sepcert.graph import Graph, Metric
+from sepcert.graph import Graph, Metric, subdivide
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +150,64 @@ def test_sigma_separated_edge_kind(c8):
     c = Cutset.of_edges([(1, 2), (5, 6)])
     assert is_sigma_separated(c8, metric, c, 4).ok
     assert not is_sigma_separated(c8, metric, c, 5).ok
+
+
+def _square_1_to_3_at(d13: Fraction) -> tuple[Graph, Metric]:
+    """A 4-cycle whose side 2-3 is chosen so that d(1, 3) = 1/2 + (2-3) = d13
+    (the other way round is 1)."""
+    g = Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    half = Fraction(1, 2)
+    return g, Metric.angular({(1, 2): half, (2, 3): d13 - half, (3, 4): half, (1, 4): half})
+
+
+def test_sigma_separated_at_exactly_sigma():
+    sigma = Fraction(5, 6)
+    g, metric = _square_1_to_3_at(sigma)
+    for c in (Cutset.of_vertices([1, 3]), Cutset.of_edges([(1, 2), (3, 4)])):
+        at = is_sigma_separated(g, metric, c, sigma)
+        assert at.ok and at.witness == {"min_distance": sigma}
+        assert type(at.witness["min_distance"]) is Fraction
+        above = is_sigma_separated(g, metric, c, sigma + Fraction(1, 10**9))
+        assert not above.ok and above.witness == {"pair": c.sorted_elements(), "distance": sigma}
+
+
+def test_sigma_separated_fails_just_below_sigma():
+    sigma = Fraction(5, 6)
+    d = sigma - Fraction(1, 60)
+    g, metric = _square_1_to_3_at(d)
+    v = is_sigma_separated(g, metric, Cutset.of_vertices([1, 3]), sigma)
+    assert not v.ok and v.witness == {"pair": (1, 3), "distance": d}
+    assert type(v.witness["distance"]) is Fraction
+
+
+def test_sigma_witness_is_a_fraction_on_the_combinatorial_metric(c8):
+    # midpoints live on the subdivision, whose half-edges are angular lengths
+    v = is_sigma_separated(c8, Metric.combinatorial(), Cutset.of_vertices([1, 5]), 3)
+    assert v.ok and type(v.witness["min_distance"]) is Fraction and v.witness["min_distance"] == 4
+    assert type(midpoint_distance(c8, Metric.combinatorial(), 1, 2)) is Fraction
+
+
+@pytest.mark.parametrize("kind", ["vertex", "edge"])
+def test_sigma_closest_pair_matches_fraction_oracle(kind):
+    g = named_graph("petersen")
+    lengths = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 5))
+    metric = Metric.angular({e: lengths[i % 3] for i, e in enumerate(g.edges())})
+    g2, m2, mid = subdivide(g, metric)
+    oracle = nx_angular_distances(g2, m2)
+    node = (lambda x: x) if kind == "vertex" else mid.__getitem__
+    pool = list(g.vertices()) if kind == "vertex" else list(g.edges())
+    rng = random.Random(7)
+    for _ in range(40):
+        c = Cutset(kind, frozenset(rng.sample(pool, rng.randint(2, 5))))
+        pairs = list(combinations(c.sorted_elements(), 2))
+        closest = min(pairs, key=lambda p: oracle[(node(p[0]), node(p[1]))])
+        d = oracle[(node(closest[0]), node(closest[1]))]
+        for sigma in (d, d + Fraction(1, 30)):
+            v = is_sigma_separated(g, metric, c, sigma)
+            if sigma == d:
+                assert v.ok and v.witness == {"min_distance": d}
+            else:
+                assert not v.ok and v.witness == {"pair": closest, "distance": d}
 
 
 def test_proper_cutsets(c8):

@@ -209,6 +209,20 @@ def test_uneven_weights_fail_balance_across_elements(c6_diameters):
     assert verify_gluing(s, WeightAssignment.all_ones(s)).ok
 
 
+def test_balance_keeps_instances_apart():
+    # two copies of one link share element names but not weights
+    a = link_of("A", "c6", 3, [(1, 4), (2, 5), (3, 6)])
+    b = link_of("B", "c6", 3, [(1, 4), (2, 5), (3, 6)])
+    s = GluingStructure((a, b), (EdgeGerm.identity(a, b, 1),))
+    w = WeightAssignment(
+        {(li.name, pair_key(cp)): weight for li, weight in ((a, 1), (b, 2)) for cp in li.pairs}
+    )
+    cert = verify_gluing(s, w)
+    edge = cert.check("edge-balance")
+    assert [(v["lhs"], v["rhs"]) for v in edge.witness["violations"]] == [(1, 2), (2, 1)]
+    assert cert.check("cross-edge-balance").ok
+
+
 def test_solve_finds_all_ones_on_c6(c6_diameters):
     s = GluingStructure.homogeneous(c6_diameters, automorphism_group(named_graph("c6")))
     got = solve_gluing(s)

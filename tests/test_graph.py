@@ -4,14 +4,16 @@ against the slow oracles in _oracles.py."""
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from _oracles import brute_girth, numpy_distances
+from _oracles import brute_angular_girth, brute_girth, numpy_distances, nx_angular_distances
 from sepcert.datasets import named_graph
 from sepcert.errors import GraphFormatError, MetricError
 from sepcert.graph import (
+    INF,
     Graph,
     Metric,
     bipartition,
@@ -172,6 +174,86 @@ def test_girth_with_angular_metric():
     g = Graph(3, [(1, 2), (2, 3), (1, 3)])
     metric = Metric.angular({e: Fraction(1, 3) for e in g.edges()})
     assert girth(g, metric) == Fraction(1)
+
+
+# ------------------------------------------- integer kernel vs oracles --
+
+_MIXED = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 5))
+
+
+def _mixed_metric(g: Graph, lengths=_MIXED) -> Metric:
+    return Metric.angular({e: lengths[i % len(lengths)] for i, e in enumerate(g.edges())})
+
+
+def _random_graph(seed: int) -> Graph:
+    rng = random.Random(seed)
+    n = rng.randint(5, 10)
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    return Graph(n, [e for e in pairs if rng.random() < 0.3])
+
+
+_TWO_CYCLES_AND_A_POINT = Graph(8, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (6, 7), (4, 7)])
+_TREE = Graph(5, [(1, 2), (2, 3), (2, 4), (4, 5)])
+
+#: name -> (graph, edge lengths assigned round-robin in sorted edge order)
+_ANGULAR_CASES = {
+    "petersen-mixed": (named_graph("petersen"), _MIXED),
+    "heawood-uniform-2/5": (named_graph("heawood"), (Fraction(2, 5),)),
+    "two-cycles-and-a-point": (_TWO_CYCLES_AND_A_POINT, _MIXED),
+    "tree": (_TREE, _MIXED),
+    **{f"random-{seed}": (_random_graph(seed), _MIXED + (Fraction(1),)) for seed in range(6)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ANGULAR_CASES))
+def test_angular_distances_match_fraction_oracle(case):
+    g, lengths = _ANGULAR_CASES[case]
+    metric = _mixed_metric(g, lengths)
+    table = distances(g, metric)
+    expected = nx_angular_distances(g, metric)
+    for (u, v), d in expected.items():
+        got = table.get(u, v)
+        if math.isinf(d):
+            assert got is INF
+        else:
+            assert type(got) is Fraction and got == d
+    for u in g.vertices():
+        assert table.row(u) == tuple(table.get(u, v) for v in g.vertices())
+    assert table.diameter() == max(expected.values(), default=0)
+    bound = Fraction(5, 6)
+    assert table.pairs_at_least(bound) == [
+        (u, v)
+        for (u, v), d in sorted(expected.items())
+        if u < v and not math.isinf(d) and d >= bound
+    ]
+
+
+@pytest.mark.parametrize("case", sorted(_ANGULAR_CASES))
+def test_angular_girth_matches_fraction_oracle(case):
+    g, lengths = _ANGULAR_CASES[case]
+    metric = _mixed_metric(g, lengths)
+    got = girth(g, metric)
+    expected = brute_angular_girth(g, metric)
+    if math.isinf(expected):
+        assert got is INF
+    else:
+        assert type(got) is Fraction and got == expected
+
+
+def test_value_types():
+    """ints on the combinatorial metric, Fractions on angular ones, except
+    the diameter 0 of a table with no two vertices apart, which stays an int."""
+    g = Graph(5, [(1, 2), (2, 3), (3, 1), (4, 5)])
+    table = distances(g)
+    assert type(table.get(1, 3)) is int and table.get(1, 3) == 1
+    assert table.get(1, 4) is INF
+    assert table.diameter() is INF
+    assert type(girth(g)) is int and girth(g) == 3
+    assert type(distances(named_graph("petersen")).diameter()) is int
+    assert type(distances(Graph(1, []), Metric.angular({})).diameter()) is int
+    edge = Graph(2, [(1, 2)])
+    assert distances(edge, _mixed_metric(edge)).diameter() == Fraction(1, 3)
+    assert type(distances(edge, _mixed_metric(edge)).diameter()) is Fraction
 
 
 def test_structural_report_known_values():

@@ -1,10 +1,13 @@
-"""Pinned data of the F090A pipeline against the graph it describes."""
+"""Pinned data of the F090A pipeline against the graph it describes, and
+repeatability of the whole run."""
 
 from __future__ import annotations
 
+from sepcert import gluing
 from sepcert.cutset import complement_labels
 from sepcert.graph import distances
-from sepcert.pipeline import _PAIRS
+from sepcert.pipeline import _PAIRS, run_f090a
+from sepcert.report import dumps, stripped
 
 
 def test_pinned_pairs_lie_at_their_distance(f090a):
@@ -28,3 +31,21 @@ def test_pinned_pairs_are_separated_by_the_seed_closure(f090a, orbit_closure):
 
     assert all(separated(x, y) for x, y in _PAIRS.values())
     assert separated(16, 76)
+
+
+def test_rerun_in_process_repeats_report_and_equation_count(monkeypatch):
+    """A second run, on warm caches, gives the same stripped report and
+    checks the same number of gluing balance equations."""
+    equations = []
+    verify = gluing.verify_gluing
+
+    def counting(structure, w):
+        cert = verify(structure, w)
+        equations.append(sum((c.witness or {}).get("equations", 0) for c in cert.checks))
+        return cert
+
+    monkeypatch.setattr(gluing, "verify_gluing", counting)
+    first = stripped(dumps(run_f090a()))
+    second = stripped(dumps(run_f090a()))
+    assert first == second
+    assert equations == [15120, 15120]
