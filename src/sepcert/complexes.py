@@ -9,6 +9,11 @@ constructs the antipodal graph, traces separating hypergraphs outward from a
 seeded cutset-partition, and computes the two-sided cut such a hypergraph
 induces on the subdivided 1-skeleton.
 
+Each complex builds its vertex -> faces and vertex -> edges incidence in one
+pass, and its subdivided 1-skeleton once, both on first use and kept with
+the complex; links, midpoint ids and wall cuts read them from there, so a
+pass over every vertex stays linear in the size of the complex.
+
 Local pairs and tracing conventions
 -----------------------------------
 
@@ -36,7 +41,6 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -58,7 +62,8 @@ from .graph import (
     distances,
     edge_key,
     girth,
-    subdivide,
+    shortest_cycle,
+    subdivision_graph,
 )
 from .report import Certificate
 
@@ -146,12 +151,32 @@ class PolygonalComplex:
         """Longest face boundary (faces have unit sides)."""
         return max(len(f) for f in self.faces)
 
+    def _incidence(self) -> tuple[tuple, tuple, dict[Edge, int]]:
+        """Vertex -> faces and vertex -> incident edges (both ascending,
+        indexed by vertex id, slot 0 empty), and edge -> position in
+        ``edges``; built in one pass over faces and edges on first use."""
+        index = self._cache.get("incidence")
+        if index is None:
+            faces_at: list[list[int]] = [[] for _ in range(self.n + 1)]
+            for i, walk in enumerate(self.faces):
+                for v in walk:
+                    faces_at[v].append(i)
+            edges_at: list[list[Edge]] = [[] for _ in range(self.n + 1)]
+            for e in self.edges:
+                edges_at[e[0]].append(e)
+                edges_at[e[1]].append(e)
+            position = {e: i for i, e in enumerate(self.edges)}
+            index = (tuple(map(tuple, faces_at)), tuple(map(tuple, edges_at)), position)
+            self._cache["incidence"] = index
+        return index
+
     def faces_at(self, v: int) -> tuple[int, ...]:
         """Indices of the faces whose boundary passes through v."""
-        key = ("faces_at", v)
-        if key not in self._cache:
-            self._cache[key] = tuple(i for i, f in enumerate(self.faces) if v in f)
-        return self._cache[key]
+        return self._incidence()[0][v] if 1 <= v <= self.n else ()
+
+    def edges_at(self, v: int) -> tuple[Edge, ...]:
+        """Edges incident to v, in sorted edge order."""
+        return self._incidence()[1][v] if 1 <= v <= self.n else ()
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -268,7 +293,7 @@ def link(x: PolygonalComplex, v: int) -> Link:
     key = ("link", v)
     if key in x._cache:
         return x._cache[key]
-    incident = tuple(e for e in x.edges if v in e)
+    incident = x.edges_at(v)
     ids = {e: i + 1 for i, e in enumerate(incident)}
     lengths: dict[Edge, Fraction] = {}
     face_of: dict[Edge, int] = {}
@@ -291,48 +316,6 @@ def link(x: PolygonalComplex, v: int) -> Link:
     return lk
 
 
-def _dijkstra_path(g: Graph, metric: Metric, source: int, target: int, skip: Edge):
-    """Shortest path source -> target avoiding one edge; (length, vertices)."""
-    skip = edge_key(*skip)
-    dist = {source: Fraction(0)}
-    parent: dict[int, int] = {}
-    heap: list[tuple[Fraction, int]] = [(Fraction(0), source)]
-    done: set[int] = set()
-    while heap:
-        d, u = heappop(heap)
-        if u in done:
-            continue
-        if u == target:
-            path = [u]
-            while path[-1] != source:
-                path.append(parent[path[-1]])
-            return d, tuple(reversed(path))
-        done.add(u)
-        for w in g.neighbors(u):
-            if edge_key(u, w) == skip:
-                continue
-            nd = d + metric.edge_length((u, w))
-            if w not in dist or nd < dist[w]:
-                dist[w] = nd
-                parent[w] = u
-                heappush(heap, (nd, w))
-    return INF, ()
-
-
-def _shortest_cycle(g: Graph, metric: Metric):
-    """A minimum-length cycle as (length, vertex tuple); None if acyclic."""
-    best = None
-    for e in g.edges():
-        u, v = e
-        d, path = _dijkstra_path(g, metric, u, v, skip=e)
-        if d is INF:
-            continue
-        total = d + metric.edge_length(e)
-        if best is None or total < best[0]:
-            best = (total, path)
-    return best
-
-
 def check_gromov(x: PolygonalComplex) -> Certificate:
     """Certify the link condition: every link has angular girth >= 2 pi.
 
@@ -352,7 +335,7 @@ def check_gromov(x: PolygonalComplex) -> Certificate:
         ok = got is INF or got >= 2
         witness = {"girth_pi_units": got, "required": 2}
         if not ok:
-            found = _shortest_cycle(lk.graph, lk.metric)
+            found = shortest_cycle(lk.graph, lk.metric)
             if found is not None:
                 witness["cycle"] = found[1]
         cert.add(f"link-girth-{v}", ok, witness)
@@ -460,9 +443,10 @@ def antipodal_graph(x: PolygonalComplex) -> AntipodalGraph:
 def edge_midpoint_id(x: PolygonalComplex, e: Edge) -> int:
     """Subdivided id of an edge midpoint (n+1.. in sorted edge order)."""
     key = edge_key(*e)
-    if key not in x.edge_faces:
+    _, _, position = x._incidence()
+    if key not in position:
         raise ComplexError(f"{key} is not an edge of the complex")
-    return x.n + 1 + x.edges.index(key)
+    return x.n + 1 + position[key]
 
 
 @dataclass(frozen=True)
@@ -978,6 +962,14 @@ def _direction_node(x: PolygonalComplex, mid: dict[Edge, int], kind: str, v: int
     return mid[lk.edges_at[d - 1]]
 
 
+def _subdivided_skeleton(x: PolygonalComplex) -> tuple[Graph, dict[Edge, int]]:
+    """The subdivided 1-skeleton and its edge -> midpoint map, built once per
+    complex (midpoints n+1.. in sorted edge order, as ``mid_of``)."""
+    if "subdivision" not in x._cache:
+        x._cache["subdivision"] = subdivision_graph(x.skeleton)
+    return x._cache["subdivision"]
+
+
 def wall_cut(x: PolygonalComplex, h: Hypergraph) -> WallCut:
     """Cut the subdivided 1-skeleton along a hypergraph.
 
@@ -986,7 +978,7 @@ def wall_cut(x: PolygonalComplex, h: Hypergraph) -> WallCut:
     Components are then grouped: at every visited vertex, components touched
     by directions in one partition block belong to the same side.
     """
-    g2, _, mid = subdivide(x.skeleton)
+    g2, mid = _subdivided_skeleton(x)
     removed: set[int] = set()
     if h.kind == "vertex":
         for seg in h.segments:
@@ -1034,7 +1026,7 @@ def separation_check(x: PolygonalComplex, h: Hypergraph, p, q) -> bool:
     hypergraph itself is an error.
     """
     cut = wall_cut(x, h)
-    _, _, mid = subdivide(x.skeleton)
+    _, mid = _subdivided_skeleton(x)
     nodes = []
     for pt in (p, q):
         if isinstance(pt, int):

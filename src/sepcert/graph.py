@@ -168,7 +168,7 @@ class Metric:
 _COMBINATORIAL = Metric("combinatorial")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _length_table(metric: Metric) -> dict[Edge, Fraction]:
     return dict(metric._lengths)
 
@@ -257,11 +257,19 @@ def _bfs_row(g: Graph, source: int) -> list:
     return dist[1:]
 
 
-def _dijkstra_row(
-    g: Graph, lengths: Mapping[Edge, int], source: int, skip_edge: Edge | None = None
-) -> list:
-    """Integer Dijkstra over scaled edge lengths, optionally avoiding one edge."""
+def _dijkstra(
+    g: Graph,
+    lengths: Mapping[Edge, int],
+    source: int,
+    skip_edge: Edge | None = None,
+    target: int | None = None,
+) -> tuple[list, list[int]]:
+    """Integer Dijkstra over scaled edge lengths, optionally avoiding one edge
+    and stopping once ``target`` is settled. Returns (dist, parent), both
+    indexed by vertex (slot 0 unused); heap ties break on (distance, vertex)
+    and a parent changes only on a strict improvement."""
     dist: list = [INF] * (g.n + 1)
+    parent = [0] * (g.n + 1)
     dist[source] = 0
     heap = [(0, source)]
     done = [False] * (g.n + 1)
@@ -269,6 +277,8 @@ def _dijkstra_row(
         d, u = heapq.heappop(heap)
         if done[u]:
             continue
+        if u == target:
+            break
         done[u] = True
         for w in g.neighbors(u):
             e = (u, w) if u < w else (w, u)
@@ -277,8 +287,9 @@ def _dijkstra_row(
             nd = d + lengths[e]
             if nd < dist[w]:
                 dist[w] = nd
+                parent[w] = u
                 heapq.heappush(heap, (nd, w))
-    return dist[1:]
+    return dist, parent
 
 
 def distances(g: Graph, metric: Metric | None = None) -> DistanceTable:
@@ -289,7 +300,7 @@ def distances(g: Graph, metric: Metric | None = None) -> DistanceTable:
     denom, lengths = _scaled_lengths(g, metric)
     step = _uniform_step(lengths)
     if step is None:
-        rows = [_dijkstra_row(g, lengths, s) for s in g.vertices()]
+        rows = [_dijkstra(g, lengths, s)[0][1:] for s in g.vertices()]
     else:
         rows = [_bfs_row(g, s) for s in g.vertices()]
         if step != 1:
@@ -324,12 +335,38 @@ def _bfs_girth(g: Graph):
     return best
 
 
+def _shortest_cycle(g: Graph, lengths: Mapping[Edge, int]):
+    """(scaled length, vertex path) of a shortest cycle, None for forests.
+
+    Each edge (u, v), in sorted order, closes a shortest u-v path avoiding
+    it; the first edge giving a strictly shorter cycle wins, and the path
+    runs from u to v.
+    """
+    best = None
+    for u, v in g.edges():
+        dist, parent = _dijkstra(g, lengths, u, skip_edge=(u, v), target=v)
+        if dist[v] is INF:
+            continue
+        total = dist[v] + lengths[(u, v)]
+        if best is None or total < best[0]:
+            path = [v]
+            while path[-1] != u:
+                path.append(parent[path[-1]])
+            best = (total, tuple(reversed(path)))
+    return best
+
+
+def _exact_length(d, metric: Metric, denom: int):
+    if d is INF or metric.kind == "combinatorial":
+        return d
+    return Fraction(d, denom)
+
+
 def girth(g: Graph, metric: Metric | None = None):
     """Length of a shortest cycle; ``INF`` for forests.
 
     When every edge has the same length: the fewest edges on a cycle (BFS)
-    times that length. Otherwise: for each edge, its length plus the
-    shortest path between its endpoints avoiding it.
+    times that length. Otherwise the length of ``shortest_cycle``.
     """
     metric = metric or Metric.combinatorial()
     metric.validate_for(g)
@@ -340,14 +377,23 @@ def girth(g: Graph, metric: Metric | None = None):
         if best is not INF:
             best *= step
     else:
-        best = INF
-        for u, v in g.edges():
-            cand = _dijkstra_row(g, lengths, u, skip_edge=(u, v))[v - 1] + lengths[(u, v)]
-            if cand < best:
-                best = cand
-    if best is INF or metric.kind == "combinatorial":
-        return best
-    return Fraction(best, denom)
+        found = _shortest_cycle(g, lengths)
+        best = INF if found is None else found[0]
+    return _exact_length(best, metric, denom)
+
+
+def shortest_cycle(g: Graph, metric: Metric | None = None):
+    """A shortest cycle as (length, vertex path), None for forests: for each
+    edge in sorted order, its length plus a shortest path between its ends
+    that avoids it. The path lists the cycle's vertices from the smaller end
+    of its closing edge to the larger one."""
+    metric = metric or Metric.combinatorial()
+    metric.validate_for(g)
+    denom, lengths = _scaled_lengths(g, metric)
+    found = _shortest_cycle(g, lengths)
+    if found is None:
+        return None
+    return _exact_length(found[0], metric, denom), found[1]
 
 
 def components(
@@ -449,28 +495,31 @@ def structural_report(g: Graph, metric: Metric | None = None) -> dict:
     }
 
 
+def subdivision_graph(g: Graph) -> tuple[Graph, dict[Edge, int]]:
+    """The graph and edge -> midpoint map of ``subdivide``, without a metric."""
+    mid: dict[Edge, int] = {}
+    edges2: list[Edge] = []
+    for m, e in enumerate(g.edges(), start=g.n + 1):
+        mid[e] = m
+        u, v = e
+        edges2.append((u, m))
+        edges2.append((v, m))
+    return Graph(g.n + len(mid), edges2), mid
+
+
 def subdivide(g: Graph, metric: Metric | None = None) -> tuple[Graph, Metric, dict[Edge, int]]:
     """Barycentric subdivision of the 1-skeleton: one new vertex per edge
     midpoint. Returns (graph, metric, edge -> midpoint id). Midpoints are
     numbered n+1.. in sorted edge order; half-edges carry half the length."""
     metric = metric or Metric.combinatorial()
     metric.validate_for(g)
-    mid: dict[Edge, int] = {}
-    edges2: list[Edge] = []
+    g2, mid = subdivision_graph(g)
     lengths2: dict[Edge, Fraction] = {}
-    nxt = g.n
-    for e in g.edges():
-        nxt += 1
-        mid[e] = nxt
-        u, v = e
+    for e, m in mid.items():
         half = Fraction(metric.edge_length(e), 2)
-        for end in (u, v):
-            e2 = edge_key(end, nxt)
-            edges2.append(e2)
-            lengths2[e2] = half
-    g2 = Graph(nxt, edges2)
-    m2 = Metric.angular(lengths2)
-    return g2, m2, mid
+        for end in e:
+            lengths2[(end, m)] = half
+    return g2, Metric.angular(lengths2), mid
 
 
 def parse_rational(text: str) -> Fraction:

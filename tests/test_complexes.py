@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import sepcert.complexes as complexes
 from sepcert.complexes import (
     PI,
     _pairs_at,
@@ -152,6 +153,27 @@ def test_cone_over_short_cycle_fails_gromov():
     assert failing.witness["required"] == 2
 
 
+@pytest.mark.parametrize(
+    "make, check, cycle",
+    [
+        (lambda: cone_complex(named_graph("c4")), "link-girth-5", (1, 4, 3, 2)),
+        (lambda: fan(5), "link-girth-1", (1, 5, 4, 3, 2)),
+        # the apex link is K4: the path 1-3-2 ties with 1-4-2, and ties keep
+        # the first parent found
+        (lambda: cone_complex(named_graph("k4")), "link-girth-5", (1, 3, 2)),
+    ],
+    ids=["cone-c4", "fan-5", "cone-k4"],
+)
+def test_gromov_failure_witness_is_a_shortest_cycle(make, check, cycle):
+    x = make()
+    failing = check_gromov(x).check(check)
+    assert failing.witness["cycle"] == cycle
+    lk = link(x, int(check.rsplit("-", 1)[1]))
+    closed = list(zip(cycle, cycle[1:])) + [(cycle[-1], cycle[0])]
+    assert all(lk.graph.has_edge(u, v) for u, v in closed)
+    assert sum(lk.metric.edge_length(e) for e in closed) == failing.witness["girth_pi_units"]
+
+
 def test_fan_of_six_triangles_is_flat():
     assert check_gromov(fan(6)).ok
     assert not check_gromov(fan(5)).ok
@@ -189,6 +211,34 @@ def test_opposite_pair_seeds_are_interior(grid):
     for mid, faces in seeds:
         assert mid > grid.n
         assert len(faces) == 2
+
+
+# ------------------------------------------------------------- incidence --
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: grid_complex(5, 7), lambda: fan(5), lambda: cone_complex(named_graph("f090a"))],
+    ids=["grid-5x7", "fan-5", "cone-f090a"],
+)
+def test_incidence_index_matches_scans(make):
+    x = make()
+    for v in range(1, x.n + 1):
+        assert x.faces_at(v) == tuple(i for i, f in enumerate(x.faces) if v in f)
+        incident = tuple(e for e in x.edges if v in e)
+        assert x.edges_at(v) == incident
+        assert link(x, v).edges_at == incident
+    assert x.faces_at(0) == x.faces_at(x.n + 1) == ()
+    assert x.edges_at(0) == x.edges_at(x.n + 1) == ()
+    mid_of = antipodal_graph(x).mid_of
+    for e in x.edges:
+        assert edge_midpoint_id(x, e) == x.n + 1 + x.edges.index(e) == mid_of[e]
+        assert edge_midpoint_id(x, e[::-1]) == edge_midpoint_id(x, e)
+    non_edge = next(
+        (u, v) for u in range(1, x.n + 1) for v in range(u + 1, x.n + 1) if (u, v) not in x.edge_faces
+    )
+    with pytest.raises(ComplexError, match="not an edge"):
+        edge_midpoint_id(x, non_edge)
 
 
 # ----------------------------------------------------------------- traces --
@@ -262,6 +312,23 @@ def test_midline_wall_splits_grid(grid):
     assert not separation_check(grid, h, 1, 6)
     with pytest.raises(ComplexError, match="lies on the hypergraph"):
         separation_check(grid, h, (7, 8), 1)
+
+
+def test_wall_cut_repeats_on_one_subdivision(monkeypatch):
+    x = grid_complex(5, 5)  # a fresh complex, so nothing is cached yet
+    built = []
+    real = complexes.subdivision_graph
+    monkeypatch.setattr(complexes, "subdivision_graph", lambda g: built.append(g) or real(g))
+    for kind, v0, atoms in (
+        ("edge", edge_midpoint_id(x, (7, 8)), x.edge_faces[(7, 8)]),
+        ("vertex", 13, vertical_atoms_at(x, 13, 8, 18)),
+    ):
+        h = trace_hypergraph(x, v0, atoms, kind=kind)
+        first = wall_cut(x, h)
+        assert wall_cut(x, h) == first
+        assert separation_check(x, h, 1, 5) is separation_check(x, h, 1, 5) is True
+        assert separation_check(x, h, 1, 6) is separation_check(x, h, 1, 6) is False
+    assert built == [x.skeleton]
 
 
 def test_diagonal_wall_splits_grid(grid):

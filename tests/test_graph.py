@@ -10,12 +10,14 @@ from fractions import Fraction
 import pytest
 
 from _oracles import brute_angular_girth, brute_girth, numpy_distances, nx_angular_distances
+from sepcert.complexes import check_gromov, cone_complex, grid_complex
 from sepcert.datasets import named_graph
 from sepcert.errors import GraphFormatError, MetricError
 from sepcert.graph import (
     INF,
     Graph,
     Metric,
+    _length_table,
     bipartition,
     components,
     distances,
@@ -25,8 +27,10 @@ from sepcert.graph import (
     is_connected,
     parse_graph,
     parse_rational,
+    shortest_cycle,
     structural_report,
     subdivide,
+    subdivision_graph,
 )
 
 
@@ -240,6 +244,46 @@ def test_angular_girth_matches_fraction_oracle(case):
         assert type(got) is Fraction and got == expected
 
 
+@pytest.mark.parametrize("case", sorted(_ANGULAR_CASES))
+def test_shortest_cycle_is_a_cycle_of_girth_length(case):
+    g, lengths = _ANGULAR_CASES[case]
+    metric = _mixed_metric(g, lengths)
+    found = shortest_cycle(g, metric)
+    expected = brute_angular_girth(g, metric)
+    if math.isinf(expected):
+        assert found is None
+        return
+    length, cycle = found
+    assert type(length) is Fraction and length == expected == girth(g, metric)
+    assert len(set(cycle)) == len(cycle) >= 3
+    closed = list(zip(cycle, cycle[1:])) + [(cycle[-1], cycle[0])]
+    assert all(g.has_edge(u, v) for u, v in closed)
+    assert sum(metric.edge_length(e) for e in closed) == length
+    assert cycle[0] < cycle[-1]
+
+
+def test_shortest_cycle_on_the_combinatorial_metric():
+    # the first edge, (1, 2), closes the outer 5-cycle, walked from 1 to 2
+    assert shortest_cycle(named_graph("petersen")) == (5, (1, 5, 4, 3, 2))
+    assert shortest_cycle(_TREE) is None
+
+
+def test_length_table_cache_is_bounded():
+    """The per-metric length tables are an LRU cache with a fixed bound,
+    however many distinct metrics pass through it."""
+    bound = _length_table.cache_info().maxsize
+    assert bound is not None
+    check_gromov(grid_complex(48, 48))
+    assert _length_table.cache_info().currsize <= bound
+    check_gromov(cone_complex(named_graph("f090a")))
+    assert _length_table.cache_info().currsize <= bound
+    path = Graph(3, [(1, 2), (2, 3)])
+    for k in range(2, 2 * bound + 2):
+        metric = Metric.angular({(1, 2): Fraction(1, k), (2, 3): Fraction(1, k + 1)})
+        assert distances(path, metric).get(1, 3) == Fraction(1, k) + Fraction(1, k + 1)
+    assert _length_table.cache_info().currsize <= bound
+
+
 def test_value_types():
     """ints on the combinatorial metric, Fractions on angular ones, except
     the diameter 0 of a table with no two vertices apart, which stays an int."""
@@ -297,3 +341,4 @@ def test_subdivide_counts_and_midpoints():
         u, v = e
         assert g2.has_edge(u, node) and g2.has_edge(v, node)
         assert m2.edge_length((u, node)) == Fraction(1, 2)
+    assert subdivision_graph(g) == (g2, mid)
