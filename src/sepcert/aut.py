@@ -15,7 +15,7 @@ from math import prod
 from typing import Callable, Iterable, Sequence
 
 from .errors import GroupError
-from .graph import Graph, distances
+from .graph import Graph, distances, edge_key
 
 Permutation = tuple[int, ...]
 
@@ -31,6 +31,12 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
 
 def apply_to_vertex_set(p: Permutation, s: Iterable[int]) -> frozenset[int]:
     return frozenset(p[v - 1] for v in s)
+
+
+def is_automorphism(g: Graph, p: Permutation) -> bool:
+    """Does p map the edge set of g onto itself?"""
+    edges = set(g.edges())
+    return {edge_key(p[u - 1], p[v - 1]) for u, v in edges} == edges
 
 
 def cycle_notation(p: Permutation) -> str:

@@ -365,7 +365,6 @@ def _triangle_family(
             g,
             NeighborSplitGoal(1, 1, 2),
             node_budget=node_budget,
-            time_budget_s=None,
             ordering=ordering,
         )
     )
@@ -391,13 +390,15 @@ def certify_triangle_link(
     group: PermutationGroup | None = None,
     ordering: NeighborOrdering | None = None,
     node_budget: int = 5000,
+    star: Certificate | None = None,
 ) -> Certificate:
     """Certificate that complexes built from unit equilateral triangles with
     every vertex link isomorphic to g are non-positively curved and evenly
     pi-separated: link girth at least six (angular girth 2*pi at edge length
     pi/3), star-separation, partitions covering every separation, and the
     all-ones weights solving the gluing equations on the fully symmetric
-    self-gluing."""
+    self-gluing. ``star`` is the ``certify_star_separated`` certificate of
+    ``fam`` under ``ordering``, when the caller has already computed it."""
     from .gluing import (
         GluingStructure,
         LinkInstance,
@@ -421,7 +422,8 @@ def certify_triangle_link(
             cert.add("star-separated", False, {"error": str(err)})
             return cert
 
-    star = certify_star_separated(g, fam, ordering)
+    if star is None:
+        star = certify_star_separated(g, fam, ordering)
     star_witness = {
         "checks": {c.name: c.ok for c in star.checks},
         "failures": {c.name: c.witness for c in star.checks if not c.ok},

@@ -200,7 +200,6 @@ def _cmd_cutset_search(args) -> int:
         goal,
         sigma=args.sigma,
         node_budget=10**18 if args.exhaust else args.budget,
-        time_budget_s=None if args.exhaust else args.time_budget,
     )
     result = search_star_cutsets(task)
     stats = {
@@ -563,7 +562,6 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument("--split", type=int, nargs=2, metavar=("I", "J"))
     search.add_argument("--exhaust", action="store_true")
     search.add_argument("--budget", type=int, default=10_000_000)
-    search.add_argument("--time-budget", type=float, default=600.0)
     search.add_argument("--sigma", type=int, default=3)
     search.add_argument("--out", help="family file; stats land in <out>.stats.json")
     search.set_defaults(fn=_cmd_cutset_search, command="cutset search")

@@ -283,12 +283,19 @@ class WeightAssignment:
             ) from None
 
 
-def _class_sums(li: LinkInstance, x, w: WeightAssignment) -> dict[frozenset, int]:
+def _class_sums(
+    li: LinkInstance, x, w: WeightAssignment
+) -> tuple[dict[frozenset, int], dict[CutsetPartition, frozenset]]:
+    """The weight sum of each equivalence class at x, and the class (the
+    induced direction partition) of each pair whose cutset contains x."""
     sums: dict[frozenset, int] = {}
+    class_of: dict[CutsetPartition, frozenset] = {}
+    shared: dict[frozenset, frozenset] = {}  # keep one key object per class, not one per pair
     for cp in li.pairs_at(x):
         key = induced_star_partition(li, cp, x)
+        key = class_of[cp] = shared.setdefault(key, key)
         sums[key] = sums.get(key, 0) + w.get(li, cp)
-    return sums
+    return sums, class_of
 
 
 def class_weight(
@@ -302,7 +309,7 @@ def class_weight(
         x = edge_key(*x)
     if x not in cp.cutset:
         raise GluingError(f"element {x!r} is not in the cutset")
-    return _class_sums(li, x, w)[induced_star_partition(li, cp, x)]
+    return _class_sums(li, x, w)[0][induced_star_partition(li, cp, x)]
 
 
 def orbits_of_pairs(
@@ -364,11 +371,11 @@ def verify_gluing(structure: GluingStructure, w: WeightAssignment) -> Certificat
             {"orbits": orbit_count, "violations": bad_orbit[:8]},
         )
 
-    # Class sums at each element, shared by both balance checks; instance
-    # names are unique within a structure.
-    sums_at: dict[tuple[str, object], dict[frozenset, int]] = {}
+    # Class sums and each pair's class at each element, shared by both
+    # balance checks; instance names are unique within a structure.
+    sums_at: dict[tuple[str, object], tuple[dict, dict]] = {}
 
-    def class_sums(li: LinkInstance, x) -> dict[frozenset, int]:
+    def class_sums(li: LinkInstance, x) -> tuple[dict[frozenset, int], dict]:
         key = (li.name, x)
         if key not in sums_at:
             sums_at[key] = _class_sums(li, x, w)
@@ -380,8 +387,8 @@ def verify_gluing(structure: GluingStructure, w: WeightAssignment) -> Certificat
         for direction, (src, dst) in enumerate(
             ((germ, germ.reversed()), (germ.reversed(), germ))
         ):
-            sums_here = class_sums(src.start, src.element_a)
-            sums_there = class_sums(src.end, src.element_b)
+            sums_here, _ = class_sums(src.start, src.element_a)
+            sums_there, _ = class_sums(src.end, src.element_b)
             for key, lhs in sorted(sums_here.items(), key=lambda kv: sorted(map(sorted, kv[0]))):
                 edge_eqs += 1
                 rhs = sums_there.get(src.forward(key), 0)
@@ -404,7 +411,8 @@ def verify_gluing(structure: GluingStructure, w: WeightAssignment) -> Certificat
             elems = cp.cutset.sorted_elements()
             first = None
             for x in elems:
-                val = class_sums(li, x)[induced_star_partition(li, cp, x)]
+                sums, class_of = class_sums(li, x)
+                val = sums[class_of[cp]]
                 if first is None:
                     first = (x, val)
                 else:

@@ -1,24 +1,42 @@
 """Backtracking searches for separated cutsets.
 
 The star search colors vertices side-A / side-B / cut, growing outward from
-the goal's seed assignments. Propagation enforces what can be decided
+a root's seed assignments. Propagation enforces what can be decided
 locally: cut vertices pairwise at distance >= 3 (their closed 1-balls are
 disjoint), no A-B edge, and every cut vertex's neighborhood meeting both
 sides. Connectivity of the sides cannot be decided locally, so candidate
 leaves are validated through the cutset predicates before emission; every
 reported cutset has passed them.
 
-Work is split deterministically: the tree is expanded breadth-first into a
-fixed number of decision prefixes, each prefix is searched under its own
-share of the node budget, and results merge in prefix order.
+A goal with seed assignments is searched from one root. Enumerating every
+star cutset instead searches one root per orbit of Aut(g) on vertices, in
+the order of ``vertex_orbits()``. Root i forces the least vertex r of orbit
+i into the cut, keeps every vertex of orbits 1..i-1 out of it, and puts the
+least neighbor of r on side A: swapping the sides keeps the cut set, and a
+cut vertex's neighbors are never cut. The validated leaves are then closed
+under the group's generators, once each generator is checked to map the
+edge set onto itself.
+
+This is exact. A star cutset C meets some first orbit i, at a vertex u.
+An automorphism maps u to r, and the image of C still avoids orbits
+1..i-1, so root i finds that image; closing under the group recovers C.
+The star conjunction is Aut-invariant, so every image of a validated leaf
+is a star cutset. With a trivial group every vertex is its own orbit, and
+each cutset is found once, from its least vertex.
+
+Work is split deterministically: the roots are expanded breadth-first into
+a fixed number of decision prefixes, each prefix is searched under its own
+share of the node budget, and results merge in prefix order. Searches stop
+on node budgets only, so a verdict does not depend on machine speed.
 """
 from __future__ import annotations
 
-import time
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .aut import PermutationGroup, automorphism_group, is_automorphism, orbit_of_vertex_set
 from .cutset import Cutset, NeighborOrdering, is_star_cutset, require_cubic
 from .errors import SearchError
 from .graph import Graph
@@ -63,7 +81,6 @@ class SearchTask:
     sigma: Fraction | int = 3
     kind: str = "vertex"
     node_budget: int = 10_000_000
-    time_budget_s: float | None = 600.0
     ordering: NeighborOrdering | None = None
 
 
@@ -72,6 +89,15 @@ class SearchResult:
     cutsets: tuple[Cutset, ...]
     exhausted: bool
     stats: dict
+
+
+@dataclass(frozen=True)
+class _Root:
+    """Where one subtree of the search starts: seed assignments, and the
+    vertices kept out of the cut."""
+
+    seeds: tuple[tuple[int, int], ...]
+    not_cut: tuple[int, ...] = ()
 
 
 def _ball2(g: Graph) -> list[frozenset[int]]:
@@ -195,7 +221,7 @@ def _fresh_stats() -> dict:
     }
 
 
-def _seed_assignments(task: SearchTask) -> list[tuple[int, int]]:
+def _goal_root(task: SearchTask) -> _Root:
     g = task.graph
     goal = task.goal
     if isinstance(goal, NeighborSplitGoal):
@@ -204,14 +230,29 @@ def _seed_assignments(task: SearchTask) -> list[tuple[int, int]]:
         if goal.i == goal.j or not {goal.i, goal.j} <= {1, 2, 3}:
             raise SearchError(f"bad neighbor positions {goal.i},{goal.j}")
         triple = ordering.at(goal.v)
-        return [(goal.v, CUT), (triple[goal.i - 1], SIDE_A), (triple[goal.j - 1], SIDE_B)]
-    if isinstance(goal, PairGoal):
+        seeds = ((goal.v, CUT), (triple[goal.i - 1], SIDE_A), (triple[goal.j - 1], SIDE_B))
+    elif isinstance(goal, PairGoal):
         if goal.x == goal.y:
             raise SearchError("pair goal needs two distinct vertices")
-        return [(goal.x, SIDE_A), (goal.y, SIDE_B)]
-    if isinstance(goal, CoverAllGoal):
-        return []
-    raise SearchError(f"unknown goal {goal!r}")
+        seeds = ((goal.x, SIDE_A), (goal.y, SIDE_B))
+    else:
+        raise SearchError(f"unknown goal {goal!r}")
+    for v, _ in seeds:
+        if not 1 <= v <= g.n:
+            raise SearchError(f"goal vertex {v} not in graph")
+    return _Root(seeds)
+
+
+def _orbit_roots(g: Graph, grp: PermutationGroup) -> list[_Root]:
+    """One root per vertex orbit: its least vertex cut, the earlier orbits
+    kept out of the cut, and the least neighbor of the root on side A."""
+    roots = []
+    earlier: list[int] = []
+    for orbit in grp.vertex_orbits():
+        r = orbit[0]
+        roots.append(_Root(((r, CUT), (g.neighbors(r)[0], SIDE_A)), tuple(earlier)))
+        earlier.extend(orbit)
+    return roots
 
 
 def _branch_vertex(state: _Coloring) -> int | None:
@@ -234,55 +275,54 @@ def search_star_cutsets(task: SearchTask) -> SearchResult:
         raise SearchError("star search applies to vertex cutsets")
     if Fraction(task.sigma) != 3:
         raise SearchError("star cutsets are defined at sigma = 3")
-    seeds = _seed_assignments(task)
-    for v, _ in seeds:
-        if not 1 <= v <= g.n:
-            raise SearchError(f"goal vertex {v} not in graph")
+    if isinstance(task.goal, CoverAllGoal):
+        grp = automorphism_group(g)
+        roots = _orbit_roots(g, grp)
+    else:
+        grp, roots = None, [_goal_root(task)]
     ball2 = _ball2(g)
-    deadline = (
-        time.monotonic() + task.time_budget_s if task.time_budget_s is not None else None
-    )
 
     stats = _fresh_stats()
-    found0: list[Cutset] = []
-    prefixes, spent, truncated = _expand_prefixes(
-        task, seeds, ball2, found0, stats, deadline, target=64
-    )
+    found: list[Cutset] = []
+    prefixes, spent, truncated = _expand_prefixes(task, roots, ball2, found, stats, target=64)
     per_budget = max(0, task.node_budget - spent) // max(1, len(prefixes))
-
-    outcomes = [_search_subtree(task, seeds, ball2, p, per_budget, deadline) for p in prefixes]
-
-    merged: dict[frozenset[int], Cutset] = {}
-    for c in found0:
-        merged.setdefault(c.elements, c)
     exhausted = not truncated
-    for found, sub_exhausted, sub_stats in outcomes:
+    for root, decisions in prefixes:
+        sub_exhausted = _search_subtree(g, ball2, root, decisions, per_budget, found, stats)
         exhausted = exhausted and sub_exhausted
-        for k in stats:
-            stats[k] += sub_stats[k]
-        for c in found:
-            merged.setdefault(c.elements, c)
     stats["subtasks"] = len(prefixes)
-    cutsets = tuple(sorted(merged.values(), key=Cutset.key))
+
+    family = {c.elements: c for c in found}
+    if grp is not None:
+        family, stats["orbits"] = _close_under(g, grp, family)
+    cutsets = tuple(sorted(family.values(), key=Cutset.key))
     return SearchResult(cutsets, exhausted, stats)
 
 
-def _symmetry_mask(task: SearchTask, state: _Coloring) -> None:
-    # enumerating everything: sides are interchangeable, so pin vertex 1
-    # to side A or cut
-    if isinstance(task.goal, CoverAllGoal) and state.g.n >= 1:
-        state.mask[1] &= _ALL ^ _BIT[SIDE_B]
-
-
-def _replay(task: SearchTask, seeds, ball2, prefix, stats) -> _Coloring | None:
-    state = _Coloring(task.graph, ball2, stats)
-    _symmetry_mask(task, state)
-    for v, c in seeds:
-        if not state.assign(v, c):
-            return None
-    for v, c in prefix:
-        if state.color[v] == c:
+def _close_under(
+    g: Graph, grp: PermutationGroup, family: dict[frozenset[int], Cutset]
+) -> tuple[dict[frozenset[int], Cutset], int]:
+    """Every image of the family under the group, after checking that each
+    generator is an automorphism of g; also how many orbits it falls into."""
+    for p in grp.generators:
+        if not is_automorphism(g, p):
+            raise SearchError("a group generator does not map the edge set onto itself")
+    closed: dict[frozenset[int], Cutset] = {}
+    orbits = 0
+    for elements in family:
+        if elements in closed:
             continue
+        orbits += 1
+        for image in orbit_of_vertex_set(grp, elements):
+            closed[image] = Cutset.of_vertices(image)
+    return closed, orbits
+
+
+def _replay(g: Graph, ball2, root: _Root, decisions, stats) -> _Coloring | None:
+    state = _Coloring(g, ball2, stats)
+    for v in root.not_cut:
+        state.mask[v] &= _ALL ^ _BIT[CUT]
+    for v, c in root.seeds + decisions:
         if not state.assign(v, c):
             return None
     return state
@@ -304,22 +344,19 @@ def _emit_leaf(g: Graph, state: _Coloring, found: list[Cutset], stats: dict) -> 
     stats["rejected_at_emission"] += 1
 
 
-def _expand_prefixes(task, seeds, ball2, found, stats, deadline, target: int):
-    """Breadth-first expansion of decision prefixes until at least `target`
-    live subtrees exist. Depends only on the task. Leaves met along the way are emitted here; branching charges the node
-    budget just as the depth-first stage does."""
-    from collections import deque
-
+def _expand_prefixes(task, roots, ball2, found, stats, target: int):
+    """Breadth-first expansion of (root, decisions) prefixes until at least
+    `target` live subtrees exist. Depends only on the task. Leaves met along
+    the way are emitted here; branching charges the node budget just as the
+    depth-first stage does."""
     g = task.graph
-    queue: deque[tuple[tuple[int, int], ...]] = deque([()])
+    queue: deque[tuple[_Root, tuple[tuple[int, int], ...]]] = deque((r, ()) for r in roots)
     spent = 0
     while queue and len(queue) < target:
-        if spent >= task.node_budget or (
-            deadline is not None and time.monotonic() > deadline
-        ):
+        if spent >= task.node_budget:
             return list(queue), spent, True
-        prefix = queue.popleft()
-        state = _replay(task, seeds, ball2, prefix, stats)
+        root, decisions = queue.popleft()
+        state = _replay(g, ball2, root, decisions, stats)
         if state is None:
             continue
         v = _branch_vertex(state)
@@ -330,17 +367,15 @@ def _expand_prefixes(task, seeds, ball2, found, stats, deadline, target: int):
             if _BIT[c] & state.mask[v]:
                 spent += 1
                 stats["nodes"] += 1
-                queue.append(prefix + ((v, c),))
+                queue.append((root, decisions + ((v, c),)))
     return list(queue), spent, False
 
 
-def _search_subtree(task, seeds, ball2, prefix, node_budget, deadline):
-    stats = _fresh_stats()
-    found: list[Cutset] = []
-    state = _replay(task, seeds, ball2, prefix, stats)
+def _search_subtree(g, ball2, root, decisions, node_budget, found, stats) -> bool:
+    """Depth-first search below one prefix; True when it ran to the end."""
+    state = _replay(g, ball2, root, decisions, stats)
     if state is None:
-        return found, True, stats
-    g = task.graph
+        return True
     budget_left = [node_budget]
     exhausted = [True]
 
@@ -349,9 +384,7 @@ def _search_subtree(task, seeds, ball2, prefix, node_budget, deadline):
         if v is None:
             _emit_leaf(g, state, found, stats)
             return
-        if budget_left[0] <= 0 or (
-            deadline is not None and time.monotonic() > deadline
-        ):
+        if budget_left[0] <= 0:
             exhausted[0] = False
             return
         for c in _COLOR_ORDER:
@@ -363,11 +396,9 @@ def _search_subtree(task, seeds, ball2, prefix, node_budget, deadline):
             if state.assign(v, c):
                 rec()
             state.undo(mark)
-            if budget_left[0] <= 0 or (
-                deadline is not None and time.monotonic() > deadline
-            ):
+            if budget_left[0] <= 0:
                 exhausted[0] = False
                 return
 
     rec()
-    return found, exhausted[0], stats
+    return exhausted[0]

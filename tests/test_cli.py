@@ -56,6 +56,12 @@ def test_aut_has_no_budget_option(capsys):
     assert "unrecognized arguments: --budget" in capsys.readouterr().err
 
 
+def test_star_search_has_no_time_budget_option(capsys):
+    argv = ["cutset", "search", "--builtin", "k33", "--star", "--time-budget", "5"]
+    assert main(argv) == 2
+    assert "unrecognized arguments: --time-budget" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "doc",
     [

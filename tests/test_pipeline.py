@@ -3,7 +3,7 @@ repeatability of the whole run."""
 
 from __future__ import annotations
 
-from sepcert import gluing
+from sepcert import certify, gluing, pipeline
 from sepcert.cutset import complement_labels
 from sepcert.graph import distances
 from sepcert.pipeline import _PAIRS, run_f090a
@@ -35,17 +35,27 @@ def test_pinned_pairs_are_separated_by_the_seed_closure(f090a, orbit_closure):
 
 def test_rerun_in_process_repeats_report_and_equation_count(monkeypatch):
     """A second run, on warm caches, gives the same stripped report and
-    checks the same number of gluing balance equations."""
+    checks the same number of gluing balance equations. Each run builds
+    the star-separation certificate once."""
     equations = []
     verify = gluing.verify_gluing
+    stars = []
+    star = certify.certify_star_separated
 
     def counting(structure, w):
         cert = verify(structure, w)
         equations.append(sum((c.witness or {}).get("equations", 0) for c in cert.checks))
         return cert
 
+    def counting_star(*args, **kw):
+        stars.append(1)
+        return star(*args, **kw)
+
     monkeypatch.setattr(gluing, "verify_gluing", counting)
+    monkeypatch.setattr(certify, "certify_star_separated", counting_star)
+    monkeypatch.setattr(pipeline, "certify_star_separated", counting_star)
     first = stripped(dumps(run_f090a()))
     second = stripped(dumps(run_f090a()))
     assert first == second
     assert equations == [15120, 15120]
+    assert len(stars) == 2

@@ -1,14 +1,22 @@
 """Star-cutset search: soundness of emissions, goal satisfaction,
-exhaustiveness against the subset-enumeration oracle, and budgets."""
+exhaustiveness of the rooted search and its closure under Aut(g) against
+the subset-enumeration oracle, the F090A census, and budgets."""
 
 from __future__ import annotations
 
+import hashlib
+import random
+
+import networkx as nx
 import pytest
 
 from _oracles import brute_star_cutsets
+from sepcert import search
+from sepcert.aut import PermutationGroup, automorphism_group, orbit_of_vertex_set
 from sepcert.cutset import Cutset, NeighborOrdering, complement_labels, is_star_cutset, separates
 from sepcert.datasets import named_graph
 from sepcert.errors import CutsetError, SearchError
+from sepcert.graph import Graph, is_connected
 from sepcert.search import (
     CoverAllGoal,
     NeighborSplitGoal,
@@ -17,10 +25,17 @@ from sepcert.search import (
     search_star_cutsets,
 )
 
+#: Star cutsets of F090A found by the exhaustive search of the seed commit,
+#: and the sha256 of that family in the bundled labelling, one
+#: ``C: v1 v2 ...`` line per cutset in sorted order. A regression pin, not
+#: a certified fact.
+F090A_STAR_CUTSETS = 16416
+F090A_STAR_SHA256 = "e1f43a053ead89f7d34378a21393cbad4095de3254f893e69f80e70735f5cfef"
+
 
 def exhaustive(name, **kw):
     g = named_graph(name)
-    task = SearchTask(g, node_budget=10**18, time_budget_s=None, **kw)
+    task = SearchTask(g, node_budget=10**18, **kw)
     return g, search_star_cutsets(task)
 
 
@@ -30,11 +45,107 @@ def test_q3_has_no_star_cutsets():
     assert result.cutsets == ()
 
 
-@pytest.mark.parametrize("name", ["k4", "k33", "prism", "petersen", "bridge10"])
+@pytest.mark.parametrize("name", ["k4", "k33", "prism", "petersen", "bridge10", "q3", "heawood"])
 def test_exhaustive_search_matches_oracle(name):
     g, result = exhaustive(name)
     assert result.exhausted
     assert {c.elements for c in result.cutsets} == brute_star_cutsets(g)
+
+
+def _random_cubic(n: int, seed: int) -> Graph:
+    h = nx.random_regular_graph(3, n, seed=seed)
+    return Graph(n, [(u + 1, v + 1) for u, v in h.edges()])
+
+
+#: Connected random cubic graphs, with groups of order 1 to 32 and 3 to 14
+#: vertex orbits. The last three have star cutsets and a group of order
+#: at most 2.
+RANDOM_CUBIC = [(n, seed) for n in (8, 10, 12, 14) for seed in range(4)]
+RANDOM_CUBIC += [(12, 27), (14, 10), (14, 23)]
+
+
+def test_random_cubic_groups_vary():
+    cases = []
+    for n, seed in RANDOM_CUBIC:
+        g = _random_cubic(n, seed)
+        grp = automorphism_group(g)
+        cases.append((grp.order, len(grp.vertex_orbits()), len(brute_star_cutsets(g))))
+    assert any(order == 1 and found for order, _, found in cases)
+    assert any(order > 1 and orbits > 1 and found for order, orbits, found in cases)
+
+
+@pytest.mark.parametrize("n,seed", RANDOM_CUBIC)
+def test_rooted_search_matches_oracle_on_random_cubic_graphs(n, seed):
+    g = _random_cubic(n, seed)
+    assert is_connected(g)
+    result = search_star_cutsets(SearchTask(g, node_budget=10**18))
+    assert result.exhausted
+    assert {c.elements for c in result.cutsets} == brute_star_cutsets(g)
+
+
+def test_closure_refuses_a_generator_that_is_not_an_automorphism(monkeypatch):
+    g = named_graph("petersen")
+    # a transposition is an automorphism only of vertices with equal
+    # neighbourhoods, and no two Petersen vertices have them
+    swap = (2, 1, *range(3, g.n + 1))
+    bogus = PermutationGroup(g.n, (swap,), (), ())
+    monkeypatch.setattr(search, "automorphism_group", lambda g: bogus)
+    with pytest.raises(SearchError, match="edge set"):
+        search_star_cutsets(SearchTask(g, node_budget=10**18))
+
+
+def _family_sha256(cutsets, perm) -> str:
+    back = {v: i + 1 for i, v in enumerate(perm)}
+    family = sorted(sorted(back[v] for v in c.elements) for c in cutsets)
+    text = "".join("C: " + " ".join(map(str, c)) + "\n" for c in family)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def f090a_census(f090a):
+    return search_star_cutsets(SearchTask(f090a, node_budget=10**18))
+
+
+def test_f090a_census_in_the_bundled_labelling(f090a_census):
+    assert f090a_census.exhausted
+    assert len(f090a_census.cutsets) == F090A_STAR_CUTSETS
+    assert _family_sha256(f090a_census.cutsets, range(1, 91)) == F090A_STAR_SHA256
+    assert f090a_census.stats["orbits"] == 15
+
+
+def test_f090a_census_in_a_relabelling(f090a):
+    perm = list(range(1, f090a.n + 1))
+    random.Random(2).shuffle(perm)
+    result = search_star_cutsets(SearchTask(f090a.relabel(perm), node_budget=10**18))
+    assert result.exhausted
+    assert len(result.cutsets) == F090A_STAR_CUTSETS
+    assert _family_sha256(result.cutsets, perm) == F090A_STAR_SHA256
+    assert result.stats["orbits"] == 15
+
+
+def test_f090a_census_orbit_sizes(f090a_group, f090a_census):
+    """Each orbit's size from orbit-stabilizer, |G| / |Stab(S)| over all
+    4,320 elements, agrees with its closure under the generators."""
+    elements = f090a_group.elements()
+    assert len(elements) == f090a_group.order == 4320
+    left = {c.elements for c in f090a_census.cutsets}
+    sizes = []
+    while left:
+        rep = min(left, key=sorted)
+        closure = set(orbit_of_vertex_set(f090a_group, rep))
+        stab = sum(1 for p in elements if all(p[v - 1] in rep for v in rep))
+        assert f090a_group.order // stab == len(closure)
+        assert closure <= left
+        left -= closure
+        sizes.append((len(rep), len(closure)))
+    assert len(sizes) == f090a_census.stats["orbits"]
+    assert sorted(sizes) == [
+        (10, 216),
+        (15, 180), (15, 540), (15, 540), (15, 720), (15, 1080), (15, 1080), (15, 1080),
+        (15, 2160), (15, 2160), (15, 2160), (15, 2160),
+        (18, 720),
+        (19, 540), (19, 1080),
+    ]
 
 
 def test_every_emission_passes_the_star_conjunction():
@@ -67,7 +178,7 @@ def test_neighbor_split_goal_members_split_the_pair():
 
 
 def test_node_budget_limits_work():
-    g = named_graph("heawood")
+    g = named_graph("f090a")
     small = search_star_cutsets(SearchTask(g, node_budget=5))
     assert not small.exhausted
     assert small.stats["nodes"] <= 5 + small.stats["subtasks"]
@@ -88,5 +199,5 @@ def test_goal_validates_positions():
 
 def test_stats_are_reported():
     _, result = exhaustive("k33")
-    for key in ("nodes", "leaves", "subtasks"):
+    for key in ("nodes", "leaves", "subtasks", "orbits"):
         assert key in result.stats
