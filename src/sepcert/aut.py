@@ -15,7 +15,7 @@ from math import prod
 from typing import Callable, Iterable, Sequence
 
 from .errors import GroupError
-from .graph import Graph, distances, edge_key
+from .graph import Graph, distances, edge_key, union_labels
 
 Permutation = tuple[int, ...]
 
@@ -113,22 +113,9 @@ class PermutationGroup:
 def _orbit_labels(
     size: int, gens: Iterable[Permutation], image: Callable[[Permutation, int], int]
 ) -> list[int]:
-    """Orbits of the points 0..size-1 by union-find over the generator images
+    """Orbits of the points 0..size-1 under the generator images
     ``image(p, x)``: entry x is the least point of x's orbit."""
-    parent = list(range(size))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in gens:
-        for x in range(size):
-            a, b = find(x), find(image(p, x))
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    return [find(x) for x in range(size)]
+    return union_labels(size, ((x, image(p, x)) for p in gens for x in range(size)))
 
 
 def _refinement_signature(g: Graph, colors: Sequence[int]) -> list:

@@ -315,15 +315,7 @@ def certify_star_separated(
         {"members": len(fam.members), "violations": bad_star[:8]},
     )
 
-    sub = certify_vertex_separated(g, 3, fam)
-    cert.add(
-        "vertex-3-separated",
-        sub.ok,
-        {
-            "checks": {c.name: c.ok for c in sub.checks},
-            "failures": {c.name: c.witness for c in sub.checks if not c.ok},
-        },
-    )
+    cert.add("vertex-3-separated", certify_vertex_separated(g, 3, fam))
 
     distinct = fam.distinct_cutsets()
     set_counts = star_split_counts(g, distinct, ordering)
@@ -424,13 +416,7 @@ def certify_triangle_link(
 
     if star is None:
         star = certify_star_separated(g, fam, ordering)
-    star_witness = {
-        "checks": {c.name: c.ok for c in star.checks},
-        "failures": {c.name: c.witness for c in star.checks if not c.ok},
-    }
-    if bootstrap:
-        star_witness["family-bootstrap"] = bootstrap
-    cert.add("star-separated", star.ok, star_witness)
+    cert.add("star-separated", star, {"family-bootstrap": bootstrap} if bootstrap else None)
 
     uncovered = []
     by_cutset: dict = {}
@@ -454,15 +440,7 @@ def certify_triangle_link(
 
     li = LinkInstance("link", g, fam.metric, fam.sigma, fam.members)
     structure = GluingStructure.homogeneous(li, group)
-    gluing_cert = verify_gluing(structure, WeightAssignment.all_ones(structure))
-    cert.add(
-        "gluing-all-ones",
-        gluing_cert.ok,
-        {
-            "checks": {c.name: c.ok for c in gluing_cert.checks},
-            "failures": {c.name: c.witness for c in gluing_cert.checks if not c.ok},
-        },
-    )
+    cert.add("gluing-all-ones", verify_gluing(structure, WeightAssignment.all_ones(structure)))
 
     if cert.ok:
         cert.add(

@@ -7,9 +7,8 @@ check``/``cutset search``, ``certify ...``, ``gluing ...``, ``complex ...``
 and ``f090a`` emit certificates.  Exit status is 0 when every emitted
 check passes, 1 when a certificate fails, 2 on usage or input errors, and
 141 (as for SIGPIPE) when the reader closes stdout early.
-``--out`` writes the full report as JSON:
-``{"target": ..., "pass": ..., "checks": [{"name", "pass", "witness?",
-"millis?"}]}`` per certificate.
+``--out`` writes the full report as JSON (its format is described in
+``sepcert.report``).
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -60,7 +58,7 @@ from .gluing import (
 )
 from .graph import Graph, Metric, edge_key, parse_graph, parse_rational, structural_report
 from .pipeline import run_f090a
-from .report import Certificate, RunReport, jsonable
+from .report import Certificate, RunReport, dumps, jsonable
 
 
 class _UsageError(SepcertError):
@@ -84,32 +82,16 @@ def _load_graph(args) -> tuple[Graph, Metric]:
     return parse_graph(_read(args.graph))
 
 
-def _cert_doc(cert: Certificate) -> dict:
-    checks = []
-    for c in cert.checks:
-        doc = {"name": c.name, "pass": c.ok}
-        if c.witness is not None:
-            doc["witness"] = jsonable(c.witness)
-        if c.millis is not None:
-            doc["millis"] = c.millis
-        checks.append(doc)
-    return {"target": cert.target, "pass": cert.ok, "checks": checks}
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}") from None
 
 
-def _report_doc(rep: RunReport) -> dict:
-    return {
-        "command": rep.command,
-        "version": rep.version,
-        "pass": rep.ok,
-        "inputs": jsonable(rep.inputs),
-        "stats": jsonable(rep.stats),
-        "certificates": [_cert_doc(c) for c in rep.certificates],
-    }
-
-
-def _write_out(args, doc: dict) -> None:
+def _write_out(args, doc) -> None:
     if getattr(args, "out", None):
-        Path(args.out).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        _write(args.out, dumps(doc))
 
 
 def _print_cert(cert: Certificate, verbose_pass: bool = True) -> None:
@@ -125,7 +107,7 @@ def _print_cert(cert: Certificate, verbose_pass: bool = True) -> None:
 
 def _finish(args, cert: Certificate, extra_inputs: dict | None = None) -> int:
     rep = RunReport(command=args.command, inputs=extra_inputs or {}, certificates=[cert])
-    _write_out(args, _report_doc(rep))
+    _write_out(args, rep)
     return 0 if cert.ok else 1
 
 
@@ -137,7 +119,7 @@ def _cmd_graph_info(args) -> int:
     info = structural_report(g, metric)
     for key, value in info.items():
         print(f"{key}: {json.dumps(jsonable(value))}")
-    _write_out(args, {"command": "graph info", "report": jsonable(info)})
+    _write_out(args, {"command": "graph info", "report": info})
     return 0
 
 
@@ -157,7 +139,7 @@ def _cmd_aut(args) -> int:
         "command": "aut",
         "order": grp.order,
         "generators": [cycle_notation(p) for p in grp.generators],
-        "vertex_orbits": jsonable(grp.vertex_orbits()),
+        "vertex_orbits": grp.vertex_orbits(),
     }
     _write_out(args, doc)
     return 0
@@ -202,17 +184,11 @@ def _cmd_cutset_search(args) -> int:
         node_budget=10**18 if args.exhaust else args.budget,
     )
     result = search_star_cutsets(task)
-    stats = {
-        "found": len(result.cutsets),
-        "exhausted": result.exhausted,
-        **jsonable(result.stats),
-    }
+    stats = {"found": len(result.cutsets), "exhausted": result.exhausted, **result.stats}
     body = format_family(result.cutsets)
     if args.out:
-        Path(args.out).write_text(body)
-        Path(args.out + ".stats.json").write_text(
-            json.dumps(stats, sort_keys=True, indent=2) + "\n"
-        )
+        _write(args.out, body)
+        _write(args.out + ".stats.json", dumps(stats))
     else:
         sys.stdout.write(body)
     print(f"# found={stats['found']} exhausted={stats['exhausted']}", file=sys.stderr)
@@ -410,7 +386,7 @@ def _cmd_gluing_solve(args) -> int:
     body = "\n".join(lines) + "\n"
     sys.stdout.write(body)
     if args.out:
-        Path(args.out).write_text(body)
+        _write(args.out, body)
     return 0
 
 
@@ -485,19 +461,17 @@ def _cmd_complex_trace(args) -> int:
     sizes = sorted((len(b) for b in cut.primary_blocks() if b), reverse=True)
     print(f"wall sides: {len(cut.blocks)}  primary-vertex sides: {sizes}")
     _print_cert(cert)
-    doc = _report_doc(
-        RunReport(
-            command=args.command,
-            inputs={"file": args.file, "seed": args.seed_vertex, "kind": args.kind},
-            certificates=[cert],
-            stats={
-                "segments": jsonable([s.key() for s in h.segments]),
-                "frontier": jsonable(h.frontier),
-                "wall_primary_blocks": jsonable(cut.primary_blocks()),
-            },
-        )
+    rep = RunReport(
+        command=args.command,
+        inputs={"file": args.file, "seed": args.seed_vertex, "kind": args.kind},
+        certificates=[cert],
+        stats={
+            "segments": [s.key() for s in h.segments],
+            "frontier": h.frontier,
+            "wall_primary_blocks": cut.primary_blocks(),
+        },
     )
-    _write_out(args, doc)
+    _write_out(args, rep)
     return 0 if cert.ok else 1
 
 
@@ -513,7 +487,7 @@ def _cmd_f090a(args) -> int:
     if "aborted_at" in rep.stats:
         print(f"aborted at: {rep.stats['aborted_at']}")
     print(f"overall: {'PASS' if rep.ok else 'FAIL'}")
-    _write_out(args, _report_doc(rep))
+    _write_out(args, rep)
     return 0 if rep.ok else 1
 
 

@@ -64,6 +64,7 @@ from .graph import (
     girth,
     shortest_cycle,
     subdivision_graph,
+    union_labels,
 )
 from .report import Certificate
 
@@ -865,25 +866,11 @@ def hypergraph_checks(x: PolygonalComplex, h: Hypergraph) -> Certificate:
     cert = Certificate("hypergraph")
     verts = h.vertices()
     index = {v: i for i, v in enumerate(verts)}
-    parent = list(range(len(verts)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    cycles = 0
-    for seg in h.segments:
-        ra, rb = find(index[seg.a]), find(index[seg.b])
-        if ra == rb:
-            cycles += 1
-        else:
-            parent[ra] = rb
-    components = len({find(i) for i in range(len(verts))}) if verts else 0
+    labels = union_labels(len(verts), ((index[s.a], index[s.b]) for s in h.segments))
+    components = len(set(labels))
     cert.add(
         "acyclic",
-        cycles == 0,
+        len(h.segments) == len(verts) - components,
         {"segments": len(h.segments), "vertices": len(verts), "components": components},
     )
 
@@ -987,14 +974,7 @@ def wall_cut(x: PolygonalComplex, h: Hypergraph) -> WallCut:
         for seg in h.segments:
             removed.update(seg.ends())
     labels, count = component_labels(g2, removed_vertices=frozenset(removed))
-    parent = list(range(count))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    merges = []
     for v, pair in h.pairs:
         for blk in pair.blocks:
             touched = []
@@ -1005,16 +985,14 @@ def wall_cut(x: PolygonalComplex, h: Hypergraph) -> WallCut:
                 lab = labels[node - 1]
                 if lab is not None:
                     touched.append(lab)
-            for lab in touched[1:]:
-                ra, rb = find(touched[0]), find(lab)
-                if ra != rb:
-                    parent[ra] = rb
+            merges.extend((touched[0], lab) for lab in touched[1:])
+    side = union_labels(count, merges)
     sides: dict[int, list[int]] = {}
     for node in range(1, g2.n + 1):
         lab = labels[node - 1]
         if lab is None:
             continue
-        sides.setdefault(find(lab), []).append(node)
+        sides.setdefault(side[lab], []).append(node)
     blocks = tuple(sorted(tuple(nodes) for nodes in sides.values()))
     return WallCut(x.n, tuple(sorted(removed)), blocks)
 

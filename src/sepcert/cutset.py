@@ -1,5 +1,5 @@
-"""Cutset predicates: properness, sigma-separation, minimality, the
-star conjunction, and per-vertex family bookkeeping.
+"""Cutset predicates: properness, sigma-separation, minimality and the
+star conjunction.
 
 Removal is topological. Deleting a vertex deletes the closed star around it,
 so an edge joining two deleted vertices survives as a free open arc; deleting
@@ -11,10 +11,9 @@ case. All component bookkeeping below works on that subdivision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import CutsetError
 from .graph import (
@@ -375,75 +374,6 @@ def is_star_cutset(g: Graph, c: Cutset) -> Verdict:
         clauses["minimal"] = None
     ok = sep.ok and count == 2 and clauses["minimal"] is True
     return Verdict(ok, clauses)
-
-
-def family_at(
-    g: Graph,
-    v: int,
-    i: int,
-    j: int,
-    family: Iterable[Cutset],
-    ordering: NeighborOrdering | None = None,
-    require_star: bool = True,
-) -> tuple[Cutset, ...]:
-    """Members through v whose i-th and j-th neighbors of v stay together.
-
-    By default every member must pass the star conjunction; pass
-    ``require_star=False`` to do the same bookkeeping over plain 3-separated
-    cutsets. Neighbors of v are never cut vertices of a member (they sit at
-    distance 1 from v), so their components are always defined.
-    """
-    if i == j or not {i, j} <= {1, 2, 3}:
-        raise CutsetError(f"neighbor positions must be distinct in 1..3, got {i},{j}")
-    ordering = ordering or NeighborOrdering.ascending(g)
-    ordering.validate_for(g)
-    wi = ordering.at(v)[i - 1]
-    wj = ordering.at(v)[j - 1]
-    picked = []
-    for c in sorted(family, key=Cutset.key):
-        if require_star:
-            verdict = is_star_cutset(g, c)
-            if not verdict.ok:
-                raise CutsetError(
-                    f"family member {c.sorted_elements()} fails the star conjunction: {verdict.witness}"
-                )
-        else:
-            labels, count = complement_labels(g, c)
-            if count < 2:
-                raise CutsetError(f"family member {c.sorted_elements()} is not a cutset")
-        if v not in c.elements:
-            continue
-        labels, _ = complement_labels(g, c)
-        if labels[wi - 1] == labels[wj - 1]:
-            picked.append(c)
-    return tuple(picked)
-
-
-def separates(g: Graph, c: Cutset, x, y) -> bool:
-    """Do the points m(x), m(y) land in different components once c is
-    deleted? Raises if either point is deleted with c."""
-    labels, _ = complement_labels(g, c)
-    out = []
-    for p in (x, y):
-        lab = labels[point_node(g, p) - 1]
-        if lab is None:
-            raise CutsetError(f"point {p} lies in the cutset")
-        out.append(lab)
-    return out[0] != out[1]
-
-
-def partition_separates(g: Graph, cp: CutsetPartition, x, y) -> bool:
-    """Like separates, but components merged inside one partition block do
-    not count as separated."""
-    cp.validate_for(g)
-    labels, _ = complement_labels(g, cp.cutset)
-    out = []
-    for p in (x, y):
-        lab = labels[point_node(g, p) - 1]
-        if lab is None:
-            raise CutsetError(f"point {p} lies in the cutset")
-        out.append(cp.partition.block_of(lab))
-    return out[0] != out[1]
 
 
 def parse_family(text: str) -> list[Cutset]:

@@ -447,6 +447,24 @@ def component_labels(
     return tuple(labels), count
 
 
+def union_labels(size: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Classes of the points 0..size-1 under the equivalence the pairs
+    generate, by union-find: entry x is the least point of x's class."""
+    parent = list(range(size))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    return [find(x) for x in range(size)]
+
+
 def is_connected(g: Graph) -> bool:
     if g.n == 0:
         return True

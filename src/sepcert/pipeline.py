@@ -20,7 +20,6 @@ not checked.
 
 from __future__ import annotations
 
-import time
 from typing import Iterable
 
 from .aut import automorphism_group, is_automorphism, is_distance_transitive, orbit_of_vertex_set
@@ -34,7 +33,7 @@ from .cutset import (
 )
 from .datasets import f090a, f090a_star_cutsets
 from .graph import Metric, distances, structural_report
-from .report import RunReport
+from .report import RunReport, Stopwatch
 
 #: Expected structure of the bundled graph.
 _STRUCTURE = {"vertices": 90, "edges": 135, "girth": 10, "diameter": 8}
@@ -81,10 +80,11 @@ def _structure_stage(report: RunReport, g) -> bool:
 
 def _aut_stage(report: RunReport, g):
     cert = report.new_certificate("automorphisms")
-    holder = {}
-    cert.timed("enumerated", lambda: _enumerate(g, holder))
-    grp = holder["group"]
-    cert.checks[-1].witness = {"order": grp.order, "generators": len(grp.generators)}
+    # passes when every strong generator maps the edge set onto itself
+    with Stopwatch() as sw:
+        grp = automorphism_group(g)
+        closed = all(is_automorphism(g, p) for p in grp.generators)
+    cert.add("enumerated", closed, {"order": grp.order, "generators": len(grp.generators)}, sw.millis)
     products = {}
     consistent = True
     for v in _OS_VERTICES:
@@ -95,14 +95,6 @@ def _aut_stage(report: RunReport, g):
     flag, witness = is_distance_transitive(g, grp)
     cert.add("distance-transitive", flag, witness)
     return grp
-
-
-def _enumerate(g, holder):
-    """Find the group; the check passes when every strong generator maps
-    the edge set onto itself."""
-    grp = automorphism_group(g)
-    holder["group"] = grp
-    return all(is_automorphism(g, p) for p in grp.generators)
 
 
 def _seed_stage(report: RunReport, g, seeds) -> bool:
@@ -172,8 +164,7 @@ def _closure_stage(report: RunReport, g, grp, seeds):
     )
     metric = Metric.combinatorial()
     bad_comp, bad_sep, bad_min = [], [], []
-
-    def validate():
+    with Stopwatch() as sw:
         for m in members:
             cut = Cutset.of_vertices(m)
             if complement_labels(g, cut)[1] != 2:
@@ -182,10 +173,12 @@ def _closure_stage(report: RunReport, g, grp, seeds):
                 bad_sep.append(cut.sorted_elements())
             if not is_minimal_cutset(g, cut).ok:
                 bad_min.append(cut.sorted_elements())
-        return not bad_comp
-
-    cert.timed("members-two-components", validate, {"members": len(members)})
-    cert.checks[-1].witness = {"members": len(members), "violations": bad_comp[:8]}
+    cert.add(
+        "members-two-components",
+        not bad_comp,
+        {"members": len(members), "violations": bad_comp[:8]},
+        sw.millis,
+    )
     cert.add("members-3-separated", not bad_sep, {"violations": bad_sep[:8]})
     cert.add("members-minimal", not bad_min, {"violating_members": len(bad_min)})
     usable = not bad_comp and not bad_sep
@@ -253,14 +246,14 @@ def run_f090a(skip_aut: bool = False, seed_cutsets: Iterable[frozenset] | None =
         return finish("orbit-closure")
 
     fam = SeparatedFamily.from_cutsets(g, 3, members)
-    t0 = time.perf_counter()
-    star = certify_star_separated(g, fam)
+    with Stopwatch() as sw:
+        star = certify_star_separated(g, fam)
     report.certificates.append(star)
-    report.stats["millis_star_separated"] = round((time.perf_counter() - t0) * 1000.0, 3)
+    report.stats["millis_star_separated"] = sw.millis
 
     _pairs_stage(report, g, members)
 
-    t0 = time.perf_counter()
-    report.certificates.append(certify_triangle_link(g, fam, group=grp, star=star))
-    report.stats["millis_triangle_link"] = round((time.perf_counter() - t0) * 1000.0, 3)
+    with Stopwatch() as sw:
+        report.certificates.append(certify_triangle_link(g, fam, group=grp, star=star))
+    report.stats["millis_triangle_link"] = sw.millis
     return finish()

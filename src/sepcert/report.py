@@ -1,23 +1,48 @@
-"""Certificates, run reports, and reproducible JSON output.
+"""Certificates, run reports, and the one JSON writer for them.
 
 A Check is one named verdict with an optional witness and timing. A
 Certificate groups the checks for one target; a RunReport groups
-certificates with the input digests and tool version. Serialization is
-deterministic: keys sorted, sets sorted, exact rationals rendered as
-strings. Timings are the only field expected to vary between identical
-runs, so comparisons should strip them (see ``stripped``).
+certificates with the input digests and tool version. ``dumps`` writes every
+JSON file the CLI emits, deterministically: keys sorted, sets sorted, exact
+rationals rendered as strings. Timings are the only field expected to vary
+between identical runs, so comparisons should strip them (see ``stripped``).
+
+A certifying command's ``--out`` report has the top-level keys
+``command``, ``version``, ``pass``, ``inputs``, ``stats`` and
+``certificates``; each certificate is ``{"target", "pass", "checks"}`` and
+each check ``{"name", "pass", "witness"?, "millis"?}``, the last two left
+out when absent. ``graph info`` writes ``{"command", "report"}``, ``aut``
+writes ``{"command", "order", "generators", "vertex_orbits"}``, an
+infeasible ``gluing solve`` writes ``{"command", "pass", "detail",
+"equations"}`` (a feasible one writes its weights as text), and ``cutset
+search`` writes its family as text with ``<out>.stats.json`` beside it:
+``found``, ``exhausted`` and the search counters.
 """
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import inf
-from typing import Any, Callable, Iterable, Mapping
+from typing import Mapping
 
 from . import __version__
-from .cutset import Verdict
+from .cutset import Cutset, Verdict
+
+
+class Stopwatch:
+    """Times a ``with`` block: once it ends, ``millis`` is its wall time in
+    milliseconds, rounded to 3 decimals."""
+
+    millis: float | None = None
+
+    def __enter__(self) -> "Stopwatch":
+        self._start = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.millis = round((time.perf_counter() - self._start) * 1000.0, 3)
 
 
 @dataclass
@@ -26,6 +51,14 @@ class Check:
     ok: bool
     witness: Mapping | None = None
     millis: float | None = None
+
+    def doc(self) -> dict:
+        doc = {"name": self.name, "pass": self.ok}
+        if self.witness is not None:
+            doc["witness"] = jsonable(self.witness)
+        if self.millis is not None:
+            doc["millis"] = self.millis
+        return doc
 
 
 @dataclass
@@ -37,6 +70,15 @@ class Certificate:
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
+    @property
+    def witness(self) -> dict:
+        """What a parent certificate records of this one: every check's
+        verdict, and the witnesses of the failing ones."""
+        return {
+            "checks": {c.name: c.ok for c in self.checks},
+            "failures": {c.name: c.witness for c in self.checks if not c.ok},
+        }
+
     def check(self, name: str) -> Check:
         for c in self.checks:
             if c.name == name:
@@ -44,9 +86,9 @@ class Certificate:
         raise KeyError(f"no check named {name!r} in certificate {self.target!r}")
 
     def add(self, name: str, outcome, witness: Mapping | None = None, millis: float | None = None) -> Check:
-        """Append a check; ``outcome`` may be a bool or a Verdict (whose
-        witness is merged under the given one)."""
-        if isinstance(outcome, Verdict):
+        """Append a check; ``outcome`` may be a bool, a Verdict or a
+        sub-Certificate, whose witness is merged under the given one."""
+        if isinstance(outcome, (Verdict, Certificate)):
             merged = dict(outcome.witness or {})
             merged.update(witness or {})
             c = Check(name, outcome.ok, merged or None, millis)
@@ -55,11 +97,8 @@ class Certificate:
         self.checks.append(c)
         return c
 
-    def timed(self, name: str, fn: Callable[[], Any], witness: Mapping | None = None) -> Check:
-        t0 = time.perf_counter()
-        outcome = fn()
-        millis = (time.perf_counter() - t0) * 1000.0
-        return self.add(name, outcome, witness, round(millis, 3))
+    def doc(self) -> dict:
+        return {"target": self.target, "pass": self.ok, "checks": [c.doc() for c in self.checks]}
 
 
 @dataclass
@@ -85,10 +124,21 @@ class RunReport:
         self.certificates.append(cert)
         return cert
 
+    def doc(self) -> dict:
+        return {
+            "command": self.command,
+            "version": self.version,
+            "pass": self.ok,
+            "inputs": jsonable(self.inputs),
+            "stats": jsonable(self.stats),
+            "certificates": [c.doc() for c in self.certificates],
+        }
+
 
 def jsonable(obj):
     """Exact, deterministic JSON image: rationals as 'p/q' strings,
-    infinities as 'inf', sets sorted, tuples as lists."""
+    infinities as 'inf', sets sorted, tuples as lists, cutsets as their
+    kind and sorted elements, checks and reports as their documents."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
@@ -109,11 +159,10 @@ def jsonable(obj):
             key = k if isinstance(k, str) else str(k)
             out[key] = jsonable(v)
         return out
-    if is_dataclass(obj) and not isinstance(obj, type):
-        if hasattr(obj, "kind") and hasattr(obj, "sorted_elements"):
-            # cutsets print as their sorted elements plus kind
-            return {"kind": obj.kind, "elements": jsonable(obj.sorted_elements())}
-        return {f.name: jsonable(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, Cutset):
+        return {"kind": obj.kind, "elements": jsonable(obj.sorted_elements())}
+    if isinstance(obj, (Check, Certificate, RunReport)):
+        return obj.doc()
     return str(obj)
 
 

@@ -1,6 +1,6 @@
 """The command line: exact group orders from ``sepcert aut``, exit 2 with
-an ``error:`` line on bad options and malformed input, and a quiet exit 141
-when the reader closes stdout early."""
+an ``error:`` line on bad options, malformed input and unwritable output
+paths, and a quiet exit 141 when the reader closes stdout early."""
 
 from __future__ import annotations
 
@@ -94,6 +94,30 @@ def test_star_search_rejects_non_cubic_graphs(g, message, tmp_path, capsys):
         assert main(["cutset", "search", path, "--star", "--exhaust"]) == 2
         err = capsys.readouterr().err
         assert err == f"error: CutsetError: {message}\n"
+
+
+INPUTS = Path(__file__).with_name("golden") / "inputs"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["graph", "info", "--builtin", "petersen"],
+        ["cutset", "search", "--builtin", "bridge10", "--star", "--exhaust"],
+        ["gluing", "solve", str(INPUTS / "c6-homogeneous.json")],
+        [
+            "certify", "vertex-separated", "--builtin", "q3", "--n", "2",
+            "--family", str(INPUTS / "q3-neighborhoods.txt"),
+        ],
+    ],
+    ids=lambda argv: "-".join(argv[:2]),
+)
+def test_unwritable_out_exits_2_without_traceback(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "report"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}:")
+    assert "Traceback" not in err
 
 
 def test_closed_stdout_exits_141_without_traceback():

@@ -10,16 +10,12 @@ from itertools import combinations
 import pytest
 
 from _oracles import nx_angular_distances
-from _oracles import separates as oracle_separates
 from sepcert.cutset import (
     Cutset,
-    CutsetPartition,
     NeighborOrdering,
-    Partition,
     canonical_partition,
     complement_labels,
     components_of_complement,
-    family_at,
     format_family,
     is_cutset,
     is_minimal_cutset,
@@ -28,9 +24,7 @@ from sepcert.cutset import (
     is_star_cutset,
     midpoint_distance,
     parse_family,
-    partition_separates,
     point_node,
-    separates,
 )
 from sepcert.datasets import named_graph
 from sepcert.errors import CutsetError
@@ -258,39 +252,9 @@ def test_star_cutset_witness_reports_all_clauses(q3):
     assert v.witness["two_components"] is False
 
 
-def test_separates_matches_oracle(c8):
-    c = Cutset.of_vertices([1, 5])
-    for x in range(2, 5):
-        for y in range(6, 9):
-            assert separates(c8, c, x, y) == oracle_separates(c8, c.elements, x, y)
-    assert not separates(c8, c, 2, 4)
-    with pytest.raises(CutsetError):
-        separates(c8, c, 1, 3)
-
-
-def test_partition_separates_respects_blocks(c8):
-    c = Cutset.of_vertices([1, 4, 6])  # components (2,3), (5,), (7,8)
-    fine = CutsetPartition(c, canonical_partition(c8, c))
-    merged = CutsetPartition(c, Partition((frozenset([0, 1]), frozenset([2]))))
-    assert partition_separates(c8, fine, 2, 5)
-    assert not partition_separates(c8, merged, 2, 5)
-    assert partition_separates(c8, merged, 2, 7)
-
-
-def test_neighbor_ordering_and_family_at(q3):
+def test_neighbor_ordering_ascending(q3):
     ordering = NeighborOrdering.ascending(q3)
     assert ordering.at(1) == q3.neighbors(1)
-    # q3 has no star cutsets at all, so nothing can satisfy the goal
-    with pytest.raises(CutsetError):
-        family_at(q3, 1, 1, 2, [Cutset.of_vertices([1, 8])])
-    assert family_at(q3, 1, 1, 2, [], require_star=False) == ()
-
-
-def test_family_at_requires_valid_positions(q3):
-    with pytest.raises(CutsetError):
-        family_at(q3, 1, 2, 2, [])
-    with pytest.raises(CutsetError):
-        family_at(q3, 1, 0, 4, [])
 
 
 # ----------------------------------------------------- bundled seeds --

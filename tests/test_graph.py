@@ -31,6 +31,7 @@ from sepcert.graph import (
     structural_report,
     subdivide,
     subdivision_graph,
+    union_labels,
 )
 
 
@@ -329,6 +330,19 @@ def test_components_and_connectivity():
     assert components(g, removed_vertices=(1,)) == ((2,), (3, 4), (5,))
     assert not is_connected(g)
     assert is_connected(named_graph("q3"))
+
+
+def test_union_labels_name_each_class_by_its_least_point():
+    assert union_labels(0, []) == []
+    assert union_labels(6, [(4, 2), (5, 1), (2, 0), (3, 3)]) == [0, 1, 0, 3, 0, 1]
+    rng = random.Random(5)
+    for _ in range(20):
+        n = rng.randint(1, 30)
+        edges = {edge_key(*rng.sample(range(1, n + 2), 2)) for _ in range(rng.randint(0, n))}
+        g = Graph(n + 1, edges)
+        labels = union_labels(g.n, ((u - 1, v - 1) for u, v in edges))
+        for comp in components(g):  # sorted, so comp[0] is the least vertex
+            assert {labels[v - 1] for v in comp} == {comp[0] - 1}
 
 
 def test_subdivide_counts_and_midpoints():

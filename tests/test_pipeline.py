@@ -3,6 +3,8 @@ repeatability of the whole run."""
 
 from __future__ import annotations
 
+from pathlib import Path
+
 from sepcert import certify, gluing, pipeline
 from sepcert.cutset import complement_labels
 from sepcert.graph import distances
@@ -34,9 +36,10 @@ def test_pinned_pairs_are_separated_by_the_seed_closure(f090a, orbit_closure):
 
 
 def test_rerun_in_process_repeats_report_and_equation_count(monkeypatch):
-    """A second run, on warm caches, gives the same stripped report and
-    checks the same number of gluing balance equations. Each run builds
-    the star-separation certificate once."""
+    """A second run, on warm caches, gives the same stripped report, the
+    one ``sepcert f090a --out`` writes, and checks the same number of
+    gluing balance equations. Each run builds the star-separation
+    certificate once."""
     equations = []
     verify = gluing.verify_gluing
     stars = []
@@ -57,5 +60,6 @@ def test_rerun_in_process_repeats_report_and_equation_count(monkeypatch):
     first = stripped(dumps(run_f090a()))
     second = stripped(dumps(run_f090a()))
     assert first == second
+    assert first == Path(__file__).with_name("golden").joinpath("f090a.out.json").read_text()
     assert equations == [15120, 15120]
     assert len(stars) == 2

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from sepcert.cutset import Cutset, Verdict
-from sepcert.report import Certificate, RunReport, dumps, jsonable, stripped
+from sepcert.report import Certificate, RunReport, Stopwatch, dumps, jsonable, stripped
 
 
 def test_certificate_aggregates_checks():
@@ -32,9 +32,27 @@ def test_add_merges_verdict_witness():
     assert c.witness == {"base": 1, "extra": 2}
 
 
+def test_add_summarises_a_sub_certificate():
+    sub = Certificate("sub")
+    sub.add("good", True, {"n": 1})
+    sub.add("bad", False, {"why": "so"})
+    cert = Certificate("demo")
+    c = cert.add("nested", sub, {"extra": 2})
+    assert c.ok is False
+    assert c.witness == {
+        "checks": {"good": True, "bad": False},
+        "failures": {"bad": {"why": "so"}},
+        "extra": 2,
+    }
+    sub.checks.pop()
+    assert cert.add("passing", sub).witness == {"checks": {"good": True}, "failures": {}}
+
+
 def test_timed_records_millis():
     cert = Certificate("demo")
-    c = cert.timed("slow", lambda: True)
+    with Stopwatch() as sw:
+        ok = True
+    c = cert.add("slow", ok, millis=sw.millis)
     assert c.ok and c.millis is not None and c.millis >= 0
 
 
@@ -82,7 +100,9 @@ def test_dumps_is_deterministic_and_valid_json():
 
 def test_stripped_nulls_timings_only():
     rep = RunReport(command="demo")
-    rep.new_certificate("t").timed("x", lambda: True, {"kept": 7})
+    with Stopwatch() as sw:
+        ok = True
+    rep.new_certificate("t").add("x", ok, {"kept": 7}, sw.millis)
     doc = json.loads(stripped(dumps(rep)))
     check = doc["certificates"][0]["checks"][0]
     assert check["millis"] is None
@@ -92,7 +112,9 @@ def test_stripped_nulls_timings_only():
 def test_stripped_makes_reruns_byte_identical():
     def run():
         rep = RunReport(command="demo")
-        rep.new_certificate("t").timed("x", lambda: sum(range(1000)) >= 0)
+        with Stopwatch() as sw:
+            ok = sum(range(1000)) >= 0
+        rep.new_certificate("t").add("x", ok, millis=sw.millis)
         return dumps(rep)
 
     assert stripped(run()) == stripped(run())
