@@ -29,14 +29,16 @@ from .report import Certificate
 
 @dataclass(frozen=True)
 class SeparatedFamily:
-    """A family of separated cutsets with their partitions, validated on
-    construction: every member must be a cutset and sigma-separated."""
+    """A named family of separated cutsets of one link with their
+    partitions, validated on construction: every member must be a cutset
+    and sigma-separated. Gluing structures tell their links apart by name."""
 
     graph: Graph
     sigma: Fraction
     kind: str
     members: tuple[CutsetPartition, ...]
     metric: Metric = None
+    name: str = "link"
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", Fraction(self.sigma))
@@ -72,6 +74,7 @@ class SeparatedFamily:
         cutsets,
         kind: str = "vertex",
         metric: Metric | None = None,
+        name: str = "link",
     ) -> "SeparatedFamily":
         """Family with the canonical (one block per component) partitions."""
         members = []
@@ -79,7 +82,11 @@ class SeparatedFamily:
             if not isinstance(c, Cutset):
                 c = Cutset.of_vertices(c) if kind == "vertex" else Cutset.of_edges(c)
             members.append(CutsetPartition(c, canonical_partition(g, c)))
-        return cls(g, Fraction(sigma), kind, tuple(members), metric)
+        return cls(g, Fraction(sigma), kind, tuple(members), metric, name)
+
+    def pairs_at(self, x) -> tuple[CutsetPartition, ...]:
+        """The members whose cutset contains the element x."""
+        return tuple(cp for cp in self.members if x in cp.cutset)
 
     def distinct_cutsets(self) -> tuple[Cutset, ...]:
         seen = {}
@@ -391,12 +398,7 @@ def certify_triangle_link(
     all-ones weights solving the gluing equations on the fully symmetric
     self-gluing. ``star`` is the ``certify_star_separated`` certificate of
     ``fam`` under ``ordering``, when the caller has already computed it."""
-    from .gluing import (
-        GluingStructure,
-        LinkInstance,
-        WeightAssignment,
-        verify_gluing,
-    )
+    from .gluing import GluingStructure, WeightAssignment, verify_gluing
 
     cert = Certificate("triangle-link")
     girth_val = girth(g)
@@ -438,8 +440,7 @@ def certify_triangle_link(
         },
     )
 
-    li = LinkInstance("link", g, fam.metric, fam.sigma, fam.members)
-    structure = GluingStructure.homogeneous(li, group)
+    structure = GluingStructure.homogeneous(fam, group)
     cert.add("gluing-all-ones", verify_gluing(structure, WeightAssignment.all_ones(structure)))
 
     if cert.ok:

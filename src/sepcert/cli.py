@@ -49,7 +49,6 @@ from .gluing import (
     EdgeGerm,
     GluingInfeasible,
     GluingStructure,
-    LinkInstance,
     WeightAssignment,
     orbits_of_pairs,
     pair_key,
@@ -68,7 +67,7 @@ class _UsageError(SepcertError):
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise _UsageError(f"cannot read {path}: {exc}") from None
 
 
@@ -249,66 +248,80 @@ def _load_structure(path: str) -> GluingStructure:
         doc = json.loads(_read(path))
     except json.JSONDecodeError as exc:
         raise _UsageError(f"bad structure file: {exc}") from None
-    if not isinstance(doc, dict) or "links" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("links"), list):
         raise _UsageError('structure file needs a "links" list')
 
-    def resolve(p: str) -> str:
+    def resolve(p) -> str:
+        if not isinstance(p, str):
+            raise _UsageError(f"file names must be strings, got {p!r}")
         q = Path(p)
         return str(q if q.is_absolute() else base / q)
 
-    instances: dict[str, LinkInstance] = {}
-    groups = []
-    want_groups = False
+    instances: dict[str, SeparatedFamily] = {}
+    groups: dict[str, object] = {}
     for spec in doc["links"]:
-        name = spec.get("name")
-        if not name or "graph" not in spec or "family" not in spec:
-            raise _UsageError('each link needs "name", "graph" and "family"')
+        if not (
+            isinstance(spec, dict)
+            and {"name", "graph", "family"} <= spec.keys()
+            and isinstance(spec["name"], str)
+            and spec["name"]
+        ):
+            raise _UsageError('each link needs a "name" string, a "graph" and a "family"')
+        name = spec["name"]
+        if name in instances:
+            raise _UsageError(f"duplicate link name {name!r}")
         g, metric = parse_graph(_read(resolve(spec["graph"])))
         sigma = parse_rational(str(spec.get("sigma", "3")))
         cutsets = parse_family(_read(resolve(spec["family"])))
         kind = cutsets[0].kind if cutsets else "vertex"
-        fam = SeparatedFamily.from_cutsets(g, sigma, cutsets, kind=kind, metric=metric)
-        instances[name] = LinkInstance(name, g, metric, sigma, fam.members)
-        if spec.get("group"):
-            groups.append(automorphism_group(g))
-            want_groups = True
-        else:
-            groups.append(None)
+        instances[name] = SeparatedFamily.from_cutsets(g, sigma, cutsets, kind, metric, name)
+        groups[name] = automorphism_group(g) if spec.get("group") else None
 
     if "homogeneous" in doc:
         if "germs" in doc:
             raise _UsageError('give either "homogeneous" or "germs", not both')
         name = doc["homogeneous"]
-        if name not in instances:
+        if not isinstance(name, str) or name not in instances:
             raise _UsageError(f"homogeneous link {name!r} is not declared")
-        li = instances[name]
-        grp = groups[list(instances).index(name)]
-        return GluingStructure.homogeneous(li, grp)
+        return GluingStructure.homogeneous(instances[name], groups[name])
+
+    def int_pair(raw) -> bool:
+        return isinstance(raw, list) and len(raw) == 2 and all(type(v) is int for v in raw)
+
+    def link_named(raw) -> SeparatedFamily:
+        if not isinstance(raw, str) or raw not in instances:
+            raise _UsageError(f"germ references unknown link {raw!r}")
+        return instances[raw]
 
     def element(raw):
-        return edge_key(*raw) if isinstance(raw, list) else int(raw)
+        if int_pair(raw):
+            return edge_key(*raw)
+        if type(raw) is not int:
+            raise _UsageError(f"bad germ element {raw!r}: expected a vertex id or [u, v]")
+        return raw
 
+    germ_specs = doc.get("germs", [])
+    if not isinstance(germ_specs, list) or not all(isinstance(spec, dict) for spec in germ_specs):
+        raise _UsageError('"germs" must be a list of objects')
     germs = []
-    for spec in doc.get("germs", ()):
-        try:
-            start = instances[spec["start"]]
-            end = instances[spec["end"]]
-        except KeyError as exc:
-            raise _UsageError(f"germ references unknown link {exc}") from None
-        ea = element(spec["element"])
-        eb = element(spec.get("element_end", spec["element"]))
+    for spec in germ_specs:
+        start, end = link_named(spec.get("start")), link_named(spec.get("end"))
+        ea = element(spec.get("element"))
+        eb = element(spec.get("element_end", spec.get("element")))
         if "bijection" in spec:
-            germs.append(
-                EdgeGerm(start, ea, end, eb, tuple((int(a), int(b)) for a, b in spec["bijection"]))
-            )
+            bij = spec["bijection"]
+            if not (isinstance(bij, list) and all(int_pair(p) for p in bij)):
+                raise _UsageError('a germ "bijection" must be a list of [d, d\'] integer pairs')
+            germs.append(EdgeGerm(start, ea, end, eb, tuple(map(tuple, bij))))
         else:
             if ea != eb:
                 raise _UsageError("a germ without a bijection needs equal elements")
             germs.append(EdgeGerm.identity(start, end, ea))
     if not germs:
         raise _UsageError('structure file needs "germs" or "homogeneous"')
+    want_groups = any(grp is not None for grp in groups.values())
     return GluingStructure(
-        tuple(instances.values()), tuple(germs), tuple(groups) if want_groups else None
+        tuple(instances.values()), tuple(germs), tuple(groups.values()) if want_groups else None
     )
 
 
@@ -430,6 +443,8 @@ def _seed_atoms(x, v0: int, kind: str, family_path: str | None):
     """
     if family_path is None:
         if kind == "edge" and v0 > x.n:
+            if v0 > x.n + x.m:
+                raise _UsageError(f"seed vertex {v0} outside the subdivided range")
             return x.edge_faces[x.edges[v0 - x.n - 1]]
         raise _UsageError("--cutset is required except for edge-midpoint seeds")
     family = parse_family(_read(family_path))

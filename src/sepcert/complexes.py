@@ -17,22 +17,32 @@ pass over every vertex stays linear in the size of the complex.
 Local pairs and tracing conventions
 -----------------------------------
 
-A traced hypergraph assigns to each visited vertex a *local pair*: a
-pi-separated cutset of that vertex's link together with a partition of the
-complement components.  Local coordinates keep the two hypergraph kinds
-uniform:
+A traced hypergraph assigns to each visited vertex v a *local pair*: a
+``CutsetPartition`` of the graph local to v, whose cutset is pi-separated
+and whose partition groups the complement components.  At a complex vertex
+that graph is the link; the cutset is a set of link vertices in vertex kind
+and a set of corners (link edges) in edge kind.  An edge midpoint, visited
+by edge-kind traces only, has a fixed *cage*: two vertices, the directions
+toward the lower (1) and the higher (2) end of the edge, joined by one
+corner that stands for every face through the edge.  Its only pair cuts
+that corner, and exists when at least two faces meet at the edge.
 
-* vertex kind: the trace walks the 1-skeleton; cutset atoms are link vertex
-  ids (one per incident edge, in sorted edge order);
-* edge kind: the trace walks the antipodal graph; cutset atoms are face
-  indices (each face names the unique antipodal edge through it at a given
-  vertex).
+Seeds and segment order use *atoms*, the cutset in local coordinates:
 
-Extension picks, at every newly reached vertex, the lexicographically least
-local pair that contains the arriving element and induces the same partition
-of the directions around the arriving segment as the pair it came from.
-Vertices where no such pair exists become frontier vertices; the trace stops
-there rather than failing.
+* vertex kind: the trace walks the 1-skeleton; atoms are link vertex ids
+  (one per incident edge, in sorted edge order);
+* edge kind: the trace walks the antipodal graph; atoms are face indices
+  (each face names its corner at v and the unique antipodal edge through
+  it at v; at a midpoint, the atoms are all faces through the edge).
+
+Two pairs at the ends of a segment are compared by the partitions they
+induce (``cutset.induced_partition``) on the directions around the
+segment, keyed by what both ends share: the faces on the walked edge in
+vertex kind, the two boundary arcs of the crossed face in edge kind.
+Extension picks, at every newly reached vertex, the local pair with the
+least atoms that contains the arriving element and induces the same
+partition as the pair it came from.  Vertices where no such pair exists
+become frontier vertices; the trace stops there rather than failing.
 """
 
 from __future__ import annotations
@@ -41,18 +51,22 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
 from .cutset import (
     Cutset,
+    CutsetPartition,
+    Partition,
     canonical_partition,
-    components_of_complement,
+    complement_labels,
+    induced_partition,
     is_cutset,
     is_sigma_separated,
     midpoint_distance,
 )
-from .errors import ComplexError
+from .errors import ComplexError, CutsetError
 from .graph import (
     INF,
     Edge,
@@ -74,7 +88,6 @@ __all__ = [
     "Link",
     "AntipodalGraph",
     "Segment",
-    "TracedPair",
     "Hypergraph",
     "WallCut",
     "parse_complex",
@@ -97,6 +110,13 @@ PI = Fraction(1)
 
 #: Largest link (elements of the relevant kind) we will enumerate cutsets on.
 _ENUM_LIMIT = 16
+
+#: The local graph at an edge midpoint, its one cut element and its one
+#: pair: two directions, toward the lower (1) and the higher (2) end of the
+#: edge, joined by one corner that stands for every face through the edge.
+_CAGE = Graph(2, [(1, 2)])
+_CAGE_CUT = (1, 2)
+_CAGE_PAIR = CutsetPartition(Cutset.of_edges([_CAGE_CUT]), Partition(({0}, {1})))
 
 
 class PolygonalComplex:
@@ -287,6 +307,13 @@ class Link:
         return f"Link(vertex={self.vertex}, n={self.graph.n}, m={self.graph.m})"
 
 
+@lru_cache(maxsize=None)
+def _corner_angle(k: int) -> Fraction:
+    """Corner angle of a regular k-gon in units of pi, one object per k so
+    that equal link metrics compare by identity."""
+    return Fraction(k - 2, k)
+
+
 def link(x: PolygonalComplex, v: int) -> Link:
     """Build the link of vertex v with corner angles as edge lengths."""
     if not 1 <= v <= x.n:
@@ -310,7 +337,7 @@ def link(x: PolygonalComplex, v: int) -> Link:
                 f"faces {face_of[le]} and {idx} form parallel corners at vertex {v};"
                 f" links must be simple"
             )
-        lengths[le] = Fraction(k - 2, k)
+        lengths[le] = _corner_angle(k)
         face_of[le] = idx
     lk = Link(v, Graph(len(incident), lengths), Metric.angular(lengths), incident, face_of)
     x._cache[key] = lk
@@ -390,12 +417,11 @@ class AntipodalGraph:
     f's subdivided boundary cycle.
     """
 
-    __slots__ = ("n_primary", "n_total", "mid_of", "edge_of_mid", "edges", "boundaries", "_at", "_through")
+    __slots__ = ("n_primary", "n_total", "mid_of", "edges", "boundaries", "_at", "_through")
 
     def __init__(self, x: PolygonalComplex):
         self.n_primary = x.n
         self.mid_of = {e: x.n + 1 + i for i, e in enumerate(x.edges)}
-        self.edge_of_mid = {m: e for e, m in self.mid_of.items()}
         self.n_total = x.n + len(x.edges)
         boundaries = []
         records: list[Segment] = []
@@ -451,46 +477,6 @@ def edge_midpoint_id(x: PolygonalComplex, e: Edge) -> int:
 
 
 @dataclass(frozen=True)
-class TracedPair:
-    """A local pair: cutset atoms plus a partition of local directions.
-
-    Atoms are link vertex ids for vertex hypergraphs and face indices for
-    edge hypergraphs.  Blocks group the surviving local directions — link
-    vertex ids, except at an edge midpoint where the two directions are the
-    endpoint vertices of the underlying edge.
-    """
-
-    atoms: tuple[int, ...]
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "atoms", tuple(sorted(set(self.atoms))))
-        object.__setattr__(
-            self, "blocks", tuple(sorted(tuple(sorted(set(b))) for b in self.blocks))
-        )
-        if len(self.atoms) < 2:
-            raise ComplexError(f"a local pair needs at least two atoms, got {self.atoms}")
-        if len(self.blocks) < 2:
-            raise ComplexError("a local pair needs at least two partition blocks")
-        seen: set[int] = set()
-        for b in self.blocks:
-            if not b:
-                raise ComplexError("empty partition block in local pair")
-            if seen.intersection(b):
-                raise ComplexError("overlapping partition blocks in local pair")
-            seen.update(b)
-
-    def sort_key(self) -> tuple:
-        return (self.atoms, self.blocks)
-
-    def block_of(self, direction: int) -> tuple[int, ...]:
-        for b in self.blocks:
-            if direction in b:
-                return b
-        raise ComplexError(f"direction {direction} lies in no partition block")
-
-
-@dataclass(frozen=True)
 class Hypergraph:
     """A traced hypergraph: segments, the pair used at each visited vertex,
     and the frontier vertices where tracing stopped (with reasons).
@@ -502,7 +488,7 @@ class Hypergraph:
     kind: str
     seed_vertex: int
     segments: tuple[Segment, ...]
-    pairs: tuple[tuple[int, TracedPair], ...]
+    pairs: tuple[tuple[int, CutsetPartition], ...]
     frontier: tuple[tuple[int, str], ...]
     conflicts: tuple[tuple[Segment, int, str], ...] = ()
 
@@ -511,17 +497,8 @@ class Hypergraph:
         object.__setattr__(self, "pairs", tuple(sorted(self.pairs)))
         object.__setattr__(self, "frontier", tuple(sorted(self.frontier)))
 
-    def pair_at(self, v: int) -> TracedPair | None:
-        for u, pair in self.pairs:
-            if u == v:
-                return pair
-        return None
-
-    def frontier_reason(self, v: int) -> str | None:
-        for u, reason in self.frontier:
-            if u == v:
-                return reason
-        return None
+    def pair_at(self, v: int) -> CutsetPartition | None:
+        return dict(self.pairs).get(v)
 
     def vertices(self) -> tuple[int, ...]:
         """All segment endpoints, ascending."""
@@ -537,24 +514,47 @@ class Hypergraph:
         return len(self.segments_at(v))
 
 
-def _pairs_at(x: PolygonalComplex, kind: str, u: int) -> tuple[TracedPair, ...]:
-    """All local pairs at a walkway vertex, lexicographically sorted.
+def _midpoint_edge(x: PolygonalComplex, v: int) -> Edge:
+    """The edge whose midpoint has subdivided id v (n+1.. in sorted edge
+    order).  Ids of traced segment ends are always in range, so only a seed
+    can fail the check."""
+    if not x.n < v <= x.n + len(x.edges):
+        raise ComplexError(f"seed vertex {v} outside the subdivided range")
+    return x.edges[v - x.n - 1]
+
+
+def _local_graph(x: PolygonalComplex, kind: str, v: int) -> Graph:
+    """The graph a local pair at v cuts: the link of a vertex, or the cage
+    at an edge midpoint."""
+    if kind == "edge" and v > x.n:
+        return _CAGE
+    return link(x, v).graph
+
+
+def _atoms(x: PolygonalComplex, kind: str, v: int, pair: CutsetPartition) -> tuple[int, ...]:
+    """A pair's cutset in local coordinates, ascending: link vertex ids in
+    vertex kind, the faces of the cut corners in edge kind (every face
+    through the edge at a midpoint)."""
+    if kind == "vertex":
+        return pair.cutset.sorted_elements()
+    if v > x.n:
+        return tuple(sorted(x.edge_faces[_midpoint_edge(x, v)]))
+    face_of = link(x, v).face_of_corner
+    return tuple(sorted(face_of[c] for c in pair.cutset.elements))
+
+
+def _pairs_at(x: PolygonalComplex, kind: str, u: int) -> tuple[CutsetPartition, ...]:
+    """All local pairs at a walkway vertex, sorted by their atoms.
 
     Cutsets are enumerated exhaustively over the link (pi-separated, at
-    least two elements, with the canonical partition); edge midpoints have
-    the single full-cage pair when at least two faces meet there.
+    least two elements, with the canonical partition); an edge midpoint has
+    the cage pair when at least two faces meet there.
     """
     key = ("pairs", kind, u)
     if key in x._cache:
         return x._cache[key]
     if kind == "edge" and u > x.n:
-        e = x.edges[u - x.n - 1]
-        fs = x.edge_faces[e]
-        if len(fs) < 2:
-            out: tuple[TracedPair, ...] = ()
-        else:
-            a, b = e
-            out = (TracedPair(tuple(fs), ((a,), (b,))),)
+        out = (_CAGE_PAIR,) if len(x.edge_faces[_midpoint_edge(x, u)]) >= 2 else ()
         x._cache[key] = out
         return out
     lk = link(x, u)
@@ -567,35 +567,13 @@ def _pairs_at(x: PolygonalComplex, kind: str, u: int) -> tuple[TracedPair, ...]:
             f"link of vertex {u} has {len(universe)} {kind} elements;"
             f" refusing to enumerate cutsets beyond {_ENUM_LIMIT}"
         )
-    found: list[TracedPair] = []
+    found: list[CutsetPartition] = []
     for r in range(2, len(universe) + 1):
         for sel in combinations(universe, r):
             c = Cutset.of_vertices(sel) if kind == "vertex" else Cutset.of_edges(sel)
-            if not is_cutset(lk.graph, c).ok:
-                continue
-            if not is_sigma_separated(lk.graph, lk.metric, c, PI).ok:
-                continue
-            part = canonical_partition(lk.graph, c)
-            comps = components_of_complement(lk.graph, c)
-            blocks = []
-            expressible = True
-            for blk in part.blocks:
-                members: list[int] = []
-                for ci in sorted(blk):
-                    ids = [p for p in comps[ci] if isinstance(p, int)]
-                    if not ids:
-                        expressible = False
-                    members.extend(ids)
-                blocks.append(tuple(members))
-            if not expressible:
-                continue
-            if kind == "vertex":
-                atoms = sel
-            else:
-                atoms = tuple(lk.face_of_corner[le] for le in sel)
-            found.append(TracedPair(tuple(atoms), tuple(blocks)))
-    found.sort(key=TracedPair.sort_key)
-    out = tuple(found)
+            if is_cutset(lk.graph, c).ok and is_sigma_separated(lk.graph, lk.metric, c, PI).ok:
+                found.append(CutsetPartition(c, canonical_partition(lk.graph, c)))
+    out = tuple(sorted(found, key=lambda cp: _atoms(x, kind, u, cp)))
     x._cache[key] = out
     return out
 
@@ -606,89 +584,83 @@ def _validated_pair(
     v0: int,
     atoms: Iterable[int],
     blocks: Sequence[Iterable[int]] | None,
-) -> TracedPair:
-    """Check a seed against the link of v0 and normalise it to a TracedPair."""
+) -> CutsetPartition:
+    """Check a seed against the local graph at v0 and turn it into a pair.
+
+    Blocks, when given, list directions: link vertex ids, or at an edge
+    midpoint the edge's end vertices.  Each block takes the components its
+    directions enter."""
     atoms = tuple(sorted(set(int(a) for a in atoms)))
     if len(atoms) < 2:
         raise ComplexError(f"seed pair invalid: needs at least two atoms, got {atoms}")
-    antip = antipodal_graph(x) if kind == "edge" else None
     if kind == "edge" and v0 > x.n:
-        if v0 > antip.n_total:
-            raise ComplexError(f"seed vertex {v0} outside the subdivided range")
-        e = antip.edge_of_mid[v0]
+        e = _midpoint_edge(x, v0)
         fs = tuple(sorted(x.edge_faces[e]))
         if atoms != fs:
             raise ComplexError(
                 f"seed pair invalid: the only cutset at an edge midpoint is the"
                 f" full set of faces {fs}, got {atoms}"
             )
-        a, b = e
-        pair = TracedPair(atoms, ((a,), (b,)))
-        if blocks is not None and TracedPair(atoms, tuple(tuple(b) for b in blocks)) != pair:
-            raise ComplexError("seed pair invalid: an edge midpoint admits only the two-sided partition")
-        return pair
-    if not 1 <= v0 <= x.n:
-        raise ComplexError(f"seed vertex {v0} outside 1..{x.n}")
-    lk = link(x, v0)
-    if kind == "vertex":
-        for a in atoms:
-            if not 1 <= a <= lk.graph.n:
-                raise ComplexError(f"seed pair invalid: {a} is not a link vertex of {v0}")
-        c = Cutset.of_vertices(atoms)
+        g, pair, node_of = _CAGE, _CAGE_PAIR, dict(zip(e, (1, 2)))
     else:
-        corners = []
-        for f in atoms:
-            if f not in lk.corner_of_face:
-                raise ComplexError(f"seed pair invalid: face {f} has no corner at vertex {v0}")
-            corners.append(lk.corner_of_face[f])
-        c = Cutset.of_edges(corners)
-    verdict = is_cutset(lk.graph, c)
-    if not verdict.ok:
-        raise ComplexError(f"seed pair invalid: atoms do not cut the link of {v0}")
-    sep = is_sigma_separated(lk.graph, lk.metric, c, PI)
-    if not sep.ok:
-        raise ComplexError(f"seed pair invalid: not pi-separated ({sep.witness})")
-    comps = components_of_complement(lk.graph, c)
-    comp_ids = [tuple(p for p in comp if isinstance(p, int)) for comp in comps]
+        if not 1 <= v0 <= x.n:
+            raise ComplexError(f"seed vertex {v0} outside 1..{x.n}")
+        lk = link(x, v0)
+        if kind == "vertex":
+            for a in atoms:
+                if not 1 <= a <= lk.graph.n:
+                    raise ComplexError(f"seed pair invalid: {a} is not a link vertex of {v0}")
+            c = Cutset.of_vertices(atoms)
+        else:
+            for f in atoms:
+                if f not in lk.corner_of_face:
+                    raise ComplexError(f"seed pair invalid: face {f} has no corner at vertex {v0}")
+            c = Cutset.of_edges(lk.corner_of_face[f] for f in atoms)
+        if not is_cutset(lk.graph, c).ok:
+            raise ComplexError(f"seed pair invalid: atoms do not cut the link of {v0}")
+        sep = is_sigma_separated(lk.graph, lk.metric, c, PI)
+        if not sep.ok:
+            raise ComplexError(f"seed pair invalid: not pi-separated ({sep.witness})")
+        g, pair = lk.graph, CutsetPartition(c, canonical_partition(lk.graph, c))
+        node_of = {d: d for d in g.vertices()}
     if blocks is None:
-        chosen = tuple(ids for ids in comp_ids)
-    else:
-        chosen = tuple(tuple(sorted(set(int(d) for d in b))) for b in blocks)
-        union = [d for b in chosen for d in b]
-        allowed = sorted(d for ids in comp_ids for d in ids)
-        if sorted(union) != allowed:
-            raise ComplexError(
-                f"seed pair invalid: blocks must partition the surviving directions {allowed}"
-            )
-        for ids in comp_ids:
-            owners = {i for i, b in enumerate(chosen) if set(ids) & set(b)}
-            if len(owners) != 1:
-                raise ComplexError(
-                    f"seed pair invalid: component {ids} is split across partition blocks"
-                )
-    return TracedPair(atoms, chosen)
+        return pair
+    labels, count = complement_labels(g, pair.cutset)
+    chosen = []
+    for b in blocks:
+        comps = set()
+        for d in b:
+            node = node_of.get(int(d))
+            if node is None or labels[node - 1] is None:
+                raise ComplexError(f"seed pair invalid: {d} is not a direction at {v0}")
+            comps.add(labels[node - 1])
+        chosen.append(comps)
+    try:
+        partition = Partition(tuple(chosen))
+        partition.validate_for_count(count)
+    except CutsetError as exc:
+        raise ComplexError(f"seed pair invalid: {exc}") from None
+    return CutsetPartition(pair.cutset, partition)
 
 
-def _element_at(x: PolygonalComplex, kind: str, seg: Segment, v: int) -> int:
-    """The local atom a segment occupies at one of its ends."""
+def _element_at(x: PolygonalComplex, kind: str, seg: Segment, v: int):
+    """The cut element a segment occupies at one of its ends: a link vertex
+    in vertex kind, a link corner (the cage edge at a midpoint) in edge
+    kind."""
     if kind == "vertex":
         return link(x, v).vertex_id((seg.a, seg.b))
-    return seg.face
+    if v > x.n:
+        return _CAGE_CUT
+    return link(x, v).corner_of_face[seg.face]
 
 
-def _segments_for(x: PolygonalComplex, kind: str, v: int, pair: TracedPair) -> list[Segment]:
+def _segments_for(x: PolygonalComplex, kind: str, v: int, pair: CutsetPartition) -> list[Segment]:
     """Walkway edges named by a pair's atoms at v, in atom order."""
-    out = []
     if kind == "vertex":
         lk = link(x, v)
-        for a in pair.atoms:
-            u, w = lk.edges_at[a - 1]
-            out.append(_segment(u, w))
-    else:
-        antip = antipodal_graph(x)
-        for f in pair.atoms:
-            out.append(antip.through(v, f))
-    return out
+        return [_segment(*lk.edges_at[a - 1]) for a in _atoms(x, kind, v, pair)]
+    antip = antipodal_graph(x)
+    return [antip.through(v, f) for f in _atoms(x, kind, v, pair)]
 
 
 def _germ_keys(x: PolygonalComplex, kind: str, seg: Segment, v: int) -> dict[int, object]:
@@ -720,28 +692,19 @@ def _germ_keys(x: PolygonalComplex, kind: str, seg: Segment, v: int) -> dict[int
     if v <= x.n:
         lk = link(x, v)
         corner = lk.corner_of_face[seg.face]
-        out = {}
-        for d in corner:
-            out[d] = arc_of(antip.mid_of[lk.edges_at[d - 1]])
-        return out
-    a, b = antip.edge_of_mid[v]
-    return {a: arc_of(a), b: arc_of(b)}
+        return {d: arc_of(antip.mid_of[lk.edges_at[d - 1]]) for d in corner}
+    a, b = _midpoint_edge(x, v)
+    return {1: arc_of(a), 2: arc_of(b)}
 
 
-def _induced(pair: TracedPair, dirkeys: dict[int, object]) -> frozenset:
-    """Partition of the matching keys induced by the pair's blocks."""
-    grouped: dict[tuple, set] = {}
-    for d, key in dirkeys.items():
-        grouped.setdefault(pair.block_of(d), set()).add(key)
-    return frozenset(frozenset(v) for v in grouped.values())
-
-
-def _equatable(
-    x: PolygonalComplex, kind: str, seg: Segment, src: int, src_pair: TracedPair, dst: int, dst_pair: TracedPair
-) -> bool:
-    return _induced(src_pair, _germ_keys(x, kind, seg, src)) == _induced(
-        dst_pair, _germ_keys(x, kind, seg, dst)
+def _equatable(x: PolygonalComplex, kind: str, seg: Segment, pairs: dict[int, CutsetPartition]) -> bool:
+    """Do the pairs at the two ends of seg induce the same partition of the
+    directions around it?"""
+    a, b = (
+        induced_partition(_local_graph(x, kind, v), pairs[v], _germ_keys(x, kind, seg, v))
+        for v in seg.ends()
     )
+    return a == b
 
 
 def trace_hypergraph(
@@ -763,7 +726,7 @@ def trace_hypergraph(
     if kind not in ("vertex", "edge"):
         raise ComplexError(f"unknown hypergraph kind {kind!r}")
     seed = _validated_pair(x, kind, v0, atoms, blocks)
-    pairs: dict[int, TracedPair] = {v0: seed}
+    pairs: dict[int, CutsetPartition] = {v0: seed}
     frontier: dict[int, str] = {}
     traced: dict[tuple, Segment] = {}
     conflicts: list[tuple[Segment, int, str]] = []
@@ -780,20 +743,20 @@ def trace_hypergraph(
         element = _element_at(x, kind, seg, dst)
         standing = pairs.get(dst)
         if standing is not None:
-            if element not in standing.atoms:
+            if element not in standing.cutset:
                 conflicts.append((seg, dst, "element-missing"))
-            elif not _equatable(x, kind, seg, src, arriving, dst, standing):
+            elif not _equatable(x, kind, seg, {src: arriving, dst: standing}):
                 conflicts.append((seg, dst, "not-equatable"))
             continue
         if dst in frontier:
             continue
-        candidates = [p for p in _pairs_at(x, kind, dst) if element in p.atoms]
+        candidates = [p for p in _pairs_at(x, kind, dst) if element in p.cutset]
         if not candidates:
             frontier[dst] = "no-pair"
             continue
         chosen = None
         for p in candidates:
-            if _equatable(x, kind, seg, src, arriving, dst, p):
+            if _equatable(x, kind, seg, {src: arriving, dst: p}):
                 chosen = p
                 break
         if chosen is None:
@@ -906,11 +869,11 @@ def hypergraph_checks(x: PolygonalComplex, h: Hypergraph) -> Certificate:
                 if end not in frontier_set:
                     bad.append({"segment": seg.key(), "vertex": end, "reason": "unvisited-end"})
                 continue
-            if _element_at(x, h.kind, seg, end) not in pair.atoms:
+            if _element_at(x, h.kind, seg, end) not in pair.cutset:
                 bad.append({"segment": seg.key(), "vertex": end, "reason": "element-missing"})
         a_pair, b_pair = h.pair_at(seg.a), h.pair_at(seg.b)
         if a_pair is not None and b_pair is not None:
-            if not _equatable(x, h.kind, seg, seg.a, a_pair, seg.b, b_pair):
+            if not _equatable(x, h.kind, seg, {seg.a: a_pair, seg.b: b_pair}):
                 bad.append({"segment": seg.key(), "vertex": seg.b, "reason": "not-equatable"})
     for seg, v, reason in h.conflicts:
         bad.append({"segment": seg.key(), "vertex": v, "reason": reason})
@@ -937,16 +900,6 @@ class WallCut:
             if node in blk:
                 return i
         raise ComplexError(f"node {node} is removed or unknown")
-
-
-def _direction_node(x: PolygonalComplex, mid: dict[Edge, int], kind: str, v: int, d: int):
-    """Subdivided node a local direction points at (None if inexpressible)."""
-    if kind == "edge" and v > x.n:
-        return d
-    lk = link(x, v)
-    if d < 1 or d > lk.graph.n:
-        return None
-    return mid[lk.edges_at[d - 1]]
 
 
 def _subdivided_skeleton(x: PolygonalComplex) -> tuple[Graph, dict[Edge, int]]:
@@ -976,15 +929,14 @@ def wall_cut(x: PolygonalComplex, h: Hypergraph) -> WallCut:
     labels, count = component_labels(g2, removed_vertices=frozenset(removed))
     merges = []
     for v, pair in h.pairs:
-        for blk in pair.blocks:
-            touched = []
-            for d in blk:
-                node = _direction_node(x, mid, h.kind, v, d)
-                if node is None or node in removed:
-                    continue
-                lab = labels[node - 1]
-                if lab is not None:
-                    touched.append(lab)
+        # the subdivided node each surviving local direction at v points at
+        if h.kind == "edge" and v > x.n:
+            nodes = dict(zip((1, 2), _midpoint_edge(x, v)))
+        else:
+            edges = link(x, v).edges_at
+            nodes = {d: mid[e] for d, e in enumerate(edges, start=1) if d not in pair.cutset}
+        for blk in induced_partition(_local_graph(x, h.kind, v), pair, nodes):
+            touched = [labels[node - 1] for node in sorted(blk) if labels[node - 1] is not None]
             merges.extend((touched[0], lab) for lab in touched[1:])
     side = union_labels(count, merges)
     sides: dict[int, list[int]] = {}

@@ -203,6 +203,20 @@ def complement_labels(g: Graph, c: Cutset):
     return _complement_labels_cached(g, c.kind, c.elements)
 
 
+def induced_partition(g: Graph, cp: CutsetPartition, keys: Mapping[int, object]) -> frozenset:
+    """Partition of a set of directions induced by cp, such as the
+    neighbours of a cut element.
+
+    ``keys`` maps each direction, a vertex of g outside the cutset, to its
+    key. Directions are grouped by the partition block of the component
+    they enter, and each group is returned as the set of its keys."""
+    labels, _ = complement_labels(g, cp.cutset)
+    grouped: dict[int, set] = {}
+    for d, key in keys.items():
+        grouped.setdefault(cp.partition.block_of(labels[d - 1]), set()).add(key)
+    return frozenset(frozenset(b) for b in grouped.values())
+
+
 def components_of_complement(g: Graph, c: Cutset) -> tuple[tuple, ...]:
     """Components of the cut-open graph, canonically ordered.
 

@@ -1,7 +1,7 @@
 """Equatable partitions along glued edges and the weight-balance equations.
 
 A structure is a finite quotient picture of a complex whose links are all
-drawn from a fixed list: each `LinkInstance` is one link with its family of
+drawn from a fixed list: each named `SeparatedFamily` is one link with its
 (cutset, partition) pairs, and each `EdgeGerm` identifies an element of one
 link with an element of another, together with a bijection of the local
 directions around them. A weight assignment gives every pair a strictly
@@ -23,17 +23,18 @@ from fractions import Fraction
 from typing import Mapping
 
 from .aut import Permutation, PermutationGroup, _orbit_labels
+from .certify import SeparatedFamily
 from .cutset import (
     Cutset,
     CutsetPartition,
     Partition,
     complement_labels,
     components_of_complement,
-    is_sigma_separated,
+    induced_partition,
     point_node,
 )
 from .errors import GluingError
-from .graph import Graph, Metric, edge_key
+from .graph import Graph, edge_key
 from .report import Certificate
 
 
@@ -44,61 +45,19 @@ def directions_at(g: Graph, kind: str, x) -> tuple[int, ...]:
         if not (isinstance(x, int) and 1 <= x <= g.n):
             raise GluingError(f"link vertex {x!r} not in graph")
         return g.neighbors(x)
+    if not (isinstance(x, tuple) and len(x) == 2):
+        raise GluingError(f"link edge {x!r} not in graph")
     e = edge_key(*x)
-    if e not in set(g.edges()):
+    if not g.has_edge(*e):
         raise GluingError(f"link edge {e} not in graph")
     return e
-
-
-@dataclass(frozen=True)
-class LinkInstance:
-    """One link with its family of separated cutsets and chosen partitions."""
-
-    name: str
-    graph: Graph
-    metric: Metric
-    sigma: Fraction
-    pairs: tuple[CutsetPartition, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(self.pairs))
-        object.__setattr__(self, "sigma", Fraction(self.sigma))
-        if not self.name:
-            raise GluingError("link instance needs a name")
-        self.metric.validate_for(self.graph)
-        kinds = {cp.cutset.kind for cp in self.pairs}
-        if len(kinds) > 1:
-            raise GluingError(f"mixed cutset kinds in link {self.name!r}: {sorted(kinds)}")
-        for cp in self.pairs:
-            cp.validate_for(self.graph)
-            if len(cp.cutset) < 2:
-                raise GluingError(
-                    f"cutset {cp.cutset.sorted_elements()} in link {self.name!r} "
-                    "has fewer than two elements"
-                )
-            sep = is_sigma_separated(self.graph, self.metric, cp.cutset, self.sigma)
-            if not sep.ok:
-                raise GluingError(
-                    f"cutset {cp.cutset.sorted_elements()} in link {self.name!r} "
-                    f"is not {self.sigma}-separated: {sep.witness}"
-                )
-
-    @property
-    def kind(self) -> str:
-        return self.pairs[0].cutset.kind if self.pairs else "vertex"
-
-    def pairs_at(self, x) -> tuple[CutsetPartition, ...]:
-        """The pairs whose cutset contains the element x."""
-        if self.kind == "edge" and isinstance(x, tuple):
-            x = edge_key(*x)
-        return tuple(cp for cp in self.pairs if x in cp.cutset)
 
 
 def pair_key(cp: CutsetPartition) -> tuple:
     return (cp.cutset.key(), cp.partition.key())
 
 
-def induced_star_partition(li: LinkInstance, cp: CutsetPartition, x) -> frozenset:
+def induced_star_partition(li: SeparatedFamily, cp: CutsetPartition, x) -> frozenset:
     """Partition of the directions at x induced by cp's block structure:
     each direction joins the block of the component it enters."""
     kind = cp.cutset.kind
@@ -106,17 +65,14 @@ def induced_star_partition(li: LinkInstance, cp: CutsetPartition, x) -> frozense
         x = edge_key(*x)
     if x not in cp.cutset:
         raise GluingError(f"element {x!r} is not in the cutset")
-    labels, _ = complement_labels(li.graph, cp.cutset)
-    blocks: dict[int, set[int]] = {}
-    for d in directions_at(li.graph, kind, x):
+    directions = directions_at(li.graph, kind, x)
+    for d in directions:
         if kind == "vertex" and d in cp.cutset:
             raise GluingError(
                 f"direction from {x} toward {d} enters no component: "
                 "both are cut elements"
             )
-        label = labels[d - 1]
-        blocks.setdefault(cp.partition.block_of(label), set()).add(d)
-    return frozenset(frozenset(b) for b in blocks.values())
+    return induced_partition(li.graph, cp, {d: d for d in directions})
 
 
 @dataclass(frozen=True)
@@ -124,9 +80,9 @@ class EdgeGerm:
     """Identification of an element of one link with an element of another,
     with a bijection of the directions around them."""
 
-    start: LinkInstance
+    start: SeparatedFamily
     element_a: object
-    end: LinkInstance
+    end: SeparatedFamily
     element_b: object
     bijection: tuple[tuple[int, int], ...]
 
@@ -148,11 +104,11 @@ class EdgeGerm:
             raise GluingError("germ bijection is not injective")
 
     @staticmethod
-    def _norm(li: LinkInstance, x):
+    def _norm(li: SeparatedFamily, x):
         return edge_key(*x) if (li.kind == "edge" and isinstance(x, tuple)) else x
 
     @classmethod
-    def identity(cls, start: LinkInstance, end: LinkInstance, element) -> "EdgeGerm":
+    def identity(cls, start: SeparatedFamily, end: SeparatedFamily, element) -> "EdgeGerm":
         ea = cls._norm(start, element)
         dirs = directions_at(start.graph, start.kind, ea)
         return cls(start, ea, end, ea, tuple((d, d) for d in dirs))
@@ -171,29 +127,9 @@ class EdgeGerm:
         )
 
 
-def equatable_along(germ: EdgeGerm, a: CutsetPartition, b: CutsetPartition) -> bool:
-    """Do a (at the germ's start element) and b (at its end element) induce
-    matching direction partitions under the germ bijection?"""
-    pa = induced_star_partition(germ.start, a, germ.element_a)
-    pb = induced_star_partition(germ.end, b, germ.element_b)
-    return germ.forward(pa) == pb
-
-
-def equivalence_classes(li: LinkInstance, x) -> tuple[tuple[CutsetPartition, ...], ...]:
-    """Group the pairs whose cutset contains x by their induced direction
-    partition at x, deterministically ordered."""
-    groups: dict[frozenset, list[CutsetPartition]] = {}
-    for cp in sorted(li.pairs_at(x), key=pair_key):
-        groups.setdefault(induced_star_partition(li, cp, x), []).append(cp)
-    return tuple(
-        tuple(members)
-        for members in sorted(groups.values(), key=lambda ms: pair_key(ms[0]))
-    )
-
-
 @dataclass(frozen=True)
 class GluingStructure:
-    instances: tuple[LinkInstance, ...]
+    instances: tuple[SeparatedFamily, ...]
     germs: tuple[EdgeGerm, ...]
     groups: tuple[PermutationGroup | None, ...] | None = None
 
@@ -201,8 +137,17 @@ class GluingStructure:
         object.__setattr__(self, "instances", tuple(self.instances))
         object.__setattr__(self, "germs", tuple(self.germs))
         names = [li.name for li in self.instances]
+        if not all(names):
+            raise GluingError("every link family in a structure needs a name")
         if len(set(names)) != len(names):
             raise GluingError(f"duplicate link instance names: {names}")
+        for li in self.instances:
+            for cp in li.members:
+                if len(cp.cutset) < 2:
+                    raise GluingError(
+                        f"cutset {cp.cutset.sorted_elements()} in link {li.name!r} "
+                        "has fewer than two elements"
+                    )
         by_id = {id(li) for li in self.instances}
         for germ in self.germs:
             if id(germ.start) not in by_id or id(germ.end) not in by_id:
@@ -217,7 +162,7 @@ class GluingStructure:
 
     @classmethod
     def homogeneous(
-        cls, li: LinkInstance, group: PermutationGroup | None = None
+        cls, li: SeparatedFamily, group: PermutationGroup | None = None
     ) -> "GluingStructure":
         """Self-gluing of one link along every element with identity germs:
         the fully symmetric quotient of a complex all of whose links look
@@ -226,7 +171,7 @@ class GluingStructure:
         germs = tuple(EdgeGerm.identity(li, li, x) for x in elements)
         return cls((li,), germs, (group,) if group is not None else None)
 
-    def group_of(self, li: LinkInstance) -> PermutationGroup | None:
+    def group_of(self, li: SeparatedFamily) -> PermutationGroup | None:
         if self.groups is None:
             return None
         return self.groups[self.instances.index(li)]
@@ -271,10 +216,10 @@ class WeightAssignment:
     @classmethod
     def all_ones(cls, structure: GluingStructure) -> "WeightAssignment":
         return cls(
-            {(li.name, pair_key(cp)): 1 for li in structure.instances for cp in li.pairs}
+            {(li.name, pair_key(cp)): 1 for li in structure.instances for cp in li.members}
         )
 
-    def get(self, li: LinkInstance, cp: CutsetPartition) -> int:
+    def get(self, li: SeparatedFamily, cp: CutsetPartition) -> int:
         try:
             return self.weights[(li.name, pair_key(cp))]
         except KeyError:
@@ -284,7 +229,7 @@ class WeightAssignment:
 
 
 def _class_sums(
-    li: LinkInstance, x, w: WeightAssignment
+    li: SeparatedFamily, x, w: WeightAssignment
 ) -> tuple[dict[frozenset, int], dict[CutsetPartition, frozenset]]:
     """The weight sum of each equivalence class at x, and the class (the
     induced direction partition) of each pair whose cutset contains x."""
@@ -298,31 +243,17 @@ def _class_sums(
     return sums, class_of
 
 
-def class_weight(
-    li: LinkInstance, w: WeightAssignment, cp: CutsetPartition, x=None
-) -> int:
-    """Sum of weights over the equivalence class of cp at an element of its
-    cutset (any element gives the same value once verify_gluing has passed)."""
-    if x is None:
-        x = cp.cutset.sorted_elements()[0]
-    elif li.kind == "edge" and isinstance(x, tuple):
-        x = edge_key(*x)
-    if x not in cp.cutset:
-        raise GluingError(f"element {x!r} is not in the cutset")
-    return _class_sums(li, x, w)[0][induced_star_partition(li, cp, x)]
-
-
 def orbits_of_pairs(
-    li: LinkInstance, grp: PermutationGroup | None
+    li: SeparatedFamily, grp: PermutationGroup | None
 ) -> tuple[tuple[CutsetPartition, ...], ...]:
     """Orbits of the instance's pairs under a link automorphism group
     (singletons when no group is given), deterministically ordered."""
     if grp is None:
-        return tuple((cp,) for cp in sorted(li.pairs, key=pair_key))
-    index = {pair_key(cp): i for i, cp in enumerate(li.pairs)}
+        return tuple((cp,) for cp in sorted(li.members, key=pair_key))
+    index = {pair_key(cp): i for i, cp in enumerate(li.members)}
 
     def image(gen, i: int) -> int:
-        img = act_on_pair(li.graph, gen, li.pairs[i])
+        img = act_on_pair(li.graph, gen, li.members[i])
         k = pair_key(img)
         if k not in index:
             raise GluingError(
@@ -331,9 +262,9 @@ def orbits_of_pairs(
             )
         return index[k]
 
-    label = _orbit_labels(len(li.pairs), grp.generators, image)
+    label = _orbit_labels(len(li.members), grp.generators, image)
     buckets: dict[int, list[CutsetPartition]] = {}
-    for i, cp in enumerate(li.pairs):
+    for i, cp in enumerate(li.members):
         buckets.setdefault(label[i], []).append(cp)
     orbits = [tuple(sorted(ms, key=pair_key)) for ms in buckets.values()]
     return tuple(sorted(orbits, key=lambda ms: pair_key(ms[0])))
@@ -347,13 +278,13 @@ def verify_gluing(structure: GluingStructure, w: WeightAssignment) -> Certificat
     bad_positive = [
         (li.name, pair_key(cp), w.get(li, cp))
         for li in structure.instances
-        for cp in li.pairs
+        for cp in li.members
         if not (isinstance(w.get(li, cp), int) and w.get(li, cp) >= 1)
     ]
     cert.add(
         "weights-positive",
         not bad_positive,
-        {"pairs": sum(len(li.pairs) for li in structure.instances), "violations": bad_positive[:8]},
+        {"pairs": sum(len(li.members) for li in structure.instances), "violations": bad_positive[:8]},
     )
 
     if structure.groups is not None and any(g is not None for g in structure.groups):
@@ -375,7 +306,7 @@ def verify_gluing(structure: GluingStructure, w: WeightAssignment) -> Certificat
     # balance checks; instance names are unique within a structure.
     sums_at: dict[tuple[str, object], tuple[dict, dict]] = {}
 
-    def class_sums(li: LinkInstance, x) -> tuple[dict[frozenset, int], dict]:
+    def class_sums(li: SeparatedFamily, x) -> tuple[dict[frozenset, int], dict]:
         key = (li.name, x)
         if key not in sums_at:
             sums_at[key] = _class_sums(li, x, w)
@@ -407,7 +338,7 @@ def verify_gluing(structure: GluingStructure, w: WeightAssignment) -> Certificat
     cross_eqs = 0
     cross_bad = []
     for li in structure.instances:
-        for cp in li.pairs:
+        for cp in li.members:
             elems = cp.cutset.sorted_elements()
             first = None
             for x in elems:
@@ -525,7 +456,7 @@ def _balance_equations(structure: GluingStructure, var_of) -> list[tuple[int, ..
     """Coefficient rows (over orbit unknowns) of every germ-balance and
     cross-element equation, deduplicated and sign-normalized."""
 
-    def class_vector(li: LinkInstance, x) -> dict[frozenset, list[int]]:
+    def class_vector(li: SeparatedFamily, x) -> dict[frozenset, list[int]]:
         out: dict[frozenset, list[int]] = {}
         for cp in li.pairs_at(x):
             key = induced_star_partition(li, cp, x)
@@ -551,7 +482,7 @@ def _balance_equations(structure: GluingStructure, var_of) -> list[tuple[int, ..
             push([a - b for a, b in zip(vec, other)])
     for li in structure.instances:
         per_elem: dict = {}
-        for cp in li.pairs:
+        for cp in li.members:
             elems = cp.cutset.sorted_elements()
             for x in elems:
                 if x not in per_elem:
@@ -571,7 +502,7 @@ def solve_gluing(structure: GluingStructure) -> WeightAssignment | GluingInfeasi
         (li, orbits_of_pairs(li, structure.group_of(li))) for li in structure.instances
     ]
     var_of: dict = {}
-    orbit_vars: list[tuple[LinkInstance, tuple[CutsetPartition, ...]]] = []
+    orbit_vars: list[tuple[SeparatedFamily, tuple[CutsetPartition, ...]]] = []
     for li, orbits in orbit_lists:
         for orbit in orbits:
             idx = len(orbit_vars)

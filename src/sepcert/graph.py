@@ -88,7 +88,7 @@ class Graph:
         return len(self._adj[v - 1])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u - 1]
+        return 1 <= u <= self.n and v in self._adj[u - 1]
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Image graph under vertex map v -> perm[v-1]."""
@@ -134,7 +134,8 @@ class Metric:
     def angular(cls, lengths: Mapping[Edge, Fraction]) -> "Metric":
         items = []
         for e, q in lengths.items():
-            q = Fraction(q)
+            if not isinstance(q, Fraction):
+                q = Fraction(q)
             if q <= 0:
                 raise MetricError(f"non-positive length {q} on edge {e}")
             items.append((edge_key(*e), q))

@@ -1,15 +1,21 @@
 """Shared fixtures: the F090A graph, its automorphism group, and the orbit
 closure of the bundled seed cutsets are expensive, so they are computed once
-per session."""
+per session.  The hypothesis profile makes the fuzz tests deterministic."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from sepcert.aut import automorphism_group, orbit_of_vertex_set
 from sepcert.certify import SeparatedFamily
 from sepcert.cutset import Cutset
 from sepcert.datasets import f090a_star_cutsets, named_graph
+
+# Generated inputs repeat from run to run, and no example database is
+# written, so the fuzz tests are as deterministic as the rest of tier 1.
+settings.register_profile("sepcert", derandomize=True, deadline=None, database=None)
+settings.load_profile("sepcert")
 
 
 @pytest.fixture(scope="session")

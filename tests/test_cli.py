@@ -135,3 +135,41 @@ def test_closed_stdout_exits_141_without_traceback():
     assert proc.wait(timeout=120) == 141
     assert head[0] == b"order: 4320\n"
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+_LINK = {"name": "L", "graph": str(INPUTS / "c6.txt"), "family": str(INPUTS / "c6-diameters.txt")}
+
+
+@pytest.mark.parametrize("command", ["verify", "solve"])
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"links": [_LINK], "germs": [{"start": "L", "end": "L"}]},
+        {"links": [_LINK], "germs": [{"start": "L", "end": "L", "element": "x"}]},
+        {"links": [1], "homogeneous": "L"},
+        {"links": [_LINK], "germs": [{"start": "L", "end": "L", "element": [1, 2, 3]}]},
+        {"links": [_LINK], "homogeneous": ["L"]},
+        {"links": [_LINK], "germs": [{"start": "L", "end": "L", "element": 1, "bijection": [[2]]}]},
+    ],
+    ids=["no-element", "string-element", "link-not-object", "long-edge", "list-name", "short-bijection"],
+)
+def test_gluing_rejects_malformed_structures(command, doc, tmp_path, capsys):
+    path = tmp_path / "structure.json"
+    path.write_text(json.dumps(doc))
+    assert main(["gluing", command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_complex_trace_rejects_out_of_range_midpoint(capsys):
+    argv = ["complex", "trace", str(INPUTS / "grid4.json"), "--seed-vertex", "999", "--kind", "edge"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: seed vertex 999 outside the subdivided range\n"
+
+
+def test_cutset_check_rejects_edges_outside_the_graph(tmp_path, capsys):
+    family = tmp_path / "family.txt"
+    family.write_text("C: 7-8\n")
+    assert main(["cutset", "check", "--builtin", "c6", "--family", str(family)]) == 2
+    assert capsys.readouterr().err == "error: CutsetError: cutset edge (7, 8) not in graph\n"

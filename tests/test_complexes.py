@@ -291,6 +291,28 @@ def test_trace_rejects_bad_seeds(grid):
         trace_hypergraph(grid, 13, (1, 4), kind="diagonal")
 
 
+def test_seed_blocks_group_link_components():
+    # six squares around vertex 1: its link is a hexagon of right angles,
+    # and every second link vertex cuts it into three components
+    x = parse_complex(
+        json.dumps({"vertices": 13, "faces": [(1, 2 + i, 8 + i, 2 + (i + 1) % 6) for i in range(6)]})
+    )
+    assert len(wall_cut(x, trace_hypergraph(x, 1, (1, 3, 5))).blocks) == 3
+    h = trace_hypergraph(x, 1, (1, 3, 5), blocks=[[2, 4], [6]])
+    assert h.pair_at(1).partition.key() == ((0, 1), (2,))
+    assert len(wall_cut(x, h).blocks) == 2
+    assert hypergraph_checks(x, h).ok
+    for blocks in ([[2], [4]], [[2, 4, 6]], [[1], [2, 4, 6]], [[2], [4], [6], [9]]):
+        with pytest.raises(ComplexError, match="seed pair invalid"):
+            trace_hypergraph(x, 1, (1, 3, 5), blocks=blocks)
+    mid = edge_midpoint_id(x, (1, 2))  # the edge's end vertices are its directions
+    h = trace_hypergraph(x, mid, x.edge_faces[(1, 2)], kind="edge", blocks=[[2], [1]])
+    assert len(h.pair_at(mid).partition.blocks) == 2
+    for blocks in ([[1, 2]], [[1], [3]]):
+        with pytest.raises(ComplexError, match="seed pair invalid"):
+            trace_hypergraph(x, mid, x.edge_faces[(1, 2)], kind="edge", blocks=blocks)
+
+
 def test_local_pair_enumeration_guard():
     big = fan(17)  # hub link is a 17-cycle, past the enumeration limit
     with pytest.raises(ComplexError, match="refusing to enumerate"):
