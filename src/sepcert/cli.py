@@ -337,6 +337,7 @@ def _orbit_ids(structure: GluingStructure):
 def _load_weights(structure: GluingStructure, path: str) -> WeightAssignment:
     by_id = {oid: (li, orbit) for oid, li, orbit in _orbit_ids(structure)}
     weights: dict[tuple[str, tuple], int] = {}
+    seen: set[str] = set()
     for lineno, raw in enumerate(_read(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -347,6 +348,9 @@ def _load_weights(structure: GluingStructure, path: str) -> WeightAssignment:
         oid, value = parts
         if oid not in by_id:
             raise _UsageError(f"weights line {lineno}: unknown orbit id {oid!r}")
+        if oid in seen:
+            raise _UsageError(f"weights line {lineno}: duplicate orbit id {oid!r}")
+        seen.add(oid)
         try:
             val = int(value)
         except ValueError:
@@ -354,11 +358,7 @@ def _load_weights(structure: GluingStructure, path: str) -> WeightAssignment:
         li, orbit = by_id[oid]
         for cp in orbit:
             weights[(li.name, pair_key(cp))] = val
-    missing = [
-        oid
-        for oid, li, orbit in _orbit_ids(structure)
-        if (li.name, pair_key(orbit[0])) not in weights
-    ]
+    missing = [oid for oid in by_id if oid not in seen]
     if missing:
         raise _UsageError(f"weights file misses orbits: {', '.join(missing)}")
     return WeightAssignment(weights)
@@ -383,6 +383,8 @@ def _cmd_gluing_solve(args) -> int:
         print(solution.detail)
         for eq in solution.equations:
             print(f"  {eq}")
+        print(f"certificate: y = ({', '.join(map(str, solution.y))})")
+        print(f"  y^T B = ({', '.join(map(str, solution.combination()))})")
         _write_out(
             args,
             {
@@ -390,6 +392,7 @@ def _cmd_gluing_solve(args) -> int:
                 "pass": False,
                 "detail": solution.detail,
                 "equations": list(solution.equations),
+                "certificate": {"rows": solution.rows, "y": solution.y},
             },
         )
         return 1
@@ -588,7 +591,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gv.add_argument("--out")
     gv.set_defaults(fn=_cmd_gluing_verify, command="gluing verify")
 
-    gs = gluing.add_parser("solve", help="find positive integer weights")
+    gs = gluing.add_parser("solve", help="find positive integer weights, or certify that none exist")
     gs.add_argument("structure")
     gs.add_argument("--out")
     gs.set_defaults(fn=_cmd_gluing_solve, command="gluing solve")

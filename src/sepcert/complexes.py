@@ -60,13 +60,12 @@ from .cutset import (
     CutsetPartition,
     Partition,
     canonical_partition,
-    complement_labels,
     induced_partition,
     is_cutset,
     is_sigma_separated,
     midpoint_distance,
 )
-from .errors import ComplexError, CutsetError
+from .errors import ComplexError
 from .graph import (
     INF,
     Edge,
@@ -583,13 +582,9 @@ def _validated_pair(
     kind: str,
     v0: int,
     atoms: Iterable[int],
-    blocks: Sequence[Iterable[int]] | None,
 ) -> CutsetPartition:
-    """Check a seed against the local graph at v0 and turn it into a pair.
-
-    Blocks, when given, list directions: link vertex ids, or at an edge
-    midpoint the edge's end vertices.  Each block takes the components its
-    directions enter."""
+    """Check a seed against the local graph at v0 and turn it into a pair
+    with the canonical partition of its cutset."""
     atoms = tuple(sorted(set(int(a) for a in atoms)))
     if len(atoms) < 2:
         raise ComplexError(f"seed pair invalid: needs at least two atoms, got {atoms}")
@@ -601,46 +596,26 @@ def _validated_pair(
                 f"seed pair invalid: the only cutset at an edge midpoint is the"
                 f" full set of faces {fs}, got {atoms}"
             )
-        g, pair, node_of = _CAGE, _CAGE_PAIR, dict(zip(e, (1, 2)))
+        return _CAGE_PAIR
+    if not 1 <= v0 <= x.n:
+        raise ComplexError(f"seed vertex {v0} outside 1..{x.n}")
+    lk = link(x, v0)
+    if kind == "vertex":
+        for a in atoms:
+            if not 1 <= a <= lk.graph.n:
+                raise ComplexError(f"seed pair invalid: {a} is not a link vertex of {v0}")
+        c = Cutset.of_vertices(atoms)
     else:
-        if not 1 <= v0 <= x.n:
-            raise ComplexError(f"seed vertex {v0} outside 1..{x.n}")
-        lk = link(x, v0)
-        if kind == "vertex":
-            for a in atoms:
-                if not 1 <= a <= lk.graph.n:
-                    raise ComplexError(f"seed pair invalid: {a} is not a link vertex of {v0}")
-            c = Cutset.of_vertices(atoms)
-        else:
-            for f in atoms:
-                if f not in lk.corner_of_face:
-                    raise ComplexError(f"seed pair invalid: face {f} has no corner at vertex {v0}")
-            c = Cutset.of_edges(lk.corner_of_face[f] for f in atoms)
-        if not is_cutset(lk.graph, c).ok:
-            raise ComplexError(f"seed pair invalid: atoms do not cut the link of {v0}")
-        sep = is_sigma_separated(lk.graph, lk.metric, c, PI)
-        if not sep.ok:
-            raise ComplexError(f"seed pair invalid: not pi-separated ({sep.witness})")
-        g, pair = lk.graph, CutsetPartition(c, canonical_partition(lk.graph, c))
-        node_of = {d: d for d in g.vertices()}
-    if blocks is None:
-        return pair
-    labels, count = complement_labels(g, pair.cutset)
-    chosen = []
-    for b in blocks:
-        comps = set()
-        for d in b:
-            node = node_of.get(int(d))
-            if node is None or labels[node - 1] is None:
-                raise ComplexError(f"seed pair invalid: {d} is not a direction at {v0}")
-            comps.add(labels[node - 1])
-        chosen.append(comps)
-    try:
-        partition = Partition(tuple(chosen))
-        partition.validate_for_count(count)
-    except CutsetError as exc:
-        raise ComplexError(f"seed pair invalid: {exc}") from None
-    return CutsetPartition(pair.cutset, partition)
+        for f in atoms:
+            if f not in lk.corner_of_face:
+                raise ComplexError(f"seed pair invalid: face {f} has no corner at vertex {v0}")
+        c = Cutset.of_edges(lk.corner_of_face[f] for f in atoms)
+    if not is_cutset(lk.graph, c).ok:
+        raise ComplexError(f"seed pair invalid: atoms do not cut the link of {v0}")
+    sep = is_sigma_separated(lk.graph, lk.metric, c, PI)
+    if not sep.ok:
+        raise ComplexError(f"seed pair invalid: not pi-separated ({sep.witness})")
+    return CutsetPartition(c, canonical_partition(lk.graph, c))
 
 
 def _element_at(x: PolygonalComplex, kind: str, seg: Segment, v: int):
@@ -712,7 +687,6 @@ def trace_hypergraph(
     v0: int,
     atoms: Iterable[int],
     kind: str = "vertex",
-    blocks: Sequence[Iterable[int]] | None = None,
 ) -> Hypergraph:
     """Trace a hypergraph outward from a seeded local pair.
 
@@ -725,7 +699,7 @@ def trace_hypergraph(
     """
     if kind not in ("vertex", "edge"):
         raise ComplexError(f"unknown hypergraph kind {kind!r}")
-    seed = _validated_pair(x, kind, v0, atoms, blocks)
+    seed = _validated_pair(x, kind, v0, atoms)
     pairs: dict[int, CutsetPartition] = {v0: seed}
     frontier: dict[int, str] = {}
     traced: dict[tuple, Segment] = {}

@@ -9,14 +9,15 @@ positive integer; it verifies when equivalence-class sums balance across
 every germ and across the elements of every cutset, and (when link
 automorphism groups are supplied) when weights are constant on orbits.
 
-The solver works per orbit with exact rationals: all-ones first, then the
-nullspace of the balance system, then a bounded positive-combination scan,
-and finally Fourier-Motzkin elimination of the positivity constraints, which
-either constructs a rational positive point or certifies none exists.
+The solver works per orbit, on the integer balance rows B with one unknown
+per orbit. It tries all-ones first. Otherwise one exact phase-one simplex
+(over `Fraction`, Bland's rule) either finds integer weights w >= 1 with
+Bw = 0, or reads from its duals an integer y with yᵀB >= 0 and yᵀB != 0,
+which by Stiemke's theorem proves that no w > 0 solves Bw = 0
+(`GluingInfeasible.check` replays it in integers).
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -365,94 +366,38 @@ def verify_gluing(structure: GluingStructure, w: WeightAssignment) -> Certificat
 
 @dataclass(frozen=True)
 class GluingInfeasible:
-    """No strictly positive rational solution exists; carries the reduced
-    equation system over orbit unknowns."""
+    """No strictly positive weights exist. The certificate is Stiemke's
+    alternative: an integer vector y over the balance rows B (one column
+    per orbit unknown) with yᵀB ≥ 0 and yᵀB ≠ 0. Any w > 0 with Bw = 0
+    would give 0 = yᵀBw > 0."""
 
-    equations: tuple[str, ...]
-    detail: str
+    rows: tuple[tuple[int, ...], ...]
+    y: tuple[int, ...]
 
+    detail = "Stiemke certificate: y^T B >= 0 and y^T B != 0, so no w > 0 solves B w = 0"
 
-def _rref(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    rows = [r[:] for r in rows]
-    lead = 0
-    for col in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(lead, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[lead], rows[pivot] = rows[pivot], rows[lead]
-        rows[lead] = [x / rows[lead][col] for x in rows[lead]]
-        for i, r in enumerate(rows):
-            if i != lead and r[col] != 0:
-                f = r[col]
-                rows[i] = [a - f * b for a, b in zip(r, rows[lead])]
-        lead += 1
-        if lead == len(rows):
-            break
-    return [r for r in rows if any(x != 0 for x in r)]
+    @property
+    def equations(self) -> tuple[str, ...]:
+        return tuple(
+            " + ".join(f"{c}*w{j}" for j, c in enumerate(row) if c) + " = 0" for row in self.rows
+        )
 
+    def combination(self) -> tuple[int, ...]:
+        """yᵀB, one entry per unknown."""
+        width = len(self.rows[0]) if self.rows else 0
+        return tuple(sum(yi * row[j] for yi, row in zip(self.y, self.rows)) for j in range(width))
 
-def _nullspace(rows: list[list[Fraction]], k: int) -> list[list[Fraction]]:
-    red = _rref(rows)
-    pivots = {}
-    for r in red:
-        col = next(i for i, x in enumerate(r) if x != 0)
-        pivots[col] = r
-    free = [c for c in range(k) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * k
-        vec[f] = Fraction(1)
-        for col, row in pivots.items():
-            vec[col] = -row[f]
-        basis.append(vec)
-    return basis
+    def check(self) -> bool:
+        """Replay the certificate in integer arithmetic."""
+        if len(self.y) != len(self.rows) or not all(
+            type(v) is int for v in (*self.y, *(c for row in self.rows for c in row))
+        ):
+            return False
+        yb = self.combination()
+        return all(c >= 0 for c in yb) and any(yb)
 
 
-def _fourier_motzkin(ineqs: list[list[Fraction]]) -> list[Fraction] | None:
-    """Solve {row . lam > 0} by elimination; a satisfying rational point, or
-    None when infeasible. Rows have one coefficient per parameter."""
-    k = len(ineqs[0]) - 0 if ineqs else 0
-    stages: list[tuple[int, list[list[Fraction]]]] = []
-    current = [r[:] for r in ineqs]
-    for var in range(k - 1, -1, -1):
-        lowers = [r for r in current if r[var] > 0]
-        uppers = [r for r in current if r[var] < 0]
-        rest = [r for r in current if r[var] == 0]
-        stages.append((var, lowers + uppers))
-        combined = rest
-        for lo in lowers:
-            for up in uppers:
-                row = [lo[j] * (-up[var]) + up[j] * lo[var] for j in range(k)]
-                row[var] = Fraction(0)
-                combined.append(row)
-        current = combined
-    if current:  # fully eliminated rows all read "0 > 0"
-        return None
-    point = [Fraction(0)] * k
-    for var, rows in reversed(stages):
-        lo_bound: Fraction | None = None
-        hi_bound: Fraction | None = None
-        for r in rows:
-            rest = sum(r[j] * point[j] for j in range(k) if j != var)
-            bound = -rest / r[var]
-            if r[var] > 0:
-                lo_bound = bound if lo_bound is None else max(lo_bound, bound)
-            else:
-                hi_bound = bound if hi_bound is None else min(hi_bound, bound)
-        if lo_bound is None and hi_bound is None:
-            point[var] = Fraction(1)
-        elif hi_bound is None:
-            point[var] = lo_bound + 1
-        elif lo_bound is None:
-            point[var] = hi_bound - 1
-        else:
-            if lo_bound >= hi_bound:
-                return None
-            point[var] = (lo_bound + hi_bound) / 2
-    return point
-
-
-def _balance_equations(structure: GluingStructure, var_of) -> list[tuple[int, ...]]:
+def _balance_equations(structure: GluingStructure, var_of) -> tuple[tuple[int, ...], ...]:
     """Coefficient rows (over orbit unknowns) of every germ-balance and
     cross-element equation, deduplicated and sign-normalized."""
 
@@ -491,13 +436,71 @@ def _balance_equations(structure: GluingStructure, var_of) -> list[tuple[int, ..
             for x in elems[1:]:
                 vec = per_elem[x][induced_star_partition(li, cp, x)]
                 push([a - b for a, b in zip(base, vec)])
-    return sorted(rows)
+    return tuple(sorted(rows))
+
+
+def _integral(values: list[Fraction]) -> tuple[int, ...]:
+    """The least positive multiple of a rational vector that is integral."""
+    lcm = math.lcm(*(v.denominator for v in values))
+    ints = [int(v * lcm) for v in values]
+    g = math.gcd(*ints)
+    return tuple(v // g for v in ints)
+
+
+def _positive_kernel(
+    rows: tuple[tuple[int, ...], ...], k: int
+) -> tuple[int, ...] | GluingInfeasible:
+    """Integer w ≥ 1 with Bw = 0, or a Stiemke certificate that none exists.
+
+    Phase one of the simplex method over `Fraction`, with Bland's rule, on
+    B u = -B·1, u ≥ 0 (so w = 1 + u): rows are sign-flipped to a
+    non-negative right-hand side and each gets an artificial variable,
+    whose sum is minimised. A zero optimum gives u. A positive optimum has
+    duals z with zᵀ(SB) ≤ 0 and zᵀ(S b) > 0 for the signs S; then y = -Sz
+    has yᵀB ≥ 0 and yᵀB·1 > 0.
+    """
+    m = len(rows)
+    signs = [-1 if sum(row) > 0 else 1 for row in rows]  # sign of -B·1, zero as +
+    tab = []
+    for r, (s, row) in enumerate(zip(signs, rows)):
+        unit = [Fraction(0)] * m
+        unit[r] = Fraction(1)
+        tab.append([Fraction(s * c) for c in row] + unit + [Fraction(-s * sum(row))])
+    basis = [k + r for r in range(m)]
+    # reduced costs of the phase-one objective, the sum of the artificials;
+    # the last entry is minus the objective
+    cost = [-sum(t[j] for t in tab) for j in range(k)] + [Fraction(0)] * m
+    cost.append(-sum(t[-1] for t in tab))
+    while True:
+        enter = next((j for j in range(k + m) if cost[j] < 0), None)
+        if enter is None:
+            break
+        leave = min(
+            (r for r in range(m) if tab[r][enter] > 0),
+            key=lambda r: (tab[r][-1] / tab[r][enter], basis[r]),
+        )
+        pivot = tab[leave][enter]
+        tab[leave] = [v / pivot for v in tab[leave]]
+        for row in (*(t for r, t in enumerate(tab) if r != leave), cost):
+            f = row[enter]
+            if f:
+                row[:] = [a - f * b for a, b in zip(row, tab[leave])]
+        basis[leave] = enter
+    if cost[-1] == 0:
+        u = [Fraction(0)] * k
+        for r, j in enumerate(basis):
+            if j < k:
+                u[j] = tab[r][-1]
+        return _integral([1 + v for v in u])
+    # the reduced cost of artificial r is 1 - z_r
+    return GluingInfeasible(rows, _integral([s * (cost[k + r] - 1) for r, s in enumerate(signs)]))
 
 
 def solve_gluing(structure: GluingStructure) -> WeightAssignment | GluingInfeasible:
     """Find an orbit-constant strictly positive integer weight assignment, or
-    certify that none exists over the rationals. The returned assignment is
-    re-verified before being handed back."""
+    a Stiemke certificate that none exists. Tries all-ones first, then one
+    exact phase-one simplex. Either answer is checked before it is handed
+    back."""
     orbit_lists = [
         (li, orbits_of_pairs(li, structure.group_of(li))) for li in structure.instances
     ]
@@ -527,48 +530,12 @@ def solve_gluing(structure: GluingStructure) -> WeightAssignment | GluingInfeasi
     if verify_gluing(structure, ones).ok:
         return ones
 
-    rows = _balance_equations(structure, var_of)
-    pretty = tuple(
-        " + ".join(f"{c}*w{j}" for j, c in enumerate(row) if c) + " = 0" for row in rows
-    )
-    frac_rows = [[Fraction(c) for c in row] for row in rows]
-    basis = _nullspace(frac_rows, k)
-    if not basis:
-        return GluingInfeasible(pretty, "the balance system admits only the zero solution")
-
-    def positive_from_lambda(lam: list[Fraction]) -> WeightAssignment | None:
-        weights = [sum(basis[j][i] * lam[j] for j in range(len(basis))) for i in range(k)]
-        if any(x <= 0 for x in weights):
-            return None
-        lcm = 1
-        for x in weights:
-            lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
-        ints = [int(x * lcm) for x in weights]
-        g = 0
-        for x in ints:
-            g = _gcd(g, x)
-        cand = assignment_from([x // g for x in ints])
-        return cand if verify_gluing(structure, cand).ok else None
-
-    if len(basis) <= 4:
-        for combo in itertools.product(range(17), repeat=len(basis)):
-            if not any(combo):
-                continue
-            got = positive_from_lambda([Fraction(c) for c in combo])
-            if got is not None:
-                return got
-
-    ineqs = [[basis[j][i] for j in range(len(basis))] for i in range(k)]
-    lam = _fourier_motzkin(ineqs)
-    if lam is None:
-        return GluingInfeasible(
-            pretty, "positivity is infeasible over the rationals (by elimination)"
-        )
-    got = positive_from_lambda(lam)
-    if got is None:
+    got = _positive_kernel(_balance_equations(structure, var_of), k)
+    if isinstance(got, GluingInfeasible):
+        if not got.check():
+            raise GluingError("internal solver error: infeasibility certificate failed its check")
+        return got
+    cand = assignment_from(list(got))
+    if not verify_gluing(structure, cand).ok:
         raise GluingError("internal solver error: constructed point failed verification")
-    return got
-
-
-def _gcd(a: int, b: int) -> int:
-    return math.gcd(a, b)
+    return cand

@@ -14,9 +14,10 @@ each check ``{"name", "pass", "witness"?, "millis"?}``, the last two left
 out when absent. ``graph info`` writes ``{"command", "report"}``, ``aut``
 writes ``{"command", "order", "generators", "vertex_orbits"}``, an
 infeasible ``gluing solve`` writes ``{"command", "pass", "detail",
-"equations"}`` (a feasible one writes its weights as text), and ``cutset
-search`` writes its family as text with ``<out>.stats.json`` beside it:
-``found``, ``exhausted`` and the search counters.
+"equations", "certificate"}``, the certificate being ``{"rows", "y"}``
+with yᵀ·rows ≥ 0 and ≠ 0 (a feasible one writes its weights as text),
+and ``cutset search`` writes its family as text with ``<out>.stats.json``
+beside it: ``found``, ``exhausted`` and the search counters.
 """
 from __future__ import annotations
 

@@ -1,9 +1,11 @@
-"""The command line: exact group orders from ``sepcert aut``, exit 2 with
-an ``error:`` line on bad options, malformed input and unwritable output
-paths, and a quiet exit 141 when the reader closes stdout early."""
+"""The command line: exact group orders from ``sepcert aut``, the exit-code
+contract of every subcommand (0 pass, 1 failing certificate, 2 with an
+``error:`` line on bad options, malformed input and unwritable output
+paths), and a quiet exit 141 when the reader closes stdout early."""
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import random
@@ -15,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import sepcert
-from sepcert.cli import main
+from sepcert.cli import _build_parser, main
 from sepcert.graph import Graph, format_graph
 
 
@@ -173,3 +175,117 @@ def test_cutset_check_rejects_edges_outside_the_graph(tmp_path, capsys):
     family.write_text("C: 7-8\n")
     assert main(["cutset", "check", "--builtin", "c6", "--family", str(family)]) == 2
     assert capsys.readouterr().err == "error: CutsetError: cutset edge (7, 8) not in graph\n"
+
+
+def test_weights_file_rejects_duplicate_orbit_ids(tmp_path, capsys):
+    weights = tmp_path / "weights.txt"
+    weights.write_text("L:0 1\nL:0 0\n")
+    argv = ["gluing", "verify", str(INPUTS / "c6-homogeneous.json"), "--weights", str(weights)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: weights line 2: duplicate orbit id 'L:0'\n"
+
+
+def _torus(n: int) -> dict:
+    """An n x n square torus: flat links, but every wall closes up."""
+    v = lambda i, j: n * (i % n) + j % n + 1  # noqa: E731
+    faces = [[v(i, j), v(i, j + 1), v(i + 1, j + 1), v(i + 1, j)] for i in range(n) for j in range(n)]
+    return {"vertices": n * n, "faces": faces}
+
+
+#: Leaf subcommand -> {exit status: argv}. 0 is a passing input, 1 a failing
+#: certificate (for commands that emit one), 2 malformed input. ``{name}``
+#: stands for a file written by ``contract_files``; other names are inputs.
+_CONTRACT = {
+    "graph info": {0: ["graph", "info", "{theta.txt}"], 2: ["graph", "info", "{bad-graph}"]},
+    "aut": {0: ["aut", "{theta.txt}"], 2: ["aut", "{bad-graph}"]},
+    "cutset check": {
+        0: ["cutset", "check", "--builtin", "c8", "--family", "{c8-edges.txt}", "--sigma", "4"],
+        1: ["cutset", "check", "--builtin", "c8", "--family", "{c8-edges.txt}", "--sigma", "5"],
+        2: ["cutset", "check", "--builtin", "c8", "--family", "{bad-family}"],
+    },
+    "cutset search": {
+        0: ["cutset", "search", "--builtin", "bridge10", "--star", "--exhaust"],
+        2: ["cutset", "search", "--builtin", "c6", "--star"],
+    },
+    "certify link": {
+        0: ["certify", "link", "--builtin", "f090a"],
+        1: ["certify", "link", "--builtin", "k33"],
+        2: ["certify", "link", "--builtin", "f090a", "--family", "{bad-family}"],
+    },
+    "certify vertex-separated": {
+        0: ["certify", "vertex-separated", "--builtin", "q3", "--n", "2", "--family", "{q3-neighborhoods.txt}"],
+        1: ["certify", "vertex-separated", "--builtin", "q3", "--n", "2", "--family", "{q3-one}"],
+        2: ["certify", "vertex-separated", "--builtin", "q3", "--n", "3", "--family", "{q3-neighborhoods.txt}"],
+    },
+    "certify edge-separated": {
+        0: ["certify", "edge-separated", "--builtin", "c8", "--sigma", "4", "--family", "{c8-edges.txt}"],
+        1: ["certify", "edge-separated", "--builtin", "c8", "--sigma", "4", "--family", "{c8-one}"],
+        2: ["certify", "edge-separated", "--builtin", "c8", "--sigma", "5", "--family", "{c8-edges.txt}"],
+    },
+    "gluing verify": {
+        0: ["gluing", "verify", "{c6-homogeneous.json}", "--weights", "{c6-weights.txt}"],
+        1: ["gluing", "verify", "{c8-cross-balance.json}"],
+        2: ["gluing", "verify", "{c6-homogeneous.json}", "--weights", "{bad-weights}"],
+    },
+    "gluing solve": {
+        0: ["gluing", "solve", "{c6-homogeneous.json}"],
+        1: ["gluing", "solve", "{c8-cross-balance.json}"],
+        2: ["gluing", "solve", "{bad-structure}"],
+    },
+    "complex check": {
+        0: ["complex", "check", "{grid4.json}"],
+        1: ["complex", "check", "{tetrahedron}"],
+        2: ["complex", "check", "{bad-complex}"],
+    },
+    "complex trace": {
+        0: ["complex", "trace", "{grid4.json}", "--seed-vertex", "6-7", "--kind", "edge"],
+        1: ["complex", "trace", "{torus}", "--seed-vertex", "1-2", "--kind", "edge"],
+        2: ["complex", "trace", "{grid4.json}", "--seed-vertex", "6-x", "--kind", "edge"],
+    },
+    # f090a has no input of its own and fails on the bundled-seed audit
+    "f090a": {1: ["f090a", "--skip-aut"], 2: ["f090a", "extra"]},
+}
+
+
+@pytest.fixture(scope="module")
+def contract_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("contract")
+    written = {
+        "bad-graph": "p 3 x\n",
+        "bad-family": "C: 1 x\n",
+        "bad-weights": "L:0 one\n",
+        "bad-structure": '{"links": 1}',
+        "bad-complex": '{"vertices": "3", "faces": [[1, 2, 3]]}',
+        "q3-one": "C: 2 3 5\n",
+        "c8-one": "C: 1-2 5-6\n",
+        "tetrahedron": json.dumps({"vertices": 4, "faces": [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]}),
+        "torus": json.dumps(_torus(4)),
+    }
+    for name, text in written.items():
+        (d / name).write_text(text)
+    return {**{p.name: str(p) for p in INPUTS.iterdir()}, **{name: str(d / name) for name in written}}
+
+
+def _leaf_commands(parser, prefix=()):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [" ".join(prefix)]
+    return [leaf for name, p in subs[0].choices.items() for leaf in _leaf_commands(p, (*prefix, name))]
+
+
+def test_contract_names_every_leaf_subcommand():
+    assert sorted(_leaf_commands(_build_parser())) == sorted(_CONTRACT)
+
+
+@pytest.mark.parametrize(
+    "command,status",
+    [(command, status) for command, cases in _CONTRACT.items() for status in cases],
+    ids=lambda v: str(v).replace(" ", "-"),
+)
+def test_exit_code_contract(command, status, contract_files, capsys):
+    argv = [contract_files[arg[1:-1]] if arg.startswith("{") else arg for arg in _CONTRACT[command][status]]
+    assert main(argv) == status
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if status == 2:
+        assert "error: " in err.splitlines()[-1]

@@ -1,8 +1,10 @@
-"""Fuzzing the input parsers and the structure-file loader.
+"""Fuzzing the input parsers, the structure-file loader and the solver.
 
 Malformed input must end in a ``SepcertError`` from the library, and in
 exit 2 with an ``error:`` line from the CLI; any other exception escapes
-``main`` and fails the test.  The hypothesis profile in ``conftest.py``
+``main`` and fails the test.  Every answer of ``gluing solve`` must check:
+its weights pass ``gluing verify``, its infeasibility certificate passes
+``GluingInfeasible.check``.  The hypothesis profile in ``conftest.py``
 derandomizes generation, so every run tries the same examples.
 """
 
@@ -20,9 +22,9 @@ from hypothesis import strategies as st
 from sepcert.cli import main
 from sepcert.complexes import parse_complex
 from sepcert.cutset import parse_family
-from sepcert.datasets import named_graph
 from sepcert.errors import SepcertError
-from sepcert.graph import format_graph, parse_graph
+from sepcert.gluing import GluingInfeasible
+from sepcert.graph import parse_graph
 
 INPUTS = Path(__file__).with_name("golden") / "inputs"
 
@@ -76,9 +78,8 @@ def test_parse_complex_raises_only_sepcert_errors(doc):
 @pytest.fixture(scope="module")
 def structure_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("structures")
-    for name in ("c6.txt", "c6-diameters.txt", "c8-edges.txt"):
+    for name in ("c6.txt", "c6-diameters.txt", "c8.txt", "c8-edges.txt", "c8-cross.txt"):
         (d / name).write_text((INPUTS / name).read_text())
-    (d / "c8.txt").write_text(format_graph(named_graph("c8")))
     return d
 
 
@@ -86,9 +87,13 @@ def structure_dir(tmp_path_factory):
 # the link checks and reach the germs and the gluing checks.
 _NAMES = st.sampled_from(["L", "L", "M", "", 1, None, ["L"]])
 _GOOD_LINK = st.builds(
-    lambda name, files, group: {"name": name, "graph": files[0], "family": files[1], "group": group},
+    lambda name, files, group: {
+        "name": name, "graph": files[0], "family": files[1], "sigma": files[2], "group": group
+    },
     st.sampled_from(["L", "M"]),
-    st.sampled_from([("c6.txt", "c6-diameters.txt"), ("c8.txt", "c8-edges.txt")]),
+    st.sampled_from(
+        [("c6.txt", "c6-diameters.txt", "3"), ("c8.txt", "c8-edges.txt", "3"), ("c8.txt", "c8-cross.txt", "2")]
+    ),
     st.booleans(),
 )
 _BAD_LINK = _JSON | st.fixed_dictionaries(
@@ -108,11 +113,21 @@ _GERM = st.fixed_dictionaries(
         "bijection": st.lists(_PAIR, max_size=3) | st.lists(_JSON, max_size=2) | _JSON,
     },
 )
+# Identity germs between the names the good links use, so that some germ
+# lists get past the loader and reach the solver.
+_GOOD_GERM = st.fixed_dictionaries(
+    {"start": st.sampled_from(["L", "M"]), "end": st.sampled_from(["L", "M"]), "element": st.integers(1, 8)}
+)
 _LINKS = st.lists(_GOOD_LINK, min_size=1, max_size=2, unique_by=lambda spec: spec["name"]) | st.lists(
     _GOOD_LINK | _BAD_LINK, max_size=2
 )
 _STRUCTURE = st.one_of(
-    st.fixed_dictionaries({"links": _LINKS, "germs": st.lists(_GERM, min_size=1, max_size=3)}),
+    st.fixed_dictionaries(
+        {
+            "links": _LINKS,
+            "germs": st.lists(_GOOD_GERM, min_size=1, max_size=3) | st.lists(_GERM, min_size=1, max_size=3),
+        }
+    ),
     st.fixed_dictionaries({"links": _LINKS, "homogeneous": _NAMES}),
     st.fixed_dictionaries({"links": _LINKS}, optional={"homogeneous": _NAMES, "germs": _JSON}),
 )
@@ -129,3 +144,24 @@ def test_gluing_verify_exits_2_on_malformed_structures(structure_dir, doc):
     assert status in (0, 1, 2)
     if status == 2:
         assert err.getvalue().startswith("error:")
+
+
+@given(_STRUCTURE)
+@settings(max_examples=100)
+def test_gluing_solve_answers_are_checkable(structure_dir, doc):
+    path, out = structure_dir / "structure.json", structure_dir / "solve.out"
+    path.write_text(json.dumps(doc))
+    stdout, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+        status = main(["gluing", "solve", str(path), "--out", str(out)])
+    assert status in (0, 1, 2)
+    if status == 2:
+        assert err.getvalue().startswith("error:")
+    elif status == 1:
+        cert = json.loads(out.read_text())["certificate"]
+        assert GluingInfeasible(tuple(map(tuple, cert["rows"])), tuple(cert["y"])).check()
+    else:
+        weights = structure_dir / "weights.txt"
+        weights.write_text(stdout.getvalue())
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["gluing", "verify", str(path), "--weights", str(weights)]) == 0

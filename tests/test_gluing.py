@@ -1,11 +1,15 @@
 """Gluing structures: germ bookkeeping, equivalence classes, weight
-verification, and the exact solver on feasible and infeasible instances."""
+verification, and the exact solver on feasible and infeasible instances,
+with the Stiemke certificates of the infeasible ones."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepcert.aut import automorphism_group
 from sepcert.certify import SeparatedFamily
@@ -17,6 +21,7 @@ from sepcert.gluing import (
     GluingInfeasible,
     GluingStructure,
     WeightAssignment,
+    _positive_kernel,
     act_on_pair,
     directions_at,
     induced_star_partition,
@@ -246,6 +251,11 @@ def test_solve_reports_infeasible_cross_balance():
     got = solve_gluing(s)
     assert isinstance(got, GluingInfeasible)
     assert got.equations and got.detail
+    assert got.check()
+    for i in range(len(got.y)):  # a flipped multiplier breaks y^T B >= 0
+        flipped = replace(got, y=tuple(-v if j == i else v for j, v in enumerate(got.y)))
+        assert not flipped.check()
+    assert not replace(got, y=got.y[1:]).check()
 
 
 def test_solve_requires_pairs():
@@ -253,3 +263,45 @@ def test_solve_requires_pairs():
     s = GluingStructure((li,), (EdgeGerm.identity(li, li, 1),))
     with pytest.raises(GluingError):
         solve_gluing(s)
+
+
+def test_solve_finds_weights_beyond_all_ones():
+    # B holds A's four diameters and the eight chords {i, i+3}; at vertex 1
+    # B's class sums count three pairs, so A's diameter {1, 5} weighs 3
+    diameters = [(i, i + 4) for i in range(1, 5)]
+    a = link_of("A", "c8", 3, diameters)
+    b = link_of("B", "c8", 3, diameters + [(i, (i + 2) % 8 + 1) for i in range(1, 9)])
+    s = GluingStructure((a, b), (EdgeGerm.identity(a, b, 1),))
+    assert not verify_gluing(s, WeightAssignment.all_ones(s)).ok
+    got = solve_gluing(s)
+    assert isinstance(got, WeightAssignment) and verify_gluing(s, got).ok
+    heavy = ("A", pair_key(a.pairs_at(5)[0]))
+    assert got.weights[heavy] == 3
+    assert all(v == 1 for key, v in got.weights.items() if key != heavy)
+
+
+def test_certificate_of_the_f090a_seed_closure(closure_family, f090a_group):
+    got = solve_gluing(GluingStructure.homogeneous(closure_family, f090a_group))
+    assert isinstance(got, GluingInfeasible)
+    assert got.rows == ((24,),) and got.y == (1,)
+    assert got.equations == ("24*w0 = 0",)
+    assert got.check()
+    assert not replace(got, y=(-1,)).check()
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda k: st.lists(
+            st.lists(st.integers(-2, 2), min_size=k, max_size=k).map(tuple), max_size=5
+        ).map(lambda rows: (k, tuple(rows)))
+    )
+)
+@settings(max_examples=300)
+def test_positive_kernel_returns_weights_or_a_certificate(system):
+    k, rows = system
+    got = _positive_kernel(rows, k)
+    if isinstance(got, GluingInfeasible):
+        assert got.rows == rows and got.check()
+    else:
+        assert len(got) == k and all(type(w) is int and w >= 1 for w in got)
+        assert all(sum(c * w for c, w in zip(row, got)) == 0 for row in rows)

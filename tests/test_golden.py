@@ -47,6 +47,7 @@ CASES = {
     ),
     "gluing-verify-c6": (["gluing", "verify", "c6-homogeneous.json", "--weights", "c6-weights.txt"], "out.json"),
     "gluing-solve-c6": (["gluing", "solve", "c6-homogeneous.json"], "out.txt"),
+    "gluing-solve-infeasible-c8": (["gluing", "solve", "c8-cross-balance.json"], "out.json"),
     "complex-check-grid4": (["complex", "check", "grid4.json"], "out.json"),
     "complex-trace-grid4": (["complex", "trace", "grid4.json", "--seed-vertex", "6-7", "--kind", "edge"], "out.json"),
     "f090a": (["f090a"], "out.json"),
