@@ -7,8 +7,10 @@ replayed against the base predicates.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .aut import PermutationGroup, automorphism_group, orbit_of_vertex_set
 from .cutset import (
@@ -23,7 +25,7 @@ from .cutset import (
     is_star_cutset,
 )
 from .errors import CertifyError, SepcertError
-from .graph import Graph, Metric, distances, girth, is_connected, bipartition
+from .graph import Graph, Metric, bipartition, distances, edge_key, girth, is_connected
 from .report import Certificate
 
 
@@ -31,7 +33,11 @@ from .report import Certificate
 class SeparatedFamily:
     """A named family of separated cutsets of one link with their
     partitions, validated on construction: every member must be a cutset
-    and sigma-separated. Gluing structures tell their links apart by name."""
+    and sigma-separated. Gluing structures tell their links apart by name.
+
+    The family indexes its members by element once, on the first
+    `pairs_at`; every later lookup, such as the class sums of each
+    gluing check, reads that index."""
 
     graph: Graph
     sigma: Fraction
@@ -84,9 +90,20 @@ class SeparatedFamily:
             members.append(CutsetPartition(c, canonical_partition(g, c)))
         return cls(g, Fraction(sigma), kind, tuple(members), metric, name)
 
+    @cached_property
+    def _members_at(self) -> dict[object, tuple[CutsetPartition, ...]]:
+        index: dict[object, list[CutsetPartition]] = {}
+        for cp in self.members:
+            for x in cp.cutset.elements:
+                index.setdefault(x, []).append(cp)
+        return {x: tuple(cps) for x, cps in index.items()}
+
     def pairs_at(self, x) -> tuple[CutsetPartition, ...]:
-        """The members whose cutset contains the element x."""
-        return tuple(cp for cp in self.members if x in cp.cutset)
+        """The members whose cutset contains the element x, in member
+        order; an edge may be given with its ends in either order."""
+        if self.kind == "edge" and isinstance(x, tuple):
+            x = edge_key(*x)
+        return self._members_at.get(x, ())
 
     def distinct_cutsets(self) -> tuple[Cutset, ...]:
         seen = {}
@@ -260,22 +277,25 @@ def star_split_counts(
     g: Graph,
     cutsets,
     ordering: NeighborOrdering | None = None,
-):
-    """For every vertex v and neighbor-pair positions i<j, how many of the
-    given distinct cutsets contain v with w_i(v), w_j(v) in one component."""
+) -> tuple[dict, dict]:
+    """For every vertex v and neighbor-pair positions i<j, how many cutsets
+    contain v with w_i(v), w_j(v) in one component: counted once per
+    distinct cutset, and with multiplicity over the cutsets as given. Each
+    distinct cutset is classified once."""
     ordering = ordering or NeighborOrdering.ascending(g)
     ordering.validate_for(g)
-    counts = {(v, i, j): 0 for v in g.vertices() for i, j in ((1, 2), (1, 3), (2, 3))}
-    for c in cutsets:
+    set_counts = {(v, i, j): 0 for v in g.vertices() for i, j in ((1, 2), (1, 3), (2, 3))}
+    multi_counts = dict(set_counts)
+    for c, times in Counter(cutsets).items():
         labels, _ = complement_labels(g, c)
         for v in c.sorted_elements():
             pat = split_pattern(g, ordering, labels, v)
-            if pat == "one-sided":
-                for ij in ((1, 2), (1, 3), (2, 3)):
-                    counts[(v, *ij)] += 1
-            elif pat is not None:
-                counts[(v, *pat)] += 1
-    return counts
+            if pat is None:
+                continue
+            for ij in ((1, 2), (1, 3), (2, 3)) if pat == "one-sided" else (pat,):
+                set_counts[(v, *ij)] += 1
+                multi_counts[(v, *ij)] += times
+    return set_counts, multi_counts
 
 
 def certify_star_separated(
@@ -325,8 +345,7 @@ def certify_star_separated(
     cert.add("vertex-3-separated", certify_vertex_separated(g, 3, fam))
 
     distinct = fam.distinct_cutsets()
-    set_counts = star_split_counts(g, distinct, ordering)
-    multi_counts = star_split_counts(g, [cp.cutset for cp in fam.members], ordering)
+    set_counts, multi_counts = star_split_counts(g, [cp.cutset for cp in fam.members], ordering)
     set_values = sorted(set(set_counts.values()))
     multi_values = sorted(set(multi_counts.values()))
     set_constant = len(set_values) == 1 and set_values[0] >= 1

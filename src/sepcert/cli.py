@@ -50,7 +50,6 @@ from .gluing import (
     GluingInfeasible,
     GluingStructure,
     WeightAssignment,
-    orbits_of_pairs,
     pair_key,
     solve_gluing,
     verify_gluing,
@@ -329,7 +328,7 @@ def _orbit_ids(structure: GluingStructure):
     """Deterministic (orbit-id, pairs) listing: '<link>:<index>'."""
     out = []
     for li in structure.instances:
-        for i, orbit in enumerate(orbits_of_pairs(li, structure.group_of(li))):
+        for i, orbit in enumerate(structure.orbits(li)):
             out.append((f"{li.name}:{i}", li, orbit))
     return out
 
@@ -383,6 +382,9 @@ def _cmd_gluing_solve(args) -> int:
         print(solution.detail)
         for eq in solution.equations:
             print(f"  {eq}")
+        # the unknowns are the orbits in listing order
+        unknowns = {f"w{j}": oid for j, (oid, _, _) in enumerate(_orbit_ids(structure))}
+        print(f"unknowns: {', '.join(f'{w} = {oid}' for w, oid in unknowns.items())}")
         print(f"certificate: y = ({', '.join(map(str, solution.y))})")
         print(f"  y^T B = ({', '.join(map(str, solution.combination()))})")
         _write_out(
@@ -392,7 +394,7 @@ def _cmd_gluing_solve(args) -> int:
                 "pass": False,
                 "detail": solution.detail,
                 "equations": list(solution.equations),
-                "certificate": {"rows": solution.rows, "y": solution.y},
+                "certificate": {"rows": solution.rows, "y": solution.y, "unknowns": unknowns},
             },
         )
         return 1

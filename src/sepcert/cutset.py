@@ -144,6 +144,15 @@ class CutsetPartition:
     cutset: Cutset
     partition: Partition
 
+    def __hash__(self) -> int:
+        # Pairs key the class and weight tables of the gluing checks, one
+        # lookup per pair and element; cache the hash so those stay cheap.
+        h = self.__dict__.get("_cached_hash")
+        if h is None:
+            h = hash((self.cutset, self.partition))
+            object.__setattr__(self, "_cached_hash", h)
+        return h
+
     def validate_for(self, g: Graph) -> None:
         self.cutset.validate_for(g)
         _, count = complement_labels(g, self.cutset)
@@ -188,6 +197,7 @@ def _subdivision_distances(g: Graph, metric: Metric):
 
 @lru_cache(maxsize=65536)
 def _complement_labels_cached(g: Graph, kind: str, elements: frozenset):
+    Cutset(kind, elements).validate_for(g)
     g2, _, mid = _subdivision(g, Metric.combinatorial())
     if kind == "vertex":
         removed = elements
@@ -198,8 +208,11 @@ def _complement_labels_cached(g: Graph, kind: str, elements: frozenset):
 
 def complement_labels(g: Graph, c: Cutset):
     """Component index of every subdivision vertex once c is deleted
-    (None on deleted ones), with the component count."""
-    c.validate_for(g)
+    (None on deleted ones), with the component count. Components are
+    numbered by least surviving subdivision vertex.
+
+    c is validated against g on the cache miss only; an invalid c raises
+    on every call, since the cache keeps no exceptions."""
     return _complement_labels_cached(g, c.kind, c.elements)
 
 
@@ -229,10 +242,25 @@ def components_of_complement(g: Graph, c: Cutset) -> tuple[tuple, ...]:
     for v in g.vertices():
         if labels[v - 1] is not None:
             comps[labels[v - 1]].append(v)
-    for e, m in sorted(mid.items()):
+    for e, m in mid.items():  # in sorted edge order
         if labels[m - 1] is not None and not comps[labels[m - 1]]:
             comps[labels[m - 1]].append(e)
     return tuple(tuple(comp) for comp in comps)
+
+
+def component_points(g: Graph, c: Cutset) -> tuple:
+    """One point in each component of the complement of c, in label order:
+    the least subdivision vertex of the component, given as a vertex or as
+    the edge whose midpoint it is."""
+    labels, count = complement_labels(g, c)
+    nodes: list[int] = []
+    for node, label in enumerate(labels, start=1):
+        if label == len(nodes):  # labels first appear in increasing order
+            nodes.append(node)
+            if len(nodes) == count:
+                break
+    g2, _, _ = _subdivision(g, Metric.combinatorial())
+    return tuple(node if node <= g.n else g2.neighbors(node) for node in nodes)
 
 
 def point_node(g: Graph, p) -> int:

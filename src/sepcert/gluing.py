@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from .aut import Permutation, PermutationGroup, _orbit_labels
@@ -30,7 +31,7 @@ from .cutset import (
     CutsetPartition,
     Partition,
     complement_labels,
-    components_of_complement,
+    component_points,
     induced_partition,
     point_node,
 )
@@ -67,13 +68,40 @@ def induced_star_partition(li: SeparatedFamily, cp: CutsetPartition, x) -> froze
     if x not in cp.cutset:
         raise GluingError(f"element {x!r} is not in the cutset")
     directions = directions_at(li.graph, kind, x)
-    for d in directions:
-        if kind == "vertex" and d in cp.cutset:
-            raise GluingError(
-                f"direction from {x} toward {d} enters no component: "
-                "both are cut elements"
-            )
+    _require_components(cp, x, directions)
     return induced_partition(li.graph, cp, {d: d for d in directions})
+
+
+def _require_components(cp: CutsetPartition, x, directions) -> None:
+    """Every direction at a cut vertex x must enter a component."""
+    if cp.cutset.kind == "vertex":
+        for d in directions:
+            if d in cp.cutset.elements:
+                raise GluingError(
+                    f"direction from {x} toward {d} enters no component: "
+                    "both are cut elements"
+                )
+
+
+def _classes_at(li: SeparatedFamily, x) -> dict[CutsetPartition, frozenset]:
+    """The class at x (the `induced_star_partition`) of each pair of li
+    whose cutset contains x. The class is computed once for all pairs with
+    equal partitions whose components the directions enter alike, and
+    equal classes share one object."""
+    g = li.graph
+    directions = directions_at(g, li.kind, x)
+    by_entered: dict[tuple, frozenset] = {}
+    shared: dict[frozenset, frozenset] = {}  # keep one object per class
+    class_of: dict[CutsetPartition, frozenset] = {}
+    for cp in li.pairs_at(x):
+        _require_components(cp, x, directions)
+        labels, _ = complement_labels(g, cp.cutset)
+        entered = (cp.partition.blocks, tuple([labels[d - 1] for d in directions]))
+        if entered not in by_entered:
+            cls = induced_partition(g, cp, {d: d for d in directions})
+            by_entered[entered] = shared.setdefault(cls, cls)
+        class_of[cp] = by_entered[entered]
+    return class_of
 
 
 @dataclass(frozen=True)
@@ -130,6 +158,11 @@ class EdgeGerm:
 
 @dataclass(frozen=True)
 class GluingStructure:
+    """Named link families glued along germs, with an optional link
+    automorphism group per family. The structure computes the orbits of
+    each family's pairs, and each element's classes, once, for every check
+    and solve made on it."""
+
     instances: tuple[SeparatedFamily, ...]
     germs: tuple[EdgeGerm, ...]
     groups: tuple[PermutationGroup | None, ...] | None = None
@@ -177,32 +210,52 @@ class GluingStructure:
             return None
         return self.groups[self.instances.index(li)]
 
+    @cached_property
+    def _orbits(self) -> dict[str, tuple]:
+        return {}
 
-def act_on_pair(g: Graph, perm: Permutation, cp: CutsetPartition) -> CutsetPartition:
+    @cached_property
+    def _classes(self) -> dict[tuple[str, object], dict]:
+        return {}
+
+    def orbits(self, li: SeparatedFamily) -> tuple[tuple[CutsetPartition, ...], ...]:
+        """`orbits_of_pairs` of li under its group."""
+        if li.name not in self._orbits:
+            self._orbits[li.name] = orbits_of_pairs(li, self.group_of(li))
+        return self._orbits[li.name]
+
+    def classes_at(self, li: SeparatedFamily, x) -> dict[CutsetPartition, frozenset]:
+        """The class at the element x of each pair of li that contains it."""
+        key = (li.name, x)
+        if key not in self._classes:
+            self._classes[key] = _classes_at(li, x)
+        return self._classes[key]
+
+
+def act_on_pair(
+    g: Graph, perm: Permutation, cp: CutsetPartition, points: tuple | None = None
+) -> CutsetPartition:
     """Image of a (cutset, partition) pair under a graph automorphism; the
-    partition's component indices are rebased to the image components."""
+    partition's component indices are rebased to the image components.
+    ``points`` are the `component_points` of cp's cutset, for a caller that
+    maps one pair by many automorphisms."""
     c = cp.cutset
     if c.kind == "vertex":
-        c2 = Cutset.of_vertices(perm[v - 1] for v in c.elements)
+        c2 = Cutset.of_vertices([perm[v - 1] for v in c.elements])
     else:
-        c2 = Cutset.of_edges(edge_key(perm[u - 1], perm[v - 1]) for u, v in c.elements)
-    comps1 = components_of_complement(g, c)
+        c2 = Cutset.of_edges([edge_key(perm[u - 1], perm[v - 1]) for u, v in c.elements])
     labels2, _ = complement_labels(g, c2)
     image_label = []
-    for comp in comps1:
-        rep = comp[0]
-        if isinstance(rep, int):
-            image_label.append(labels2[perm[rep - 1] - 1])
-        else:  # a free arc: locate its image edge's midpoint label
-            e2 = edge_key(perm[rep[0] - 1], perm[rep[1] - 1])
+    for p in points or component_points(g, c):
+        if isinstance(p, int):
+            image_label.append(labels2[perm[p - 1] - 1])
+        else:  # a midpoint: locate its image edge's midpoint label
+            e2 = edge_key(perm[p[0] - 1], perm[p[1] - 1])
             image_label.append(labels2[point_node(g, e2) - 1])
-    blocks = tuple(
-        sorted(
-            (frozenset(image_label[i] for i in blk) for blk in cp.partition.blocks),
-            key=sorted,
-        )
+    blocks = sorted(
+        (frozenset(image_label[i] for i in blk) for blk in cp.partition.blocks), key=sorted
     )
-    return CutsetPartition(c2, Partition(blocks))
+    return CutsetPartition(c2, Partition(tuple(blocks)))
 
 
 @dataclass(frozen=True)
@@ -229,21 +282,6 @@ class WeightAssignment:
             ) from None
 
 
-def _class_sums(
-    li: SeparatedFamily, x, w: WeightAssignment
-) -> tuple[dict[frozenset, int], dict[CutsetPartition, frozenset]]:
-    """The weight sum of each equivalence class at x, and the class (the
-    induced direction partition) of each pair whose cutset contains x."""
-    sums: dict[frozenset, int] = {}
-    class_of: dict[CutsetPartition, frozenset] = {}
-    shared: dict[frozenset, frozenset] = {}  # keep one key object per class, not one per pair
-    for cp in li.pairs_at(x):
-        key = induced_star_partition(li, cp, x)
-        key = class_of[cp] = shared.setdefault(key, key)
-        sums[key] = sums.get(key, 0) + w.get(li, cp)
-    return sums, class_of
-
-
 def orbits_of_pairs(
     li: SeparatedFamily, grp: PermutationGroup | None
 ) -> tuple[tuple[CutsetPartition, ...], ...]:
@@ -251,11 +289,14 @@ def orbits_of_pairs(
     (singletons when no group is given), deterministically ordered."""
     if grp is None:
         return tuple((cp,) for cp in sorted(li.members, key=pair_key))
-    index = {pair_key(cp): i for i, cp in enumerate(li.members)}
+    # (cutset, partition key) tells pairs apart as pair_key does, without
+    # sorting the cutset; each member's component points are found once
+    index = {(cp.cutset, cp.partition.key()): i for i, cp in enumerate(li.members)}
+    points = [component_points(li.graph, cp.cutset) for cp in li.members]
 
     def image(gen, i: int) -> int:
-        img = act_on_pair(li.graph, gen, li.members[i])
-        k = pair_key(img)
+        img = act_on_pair(li.graph, gen, li.members[i], points[i])
+        k = (img.cutset, img.partition.key())
         if k not in index:
             raise GluingError(
                 f"family of link {li.name!r} is not closed under its group: "
@@ -274,14 +315,19 @@ def orbits_of_pairs(
 def verify_gluing(structure: GluingStructure, w: WeightAssignment) -> Certificate:
     """Check a weight assignment exactly: positivity, orbit-constancy when
     groups are supplied, class-sum balance across every germ in both
-    directions, and class-sum balance across the elements of every cutset."""
+    directions, and class-sum balance across the elements of every cutset.
+
+    Each pair's weight is looked up once. The pairs at an element come from
+    its family's element index, and their classes and the orbits come from
+    the structure, which computes them once for all checks and solves."""
     cert = Certificate("gluing")
-    bad_positive = [
-        (li.name, pair_key(cp), w.get(li, cp))
-        for li in structure.instances
-        for cp in li.members
-        if not (isinstance(w.get(li, cp), int) and w.get(li, cp) >= 1)
-    ]
+    weight = {li.name: {cp: w.get(li, cp) for cp in li.members} for li in structure.instances}
+    bad_positive = []
+    for li in structure.instances:
+        for cp in li.members:
+            value = weight[li.name][cp]
+            if not (isinstance(value, int) and value >= 1):
+                bad_positive.append((li.name, pair_key(cp), value))
     cert.add(
         "weights-positive",
         not bad_positive,
@@ -291,10 +337,10 @@ def verify_gluing(structure: GluingStructure, w: WeightAssignment) -> Certificat
     if structure.groups is not None and any(g is not None for g in structure.groups):
         bad_orbit = []
         orbit_count = 0
-        for li, grp in zip(structure.instances, structure.groups):
-            for orbit in orbits_of_pairs(li, grp):
+        for li in structure.instances:
+            for orbit in structure.orbits(li):
                 orbit_count += 1
-                vals = {w.get(li, cp) for cp in orbit}
+                vals = {weight[li.name][cp] for cp in orbit}
                 if len(vals) > 1:
                     bad_orbit.append((li.name, pair_key(orbit[0]), sorted(vals)))
         cert.add(
@@ -303,16 +349,24 @@ def verify_gluing(structure: GluingStructure, w: WeightAssignment) -> Certificat
             {"orbits": orbit_count, "violations": bad_orbit[:8]},
         )
 
-    # Class sums and each pair's class at each element, shared by both
-    # balance checks; instance names are unique within a structure.
+    # The weight sum of each class at each element, with each pair's class
+    # there, shared by both balance checks; instance names are unique
+    # within a structure.
     sums_at: dict[tuple[str, object], tuple[dict, dict]] = {}
 
     def class_sums(li: SeparatedFamily, x) -> tuple[dict[frozenset, int], dict]:
         key = (li.name, x)
         if key not in sums_at:
-            sums_at[key] = _class_sums(li, x, w)
+            class_of, weight_of = structure.classes_at(li, x), weight[li.name]
+            sums: dict[frozenset, int] = {}
+            for cp in li.pairs_at(x):
+                cls = class_of[cp]
+                sums[cls] = sums.get(cls, 0) + weight_of[cp]
+            sums_at[key] = sums, class_of
         return sums_at[key]
 
+    # each balance witness keeps its first eight violations, so no more
+    # are built
     edge_eqs = 0
     edge_bad = []
     for gi, germ in enumerate(structure.germs):
@@ -324,7 +378,7 @@ def verify_gluing(structure: GluingStructure, w: WeightAssignment) -> Certificat
             for key, lhs in sorted(sums_here.items(), key=lambda kv: sorted(map(sorted, kv[0]))):
                 edge_eqs += 1
                 rhs = sums_there.get(src.forward(key), 0)
-                if lhs != rhs:
+                if lhs != rhs and len(edge_bad) < 8:
                     edge_bad.append(
                         {
                             "germ": gi,
@@ -334,32 +388,30 @@ def verify_gluing(structure: GluingStructure, w: WeightAssignment) -> Certificat
                             "rhs": rhs,
                         }
                     )
-    cert.add("edge-balance", not edge_bad, {"equations": edge_eqs, "violations": edge_bad[:8]})
+    cert.add("edge-balance", not edge_bad, {"equations": edge_eqs, "violations": edge_bad})
 
     cross_eqs = 0
     cross_bad = []
     for li in structure.instances:
         for cp in li.members:
-            elems = cp.cutset.sorted_elements()
-            first = None
-            for x in elems:
+            first, *rest = cp.cutset.sorted_elements()
+            sums, class_of = class_sums(li, first)
+            base = sums[class_of[cp]]
+            for x in rest:
+                cross_eqs += 1
                 sums, class_of = class_sums(li, x)
                 val = sums[class_of[cp]]
-                if first is None:
-                    first = (x, val)
-                else:
-                    cross_eqs += 1
-                    if val != first[1]:
-                        cross_bad.append(
-                            {
-                                "link": li.name,
-                                "cutset": cp.cutset.sorted_elements(),
-                                "elements": (first[0], x),
-                                "sums": (first[1], val),
-                            }
-                        )
+                if val != base and len(cross_bad) < 8:
+                    cross_bad.append(
+                        {
+                            "link": li.name,
+                            "cutset": cp.cutset.sorted_elements(),
+                            "elements": (first, x),
+                            "sums": (base, val),
+                        }
+                    )
     cert.add(
-        "cross-edge-balance", not cross_bad, {"equations": cross_eqs, "violations": cross_bad[:8]}
+        "cross-edge-balance", not cross_bad, {"equations": cross_eqs, "violations": cross_bad}
     )
     return cert
 
@@ -397,17 +449,23 @@ class GluingInfeasible:
         return all(c >= 0 for c in yb) and any(yb)
 
 
-def _balance_equations(structure: GluingStructure, var_of) -> tuple[tuple[int, ...], ...]:
-    """Coefficient rows (over orbit unknowns) of every germ-balance and
-    cross-element equation, deduplicated and sign-normalized."""
+def _balance_equations(
+    structure: GluingStructure, var_of: Mapping[tuple[str, CutsetPartition], int], k: int
+) -> tuple[tuple[int, ...], ...]:
+    """Coefficient rows (over the k orbit unknowns) of every germ-balance
+    and cross-element equation, deduplicated and sign-normalized. The
+    classes come from the structure, as in `verify_gluing`."""
+    vectors: dict[tuple[str, object], dict[frozenset, list[int]]] = {}
 
-    def class_vector(li: SeparatedFamily, x) -> dict[frozenset, list[int]]:
-        out: dict[frozenset, list[int]] = {}
-        for cp in li.pairs_at(x):
-            key = induced_star_partition(li, cp, x)
-            vec = out.setdefault(key, [0] * var_of["count"])
-            vec[var_of[(li.name, pair_key(cp))]] += 1
-        return out
+    def class_vectors(li: SeparatedFamily, x) -> dict[frozenset, list[int]]:
+        key = (li.name, x)
+        if key not in vectors:
+            class_of = structure.classes_at(li, x)
+            out: dict[frozenset, list[int]] = {}
+            for cp in li.pairs_at(x):
+                out.setdefault(class_of[cp], [0] * k)[var_of[li.name, cp]] += 1
+            vectors[key] = out
+        return vectors[key]
 
     rows: set[tuple[int, ...]] = set()
 
@@ -419,22 +477,19 @@ def _balance_equations(structure: GluingStructure, var_of) -> tuple[tuple[int, .
             diff = [-x for x in diff]
         rows.add(tuple(diff))
 
+    zero = [0] * k
     for germ in (g for pair in structure.germs for g in (pair, pair.reversed())):
-        here = class_vector(germ.start, germ.element_a)
-        there = class_vector(germ.end, germ.element_b)
+        here = class_vectors(germ.start, germ.element_a)
+        there = class_vectors(germ.end, germ.element_b)
         for key, vec in here.items():
-            other = there.get(germ.forward(key), [0] * var_of["count"])
+            other = there.get(germ.forward(key), zero)
             push([a - b for a, b in zip(vec, other)])
     for li in structure.instances:
-        per_elem: dict = {}
         for cp in li.members:
-            elems = cp.cutset.sorted_elements()
-            for x in elems:
-                if x not in per_elem:
-                    per_elem[x] = class_vector(li, x)
-            base = per_elem[elems[0]][induced_star_partition(li, cp, elems[0])]
-            for x in elems[1:]:
-                vec = per_elem[x][induced_star_partition(li, cp, x)]
+            first, *rest = cp.cutset.sorted_elements()
+            base = class_vectors(li, first)[structure.classes_at(li, first)[cp]]
+            for x in rest:
+                vec = class_vectors(li, x)[structure.classes_at(li, x)[cp]]
                 push([a - b for a, b in zip(base, vec)])
     return tuple(sorted(rows))
 
@@ -501,19 +556,17 @@ def solve_gluing(structure: GluingStructure) -> WeightAssignment | GluingInfeasi
     a Stiemke certificate that none exists. Tries all-ones first, then one
     exact phase-one simplex. Either answer is checked before it is handed
     back."""
-    orbit_lists = [
-        (li, orbits_of_pairs(li, structure.group_of(li))) for li in structure.instances
-    ]
-    var_of: dict = {}
-    orbit_vars: list[tuple[SeparatedFamily, tuple[CutsetPartition, ...]]] = []
-    for li, orbits in orbit_lists:
-        for orbit in orbits:
-            idx = len(orbit_vars)
-            orbit_vars.append((li, orbit))
-            for cp in orbit:
-                var_of[(li.name, pair_key(cp))] = idx
+    orbit_vars = [(li, orbit) for li in structure.instances for orbit in structure.orbits(li)]
+    # pairs with one pair_key share one unknown, as they share one weight
+    var_of_key = {
+        (li.name, pair_key(cp)): j for j, (li, orbit) in enumerate(orbit_vars) for cp in orbit
+    }
+    var_of = {
+        (li.name, cp): var_of_key[li.name, pair_key(cp)]
+        for li in structure.instances
+        for cp in li.members
+    }
     k = len(orbit_vars)
-    var_of["count"] = k
     if k == 0:
         raise GluingError("structure has no pairs to weight")
 
@@ -530,7 +583,7 @@ def solve_gluing(structure: GluingStructure) -> WeightAssignment | GluingInfeasi
     if verify_gluing(structure, ones).ok:
         return ones
 
-    got = _positive_kernel(_balance_equations(structure, var_of), k)
+    got = _positive_kernel(_balance_equations(structure, var_of, k), k)
     if isinstance(got, GluingInfeasible):
         if not got.check():
             raise GluingError("internal solver error: infeasibility certificate failed its check")

@@ -174,3 +174,40 @@ def separates(g: Graph, c: frozenset[int], x: int, y: int) -> bool:
     if x in c or y in c:
         return False
     return y not in nx.node_connected_component(rest, x)
+
+
+def set_orbits(perms, sets) -> set[frozenset[frozenset[int]]]:
+    """Orbits of vertex sets under a group listed element by element: every
+    element is applied to each set not yet placed in an orbit."""
+    remaining = {frozenset(s) for s in sets}
+    orbits = set()
+    while remaining:
+        s = min(remaining, key=sorted)
+        orbit = frozenset(frozenset(p[v - 1] for v in s) for p in perms)
+        orbits.add(orbit)
+        remaining -= orbit
+    return orbits
+
+
+def brute_split_counts(g: Graph, cutsets) -> dict[tuple[int, int, int], int]:
+    """Same-side counts with multiplicity, from the components of G - C.
+
+    For each cutset as given (repeats count again) and each cut vertex v
+    whose ascending neighbours w1, w2, w3 all survive, the pairs (i, j) with
+    w_i, w_j in one component are counted when exactly one pair or all three
+    pairs are."""
+    h = nx_graph(g)
+    pairs = ((1, 2), (1, 3), (2, 3))
+    counts = {(v, i, j): 0 for v in g.vertices() for i, j in pairs}
+    for c in cutsets:
+        rest = h.subgraph(v for v in g.vertices() if v not in c)
+        comp = {v: k for k, part in enumerate(nx.connected_components(rest)) for v in part}
+        for v in c:
+            w = sorted(g.neighbors(v))
+            if any(x in c for x in w):
+                continue
+            same = [(i, j) for i, j in pairs if comp[w[i - 1]] == comp[w[j - 1]]]
+            if len(same) in (1, 3):
+                for i, j in same:
+                    counts[(v, i, j)] += 1
+    return counts

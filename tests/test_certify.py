@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from _oracles import brute_split_counts
 from sepcert.certify import (
     SeparatedFamily,
     certify_edge_separated,
@@ -148,10 +149,29 @@ def test_split_pattern_classifies(f090a, seed_cutsets):
 
 
 def test_star_split_counts_sum(f090a, seed_cutsets):
-    counts = star_split_counts(f090a, seed_cutsets)
+    counts, with_multiplicity = star_split_counts(f090a, seed_cutsets)
+    assert with_multiplicity == counts  # the three seeds are distinct
     assert set(counts) == {(v, i, j) for v in f090a.vertices() for i, j in ((1, 2), (1, 3), (2, 3))}
     # v1 lies in all three seeds, one per split slot
     assert counts[(1, 1, 2)] == 1 and counts[(1, 1, 3)] == 1 and counts[(1, 2, 3)] == 1
+
+
+def test_star_split_counts_with_a_duplicated_member(q3, q3_neighborhood_family):
+    # N(1) twice: the set counts stay 1 on every slot, the multiset counts
+    # rise to 2 on the slots N(1) fills
+    fam = SeparatedFamily(
+        q3, 2, "vertex", q3_neighborhood_family.members + q3_neighborhood_family.members[:1]
+    )
+    cutsets = [cp.cutset.elements for cp in fam.members]
+    brute = brute_split_counts(q3, cutsets)
+    assert star_split_counts(q3, [cp.cutset for cp in fam.members])[1] == brute
+    star = certify_star_separated(q3, fam).check("split-counts-constant")
+    assert star.ok
+    assert star.witness["distinct_cutsets"] == 8
+    assert star.witness["set_values"] == sorted(set(brute_split_counts(q3, set(cutsets)).values()))
+    assert star.witness["set_values"] == [1]
+    assert star.witness["multiset_values"] == sorted(set(brute.values())) == [1, 2]
+    assert "note" not in star.witness
 
 
 def test_certify_star_separated_reports_noncubic():

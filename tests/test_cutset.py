@@ -107,6 +107,25 @@ def test_free_arc_component():
     assert kinds <= {int, tuple}
 
 
+def test_complement_labels_rejects_an_invalid_cutset_on_every_call(q3):
+    # validation runs inside the cached miss; the cache keeps no exception
+    c = Cutset.of_vertices([1, 99])
+    for _ in range(2):
+        with pytest.raises(CutsetError, match="not in graph"):
+            complement_labels(q3, c)
+
+
+def test_complement_labels_validates_per_graph(q3, c8):
+    vertices = Cutset.of_vertices([7, 8])  # q3 has 8 vertices, c6 has 6
+    edges = Cutset.of_edges([(1, 8)])  # an edge of c8, not of q3
+    assert complement_labels(q3, vertices)[1] >= 1
+    assert complement_labels(c8, edges)[1] == 1
+    with pytest.raises(CutsetError, match="not in graph"):
+        complement_labels(named_graph("c6"), vertices)
+    with pytest.raises(CutsetError, match="not in graph"):
+        complement_labels(q3, edges)
+
+
 def test_complement_labels_cover_midpoints(q3):
     c = Cutset.of_vertices([1])
     labels, count = complement_labels(q3, c)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import set_orbits
 from sepcert.aut import automorphism_group
 from sepcert.certify import SeparatedFamily
 from sepcert.cutset import Cutset
@@ -73,6 +74,43 @@ def test_pairs_at(c6_diameters):
     assert len(li.pairs_at(1)) == 1
     assert li.pairs_at(1)[0].cutset.sorted_elements() == (1, 4)
     assert li.pairs_at(1) == li.pairs_at(4)
+
+
+def _scanned_pairs_at(fam, x):
+    return tuple(cp for cp in fam.members if x in cp.cutset)
+
+
+def test_pairs_at_index_matches_a_scan_on_vertex_families():
+    # vertex 3 lies in no member; vertex 1 lies in two
+    fam = link_of("V", "c8", 3, [(1, 5), (2, 6), (1, 4), (4, 8)])
+    assert fam.pairs_at(3) == ()
+    assert len(fam.pairs_at(1)) == 2
+    for x in (*fam.graph.vertices(), 0, 99, (1, 5)):
+        assert fam.pairs_at(x) == _scanned_pairs_at(fam, x), x
+
+
+def test_pairs_at_index_matches_a_scan_on_edge_families():
+    c8 = named_graph("c8")
+    cutsets = [[(1, 2), (5, 6)], [(3, 4), (7, 8)], [(2, 3), (6, 7)], [(1, 2), (6, 7)]]
+    fam = SeparatedFamily.from_cutsets(
+        c8, 3, [Cutset.of_edges(c) for c in cutsets], kind="edge", name="E"
+    )
+    assert fam.pairs_at((2, 1)) == fam.pairs_at((1, 2))
+    assert len(fam.pairs_at((2, 1))) == 2
+    assert fam.pairs_at((4, 5)) == ()  # in no member
+    for u, v in c8.edges():
+        for x in ((u, v), (v, u)):
+            assert fam.pairs_at(x) == _scanned_pairs_at(fam, x), x
+    assert fam.pairs_at(1) == _scanned_pairs_at(fam, 1) == ()
+
+
+def test_orbits_of_the_seed_closure_match_all_group_elements(closure_family, f090a_group):
+    perms = f090a_group.elements()
+    assert len(perms) == 4320
+    oracle = set_orbits(perms, (cp.cutset.elements for cp in closure_family.members))
+    got = orbits_of_pairs(closure_family, f090a_group)
+    assert {frozenset(cp.cutset.elements for cp in orbit) for orbit in got} == oracle
+    assert sorted(len(orbit) for orbit in got) == [720]
 
 
 def test_directions_at():

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from sepcert import certify, gluing, pipeline
+from sepcert import certify, cutset, gluing, pipeline
 from sepcert.cutset import complement_labels
 from sepcert.graph import distances
 from sepcert.pipeline import _PAIRS, run_f090a
@@ -36,10 +36,11 @@ def test_pinned_pairs_are_separated_by_the_seed_closure(f090a, orbit_closure):
 
 
 def test_rerun_in_process_repeats_report_and_equation_count(monkeypatch):
-    """A second run, on warm caches, gives the same stripped report, the
-    one ``sepcert f090a --out`` writes, and checks the same number of
-    gluing balance equations. Each run builds the star-separation
-    certificate once."""
+    """A second run gives the same stripped report, the one ``sepcert
+    f090a --out`` writes, and checks the same number of gluing balance
+    equations. Each run builds the star-separation certificate once and,
+    with the complement-label cache cleared first, labels the complement
+    of each of its 720 distinct cutsets once."""
     equations = []
     verify = gluing.verify_gluing
     stars = []
@@ -57,9 +58,18 @@ def test_rerun_in_process_repeats_report_and_equation_count(monkeypatch):
     monkeypatch.setattr(gluing, "verify_gluing", counting)
     monkeypatch.setattr(certify, "certify_star_separated", counting_star)
     monkeypatch.setattr(pipeline, "certify_star_separated", counting_star)
-    first = stripped(dumps(run_f090a()))
-    second = stripped(dumps(run_f090a()))
+    misses = []
+
+    def run():
+        cutset._complement_labels_cached.cache_clear()
+        doc = stripped(dumps(run_f090a()))
+        misses.append(cutset._complement_labels_cached.cache_info().misses)
+        return doc
+
+    first = run()
+    second = run()
     assert first == second
+    assert misses == [720, 720]
     assert first == Path(__file__).with_name("golden").joinpath("f090a.out.json").read_text()
     assert equations == [15120, 15120]
     assert len(stars) == 2
