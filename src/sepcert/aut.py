@@ -5,7 +5,11 @@ Permutations are tuples of images: ``p[v-1]`` is the image of vertex v.
 point of each basic orbit, not one search leaf per group element. The
 group keeps that chain, so its order and point stabilizers come from the
 transversals; orbit closures only ever need the generators, and the element
-list is built only on request. ``canonical_form`` prunes its
+list is built only on request. ``stabilizer_generators`` gives generators of
+the stabilizer of any point by Schreier's lemma, from the generators alone
+(Seress, *Permutation Group Algorithms*, ch. 4): with ``u_x`` mapping r to x,
+the elements ``u_{p(x)}^-1 p u_x`` over orbit points x and generators p
+generate Stab(r). ``canonical_form`` prunes its
 individualization-refinement tree with the same generators.
 """
 from __future__ import annotations
@@ -27,6 +31,13 @@ def identity(n: int) -> Permutation:
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """Apply q first, then p."""
     return tuple(p[x - 1] for x in q)
+
+
+def inverse(p: Permutation) -> Permutation:
+    out = [0] * len(p)
+    for v, w in enumerate(p, 1):
+        out[w - 1] = v
+    return tuple(out)
 
 
 def apply_to_vertex_set(p: Permutation, s: Iterable[int]) -> frozenset[int]:
@@ -84,11 +95,7 @@ class PermutationGroup:
         return tuple(sorted(elements))
 
     def vertex_orbits(self) -> tuple[tuple[int, ...], ...]:
-        label = _orbit_labels(self.n, self.generators, lambda p, x: p[x] - 1)
-        buckets: dict[int, list[int]] = {}
-        for v in range(1, self.n + 1):
-            buckets.setdefault(label[v - 1], []).append(v)
-        return tuple(tuple(b) for _, b in sorted(buckets.items()))
+        return orbits_under(self.n, self.generators)
 
     def orbit_of_vertex(self, v: int) -> tuple[int, ...]:
         for orb in self.vertex_orbits():
@@ -108,6 +115,28 @@ class PermutationGroup:
                     pushed[u[x - 1]] = pushed.get(u[x - 1], 0) + k
             counts = pushed
         return counts.get(v, 0)
+
+    def stabilizer_generators(self, r: int) -> tuple[Permutation, ...]:
+        """Schreier generators of the stabilizer of r, deduplicated and
+        without the identity. They come from the generators and their
+        transversal for r only, never from the chain."""
+        reps = _transversal(self.n, r, self.generators)
+        back = {x: inverse(u) for x, u in reps.items()}
+        schreier = dict.fromkeys(
+            compose(back[p[x - 1]], compose(p, u)) for x, u in reps.items() for p in self.generators
+        )
+        schreier.pop(identity(self.n), None)
+        return tuple(schreier)
+
+
+def orbits_under(n: int, gens: Iterable[Permutation]) -> tuple[tuple[int, ...], ...]:
+    """Orbits of the vertices 1..n under the generators, each sorted,
+    in order of least vertex."""
+    label = _orbit_labels(n, gens, lambda p, x: p[x] - 1)
+    buckets: dict[int, list[int]] = {}
+    for v in range(1, n + 1):
+        buckets.setdefault(label[v - 1], []).append(v)
+    return tuple(tuple(b) for _, b in sorted(buckets.items()))
 
 
 def _orbit_labels(

@@ -9,20 +9,34 @@ leaves are validated through the cutset predicates before emission; every
 reported cutset has passed them.
 
 A goal with seed assignments is searched from one root. Enumerating every
-star cutset instead searches one root per orbit of Aut(g) on vertices, in
-the order of ``vertex_orbits()``. Root i forces the least vertex r of orbit
-i into the cut, keeps every vertex of orbits 1..i-1 out of it, and puts the
-least neighbor of r on side A: swapping the sides keeps the cut set, and a
-cut vertex's neighbors are never cut. The validated leaves are then closed
-under the group's generators, once each generator is checked to map the
-edge set onto itself.
+star cutset instead roots the search at orbits, two levels deep, and then
+closes the validated leaves under the generators of Aut(g), once each
+generator is checked to map the edge set onto itself.
 
-This is exact. A star cutset C meets some first orbit i, at a vertex u.
-An automorphism maps u to r, and the image of C still avoids orbits
-1..i-1, so root i finds that image; closing under the group recovers C.
-The star conjunction is Aut-invariant, so every image of a validated leaf
-is a star cutset. With a trivial group every vertex is its own orbit, and
-each cutset is found once, from its least vertex.
+The first level follows the orbits of Aut(g) on vertices, in the order of
+``vertex_orbits()``. Under orbit i, the least vertex r is cut, every vertex
+of orbits 1..i-1 is kept out of the cut, and the least neighbor of r is put
+on side A: swapping the sides keeps the cut set, and a cut vertex's
+neighbors are never cut. A star cutset C meets some first orbit i, at a
+vertex u; an automorphism maps u to r, and the image of C still avoids
+orbits 1..i-1.
+
+The second level follows the orbits O_1, O_2, ... of the stabilizer
+Stab(r), in order of least vertex, with Schreier generators built from the
+generators of Aut(g) (``PermutationGroup.stabilizer_generators``). Sub-root
+j also cuts s_j = min O_j and keeps O_1..O_{j-1} out of the cut. An orbit
+that contains r, lies in the 2-ball of r, or was kept out of the cut by the
+first level gets no sub-root: no star cutset through r cuts it. A last
+sub-root keeps every vertex but r out of the cut, for C = {r}. Take a star
+cutset C' through r that avoids orbits 1..i-1 and has another vertex; let
+O_j be the first Stab(r)-orbit it meets, at w, and let h in Stab(r) map w
+to s_j. Then h(C') contains r and s_j, avoids O_1..O_{j-1} and still
+avoids orbits 1..i-1, so sub-root j finds it.
+
+So closing the leaves under the group recovers every star cutset. The star
+conjunction is Aut-invariant, so every image of a validated leaf is a star
+cutset. With a trivial group every vertex is its own orbit at both levels,
+and each cutset is found once, from its two least vertices.
 
 Work is split deterministically: the roots are expanded breadth-first into
 a fixed number of decision prefixes, each prefix is searched under its own
@@ -36,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .aut import PermutationGroup, automorphism_group, is_automorphism, orbit_of_vertex_set
+from .aut import PermutationGroup, apply_to_vertex_set, automorphism_group, is_automorphism, orbits_under
 from .cutset import Cutset, NeighborOrdering, is_star_cutset, require_cubic
 from .errors import SearchError
 from .graph import Graph
@@ -243,14 +257,27 @@ def _goal_root(task: SearchTask) -> _Root:
     return _Root(seeds)
 
 
-def _orbit_roots(g: Graph, grp: PermutationGroup) -> list[_Root]:
-    """One root per vertex orbit: its least vertex cut, the earlier orbits
-    kept out of the cut, and the least neighbor of the root on side A."""
+def _orbit_roots(g: Graph, grp: PermutationGroup, ball2) -> list[_Root]:
+    """Roots for every star cutset, two levels deep. Under each vertex
+    orbit's least vertex r, cut with its least neighbor on side A and the
+    earlier orbits kept out of the cut, one root per eligible orbit of
+    Stab(r) also cuts that orbit's least vertex and keeps the earlier
+    Stab(r)-orbits out of the cut; a last root keeps every vertex but r
+    out of it."""
     roots = []
     earlier: list[int] = []
     for orbit in grp.vertex_orbits():
         r = orbit[0]
-        roots.append(_Root(((r, CUT), (g.neighbors(r)[0], SIDE_A)), tuple(earlier)))
+        seeds = ((r, CUT), (g.neighbors(r)[0], SIDE_A))
+        masked = set(earlier)
+        for sub in orbits_under(g.n, grp.stabilizer_generators(r)):
+            s = sub[0]
+            if s == r:
+                continue
+            if s not in masked and s not in ball2[r]:
+                roots.append(_Root(seeds + ((s, CUT),), tuple(sorted(masked))))
+            masked.update(sub)
+        roots.append(_Root(seeds, tuple(sorted(masked))))
         earlier.extend(orbit)
     return roots
 
@@ -275,12 +302,15 @@ def search_star_cutsets(task: SearchTask) -> SearchResult:
         raise SearchError("star search applies to vertex cutsets")
     if Fraction(task.sigma) != 3:
         raise SearchError("star cutsets are defined at sigma = 3")
+    ball2 = _ball2(g)
     if isinstance(task.goal, CoverAllGoal):
         grp = automorphism_group(g)
-        roots = _orbit_roots(g, grp)
+        for p in grp.generators:
+            if not is_automorphism(g, p):
+                raise SearchError("a group generator does not map the edge set onto itself")
+        roots = _orbit_roots(g, grp, ball2)
     else:
         grp, roots = None, [_goal_root(task)]
-    ball2 = _ball2(g)
 
     stats = _fresh_stats()
     found: list[Cutset] = []
@@ -292,29 +322,30 @@ def search_star_cutsets(task: SearchTask) -> SearchResult:
         exhausted = exhausted and sub_exhausted
     stats["subtasks"] = len(prefixes)
 
-    family = {c.elements: c for c in found}
+    family = {c.elements for c in found}
     if grp is not None:
-        family, stats["orbits"] = _close_under(g, grp, family)
-    cutsets = tuple(sorted(family.values(), key=Cutset.key))
+        family, stats["orbits"] = _close_under(grp, family)
+    cutsets = tuple(Cutset.of_vertices(c) for c in sorted(family, key=sorted))
     return SearchResult(cutsets, exhausted, stats)
 
 
-def _close_under(
-    g: Graph, grp: PermutationGroup, family: dict[frozenset[int], Cutset]
-) -> tuple[dict[frozenset[int], Cutset], int]:
-    """Every image of the family under the group, after checking that each
-    generator is an automorphism of g; also how many orbits it falls into."""
-    for p in grp.generators:
-        if not is_automorphism(g, p):
-            raise SearchError("a group generator does not map the edge set onto itself")
-    closed: dict[frozenset[int], Cutset] = {}
+def _close_under(grp: PermutationGroup, family: set[frozenset[int]]) -> tuple[set[frozenset[int]], int]:
+    """Every image of the family under the group, by breadth-first search
+    over the generators; also how many orbits it falls into."""
+    closed: set[frozenset[int]] = set()
     orbits = 0
-    for elements in family:
-        if elements in closed:
+    for start in family:
+        if start in closed:
             continue
         orbits += 1
-        for image in orbit_of_vertex_set(grp, elements):
-            closed[image] = Cutset.of_vertices(image)
+        closed.add(start)
+        queue = [start]
+        for cur in queue:
+            for p in grp.generators:
+                image = apply_to_vertex_set(p, cur)
+                if image not in closed:
+                    closed.add(image)
+                    queue.append(image)
     return closed, orbits
 
 
@@ -330,13 +361,14 @@ def _replay(g: Graph, ball2, root: _Root, decisions, stats) -> _Coloring | None:
 
 def _emit_leaf(g: Graph, state: _Coloring, found: list[Cutset], stats: dict) -> None:
     stats["leaves"] += 1
-    cut = frozenset(v for v in g.vertices() if state.color[v] == CUT)
-    sides_ok = (
-        cut
-        and any(state.color[v] == SIDE_A for v in g.vertices())
-        and any(state.color[v] == SIDE_B for v in g.vertices())
-    )
-    if sides_ok:
+    cut = []
+    seen = 0
+    for v, color in enumerate(state.color):  # color[0] is padding, UNDECIDED
+        if color == CUT:
+            cut.append(v)
+        else:
+            seen |= color
+    if cut and seen == SIDE_A | SIDE_B:
         c = Cutset.of_vertices(cut)
         if is_star_cutset(g, c).ok:
             found.append(c)

@@ -15,8 +15,10 @@ from sepcert.aut import (
     automorphism_group,
     canonical_certificate,
     canonical_form,
+    compose,
     cycle_notation,
     identity,
+    is_automorphism,
     is_distance_transitive,
     orbit_of_vertex_set,
 )
@@ -82,6 +84,35 @@ def test_stabilizer_order_matches_element_count(name):
     elements = grp.elements()
     for v in range(1, grp.n + 1):
         assert grp.stabilizer_order(v) == sum(1 for p in elements if p[v - 1] == v)
+
+
+def _generated(n, gens):
+    """Every product of the generators, by breadth-first closure."""
+    seen = {identity(n)}
+    queue = list(seen)
+    for p in queue:
+        for q in gens:
+            pq = compose(q, p)
+            if pq not in seen:
+                seen.add(pq)
+                queue.append(pq)
+    return seen
+
+
+@pytest.mark.parametrize("name,r", [("petersen", 1), ("petersen", 7), ("heawood", 1), ("heawood", 14), ("f090a", 1)])
+def test_stabilizer_generators_generate_the_point_stabilizer(name, r):
+    g = named_graph(name)
+    grp = automorphism_group(g)
+    gens = grp.stabilizer_generators(r)
+    assert identity(g.n) not in gens and len(set(gens)) == len(gens)
+    for p in gens:
+        assert p[r - 1] == r
+        assert is_automorphism(g, p)
+    stab = _generated(g.n, gens)
+    assert len(stab) == grp.stabilizer_order(r)
+    assert stab == {p for p in grp.elements() if p[r - 1] == r}
+    if name == "f090a":
+        assert len(stab) == 48
 
 
 def test_transversals_fix_the_earlier_base_points(f090a_group):

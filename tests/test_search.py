@@ -58,10 +58,11 @@ def _random_cubic(n: int, seed: int) -> Graph:
 
 
 #: Connected random cubic graphs, with groups of order 1 to 32 and 3 to 14
-#: vertex orbits. The last three have star cutsets and a group of order
-#: at most 2.
+#: vertex orbits. (12, 27), (14, 10) and (14, 23) have star cutsets and a
+#: group of order at most 2; (12, 60) has four star cutsets, four vertex
+#: orbits and point stabilizers of order 4 and 8.
 RANDOM_CUBIC = [(n, seed) for n in (8, 10, 12, 14) for seed in range(4)]
-RANDOM_CUBIC += [(12, 27), (14, 10), (14, 23)]
+RANDOM_CUBIC += [(12, 27), (14, 10), (14, 23), (12, 60)]
 
 
 def test_random_cubic_groups_vary():
@@ -69,9 +70,12 @@ def test_random_cubic_groups_vary():
     for n, seed in RANDOM_CUBIC:
         g = _random_cubic(n, seed)
         grp = automorphism_group(g)
-        cases.append((grp.order, len(grp.vertex_orbits()), len(brute_star_cutsets(g))))
-    assert any(order == 1 and found for order, _, found in cases)
-    assert any(order > 1 and orbits > 1 and found for order, orbits, found in cases)
+        orbits = grp.vertex_orbits()
+        stab = max(grp.stabilizer_order(orb[0]) for orb in orbits)
+        cases.append((grp.order, len(orbits), stab, len(brute_star_cutsets(g))))
+    assert any(order == 1 and found for order, _, _, found in cases)
+    assert any(order > 1 and orbits > 1 and found for order, orbits, _, found in cases)
+    assert any(orbits > 1 and stab >= 4 and found >= 4 for _, orbits, stab, found in cases)
 
 
 @pytest.mark.parametrize("n,seed", RANDOM_CUBIC)
@@ -111,6 +115,22 @@ def test_f090a_census_in_the_bundled_labelling(f090a_census):
     assert len(f090a_census.cutsets) == F090A_STAR_CUTSETS
     assert _family_sha256(f090a_census.cutsets, range(1, 91)) == F090A_STAR_SHA256
     assert f090a_census.stats["orbits"] == 15
+
+
+def test_f090a_census_counters_in_the_bundled_labelling(f090a, f090a_census):
+    """Work counters of the two-level rooted search. They depend only on
+    the graph and its labelling, so a second run repeats them exactly."""
+    stats = f090a_census.stats
+    assert {k: stats[k] for k in ("nodes", "leaves", "rejected_at_emission", "subtasks", "orbits")} == {
+        "nodes": 7716,
+        "leaves": 762,
+        "rejected_at_emission": 53,
+        "subtasks": 64,
+        "orbits": 15,
+    }
+    again = search_star_cutsets(SearchTask(f090a, node_budget=10**18))
+    assert again.stats == stats
+    assert again.cutsets == f090a_census.cutsets
 
 
 def test_f090a_census_in_a_relabelling(f090a):
