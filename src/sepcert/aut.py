@@ -306,8 +306,9 @@ def _transversal(n: int, b: int, gens: Sequence[Permutation]) -> dict[int, Permu
     return reps
 
 
-def orbit_of_vertex_set(grp: PermutationGroup, s: Iterable[int]) -> tuple[frozenset[int], ...]:
-    """Closure of a vertex set under the group, canonically ordered."""
+def vertex_set_closure(grp: PermutationGroup, s: Iterable[int]) -> set[frozenset[int]]:
+    """Every image of a vertex set under the group, found by search over
+    the generators."""
     start = frozenset(s)
     seen = {start}
     queue = [start]
@@ -318,7 +319,12 @@ def orbit_of_vertex_set(grp: PermutationGroup, s: Iterable[int]) -> tuple[frozen
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    return tuple(sorted(seen, key=sorted))
+    return seen
+
+
+def orbit_of_vertex_set(grp: PermutationGroup, s: Iterable[int]) -> tuple[frozenset[int], ...]:
+    """Closure of a vertex set under the group, canonically ordered."""
+    return tuple(sorted(vertex_set_closure(grp, s), key=sorted))
 
 
 def is_distance_transitive(g: Graph, grp: PermutationGroup):

@@ -21,22 +21,25 @@ neighbors are never cut. A star cutset C meets some first orbit i, at a
 vertex u; an automorphism maps u to r, and the image of C still avoids
 orbits 1..i-1.
 
-The second level follows the orbits O_1, O_2, ... of the stabilizer
-Stab(r), in order of least vertex, with Schreier generators built from the
-generators of Aut(g) (``PermutationGroup.stabilizer_generators``). Sub-root
-j also cuts s_j = min O_j and keeps O_1..O_{j-1} out of the cut. An orbit
-that contains r, lies in the 2-ball of r, or was kept out of the cut by the
-first level gets no sub-root: no star cutset through r cuts it. A last
-sub-root keeps every vertex but r out of the cut, for C = {r}. Take a star
-cutset C' through r that avoids orbits 1..i-1 and has another vertex; let
-O_j be the first Stab(r)-orbit it meets, at w, and let h in Stab(r) map w
-to s_j. Then h(C') contains r and s_j, avoids O_1..O_{j-1} and still
-avoids orbits 1..i-1, so sub-root j finds it.
+The second level follows the orbits of the stabilizer Stab(r), with
+Schreier generators built from the generators of Aut(g)
+(``PermutationGroup.stabilizer_generators``). It takes only the orbits
+O_1, O_2, ... of two or more vertices that lie outside the 2-ball of r and
+outside orbits 1..i-1, in order of least vertex: a star cutset through r
+cuts nothing in the 2-ball or in those orbits, and a one-vertex orbit
+removes no symmetry. Sub-root j also cuts s_j = min O_j and keeps
+O_1..O_{j-1} out of the cut; a last sub-root keeps every O_j out of it.
+Take a star cutset C' through r that avoids orbits 1..i-1. If it meets no
+O_j, the last sub-root finds it. Otherwise let O_j be the first it meets,
+at w, and let h in Stab(r) map w to s_j. Then h(C') contains r and s_j,
+avoids O_1..O_{j-1} and still avoids orbits 1..i-1, so sub-root j finds it.
+When Stab(r) is trivial there is no O_j, and r is searched from one root,
+as at the first level alone.
 
 So closing the leaves under the group recovers every star cutset. The star
 conjunction is Aut-invariant, so every image of a validated leaf is a star
-cutset. With a trivial group every vertex is its own orbit at both levels,
-and each cutset is found once, from its two least vertices.
+cutset. With a trivial group every vertex is its own orbit, and each
+cutset is found once, from its least vertex.
 
 Work is split deterministically: the roots are expanded breadth-first into
 a fixed number of decision prefixes, each prefix is searched under its own
@@ -50,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .aut import PermutationGroup, apply_to_vertex_set, automorphism_group, is_automorphism, orbits_under
+from .aut import PermutationGroup, automorphism_group, is_automorphism, orbits_under, vertex_set_closure
 from .cutset import Cutset, NeighborOrdering, is_star_cutset, require_cubic
 from .errors import SearchError
 from .graph import Graph
@@ -112,6 +115,9 @@ class _Root:
 
     seeds: tuple[tuple[int, int], ...]
     not_cut: tuple[int, ...] = ()
+    #: Only ``not_cut[:upto]`` is kept out of the cut, so the roots under
+    #: one vertex can share a single ``not_cut`` tuple.
+    upto: int | None = None
 
 
 def _ball2(g: Graph) -> list[frozenset[int]]:
@@ -261,24 +267,28 @@ def _orbit_roots(g: Graph, grp: PermutationGroup, ball2) -> list[_Root]:
     """Roots for every star cutset, two levels deep. Under each vertex
     orbit's least vertex r, cut with its least neighbor on side A and the
     earlier orbits kept out of the cut, one root per eligible orbit of
-    Stab(r) also cuts that orbit's least vertex and keeps the earlier
-    Stab(r)-orbits out of the cut; a last root keeps every vertex but r
-    out of it."""
+    Stab(r) with two or more vertices also cuts that orbit's least vertex
+    and keeps the earlier such orbits out of the cut; a last root keeps
+    all of them out of it. The roots under r share one ``not_cut``."""
     roots = []
     earlier: list[int] = []
+    done: set[int] = set()
     for orbit in grp.vertex_orbits():
         r = orbit[0]
         seeds = ((r, CUT), (g.neighbors(r)[0], SIDE_A))
-        masked = set(earlier)
-        for sub in orbits_under(g.n, grp.stabilizer_generators(r)):
-            s = sub[0]
-            if s == r:
-                continue
-            if s not in masked and s not in ball2[r]:
-                roots.append(_Root(seeds + ((s, CUT),), tuple(sorted(masked))))
-            masked.update(sub)
-        roots.append(_Root(seeds, tuple(sorted(masked))))
+        subs = [
+            sub
+            for sub in orbits_under(g.n, grp.stabilizer_generators(r))
+            if len(sub) > 1 and sub[0] not in ball2[r] and sub[0] not in done
+        ]
+        not_cut = tuple(earlier) + tuple(v for sub in subs for v in sub)
+        upto = len(earlier)
+        for sub in subs:
+            roots.append(_Root(seeds + ((sub[0], CUT),), not_cut, upto))
+            upto += len(sub)
+        roots.append(_Root(seeds, not_cut))
         earlier.extend(orbit)
+        done.update(orbit)
     return roots
 
 
@@ -330,28 +340,20 @@ def search_star_cutsets(task: SearchTask) -> SearchResult:
 
 
 def _close_under(grp: PermutationGroup, family: set[frozenset[int]]) -> tuple[set[frozenset[int]], int]:
-    """Every image of the family under the group, by breadth-first search
-    over the generators; also how many orbits it falls into."""
+    """Every image of the family under the group; also how many orbits it
+    falls into."""
     closed: set[frozenset[int]] = set()
     orbits = 0
     for start in family:
-        if start in closed:
-            continue
-        orbits += 1
-        closed.add(start)
-        queue = [start]
-        for cur in queue:
-            for p in grp.generators:
-                image = apply_to_vertex_set(p, cur)
-                if image not in closed:
-                    closed.add(image)
-                    queue.append(image)
+        if start not in closed:
+            orbits += 1
+            closed |= vertex_set_closure(grp, start)
     return closed, orbits
 
 
 def _replay(g: Graph, ball2, root: _Root, decisions, stats) -> _Coloring | None:
     state = _Coloring(g, ball2, stats)
-    for v in root.not_cut:
+    for v in root.not_cut[: root.upto]:
         state.mask[v] &= _ALL ^ _BIT[CUT]
     for v, c in root.seeds + decisions:
         if not state.assign(v, c):

@@ -133,6 +133,30 @@ def test_f090a_census_counters_in_the_bundled_labelling(f090a, f090a_census):
     assert again.cutsets == f090a_census.cutsets
 
 
+def test_trivial_group_keeps_one_root_per_vertex():
+    """With trivial point stabilizers there is no second level: vertex r is
+    the one root under itself, with the vertices before it kept out of the
+    cut, and the counters are those of the one-level search."""
+    g = _random_cubic(60, 0)
+    grp = automorphism_group(g)
+    assert grp.order == 1
+    roots = search._orbit_roots(g, grp, search._ball2(g))
+    assert [(root.seeds[0], root.not_cut[: root.upto]) for root in roots] == [
+        ((r, search.CUT), tuple(range(1, r))) for r in g.vertices()
+    ]
+    result = search_star_cutsets(SearchTask(g, node_budget=10**18))
+    assert result.exhausted
+    assert len(result.cutsets) == 84
+    stats = result.stats
+    assert {k: stats[k] for k in ("nodes", "leaves", "rejected_at_emission", "subtasks", "orbits")} == {
+        "nodes": 2334,
+        "leaves": 92,
+        "rejected_at_emission": 8,
+        "subtasks": 64,
+        "orbits": 84,
+    }
+
+
 def test_f090a_census_in_a_relabelling(f090a):
     perm = list(range(1, f090a.n + 1))
     random.Random(2).shuffle(perm)
