@@ -9,12 +9,15 @@ list is built only on request. ``stabilizer_generators`` gives generators of
 the stabilizer of any point by Schreier's lemma, from the generators alone
 (Seress, *Permutation Group Algorithms*, ch. 4): with ``u_x`` mapping r to x,
 the elements ``u_{p(x)}^-1 p u_x`` over orbit points x and generators p
-generate Stab(r). ``canonical_form`` prunes its
+generate Stab(r). `PairOrbits` labels the orbits on ordered vertex pairs
+with them: the representative r of x's orbit and the least point of the
+Stab(r)-orbit of u_x^-1(y). ``canonical_form`` prunes its
 individualization-refinement tree with the same generators.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 from typing import Callable, Iterable, Sequence
 
@@ -116,17 +119,93 @@ class PermutationGroup:
             counts = pushed
         return counts.get(v, 0)
 
+    @cached_property
+    def pair_orbits(self) -> "PairOrbits":
+        """`PairOrbits` of the group, computed once."""
+        return pair_orbits(self.n, self.generators)
+
     def stabilizer_generators(self, r: int) -> tuple[Permutation, ...]:
         """Schreier generators of the stabilizer of r, deduplicated and
         without the identity. They come from the generators and their
         transversal for r only, never from the chain."""
         reps = _transversal(self.n, r, self.generators)
-        back = {x: inverse(u) for x, u in reps.items()}
-        schreier = dict.fromkeys(
-            compose(back[p[x - 1]], compose(p, u)) for x, u in reps.items() for p in self.generators
-        )
-        schreier.pop(identity(self.n), None)
-        return tuple(schreier)
+        return _schreier_generators(self.n, self.generators, reps, _inverses(reps))
+
+
+def _inverses(reps: dict[int, Permutation]) -> dict[int, Permutation]:
+    return {x: inverse(u) for x, u in reps.items()}
+
+
+def _schreier_generators(
+    n: int,
+    gens: Sequence[Permutation],
+    reps: dict[int, Permutation],
+    back: dict[int, Permutation],
+) -> tuple[Permutation, ...]:
+    """The elements u_{p(x)}^-1 p u_x over the transversal ``reps`` of r
+    (``back`` holds their inverses), deduplicated, identity dropped."""
+    schreier = dict.fromkeys(
+        compose(back[p[x - 1]], compose(p, u)) for x, u in reps.items() for p in gens
+    )
+    schreier.pop(identity(n), None)
+    return tuple(schreier)
+
+
+@dataclass(frozen=True)
+class PairOrbits:
+    """Orbits of a group on the vertices and on ordered vertex pairs.
+
+    Each vertex x has the least vertex r of its orbit as representative,
+    and ``to_rep[x-1]`` maps x to r: the inverse of the transversal element
+    u_x, or None when x is r. The orbit of the ordered pair (x, y) is
+    labelled by r and the least vertex of the Stab(r)-orbit of u_x^-1(y);
+    two pairs share an orbit exactly when they share a label. ``stab[r]``
+    gives that least vertex for every vertex, and is missing when Stab(r)
+    is trivial. Built from no generators, every vertex and every pair is
+    its own orbit."""
+
+    rep: tuple[int, ...]
+    to_rep: tuple[Permutation | None, ...]
+    stab: dict[int, tuple[int, ...]]
+
+    def reps(self) -> tuple[int, ...]:
+        """The representatives, in increasing order."""
+        return tuple(x for x, r in enumerate(self.rep, 1) if x == r)
+
+    def to_rep_image(self, x: int, y: int) -> int:
+        """u_x^-1(y): the image of y under the element taking x to its
+        representative."""
+        back = self.to_rep[x - 1]
+        return y if back is None else back[y - 1]
+
+    def label(self, x: int, y: int) -> tuple[int, int]:
+        r = self.rep[x - 1]
+        y = self.to_rep_image(x, y)
+        least = self.stab.get(r)
+        return r, y if least is None else least[y - 1]
+
+
+def pair_orbits(n: int, gens: Sequence[Permutation]) -> PairOrbits:
+    """`PairOrbits` of the group generated by ``gens`` on 1..n: one
+    transversal per vertex orbit, and the Stab(r)-orbits from the Schreier
+    generators of each representative r."""
+    rep = list(range(1, n + 1))
+    to_rep: list[Permutation | None] = [None] * n
+    stab: dict[int, tuple[int, ...]] = {}
+    if gens:
+        for orbit in orbits_under(n, gens):
+            r = orbit[0]
+            reps = _transversal(n, r, gens)
+            back = _inverses(reps)
+            for x in orbit:
+                rep[x - 1] = r
+                if x != r:
+                    to_rep[x - 1] = back[x]
+            schreier = _schreier_generators(n, gens, reps, back)
+            if schreier:
+                least = _orbit_labels(n, schreier, lambda p, x: p[x] - 1)
+                stab[r] = tuple(v + 1 for v in least)
+    return PairOrbits(tuple(rep), tuple(to_rep), stab)
 
 
 def orbits_under(n: int, gens: Iterable[Permutation]) -> tuple[tuple[int, ...], ...]:
@@ -332,12 +411,12 @@ def is_distance_transitive(g: Graph, grp: PermutationGroup):
     distance d. Returns (flag, witness): the witness names two unmatched
     pairs when the check fails.
 
-    Orbits on ordered pairs come from the generators alone, with no
-    element list. This is transitivity on pairs, which is strictly
-    stronger than the counting form of distance-regularity.
+    Orbits on ordered pairs are the `PairOrbits` labels, from the
+    generators alone, with no element list. This is transitivity on pairs,
+    which is strictly stronger than the counting form of
+    distance-regularity.
     """
-    n = g.n
-    label = _orbit_labels(n * n, grp.generators, lambda p, x: (p[x // n] - 1) * n + p[x % n] - 1)
+    orbits = grp.pair_orbits
     table = distances(g)
     pairs_by_d: dict = {}
     for u in g.vertices():
@@ -348,9 +427,9 @@ def is_distance_transitive(g: Graph, grp: PermutationGroup):
     for d in sorted(pairs_by_d, key=str):
         pairs = pairs_by_d[d]
         u0, v0 = pairs[0]
-        root = label[(u0 - 1) * n + v0 - 1]
+        root = orbits.label(u0, v0)
         for u, v in pairs:
-            if label[(u - 1) * n + v - 1] != root:
+            if orbits.label(u, v) != root:
                 return False, {"distance": d, "pair": (u, v), "unreachable_from": (u0, v0)}
     return True, None
 

@@ -4,6 +4,28 @@ Each certifier runs a fixed list of named checks and returns a Certificate
 whose overall verdict is their conjunction; failing checks carry concrete
 witnesses (the offending vertex, pair, or cutset) so a verdict can be
 replayed against the base predicates.
+
+A family may carry a group of automorphisms of its graph. Construction
+checks three preconditions on every generator p: p is an automorphism of
+the graph, p preserves the metric (each edge keeps its length), and p maps
+the member multiset onto itself. Then p maps the complement components of
+a member's cutset onto those of its image, and distances onto distances,
+so every fact stated in terms of components, distances and family
+membership holds at a member, vertex or vertex pair exactly when it holds
+at each of its images: the component count, sigma-separation, minimality,
+the star conjunction, which pairs a member separates, whether some member
+separates a pair, the same-side count of a vertex and two of its
+neighbours (it names the two neighbours, not their positions in an
+ordering), the classes a member induces at its elements, and, for weights
+constant on orbits, the class sums. The certifiers therefore decide each
+such fact once per orbit: at the first member of each member orbit, and at
+the least vertex r of each vertex orbit, where vertex pairs (r, y) are
+taken one per orbit of the stabilizer Stab(r) (`aut.PairOrbits`). Counts
+come from orbit sizes or are counted without deciding, and a failing
+orbit's witnesses are the first of its items in the order the unreduced
+check lists them, with their details computed for those items only.
+Without a group every member, vertex and pair is its own orbit, and the
+same code decides each of them.
 """
 from __future__ import annotations
 
@@ -11,21 +33,59 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 
-from .aut import PermutationGroup, automorphism_group, orbit_of_vertex_set
+from .aut import (
+    PairOrbits,
+    PermutationGroup,
+    automorphism_group,
+    cycle_notation,
+    is_automorphism,
+    orbit_of_vertex_set,
+    pair_orbits,
+)
 from .cutset import (
     Cutset,
     CutsetPartition,
     NeighborOrdering,
+    act_on_pair,
     canonical_partition,
     complement_labels,
+    image_elements,
+    is_discrete,
     is_proper,
     is_sigma_separated,
     is_star_cutset,
 )
 from .errors import CertifyError, SepcertError
-from .graph import Graph, Metric, bipartition, distances, edge_key, girth, is_connected
+from .graph import (
+    Graph,
+    Metric,
+    bipartition,
+    distances,
+    edge_key,
+    girth,
+    is_connected,
+    union_labels,
+)
 from .report import Certificate
+
+
+def _check_group(g: Graph, metric: Metric, grp: PermutationGroup, name: str) -> None:
+    """Every generator must be an automorphism of g that keeps each edge
+    length of the metric."""
+    if grp.n != g.n:
+        raise CertifyError(f"group degree {grp.n} != |{name}| = {g.n}")
+    for p in grp.generators:
+        if not is_automorphism(g, p):
+            raise CertifyError(f"generator {cycle_notation(p)} is not an automorphism of link {name!r}")
+        if metric.kind != "combinatorial" and any(
+            metric.edge_length(edge_key(p[u - 1], p[v - 1])) != metric.edge_length((u, v))
+            for u, v in g.edges()
+        ):
+            raise CertifyError(
+                f"generator {cycle_notation(p)} does not preserve the metric of link {name!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -33,6 +93,12 @@ class SeparatedFamily:
     """A named family of separated cutsets of one link with their
     partitions, validated on construction: every member must be a cutset
     and sigma-separated. Gluing structures tell their links apart by name.
+
+    With a ``group``, construction also checks that every generator is an
+    automorphism of the graph that preserves the metric and maps the member
+    multiset onto itself, and validates one member per orbit (see the
+    module docstring). ``orbit_of[i]`` is the index of the first member of
+    member i's orbit; without a group it is i.
 
     The family indexes its members by element once, on the first
     `pairs_at`; every later lookup, such as the class sums of each
@@ -44,6 +110,7 @@ class SeparatedFamily:
     members: tuple[CutsetPartition, ...]
     metric: Metric = None
     name: str = "link"
+    group: PermutationGroup | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", Fraction(self.sigma))
@@ -53,12 +120,16 @@ class SeparatedFamily:
         self.metric.validate_for(self.graph)
         if self.kind not in ("vertex", "edge"):
             raise CertifyError(f"unknown cutset kind {self.kind!r}")
-        for cp in self.members:
-            if cp.cutset.kind != self.kind:
-                raise CertifyError(
-                    f"member {cp.cutset.sorted_elements()} has kind "
-                    f"{cp.cutset.kind!r}, family is {self.kind!r}"
-                )
+        orbit_of = tuple(range(len(self.members)))
+        if self.group is not None:
+            for cp in self.members:
+                self._check_kind(cp)
+                cp.cutset.validate_for(self.graph)
+            orbit_of = self._member_orbits()
+        object.__setattr__(self, "orbit_of", orbit_of)
+        for i in self.representatives():
+            cp = self.members[i]
+            self._check_kind(cp)
             cp.validate_for(self.graph)
             if complement_labels(self.graph, cp.cutset)[1] < 2:
                 raise CertifyError(
@@ -71,6 +142,77 @@ class SeparatedFamily:
                     f"{self.sigma}-separated: {sep.witness}"
                 )
 
+    def _check_kind(self, cp: CutsetPartition) -> None:
+        if cp.cutset.kind != self.kind:
+            raise CertifyError(
+                f"member {cp.cutset.sorted_elements()} has kind "
+                f"{cp.cutset.kind!r}, family is {self.kind!r}"
+            )
+
+    def _member_orbits(self) -> tuple[int, ...]:
+        """Check the group's generators against the graph, the metric and
+        the member multiset, and label each member by its orbit."""
+        _check_group(self.graph, self.metric, self.group, self.name)
+        keys = self._keys
+        times = Counter(keys)
+        repeated = len(times) < len(keys)
+
+        def images():
+            for i in range(len(keys)):
+                for p in self.group.generators:
+                    j = self.image(p, i)
+                    if repeated and times[keys[j]] != times[keys[i]]:
+                        raise CertifyError(
+                            f"family of link {self.name!r} is not closed under its group: "
+                            f"image {self.members[j].cutset.sorted_elements()} has another multiplicity"
+                        )
+                    yield i, j
+
+        return tuple(union_labels(len(keys), images()))
+
+    @cached_property
+    def _keys(self) -> list[tuple]:
+        # (elements, partition key) tells pairs apart as pair_key does,
+        # without sorting the cutset
+        return [(cp.cutset.elements, cp.partition.key()) for cp in self.members]
+
+    @cached_property
+    def _index(self) -> dict[tuple, int]:
+        return {key: i for i, key in enumerate(self._keys)}
+
+    def image(self, perm, i: int) -> int:
+        """The index of a member equal to the image of member i under the
+        automorphism perm. Only the cutset of a member with one component
+        per block is moved: its partition keeps its key."""
+        cp = self.members[i]
+        if is_discrete(cp.partition):
+            key = (image_elements(self.kind, perm, cp.cutset.elements), self._keys[i][1])
+        else:
+            cp.validate_for(self.graph)  # act_on_pair needs a valid partition
+            img = act_on_pair(self.graph, perm, cp)
+            key = (img.cutset.elements, img.partition.key())
+        j = self._index.get(key)
+        if j is None:
+            raise CertifyError(
+                f"family of link {self.name!r} is not closed under its group: "
+                f"image {tuple(sorted(key[0]))} missing"
+            )
+        return j
+
+    def representatives(self) -> list[int]:
+        """The first member of each orbit, as indices in member order."""
+        return [i for i, o in enumerate(self.orbit_of) if i == o]
+
+    def members_of_failed(self, failed) -> list[int]:
+        """Indices, in member order, of the members whose orbit is in
+        ``failed`` (a set of orbit labels)."""
+        return [i for i, o in enumerate(self.orbit_of) if o in failed]
+
+    @cached_property
+    def symmetry(self) -> PairOrbits:
+        """Orbits of the family's group on vertices and vertex pairs."""
+        return self.group.pair_orbits if self.group else pair_orbits(self.graph.n, ())
+
     @classmethod
     def from_cutsets(
         cls,
@@ -80,14 +222,38 @@ class SeparatedFamily:
         kind: str = "vertex",
         metric: Metric | None = None,
         name: str = "link",
+        group: PermutationGroup | None = None,
     ) -> "SeparatedFamily":
-        """Family with the canonical (one block per component) partitions."""
+        """Family with the canonical (one block per component) partitions.
+        With a group, each component count is found once for the cutsets
+        that the generators carry into each other, since automorphisms keep
+        it."""
+        cuts = [
+            c if isinstance(c, Cutset) else Cutset.of_vertices(c) if kind == "vertex" else Cutset.of_edges(c)
+            for c in cutsets
+        ]
+        first = range(len(cuts))
+        if group is not None:
+            _check_group(g, metric or Metric.combinatorial(), group, name)
+            for c in cuts:
+                c.validate_for(g)
+            at = {c.elements: i for i, c in enumerate(cuts)}
+            first = union_labels(
+                len(cuts),
+                (
+                    (i, at[img])
+                    for i, c in enumerate(cuts)
+                    for p in group.generators
+                    if (img := image_elements(c.kind, p, c.elements)) in at
+                ),
+            )
+        partition = {}
         members = []
-        for c in cutsets:
-            if not isinstance(c, Cutset):
-                c = Cutset.of_vertices(c) if kind == "vertex" else Cutset.of_edges(c)
-            members.append(CutsetPartition(c, canonical_partition(g, c)))
-        return cls(g, Fraction(sigma), kind, tuple(members), metric, name)
+        for c, o in zip(cuts, first):
+            if o not in partition:
+                partition[o] = canonical_partition(g, cuts[o])
+            members.append(CutsetPartition(c, partition[o]))
+        return cls(g, Fraction(sigma), kind, tuple(members), metric, name, group)
 
     @cached_property
     def _members_at(self) -> dict[object, tuple[CutsetPartition, ...]]:
@@ -119,20 +285,24 @@ def _require_shape(g: Graph, what: str) -> None:
         raise CertifyError(f"{what} requires no degree-1 vertices; vertex {bad} fails")
 
 
-def _member_labels(g: Graph, fam: SeparatedFamily) -> list:
-    return [complement_labels(g, cp.cutset)[0] for cp in fam.members]
-
-
 def _separated_by(labels, u: int, v: int) -> bool:
     lu, lv = labels[u - 1], labels[v - 1]
     return lu is not None and lv is not None and lu != lv
+
+
+def _splits(g: Graph, cps, u: int, v: int) -> bool:
+    """Does some member among cps separate u and v?"""
+    return any(_separated_by(complement_labels(g, cp.cutset)[0], u, v) for cp in cps)
 
 
 def certify_vertex_separated(g: Graph, n: int, fam: SeparatedFamily) -> Certificate:
     """Whole-graph vertex n-separation from a family of n-separated cutsets:
     girth at least 2n, the members cover the vertices, each has at least two
     elements, every pair of neighbors of every vertex is split by a member,
-    and every vertex pair at distance >= n is split by a member."""
+    and every vertex pair at distance >= n is split by a member.
+
+    Member facts are decided once per member orbit, and the pair facts at
+    the vertex-orbit representatives (see the module docstring)."""
     _require_shape(g, "vertex separation certificate")
     if fam.kind != "vertex":
         raise CertifyError("vertex certification needs a vertex-kind family")
@@ -142,20 +312,18 @@ def certify_vertex_separated(g: Graph, n: int, fam: SeparatedFamily) -> Certific
     if n < 2:
         raise CertifyError("separation order must be at least 2")
     cert = Certificate(f"vertex-{n}-separated")
+    reps = fam.representatives()
 
-    bad_valid = [
-        cp.cutset.sorted_elements()
-        for cp in fam.members
-        if complement_labels(g, cp.cutset)[1] < 2
-    ]
+    failed = {i for i in reps if complement_labels(g, fam.members[i].cutset)[1] < 2}
+    bad_valid = [fam.members[i].cutset.sorted_elements() for i in fam.members_of_failed(failed)]
     cert.add("members-valid", not bad_valid, {"members": len(fam.members), "violations": bad_valid[:8]})
 
+    failed = {i for i in reps if not is_sigma_separated(g, fam.metric, fam.members[i].cutset, Fraction(n)).ok}
     bad_sep = []
-    for cp in fam.members:
-        sep = is_sigma_separated(g, fam.metric, cp.cutset, Fraction(n))
-        if not sep.ok:
-            bad_sep.append({"cutset": cp.cutset.sorted_elements(), **sep.witness})
-    cert.add("members-separated", not bad_sep, {"sigma": Fraction(n), "violations": bad_sep[:8]})
+    for i in fam.members_of_failed(failed)[:8]:
+        c = fam.members[i].cutset
+        bad_sep.append({"cutset": c.sorted_elements(), **is_sigma_separated(g, fam.metric, c, Fraction(n)).witness})
+    cert.add("members-separated", not bad_sep, {"sigma": Fraction(n), "violations": bad_sep})
 
     girth_val = girth(g)
     cert.add("girth", girth_val >= 2 * n, {"girth": girth_val, "required": 2 * n})
@@ -171,16 +339,24 @@ def certify_vertex_separated(g: Graph, n: int, fam: SeparatedFamily) -> Certific
     small = [cp.cutset.sorted_elements() for cp in fam.members if len(cp.cutset) < 2]
     cert.add("member-size", not small, {"violations": small[:8]})
 
-    labels = _member_labels(g, fam)
+    # A member splits two neighbors of r only if it contains r: otherwise
+    # the path through r joins them.
+    sym = fam.symmetry
+    unsplit_at = {
+        r: {
+            frozenset((a, b))
+            for a, b in combinations(g.neighbors(r), 2)
+            if not _splits(g, fam.pairs_at(r), a, b)
+        }
+        for r in sym.reps()
+    }
+    pair_count = sum(g.degree(v) * (g.degree(v) - 1) // 2 for v in g.vertices())
     unsplit = []
-    pair_count = 0
-    for v in g.vertices():
-        nbrs = g.neighbors(v)
-        for a in range(len(nbrs)):
-            for b in range(a + 1, len(nbrs)):
-                pair_count += 1
-                w, w2 = nbrs[a], nbrs[b]
-                if not any(_separated_by(lab, w, w2) for lab in labels):
+    if any(unsplit_at.values()):
+        for v in g.vertices():
+            bad = unsplit_at[sym.rep[v - 1]]
+            for w, w2 in combinations(g.neighbors(v), 2):
+                if frozenset((sym.to_rep_image(v, w), sym.to_rep_image(v, w2))) in bad:
                     unsplit.append((v, w, w2))
     cert.add(
         "neighbor-pairs-split",
@@ -189,21 +365,19 @@ def certify_vertex_separated(g: Graph, n: int, fam: SeparatedFamily) -> Certific
     )
 
     table = distances(g)
-    remaining = [
+    distant = [
         (u, v)
         for u in g.vertices()
         for v in g.vertices()
         if u < v and table.get(u, v) >= n
     ]
-    total = len(remaining)
-    for lab in labels:
-        if not remaining:
-            break
-        remaining = [(u, v) for u, v in remaining if not _separated_by(lab, u, v)]
+    labels = [sym.label(u, v) for u, v in distant]
+    unsplit_labels = {lab for lab in set(labels) if not _splits(g, fam.members, *lab)}
+    remaining = [p for p, lab in zip(distant, labels) if lab in unsplit_labels]
     cert.add(
         "distant-pairs-split",
         not remaining,
-        {"pairs": total, "violations": remaining[:8]},
+        {"pairs": len(distant), "violations": remaining[:8]},
     )
     return cert
 
@@ -272,6 +446,25 @@ def split_pattern(g: Graph, ordering: NeighborOrdering, labels, v: int):
     return None
 
 
+_SLOTS = ((1, 2), (1, 3), (2, 3))
+
+
+def _split_counts_at(g: Graph, ordering: NeighborOrdering, v: int, counted) -> tuple[list, list]:
+    """Same-side counts of v's three slots over ``counted``, the cutsets
+    containing v with their multiplicities: once per distinct cutset, and
+    with multiplicity."""
+    once, many = [0, 0, 0], [0, 0, 0]
+    for c, times in counted.items():
+        pat = split_pattern(g, ordering, complement_labels(g, c)[0], v)
+        if pat is None:
+            continue
+        for k, ij in enumerate(_SLOTS):
+            if pat == "one-sided" or pat == ij:
+                once[k] += 1
+                many[k] += times
+    return once, many
+
+
 def star_split_counts(
     g: Graph,
     cutsets,
@@ -280,20 +473,19 @@ def star_split_counts(
     """For every vertex v and neighbor-pair positions i<j, how many cutsets
     contain v with w_i(v), w_j(v) in one component: counted once per
     distinct cutset, and with multiplicity over the cutsets as given. Each
-    distinct cutset is classified once."""
+    distinct cutset is labelled once."""
     ordering = ordering or NeighborOrdering.ascending(g)
     ordering.validate_for(g)
-    set_counts = {(v, i, j): 0 for v in g.vertices() for i, j in ((1, 2), (1, 3), (2, 3))}
-    multi_counts = dict(set_counts)
+    at: dict[int, dict] = {v: {} for v in g.vertices()}
     for c, times in Counter(cutsets).items():
-        labels, _ = complement_labels(g, c)
-        for v in c.sorted_elements():
-            pat = split_pattern(g, ordering, labels, v)
-            if pat is None:
-                continue
-            for ij in ((1, 2), (1, 3), (2, 3)) if pat == "one-sided" else (pat,):
-                set_counts[(v, *ij)] += 1
-                multi_counts[(v, *ij)] += times
+        for v in c.elements:
+            at[v][c] = times
+    set_counts, multi_counts = {}, {}
+    for v in g.vertices():
+        once, many = _split_counts_at(g, ordering, v, at[v])
+        for k, (i, j) in enumerate(_SLOTS):
+            set_counts[(v, i, j)] = once[k]
+            multi_counts[(v, i, j)] = many[k]
     return set_counts, multi_counts
 
 
@@ -310,7 +502,10 @@ def certify_star_separated(
 
     The constant is computed on the set of distinct cutsets; the counts with
     multiplicity over the family as given are reported alongside, and the
-    check fails loudly when the two disagree about constancy."""
+    check fails loudly when the two disagree about constancy. The star
+    clause is decided once per member orbit, and the counts at the
+    vertex-orbit representatives: the count of a slot names two neighbors,
+    so every vertex has the counts of its representative."""
     cert = Certificate("star-separated")
     parts = bipartition(g)
     trivalent = all(g.degree(v) == 3 for v in g.vertices())
@@ -329,29 +524,40 @@ def certify_star_separated(
     if fam.kind != "vertex" or fam.graph != g:
         raise CertifyError("star certification needs a vertex-kind family on this graph")
 
-    bad_star = []
-    for c in {cp.cutset for cp in fam.members}:
-        verdict = is_star_cutset(g, c)
-        if not verdict.ok:
-            bad_star.append({"cutset": c.sorted_elements(), **verdict.witness})
-    bad_star.sort(key=lambda w: w["cutset"])
+    verdicts = {}
+    failed = set()
+    for i in fam.representatives():
+        c = fam.members[i].cutset
+        if c not in verdicts:
+            verdicts[c] = is_star_cutset(g, c)
+        if not verdicts[c].ok:
+            failed.add(i)
+    bad = sorted({fam.members[i].cutset for i in fam.members_of_failed(failed)}, key=Cutset.sorted_elements)
+    bad_star = [
+        {"cutset": c.sorted_elements(), **(verdicts.get(c) or is_star_cutset(g, c)).witness}
+        for c in bad[:8]
+    ]
     cert.add(
         "members-star",
         not bad_star,
-        {"members": len(fam.members), "violations": bad_star[:8]},
+        {"members": len(fam.members), "violations": bad_star},
     )
 
     cert.add("vertex-3-separated", certify_vertex_separated(g, 3, fam))
 
-    distinct = fam.distinct_cutsets()
-    set_counts, multi_counts = star_split_counts(g, [cp.cutset for cp in fam.members], ordering)
-    set_values = sorted(set(set_counts.values()))
-    multi_values = sorted(set(multi_counts.values()))
+    ordering = ordering or NeighborOrdering.ascending(g)
+    ordering.validate_for(g)
+    set_values, multi_values = set(), set()
+    for r in fam.symmetry.reps():
+        once, many = _split_counts_at(g, ordering, r, Counter(cp.cutset for cp in fam.pairs_at(r)))
+        set_values.update(once)
+        multi_values.update(many)
+    set_values, multi_values = sorted(set_values), sorted(multi_values)
     set_constant = len(set_values) == 1 and set_values[0] >= 1
     multi_constant = len(multi_values) == 1 and multi_values[0] >= 1
     witness = {
-        "slots": len(set_counts),
-        "distinct_cutsets": len(distinct),
+        "slots": len(_SLOTS) * g.n,
+        "distinct_cutsets": len(fam.distinct_cutsets()),
         "set_values": set_values[:8],
         "multiset_values": multi_values[:8],
         "constant": set_values[0] if set_constant else None,
@@ -368,15 +574,14 @@ def certify_star_separated(
 
 def _triangle_family(
     g: Graph,
-    group: PermutationGroup | None,
     node_budget: int,
     ordering: NeighborOrdering | None,
-) -> tuple[SeparatedFamily, PermutationGroup, dict]:
+) -> tuple[SeparatedFamily, dict]:
     """Bootstrap a star-cutset family: search a neighbor-split goal at
-    vertex 1, close the first finds under the automorphism group."""
+    vertex 1, close the first find under the automorphism group, which the
+    family keeps."""
     from .search import NeighborSplitGoal, SearchTask, search_star_cutsets
 
-    grp = group or automorphism_group(g)
     res = search_star_cutsets(
         SearchTask(
             g,
@@ -389,22 +594,22 @@ def _triangle_family(
         raise CertifyError(
             "no star cutsets found within the search budget; supply a family"
         )
+    grp = automorphism_group(g)
     seed = res.cutsets[0].elements
     closure = orbit_of_vertex_set(grp, seed)
-    fam = SeparatedFamily.from_cutsets(g, 3, closure)
+    fam = SeparatedFamily.from_cutsets(g, 3, closure, group=grp)
     info = {
         "searched_nodes": res.stats["nodes"],
         "search_exhausted": res.exhausted,
         "seed": tuple(sorted(seed)),
         "orbit_size": len(closure),
     }
-    return fam, grp, info
+    return fam, info
 
 
 def certify_triangle_link(
     g: Graph,
     fam: SeparatedFamily | None = None,
-    group: PermutationGroup | None = None,
     ordering: NeighborOrdering | None = None,
     node_budget: int = 5000,
     star: Certificate | None = None,
@@ -415,7 +620,8 @@ def certify_triangle_link(
     pi/3), star-separation, partitions covering every separation, and the
     all-ones weights solving the gluing equations on the fully symmetric
     self-gluing. ``star`` is the ``certify_star_separated`` certificate of
-    ``fam`` under ``ordering``, when the caller has already computed it."""
+    ``fam`` under ``ordering``, when the caller has already computed it.
+    Facts are decided once per orbit of the family's group, if it has one."""
     from .gluing import GluingStructure, WeightAssignment, verify_gluing
 
     cert = Certificate("triangle-link")
@@ -429,7 +635,7 @@ def certify_triangle_link(
     bootstrap = None
     if fam is None:
         try:
-            fam, group, bootstrap = _triangle_family(g, group, node_budget, ordering)
+            fam, bootstrap = _triangle_family(g, node_budget, ordering)
         except SepcertError as err:
             cert.add("star-separated", False, {"error": str(err)})
             return cert
@@ -438,27 +644,36 @@ def certify_triangle_link(
         star = certify_star_separated(g, fam, ordering)
     cert.add("star-separated", star, {"family-bootstrap": bootstrap} if bootstrap else None)
 
-    uncovered = []
     by_cutset: dict = {}
     for cp in fam.members:
         by_cutset.setdefault(cp.cutset, []).append(cp.partition)
-    for c, partitions in sorted(by_cutset.items(), key=lambda kv: kv[0].key()):
+
+    def uncovered(c: Cutset) -> list:
         _, count = complement_labels(g, c)
-        for a in range(count):
-            for b in range(a + 1, count):
-                if not any(p.block_of(a) != p.block_of(b) for p in partitions):
-                    uncovered.append({"cutset": c.sorted_elements(), "components": (a, b)})
+        return [
+            {"cutset": c.sorted_elements(), "components": (a, b)}
+            for a, b in combinations(range(count), 2)
+            if not any(p.block_of(a) != p.block_of(b) for p in by_cutset[c])
+        ]
+
+    failed = {i for i in fam.representatives() if uncovered(fam.members[i].cutset)}
+    bad = {fam.members[i].cutset for i in fam.members_of_failed(failed)}
+    violations = []
+    for c in sorted(bad, key=Cutset.key):
+        if len(violations) >= 8:
+            break
+        violations.extend(uncovered(c))
     cert.add(
         "partitions-cover-separations",
-        not uncovered,
+        not violations,
         {
             "cutsets": len(by_cutset),
-            "violations": uncovered[:8],
+            "violations": violations[:8],
             "justification": "canonical partitions keep components in distinct blocks",
         },
     )
 
-    structure = GluingStructure.homogeneous(fam, group)
+    structure = GluingStructure.homogeneous(fam)
     cert.add("gluing-all-ones", verify_gluing(structure, WeightAssignment.all_ones(structure)))
 
     if cert.ok:

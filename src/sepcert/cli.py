@@ -257,7 +257,6 @@ def _load_structure(path: str) -> GluingStructure:
         return str(q if q.is_absolute() else base / q)
 
     instances: dict[str, SeparatedFamily] = {}
-    groups: dict[str, object] = {}
     for spec in doc["links"]:
         if not (
             isinstance(spec, dict)
@@ -273,8 +272,8 @@ def _load_structure(path: str) -> GluingStructure:
         sigma = parse_rational(str(spec.get("sigma", "3")))
         cutsets = parse_family(_read(resolve(spec["family"])))
         kind = cutsets[0].kind if cutsets else "vertex"
-        instances[name] = SeparatedFamily.from_cutsets(g, sigma, cutsets, kind, metric, name)
-        groups[name] = automorphism_group(g) if spec.get("group") else None
+        group = automorphism_group(g) if spec.get("group") else None
+        instances[name] = SeparatedFamily.from_cutsets(g, sigma, cutsets, kind, metric, name, group)
 
     if "homogeneous" in doc:
         if "germs" in doc:
@@ -282,7 +281,7 @@ def _load_structure(path: str) -> GluingStructure:
         name = doc["homogeneous"]
         if not isinstance(name, str) or name not in instances:
             raise _UsageError(f"homogeneous link {name!r} is not declared")
-        return GluingStructure.homogeneous(instances[name], groups[name])
+        return GluingStructure.homogeneous(instances[name])
 
     def int_pair(raw) -> bool:
         return isinstance(raw, list) and len(raw) == 2 and all(type(v) is int for v in raw)
@@ -318,10 +317,7 @@ def _load_structure(path: str) -> GluingStructure:
             germs.append(EdgeGerm.identity(start, end, ea))
     if not germs:
         raise _UsageError('structure file needs "germs" or "homogeneous"')
-    want_groups = any(grp is not None for grp in groups.values())
-    return GluingStructure(
-        tuple(instances.values()), tuple(germs), tuple(groups.values()) if want_groups else None
-    )
+    return GluingStructure(tuple(instances.values()), tuple(germs))
 
 
 def _orbit_ids(structure: GluingStructure):

@@ -230,6 +230,38 @@ def induced_partition(g: Graph, cp: CutsetPartition, keys: Mapping[int, object])
     return frozenset(frozenset(b) for b in grouped.values())
 
 
+def image_elements(kind: str, perm: tuple[int, ...], elements) -> frozenset:
+    """Image of a cutset's elements under a vertex permutation."""
+    if kind == "vertex":
+        return frozenset([perm[v - 1] for v in elements])
+    return frozenset([edge_key(perm[u - 1], perm[v - 1]) for u, v in elements])
+
+
+def is_discrete(p: Partition) -> bool:
+    """Is every block of p a single component? A graph automorphism maps
+    such a partition to one of the image with the same `Partition.key`."""
+    return all(len(b) == 1 for b in p.blocks)
+
+
+def act_on_pair(g: Graph, perm: tuple[int, ...], cp: CutsetPartition) -> CutsetPartition:
+    """Image of a (cutset, partition) pair under a graph automorphism; the
+    partition's component indices are rebased to the image components."""
+    c = cp.cutset
+    c2 = Cutset(c.kind, image_elements(c.kind, perm, c.elements))
+    labels2, _ = complement_labels(g, c2)
+    image_label = []
+    for p in component_points(g, c):
+        if isinstance(p, int):
+            image_label.append(labels2[perm[p - 1] - 1])
+        else:  # a midpoint: locate its image edge's midpoint label
+            e2 = edge_key(perm[p[0] - 1], perm[p[1] - 1])
+            image_label.append(labels2[point_node(g, e2) - 1])
+    blocks = sorted(
+        (frozenset(image_label[i] for i in blk) for blk in cp.partition.blocks), key=sorted
+    )
+    return CutsetPartition(c2, Partition(tuple(blocks)))
+
+
 def components_of_complement(g: Graph, c: Cutset) -> tuple[tuple, ...]:
     """Components of the cut-open graph, canonically ordered.
 

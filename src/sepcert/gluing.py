@@ -7,7 +7,7 @@ link with an element of another, together with a bijection of the local
 directions around them. A weight assignment gives every pair a strictly
 positive integer; it verifies when equivalence-class sums balance across
 every germ and across the elements of every cutset, and (when link
-automorphism groups are supplied) when weights are constant on orbits.
+families carry automorphism groups) when weights are constant on orbits.
 
 The solver works per orbit, on the integer balance rows B with one unknown
 per orbit. It tries all-ones first. Otherwise one exact phase-one simplex
@@ -24,16 +24,11 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
 
-from .aut import Permutation, PermutationGroup, _orbit_labels
 from .certify import SeparatedFamily
 from .cutset import (
-    Cutset,
     CutsetPartition,
-    Partition,
     complement_labels,
-    component_points,
     induced_partition,
-    point_node,
 )
 from .errors import GluingError
 from .graph import Graph, edge_key
@@ -59,19 +54,6 @@ def pair_key(cp: CutsetPartition) -> tuple:
     return (cp.cutset.key(), cp.partition.key())
 
 
-def induced_star_partition(li: SeparatedFamily, cp: CutsetPartition, x) -> frozenset:
-    """Partition of the directions at x induced by cp's block structure:
-    each direction joins the block of the component it enters."""
-    kind = cp.cutset.kind
-    if kind == "edge" and isinstance(x, tuple):
-        x = edge_key(*x)
-    if x not in cp.cutset:
-        raise GluingError(f"element {x!r} is not in the cutset")
-    directions = directions_at(li.graph, kind, x)
-    _require_components(cp, x, directions)
-    return induced_partition(li.graph, cp, {d: d for d in directions})
-
-
 def _require_components(cp: CutsetPartition, x, directions) -> None:
     """Every direction at a cut vertex x must enter a component."""
     if cp.cutset.kind == "vertex":
@@ -84,10 +66,11 @@ def _require_components(cp: CutsetPartition, x, directions) -> None:
 
 
 def _classes_at(li: SeparatedFamily, x) -> dict[CutsetPartition, frozenset]:
-    """The class at x (the `induced_star_partition`) of each pair of li
-    whose cutset contains x. The class is computed once for all pairs with
-    equal partitions whose components the directions enter alike, and
-    equal classes share one object."""
+    """The class at x of each pair of li whose cutset contains x: the
+    partition of the directions at x that the pair induces, each direction
+    joining the block of the component it enters. The class is computed
+    once for all pairs with equal partitions whose components the
+    directions enter alike, and equal classes share one object."""
     g = li.graph
     directions = directions_at(g, li.kind, x)
     by_entered: dict[tuple, frozenset] = {}
@@ -158,14 +141,13 @@ class EdgeGerm:
 
 @dataclass(frozen=True)
 class GluingStructure:
-    """Named link families glued along germs, with an optional link
-    automorphism group per family. The structure computes the orbits of
-    each family's pairs, and each element's classes, once, for every check
-    and solve made on it."""
+    """Named link families glued along germs; each family may carry its
+    link automorphism group. The structure computes the orbits of each
+    family's pairs, and each element's classes, once, for every check and
+    solve made on it."""
 
     instances: tuple[SeparatedFamily, ...]
     germs: tuple[EdgeGerm, ...]
-    groups: tuple[PermutationGroup | None, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "instances", tuple(self.instances))
@@ -186,29 +168,14 @@ class GluingStructure:
         for germ in self.germs:
             if id(germ.start) not in by_id or id(germ.end) not in by_id:
                 raise GluingError("germ references a link not in the structure")
-        if self.groups is not None:
-            object.__setattr__(self, "groups", tuple(self.groups))
-            if len(self.groups) != len(self.instances):
-                raise GluingError("one group (or None) per link instance required")
-            for li, grp in zip(self.instances, self.groups):
-                if grp is not None and grp.n != li.graph.n:
-                    raise GluingError(f"group degree {grp.n} != |{li.name}| = {li.graph.n}")
 
     @classmethod
-    def homogeneous(
-        cls, li: SeparatedFamily, group: PermutationGroup | None = None
-    ) -> "GluingStructure":
+    def homogeneous(cls, li: SeparatedFamily) -> "GluingStructure":
         """Self-gluing of one link along every element with identity germs:
         the fully symmetric quotient of a complex all of whose links look
         alike."""
         elements = li.graph.vertices() if li.kind == "vertex" else li.graph.edges()
-        germs = tuple(EdgeGerm.identity(li, li, x) for x in elements)
-        return cls((li,), germs, (group,) if group is not None else None)
-
-    def group_of(self, li: SeparatedFamily) -> PermutationGroup | None:
-        if self.groups is None:
-            return None
-        return self.groups[self.instances.index(li)]
+        return cls((li,), tuple(EdgeGerm.identity(li, li, x) for x in elements))
 
     @cached_property
     def _orbits(self) -> dict[str, tuple]:
@@ -219,9 +186,14 @@ class GluingStructure:
         return {}
 
     def orbits(self, li: SeparatedFamily) -> tuple[tuple[CutsetPartition, ...], ...]:
-        """`orbits_of_pairs` of li under its group."""
+        """The orbits of li's pairs under its group (one per pair without a
+        group), each sorted by `pair_key`, in order of their first pairs."""
         if li.name not in self._orbits:
-            self._orbits[li.name] = orbits_of_pairs(li, self.group_of(li))
+            buckets: dict[int, list[CutsetPartition]] = {}
+            for cp, o in zip(li.members, li.orbit_of):
+                buckets.setdefault(o, []).append(cp)
+            orbits = [tuple(sorted(ms, key=pair_key)) for ms in buckets.values()]
+            self._orbits[li.name] = tuple(sorted(orbits, key=lambda ms: pair_key(ms[0])))
         return self._orbits[li.name]
 
     def classes_at(self, li: SeparatedFamily, x) -> dict[CutsetPartition, frozenset]:
@@ -230,32 +202,6 @@ class GluingStructure:
         if key not in self._classes:
             self._classes[key] = _classes_at(li, x)
         return self._classes[key]
-
-
-def act_on_pair(
-    g: Graph, perm: Permutation, cp: CutsetPartition, points: tuple | None = None
-) -> CutsetPartition:
-    """Image of a (cutset, partition) pair under a graph automorphism; the
-    partition's component indices are rebased to the image components.
-    ``points`` are the `component_points` of cp's cutset, for a caller that
-    maps one pair by many automorphisms."""
-    c = cp.cutset
-    if c.kind == "vertex":
-        c2 = Cutset.of_vertices([perm[v - 1] for v in c.elements])
-    else:
-        c2 = Cutset.of_edges([edge_key(perm[u - 1], perm[v - 1]) for u, v in c.elements])
-    labels2, _ = complement_labels(g, c2)
-    image_label = []
-    for p in points or component_points(g, c):
-        if isinstance(p, int):
-            image_label.append(labels2[perm[p - 1] - 1])
-        else:  # a midpoint: locate its image edge's midpoint label
-            e2 = edge_key(perm[p[0] - 1], perm[p[1] - 1])
-            image_label.append(labels2[point_node(g, e2) - 1])
-    blocks = sorted(
-        (frozenset(image_label[i] for i in blk) for blk in cp.partition.blocks), key=sorted
-    )
-    return CutsetPartition(c2, Partition(tuple(blocks)))
 
 
 @dataclass(frozen=True)
@@ -282,44 +228,31 @@ class WeightAssignment:
             ) from None
 
 
-def orbits_of_pairs(
-    li: SeparatedFamily, grp: PermutationGroup | None
-) -> tuple[tuple[CutsetPartition, ...], ...]:
-    """Orbits of the instance's pairs under a link automorphism group
-    (singletons when no group is given), deterministically ordered."""
-    if grp is None:
-        return tuple((cp,) for cp in sorted(li.members, key=pair_key))
-    # (cutset, partition key) tells pairs apart as pair_key does, without
-    # sorting the cutset; each member's component points are found once
-    index = {(cp.cutset, cp.partition.key()): i for i, cp in enumerate(li.members)}
-    points = [component_points(li.graph, cp.cutset) for cp in li.members]
-
-    def image(gen, i: int) -> int:
-        img = act_on_pair(li.graph, gen, li.members[i], points[i])
-        k = (img.cutset, img.partition.key())
-        if k not in index:
-            raise GluingError(
-                f"family of link {li.name!r} is not closed under its group: "
-                f"image {img.cutset.sorted_elements()} missing"
-            )
-        return index[k]
-
-    label = _orbit_labels(len(li.members), grp.generators, image)
-    buckets: dict[int, list[CutsetPartition]] = {}
-    for i, cp in enumerate(li.members):
-        buckets.setdefault(label[i], []).append(cp)
-    orbits = [tuple(sorted(ms, key=pair_key)) for ms in buckets.values()]
-    return tuple(sorted(orbits, key=lambda ms: pair_key(ms[0])))
+def _is_identity_self_germ(germ: EdgeGerm) -> bool:
+    return (
+        germ.start is germ.end
+        and germ.element_a == germ.element_b
+        and all(a == b for a, b in germ.bijection)
+    )
 
 
 def verify_gluing(structure: GluingStructure, w: WeightAssignment) -> Certificate:
     """Check a weight assignment exactly: positivity, orbit-constancy when
-    groups are supplied, class-sum balance across every germ in both
+    a family carries a group, class-sum balance across every germ in both
     directions, and class-sum balance across the elements of every cutset.
 
     Each pair's weight is looked up once. The pairs at an element come from
     its family's element index, and their classes and the orbits come from
-    the structure, which computes them once for all checks and solves."""
+    the structure, which computes them once for all checks and solves.
+
+    An identity germ of a link onto itself matches every class at its
+    element with itself, so its equations hold for any weights and are
+    only counted, from the classes at the element's representative. When
+    a vertex-kind family's weights are constant on its orbits, the
+    cross-element equations are decided once per member orbit, and the
+    class sums at an element x are read at x's representative r, moved
+    there by the element taking x to r; otherwise every member is decided
+    with the class sums at every element."""
     cert = Certificate("gluing")
     weight = {li.name: {cp: w.get(li, cp) for cp in li.members} for li in structure.instances}
     bad_positive = []
@@ -334,15 +267,19 @@ def verify_gluing(structure: GluingStructure, w: WeightAssignment) -> Certificat
         {"pairs": sum(len(li.members) for li in structure.instances), "violations": bad_positive[:8]},
     )
 
-    if structure.groups is not None and any(g is not None for g in structure.groups):
+    invariant = set()  # names of the families whose weights are constant on orbits
+    if any(li.group is not None for li in structure.instances):
         bad_orbit = []
         orbit_count = 0
         for li in structure.instances:
+            before = len(bad_orbit)
             for orbit in structure.orbits(li):
                 orbit_count += 1
                 vals = {weight[li.name][cp] for cp in orbit}
                 if len(vals) > 1:
                     bad_orbit.append((li.name, pair_key(orbit[0]), sorted(vals)))
+            if li.group is not None and len(bad_orbit) == before:
+                invariant.add(li.name)
         cert.add(
             "weights-invariant",
             not bad_orbit,
@@ -370,6 +307,12 @@ def verify_gluing(structure: GluingStructure, w: WeightAssignment) -> Certificat
     edge_eqs = 0
     edge_bad = []
     for gi, germ in enumerate(structure.germs):
+        if _is_identity_self_germ(germ):
+            li, x = germ.start, germ.element_a
+            if li.kind == "vertex":
+                x = li.symmetry.rep[x - 1]
+            edge_eqs += 2 * len(set(structure.classes_at(li, x).values()))
+            continue
         for direction, (src, dst) in enumerate(
             ((germ, germ.reversed()), (germ.reversed(), germ))
         ):
@@ -393,23 +336,37 @@ def verify_gluing(structure: GluingStructure, w: WeightAssignment) -> Certificat
     cross_eqs = 0
     cross_bad = []
     for li in structure.instances:
-        for cp in li.members:
-            first, *rest = cp.cutset.sorted_elements()
-            sums, class_of = class_sums(li, first)
-            base = sums[class_of[cp]]
-            for x in rest:
-                cross_eqs += 1
-                sums, class_of = class_sums(li, x)
-                val = sums[class_of[cp]]
-                if val != base and len(cross_bad) < 8:
-                    cross_bad.append(
-                        {
-                            "link": li.name,
-                            "cutset": cp.cutset.sorted_elements(),
-                            "elements": (first, x),
-                            "sums": (base, val),
-                        }
-                    )
+        cross_eqs += sum(len(cp.cutset) - 1 for cp in li.members)
+        reduce = li.name in invariant and li.kind == "vertex"
+        orbit_of = li.orbit_of if reduce else range(len(li.members))
+
+        def value(i: int, x) -> int:
+            """The class sum at x of member i's class there."""
+            if reduce and (r := li.symmetry.rep[x - 1]) != x:
+                i, x = li.image(li.symmetry.to_rep[x - 1], i), r
+            sums, class_of = class_sums(li, x)
+            return sums[class_of[li.members[i]]]
+
+        def unequal(i: int) -> list[tuple]:
+            """(first, x, base, val) for each element x of member i whose
+            class sum val differs from the sum base at its first element."""
+            first, *rest = li.members[i].cutset.sorted_elements()
+            base = value(i, first)
+            return [(first, x, base, val) for x in rest if (val := value(i, x)) != base]
+
+        failed = {i for i, o in enumerate(orbit_of) if i == o and unequal(i)}
+        for i in (i for i, o in enumerate(orbit_of) if o in failed):
+            for first, x, base, val in unequal(i)[: 8 - len(cross_bad)]:
+                cross_bad.append(
+                    {
+                        "link": li.name,
+                        "cutset": li.members[i].cutset.sorted_elements(),
+                        "elements": (first, x),
+                        "sums": (base, val),
+                    }
+                )
+            if len(cross_bad) == 8:
+                break
     cert.add(
         "cross-edge-balance", not cross_bad, {"equations": cross_eqs, "violations": cross_bad}
     )

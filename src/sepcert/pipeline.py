@@ -145,16 +145,20 @@ def _split_stage(report: RunReport, g, seeds) -> bool:
     return ok
 
 
-def _closure_stage(report: RunReport, g, grp, seeds):
+def _closure_stage(report: RunReport, g, grp, seeds) -> SeparatedFamily | None:
+    """The orbit closure of the seeds as one family that keeps the group.
+    One closure is taken per distinct seed orbit, and each member fact is
+    decided at the first member of each member orbit."""
     cert = report.new_certificate("orbit-closure")
     orbits = {}
-    closure: dict[frozenset, None] = {}
+    found: list[set] = []
     for k, c in enumerate(seeds, start=1):
-        orb = orbit_of_vertex_set(grp, c)
+        orb = next((o for o in found if c in o), None)
+        if orb is None:
+            orb = set(orbit_of_vertex_set(grp, c))
+            found.append(orb)
         orbits[f"c{k}"] = len(orb)
-        for image in orb:
-            closure.setdefault(image)
-    members = tuple(sorted(closure, key=sorted))
+    members = tuple(sorted(set().union(*found), key=sorted))
     cert.add("closure", True, {"per_seed_orbit": orbits, "distinct": len(members)})
     covered = set().union(*members) if members else set()
     cert.add(
@@ -163,29 +167,35 @@ def _closure_stage(report: RunReport, g, grp, seeds):
         {"covered": len(covered), "vertices": g.n},
     )
     metric = Metric.combinatorial()
-    bad_comp, bad_sep, bad_min = [], [], []
     with Stopwatch() as sw:
-        for m in members:
-            cut = Cutset.of_vertices(m)
+        fam = SeparatedFamily.from_cutsets(g, 3, members, group=grp)
+        bad_comp, bad_sep, bad_min = set(), set(), set()
+        for i in fam.representatives():
+            cut = fam.members[i].cutset
             if complement_labels(g, cut)[1] != 2:
-                bad_comp.append(cut.sorted_elements())
+                bad_comp.add(i)
             if not is_sigma_separated(g, metric, cut, 3).ok:
-                bad_sep.append(cut.sorted_elements())
+                bad_sep.add(i)
             if not is_minimal_cutset(g, cut).ok:
-                bad_min.append(cut.sorted_elements())
+                bad_min.add(i)
+
+    def violations(failed) -> list:
+        return [fam.members[i].cutset.sorted_elements() for i in fam.members_of_failed(failed)[:8]]
+
     cert.add(
         "members-two-components",
         not bad_comp,
-        {"members": len(members), "violations": bad_comp[:8]},
+        {"members": len(members), "violations": violations(bad_comp)},
         sw.millis,
     )
-    cert.add("members-3-separated", not bad_sep, {"violations": bad_sep[:8]})
-    cert.add("members-minimal", not bad_min, {"violating_members": len(bad_min)})
-    usable = not bad_comp and not bad_sep
-    return members if usable else None
+    cert.add("members-3-separated", not bad_sep, {"violations": violations(bad_sep)})
+    cert.add(
+        "members-minimal", not bad_min, {"violating_members": len(fam.members_of_failed(bad_min))}
+    )
+    return None if bad_comp or bad_sep else fam
 
 
-def _pairs_stage(report: RunReport, g, members) -> bool:
+def _pairs_stage(report: RunReport, g, fam: SeparatedFamily) -> bool:
     cert = report.new_certificate("pair-separations")
     table = distances(g)
     all_ok = True
@@ -193,12 +203,11 @@ def _pairs_stage(report: RunReport, g, members) -> bool:
         got = table.get(x, y)
         cert.add(f"p{d}-distance", got == d, {"pair": (x, y), "got": got})
         found = None
-        for m in members:
-            cut = Cutset.of_vertices(m)
-            labels, _ = complement_labels(g, cut)
+        for cp in fam.members:
+            labels, _ = complement_labels(g, cp.cutset)
             lx, ly = labels[x - 1], labels[y - 1]
             if lx is not None and ly is not None and lx != ly:
-                found = cut.sorted_elements()
+                found = cp.cutset.sorted_elements()
                 break
         cert.add(f"p{d}-separated", found is not None, {"pair": (x, y), "by": found})
         all_ok = all_ok and got == d and found is not None
@@ -241,19 +250,18 @@ def run_f090a(skip_aut: bool = False, seed_cutsets: Iterable[frozenset] | None =
     if skip_aut:
         return finish()
 
-    members = _closure_stage(report, g, grp, seeds)
-    if members is None:
+    fam = _closure_stage(report, g, grp, seeds)
+    if fam is None:
         return finish("orbit-closure")
 
-    fam = SeparatedFamily.from_cutsets(g, 3, members)
     with Stopwatch() as sw:
         star = certify_star_separated(g, fam)
     report.certificates.append(star)
     report.stats["millis_star_separated"] = sw.millis
 
-    _pairs_stage(report, g, members)
+    _pairs_stage(report, g, fam)
 
     with Stopwatch() as sw:
-        report.certificates.append(certify_triangle_link(g, fam, group=grp, star=star))
+        report.certificates.append(certify_triangle_link(g, fam, star=star))
     report.stats["millis_triangle_link"] = sw.millis
     return finish()

@@ -211,3 +211,38 @@ def brute_split_counts(g: Graph, cutsets) -> dict[tuple[int, int, int], int]:
                 for i, j in same:
                     counts[(v, i, j)] += 1
     return counts
+
+
+def distance_transitivity(g: Graph, generators) -> tuple[bool, dict | None]:
+    """Transitivity on the ordered pairs at each distance, from orbits of
+    all n² ordered pairs found by union-find over every generator. Returns
+    (flag, witness) as ``aut.is_distance_transitive`` does: the first pair,
+    per distance in string order, that lies outside the orbit of the first
+    pair at that distance."""
+    n = g.n
+    parent = list(range(n * n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for p in generators:
+        for u in range(n):
+            for v in range(n):
+                a, b = find(u * n + v), find((p[u] - 1) * n + p[v] - 1)
+                if a != b:
+                    parent[max(a, b)] = min(a, b)
+    dist = dict(nx.all_pairs_shortest_path_length(nx_graph(g)))
+    pairs_by_d: dict = {}
+    for u in g.vertices():
+        for v in g.vertices():
+            if u != v:
+                pairs_by_d.setdefault(dist[u].get(v, math.inf), []).append((u, v))
+    for d in sorted(pairs_by_d, key=str):
+        (u0, v0), *rest = pairs_by_d[d]
+        for u, v in rest:
+            if find((u - 1) * n + v - 1) != find((u0 - 1) * n + v0 - 1):
+                return False, {"distance": d, "pair": (u, v), "unreachable_from": (u0, v0)}
+    return True, None

@@ -10,7 +10,7 @@ import pytest
 from sympy.combinatorics import Permutation as SympyPermutation
 from sympy.combinatorics import PermutationGroup as SympyGroup
 
-from _oracles import brute_automorphisms, natural_order_aut_count
+from _oracles import brute_automorphisms, distance_transitivity, natural_order_aut_count
 from sepcert.aut import (
     automorphism_group,
     canonical_certificate,
@@ -22,9 +22,10 @@ from sepcert.aut import (
     is_distance_transitive,
     orbit_of_vertex_set,
 )
-from sepcert.datasets import named_graph
+from sepcert.datasets import builtin_names, named_graph
 from sepcert.errors import GroupError
 from sepcert.graph import Graph
+from test_search import RANDOM_CUBIC, _random_cubic
 
 
 def _sympy_order(grp):
@@ -144,6 +145,31 @@ def test_distance_transitivity(name, expected):
     assert flag is expected
     if not flag:
         assert witness["pair"]
+
+
+def _disjoint_cycles() -> Graph:
+    """C5 and C6 side by side: no automorphism maps a pair at distance 2
+    in the C5 to one in the C6, and the unreachable pairs (at distance
+    inf) are one orbit."""
+    return Graph(11, [(i, i % 5 + 1) for i in range(1, 6)] + [(i, (i - 5) % 6 + 6) for i in range(6, 12)])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [named_graph(name) for name in builtin_names()]
+    + [_random_cubic(n, seed) for n, seed in RANDOM_CUBIC]
+    + [_disjoint_cycles()],
+)
+def test_distance_transitivity_matches_the_pair_union_find(g):
+    grp = automorphism_group(g)
+    assert is_distance_transitive(g, grp) == distance_transitivity(g, grp.generators)
+
+
+def test_distance_transitivity_witness_names_the_first_unmatched_pair():
+    g = _disjoint_cycles()
+    flag, witness = is_distance_transitive(g, automorphism_group(g))
+    assert not flag
+    assert witness == {"distance": 1, "pair": (6, 7), "unreachable_from": (1, 2)}
 
 
 def test_cycle_notation():

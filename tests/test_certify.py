@@ -4,6 +4,7 @@ graphs end to end."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,10 +19,13 @@ from sepcert.certify import (
     split_pattern,
     star_split_counts,
 )
-from sepcert.cutset import Cutset, NeighborOrdering, complement_labels
+from sepcert.aut import PermutationGroup, automorphism_group, orbit_of_vertex_set
+from sepcert.cutset import Cutset, CutsetPartition, NeighborOrdering, Partition, complement_labels
 from sepcert.datasets import named_graph
 from sepcert.errors import CertifyError, CutsetError
+from sepcert.gluing import GluingStructure, WeightAssignment, verify_gluing
 from sepcert.graph import Graph, Metric
+from sepcert.report import dumps
 
 
 @pytest.fixture(scope="module")
@@ -206,3 +210,155 @@ def test_triangle_link_heawood_fails_star_stage():
     assert cert.check("link-girth-six").ok
     assert not cert.check("star-separated").ok
     assert not cert.ok
+
+
+# ------------------------------------------------------ up to symmetry --
+
+
+def _docs(cert, drop=()):
+    """Each check of a certificate as report JSON, leaving out the named
+    checks of its gluing sub-certificate."""
+    out = []
+    for c in cert.checks:
+        doc = c.doc()
+        if c.name == "gluing-all-ones":
+            doc["witness"]["checks"] = {k: v for k, v in doc["witness"]["checks"].items() if k not in drop}
+        if c.name not in drop:
+            out.append((c.name, dumps(doc)))
+    return out
+
+
+def _certify_alike_with_and_without_the_group(g, fam):
+    """Vertex and star separation, the all-ones gluing and the triangle
+    link of fam agree check by check with those of the same members
+    without a group; weights-invariant is the one check only the group
+    adds. Returns the certificates made with the group."""
+    got = []
+    for f in (fam, replace(fam, group=None)):
+        star = certify_star_separated(g, f)
+        structure = GluingStructure.homogeneous(f)
+        got.append(
+            (
+                certify_vertex_separated(g, 3, f),
+                star,
+                verify_gluing(structure, WeightAssignment.all_ones(structure)),
+                certify_triangle_link(g, f, star=star),
+            )
+        )
+    reduced, plain = got
+    assert "weights-invariant" in [c.name for c in reduced[2].checks]
+    assert "weights-invariant" not in [c.name for c in plain[2].checks]
+    for a, b in zip(reduced, plain):
+        assert _docs(a, drop={"weights-invariant"}) == _docs(b)
+    return reduced
+
+
+def test_every_census_orbit_certifies_the_triangle_link_with_its_group(f090a, f090a_group, census_orbits):
+    assert len(census_orbits) == 15
+    for orbit in census_orbits:
+        fam = SeparatedFamily.from_cutsets(f090a, 3, orbit, group=f090a_group)
+        assert fam.representatives() == [0]
+        cert = certify_triangle_link(f090a, fam)
+        assert cert.ok, [c.name for c in cert.checks if not c.ok]
+        assert cert.check("conclusion").witness["family_size"] == len(orbit)
+
+
+@pytest.mark.parametrize("size", [180, 216, 540])
+def test_census_orbits_certify_alike_with_and_without_the_group(f090a, f090a_group, census_orbits, size):
+    orbits = [orbit for orbit in census_orbits if len(orbit) == size]
+    assert orbits
+    for orbit in orbits:
+        fam = SeparatedFamily.from_cutsets(f090a, 3, orbit, group=f090a_group)
+        assert _certify_alike_with_and_without_the_group(f090a, fam)[3].ok
+
+
+def test_seed_closure_certifies_alike_with_and_without_the_group(f090a, symmetric_closure_family):
+    _, star, gluing, link = _certify_alike_with_and_without_the_group(f090a, symmetric_closure_family)
+    # the bundled seeds are not minimal, and the all-ones weights fail
+    assert not star.check("members-star").ok
+    assert not gluing.check("cross-edge-balance").ok
+    assert gluing.check("cross-edge-balance").witness["equations"] == 14400
+    assert not link.ok
+
+
+def test_failing_certificates_agree_with_and_without_a_cyclic_group(f090a, f090a_group, census_orbits):
+    # the orbit of one census cutset under one generator of Aut(F090A):
+    # a small family, with many vertex orbits, whose counts vary and whose
+    # neighbour and distant pairs are not all split
+    cyclic = PermutationGroup(f090a.n, f090a_group.generators[:1], (), ())
+    orbit = orbit_of_vertex_set(cyclic, census_orbits[0][0])
+    fam = SeparatedFamily.from_cutsets(f090a, 3, orbit, group=cyclic)
+    assert 1 < len(fam.symmetry.reps()) < f090a.n
+    _, star, _, link = _certify_alike_with_and_without_the_group(f090a, fam)
+    split = star.check("split-counts-constant").witness
+    assert len(split["set_values"]) > 1
+    vertex = certify_vertex_separated(f090a, 3, fam)
+    assert not vertex.check("neighbor-pairs-split").ok
+    assert not vertex.check("distant-pairs-split").ok
+    assert not link.ok
+
+
+def test_hexagonal_prism_counts_differ_between_slots_of_one_vertex():
+    # one vertex orbit, but the stabilizer of a vertex fixes its rung
+    # neighbour, so the three slots at the representative count 0, 1, 1
+    outer = [(i, i % 6 + 1) for i in range(1, 7)]
+    g = Graph(12, outer + [(u + 6, v + 6) for u, v in outer] + [(i, i + 6) for i in range(1, 7)])
+    grp = automorphism_group(g)
+    fam = SeparatedFamily.from_cutsets(g, 2, orbit_of_vertex_set(grp, {1, 3, 8, 10}), group=grp)
+    assert fam.symmetry.reps() == (1,)
+    _, star, _, _ = _certify_alike_with_and_without_the_group(g, fam)
+    assert star.check("split-counts-constant").witness["set_values"] == [0, 1]
+
+
+def test_c8_family_under_a_half_turn_fails_alike_with_and_without_it():
+    c8 = named_graph("c8")
+    half_turn = PermutationGroup(8, ((5, 6, 7, 8, 1, 2, 3, 4),), (), ())
+    fam = SeparatedFamily.from_cutsets(c8, 2, [Cutset.of_vertices((1, 5))], group=half_turn)
+    got = [certify_vertex_separated(c8, 2, f) for f in (fam, replace(fam, group=None))]
+    assert dumps(got[0].doc()) == dumps(got[1].doc())
+    # 6 and its neighbours 5, 7 are decided at 2 with 1, 3
+    assert (6, 5, 7) in got[0].check("neighbor-pairs-split").witness["violations"]
+    assert not got[0].check("distant-pairs-split").ok
+
+
+def test_family_with_a_group_validates_partitions_before_moving_them(q3):
+    # two blocks, one naming a component that N(1) does not leave
+    bad = CutsetPartition(Cutset.of_vertices(q3.neighbors(1)), Partition((frozenset({0, 5}), frozenset({1}))))
+    with pytest.raises(CutsetError):
+        SeparatedFamily(q3, 2, "vertex", (bad,), group=automorphism_group(q3))
+
+
+def test_family_missing_one_orbit_member_is_refused(f090a, f090a_group, closure_family):
+    short = closure_family.members[:100] + closure_family.members[101:]
+    with pytest.raises(CertifyError, match="not closed under its group: image"):
+        SeparatedFamily(f090a, 3, "vertex", short, group=f090a_group)
+
+
+def test_family_with_one_member_repeated_is_refused(q3, q3_neighborhood_family):
+    members = q3_neighborhood_family.members
+    with pytest.raises(CertifyError, match="another multiplicity"):
+        SeparatedFamily(q3, 2, "vertex", members + members[:1], group=automorphism_group(q3))
+    doubled = SeparatedFamily(q3, 2, "vertex", members + members, group=automorphism_group(q3))
+    assert sorted(len(doubled.members_of_failed({o})) for o in set(doubled.orbit_of)) == [16]
+
+
+def test_family_refuses_a_generator_that_is_not_an_automorphism(q3, q3_neighborhood_family):
+    swap = (2, 1, *range(3, 9))  # 1 and 2 are adjacent with different neighbourhoods
+    bogus = PermutationGroup(8, (swap,), (), ())
+    with pytest.raises(CertifyError, match="not an automorphism"):
+        replace(q3_neighborhood_family, group=bogus)
+    with pytest.raises(CertifyError, match="group degree"):
+        replace(q3_neighborhood_family, group=automorphism_group(named_graph("c6")))
+
+
+def test_family_refuses_a_group_that_moves_the_metric():
+    c6 = named_graph("c6")
+    lengths = {e: Fraction(1, 3) for e in c6.edges()}
+    lengths[(1, 2)] = Fraction(2, 3)
+    metric = Metric.angular(lengths)
+    diameters = [Cutset.of_vertices(c) for c in [(1, 4), (2, 5), (3, 6)]]
+    fam = SeparatedFamily.from_cutsets(c6, Fraction(1, 3), diameters, metric=metric)
+    with pytest.raises(CertifyError, match="does not preserve the metric"):
+        replace(fam, group=automorphism_group(c6))
+    with pytest.raises(CertifyError, match="does not preserve the metric"):
+        SeparatedFamily.from_cutsets(c6, Fraction(1, 3), diameters, metric=metric, group=automorphism_group(c6))

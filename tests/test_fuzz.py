@@ -165,3 +165,37 @@ def test_gluing_solve_answers_are_checkable(structure_dir, doc):
         weights.write_text(stdout.getvalue())
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["gluing", "verify", str(path), "--weights", str(weights)]) == 0
+
+
+_WEIGHT_TOKENS = st.sampled_from(
+    ["L:0", "L:0", "L:1", "M:0", "L", ":0", "1", "2", "0", "-1", "1.5", "x", "99999999999999999999", "#", "L:0 1"]
+)
+# The structure has one orbit, L:0, so a third of the files are that one
+# line with an integer weight, around comments and blank lines, and reach
+# the checks; the rest are token soup and arbitrary text.
+_WEIGHTS = st.one_of(
+    st.builds(
+        "{}L:0 {}{}\n".format,
+        st.sampled_from(["", "# weights\n", "\n"]),
+        st.integers(-2, 3),
+        st.sampled_from(["", "  # one orbit", " "]),
+    ),
+    st.lists(st.lists(_WEIGHT_TOKENS, max_size=3).map(" ".join), max_size=4).map("\n".join),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+)
+
+
+@given(_WEIGHTS)
+@settings(max_examples=100)
+def test_gluing_verify_weights_files_exit_cleanly(tmp_path_factory, text):
+    """``gluing verify --weights`` on the homogeneous C6 structure, whose
+    family carries its group: any weights file ends in exit 0 or 1, or in
+    exit 2 with an ``error:`` line."""
+    weights = tmp_path_factory.mktemp("weights") / "weights.txt"
+    weights.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        status = main(["gluing", "verify", str(INPUTS / "c6-homogeneous.json"), "--weights", str(weights)])
+    assert status in (0, 1, 2)
+    if status == 2:
+        assert err.getvalue().startswith("error:")

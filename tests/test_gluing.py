@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from _oracles import set_orbits
 from sepcert.aut import automorphism_group
 from sepcert.certify import SeparatedFamily
-from sepcert.cutset import Cutset
+from sepcert.cutset import Cutset, CutsetPartition, Partition, act_on_pair
 from sepcert.datasets import named_graph
 from sepcert.errors import CertifyError, GluingError
 from sepcert.gluing import (
@@ -23,15 +23,13 @@ from sepcert.gluing import (
     GluingStructure,
     WeightAssignment,
     _positive_kernel,
-    act_on_pair,
     directions_at,
-    induced_star_partition,
-    orbits_of_pairs,
     pair_key,
     solve_gluing,
     verify_gluing,
 )
 from sepcert.graph import Graph
+from sepcert.report import dumps
 
 
 def link_of(name, graph_name, sigma, vertex_cutsets):
@@ -41,11 +39,21 @@ def link_of(name, graph_name, sigma, vertex_cutsets):
     )
 
 
+def symmetric(li):
+    """The family li with the automorphism group of its graph."""
+    return replace(li, group=automorphism_group(li.graph))
+
+
+def class_at(li, cp, x):
+    """The partition of the directions at x that cp induces."""
+    return GluingStructure((li,), ()).classes_at(li, x)[cp]
+
+
 def germ_matches(germ, a, b):
     """Do a (at the germ's start element) and b (at its end element) induce
     matching direction partitions under the germ bijection?"""
-    pa = induced_star_partition(germ.start, a, germ.element_a)
-    return germ.forward(pa) == induced_star_partition(germ.end, b, germ.element_b)
+    pa = class_at(germ.start, a, germ.element_a)
+    return germ.forward(pa) == class_at(germ.end, b, germ.element_b)
 
 
 @pytest.fixture(scope="module")
@@ -104,11 +112,12 @@ def test_pairs_at_index_matches_a_scan_on_edge_families():
     assert fam.pairs_at(1) == _scanned_pairs_at(fam, 1) == ()
 
 
-def test_orbits_of_the_seed_closure_match_all_group_elements(closure_family, f090a_group):
+def test_orbits_of_the_seed_closure_match_all_group_elements(symmetric_closure_family, f090a_group):
     perms = f090a_group.elements()
     assert len(perms) == 4320
-    oracle = set_orbits(perms, (cp.cutset.elements for cp in closure_family.members))
-    got = orbits_of_pairs(closure_family, f090a_group)
+    fam = symmetric_closure_family
+    oracle = set_orbits(perms, (cp.cutset.elements for cp in fam.members))
+    got = GluingStructure.homogeneous(fam).orbits(fam)
     assert {frozenset(cp.cutset.elements for cp in orbit) for orbit in got} == oracle
     assert sorted(len(orbit) for orbit in got) == [720]
 
@@ -124,9 +133,7 @@ def test_directions_at():
 def test_induced_star_partition(c6_diameters):
     li = c6_diameters
     cp = li.pairs_at(1)[0]
-    assert induced_star_partition(li, cp, 1) == frozenset({frozenset({2}), frozenset({6})})
-    with pytest.raises(GluingError):
-        induced_star_partition(li, cp, 2)
+    assert class_at(li, cp, 1) == frozenset({frozenset({2}), frozenset({6})})
 
 
 # ---------------------------------------------------------------- germs --
@@ -160,7 +167,7 @@ def test_equivalence_classes_group_by_direction_partition():
     # two cutsets through vertex 1 of C8 inducing the same split of {2, 8}
     li = link_of("L", "c8", 2, [(1, 5), (1, 4, 6)])
     a, b = li.pairs_at(1)
-    assert induced_star_partition(li, a, 1) == induced_star_partition(li, b, 1)
+    assert class_at(li, a, 1) == class_at(li, b, 1)
     assert len(li.pairs_at(4)) == 1
 
 
@@ -182,20 +189,19 @@ def test_structure_rejects_foreign_germs(c6_diameters):
 def test_homogeneous_structure_has_one_germ_per_element(c6_diameters):
     s = GluingStructure.homogeneous(c6_diameters)
     assert len(s.germs) == 6
-    assert s.group_of(c6_diameters) is None
 
 
 # ---------------------------------------------------------- group orbits --
 
 
 def test_orbits_without_group_are_singletons(c6_diameters):
-    orbits = orbits_of_pairs(c6_diameters, None)
+    orbits = GluingStructure.homogeneous(c6_diameters).orbits(c6_diameters)
     assert len(orbits) == 3 and all(len(o) == 1 for o in orbits)
 
 
 def test_orbits_under_full_symmetry(c6_diameters):
-    grp = automorphism_group(named_graph("c6"))
-    orbits = orbits_of_pairs(c6_diameters, grp)
+    li = symmetric(c6_diameters)
+    orbits = GluingStructure.homogeneous(li).orbits(li)
     assert len(orbits) == 1 and len(orbits[0]) == 3
 
 
@@ -208,16 +214,40 @@ def test_act_on_pair_rotates_cutsets(c6_diameters):
 
 def test_orbits_require_closed_family():
     li = link_of("L", "c6", 3, [(1, 4)])  # orbit of (1,4) also holds (2,5)
-    grp = automorphism_group(named_graph("c6"))
-    with pytest.raises(GluingError):
-        orbits_of_pairs(li, grp)
+    with pytest.raises(CertifyError, match="not closed under its group: image"):
+        symmetric(li)
+
+
+def test_coarse_partitions_verify_alike_with_and_without_the_group():
+    # {1, 3, 5} and {2, 4, 6} leave three components each; the six pairs
+    # with a two-block partition are one orbit, whose images need their
+    # components relabelled
+    g = named_graph("c6")
+    coarse = [((0, 1), (2,)), ((0,), (1, 2)), ((0, 2), (1,))]
+    members = [
+        CutsetPartition(Cutset.of_vertices(c), Partition(tuple(frozenset(b) for b in p)))
+        for c in [(1, 3, 5), (2, 4, 6)]
+        for p in coarse
+    ]
+    fam = SeparatedFamily(g, 2, "vertex", members, name="L", group=automorphism_group(g))
+    assert fam.representatives() == [0]
+    certs = []
+    for li in (fam, replace(fam, group=None)):
+        s = GluingStructure.homogeneous(li)
+        uneven = WeightAssignment({("L", pair_key(cp)): i + 1 for i, cp in enumerate(li.members)})
+        certs.append([verify_gluing(s, w) for w in (WeightAssignment.all_ones(s), uneven)])
+    for reduced, plain in zip(*certs):
+        docs = [dumps(c.doc()) for c in reduced.checks if c.name != "weights-invariant"]
+        assert docs == [dumps(c.doc()) for c in plain.checks]
+        assert not reduced.check("cross-edge-balance").ok
+    assert [c.check("weights-invariant").ok for c in certs[0]] == [True, False]
 
 
 # ------------------------------------------------------- verify and solve --
 
 
 def test_all_ones_verifies_on_homogeneous_c6(c6_diameters):
-    s = GluingStructure.homogeneous(c6_diameters, automorphism_group(named_graph("c6")))
+    s = GluingStructure.homogeneous(symmetric(c6_diameters))
     w = WeightAssignment.all_ones(s)
     cert = verify_gluing(s, w)
     assert cert.ok
@@ -237,8 +267,7 @@ def test_nonpositive_weights_fail(c6_diameters):
 
 
 def test_uneven_weights_fail_invariance(c6_diameters):
-    grp = automorphism_group(named_graph("c6"))
-    s = GluingStructure.homogeneous(c6_diameters, grp)
+    s = GluingStructure.homogeneous(symmetric(c6_diameters))
     keys = [pair_key(cp) for cp in c6_diameters.members]
     w = WeightAssignment({("L", k): 1 + i for i, k in enumerate(keys)})
     cert = verify_gluing(s, w)
@@ -274,7 +303,7 @@ def test_balance_keeps_instances_apart():
 
 
 def test_solve_finds_all_ones_on_c6(c6_diameters):
-    s = GluingStructure.homogeneous(c6_diameters, automorphism_group(named_graph("c6")))
+    s = GluingStructure.homogeneous(symmetric(c6_diameters))
     got = solve_gluing(s)
     assert isinstance(got, WeightAssignment)
     assert all(got.get(c6_diameters, cp) == 1 for cp in c6_diameters.members)
@@ -318,8 +347,8 @@ def test_solve_finds_weights_beyond_all_ones():
     assert all(v == 1 for key, v in got.weights.items() if key != heavy)
 
 
-def test_certificate_of_the_f090a_seed_closure(closure_family, f090a_group):
-    got = solve_gluing(GluingStructure.homogeneous(closure_family, f090a_group))
+def test_certificate_of_the_f090a_seed_closure(symmetric_closure_family):
+    got = solve_gluing(GluingStructure.homogeneous(symmetric_closure_family))
     assert isinstance(got, GluingInfeasible)
     assert got.rows == ((24,),) and got.y == (1,)
     assert got.equations == ("24*w0 = 0",)

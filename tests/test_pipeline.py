@@ -39,8 +39,11 @@ def test_rerun_in_process_repeats_report_and_equation_count(monkeypatch):
     """A second run gives the same stripped report, the one ``sepcert
     f090a --out`` writes, and checks the same number of gluing balance
     equations. Each run builds the star-separation certificate once and,
-    with the complement-label cache cleared first, labels the complement
-    of each of its 720 distinct cutsets once."""
+    with the complement-label cache cleared first, labels the same 242
+    complements: the closure is one orbit of 720 cutsets, so only the 168
+    members through vertex 1 (its vertex-orbit representative), the
+    cutsets scanned for a separating member of a distant pair, and the
+    witnesses are labelled."""
     equations = []
     verify = gluing.verify_gluing
     stars = []
@@ -69,7 +72,17 @@ def test_rerun_in_process_repeats_report_and_equation_count(monkeypatch):
     first = run()
     second = run()
     assert first == second
-    assert misses == [720, 720]
+    assert misses == [242, 242]
     assert first == Path(__file__).with_name("golden").joinpath("f090a.out.json").read_text()
     assert equations == [15120, 15120]
     assert len(stars) == 2
+
+
+def test_closure_takes_one_orbit_per_distinct_seed_orbit(census_orbits):
+    small, other = (orbit for orbit in census_orbits if len(orbit) in (180, 216))
+    report = run_f090a(seed_cutsets=[small[0], other[0], small[-1]])
+    closure = next(c for c in report.certificates if c.target == "orbit-closure")
+    witness = closure.check("closure").witness
+    assert witness["per_seed_orbit"] == {"c1": len(small), "c2": len(other), "c3": len(small)}
+    assert witness["distinct"] == len(small) + len(other)
+    assert closure.check("members-minimal").ok

@@ -105,11 +105,6 @@ def _family_sha256(cutsets, perm) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.fixture(scope="module")
-def f090a_census(f090a):
-    return search_star_cutsets(SearchTask(f090a, node_budget=10**18))
-
-
 def test_f090a_census_in_the_bundled_labelling(f090a_census):
     assert f090a_census.exhausted
     assert len(f090a_census.cutsets) == F090A_STAR_CUTSETS
