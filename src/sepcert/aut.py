@@ -129,11 +129,8 @@ class PermutationGroup:
         without the identity. They come from the generators and their
         transversal for r only, never from the chain."""
         reps = _transversal(self.n, r, self.generators)
-        return _schreier_generators(self.n, self.generators, reps, _inverses(reps))
-
-
-def _inverses(reps: dict[int, Permutation]) -> dict[int, Permutation]:
-    return {x: inverse(u) for x, u in reps.items()}
+        back = {x: inverse(u) for x, u in reps.items()}
+        return _schreier_generators(self.n, self.generators, reps, back)
 
 
 def _schreier_generators(
@@ -196,7 +193,7 @@ def pair_orbits(n: int, gens: Sequence[Permutation]) -> PairOrbits:
         for orbit in orbits_under(n, gens):
             r = orbit[0]
             reps = _transversal(n, r, gens)
-            back = _inverses(reps)
+            back = {x: inverse(u) for x, u in reps.items()}
             for x in orbit:
                 rep[x - 1] = r
                 if x != r:

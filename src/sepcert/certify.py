@@ -371,8 +371,14 @@ def certify_vertex_separated(g: Graph, n: int, fam: SeparatedFamily) -> Certific
         for v in g.vertices()
         if u < v and table.get(u, v) >= n
     ]
+    # each orbit of distant pairs is decided at its labelling pair (r, y)
     labels = [sym.label(u, v) for u, v in distant]
-    unsplit_labels = {lab for lab in set(labels) if not _splits(g, fam.members, *lab)}
+    unsplit_labels = set(labels)
+    for cp in fam.members:
+        if not unsplit_labels:
+            break
+        lab = complement_labels(g, cp.cutset)[0]
+        unsplit_labels = {p for p in unsplit_labels if not _separated_by(lab, *p)}
     remaining = [p for p, lab in zip(distant, labels) if lab in unsplit_labels]
     cert.add(
         "distant-pairs-split",
@@ -449,20 +455,27 @@ def split_pattern(g: Graph, ordering: NeighborOrdering, labels, v: int):
 _SLOTS = ((1, 2), (1, 3), (2, 3))
 
 
-def _split_counts_at(g: Graph, ordering: NeighborOrdering, v: int, counted) -> tuple[list, list]:
-    """Same-side counts of v's three slots over ``counted``, the cutsets
-    containing v with their multiplicities: once per distinct cutset, and
-    with multiplicity."""
-    once, many = [0, 0, 0], [0, 0, 0]
-    for c, times in counted.items():
-        pat = split_pattern(g, ordering, complement_labels(g, c)[0], v)
-        if pat is None:
+def _split_counts(g: Graph, ordering: NeighborOrdering, cutsets, vertices) -> dict:
+    """Same-side counts of the three slots of each of the given vertices:
+    v -> (counts once per distinct cutset, counts with multiplicity over
+    the cutsets as given). Each distinct cutset through one of the
+    vertices is labelled once."""
+    counts = {v: ([0, 0, 0], [0, 0, 0]) for v in vertices}
+    for c, times in Counter(cutsets).items():
+        through = counts.keys() & c.elements
+        if not through:
             continue
-        for k, ij in enumerate(_SLOTS):
-            if pat == "one-sided" or pat == ij:
-                once[k] += 1
-                many[k] += times
-    return once, many
+        labels, _ = complement_labels(g, c)
+        for v in through:
+            pat = split_pattern(g, ordering, labels, v)
+            if pat is None:
+                continue
+            once, many = counts[v]
+            for k, ij in enumerate(_SLOTS):
+                if pat == "one-sided" or pat == ij:
+                    once[k] += 1
+                    many[k] += times
+    return counts
 
 
 def star_split_counts(
@@ -476,13 +489,8 @@ def star_split_counts(
     distinct cutset is labelled once."""
     ordering = ordering or NeighborOrdering.ascending(g)
     ordering.validate_for(g)
-    at: dict[int, dict] = {v: {} for v in g.vertices()}
-    for c, times in Counter(cutsets).items():
-        for v in c.elements:
-            at[v][c] = times
     set_counts, multi_counts = {}, {}
-    for v in g.vertices():
-        once, many = _split_counts_at(g, ordering, v, at[v])
+    for v, (once, many) in _split_counts(g, ordering, cutsets, g.vertices()).items():
         for k, (i, j) in enumerate(_SLOTS):
             set_counts[(v, i, j)] = once[k]
             multi_counts[(v, i, j)] = many[k]
@@ -547,12 +555,9 @@ def certify_star_separated(
 
     ordering = ordering or NeighborOrdering.ascending(g)
     ordering.validate_for(g)
-    set_values, multi_values = set(), set()
-    for r in fam.symmetry.reps():
-        once, many = _split_counts_at(g, ordering, r, Counter(cp.cutset for cp in fam.pairs_at(r)))
-        set_values.update(once)
-        multi_values.update(many)
-    set_values, multi_values = sorted(set_values), sorted(multi_values)
+    counts = _split_counts(g, ordering, [cp.cutset for cp in fam.members], fam.symmetry.reps())
+    set_values = sorted({x for once, _ in counts.values() for x in once})
+    multi_values = sorted({x for _, many in counts.values() for x in many})
     set_constant = len(set_values) == 1 and set_values[0] >= 1
     multi_constant = len(multi_values) == 1 and multi_values[0] >= 1
     witness = {
