@@ -1,4 +1,4 @@
-"""Automorphism groups, orbits and canonical forms.
+"""Automorphism groups and orbits.
 
 Permutations are tuples of images: ``p[v-1]`` is the image of vertex v.
 ``automorphism_group`` finds a Sims stabilizer chain: one automorphism per
@@ -11,8 +11,7 @@ the stabilizer of any point by Schreier's lemma, from the generators alone
 the elements ``u_{p(x)}^-1 p u_x`` over orbit points x and generators p
 generate Stab(r). `PairOrbits` labels the orbits on ordered vertex pairs
 with them: the representative r of x's orbit and the least point of the
-Stab(r)-orbit of u_x^-1(y). ``canonical_form`` prunes its
-individualization-refinement tree with the same generators.
+Stab(r)-orbit of u_x^-1(y).
 """
 from __future__ import annotations
 
@@ -230,10 +229,10 @@ def _refinement_signature(g: Graph, colors: Sequence[int]) -> list:
     ]
 
 
-def refinement_colors(g: Graph, seed: Sequence[int] | None = None) -> tuple[int, ...]:
+def refinement_colors(g: Graph) -> tuple[int, ...]:
     """Stable vertex coloring: iterate degree-within-cell refinement to a
     fixed point. Color ranks are isomorphism-invariant."""
-    colors = tuple(seed) if seed is not None else (0,) * g.n
+    colors = (0,) * g.n
     while True:
         sig = _refinement_signature(g, colors)
         ranks = {s: i for i, s in enumerate(sorted(set(sig)))}
@@ -429,106 +428,3 @@ def is_distance_transitive(g: Graph, grp: PermutationGroup):
             if orbits.label(u, v) != root:
                 return False, {"distance": d, "pair": (u, v), "unreachable_from": (u0, v0)}
     return True, None
-
-
-@dataclass(frozen=True)
-class CanonicalForm:
-    labeling: tuple[int, ...]  # labeling[v-1] = canonical position of v (1-based)
-    certificate: str
-
-
-class _Best:
-    __slots__ = ("trace", "cert", "labeling")
-
-    def __init__(self):
-        self.trace = None
-        self.cert = None
-        self.labeling = None
-
-
-def canonical_form(g: Graph) -> CanonicalForm:
-    """Canonical labeling by individualization-refinement.
-
-    The search minimizes (node-invariant trace, adjacency encoding) over all
-    refinement leaves. At each node, only one cell vertex per orbit of the
-    generators of Aut(g) that fix the individualized vertices is tried:
-    those generators map the node to itself, so siblings in one orbit root
-    isomorphic subtrees. Certificates of two graphs are equal iff the graphs
-    are isomorphic.
-    """
-    n = g.n
-    if n == 0:
-        return CanonicalForm((), "n=0;m=0;")
-
-    def node_key(colors: tuple[int, ...]):
-        sizes: dict[int, int] = {}
-        for c in colors:
-            sizes[c] = sizes.get(c, 0) + 1
-        epairs: dict[tuple[int, int], int] = {}
-        for u, v in g.edges():
-            cu, cv = colors[u - 1], colors[v - 1]
-            key = (cu, cv) if cu <= cv else (cv, cu)
-            epairs[key] = epairs.get(key, 0) + 1
-        return (
-            tuple(sizes[c] for c in sorted(sizes)),
-            tuple(sorted(epairs.items())),
-        )
-
-    def individualize(colors: tuple[int, ...], c: int) -> tuple[int, ...]:
-        seed = tuple(
-            (colors[v - 1], 0 if v == c else 1) for v in g.vertices()
-        )
-        ranks = {s: i for i, s in enumerate(sorted(set(seed)))}
-        return refinement_colors(g, tuple(ranks[s] for s in seed))
-
-    def leaf_cert(colors: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
-        lab = tuple(c + 1 for c in colors)
-        edges = sorted(
-            (min(lab[u - 1], lab[v - 1]), max(lab[u - 1], lab[v - 1]))
-            for u, v in g.edges()
-        )
-        body = ",".join(f"{a}-{b}" for a, b in edges)
-        return f"n={n};m={g.m};{body}", lab
-
-    best = _Best()
-    gens = automorphism_group(g).generators
-
-    def rec(colors: tuple[int, ...], depth: int, trace: tuple, base: tuple[int, ...]) -> None:
-        key = node_key(colors)
-        trace = trace + (key,)
-        if best.cert is not None:
-            bt = best.trace
-            if depth >= len(bt):
-                return
-            if key < bt[depth]:
-                best.trace = best.cert = best.labeling = None
-            elif key > bt[depth]:
-                return
-        cells: dict[int, list[int]] = {}
-        for v in g.vertices():
-            cells.setdefault(colors[v - 1], []).append(v)
-        if len(cells) == n:
-            cert, lab = leaf_cert(colors)
-            if best.cert is None or trace < best.trace or (
-                trace == best.trace and cert < best.cert
-            ):
-                best.trace, best.cert, best.labeling = trace, cert, lab
-            return
-        ordered = sorted(cells.items())
-        size = max(len(cell) for _, cell in ordered if len(cell) > 1)
-        target = next(cell for _, cell in ordered if len(cell) == size)
-        fixing = [p for p in gens if all(p[b - 1] == b for b in base)]
-        label = _orbit_labels(n, fixing, lambda p, x: p[x] - 1)
-        tried: set[int] = set()
-        for c in target:
-            if label[c - 1] in tried:
-                continue
-            tried.add(label[c - 1])
-            rec(individualize(colors, c), depth + 1, trace, base + (c,))
-
-    rec(refinement_colors(g), 0, (), ())
-    return CanonicalForm(best.labeling, best.cert)
-
-
-def canonical_certificate(g: Graph) -> str:
-    return canonical_form(g).certificate

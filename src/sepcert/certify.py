@@ -15,8 +15,7 @@ membership holds at a member, vertex or vertex pair exactly when it holds
 at each of its images: the component count, sigma-separation, minimality,
 the star conjunction, which pairs a member separates, whether some member
 separates a pair, the same-side count of a vertex and two of its
-neighbours (it names the two neighbours, not their positions in an
-ordering), the classes a member induces at its elements, and, for weights
+neighbours, the classes a member induces at its elements, and, for weights
 constant on orbits, the class sums. The certifiers therefore decide each
 such fact once per orbit: at the first member of each member orbit, and at
 the least vertex r of each vertex orbit, where vertex pairs (r, y) are
@@ -47,7 +46,6 @@ from .aut import (
 from .cutset import (
     Cutset,
     CutsetPartition,
-    NeighborOrdering,
     act_on_pair,
     canonical_partition,
     complement_labels,
@@ -430,12 +428,12 @@ def certify_edge_separated(
     return cert
 
 
-def split_pattern(g: Graph, ordering: NeighborOrdering, labels, v: int):
-    """Which neighbor pair of v (positions into the ordering) lands in one
-    component: (i, j) sorted, or None when v's neighborhood does not meet
-    exactly the same/different shape (all three together, or v not in the
-    cutset's complementary structure)."""
-    w = ordering.at(v)
+def split_pattern(g: Graph, labels, v: int):
+    """Which neighbor pair of v (positions 1..3 into its ascending
+    neighbors) lands in one component: (i, j) sorted, or None when v's
+    neighborhood does not meet exactly the same/different shape (all three
+    together, or v not in the cutset's complementary structure)."""
+    w = g.neighbors(v)
     lab = [labels[x - 1] for x in w]
     if any(x is None for x in lab):
         return None
@@ -455,7 +453,7 @@ def split_pattern(g: Graph, ordering: NeighborOrdering, labels, v: int):
 _SLOTS = ((1, 2), (1, 3), (2, 3))
 
 
-def _split_counts(g: Graph, ordering: NeighborOrdering, cutsets, vertices) -> dict:
+def _split_counts(g: Graph, cutsets, vertices) -> dict:
     """Same-side counts of the three slots of each of the given vertices:
     v -> (counts once per distinct cutset, counts with multiplicity over
     the cutsets as given). Each distinct cutset through one of the
@@ -467,7 +465,7 @@ def _split_counts(g: Graph, ordering: NeighborOrdering, cutsets, vertices) -> di
             continue
         labels, _ = complement_labels(g, c)
         for v in through:
-            pat = split_pattern(g, ordering, labels, v)
+            pat = split_pattern(g, labels, v)
             if pat is None:
                 continue
             once, many = counts[v]
@@ -478,30 +476,7 @@ def _split_counts(g: Graph, ordering: NeighborOrdering, cutsets, vertices) -> di
     return counts
 
 
-def star_split_counts(
-    g: Graph,
-    cutsets,
-    ordering: NeighborOrdering | None = None,
-) -> tuple[dict, dict]:
-    """For every vertex v and neighbor-pair positions i<j, how many cutsets
-    contain v with w_i(v), w_j(v) in one component: counted once per
-    distinct cutset, and with multiplicity over the cutsets as given. Each
-    distinct cutset is labelled once."""
-    ordering = ordering or NeighborOrdering.ascending(g)
-    ordering.validate_for(g)
-    set_counts, multi_counts = {}, {}
-    for v, (once, many) in _split_counts(g, ordering, cutsets, g.vertices()).items():
-        for k, (i, j) in enumerate(_SLOTS):
-            set_counts[(v, i, j)] = once[k]
-            multi_counts[(v, i, j)] = many[k]
-    return set_counts, multi_counts
-
-
-def certify_star_separated(
-    g: Graph,
-    fam: SeparatedFamily,
-    ordering: NeighborOrdering | None = None,
-) -> Certificate:
+def certify_star_separated(g: Graph, fam: SeparatedFamily) -> Certificate:
     """Star-separation of a trivalent graph: the graph is connected,
     bipartite and trivalent; the family members are star cutsets
     (3-separated, two components, minimal); the family certifies vertex
@@ -553,9 +528,7 @@ def certify_star_separated(
 
     cert.add("vertex-3-separated", certify_vertex_separated(g, 3, fam))
 
-    ordering = ordering or NeighborOrdering.ascending(g)
-    ordering.validate_for(g)
-    counts = _split_counts(g, ordering, [cp.cutset for cp in fam.members], fam.symmetry.reps())
+    counts = _split_counts(g, [cp.cutset for cp in fam.members], fam.symmetry.reps())
     set_values = sorted({x for once, _ in counts.values() for x in once})
     multi_values = sorted({x for _, many in counts.values() for x in many})
     set_constant = len(set_values) == 1 and set_values[0] >= 1
@@ -577,24 +550,13 @@ def certify_star_separated(
     return cert
 
 
-def _triangle_family(
-    g: Graph,
-    node_budget: int,
-    ordering: NeighborOrdering | None,
-) -> tuple[SeparatedFamily, dict]:
+def _triangle_family(g: Graph, node_budget: int) -> tuple[SeparatedFamily, dict]:
     """Bootstrap a star-cutset family: search a neighbor-split goal at
     vertex 1, close the first find under the automorphism group, which the
     family keeps."""
     from .search import NeighborSplitGoal, SearchTask, search_star_cutsets
 
-    res = search_star_cutsets(
-        SearchTask(
-            g,
-            NeighborSplitGoal(1, 1, 2),
-            node_budget=node_budget,
-            ordering=ordering,
-        )
-    )
+    res = search_star_cutsets(SearchTask(g, NeighborSplitGoal(1, 1, 2), node_budget=node_budget))
     if not res.cutsets:
         raise CertifyError(
             "no star cutsets found within the search budget; supply a family"
@@ -615,7 +577,6 @@ def _triangle_family(
 def certify_triangle_link(
     g: Graph,
     fam: SeparatedFamily | None = None,
-    ordering: NeighborOrdering | None = None,
     node_budget: int = 5000,
     star: Certificate | None = None,
 ) -> Certificate:
@@ -625,7 +586,7 @@ def certify_triangle_link(
     pi/3), star-separation, partitions covering every separation, and the
     all-ones weights solving the gluing equations on the fully symmetric
     self-gluing. ``star`` is the ``certify_star_separated`` certificate of
-    ``fam`` under ``ordering``, when the caller has already computed it.
+    ``fam``, when the caller has already computed it.
     Facts are decided once per orbit of the family's group, if it has one."""
     from .gluing import GluingStructure, WeightAssignment, verify_gluing
 
@@ -640,13 +601,13 @@ def certify_triangle_link(
     bootstrap = None
     if fam is None:
         try:
-            fam, bootstrap = _triangle_family(g, node_budget, ordering)
+            fam, bootstrap = _triangle_family(g, node_budget)
         except SepcertError as err:
             cert.add("star-separated", False, {"error": str(err)})
             return cert
 
     if star is None:
-        star = certify_star_separated(g, fam, ordering)
+        star = certify_star_separated(g, fam)
     cert.add("star-separated", star, {"family-bootstrap": bootstrap} if bootstrap else None)
 
     by_cutset: dict = {}

@@ -175,13 +175,7 @@ def _cmd_cutset_search(args) -> int:
         goal = NeighborSplitGoal(args.at, i, j)
     else:
         goal = CoverAllGoal()
-    task = SearchTask(
-        g,
-        goal,
-        sigma=args.sigma,
-        node_budget=10**18 if args.exhaust else args.budget,
-    )
-    result = search_star_cutsets(task)
+    result = search_star_cutsets(SearchTask(g, goal, node_budget=10**18 if args.exhaust else args.budget))
     stats = {"found": len(result.cutsets), "exhausted": result.exhausted, **result.stats}
     body = format_family(result.cutsets)
     if args.out:
@@ -495,7 +489,7 @@ def _cmd_complex_trace(args) -> int:
 
 
 def _cmd_f090a(args) -> int:
-    rep = run_f090a(skip_aut=args.skip_aut)
+    rep = run_f090a()
     for cert in rep.certificates:
         _print_cert(cert, verbose_pass=False)
     for stage in rep.stats.get("not_checked", ()):
@@ -549,10 +543,11 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_graph_source(search)
     search.add_argument("--star", action="store_true", required=True)
     search.add_argument("--at", type=int, help="neighbor-split goal: vertex")
-    search.add_argument("--split", type=int, nargs=2, metavar=("I", "J"))
+    search.add_argument(
+        "--split", type=int, nargs=2, metavar=("I", "J"), help="positions 1..3 among its ascending neighbors"
+    )
     search.add_argument("--exhaust", action="store_true")
     search.add_argument("--budget", type=int, default=10_000_000)
-    search.add_argument("--sigma", type=int, default=3)
     search.add_argument("--out", help="family file; stats land in <out>.stats.json")
     search.set_defaults(fn=_cmd_cutset_search, command="cutset search")
 
@@ -611,7 +606,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ct.set_defaults(fn=_cmd_complex_trace, command="complex trace")
 
     f0 = sub.add_parser("f090a", help="run the full built-in pipeline")
-    f0.add_argument("--skip-aut", action="store_true")
     f0.add_argument("--out")
     f0.set_defaults(fn=_cmd_f090a, command="f090a")
 
@@ -622,6 +616,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if [] in vars(args).values():
+            # argparse on Python 3.11 reads ``--option=--`` as an empty list
+            parser.error("an option's value cannot be '--'")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

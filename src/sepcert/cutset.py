@@ -28,9 +28,6 @@ from .graph import (
     subdivide,
 )
 
-Point = "int | Edge"  # a vertex id, or an edge whose midpoint is meant
-
-
 @dataclass(frozen=True)
 class Verdict:
     """Boolean outcome plus a witness dict explaining it."""
@@ -157,31 +154,6 @@ class CutsetPartition:
         self.cutset.validate_for(g)
         _, count = complement_labels(g, self.cutset)
         self.partition.validate_for_count(count)
-
-
-@dataclass(frozen=True)
-class NeighborOrdering:
-    """A fixed ordered triple of neighbors for every vertex of a trivalent
-    graph; indices 1..3 name positions in the triple."""
-
-    triples: tuple[tuple[int, int, int], ...]
-
-    @classmethod
-    def ascending(cls, g: Graph) -> "NeighborOrdering":
-        for v in g.vertices():
-            if g.degree(v) != 3:
-                raise CutsetError(f"vertex {v} has degree {g.degree(v)}, not 3")
-        return cls(tuple(g.neighbors(v) for v in g.vertices()))
-
-    def at(self, v: int) -> tuple[int, int, int]:
-        return self.triples[v - 1]
-
-    def validate_for(self, g: Graph) -> None:
-        if len(self.triples) != g.n:
-            raise CutsetError("ordering size does not match graph")
-        for v in g.vertices():
-            if tuple(sorted(self.triples[v - 1])) != g.neighbors(v):
-                raise CutsetError(f"ordering at {v} is not its neighbor set")
 
 
 @lru_cache(maxsize=16)

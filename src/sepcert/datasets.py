@@ -1,4 +1,4 @@
-"""Built-in graphs, cutset families and complexes.
+"""Built-in graphs and cutset families.
 
 F090A ships as a data file (vendored adjacency rows) guarded by a pinned
 sha256 so dataset drift fails loudly. The small-graph corpus backs the
@@ -157,15 +157,3 @@ def named_graph(name: str) -> Graph:
             f"unknown built-in graph {name!r}; known: {', '.join(builtin_names())}"
         ) from None
     return builder()
-
-
-def builtin_complex(name: str):
-    """Built-in polygonal complexes: grid5 (5x5 squares), cone-f090a."""
-    from . import complexes
-
-    key = name.lower()
-    if key == "grid5":
-        return complexes.grid_complex(5, 5)
-    if key == "cone-f090a":
-        return complexes.cone_complex(f090a())
-    raise GraphFormatError(f"unknown built-in complex {name!r}; known: grid5, cone-f090a")

@@ -182,10 +182,9 @@ class DistanceTable:
     combinatorial metric, a ``Fraction`` (multiples of pi) for angular ones.
     """
 
-    __slots__ = ("n", "units", "denominator", "_rows")
+    __slots__ = ("units", "denominator", "_rows")
 
-    def __init__(self, n: int, units: str, denominator: int, rows: Sequence[Sequence]):
-        self.n = n
+    def __init__(self, units: str, denominator: int, rows: Sequence[Sequence]):
         self.units = units
         self.denominator = denominator
         self._rows = tuple(tuple(r) for r in rows)
@@ -198,9 +197,6 @@ class DistanceTable:
     def get(self, u: int, v: int):
         return self._exact(self._rows[u - 1][v - 1])
 
-    def row(self, u: int) -> tuple:
-        return tuple(self._exact(d) for d in self._rows[u - 1])
-
     def scaled_row(self, u: int) -> tuple:
         """Row of u as integers over ``denominator`` (``INF`` if unreachable)."""
         return self._rows[u - 1]
@@ -208,18 +204,6 @@ class DistanceTable:
     def diameter(self):
         worst = max((max(row) for row in self._rows), default=0)
         return worst if worst == 0 else self._exact(worst)
-
-    def pairs_at_least(self, bound) -> list[tuple[int, int]]:
-        """Ordered list of pairs u < v with finite distance >= bound."""
-        need = bound * self.denominator
-        out = []
-        for u in range(1, self.n + 1):
-            row = self._rows[u - 1]
-            for v in range(u + 1, self.n + 1):
-                d = row[v - 1]
-                if d is not INF and d >= need:
-                    out.append((u, v))
-        return out
 
 
 def _scaled_lengths(g: Graph, metric: Metric) -> tuple[int, dict[Edge, int]]:
@@ -306,7 +290,7 @@ def distances(g: Graph, metric: Metric | None = None) -> DistanceTable:
         rows = [_bfs_row(g, s) for s in g.vertices()]
         if step != 1:
             rows = [[d if d is INF else d * step for d in row] for row in rows]
-    return DistanceTable(g.n, metric.units, denom, rows)
+    return DistanceTable(metric.units, denom, rows)
 
 
 def _bfs_girth(g: Graph):

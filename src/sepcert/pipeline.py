@@ -13,9 +13,8 @@ Stages run in order.  A stage whose *load-bearing* checks fail aborts the
 run (later stages would be meaningless); informational failures — most
 notably the minimality clause of the bundled seed cutsets, which genuinely
 fails — are reported and counted against the overall verdict without
-stopping the pipeline.  ``skip_aut=True`` skips the automorphism group and
-every group-dependent stage, producing a partial report that lists what was
-not checked.
+stopping the pipeline.  An aborted run lists the stages it did not reach
+as not checked.
 """
 
 from __future__ import annotations
@@ -214,12 +213,11 @@ def _pairs_stage(report: RunReport, g, fam: SeparatedFamily) -> bool:
     return all_ok
 
 
-def run_f090a(skip_aut: bool = False, seed_cutsets: Iterable[frozenset] | None = None) -> RunReport:
+def run_f090a(seed_cutsets: Iterable[frozenset] | None = None) -> RunReport:
     """Run the full certification pipeline on the bundled graph.
 
     ``seed_cutsets`` overrides the three bundled seeds (same order), which
-    is how deliberate perturbations are exercised; ``skip_aut`` skips the
-    automorphism group and every stage that needs it.
+    is how deliberate perturbations are exercised.
     """
     g = f090a()
     seeds = tuple(frozenset(c) for c in (seed_cutsets or f090a_star_cutsets()))
@@ -239,16 +237,11 @@ def run_f090a(skip_aut: bool = False, seed_cutsets: Iterable[frozenset] | None =
     if not _structure_stage(report, g):
         return finish("structure")
 
-    grp = None
-    if not skip_aut:
-        grp = _aut_stage(report, g)
+    grp = _aut_stage(report, g)
 
     if not _seed_stage(report, g, seeds):
         return finish("seed-cutsets")
     _split_stage(report, g, seeds)
-
-    if skip_aut:
-        return finish()
 
     fam = _closure_stage(report, g, grp, seeds)
     if fam is None:

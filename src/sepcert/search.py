@@ -1,4 +1,5 @@
-"""Backtracking searches for separated cutsets.
+"""Backtracking search for star cutsets: vertex cutsets of a trivalent
+graph, 3-separated, with two components, minimal (``cutset.is_star_cutset``).
 
 The star search colors vertices side-A / side-B / cut, growing outward from
 a root's seed assignments. Propagation enforces what can be decided
@@ -8,7 +9,8 @@ sides. Connectivity of the sides cannot be decided locally, so candidate
 leaves are validated through the cutset predicates before emission; every
 reported cutset has passed them.
 
-A goal with seed assignments is searched from one root. Enumerating every
+A neighbor-split goal is searched from one root: v is cut, and its i-th
+and j-th neighbors in ascending order go to sides A and B. Enumerating every
 star cutset instead roots the search at orbits, two levels deep, and then
 closes the validated leaves under the generators of Aut(g), once each
 generator is checked to map the edge set onto itself.
@@ -50,11 +52,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .aut import PermutationGroup, automorphism_group, is_automorphism, orbits_under, vertex_set_closure
-from .cutset import Cutset, NeighborOrdering, is_star_cutset, require_cubic
+from .cutset import Cutset, is_star_cutset, require_cubic
 from .errors import SearchError
 from .graph import Graph
 
@@ -67,8 +68,8 @@ _OTHER_SIDE = {SIDE_A: SIDE_B, SIDE_B: SIDE_A}
 
 @dataclass(frozen=True)
 class NeighborSplitGoal:
-    """Find cutsets through v putting its i-th and j-th neighbors (per the
-    task's neighbor ordering) in different components."""
+    """Find cutsets through v putting its i-th and j-th neighbors, in
+    ascending order (positions 1..3), in different components."""
 
     v: int
     i: int
@@ -76,29 +77,15 @@ class NeighborSplitGoal:
 
 
 @dataclass(frozen=True)
-class PairGoal:
-    """Find cutsets putting x and y in different components."""
-
-    x: int
-    y: int
-
-
-@dataclass(frozen=True)
 class CoverAllGoal:
     """Enumerate every star cutset of the graph."""
-
-
-Goal = "NeighborSplitGoal | PairGoal | CoverAllGoal"
 
 
 @dataclass(frozen=True)
 class SearchTask:
     graph: Graph
     goal: object = CoverAllGoal()
-    sigma: Fraction | int = 3
-    kind: str = "vertex"
     node_budget: int = 10_000_000
-    ordering: NeighborOrdering | None = None
 
 
 @dataclass(frozen=True)
@@ -244,23 +231,14 @@ def _fresh_stats() -> dict:
 def _goal_root(task: SearchTask) -> _Root:
     g = task.graph
     goal = task.goal
-    if isinstance(goal, NeighborSplitGoal):
-        ordering = task.ordering or NeighborOrdering.ascending(g)
-        ordering.validate_for(g)
-        if goal.i == goal.j or not {goal.i, goal.j} <= {1, 2, 3}:
-            raise SearchError(f"bad neighbor positions {goal.i},{goal.j}")
-        triple = ordering.at(goal.v)
-        seeds = ((goal.v, CUT), (triple[goal.i - 1], SIDE_A), (triple[goal.j - 1], SIDE_B))
-    elif isinstance(goal, PairGoal):
-        if goal.x == goal.y:
-            raise SearchError("pair goal needs two distinct vertices")
-        seeds = ((goal.x, SIDE_A), (goal.y, SIDE_B))
-    else:
+    if not isinstance(goal, NeighborSplitGoal):
         raise SearchError(f"unknown goal {goal!r}")
-    for v, _ in seeds:
-        if not 1 <= v <= g.n:
-            raise SearchError(f"goal vertex {v} not in graph")
-    return _Root(seeds)
+    if not 1 <= goal.v <= g.n:
+        raise SearchError(f"goal vertex {goal.v} not in graph")
+    if goal.i == goal.j or not {goal.i, goal.j} <= {1, 2, 3}:
+        raise SearchError(f"bad neighbor positions {goal.i},{goal.j}")
+    triple = g.neighbors(goal.v)
+    return _Root(((goal.v, CUT), (triple[goal.i - 1], SIDE_A), (triple[goal.j - 1], SIDE_B)))
 
 
 def _orbit_roots(g: Graph, grp: PermutationGroup, ball2) -> list[_Root]:
@@ -308,10 +286,6 @@ def _branch_vertex(state: _Coloring) -> int | None:
 def search_star_cutsets(task: SearchTask) -> SearchResult:
     g = task.graph
     require_cubic(g)
-    if task.kind != "vertex":
-        raise SearchError("star search applies to vertex cutsets")
-    if Fraction(task.sigma) != 3:
-        raise SearchError("star cutsets are defined at sigma = 3")
     ball2 = _ball2(g)
     if isinstance(task.goal, CoverAllGoal):
         grp = automorphism_group(g)

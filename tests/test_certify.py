@@ -11,16 +11,17 @@ import pytest
 
 from _oracles import brute_split_counts
 from sepcert.certify import (
+    _SLOTS,
     SeparatedFamily,
+    _split_counts,
     certify_edge_separated,
     certify_star_separated,
     certify_triangle_link,
     certify_vertex_separated,
     split_pattern,
-    star_split_counts,
 )
 from sepcert.aut import PermutationGroup, automorphism_group, orbit_of_vertex_set
-from sepcert.cutset import Cutset, CutsetPartition, NeighborOrdering, Partition, complement_labels
+from sepcert.cutset import Cutset, CutsetPartition, Partition, complement_labels
 from sepcert.datasets import named_graph
 from sepcert.errors import CertifyError, CutsetError
 from sepcert.gluing import GluingStructure, WeightAssignment, verify_gluing
@@ -142,20 +143,30 @@ def test_edge_separation_kind_mismatch(q3, q3_neighborhood_family):
 
 
 def test_split_pattern_classifies(f090a, seed_cutsets):
-    ordering = NeighborOrdering.ascending(f090a)
     # bundled seed C2 keeps v1's second and third neighbors (18, 90) together
     labels, _ = complement_labels(f090a, seed_cutsets[1])
-    assert split_pattern(f090a, ordering, labels, 1) == (2, 3)
+    assert split_pattern(f090a, labels, 1) == (2, 3)
     labels, _ = complement_labels(f090a, seed_cutsets[2])
-    assert split_pattern(f090a, ordering, labels, 1) == (1, 3)
+    assert split_pattern(f090a, labels, 1) == (1, 3)
     labels, _ = complement_labels(f090a, seed_cutsets[0])
-    assert split_pattern(f090a, ordering, labels, 1) == (1, 2)
+    assert split_pattern(f090a, labels, 1) == (1, 2)
+
+
+def _split_counts_by_slot(g, cutsets) -> tuple[dict, dict]:
+    """The same-side counts at every vertex, keyed (v, i, j) as the
+    brute-force oracle keys them: once per distinct cutset, and with
+    multiplicity over the cutsets as given."""
+    counts = _split_counts(g, cutsets, g.vertices())
+    return tuple(
+        {(v, i, j): pair[which][k] for v, pair in counts.items() for k, (i, j) in enumerate(_SLOTS)}
+        for which in (0, 1)
+    )
 
 
 def test_star_split_counts_sum(f090a, seed_cutsets):
-    counts, with_multiplicity = star_split_counts(f090a, seed_cutsets)
+    counts, with_multiplicity = _split_counts_by_slot(f090a, seed_cutsets)
     assert with_multiplicity == counts  # the three seeds are distinct
-    assert set(counts) == {(v, i, j) for v in f090a.vertices() for i, j in ((1, 2), (1, 3), (2, 3))}
+    assert counts == brute_split_counts(f090a, [c.elements for c in seed_cutsets])
     # v1 lies in all three seeds, one per split slot
     assert counts[(1, 1, 2)] == 1 and counts[(1, 1, 3)] == 1 and counts[(1, 2, 3)] == 1
 
@@ -168,7 +179,9 @@ def test_star_split_counts_with_a_duplicated_member(q3, q3_neighborhood_family):
     )
     cutsets = [cp.cutset.elements for cp in fam.members]
     brute = brute_split_counts(q3, cutsets)
-    assert star_split_counts(q3, [cp.cutset for cp in fam.members])[1] == brute
+    counts, with_multiplicity = _split_counts_by_slot(q3, [cp.cutset for cp in fam.members])
+    assert with_multiplicity == brute
+    assert counts == brute_split_counts(q3, set(cutsets))
     star = certify_star_separated(q3, fam).check("split-counts-constant")
     assert star.ok
     assert star.witness["distinct_cutsets"] == 8

@@ -65,6 +65,26 @@ def test_star_search_has_no_time_budget_option(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv,option",
+    [
+        (["f090a", "--skip-aut"], "--skip-aut"),
+        (["cutset", "search", "--builtin", "q3", "--star", "--sigma", "3"], "--sigma"),
+    ],
+    ids=["f090a", "cutset-search"],
+)
+def test_options_with_one_value_are_gone(argv, option, capsys):
+    assert main(argv) == 2
+    assert f"error: unrecognized arguments: {option}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("v", [0, 91])
+def test_star_search_rejects_goal_vertices_outside_the_graph(v, capsys):
+    argv = ["cutset", "search", "--builtin", "f090a", "--star", "--at", str(v), "--split", "1", "2"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: SearchError: goal vertex {v} not in graph\n"
+
+
+@pytest.mark.parametrize(
     "doc",
     [
         {"vertices": 3, "faces": [["a", 2, 3]]},
@@ -164,6 +184,12 @@ def test_gluing_rejects_malformed_structures(command, doc, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_option_value_of_two_dashes_exits_2(capsys):
+    argv = ["complex", "trace", str(INPUTS / "grid4.json"), "--seed-vertex=--", "--kind", "vertex"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "sepcert: error: an option's value cannot be '--'"
+
+
 def test_complex_trace_rejects_out_of_range_midpoint(capsys):
     argv = ["complex", "trace", str(INPUTS / "grid4.json"), "--seed-vertex", "999", "--kind", "edge"]
     assert main(argv) == 2
@@ -243,7 +269,7 @@ _CONTRACT = {
         2: ["complex", "trace", "{grid4.json}", "--seed-vertex", "6-x", "--kind", "edge"],
     },
     # f090a has no input of its own and fails on the bundled-seed audit
-    "f090a": {1: ["f090a", "--skip-aut"], 2: ["f090a", "extra"]},
+    "f090a": {1: ["f090a"], 2: ["f090a", "extra"]},
 }
 
 

@@ -26,7 +26,7 @@ from sepcert.complexes import (
     trace_hypergraph,
     wall_cut,
 )
-from sepcert.datasets import builtin_complex, named_graph
+from sepcert.datasets import named_graph
 from sepcert.errors import ComplexError
 from sepcert.graph import edge_key, girth
 
@@ -85,16 +85,11 @@ def test_parse_rejects_bad_complexes(doc):
         parse_complex(json.dumps(doc))
 
 
-def test_builtin_complexes(grid):
-    assert builtin_complex("grid5") == grid
-    cone = builtin_complex("cone-f090a")
-    assert (cone.n, cone.m, len(cone.faces)) == (91, 225, 135)
-
-
 def test_cone_complex_shape():
-    cone = cone_complex(named_graph("c4"))
-    assert (cone.n, cone.m, len(cone.faces)) == (5, 8, 4)
-    assert cone.shapes() == (3,)
+    for name, shape in (("c4", (5, 8, 4)), ("f090a", (91, 225, 135))):
+        cone = cone_complex(named_graph(name))
+        assert (cone.n, cone.m, len(cone.faces)) == shape
+        assert cone.shapes() == (3,)
 
 
 # ---------------------------------------------------------------- links --

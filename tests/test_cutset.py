@@ -12,7 +12,6 @@ import pytest
 from _oracles import nx_angular_distances
 from sepcert.cutset import (
     Cutset,
-    NeighborOrdering,
     canonical_partition,
     complement_labels,
     components_of_complement,
@@ -269,11 +268,6 @@ def test_star_cutset_witness_reports_all_clauses(q3):
     assert not v.ok
     assert v.witness["three_separated"] in (True, False)
     assert v.witness["two_components"] is False
-
-
-def test_neighbor_ordering_ascending(q3):
-    ordering = NeighborOrdering.ascending(q3)
-    assert ordering.at(1) == q3.neighbors(1)
 
 
 # ----------------------------------------------------- bundled seeds --

@@ -1,4 +1,5 @@
-"""Fuzzing the input parsers, the structure-file loader and the solver.
+"""Fuzzing the input parsers, the structure-file loader, the solver, the
+seeds of ``complex trace`` and the goals of ``cutset search``.
 
 Malformed input must end in a ``SepcertError`` from the library, and in
 exit 2 with an ``error:`` line from the CLI; any other exception escapes
@@ -199,3 +200,75 @@ def test_gluing_verify_weights_files_exit_cleanly(tmp_path_factory, text):
     assert status in (0, 1, 2)
     if status == 2:
         assert err.getvalue().startswith("error:")
+
+
+def _assert_clean_exit(argv: list[str]) -> None:
+    """Run the CLI in process: it exits 0 or 1, or 2 with an ``error:``
+    line last on stderr, and prints no traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        status = main(argv)
+    assert status in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if status == 2:
+        assert "error: " in err.getvalue().splitlines()[-1]
+
+
+def _family_line(elements) -> str:
+    return "C: " + " ".join(map(str, elements)) + "\n"
+
+
+# grid4.json is a 4 x 4 grid of vertices numbered row by row, so the
+# neighbours of v are among v - 4, v - 1, v + 1 and v + 4, and it has 9
+# faces (indices 0..8). Part of the cases put a seed and its cutset on that
+# grid, so that some traces run; the rest are near misses and junk.
+_OFFSETS = st.sampled_from([-4, -1, 1, 4])
+_ON_GRID = st.one_of(
+    st.builds(
+        lambda v, a, b: (str(v), "vertex", _family_line((v + a, v + b))), st.integers(1, 16), _OFFSETS, _OFFSETS
+    ),
+    st.builds(
+        lambda v, a, faces: (f"{v}-{v + a}", "edge", faces),
+        st.integers(1, 16),
+        _OFFSETS,
+        st.none() | st.lists(st.integers(0, 9), min_size=1, max_size=2).map(_family_line),
+    ),
+)
+_SEED_TEXT = st.one_of(
+    st.integers(-2, 45).map(str),
+    st.builds("{}-{}".format, st.integers(-1, 18), st.integers(-1, 18)),
+    st.text(st.sampled_from("0123456789-x "), max_size=6),
+)
+_CUTSET_TEXT = st.one_of(
+    st.lists(st.integers(-1, 18), min_size=1, max_size=3).map(_family_line),
+    st.lists(st.builds("{}-{}".format, st.integers(0, 17), st.integers(0, 17)), min_size=1, max_size=2).map(
+        _family_line
+    ),
+    _LINES,
+)
+_TRACE_ARGS = _ON_GRID | st.tuples(_SEED_TEXT, st.sampled_from(["vertex", "edge"]), st.none() | _CUTSET_TEXT)
+
+
+@given(_TRACE_ARGS)
+@settings(max_examples=150)
+def test_complex_trace_seeds_exit_cleanly(tmp_path_factory, case):
+    seed, kind, cutset = case
+    argv = ["complex", "trace", str(INPUTS / "grid4.json"), f"--seed-vertex={seed}", "--kind", kind]
+    if cutset is not None:
+        path = tmp_path_factory.getbasetemp() / "trace-cutset.txt"
+        path.write_text(cutset)
+        argv += ["--cutset", str(path)]
+    _assert_clean_exit(argv)
+
+
+# q3 has 8 vertices, and neighbour positions run 1..3.
+_SPLIT = st.sampled_from([(1, 2), (1, 3), (2, 3), (3, 1), (2, 2), (0, 1), (1, 4)]) | st.tuples(
+    st.integers(), st.integers()
+)
+
+
+@given(st.sampled_from(range(-1, 11)) | st.integers(), _SPLIT)
+@settings(max_examples=100)
+def test_star_search_goals_exit_cleanly(at, split):
+    i, j = split
+    _assert_clean_exit(["cutset", "search", "--builtin", "q3", "--star", f"--at={at}", "--split", str(i), str(j)])
