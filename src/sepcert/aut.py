@@ -12,6 +12,12 @@ the elements ``u_{p(x)}^-1 p u_x`` over orbit points x and generators p
 generate Stab(r). `PairOrbits` labels the orbits on ordered vertex pairs
 with them: the representative r of x's orbit and the least point of the
 Stab(r)-orbit of u_x^-1(y).
+
+Orbits of vertex sets are closed on sorted-id keys (`vertex_set_key`): a
+string holding ``chr(v)`` for each vertex v, in ascending order, so keys
+compare as the sorted vertex lists do. Each generator is kept as a
+``str.translate`` table, so the image of a set is one ``translate`` and a
+sort, and a key hashes and compares faster than a frozenset of ints.
 """
 from __future__ import annotations
 
@@ -40,10 +46,6 @@ def inverse(p: Permutation) -> Permutation:
     for v, w in enumerate(p, 1):
         out[w - 1] = v
     return tuple(out)
-
-
-def apply_to_vertex_set(p: Permutation, s: Iterable[int]) -> frozenset[int]:
-    return frozenset(p[v - 1] for v in s)
 
 
 def is_automorphism(g: Graph, p: Permutation) -> bool:
@@ -122,6 +124,12 @@ class PermutationGroup:
     def pair_orbits(self) -> "PairOrbits":
         """`PairOrbits` of the group, computed once."""
         return pair_orbits(self.n, self.generators)
+
+    @cached_property
+    def translation_tables(self) -> tuple[str, ...]:
+        """Each generator p as a ``str.translate`` table for sorted-id
+        keys: the character at position v is ``chr(p(v))``."""
+        return tuple("\0" + "".join(map(chr, p)) for p in self.generators)
 
     def stabilizer_generators(self, r: int) -> tuple[Permutation, ...]:
         """Schreier generators of the stabilizer of r, deduplicated and
@@ -381,16 +389,21 @@ def _transversal(n: int, b: int, gens: Sequence[Permutation]) -> dict[int, Permu
     return reps
 
 
-def vertex_set_closure(grp: PermutationGroup, s: Iterable[int]) -> set[frozenset[int]]:
+def vertex_set_key(s: Iterable[int]) -> str:
+    """The sorted-id key of a vertex set: ``chr(v)`` for each vertex v, in
+    ascending order."""
+    return "".join(map(chr, sorted(s)))
+
+
+def vertex_set_closure(grp: PermutationGroup, key: str) -> set[str]:
     """Every image of a vertex set under the group, found by search over
-    the generators."""
-    start = frozenset(s)
-    seen = {start}
-    queue = [start]
-    while queue:
-        cur = queue.pop()
-        for p in grp.generators:
-            nxt = apply_to_vertex_set(p, cur)
+    the generators. The set and its images are sorted-id keys."""
+    seen = {key}
+    queue = [key]
+    tables = grp.translation_tables
+    for cur in queue:
+        for table in tables:
+            nxt = "".join(sorted(cur.translate(table)))
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
@@ -399,7 +412,7 @@ def vertex_set_closure(grp: PermutationGroup, s: Iterable[int]) -> set[frozenset
 
 def orbit_of_vertex_set(grp: PermutationGroup, s: Iterable[int]) -> tuple[frozenset[int], ...]:
     """Closure of a vertex set under the group, canonically ordered."""
-    return tuple(sorted(vertex_set_closure(grp, s), key=sorted))
+    return tuple(frozenset(map(ord, k)) for k in sorted(vertex_set_closure(grp, vertex_set_key(s))))
 
 
 def is_distance_transitive(g: Graph, grp: PermutationGroup):

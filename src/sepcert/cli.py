@@ -50,7 +50,6 @@ from .gluing import (
     GluingInfeasible,
     GluingStructure,
     WeightAssignment,
-    pair_key,
     solve_gluing,
     verify_gluing,
 )
@@ -345,8 +344,9 @@ def _load_weights(structure: GluingStructure, path: str) -> WeightAssignment:
         except ValueError:
             raise _UsageError(f"weights line {lineno}: bad integer {value!r}") from None
         li, orbit = by_id[oid]
+        keys = structure.pair_keys(li)
         for cp in orbit:
-            weights[(li.name, pair_key(cp))] = val
+            weights[(li.name, keys[cp])] = val
     missing = [oid for oid in by_id if oid not in seen]
     if missing:
         raise _UsageError(f"weights file misses orbits: {', '.join(missing)}")
@@ -414,14 +414,13 @@ def _cmd_complex_check(args) -> int:
 
 
 def _parse_seed_vertex(x, raw: str, kind: str) -> int:
-    if "-" in raw:
+    """A vertex id, or the midpoint ``u-v`` of an edge; only two positive
+    integers joined by one dash name a midpoint, so ``-2`` is a vertex id."""
+    u, dash, v = raw.partition("-")
+    if dash and u.isdecimal() and v.isdecimal() and int(u) > 0 and int(v) > 0:
         if kind != "edge":
             raise _UsageError("an edge-midpoint seed needs --kind edge")
-        try:
-            u, v = (int(t) for t in raw.split("-"))
-        except ValueError:
-            raise _UsageError(f"bad seed {raw!r}: expected 'u-v' or a vertex id") from None
-        return edge_midpoint_id(x, (u, v))
+        return edge_midpoint_id(x, (int(u), int(v)))
     try:
         return int(raw)
     except ValueError:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Iterable, Mapping
 
 from .errors import CutsetError
@@ -60,7 +60,7 @@ class Cutset:
         if not self.elements:
             raise CutsetError("empty cutset")
         if self.kind == "vertex":
-            if not all(isinstance(v, int) for v in self.elements):
+            if not all(map(isinstance, self.elements, repeat(int))):
                 raise CutsetError("vertex cutset elements must be vertex ids")
         else:
             norm = frozenset(edge_key(*e) for e in self.elements)
@@ -455,7 +455,7 @@ def format_family(family: Iterable[Cutset]) -> str:
     lines = []
     for c in family:
         if c.kind == "vertex":
-            body = " ".join(str(v) for v in c.sorted_elements())
+            body = " ".join(map(str, c.sorted_elements()))
         else:
             body = " ".join(f"{a}-{b}" for a, b in c.sorted_elements())
         lines.append(f"C: {body}")

@@ -185,15 +185,26 @@ class GluingStructure:
     def _classes(self) -> dict[tuple[str, object], dict]:
         return {}
 
+    @cached_property
+    def _keys(self) -> dict[str, dict[CutsetPartition, tuple]]:
+        return {}
+
+    def pair_keys(self, li: SeparatedFamily) -> dict[CutsetPartition, tuple]:
+        """The `pair_key` of each pair of li, in member order, computed once."""
+        if li.name not in self._keys:
+            self._keys[li.name] = {cp: pair_key(cp) for cp in li.members}
+        return self._keys[li.name]
+
     def orbits(self, li: SeparatedFamily) -> tuple[tuple[CutsetPartition, ...], ...]:
         """The orbits of li's pairs under its group (one per pair without a
         group), each sorted by `pair_key`, in order of their first pairs."""
         if li.name not in self._orbits:
+            key = self.pair_keys(li).__getitem__
             buckets: dict[int, list[CutsetPartition]] = {}
             for cp, o in zip(li.members, li.orbit_of):
                 buckets.setdefault(o, []).append(cp)
-            orbits = [tuple(sorted(ms, key=pair_key)) for ms in buckets.values()]
-            self._orbits[li.name] = tuple(sorted(orbits, key=lambda ms: pair_key(ms[0])))
+            orbits = [tuple(sorted(ms, key=key)) for ms in buckets.values()]
+            self._orbits[li.name] = tuple(sorted(orbits, key=lambda ms: key(ms[0])))
         return self._orbits[li.name]
 
     def classes_at(self, li: SeparatedFamily, x) -> dict[CutsetPartition, frozenset]:
@@ -216,12 +227,14 @@ class WeightAssignment:
     @classmethod
     def all_ones(cls, structure: GluingStructure) -> "WeightAssignment":
         return cls(
-            {(li.name, pair_key(cp)): 1 for li in structure.instances for cp in li.members}
+            {(li.name, key): 1 for li in structure.instances for key in structure.pair_keys(li).values()}
         )
 
-    def get(self, li: SeparatedFamily, cp: CutsetPartition) -> int:
+    def get(self, li: SeparatedFamily, cp: CutsetPartition, key: tuple | None = None) -> int:
+        """The weight of the pair cp of li; ``key`` is its `pair_key`, when
+        the caller already holds it."""
         try:
-            return self.weights[(li.name, pair_key(cp))]
+            return self.weights[(li.name, pair_key(cp) if key is None else key)]
         except KeyError:
             raise GluingError(
                 f"no weight for cutset {cp.cutset.sorted_elements()} in link {li.name!r}"
@@ -254,13 +267,16 @@ def verify_gluing(structure: GluingStructure, w: WeightAssignment) -> Certificat
     there by the element taking x to r; otherwise every member is decided
     with the class sums at every element."""
     cert = Certificate("gluing")
-    weight = {li.name: {cp: w.get(li, cp) for cp in li.members} for li in structure.instances}
+    keys = {li.name: structure.pair_keys(li) for li in structure.instances}
+    weight = {
+        li.name: {cp: w.get(li, cp, key) for cp, key in keys[li.name].items()} for li in structure.instances
+    }
     bad_positive = []
     for li in structure.instances:
         for cp in li.members:
             value = weight[li.name][cp]
             if not (isinstance(value, int) and value >= 1):
-                bad_positive.append((li.name, pair_key(cp), value))
+                bad_positive.append((li.name, keys[li.name][cp], value))
     cert.add(
         "weights-positive",
         not bad_positive,
@@ -277,7 +293,7 @@ def verify_gluing(structure: GluingStructure, w: WeightAssignment) -> Certificat
                 orbit_count += 1
                 vals = {weight[li.name][cp] for cp in orbit}
                 if len(vals) > 1:
-                    bad_orbit.append((li.name, pair_key(orbit[0]), sorted(vals)))
+                    bad_orbit.append((li.name, keys[li.name][orbit[0]], sorted(vals)))
             if li.group is not None and len(bad_orbit) == before:
                 invariant.add(li.name)
         cert.add(
@@ -514,14 +530,15 @@ def solve_gluing(structure: GluingStructure) -> WeightAssignment | GluingInfeasi
     exact phase-one simplex. Either answer is checked before it is handed
     back."""
     orbit_vars = [(li, orbit) for li in structure.instances for orbit in structure.orbits(li)]
+    keys = {li.name: structure.pair_keys(li) for li in structure.instances}
     # pairs with one pair_key share one unknown, as they share one weight
     var_of_key = {
-        (li.name, pair_key(cp)): j for j, (li, orbit) in enumerate(orbit_vars) for cp in orbit
+        (li.name, keys[li.name][cp]): j for j, (li, orbit) in enumerate(orbit_vars) for cp in orbit
     }
     var_of = {
-        (li.name, cp): var_of_key[li.name, pair_key(cp)]
+        (li.name, cp): var_of_key[li.name, key]
         for li in structure.instances
-        for cp in li.members
+        for cp, key in keys[li.name].items()
     }
     k = len(orbit_vars)
     if k == 0:
@@ -530,7 +547,7 @@ def solve_gluing(structure: GluingStructure) -> WeightAssignment | GluingInfeasi
     def assignment_from(values: list[int]) -> WeightAssignment:
         return WeightAssignment(
             {
-                (li.name, pair_key(cp)): values[i]
+                (li.name, keys[li.name][cp]): values[i]
                 for i, (li, orbit) in enumerate(orbit_vars)
                 for cp in orbit
             }

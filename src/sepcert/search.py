@@ -7,7 +7,8 @@ locally: cut vertices pairwise at distance >= 3 (their closed 1-balls are
 disjoint), no A-B edge, and every cut vertex's neighborhood meeting both
 sides. Connectivity of the sides cannot be decided locally, so candidate
 leaves are validated through the cutset predicates before emission; every
-reported cutset has passed them.
+reported cutset has passed them, or is the image of one that has under a
+checked automorphism.
 
 A neighbor-split goal is searched from one root: v is cut, and its i-th
 and j-th neighbors in ascending order go to sides A and B. Enumerating every
@@ -43,6 +44,14 @@ conjunction is Aut-invariant, so every image of a validated leaf is a star
 cutset. With a trivial group every vertex is its own orbit, and each
 cutset is found once, from its least vertex.
 
+An orbit is closed as soon as its first leaf passes the star conjunction,
+on sorted-id keys (``aut.vertex_set_key``). A later leaf whose cut is
+already in the family is admitted without deciding it again: it is the
+image of a validated leaf under a product of checked generators, so by
+the same invariance it passes, and the family already holds it, so its
+verdict could not change the output. A neighbor-split goal has no group,
+and every one of its leaves is decided.
+
 Work is split deterministically: the roots are expanded breadth-first into
 a fixed number of decision prefixes, each prefix is searched under its own
 share of the node budget, and results merge in prefix order. Searches stop
@@ -54,7 +63,14 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from .aut import PermutationGroup, automorphism_group, is_automorphism, orbits_under, vertex_set_closure
+from .aut import (
+    PermutationGroup,
+    automorphism_group,
+    is_automorphism,
+    orbits_under,
+    vertex_set_closure,
+    vertex_set_key,
+)
 from .cutset import Cutset, is_star_cutset, require_cubic
 from .errors import SearchError
 from .graph import Graph
@@ -297,32 +313,45 @@ def search_star_cutsets(task: SearchTask) -> SearchResult:
         grp, roots = None, [_goal_root(task)]
 
     stats = _fresh_stats()
-    found: list[Cutset] = []
-    prefixes, spent, truncated = _expand_prefixes(task, roots, ball2, found, stats, target=64)
+    family = _Family(grp)
+    prefixes, spent, truncated = _expand_prefixes(task, roots, ball2, family, stats, target=64)
     per_budget = max(0, task.node_budget - spent) // max(1, len(prefixes))
     exhausted = not truncated
     for root, decisions in prefixes:
-        sub_exhausted = _search_subtree(g, ball2, root, decisions, per_budget, found, stats)
+        sub_exhausted = _search_subtree(g, ball2, root, decisions, per_budget, family, stats)
         exhausted = exhausted and sub_exhausted
     stats["subtasks"] = len(prefixes)
-
-    family = {c.elements for c in found}
     if grp is not None:
-        family, stats["orbits"] = _close_under(grp, family)
-    cutsets = tuple(Cutset.of_vertices(c) for c in sorted(family, key=sorted))
+        stats["orbits"] = family.orbits
+    cutsets = tuple(Cutset.of_vertices(map(ord, key)) for key in sorted(family.keys))
     return SearchResult(cutsets, exhausted, stats)
 
 
-def _close_under(grp: PermutationGroup, family: set[frozenset[int]]) -> tuple[set[frozenset[int]], int]:
-    """Every image of the family under the group; also how many orbits it
-    falls into."""
-    closed: set[frozenset[int]] = set()
-    orbits = 0
-    for start in family:
-        if start not in closed:
-            orbits += 1
-            closed |= vertex_set_closure(grp, start)
-    return closed, orbits
+class _Family:
+    """The cutsets found so far, as sorted-id keys (``aut.vertex_set_key``).
+    With a group, a leaf that passes the star conjunction brings in its
+    whole orbit, and a later leaf already in the family is admitted
+    without being decided again."""
+
+    __slots__ = ("grp", "keys", "orbits")
+
+    def __init__(self, grp: PermutationGroup | None):
+        self.grp = grp
+        self.keys: set[str] = set()
+        self.orbits = 0
+
+    def admit(self, g: Graph, cut: list[int]) -> bool:
+        key = vertex_set_key(cut)
+        if self.grp is not None and key in self.keys:
+            return True
+        if not is_star_cutset(g, Cutset.of_vertices(cut)).ok:
+            return False
+        if self.grp is None:
+            self.keys.add(key)
+        else:
+            self.keys |= vertex_set_closure(self.grp, key)
+            self.orbits += 1
+        return True
 
 
 def _replay(g: Graph, ball2, root: _Root, decisions, stats) -> _Coloring | None:
@@ -335,7 +364,7 @@ def _replay(g: Graph, ball2, root: _Root, decisions, stats) -> _Coloring | None:
     return state
 
 
-def _emit_leaf(g: Graph, state: _Coloring, found: list[Cutset], stats: dict) -> None:
+def _emit_leaf(g: Graph, state: _Coloring, family: _Family, stats: dict) -> None:
     stats["leaves"] += 1
     cut = []
     seen = 0
@@ -344,15 +373,11 @@ def _emit_leaf(g: Graph, state: _Coloring, found: list[Cutset], stats: dict) -> 
             cut.append(v)
         else:
             seen |= color
-    if cut and seen == SIDE_A | SIDE_B:
-        c = Cutset.of_vertices(cut)
-        if is_star_cutset(g, c).ok:
-            found.append(c)
-            return
-    stats["rejected_at_emission"] += 1
+    if not (cut and seen == SIDE_A | SIDE_B and family.admit(g, cut)):
+        stats["rejected_at_emission"] += 1
 
 
-def _expand_prefixes(task, roots, ball2, found, stats, target: int):
+def _expand_prefixes(task, roots, ball2, family, stats, target: int):
     """Breadth-first expansion of (root, decisions) prefixes until at least
     `target` live subtrees exist. Depends only on the task. Leaves met along
     the way are emitted here; branching charges the node budget just as the
@@ -369,7 +394,7 @@ def _expand_prefixes(task, roots, ball2, found, stats, target: int):
             continue
         v = _branch_vertex(state)
         if v is None:
-            _emit_leaf(g, state, found, stats)
+            _emit_leaf(g, state, family, stats)
             continue
         for c in _COLOR_ORDER:
             if _BIT[c] & state.mask[v]:
@@ -379,7 +404,7 @@ def _expand_prefixes(task, roots, ball2, found, stats, target: int):
     return list(queue), spent, False
 
 
-def _search_subtree(g, ball2, root, decisions, node_budget, found, stats) -> bool:
+def _search_subtree(g, ball2, root, decisions, node_budget, family, stats) -> bool:
     """Depth-first search below one prefix; True when it ran to the end."""
     state = _replay(g, ball2, root, decisions, stats)
     if state is None:
@@ -390,7 +415,7 @@ def _search_subtree(g, ball2, root, decisions, node_budget, found, stats) -> boo
     def rec() -> None:
         v = _branch_vertex(state)
         if v is None:
-            _emit_leaf(g, state, found, stats)
+            _emit_leaf(g, state, family, stats)
             return
         if budget_left[0] <= 0:
             exhausted[0] = False

@@ -176,6 +176,22 @@ def separates(g: Graph, c: frozenset[int], x: int, y: int) -> bool:
     return y not in nx.node_connected_component(rest, x)
 
 
+def frozenset_closure(generators, s) -> set[frozenset[int]]:
+    """Every image of a vertex set under the group the generators make:
+    a search over frozensets, each image built vertex by vertex."""
+    start = frozenset(s)
+    seen = {start}
+    queue = [start]
+    while queue:
+        cur = queue.pop()
+        for p in generators:
+            nxt = frozenset(p[v - 1] for v in cur)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
+
+
 def set_orbits(perms, sets) -> set[frozenset[frozenset[int]]]:
     """Orbits of vertex sets under a group listed element by element: every
     element is applied to each set not yet placed in an orbit."""

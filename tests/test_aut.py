@@ -10,7 +10,7 @@ import pytest
 from sympy.combinatorics import Permutation as SympyPermutation
 from sympy.combinatorics import PermutationGroup as SympyGroup
 
-from _oracles import brute_automorphisms, distance_transitivity, natural_order_aut_count
+from _oracles import brute_automorphisms, distance_transitivity, frozenset_closure, natural_order_aut_count
 from sepcert.aut import (
     automorphism_group,
     compose,
@@ -19,6 +19,8 @@ from sepcert.aut import (
     is_automorphism,
     is_distance_transitive,
     orbit_of_vertex_set,
+    vertex_set_closure,
+    vertex_set_key,
 )
 from sepcert.datasets import builtin_names, named_graph
 from sepcert.errors import GroupError
@@ -133,6 +135,27 @@ def test_orbit_of_vertex_set():
     grp = automorphism_group(g)
     orbit = orbit_of_vertex_set(grp, {1, 4})
     assert set(orbit) == {frozenset({1, 4}), frozenset({2, 5}), frozenset({3, 6})}
+
+
+def assert_orbit_matches_the_frozenset_search(grp, s) -> None:
+    """The sorted-id closure of s and its canonical order agree with the
+    frozenset search over the same generators."""
+    oracle = frozenset_closure(grp.generators, s)
+    keys = vertex_set_closure(grp, vertex_set_key(s))
+    assert {frozenset(map(ord, k)) for k in keys} == oracle
+    assert orbit_of_vertex_set(grp, s) == tuple(sorted(oracle, key=sorted))
+
+
+@pytest.mark.parametrize(
+    "g", [named_graph(name) for name in builtin_names()] + [_random_cubic(n, seed) for n, seed in RANDOM_CUBIC]
+)
+def test_vertex_set_orbits_match_the_frozenset_search(g):
+    grp = automorphism_group(g)
+    rng = random.Random(g.n)
+    sets = [(v, *g.neighbors(v)) for v in g.vertices()]
+    sets += [rng.sample(range(1, g.n + 1), k) for k in range(1, min(g.n, 6) + 1)]
+    for s in [()] + sets:
+        assert_orbit_matches_the_frozenset_search(grp, s)
 
 
 @pytest.mark.parametrize("name,expected", [("q3", True), ("petersen", True), ("heawood", True), ("prism", False)])

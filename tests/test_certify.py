@@ -27,6 +27,7 @@ from sepcert.errors import CertifyError, CutsetError
 from sepcert.gluing import GluingStructure, WeightAssignment, verify_gluing
 from sepcert.graph import Graph, Metric
 from sepcert.report import dumps
+from test_aut import assert_orbit_matches_the_frozenset_search
 
 
 @pytest.fixture(scope="module")
@@ -309,6 +310,13 @@ def test_failing_certificates_agree_with_and_without_a_cyclic_group(f090a, f090a
     assert not vertex.check("neighbor-pairs-split").ok
     assert not vertex.check("distant-pairs-split").ok
     assert not link.ok
+
+
+def test_cyclic_group_orbits_match_the_frozenset_search(f090a, f090a_group, census_orbits):
+    # one generator and an empty chain: the closure reads the generators only
+    cyclic = PermutationGroup(f090a.n, f090a_group.generators[:1], (), ())
+    for census_orbit in census_orbits:
+        assert_orbit_matches_the_frozenset_search(cyclic, census_orbit[0])
 
 
 def test_hexagonal_prism_counts_differ_between_slots_of_one_vertex():

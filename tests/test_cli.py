@@ -196,6 +196,18 @@ def test_complex_trace_rejects_out_of_range_midpoint(capsys):
     assert capsys.readouterr().err == "error: seed vertex 999 outside the subdivided range\n"
 
 
+@pytest.mark.parametrize("kind", ["vertex", "edge"])
+def test_complex_trace_takes_a_negative_seed_as_a_vertex_id(kind, tmp_path, capsys):
+    cutset = tmp_path / "cutset.txt"
+    cutset.write_text("C: 2 5\n")
+    argv = ["complex", "trace", str(INPUTS / "grid4.json"), "--seed-vertex=-2", "--kind", kind]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --cutset is required except for edge-midpoint seeds\n"
+    assert main([*argv, "--cutset", str(cutset)]) == 2
+    seed = "seed vertex" if kind == "edge" else "vertex"
+    assert capsys.readouterr().err == f"error: ComplexError: {seed} -2 outside 1..16\n"
+
+
 def test_cutset_check_rejects_edges_outside_the_graph(tmp_path, capsys):
     family = tmp_path / "family.txt"
     family.write_text("C: 7-8\n")

@@ -236,6 +236,7 @@ _ON_GRID = st.one_of(
 )
 _SEED_TEXT = st.one_of(
     st.integers(-2, 45).map(str),
+    st.integers(max_value=-1).map(str),
     st.builds("{}-{}".format, st.integers(-1, 18), st.integers(-1, 18)),
     st.text(st.sampled_from("0123456789-x "), max_size=6),
 )
@@ -259,6 +260,19 @@ def test_complex_trace_seeds_exit_cleanly(tmp_path_factory, case):
         path.write_text(cutset)
         argv += ["--cutset", str(path)]
     _assert_clean_exit(argv)
+
+
+@given(st.integers(max_value=0), st.sampled_from(["vertex", "edge"]))
+@settings(max_examples=50)
+def test_complex_trace_names_a_seed_below_one_out_of_range(tmp_path_factory, v, kind):
+    """A seed id below 1 is a vertex id, never an edge midpoint."""
+    path = tmp_path_factory.getbasetemp() / "trace-cutset-low.txt"
+    path.write_text(_family_line((2, 5)))
+    argv = ["complex", "trace", str(INPUTS / "grid4.json"), f"--seed-vertex={v}", "--kind", kind, "--cutset", str(path)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(argv) == 2
+    assert err.getvalue().endswith(f"vertex {v} outside 1..16\n")
 
 
 # q3 has 8 vertices, and neighbour positions run 1..3.

@@ -111,9 +111,23 @@ def test_f090a_census_in_the_bundled_labelling(f090a_census):
     assert f090a_census.stats["orbits"] == 15
 
 
-def test_f090a_census_counters_in_the_bundled_labelling(f090a, f090a_census):
+def _count_star_predicate(monkeypatch) -> list[int]:
+    """Count the search's calls of ``is_star_cutset`` in calls[0]."""
+    calls = [0]
+
+    def counted(g, c):
+        calls[0] += 1
+        return is_star_cutset(g, c)
+
+    monkeypatch.setattr(search, "is_star_cutset", counted)
+    return calls
+
+
+def test_f090a_census_counters_in_the_bundled_labelling(f090a, f090a_census, monkeypatch):
     """Work counters of the two-level rooted search. They depend only on
-    the graph and its labelling, so a second run repeats them exactly."""
+    the graph and its labelling, so a second run repeats them exactly.
+    The star conjunction is decided once per orbit and once per rejected
+    leaf: 15 + 53 calls for 762 leaves."""
     stats = f090a_census.stats
     assert {k: stats[k] for k in ("nodes", "leaves", "rejected_at_emission", "subtasks", "orbits")} == {
         "nodes": 7716,
@@ -122,9 +136,11 @@ def test_f090a_census_counters_in_the_bundled_labelling(f090a, f090a_census):
         "subtasks": 64,
         "orbits": 15,
     }
+    calls = _count_star_predicate(monkeypatch)
     again = search_star_cutsets(SearchTask(f090a, node_budget=10**18))
     assert again.stats == stats
     assert again.cutsets == f090a_census.cutsets
+    assert calls[0] == 68
 
 
 def test_trivial_group_keeps_one_root_per_vertex():
@@ -151,14 +167,23 @@ def test_trivial_group_keeps_one_root_per_vertex():
     }
 
 
-def test_f090a_census_in_a_relabelling(f090a):
+def test_f090a_census_in_a_relabelling(f090a, monkeypatch):
     perm = list(range(1, f090a.n + 1))
     random.Random(2).shuffle(perm)
+    calls = _count_star_predicate(monkeypatch)
     result = search_star_cutsets(SearchTask(f090a.relabel(perm), node_budget=10**18))
     assert result.exhausted
     assert len(result.cutsets) == F090A_STAR_CUTSETS
     assert _family_sha256(result.cutsets, perm) == F090A_STAR_SHA256
-    assert result.stats["orbits"] == 15
+    stats = result.stats
+    assert {k: stats[k] for k in ("nodes", "leaves", "rejected_at_emission", "subtasks", "orbits")} == {
+        "nodes": 4388,
+        "leaves": 486,
+        "rejected_at_emission": 35,
+        "subtasks": 64,
+        "orbits": 15,
+    }
+    assert calls[0] == 15 + 35
 
 
 def test_f090a_census_orbit_sizes(f090a_group, f090a_census):
@@ -202,6 +227,16 @@ def test_neighbor_split_goal_members_split_the_pair():
     for c in result.cutsets:
         assert 1 in c.elements
         assert separates(g, c.elements, wi, wj)
+
+
+def test_neighbor_split_goal_decides_every_leaf(monkeypatch):
+    """Without a group no leaf is admitted on another's verdict: every
+    leaf, each with its cut vertex and both sides seeded, is decided."""
+    calls = _count_star_predicate(monkeypatch)
+    g = named_graph("f090a")
+    result = search_star_cutsets(SearchTask(g, NeighborSplitGoal(1, 1, 2), node_budget=5000))
+    assert calls[0] == result.stats["leaves"] == 253
+    assert len(result.cutsets) == calls[0] - result.stats["rejected_at_emission"] == 223
 
 
 def test_node_budget_limits_work():
