@@ -503,6 +503,17 @@ def _cmd_f090a(args) -> int:
 # ----------------------------------------------------------------- main --
 
 
+def _node_budget(raw: str) -> int:
+    """The ``--budget`` type: a non-negative number of search nodes."""
+    try:
+        budget = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid node budget {raw!r}") from None
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"node budget {budget} is negative")
+    return budget
+
+
 def _add_graph_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph", nargs="?", help="graph file (edge-list format)")
     p.add_argument("--builtin", help="built-in graph name (e.g. f090a, q3, k33)")
@@ -546,7 +557,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--split", type=int, nargs=2, metavar=("I", "J"), help="positions 1..3 among its ascending neighbors"
     )
     search.add_argument("--exhaust", action="store_true")
-    search.add_argument("--budget", type=int, default=10_000_000)
+    search.add_argument("--budget", type=_node_budget, default=10_000_000)
     search.add_argument("--out", help="family file; stats land in <out>.stats.json")
     search.set_defaults(fn=_cmd_cutset_search, command="cutset search")
 
@@ -556,7 +567,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cl = certify.add_parser("link", help="triangle-link certificate")
     _add_graph_source(cl)
     cl.add_argument("--family")
-    cl.add_argument("--budget", type=int, default=5000)
+    cl.add_argument("--budget", type=_node_budget, default=5000)
     cl.add_argument("--out")
     cl.set_defaults(fn=_cmd_certify_link, command="certify link")
 

@@ -171,10 +171,10 @@ class PolygonalComplex:
         """Longest face boundary (faces have unit sides)."""
         return max(len(f) for f in self.faces)
 
-    def _incidence(self) -> tuple[tuple, tuple, dict[Edge, int]]:
+    def _incidence(self) -> tuple[tuple, tuple]:
         """Vertex -> faces and vertex -> incident edges (both ascending,
-        indexed by vertex id, slot 0 empty), and edge -> position in
-        ``edges``; built in one pass over faces and edges on first use."""
+        indexed by vertex id, slot 0 empty); built in one pass over faces
+        and edges on first use."""
         index = self._cache.get("incidence")
         if index is None:
             faces_at: list[list[int]] = [[] for _ in range(self.n + 1)]
@@ -185,8 +185,7 @@ class PolygonalComplex:
             for e in self.edges:
                 edges_at[e[0]].append(e)
                 edges_at[e[1]].append(e)
-            position = {e: i for i, e in enumerate(self.edges)}
-            index = (tuple(map(tuple, faces_at)), tuple(map(tuple, edges_at)), position)
+            index = (tuple(map(tuple, faces_at)), tuple(map(tuple, edges_at)))
             self._cache["incidence"] = index
         return index
 
@@ -403,8 +402,13 @@ class Segment(object):
         raise ComplexError(f"vertex {v} is not an end of segment {self}")
 
 
-def _segment(a: int, b: int, face: int | None = None) -> Segment:
-    return Segment(min(a, b), max(a, b), face)
+def _subdivided_skeleton(x: PolygonalComplex) -> tuple[Graph, dict[Edge, int]]:
+    """The subdivided 1-skeleton and its edge -> midpoint map, built once per
+    complex: the one place midpoint ids are assigned (n+1.. in sorted edge
+    order, ``graph.subdivision_graph``)."""
+    if "subdivision" not in x._cache:
+        x._cache["subdivision"] = subdivision_graph(x.skeleton)
+    return x._cache["subdivision"]
 
 
 class AntipodalGraph:
@@ -420,7 +424,7 @@ class AntipodalGraph:
 
     def __init__(self, x: PolygonalComplex):
         self.n_primary = x.n
-        self.mid_of = {e: x.n + 1 + i for i, e in enumerate(x.edges)}
+        self.mid_of = _subdivided_skeleton(x)[1]
         self.n_total = x.n + len(x.edges)
         boundaries = []
         records: list[Segment] = []
@@ -432,7 +436,7 @@ class AntipodalGraph:
                 cycle.append(self.mid_of[edge_key(u, walk[(i + 1) % k])])
             boundaries.append(tuple(cycle))
             for i in range(k):
-                records.append(_segment(cycle[i], cycle[i + k], idx))
+                records.append(Segment(cycle[i], cycle[i + k], idx))
         self.boundaries = tuple(boundaries)
         self.edges = tuple(sorted(records, key=Segment.key))
         at: dict[int, list[Segment]] = {}
@@ -469,10 +473,10 @@ def antipodal_graph(x: PolygonalComplex) -> AntipodalGraph:
 def edge_midpoint_id(x: PolygonalComplex, e: Edge) -> int:
     """Subdivided id of an edge midpoint (n+1.. in sorted edge order)."""
     key = edge_key(*e)
-    _, _, position = x._incidence()
-    if key not in position:
+    _, mid = _subdivided_skeleton(x)
+    if key not in mid:
         raise ComplexError(f"{key} is not an edge of the complex")
-    return x.n + 1 + position[key]
+    return mid[key]
 
 
 @dataclass(frozen=True)
@@ -633,7 +637,7 @@ def _segments_for(x: PolygonalComplex, kind: str, v: int, pair: CutsetPartition)
     """Walkway edges named by a pair's atoms at v, in atom order."""
     if kind == "vertex":
         lk = link(x, v)
-        return [_segment(*lk.edges_at[a - 1]) for a in _atoms(x, kind, v, pair)]
+        return [Segment(*lk.edges_at[a - 1]) for a in _atoms(x, kind, v, pair)]
     antip = antipodal_graph(x)
     return [antip.through(v, f) for f in _atoms(x, kind, v, pair)]
 
@@ -874,14 +878,6 @@ class WallCut:
             if node in blk:
                 return i
         raise ComplexError(f"node {node} is removed or unknown")
-
-
-def _subdivided_skeleton(x: PolygonalComplex) -> tuple[Graph, dict[Edge, int]]:
-    """The subdivided 1-skeleton and its edge -> midpoint map, built once per
-    complex (midpoints n+1.. in sorted edge order, as ``mid_of``)."""
-    if "subdivision" not in x._cache:
-        x._cache["subdivision"] = subdivision_graph(x.skeleton)
-    return x._cache["subdivision"]
 
 
 def wall_cut(x: PolygonalComplex, h: Hypergraph) -> WallCut:

@@ -52,14 +52,13 @@ the same invariance it passes, and the family already holds it, so its
 verdict could not change the output. A neighbor-split goal has no group,
 and every one of its leaves is decided.
 
-Work is split deterministically: the roots are expanded breadth-first into
-a fixed number of decision prefixes, each prefix is searched under its own
-share of the node budget, and results merge in prefix order. Searches stop
-on node budgets only, so a verdict does not depend on machine speed.
+The roots are searched depth-first in order, every child of a branching is
+charged to one node budget that the search never overruns, and
+``exhausted`` holds exactly when no child was left unexplored, so a verdict
+does not depend on machine speed.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -118,9 +117,6 @@ class _Root:
 
     seeds: tuple[tuple[int, int], ...]
     not_cut: tuple[int, ...] = ()
-    #: Only ``not_cut[:upto]`` is kept out of the cut, so the roots under
-    #: one vertex can share a single ``not_cut`` tuple.
-    upto: int | None = None
 
 
 def _ball2(g: Graph) -> list[frozenset[int]]:
@@ -263,7 +259,7 @@ def _orbit_roots(g: Graph, grp: PermutationGroup, ball2) -> list[_Root]:
     earlier orbits kept out of the cut, one root per eligible orbit of
     Stab(r) with two or more vertices also cuts that orbit's least vertex
     and keeps the earlier such orbits out of the cut; a last root keeps
-    all of them out of it. The roots under r share one ``not_cut``."""
+    all of them out of it."""
     roots = []
     earlier: list[int] = []
     done: set[int] = set()
@@ -275,11 +271,10 @@ def _orbit_roots(g: Graph, grp: PermutationGroup, ball2) -> list[_Root]:
             for sub in orbits_under(g.n, grp.stabilizer_generators(r))
             if len(sub) > 1 and sub[0] not in ball2[r] and sub[0] not in done
         ]
-        not_cut = tuple(earlier) + tuple(v for sub in subs for v in sub)
-        upto = len(earlier)
+        not_cut = tuple(earlier)
         for sub in subs:
-            roots.append(_Root(seeds + ((sub[0], CUT),), not_cut, upto))
-            upto += len(sub)
+            roots.append(_Root(seeds + ((sub[0], CUT),), not_cut))
+            not_cut += tuple(sub)
         roots.append(_Root(seeds, not_cut))
         earlier.extend(orbit)
         done.update(orbit)
@@ -314,13 +309,9 @@ def search_star_cutsets(task: SearchTask) -> SearchResult:
 
     stats = _fresh_stats()
     family = _Family(grp)
-    prefixes, spent, truncated = _expand_prefixes(task, roots, ball2, family, stats, target=64)
-    per_budget = max(0, task.node_budget - spent) // max(1, len(prefixes))
-    exhausted = not truncated
-    for root, decisions in prefixes:
-        sub_exhausted = _search_subtree(g, ball2, root, decisions, per_budget, family, stats)
-        exhausted = exhausted and sub_exhausted
-    stats["subtasks"] = len(prefixes)
+    exhausted = True
+    for root in roots:
+        exhausted &= _search_root(g, ball2, root, task.node_budget, family, stats)
     if grp is not None:
         stats["orbits"] = family.orbits
     cutsets = tuple(Cutset.of_vertices(map(ord, key)) for key in sorted(family.keys))
@@ -354,16 +345,6 @@ class _Family:
         return True
 
 
-def _replay(g: Graph, ball2, root: _Root, decisions, stats) -> _Coloring | None:
-    state = _Coloring(g, ball2, stats)
-    for v in root.not_cut[: root.upto]:
-        state.mask[v] &= _ALL ^ _BIT[CUT]
-    for v, c in root.seeds + decisions:
-        if not state.assign(v, c):
-            return None
-    return state
-
-
 def _emit_leaf(g: Graph, state: _Coloring, family: _Family, stats: dict) -> None:
     stats["leaves"] += 1
     cut = []
@@ -377,61 +358,33 @@ def _emit_leaf(g: Graph, state: _Coloring, family: _Family, stats: dict) -> None
         stats["rejected_at_emission"] += 1
 
 
-def _expand_prefixes(task, roots, ball2, family, stats, target: int):
-    """Breadth-first expansion of (root, decisions) prefixes until at least
-    `target` live subtrees exist. Depends only on the task. Leaves met along
-    the way are emitted here; branching charges the node budget just as the
-    depth-first stage does."""
-    g = task.graph
-    queue: deque[tuple[_Root, tuple[tuple[int, int], ...]]] = deque((r, ()) for r in roots)
-    spent = 0
-    while queue and len(queue) < target:
-        if spent >= task.node_budget:
-            return list(queue), spent, True
-        root, decisions = queue.popleft()
-        state = _replay(g, ball2, root, decisions, stats)
-        if state is None:
-            continue
+def _search_root(g, ball2, root: _Root, node_budget: int, family, stats) -> bool:
+    """Depth-first search below one root. Every child of a branching is
+    charged to ``stats["nodes"]``, which never passes ``node_budget``;
+    True when no child was left unexplored."""
+    state = _Coloring(g, ball2, stats)
+    for v in root.not_cut:
+        state.mask[v] &= _ALL ^ _BIT[CUT]
+    for v, c in root.seeds:
+        if not state.assign(v, c):
+            return True
+
+    def rec() -> bool:
         v = _branch_vertex(state)
         if v is None:
             _emit_leaf(g, state, family, stats)
-            continue
-        for c in _COLOR_ORDER:
-            if _BIT[c] & state.mask[v]:
-                spent += 1
-                stats["nodes"] += 1
-                queue.append((root, decisions + ((v, c),)))
-    return list(queue), spent, False
-
-
-def _search_subtree(g, ball2, root, decisions, node_budget, family, stats) -> bool:
-    """Depth-first search below one prefix; True when it ran to the end."""
-    state = _replay(g, ball2, root, decisions, stats)
-    if state is None:
-        return True
-    budget_left = [node_budget]
-    exhausted = [True]
-
-    def rec() -> None:
-        v = _branch_vertex(state)
-        if v is None:
-            _emit_leaf(g, state, family, stats)
-            return
-        if budget_left[0] <= 0:
-            exhausted[0] = False
-            return
+            return True
         for c in _COLOR_ORDER:
             if not _BIT[c] & state.mask[v]:
                 continue
-            budget_left[0] -= 1
+            if stats["nodes"] >= node_budget:
+                return False
             stats["nodes"] += 1
             mark = state.mark()
-            if state.assign(v, c):
-                rec()
+            complete = not state.assign(v, c) or rec()
             state.undo(mark)
-            if budget_left[0] <= 0:
-                exhausted[0] = False
-                return
+            if not complete:
+                return False
+        return True
 
-    rec()
-    return exhausted[0]
+    return rec()

@@ -315,13 +315,25 @@ def test_contract_names_every_leaf_subcommand():
     assert sorted(_leaf_commands(_build_parser())) == sorted(_CONTRACT)
 
 
+#: More malformed inputs, each exit 2: a node budget is a non-negative
+#: integer.
+_CONTRACT_MALFORMED = {
+    "cutset-search-negative-budget": ["cutset", "search", "--builtin", "bridge10", "--star", "--budget", "-1"],
+    "certify-link-negative-budget": ["certify", "link", "--builtin", "f090a", "--budget", "-3"],
+}
+
+
 @pytest.mark.parametrize(
-    "command,status",
-    [(command, status) for command, cases in _CONTRACT.items() for status in cases],
-    ids=lambda v: str(v).replace(" ", "-"),
+    "args,status",
+    [
+        pytest.param(argv, status, id=f"{command}-{status}".replace(" ", "-"))
+        for command, cases in _CONTRACT.items()
+        for status, argv in cases.items()
+    ]
+    + [pytest.param(argv, 2, id=name) for name, argv in _CONTRACT_MALFORMED.items()],
 )
-def test_exit_code_contract(command, status, contract_files, capsys):
-    argv = [contract_files[arg[1:-1]] if arg.startswith("{") else arg for arg in _CONTRACT[command][status]]
+def test_exit_code_contract(args, status, contract_files, capsys):
+    argv = [contract_files[arg[1:-1]] if arg.startswith("{") else arg for arg in args]
     assert main(argv) == status
     err = capsys.readouterr().err
     assert "Traceback" not in err

@@ -1,5 +1,6 @@
 """Fuzzing the input parsers, the structure-file loader, the solver, the
-seeds of ``complex trace`` and the goals of ``cutset search``.
+seeds of ``complex trace``, the goals of ``cutset search`` and the node
+budgets of ``cutset search`` and ``certify link``.
 
 Malformed input must end in a ``SepcertError`` from the library, and in
 exit 2 with an ``error:`` line from the CLI; any other exception escapes
@@ -202,9 +203,9 @@ def test_gluing_verify_weights_files_exit_cleanly(tmp_path_factory, text):
         assert err.getvalue().startswith("error:")
 
 
-def _assert_clean_exit(argv: list[str]) -> None:
+def _assert_clean_exit(argv: list[str]) -> int:
     """Run the CLI in process: it exits 0 or 1, or 2 with an ``error:``
-    line last on stderr, and prints no traceback."""
+    line last on stderr, and prints no traceback. Returns the status."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         status = main(argv)
@@ -212,6 +213,7 @@ def _assert_clean_exit(argv: list[str]) -> None:
     assert "Traceback" not in err.getvalue()
     if status == 2:
         assert "error: " in err.getvalue().splitlines()[-1]
+    return status
 
 
 def _family_line(elements) -> str:
@@ -286,3 +288,19 @@ _SPLIT = st.sampled_from([(1, 2), (1, 3), (2, 3), (3, 1), (2, 2), (0, 1), (1, 4)
 def test_star_search_goals_exit_cleanly(at, split):
     i, j = split
     _assert_clean_exit(["cutset", "search", "--builtin", "q3", "--star", f"--at={at}", "--split", str(i), str(j)])
+
+
+_BUDGETED = [["cutset", "search", "--builtin", "q3", "--star"], ["certify", "link", "--builtin", "heawood"]]
+_BUDGET_TEXT = st.integers().map(str) | st.text(st.sampled_from("0123456789-+_x. "), max_size=6)
+
+
+@given(st.sampled_from(_BUDGETED), _BUDGET_TEXT)
+@settings(max_examples=100)
+def test_node_budgets_exit_cleanly(command, budget):
+    """Only a non-negative integer is a node budget; anything else exits 2."""
+    try:
+        valid = int(budget) >= 0
+    except ValueError:
+        valid = False
+    status = _assert_clean_exit([*command, f"--budget={budget}"])
+    assert (status != 2) == valid

@@ -129,11 +129,10 @@ def test_f090a_census_counters_in_the_bundled_labelling(f090a, f090a_census, mon
     The star conjunction is decided once per orbit and once per rejected
     leaf: 15 + 53 calls for 762 leaves."""
     stats = f090a_census.stats
-    assert {k: stats[k] for k in ("nodes", "leaves", "rejected_at_emission", "subtasks", "orbits")} == {
+    assert {k: stats[k] for k in ("nodes", "leaves", "rejected_at_emission", "orbits")} == {
         "nodes": 7716,
         "leaves": 762,
         "rejected_at_emission": 53,
-        "subtasks": 64,
         "orbits": 15,
     }
     calls = _count_star_predicate(monkeypatch)
@@ -151,18 +150,17 @@ def test_trivial_group_keeps_one_root_per_vertex():
     grp = automorphism_group(g)
     assert grp.order == 1
     roots = search._orbit_roots(g, grp, search._ball2(g))
-    assert [(root.seeds[0], root.not_cut[: root.upto]) for root in roots] == [
+    assert [(root.seeds[0], root.not_cut) for root in roots] == [
         ((r, search.CUT), tuple(range(1, r))) for r in g.vertices()
     ]
     result = search_star_cutsets(SearchTask(g, node_budget=10**18))
     assert result.exhausted
     assert len(result.cutsets) == 84
     stats = result.stats
-    assert {k: stats[k] for k in ("nodes", "leaves", "rejected_at_emission", "subtasks", "orbits")} == {
+    assert {k: stats[k] for k in ("nodes", "leaves", "rejected_at_emission", "orbits")} == {
         "nodes": 2334,
         "leaves": 92,
         "rejected_at_emission": 8,
-        "subtasks": 64,
         "orbits": 84,
     }
 
@@ -176,11 +174,10 @@ def test_f090a_census_in_a_relabelling(f090a, monkeypatch):
     assert len(result.cutsets) == F090A_STAR_CUTSETS
     assert _family_sha256(result.cutsets, perm) == F090A_STAR_SHA256
     stats = result.stats
-    assert {k: stats[k] for k in ("nodes", "leaves", "rejected_at_emission", "subtasks", "orbits")} == {
+    assert {k: stats[k] for k in ("nodes", "leaves", "rejected_at_emission", "orbits")} == {
         "nodes": 4388,
         "leaves": 486,
         "rejected_at_emission": 35,
-        "subtasks": 64,
         "orbits": 15,
     }
     assert calls[0] == 15 + 35
@@ -235,15 +232,35 @@ def test_neighbor_split_goal_decides_every_leaf(monkeypatch):
     calls = _count_star_predicate(monkeypatch)
     g = named_graph("f090a")
     result = search_star_cutsets(SearchTask(g, NeighborSplitGoal(1, 1, 2), node_budget=5000))
-    assert calls[0] == result.stats["leaves"] == 253
-    assert len(result.cutsets) == calls[0] - result.stats["rejected_at_emission"] == 223
+    assert calls[0] == result.stats["leaves"] == 444
+    assert len(result.cutsets) == calls[0] - result.stats["rejected_at_emission"] == 408
 
 
 def test_node_budget_limits_work():
     g = named_graph("f090a")
     small = search_star_cutsets(SearchTask(g, node_budget=5))
     assert not small.exhausted
-    assert small.stats["nodes"] <= 5 + small.stats["subtasks"]
+    assert small.stats["nodes"] <= 5
+
+
+def test_neighbor_split_goal_exhausts_its_exact_budget():
+    """The one node budget: the split search needs exactly 23,000 nodes,
+    and one node fewer leaves a child unexplored."""
+    g = named_graph("f090a")
+    exact = search_star_cutsets(SearchTask(g, NeighborSplitGoal(1, 1, 2), node_budget=23000))
+    assert exact.exhausted
+    assert len(exact.cutsets) == 1880
+    assert exact.stats["nodes"] == 23000
+    short = search_star_cutsets(SearchTask(g, NeighborSplitGoal(1, 1, 2), node_budget=22999))
+    assert not short.exhausted
+    assert short.stats["nodes"] == 22999
+
+
+def test_census_exhausts_its_exact_budget(f090a):
+    result = search_star_cutsets(SearchTask(f090a, node_budget=7716))
+    assert result.exhausted
+    assert _family_sha256(result.cutsets, range(1, 91)) == F090A_STAR_SHA256
+    assert not search_star_cutsets(SearchTask(f090a, node_budget=7715)).exhausted
 
 
 def test_search_requires_cubic():
@@ -262,5 +279,5 @@ def test_goal_validates_positions():
 
 def test_stats_are_reported():
     _, result = exhaustive("k33")
-    for key in ("nodes", "leaves", "subtasks", "orbits"):
+    for key in ("nodes", "leaves", "orbits"):
         assert key in result.stats
