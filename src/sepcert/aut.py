@@ -207,27 +207,28 @@ def pair_orbits(n: int, gens: Sequence[Permutation]) -> PairOrbits:
                     to_rep[x - 1] = back[x]
             schreier = _schreier_generators(n, gens, reps, back)
             if schreier:
-                least = _orbit_labels(n, schreier, lambda p, x: p[x] - 1)
+                least = orbit_labels(n, schreier, lambda p, x: p[x] - 1)
                 stab[r] = tuple(v + 1 for v in least)
     return PairOrbits(tuple(rep), tuple(to_rep), stab)
 
 
-def orbits_under(n: int, gens: Iterable[Permutation]) -> tuple[tuple[int, ...], ...]:
+def orbits_under(n: int, gens: Sequence[Permutation]) -> tuple[tuple[int, ...], ...]:
     """Orbits of the vertices 1..n under the generators, each sorted,
     in order of least vertex."""
-    label = _orbit_labels(n, gens, lambda p, x: p[x] - 1)
+    label = orbit_labels(n, gens, lambda p, x: p[x] - 1)
     buckets: dict[int, list[int]] = {}
     for v in range(1, n + 1):
         buckets.setdefault(label[v - 1], []).append(v)
     return tuple(tuple(b) for _, b in sorted(buckets.items()))
 
 
-def _orbit_labels(
-    size: int, gens: Iterable[Permutation], image: Callable[[Permutation, int], int]
+def orbit_labels(
+    size: int, gens: Sequence[Permutation], image: Callable[[Permutation, int], int]
 ) -> list[int]:
     """Orbits of the points 0..size-1 under the generator images
-    ``image(p, x)``: entry x is the least point of x's orbit."""
-    return union_labels(size, ((x, image(p, x)) for p in gens for x in range(size)))
+    ``image(p, x)``, each point moved once by each generator, in point
+    order: entry x is the least point of x's orbit."""
+    return union_labels(size, ((x, image(p, x)) for x in range(size) for p in gens))
 
 
 def _refinement_signature(g: Graph, colors: Sequence[int]) -> list:

@@ -5,10 +5,14 @@ whose overall verdict is their conjunction; failing checks carry concrete
 witnesses (the offending vertex, pair, or cutset) so a verdict can be
 replayed against the base predicates.
 
-A family may carry a group of automorphisms of its graph. Construction
-checks three preconditions on every generator p: p is an automorphism of
-the graph, p preserves the metric (each edge keeps its length), and p maps
-the member multiset onto itself. Then p maps the complement components of
+A family member given as a bare cutset stands for its canonical
+partition, one block per component. A family may carry a group of
+automorphisms of its graph. Construction checks three preconditions on
+every generator p: p is an automorphism of the graph, p preserves the
+metric (each edge keeps its length), and p maps the member multiset onto
+itself. It moves each member once by each generator; the same moves
+label the member orbits, and each canonical partition, so each component
+count, is found once per orbit. Then p maps the complement components of
 a member's cutset onto those of its image, and distances onto distances,
 so every fact stated in terms of components, distances and family
 membership holds at a member, vertex or vertex pair exactly when it holds
@@ -40,6 +44,7 @@ from .aut import (
     automorphism_group,
     cycle_notation,
     is_automorphism,
+    orbit_labels,
     orbit_of_vertex_set,
     pair_orbits,
 )
@@ -64,7 +69,6 @@ from .graph import (
     edge_key,
     girth,
     is_connected,
-    union_labels,
 )
 from .report import Certificate
 
@@ -90,13 +94,17 @@ def _check_group(g: Graph, metric: Metric, grp: PermutationGroup, name: str) -> 
 class SeparatedFamily:
     """A named family of separated cutsets of one link with their
     partitions, validated on construction: every member must be a cutset
-    and sigma-separated. Gluing structures tell their links apart by name.
+    and sigma-separated. A member given as a bare `Cutset` stands for, and
+    is stored with, its canonical partition (one block per component).
+    Gluing structures tell their links apart by name.
 
     With a ``group``, construction also checks that every generator is an
     automorphism of the graph that preserves the metric and maps the member
-    multiset onto itself, and validates one member per orbit (see the
-    module docstring). ``orbit_of[i]`` is the index of the first member of
-    member i's orbit; without a group it is i.
+    multiset onto itself, moving each member once by each generator, and
+    validates one member per orbit (see the module docstring); a canonical
+    partition, and so a component count, is found once per orbit.
+    ``orbit_of[i]`` is the index of the first member of member i's orbit;
+    without a group it is i.
 
     The family indexes its members by element once, on the first
     `pairs_at`; every later lookup, such as the class sums of each
@@ -120,19 +128,24 @@ class SeparatedFamily:
             raise CertifyError(f"unknown cutset kind {self.kind!r}")
         orbit_of = tuple(range(len(self.members)))
         if self.group is not None:
-            for cp in self.members:
-                self._check_kind(cp)
-                cp.cutset.validate_for(self.graph)
+            for m in self.members:
+                self._check_kind(m if isinstance(m, Cutset) else m.cutset)
+                m.validate_for(self.graph)  # image() moves valid pairs only
             orbit_of = self._member_orbits()
         object.__setattr__(self, "orbit_of", orbit_of)
+        canonical = {}
+        members = []
+        for m, o in zip(self.members, orbit_of):
+            if isinstance(m, Cutset):
+                if o not in canonical:
+                    canonical[o] = canonical_partition(self.graph, m)
+                m = CutsetPartition(m, canonical[o])
+            members.append(m)
+        object.__setattr__(self, "members", tuple(members))
         for i in self.representatives():
             cp = self.members[i]
-            self._check_kind(cp)
+            self._check_kind(cp.cutset)
             cp.validate_for(self.graph)
-            if complement_labels(self.graph, cp.cutset)[1] < 2:
-                raise CertifyError(
-                    f"family member {cp.cutset.sorted_elements()} is not a cutset"
-                )
             sep = is_sigma_separated(self.graph, self.metric, cp.cutset, self.sigma)
             if not sep.ok:
                 raise CertifyError(
@@ -140,11 +153,10 @@ class SeparatedFamily:
                     f"{self.sigma}-separated: {sep.witness}"
                 )
 
-    def _check_kind(self, cp: CutsetPartition) -> None:
-        if cp.cutset.kind != self.kind:
+    def _check_kind(self, c: Cutset) -> None:
+        if c.kind != self.kind:
             raise CertifyError(
-                f"member {cp.cutset.sorted_elements()} has kind "
-                f"{cp.cutset.kind!r}, family is {self.kind!r}"
+                f"member {c.sorted_elements()} has kind {c.kind!r}, family is {self.kind!r}"
             )
 
     def _member_orbits(self) -> tuple[int, ...]:
@@ -155,24 +167,28 @@ class SeparatedFamily:
         times = Counter(keys)
         repeated = len(times) < len(keys)
 
-        def images():
-            for i in range(len(keys)):
-                for p in self.group.generators:
-                    j = self.image(p, i)
-                    if repeated and times[keys[j]] != times[keys[i]]:
-                        raise CertifyError(
-                            f"family of link {self.name!r} is not closed under its group: "
-                            f"image {self.members[j].cutset.sorted_elements()} has another multiplicity"
-                        )
-                    yield i, j
+        def image(p, i: int) -> int:
+            j = self.image(p, i)
+            if repeated and times[keys[j]] != times[keys[i]]:
+                raise CertifyError(
+                    f"family of link {self.name!r} is not closed under its group: "
+                    f"image {tuple(sorted(keys[j][0]))} has another multiplicity"
+                )
+            return j
 
-        return tuple(union_labels(len(keys), images()))
+        return tuple(orbit_labels(len(keys), self.group.generators, image))
 
     @cached_property
     def _keys(self) -> list[tuple]:
         # (elements, partition key) tells pairs apart as pair_key does,
-        # without sorting the cutset
-        return [(cp.cutset.elements, cp.partition.key()) for cp in self.members]
+        # without sorting the cutset. The elements alone fix a valid discrete
+        # partition, such as a bare cutset's canonical one: its key is None.
+        return [
+            (m.elements, None)
+            if isinstance(m, Cutset)
+            else (m.cutset.elements, None if is_discrete(m.partition) else m.partition.key())
+            for m in self.members
+        ]
 
     @cached_property
     def _index(self) -> dict[tuple, int]:
@@ -181,13 +197,12 @@ class SeparatedFamily:
     def image(self, perm, i: int) -> int:
         """The index of a member equal to the image of member i under the
         automorphism perm. Only the cutset of a member with one component
-        per block is moved: its partition keeps its key."""
-        cp = self.members[i]
-        if is_discrete(cp.partition):
-            key = (image_elements(self.kind, perm, cp.cutset.elements), self._keys[i][1])
+        per block is moved: its image has one component per block too."""
+        elements, key = self._keys[i]
+        if key is None:
+            key = (image_elements(self.kind, perm, elements), None)
         else:
-            cp.validate_for(self.graph)  # act_on_pair needs a valid partition
-            img = act_on_pair(self.graph, perm, cp)
+            img = act_on_pair(self.graph, perm, self.members[i])
             key = (img.cutset.elements, img.partition.key())
         j = self._index.get(key)
         if j is None:
@@ -222,36 +237,16 @@ class SeparatedFamily:
         name: str = "link",
         group: PermutationGroup | None = None,
     ) -> "SeparatedFamily":
-        """Family with the canonical (one block per component) partitions.
-        With a group, each component count is found once for the cutsets
-        that the generators carry into each other, since automorphisms keep
-        it."""
-        cuts = [
+        """Family of the cutsets, given as `Cutset`s or as collections of
+        vertices or edges of ``kind``, each standing for its canonical
+        partition (one block per component). The constructor moves each
+        cutset once by each generator of ``group``, and finds each
+        partition, so each component count, once per orbit."""
+        cuts = tuple(
             c if isinstance(c, Cutset) else Cutset.of_vertices(c) if kind == "vertex" else Cutset.of_edges(c)
             for c in cutsets
-        ]
-        first = range(len(cuts))
-        if group is not None:
-            _check_group(g, metric or Metric.combinatorial(), group, name)
-            for c in cuts:
-                c.validate_for(g)
-            at = {c.elements: i for i, c in enumerate(cuts)}
-            first = union_labels(
-                len(cuts),
-                (
-                    (i, at[img])
-                    for i, c in enumerate(cuts)
-                    for p in group.generators
-                    if (img := image_elements(c.kind, p, c.elements)) in at
-                ),
-            )
-        partition = {}
-        members = []
-        for c, o in zip(cuts, first):
-            if o not in partition:
-                partition[o] = canonical_partition(g, cuts[o])
-            members.append(CutsetPartition(c, partition[o]))
-        return cls(g, Fraction(sigma), kind, tuple(members), metric, name, group)
+        )
+        return cls(g, sigma, kind, cuts, metric, name, group)
 
     @cached_property
     def _members_at(self) -> dict[object, tuple[CutsetPartition, ...]]:

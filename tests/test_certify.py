@@ -4,12 +4,14 @@ graphs end to end."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from _oracles import brute_split_counts
+from sepcert import certify
 from sepcert.certify import (
     _SLOTS,
     SeparatedFamily,
@@ -48,15 +50,26 @@ def q3_neighborhood_family(q3):
 
 
 def test_family_validates_members(q3):
-    with pytest.raises(CutsetError):
-        SeparatedFamily.from_cutsets(q3, 2, [Cutset.of_vertices([1])])  # not a cutset
-    with pytest.raises(CertifyError):
-        # neighbors sit at distance 2, so sigma=3 must be rejected
-        SeparatedFamily.from_cutsets(q3, 3, [Cutset.of_vertices(q3.neighbors(1))])
+    # each refusal without a group, and on a family that is closed under
+    # the graph's group with it
+    singletons = [Cutset.of_vertices([v]) for v in q3.vertices()]
+    balls = [Cutset.of_vertices(q3.neighbors(v)) for v in q3.vertices()]
+    for group in (None, automorphism_group(q3)):
+        with pytest.raises(CutsetError, match="not a cutset"):
+            SeparatedFamily.from_cutsets(q3, 2, singletons, group=group)
+        with pytest.raises(CertifyError, match="is not 3-separated"):
+            # neighbors sit at distance 2, so sigma=3 must be rejected
+            SeparatedFamily.from_cutsets(q3, 3, balls, group=group)
     c8 = named_graph("c8")
-    with pytest.raises(CertifyError):
-        # a genuine edge cutset cannot join a vertex-kind family
-        SeparatedFamily.from_cutsets(c8, 2, [Cutset.of_edges([(1, 2), (5, 6)])], kind="vertex")
+    for group in (None, automorphism_group(c8)):
+        with pytest.raises(CertifyError, match="has kind 'edge'"):
+            # a genuine edge cutset cannot join a vertex-kind family
+            SeparatedFamily.from_cutsets(c8, 2, [Cutset.of_edges([(1, 2), (5, 6)])], kind="vertex", group=group)
+    # an explicit partition of a set that is not a cutset covers a component
+    # that is not there
+    lone = CutsetPartition(Cutset.of_vertices([1]), Partition((frozenset({0}), frozenset({1}))))
+    with pytest.raises(CutsetError, match="expected all of 0..0"):
+        SeparatedFamily(q3, 2, "vertex", (lone,))
 
 
 def test_family_distinct_cutsets(q3, q3_neighborhood_family):
@@ -342,25 +355,57 @@ def test_c8_family_under_a_half_turn_fails_alike_with_and_without_it():
     assert not got[0].check("distant-pairs-split").ok
 
 
-def test_family_with_a_group_validates_partitions_before_moving_them(q3):
+def test_family_moves_each_member_once_per_generator(monkeypatch, f090a, f090a_group, f090a_census, orbit_closure):
+    """A family built with a group moves each member once by each
+    generator, and finds one canonical partition per member orbit."""
+    calls = Counter()
+    for name in ("image_elements", "canonical_partition"):
+
+        def counted(*args, _name=name, _call=getattr(certify, name)):
+            calls[_name] += 1
+            return _call(*args)
+
+        monkeypatch.setattr(certify, name, counted)
+    assert len(f090a_group.generators) == 6
+    for cutsets, moves, orbits in ((f090a_census.cutsets, 98_496, 15), (orbit_closure, 4_320, 1)):
+        calls.clear()
+        fam = SeparatedFamily.from_cutsets(f090a, 3, cutsets, group=f090a_group)
+        assert len(fam.members) * 6 == moves
+        assert len(fam.representatives()) == orbits
+        assert calls == {"image_elements": moves, "canonical_partition": orbits}
+
+
+def test_family_with_a_group_validates_partitions_before_moving_them(q3, q3_neighborhood_family):
     # two blocks, one naming a component that N(1) does not leave
     bad = CutsetPartition(Cutset.of_vertices(q3.neighbors(1)), Partition((frozenset({0, 5}), frozenset({1}))))
     with pytest.raises(CutsetError):
         SeparatedFamily(q3, 2, "vertex", (bad,), group=automorphism_group(q3))
+    # a discrete partition moves with its elements alone, so one with a
+    # block too many is refused even where it is not the first of its orbit
+    members = list(q3_neighborhood_family.members)
+    members[1] = CutsetPartition(members[1].cutset, Partition(tuple(frozenset({k}) for k in range(3))))
+    with pytest.raises(CutsetError, match="expected all of 0..1"):
+        SeparatedFamily(q3, 2, "vertex", members, group=automorphism_group(q3))
 
 
-def test_family_missing_one_orbit_member_is_refused(f090a, f090a_group, closure_family):
+def test_family_missing_one_orbit_member_is_refused(f090a, f090a_group, orbit_closure, closure_family):
     short = closure_family.members[:100] + closure_family.members[101:]
-    with pytest.raises(CertifyError, match="not closed under its group: image"):
+    with pytest.raises(CertifyError, match="not closed under its group: image .* missing"):
         SeparatedFamily(f090a, 3, "vertex", short, group=f090a_group)
+    with pytest.raises(CertifyError, match="not closed under its group: image .* missing"):
+        SeparatedFamily.from_cutsets(f090a, 3, orbit_closure[:100] + orbit_closure[101:], group=f090a_group)
 
 
 def test_family_with_one_member_repeated_is_refused(q3, q3_neighborhood_family):
     members = q3_neighborhood_family.members
+    cutsets = [cp.cutset for cp in members]
     with pytest.raises(CertifyError, match="another multiplicity"):
         SeparatedFamily(q3, 2, "vertex", members + members[:1], group=automorphism_group(q3))
+    with pytest.raises(CertifyError, match="another multiplicity"):
+        SeparatedFamily.from_cutsets(q3, 2, cutsets + cutsets[:1], group=automorphism_group(q3))
     doubled = SeparatedFamily(q3, 2, "vertex", members + members, group=automorphism_group(q3))
     assert sorted(len(doubled.members_of_failed({o})) for o in set(doubled.orbit_of)) == [16]
+    assert SeparatedFamily.from_cutsets(q3, 2, cutsets + cutsets, group=automorphism_group(q3)) == doubled
 
 
 def test_family_refuses_a_generator_that_is_not_an_automorphism(q3, q3_neighborhood_family):

@@ -82,19 +82,30 @@ def structure_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("structures")
     for name in ("c6.txt", "c6-diameters.txt", "c8.txt", "c8-edges.txt", "c8-cross.txt"):
         (d / name).write_text((INPUTS / name).read_text())
+    # two diameters of C6, which its rotations do not keep, and all three
+    # with one repeated: the group of C6 refuses both families
+    (d / "c6-two-diameters.txt").write_text("C: 1 4\nC: 2 5\n")
+    (d / "c6-repeated-diameter.txt").write_text("C: 1 4\nC: 2 5\nC: 3 6\nC: 1 4\n")
     return d
 
 
 # Half of the documents declare well-formed links, so that they get past
-# the link checks and reach the germs and the gluing checks.
+# the link checks and reach the germs and the gluing checks. The last two
+# families always take their graph's group, which refuses them.
 _NAMES = st.sampled_from(["L", "L", "M", "", 1, None, ["L"]])
 _GOOD_LINK = st.builds(
     lambda name, files, group: {
-        "name": name, "graph": files[0], "family": files[1], "sigma": files[2], "group": group
+        "name": name, "graph": files[0], "family": files[1], "sigma": files[2], "group": group or files[3]
     },
     st.sampled_from(["L", "M"]),
     st.sampled_from(
-        [("c6.txt", "c6-diameters.txt", "3"), ("c8.txt", "c8-edges.txt", "3"), ("c8.txt", "c8-cross.txt", "2")]
+        [
+            ("c6.txt", "c6-diameters.txt", "3", False),
+            ("c8.txt", "c8-edges.txt", "3", False),
+            ("c8.txt", "c8-cross.txt", "2", False),
+            ("c6.txt", "c6-two-diameters.txt", "3", True),
+            ("c6.txt", "c6-repeated-diameter.txt", "3", True),
+        ]
     ),
     st.booleans(),
 )
