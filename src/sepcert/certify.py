@@ -552,12 +552,12 @@ def _triangle_family(g: Graph, node_budget: int) -> tuple[SeparatedFamily, dict]
     from .search import NeighborSplitGoal, SearchTask, search_star_cutsets
 
     res = search_star_cutsets(SearchTask(g, NeighborSplitGoal(1, 1, 2), node_budget=node_budget))
-    if not res.cutsets:
+    if not res.keys:
         raise CertifyError(
             "no star cutsets found within the search budget; supply a family"
         )
     grp = automorphism_group(g)
-    seed = res.cutsets[0].elements
+    seed = frozenset(map(ord, res.keys[0]))
     closure = orbit_of_vertex_set(grp, seed)
     fam = SeparatedFamily.from_cutsets(g, 3, closure, group=grp)
     info = {

@@ -175,8 +175,8 @@ def _cmd_cutset_search(args) -> int:
     else:
         goal = CoverAllGoal()
     result = search_star_cutsets(SearchTask(g, goal, node_budget=10**18 if args.exhaust else args.budget))
-    stats = {"found": len(result.cutsets), "exhausted": result.exhausted, **result.stats}
-    body = format_family(result.cutsets)
+    stats = {"found": len(result.keys), "exhausted": result.exhausted, **result.stats}
+    body = format_family(result.keys)
     if args.out:
         _write(args.out, body)
         _write(args.out + ".stats.json", dumps(stats))
@@ -556,8 +556,9 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument(
         "--split", type=int, nargs=2, metavar=("I", "J"), help="positions 1..3 among its ascending neighbors"
     )
-    search.add_argument("--exhaust", action="store_true")
-    search.add_argument("--budget", type=_node_budget, default=10_000_000)
+    extent = search.add_mutually_exclusive_group()
+    extent.add_argument("--exhaust", action="store_true", help="search without a node budget")
+    extent.add_argument("--budget", type=_node_budget, default=10_000_000)
     search.add_argument("--out", help="family file; stats land in <out>.stats.json")
     search.set_defaults(fn=_cmd_cutset_search, command="cutset search")
 

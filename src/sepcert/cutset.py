@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, repeat
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import CutsetError
 from .graph import (
@@ -451,12 +451,13 @@ def parse_family(text: str) -> list[Cutset]:
     return out
 
 
-def format_family(family: Iterable[Cutset]) -> str:
-    lines = []
-    for c in family:
-        if c.kind == "vertex":
-            body = " ".join(map(str, c.sorted_elements()))
-        else:
-            body = " ".join(f"{a}-{b}" for a, b in c.sorted_elements())
-        lines.append(f"C: {body}")
-    return "\n".join(lines) + "\n"
+def format_family(keys: Sequence[str]) -> str:
+    """Family file of vertex cutsets given as sorted-id keys
+    (``aut.vertex_set_key``), one ``C: v1 v2 ...`` line per key in the
+    given order; a family with no members is one empty line. A key is
+    already sorted, so its line is one ``str.translate`` through a table
+    writing ``chr(v)`` as ``" v"``; ``parse_family`` reads the file back."""
+    if not keys:
+        return "\n"
+    spaced = {v: f" {v}" for v in range(1, ord(max([key[-1] for key in keys])) + 1)}
+    return "".join(["C:" + key.translate(spaced) + "\n" for key in keys])

@@ -56,10 +56,17 @@ The roots are searched depth-first in order, every child of a branching is
 charged to one node budget that the search never overruns, and
 ``exhausted`` holds exactly when no child was left unexplored, so a verdict
 does not depend on machine speed.
+
+The result is the family's sorted-id keys, in ascending order, which is
+the order of the members' sorted vertex lists. A ``Cutset`` is built only
+for a leaf that is decided; ``SearchResult.cutsets`` builds one per member
+on first use, and ``cutset.format_family`` writes the family file from the
+keys alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .aut import (
@@ -105,9 +112,17 @@ class SearchTask:
 
 @dataclass(frozen=True)
 class SearchResult:
-    cutsets: tuple[Cutset, ...]
+    """The cutsets found, as ascending sorted-id keys
+    (``aut.vertex_set_key``); ``cutsets`` holds them as vertex cutsets, in
+    the same order, and is built on first use."""
+
+    keys: tuple[str, ...]
     exhausted: bool
     stats: dict
+
+    @cached_property
+    def cutsets(self) -> tuple[Cutset, ...]:
+        return tuple(Cutset.of_vertices(map(ord, key)) for key in self.keys)
 
 
 @dataclass(frozen=True)
@@ -214,16 +229,25 @@ class _Coloring:
         return True
 
     def _force_split(self, u: int, queue: list) -> bool:
-        sides = {SIDE_A: [], SIDE_B: [], UNDECIDED: [], CUT: []}
+        """Cut vertex u needs both sides around it: three neighbors on one
+        side fail, and two on one side push an undecided third to the
+        other."""
+        on_a = on_b = 0
+        third = None
         for w in self.g.neighbors(u):
-            sides[self.color[w]].append(w)
-        for s in (SIDE_A, SIDE_B):
-            if len(sides[s]) == 3:
-                return False
-            if len(sides[s]) == 2 and sides[UNDECIDED]:
-                third = sides[UNDECIDED][0]
-                if not self._restrict(third, _BIT[_OTHER_SIDE[s]], queue):
-                    return False
+            c = self.color[w]
+            if c == SIDE_A:
+                on_a += 1
+            elif c == SIDE_B:
+                on_b += 1
+            elif c == UNDECIDED:
+                third = w
+        if on_a == 3 or on_b == 3:
+            return False
+        if third is not None and on_a == 2:
+            return self._restrict(third, _BIT[SIDE_B], queue)
+        if third is not None and on_b == 2:
+            return self._restrict(third, _BIT[SIDE_A], queue)
         return True
 
 
@@ -282,12 +306,16 @@ def _orbit_roots(g: Graph, grp: PermutationGroup, ball2) -> list[_Root]:
 
 
 def _branch_vertex(state: _Coloring) -> int | None:
+    """The least undecided vertex next to a decided one, else the least
+    undecided vertex; None at a leaf. The graph is cubic."""
     g = state.g
+    color = state.color
     best = None
     for v in g.vertices():
-        if state.color[v] != UNDECIDED:
+        if color[v] != UNDECIDED:
             continue
-        if any(state.color[w] != UNDECIDED for w in g.neighbors(v)):
+        x, y, z = g.neighbors(v)
+        if color[x] != UNDECIDED or color[y] != UNDECIDED or color[z] != UNDECIDED:
             return v
         if best is None:
             best = v
@@ -314,8 +342,7 @@ def search_star_cutsets(task: SearchTask) -> SearchResult:
         exhausted &= _search_root(g, ball2, root, task.node_budget, family, stats)
     if grp is not None:
         stats["orbits"] = family.orbits
-    cutsets = tuple(Cutset.of_vertices(map(ord, key)) for key in sorted(family.keys))
-    return SearchResult(cutsets, exhausted, stats)
+    return SearchResult(tuple(sorted(family.keys)), exhausted, stats)
 
 
 class _Family:

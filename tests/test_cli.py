@@ -316,8 +316,11 @@ def test_contract_names_every_leaf_subcommand():
 
 
 #: More malformed inputs, each exit 2: a node budget is a non-negative
-#: integer.
+#: integer, and a search is either exhaustive or under a node budget.
 _CONTRACT_MALFORMED = {
+    "cutset-search-exhaust-with-budget": [
+        "cutset", "search", "--builtin", "f090a", "--star", "--exhaust", "--budget", "5"
+    ],
     "cutset-search-negative-budget": ["cutset", "search", "--builtin", "bridge10", "--star", "--budget", "-1"],
     "certify-link-negative-budget": ["certify", "link", "--builtin", "f090a", "--budget", "-3"],
 }

@@ -10,6 +10,7 @@ from itertools import combinations
 import pytest
 
 from _oracles import nx_angular_distances
+from sepcert.aut import vertex_set_key
 from sepcert.cutset import (
     Cutset,
     canonical_partition,
@@ -68,7 +69,25 @@ def test_family_parse_format_round_trip():
     family = parse_family(text)
     assert family[0].kind == "vertex" and family[0].sorted_elements() == (1, 3, 9)
     assert family[1].kind == "edge" and family[1].sorted_elements() == ((1, 2), (4, 5))
-    assert parse_family(format_family(family)) == family
+    keys = [vertex_set_key(family[0].elements)]
+    assert format_family(keys) == "C: 1 3 9\n"
+    assert parse_family(format_family(keys)) == family[:1]
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        [(5,), (100, 127, 128, 200)],
+        [(1, 255, 256, 300), (256, 1000, 70000)],
+    ],
+)
+def test_family_format_of_large_vertex_ids(family):
+    """Vertex ids past ASCII and Latin-1 write as decimal numbers, one
+    ``C: v1 v2 ...`` line per key, and parse back to the same cutsets."""
+    keys = [vertex_set_key(c) for c in family]
+    text = format_family(keys)
+    assert text == "".join("C: " + " ".join(map(str, c)) + "\n" for c in family)
+    assert parse_family(text) == [Cutset.of_vertices(c) for c in family]
 
 
 @pytest.mark.parametrize("text", ["1 3\n", "C: 1 2-3\n", "C:\n", "C: x\n"])

@@ -13,7 +13,7 @@ import pytest
 from _oracles import brute_star_cutsets, separates
 from sepcert import search
 from sepcert.aut import PermutationGroup, automorphism_group, orbit_of_vertex_set
-from sepcert.cutset import is_star_cutset
+from sepcert.cutset import Cutset, format_family, is_star_cutset
 from sepcert.datasets import named_graph
 from sepcert.errors import CutsetError, SearchError
 from sepcert.graph import Graph, is_connected
@@ -136,10 +136,65 @@ def test_f090a_census_counters_in_the_bundled_labelling(f090a, f090a_census, mon
         "orbits": 15,
     }
     calls = _count_star_predicate(monkeypatch)
+    built = _count_cutsets_built(monkeypatch)
     again = search_star_cutsets(SearchTask(f090a, node_budget=10**18))
-    assert again.stats == stats
-    assert again.cutsets == f090a_census.cutsets
     assert calls[0] == 68
+    assert built[0] == 68
+    assert again.stats == stats
+    assert again.keys == f090a_census.keys
+    assert again.cutsets == f090a_census.cutsets
+
+
+def _count_cutsets_built(monkeypatch) -> list[int]:
+    """Count ``Cutset.of_vertices`` calls in built[0]."""
+    built = [0]
+    original = Cutset.of_vertices
+
+    def counted(vs):
+        built[0] += 1
+        return original(vs)
+
+    monkeypatch.setattr(search.Cutset, "of_vertices", staticmethod(counted))
+    return built
+
+
+def test_census_keeps_sorted_keys_until_asked_for_cutsets(f090a_census):
+    """The result is the ascending sorted-id keys; ``cutsets`` lists the
+    same sets, in the same order, which is that of the sorted vertex
+    lists."""
+    keys = f090a_census.keys
+    assert len(keys) == F090A_STAR_CUTSETS
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert all(list(k) == sorted(k) for k in keys)
+    sets = [c.elements for c in f090a_census.cutsets]
+    assert sets == [frozenset(map(ord, k)) for k in keys]
+    assert [sorted(c) for c in sets] == sorted(sorted(c) for c in sets)
+
+
+def test_written_census_is_the_pinned_family(f090a, f090a_census):
+    """The family file from the keys is, byte for byte, one ``C: v1 v2 ...``
+    line per member in sorted order: the pinned digest in the bundled
+    labelling, and the same text in the seed-1 relabelling."""
+    text = format_family(f090a_census.keys)
+    assert text == _reference_family_text(f090a_census.cutsets)
+    assert hashlib.sha256(text.encode()).hexdigest() == F090A_STAR_SHA256
+    perm = list(range(1, f090a.n + 1))
+    random.Random(1).shuffle(perm)
+    result = search_star_cutsets(SearchTask(f090a.relabel(perm), node_budget=10**18))
+    assert format_family(result.keys) == _reference_family_text(result.cutsets)
+    assert _family_sha256(result.cutsets, perm) == F090A_STAR_SHA256
+
+
+def test_written_empty_census_is_one_empty_line():
+    _, result = exhaustive("heawood")
+    assert result.keys == ()
+    assert format_family(result.keys) == "\n"
+
+
+def _reference_family_text(cutsets) -> str:
+    """The family file as the ``Cutset`` writer wrote it: each member's
+    sorted elements after ``C: ``, lines joined by newlines."""
+    return "\n".join("C: " + " ".join(map(str, c.sorted_elements())) for c in cutsets) + "\n"
 
 
 def test_trivial_group_keeps_one_root_per_vertex():
