@@ -93,10 +93,11 @@ def _check_group(g: Graph, metric: Metric, grp: PermutationGroup, name: str) -> 
 @dataclass(frozen=True)
 class SeparatedFamily:
     """A named family of separated cutsets of one link with their
-    partitions, validated on construction: every member must be a cutset
-    and sigma-separated. A member given as a bare `Cutset` stands for, and
-    is stored with, its canonical partition (one block per component).
-    Gluing structures tell their links apart by name.
+    partitions, validated on construction: sigma must be positive, and
+    every member must be a cutset and sigma-separated. A member given as a
+    bare `Cutset` stands for, and is stored with, its canonical partition
+    (one block per component). Gluing structures tell their links apart by
+    name.
 
     With a ``group``, construction also checks that every generator is an
     automorphism of the graph that preserves the metric and maps the member
@@ -120,6 +121,8 @@ class SeparatedFamily:
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", Fraction(self.sigma))
+        if self.sigma <= 0:
+            raise CertifyError(f"separation sigma must be positive, got {self.sigma}")
         object.__setattr__(self, "members", tuple(self.members))
         if self.metric is None:
             object.__setattr__(self, "metric", Metric.combinatorial())

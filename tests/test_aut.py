@@ -22,7 +22,7 @@ from sepcert.aut import (
     vertex_set_closure,
     vertex_set_key,
 )
-from sepcert.datasets import builtin_names, named_graph
+from sepcert.datasets import _lcf, builtin_names, named_graph
 from sepcert.errors import GroupError
 from sepcert.graph import Graph
 from test_search import RANDOM_CUBIC, _random_cubic
@@ -220,6 +220,18 @@ def test_f090a_elements_are_distinct_automorphisms(f090a, f090a_group):
     assert list(elements) == sorted(elements)
     for p in elements:
         assert {tuple(sorted((p[u - 1], p[v - 1]))) for u, v in edges} == edges
+
+
+def test_bundled_f090a_is_the_foster_graph(f090a):
+    # An independent construction from the Foster graph's LCF code
+    # [17, -9, 37, -37, 9, -17]^15. The disjoint union of two connected
+    # graphs has a group of order 2 |Aut|^2 and an orbit meeting both
+    # copies exactly when the two are isomorphic.
+    foster = _lcf(90, [17, -9, 37, -37, 9, -17])
+    union = Graph(180, [*f090a.edges(), *((u + 90, v + 90) for u, v in foster.edges())])
+    grp = automorphism_group(union)
+    assert grp.order == 37_324_800 == 2 * 4320**2
+    assert any(v > 90 for v in grp.orbit_of_vertex(1))
 
 
 def test_k8_order_matches_sympy():

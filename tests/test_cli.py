@@ -316,13 +316,20 @@ def test_contract_names_every_leaf_subcommand():
 
 
 #: More malformed inputs, each exit 2: a node budget is a non-negative
-#: integer, and a search is either exhaustive or under a node budget.
+#: integer, a search is either exhaustive or under a node budget, and a
+#: separation order sigma is positive.
 _CONTRACT_MALFORMED = {
     "cutset-search-exhaust-with-budget": [
         "cutset", "search", "--builtin", "f090a", "--star", "--exhaust", "--budget", "5"
     ],
     "cutset-search-negative-budget": ["cutset", "search", "--builtin", "bridge10", "--star", "--budget", "-1"],
     "certify-link-negative-budget": ["certify", "link", "--builtin", "f090a", "--budget", "-3"],
+    "certify-edge-sigma-zero": [
+        "certify", "edge-separated", "--builtin", "c8", "--sigma=0", "--family", "{c8-edges.txt}"
+    ],
+    "certify-edge-sigma-negative": [
+        "certify", "edge-separated", "--builtin", "c8", "--sigma=-1", "--family", "{c8-edges.txt}"
+    ],
 }
 
 

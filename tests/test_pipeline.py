@@ -5,8 +5,11 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from sepcert import certify, cutset, gluing, pipeline
 from sepcert.cutset import complement_labels
+from sepcert.datasets import f090a_star_cutsets
 from sepcert.graph import distances
 from sepcert.pipeline import _PAIRS, run_f090a
 from sepcert.report import dumps, stripped
@@ -86,3 +89,37 @@ def test_closure_takes_one_orbit_per_distinct_seed_orbit(census_orbits):
     assert witness["per_seed_orbit"] == {"c1": len(small), "c2": len(other), "c3": len(small)}
     assert witness["distinct"] == len(small) + len(other)
     assert closure.check("members-minimal").ok
+
+
+@pytest.mark.parametrize(
+    "k,seed,clauses",
+    [
+        # 1 and 2 are adjacent, so the seed is not 3-separated; the open
+        # edge between them is one of its two components
+        (
+            1,
+            {1, 2, 45},
+            {"three_separated": False, "two_components": True, "closest_pair": {"pair": (1, 2), "distance": 1}},
+        ),
+        # a single vertex of a 3-connected graph is not a cutset
+        (2, {45}, {"three_separated": True, "two_components": False, "component_count": 1, "minimal": None}),
+    ],
+    ids=["not-3-separated", "not-a-cutset"],
+)
+def test_a_seed_outside_the_gate_aborts_at_seed_cutsets(k, seed, clauses):
+    seeds = list(f090a_star_cutsets())
+    seeds[k - 1] = seed
+    report = run_f090a(seed_cutsets=seeds)
+    assert report.stats["aborted_at"] == "seed-cutsets"
+    assert report.stats["not_checked"] == [
+        "neighbor-splits-at-v1",
+        "orbit-closure",
+        "star-separated",
+        "pair-separations",
+        "triangle-link",
+    ]
+    assert not report.ok
+    check = report.certificate("seed-cutsets").check(f"c{k}-star")
+    assert not check.ok
+    assert check.witness["elements"] == tuple(sorted(seed))
+    assert clauses.items() <= check.witness.items()
