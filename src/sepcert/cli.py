@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -150,13 +151,12 @@ def _cmd_cutset_check(args) -> int:
     family = parse_family(_read(args.family))
     if not family:
         raise _UsageError(f"no cutsets in {args.family}")
-    sigma = parse_rational(args.sigma) if args.sigma else None
     cert = Certificate("cutset-check")
     for i, c in enumerate(family, start=1):
         c.validate_for(g)
         cert.add(f"cutset-{i}", is_cutset(g, c), {"elements": c.sorted_elements()})
-        if sigma is not None:
-            cert.add(f"cutset-{i}-separated", is_sigma_separated(g, metric, c, sigma))
+        if args.sigma is not None:
+            cert.add(f"cutset-{i}-separated", is_sigma_separated(g, metric, c, args.sigma))
         if args.star:
             cert.add(f"cutset-{i}-star", is_star_cutset(g, c))
     _print_cert(cert)
@@ -211,12 +211,11 @@ def _cmd_certify_vertex(args) -> int:
 
 def _cmd_certify_edge(args) -> int:
     g, metric = _load_graph(args)
-    sigma = parse_rational(args.sigma)
     cutsets = parse_family(_read(args.family))
-    fam = SeparatedFamily.from_cutsets(g, sigma, cutsets, kind="edge", metric=metric)
-    cert = certify_edge_separated(g, metric, sigma, fam)
+    fam = SeparatedFamily.from_cutsets(g, args.sigma, cutsets, kind="edge", metric=metric)
+    cert = certify_edge_separated(g, metric, args.sigma, fam)
     _print_cert(cert)
-    return _finish(args, cert, {"family": args.family, "sigma": str(sigma)})
+    return _finish(args, cert, {"family": args.family, "sigma": str(args.sigma)})
 
 
 # --------------------------------------------------------------- gluing --
@@ -313,17 +312,8 @@ def _load_structure(path: str) -> GluingStructure:
     return GluingStructure(tuple(instances.values()), tuple(germs))
 
 
-def _orbit_ids(structure: GluingStructure):
-    """Deterministic (orbit-id, pairs) listing: '<link>:<index>'."""
-    out = []
-    for li in structure.instances:
-        for i, orbit in enumerate(structure.orbits(li)):
-            out.append((f"{li.name}:{i}", li, orbit))
-    return out
-
-
 def _load_weights(structure: GluingStructure, path: str) -> WeightAssignment:
-    by_id = {oid: (li, orbit) for oid, li, orbit in _orbit_ids(structure)}
+    by_id = {oid: (li, orbit) for oid, li, orbit in structure.unknowns()}
     weights: dict[tuple[str, tuple], int] = {}
     seen: set[str] = set()
     for lineno, raw in enumerate(_read(path).splitlines(), start=1):
@@ -372,8 +362,7 @@ def _cmd_gluing_solve(args) -> int:
         print(solution.detail)
         for eq in solution.equations:
             print(f"  {eq}")
-        # the unknowns are the orbits in listing order
-        unknowns = {f"w{j}": oid for j, (oid, _, _) in enumerate(_orbit_ids(structure))}
+        unknowns = {f"w{j}": oid for j, (oid, _, _) in enumerate(structure.unknowns())}
         print(f"unknowns: {', '.join(f'{w} = {oid}' for w, oid in unknowns.items())}")
         print(f"certificate: y = ({', '.join(map(str, solution.y))})")
         print(f"  y^T B = ({', '.join(map(str, solution.combination()))})")
@@ -389,7 +378,7 @@ def _cmd_gluing_solve(args) -> int:
         )
         return 1
     lines = []
-    for oid, li, orbit in _orbit_ids(structure):
+    for oid, li, orbit in structure.unknowns():
         lines.append(f"{oid} {solution.get(li, orbit[0])}")
     body = "\n".join(lines) + "\n"
     sys.stdout.write(body)
@@ -514,6 +503,17 @@ def _node_budget(raw: str) -> int:
     return budget
 
 
+def _sigma(raw: str) -> Fraction:
+    """The ``--sigma`` type: a positive rational separation order."""
+    try:
+        sigma = parse_rational(raw)
+    except SepcertError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if sigma <= 0:
+        raise argparse.ArgumentTypeError(f"separation sigma must be positive, got {sigma}")
+    return sigma
+
+
 def _add_graph_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph", nargs="?", help="graph file (edge-list format)")
     p.add_argument("--builtin", help="built-in graph name (e.g. f090a, q3, k33)")
@@ -544,7 +544,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check = cutset.add_parser("check", help="validate a cutset family")
     _add_graph_source(check)
     check.add_argument("--family", required=True)
-    check.add_argument("--sigma", help="also require sigma-separation (rational)")
+    check.add_argument("--sigma", type=_sigma, help="also require sigma-separation (rational)")
     check.add_argument("--star", action="store_true", help="also require star cutsets")
     check.add_argument("--out")
     check.set_defaults(fn=_cmd_cutset_check, command="cutset check")
@@ -581,7 +581,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ce = certify.add_parser("edge-separated", help="edge sigma-separation")
     _add_graph_source(ce)
-    ce.add_argument("--sigma", required=True)
+    ce.add_argument("--sigma", type=_sigma, required=True)
     ce.add_argument("--family", required=True)
     ce.add_argument("--out")
     ce.set_defaults(fn=_cmd_certify_edge, command="certify edge-separated")

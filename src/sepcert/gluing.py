@@ -9,16 +9,22 @@ positive integer; it verifies when equivalence-class sums balance across
 every germ and across the elements of every cutset, and (when link
 families carry automorphism groups) when weights are constant on orbits.
 
-The solver works per orbit, on the integer balance rows B with one unknown
-per orbit. It tries all-ones first. Otherwise one exact phase-one simplex
-(over `Fraction`, Bland's rule) either finds integer weights w >= 1 with
-Bw = 0, or reads from its duals an integer y with yᵀB >= 0 and yᵀB != 0,
-which by Stiemke's theorem proves that no w > 0 solves Bw = 0
-(`GluingInfeasible.check` replays it in integers).
+`verify_gluing` and `solve_gluing` read one enumeration of these
+equations. The solver has one unknown per orbit of pairs and tries
+all-ones first. Otherwise each equation whose two sides are not the same
+sum of unknowns becomes an integer row of B, the cross-element rows of a
+vertex-kind family with a group once per member orbit and element orbit.
+One exact phase-one simplex (over `Fraction`, Bland's rule) either finds
+integer weights w >= 1 with Bw = 0, or reads from its duals an integer y
+with yᵀB >= 0 and yᵀB != 0, which by Stiemke's theorem proves that no
+w > 0 solves Bw = 0 (`GluingInfeasible.check` replays it in integers).
+Every row of B is a row of the full per-element system, so y padded with
+zeros certifies that system too.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -207,6 +213,14 @@ class GluingStructure:
             self._orbits[li.name] = tuple(sorted(orbits, key=lambda ms: key(ms[0])))
         return self._orbits[li.name]
 
+    def unknowns(self) -> tuple[tuple[str, SeparatedFamily, tuple[CutsetPartition, ...]], ...]:
+        """One weight unknown per orbit of pairs, as (id, family, orbit)
+        with the id '<link>:<index>', family by family in `orbits` order:
+        the solver's w0, w1, ... and the ids of a weights file."""
+        return tuple(
+            (f"{li.name}:{i}", li, orbit) for li in self.instances for i, orbit in enumerate(self.orbits(li))
+        )
+
     def classes_at(self, li: SeparatedFamily, x) -> dict[CutsetPartition, frozenset]:
         """The class at the element x of each pair of li that contains it."""
         key = (li.name, x)
@@ -247,6 +261,52 @@ def _is_identity_self_germ(germ: EdgeGerm) -> bool:
         and germ.element_a == germ.element_b
         and all(a == b for a, b in germ.bijection)
     )
+
+
+class _Balance:
+    """The balance equations of a structure under one weighting, the one
+    enumeration that `verify_gluing` decides and `solve_gluing` writes as
+    rows. ``weight`` maps each family's name to the weight of each of its
+    pairs: integers when weights are checked, or `Counter`s over the orbit
+    unknowns when rows are built, with ``zero`` the sum of no weights."""
+
+    def __init__(self, structure: GluingStructure, weight: Mapping[str, Mapping], zero):
+        self.structure, self.weight, self.zero = structure, weight, zero
+        self._sums: dict[tuple[str, object], dict] = {}  # instance names are unique
+
+    def sums_at(self, li: SeparatedFamily, x) -> dict:
+        """The weight sum of each class at the element x, computed once."""
+        if (li.name, x) not in self._sums:
+            class_of, sums = self.structure.classes_at(li, x), {}
+            for cp in li.pairs_at(x):
+                sums[class_of[cp]] = sums.get(class_of[cp], self.zero) + self.weight[li.name][cp]
+            self._sums[li.name, x] = sums
+        return self._sums[li.name, x]
+
+    def germ_equations(self, germ: EdgeGerm):
+        """(reversed, class, lhs, rhs) for each class at either end of the
+        germ: its sum lhs against the sum rhs of its image at the other
+        end, in the order of the classes."""
+        for src in (germ, germ.reversed()):
+            here, there = self.sums_at(src.start, src.element_a), self.sums_at(src.end, src.element_b)
+            for key, lhs in sorted(here.items(), key=lambda kv: sorted(map(sorted, kv[0]))):
+                yield src is not germ, key, lhs, there.get(src.forward(key), self.zero)
+
+    def unequal(self, li: SeparatedFamily, i: int, reduce: bool) -> list[tuple]:
+        """(first, x, base, val) for each element x of member i whose class
+        sum val differs from the sum base at its first element. With
+        ``reduce`` the sum at x is read at x's representative r, at the
+        image of member i under the element taking x to r."""
+
+        def value(x):
+            j = i
+            if reduce and (r := li.symmetry.rep[x - 1]) != x:
+                j, x = li.image(li.symmetry.to_rep[x - 1], i), r
+            return self.sums_at(li, x)[self.structure.classes_at(li, x)[li.members[j]]]
+
+        first, *rest = li.members[i].cutset.sorted_elements()
+        base = value(first)
+        return [(first, x, base, val) for x in rest if (val := value(x)) != base]
 
 
 def verify_gluing(structure: GluingStructure, w: WeightAssignment) -> Certificate:
@@ -302,22 +362,7 @@ def verify_gluing(structure: GluingStructure, w: WeightAssignment) -> Certificat
             {"orbits": orbit_count, "violations": bad_orbit[:8]},
         )
 
-    # The weight sum of each class at each element, with each pair's class
-    # there, shared by both balance checks; instance names are unique
-    # within a structure.
-    sums_at: dict[tuple[str, object], tuple[dict, dict]] = {}
-
-    def class_sums(li: SeparatedFamily, x) -> tuple[dict[frozenset, int], dict]:
-        key = (li.name, x)
-        if key not in sums_at:
-            class_of, weight_of = structure.classes_at(li, x), weight[li.name]
-            sums: dict[frozenset, int] = {}
-            for cp in li.pairs_at(x):
-                cls = class_of[cp]
-                sums[cls] = sums.get(cls, 0) + weight_of[cp]
-            sums_at[key] = sums, class_of
-        return sums_at[key]
-
+    balance = _Balance(structure, weight, 0)
     # each balance witness keeps its first eight violations, so no more
     # are built
     edge_eqs = 0
@@ -329,24 +374,11 @@ def verify_gluing(structure: GluingStructure, w: WeightAssignment) -> Certificat
                 x = li.symmetry.rep[x - 1]
             edge_eqs += 2 * len(set(structure.classes_at(li, x).values()))
             continue
-        for direction, (src, dst) in enumerate(
-            ((germ, germ.reversed()), (germ.reversed(), germ))
-        ):
-            sums_here, _ = class_sums(src.start, src.element_a)
-            sums_there, _ = class_sums(src.end, src.element_b)
-            for key, lhs in sorted(sums_here.items(), key=lambda kv: sorted(map(sorted, kv[0]))):
-                edge_eqs += 1
-                rhs = sums_there.get(src.forward(key), 0)
-                if lhs != rhs and len(edge_bad) < 8:
-                    edge_bad.append(
-                        {
-                            "germ": gi,
-                            "reversed": bool(direction),
-                            "class": tuple(sorted(map(sorted, key))),
-                            "lhs": lhs,
-                            "rhs": rhs,
-                        }
-                    )
+        for rev, key, lhs, rhs in balance.germ_equations(germ):
+            edge_eqs += 1
+            if lhs != rhs and len(edge_bad) < 8:
+                cls = tuple(sorted(map(sorted, key)))
+                edge_bad.append({"germ": gi, "reversed": rev, "class": cls, "lhs": lhs, "rhs": rhs})
     cert.add("edge-balance", not edge_bad, {"equations": edge_eqs, "violations": edge_bad})
 
     cross_eqs = 0
@@ -355,37 +387,16 @@ def verify_gluing(structure: GluingStructure, w: WeightAssignment) -> Certificat
         cross_eqs += sum(len(cp.cutset) - 1 for cp in li.members)
         reduce = li.name in invariant and li.kind == "vertex"
         orbit_of = li.orbit_of if reduce else range(len(li.members))
-
-        def value(i: int, x) -> int:
-            """The class sum at x of member i's class there."""
-            if reduce and (r := li.symmetry.rep[x - 1]) != x:
-                i, x = li.image(li.symmetry.to_rep[x - 1], i), r
-            sums, class_of = class_sums(li, x)
-            return sums[class_of[li.members[i]]]
-
-        def unequal(i: int) -> list[tuple]:
-            """(first, x, base, val) for each element x of member i whose
-            class sum val differs from the sum base at its first element."""
-            first, *rest = li.members[i].cutset.sorted_elements()
-            base = value(i, first)
-            return [(first, x, base, val) for x in rest if (val := value(i, x)) != base]
-
-        failed = {i for i, o in enumerate(orbit_of) if i == o and unequal(i)}
+        failed = {i for i, o in enumerate(orbit_of) if i == o and balance.unequal(li, i, reduce)}
         for i in (i for i, o in enumerate(orbit_of) if o in failed):
-            for first, x, base, val in unequal(i)[: 8 - len(cross_bad)]:
+            cutset = li.members[i].cutset.sorted_elements()
+            for first, x, base, val in balance.unequal(li, i, reduce)[: 8 - len(cross_bad)]:
                 cross_bad.append(
-                    {
-                        "link": li.name,
-                        "cutset": li.members[i].cutset.sorted_elements(),
-                        "elements": (first, x),
-                        "sums": (base, val),
-                    }
+                    {"link": li.name, "cutset": cutset, "elements": (first, x), "sums": (base, val)}
                 )
             if len(cross_bad) == 8:
                 break
-    cert.add(
-        "cross-edge-balance", not cross_bad, {"equations": cross_eqs, "violations": cross_bad}
-    )
+    cert.add("cross-edge-balance", not cross_bad, {"equations": cross_eqs, "violations": cross_bad})
     return cert
 
 
@@ -420,51 +431,6 @@ class GluingInfeasible:
             return False
         yb = self.combination()
         return all(c >= 0 for c in yb) and any(yb)
-
-
-def _balance_equations(
-    structure: GluingStructure, var_of: Mapping[tuple[str, CutsetPartition], int], k: int
-) -> tuple[tuple[int, ...], ...]:
-    """Coefficient rows (over the k orbit unknowns) of every germ-balance
-    and cross-element equation, deduplicated and sign-normalized. The
-    classes come from the structure, as in `verify_gluing`."""
-    vectors: dict[tuple[str, object], dict[frozenset, list[int]]] = {}
-
-    def class_vectors(li: SeparatedFamily, x) -> dict[frozenset, list[int]]:
-        key = (li.name, x)
-        if key not in vectors:
-            class_of = structure.classes_at(li, x)
-            out: dict[frozenset, list[int]] = {}
-            for cp in li.pairs_at(x):
-                out.setdefault(class_of[cp], [0] * k)[var_of[li.name, cp]] += 1
-            vectors[key] = out
-        return vectors[key]
-
-    rows: set[tuple[int, ...]] = set()
-
-    def push(diff: list[int]) -> None:
-        if not any(diff):
-            return
-        first = next(x for x in diff if x)
-        if first < 0:
-            diff = [-x for x in diff]
-        rows.add(tuple(diff))
-
-    zero = [0] * k
-    for germ in (g for pair in structure.germs for g in (pair, pair.reversed())):
-        here = class_vectors(germ.start, germ.element_a)
-        there = class_vectors(germ.end, germ.element_b)
-        for key, vec in here.items():
-            other = there.get(germ.forward(key), zero)
-            push([a - b for a, b in zip(vec, other)])
-    for li in structure.instances:
-        for cp in li.members:
-            first, *rest = cp.cutset.sorted_elements()
-            base = class_vectors(li, first)[structure.classes_at(li, first)[cp]]
-            for x in rest:
-                vec = class_vectors(li, x)[structure.classes_at(li, x)[cp]]
-                push([a - b for a, b in zip(base, vec)])
-    return tuple(sorted(rows))
 
 
 def _integral(values: list[Fraction]) -> tuple[int, ...]:
@@ -528,36 +494,57 @@ def solve_gluing(structure: GluingStructure) -> WeightAssignment | GluingInfeasi
     """Find an orbit-constant strictly positive integer weight assignment, or
     a Stiemke certificate that none exists. Tries all-ones first, then one
     exact phase-one simplex. Either answer is checked before it is handed
-    back."""
-    orbit_vars = [(li, orbit) for li in structure.instances for orbit in structure.orbits(li)]
+    back.
+
+    The rows come from `verify_gluing`'s enumeration of the balance
+    equations, each side a `Counter` of the unknowns of
+    `GluingStructure.unknowns`, first nonzero entry positive. An equation
+    with equal sides, such as each of an identity self-germ, gives none. A
+    vertex-kind family with a group gives its cross-element rows once per
+    member orbit, read at element-orbit representatives. The unknowns make
+    the weights constant on orbits, so each such row is a row of the full
+    per-element system and the rows decide it: a certificate y, padded
+    with zeros, certifies that system too."""
+    unknowns = structure.unknowns()
+    k = len(unknowns)
+    if k == 0:
+        raise GluingError("structure has no pairs to weight")
     keys = {li.name: structure.pair_keys(li) for li in structure.instances}
     # pairs with one pair_key share one unknown, as they share one weight
     var_of_key = {
-        (li.name, keys[li.name][cp]): j for j, (li, orbit) in enumerate(orbit_vars) for cp in orbit
+        (li.name, keys[li.name][cp]): j for j, (_, li, orbit) in enumerate(unknowns) for cp in orbit
     }
-    var_of = {
-        (li.name, cp): var_of_key[li.name, key]
-        for li in structure.instances
-        for cp, key in keys[li.name].items()
-    }
-    k = len(orbit_vars)
-    if k == 0:
-        raise GluingError("structure has no pairs to weight")
 
     def assignment_from(values: list[int]) -> WeightAssignment:
-        return WeightAssignment(
-            {
-                (li.name, keys[li.name][cp]): values[i]
-                for i, (li, orbit) in enumerate(orbit_vars)
-                for cp in orbit
-            }
-        )
+        return WeightAssignment({key: values[j] for key, j in var_of_key.items()})
 
     ones = assignment_from([1] * k)
     if verify_gluing(structure, ones).ok:
         return ones
 
-    got = _positive_kernel(_balance_equations(structure, var_of, k), k)
+    unit = {
+        li.name: {cp: Counter({var_of_key[li.name, key]: 1}) for cp, key in keys[li.name].items()}
+        for li in structure.instances
+    }
+    balance = _Balance(structure, unit, Counter())
+    unequal = [
+        (lhs, rhs)
+        for germ in structure.germs
+        if not _is_identity_self_germ(germ)
+        for _, _, lhs, rhs in balance.germ_equations(germ)
+        if lhs != rhs
+    ]
+    for li in structure.instances:
+        reduce = li.group is not None and li.kind == "vertex"
+        for i in li.representatives() if reduce else range(len(li.members)):
+            unequal += [(base, val) for _, _, base, val in balance.unequal(li, i, reduce)]
+    rows = set()
+    for lhs, rhs in unequal:
+        diff = [lhs[j] - rhs[j] for j in range(k)]
+        sign = 1 if next(c for c in diff if c) > 0 else -1
+        rows.add(tuple(sign * c for c in diff))
+
+    got = _positive_kernel(tuple(sorted(rows)), k)
     if isinstance(got, GluingInfeasible):
         if not got.check():
             raise GluingError("internal solver error: infeasibility certificate failed its check")

@@ -36,6 +36,7 @@ from .aut import automorphism_group, is_automorphism, is_distance_transitive, or
 from .certify import SeparatedFamily, certify_star_separated, certify_triangle_link, split_pattern
 from .cutset import Cutset, complement_labels, is_minimal_cutset, is_star_cutset
 from .datasets import f090a, f090a_star_cutsets
+from .errors import CertifyError
 from .graph import distances, structural_report
 from .report import RunReport, Stopwatch
 
@@ -170,10 +171,13 @@ def run_f090a(seed_cutsets: Iterable[frozenset] | None = None) -> RunReport:
     """Run the full certification pipeline on the bundled graph.
 
     ``seed_cutsets`` overrides the three bundled seeds (same order), which
-    is how deliberate perturbations are exercised.
+    is how deliberate perturbations are exercised; an override of other
+    than three seeds raises `CertifyError` before any stage runs.
     """
     g = f090a()
-    seeds = tuple(frozenset(c) for c in (seed_cutsets or f090a_star_cutsets()))
+    seeds = tuple(frozenset(c) for c in (f090a_star_cutsets() if seed_cutsets is None else seed_cutsets))
+    if len(seeds) != 3:
+        raise CertifyError(f"an override needs three seeds, got {len(seeds)}")
     report = RunReport(
         command="f090a",
         inputs={"graph": "builtin:f090a", "seeds": "bundled" if seed_cutsets is None else "override"},

@@ -3,6 +3,8 @@
 Everything here favors obviousness over speed and shares no code paths with
 the package: distances come from matrix powers, automorphisms from filtered
 permutations or natural-order backtracking, cutsets from subset enumeration.
+Gluing balance rows are written at every germ, member and element; only the
+class of one pair at one element comes from the package.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ from fractions import Fraction
 import networkx as nx
 import numpy as np
 
+from sepcert.cutset import induced_partition
 from sepcert.graph import Graph, Metric
 
 
@@ -262,3 +265,60 @@ def distance_transitivity(g: Graph, generators) -> tuple[bool, dict | None]:
             if find((u - 1) * n + v - 1) != find((u0 - 1) * n + v0 - 1):
                 return False, {"distance": d, "pair": (u, v), "unreachable_from": (u0, v0)}
     return True, None
+
+
+
+def balance_rows(structure) -> set[tuple[int, ...]]:
+    """Every balance equation of a gluing structure as a row over its orbit
+    unknowns (the order of ``structure.unknowns()``): lhs − rhs with its
+    first nonzero entry positive, equations that every weighting satisfies
+    dropped. Every germ is read in both directions, and every member at
+    every element of its cutset against its least element. Each pair's
+    class at an element comes straight from ``induced_partition``, with no
+    moves by the group."""
+    unknowns = structure.unknowns()
+    k = len(unknowns)
+    column = {}
+    for j, (_, li, orbit) in enumerate(unknowns):
+        for cp in orbit:
+            column[li.name, cp.cutset.key(), cp.partition.key()] = j
+    seen = {}
+
+    def at(li, x) -> tuple[dict, dict[frozenset, list[int]]]:
+        """The class at x of each pair containing x, and the sum of the
+        unknowns over each class."""
+        if (li.name, x) not in seen:
+            directions = li.graph.neighbors(x) if li.kind == "vertex" else x
+            class_of, sums = {}, {}
+            for cp in li.members:
+                if x in cp.cutset.elements:
+                    cls = class_of[cp] = induced_partition(li.graph, cp, {d: d for d in directions})
+                    sums.setdefault(cls, [0] * k)[column[li.name, cp.cutset.key(), cp.partition.key()]] += 1
+            seen[li.name, x] = class_of, sums
+        return seen[li.name, x]
+
+    rows = set()
+
+    def add(lhs, rhs) -> None:
+        row = [a - b for a, b in zip(lhs, rhs)]
+        if any(row):
+            sign = 1 if next(c for c in row if c) > 0 else -1
+            rows.add(tuple(sign * c for c in row))
+
+    for germ in structure.germs:
+        forward = dict(germ.bijection)
+        backward = {b: a for a, b in germ.bijection}
+        ends = (germ.start, germ.element_a), (germ.end, germ.element_b)
+        for (li, x), (lj, y), m in ((*ends, forward), (*ends[::-1], backward)):
+            _, there = at(lj, y)
+            for cls, lhs in at(li, x)[1].items():
+                image = frozenset(frozenset(m[d] for d in block) for block in cls)
+                add(lhs, there.get(image, [0] * k))
+    for li in structure.instances:
+        for cp in li.members:
+            first, *rest = sorted(cp.cutset.elements)
+            class_of, sums = at(li, first)
+            for x in rest:
+                class_x, sums_x = at(li, x)
+                add(sums[class_of[cp]], sums_x[class_x[cp]])
+    return rows

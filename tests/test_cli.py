@@ -330,6 +330,10 @@ _CONTRACT_MALFORMED = {
     "certify-edge-sigma-negative": [
         "certify", "edge-separated", "--builtin", "c8", "--sigma=-1", "--family", "{c8-edges.txt}"
     ],
+    "cutset-check-sigma-zero": ["cutset", "check", "--builtin", "c8", "--family", "{c8-edges.txt}", "--sigma=0"],
+    "cutset-check-sigma-negative": [
+        "cutset", "check", "--builtin", "c8", "--family", "{c8-edges.txt}", "--sigma=-1"
+    ],
 }
 
 

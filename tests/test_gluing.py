@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import set_orbits
+from _oracles import balance_rows, set_orbits
+from sepcert import gluing
 from sepcert.aut import automorphism_group
 from sepcert.certify import SeparatedFamily
 from sepcert.cutset import Cutset, CutsetPartition, Partition, act_on_pair
@@ -218,10 +219,10 @@ def test_orbits_require_closed_family():
         symmetric(li)
 
 
-def test_coarse_partitions_verify_alike_with_and_without_the_group():
-    # {1, 3, 5} and {2, 4, 6} leave three components each; the six pairs
-    # with a two-block partition are one orbit, whose images need their
-    # components relabelled
+def c6_coarse_family():
+    """{1, 3, 5} and {2, 4, 6} of C6 leave three components each; the six
+    pairs with a two-block partition are one orbit of Aut(C6), whose images
+    need their components relabelled."""
     g = named_graph("c6")
     coarse = [((0, 1), (2,)), ((0,), (1, 2)), ((0, 2), (1,))]
     members = [
@@ -229,7 +230,11 @@ def test_coarse_partitions_verify_alike_with_and_without_the_group():
         for c in [(1, 3, 5), (2, 4, 6)]
         for p in coarse
     ]
-    fam = SeparatedFamily(g, 2, "vertex", members, name="L", group=automorphism_group(g))
+    return SeparatedFamily(g, 2, "vertex", members, name="L", group=automorphism_group(g))
+
+
+def test_coarse_partitions_verify_alike_with_and_without_the_group():
+    fam = c6_coarse_family()
     assert fam.representatives() == [0]
     certs = []
     for li in (fam, replace(fam, group=None)):
@@ -309,11 +314,15 @@ def test_solve_finds_all_ones_on_c6(c6_diameters):
     assert all(got.get(c6_diameters, cp) == 1 for cp in c6_diameters.members)
 
 
-def test_solve_reports_infeasible_cross_balance():
-    # class sums at element 1 include both pairs, but at 4 only one, forcing
-    # the other weight to zero: no positive solution can exist
+def cross_infeasible():
+    """Class sums at element 1 include both pairs, but at 4 only one,
+    forcing the other weight to zero: no positive solution can exist."""
     li = link_of("L", "c8", 2, [(1, 5), (1, 4, 6)])
-    s = GluingStructure((li,), (EdgeGerm.identity(li, li, 1),))
+    return GluingStructure((li,), (EdgeGerm.identity(li, li, 1),))
+
+
+def test_solve_reports_infeasible_cross_balance():
+    s = cross_infeasible()
     assert not verify_gluing(s, WeightAssignment.all_ones(s)).ok
     got = solve_gluing(s)
     assert isinstance(got, GluingInfeasible)
@@ -332,13 +341,18 @@ def test_solve_requires_pairs():
         solve_gluing(s)
 
 
-def test_solve_finds_weights_beyond_all_ones():
-    # B holds A's four diameters and the eight chords {i, i+3}; at vertex 1
-    # B's class sums count three pairs, so A's diameter {1, 5} weighs 3
+def beyond_all_ones():
+    """B holds A's four diameters and the eight chords {i, i+3}; at vertex 1
+    B's class sums count three pairs, so A's diameter {1, 5} weighs 3."""
     diameters = [(i, i + 4) for i in range(1, 5)]
     a = link_of("A", "c8", 3, diameters)
     b = link_of("B", "c8", 3, diameters + [(i, (i + 2) % 8 + 1) for i in range(1, 9)])
-    s = GluingStructure((a, b), (EdgeGerm.identity(a, b, 1),))
+    return GluingStructure((a, b), (EdgeGerm.identity(a, b, 1),))
+
+
+def test_solve_finds_weights_beyond_all_ones():
+    s = beyond_all_ones()
+    a = s.instances[0]
     assert not verify_gluing(s, WeightAssignment.all_ones(s)).ok
     got = solve_gluing(s)
     assert isinstance(got, WeightAssignment) and verify_gluing(s, got).ok
@@ -354,6 +368,70 @@ def test_certificate_of_the_f090a_seed_closure(symmetric_closure_family):
     assert got.equations == ("24*w0 = 0",)
     assert got.check()
     assert not replace(got, y=(-1,)).check()
+
+
+def test_solving_the_seed_closure_computes_classes_at_one_element(monkeypatch, symmetric_closure_family):
+    """F090A is vertex-transitive, so the rows of its seed closure glued to
+    itself are read at vertex 1 alone."""
+    elements = []
+
+    def counted(li, x, _call=gluing._classes_at):
+        elements.append(x)
+        return _call(li, x)
+
+    monkeypatch.setattr(gluing, "_classes_at", counted)
+    assert isinstance(solve_gluing(GluingStructure.homogeneous(symmetric_closure_family)), GluingInfeasible)
+    assert elements == [1]
+
+
+def census_pair(census_orbits, f090a, f090a_group):
+    """The census orbits of sizes 180 and 216, each with Aut(F090A), glued
+    at vertex 1 by an identity germ."""
+    a, b = (
+        SeparatedFamily.from_cutsets(f090a, 3, orbit, name=name, group=f090a_group)
+        for size, name in ((180, "A"), (216, "B"))
+        for orbit in census_orbits
+        if len(orbit) == size
+    )
+    return GluingStructure((a, b), (EdgeGerm.identity(a, b, 1),))
+
+
+#: Structure name -> builder from fixture values: every structure solved
+#: above, the coarse C6 family with Aut(C6), and two F090A families.
+SOLVED = {
+    "c6-diameters-aut": lambda fx: GluingStructure.homogeneous(symmetric(fx("c6_diameters"))),
+    "c8-cross-infeasible": lambda fx: cross_infeasible(),
+    "c8-beyond-all-ones": lambda fx: beyond_all_ones(),
+    "c6-coarse-aut": lambda fx: GluingStructure.homogeneous(c6_coarse_family()),
+    "f090a-seed-closure": lambda fx: GluingStructure.homogeneous(fx("symmetric_closure_family")),
+    "f090a-census-180-216": lambda fx: census_pair(fx("census_orbits"), fx("f090a"), fx("f090a_group")),
+}
+
+
+@pytest.mark.parametrize("name", SOLVED)
+def test_solver_rows_decide_the_full_system(name, request, monkeypatch):
+    """The rows handed to the simplex are rows of the oracle's system at
+    every germ, member and element, and decide it alike: weights satisfy
+    every oracle row, and y padded with zeros certifies them all."""
+    structure = SOLVED[name](request.getfixturevalue)
+    handed = []
+
+    def spy(rows, k):
+        handed.append(rows)
+        return _positive_kernel(rows, k)
+
+    monkeypatch.setattr(gluing, "_positive_kernel", spy)
+    got = solve_gluing(structure)
+    full = sorted(balance_rows(structure))
+    assert all(set(rows) <= set(full) for rows in handed)
+    reference = _positive_kernel(tuple(full), len(structure.unknowns()))
+    assert isinstance(got, GluingInfeasible) == isinstance(reference, GluingInfeasible)
+    if isinstance(got, GluingInfeasible):
+        padded = dict.fromkeys(full, 0) | dict(zip(got.rows, got.y))
+        assert GluingInfeasible(tuple(full), tuple(padded.values())).check()
+    else:
+        w = [got.get(li, orbit[0]) for _, li, orbit in structure.unknowns()]
+        assert all(sum(c * v for c, v in zip(row, w)) == 0 for row in full)
 
 
 @given(

@@ -10,6 +10,7 @@ import pytest
 from sepcert import certify, cutset, gluing, pipeline
 from sepcert.cutset import complement_labels
 from sepcert.datasets import f090a_star_cutsets
+from sepcert.errors import CertifyError
 from sepcert.graph import distances
 from sepcert.pipeline import _PAIRS, run_f090a
 from sepcert.report import dumps, stripped
@@ -123,3 +124,15 @@ def test_a_seed_outside_the_gate_aborts_at_seed_cutsets(k, seed, clauses):
     assert not check.ok
     assert check.witness["elements"] == tuple(sorted(seed))
     assert clauses.items() <= check.witness.items()
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 4])
+def test_an_override_of_other_than_three_seeds_is_refused(count, monkeypatch):
+    """An empty override is an override, not the bundled seeds, and a short
+    one is refused before any stage runs rather than failing inside one."""
+    stages = []
+    monkeypatch.setattr(pipeline, "_structure_stage", lambda *args: stages.append(1))
+    seeds = (list(f090a_star_cutsets()) * 2)[:count]
+    with pytest.raises(CertifyError, match=f"three seeds, got {count}"):
+        run_f090a(seed_cutsets=seeds)
+    assert stages == []
