@@ -5,13 +5,13 @@ Permutations are tuples of images: ``p[v-1]`` is the image of vertex v.
 point of each basic orbit, not one search leaf per group element. The
 group keeps that chain, so its order and point stabilizers come from the
 transversals; orbit closures only ever need the generators, and the element
-list is built only on request. ``stabilizer_generators`` gives generators of
-the stabilizer of any point by Schreier's lemma, from the generators alone
-(Seress, *Permutation Group Algorithms*, ch. 4): with ``u_x`` mapping r to x,
-the elements ``u_{p(x)}^-1 p u_x`` over orbit points x and generators p
-generate Stab(r). `PairOrbits` labels the orbits on ordered vertex pairs
-with them: the representative r of x's orbit and the least point of the
-Stab(r)-orbit of u_x^-1(y).
+list is built only on request. `PairOrbits` takes generators of the
+stabilizer of each orbit representative r by Schreier's lemma, from the
+generators alone (Seress, *Permutation Group Algorithms*, ch. 4): with
+``u_x`` mapping r to x, the elements ``u_{p(x)}^-1 p u_x`` over orbit
+points x and generators p generate Stab(r). It labels the orbits on
+ordered vertex pairs with them: the representative r of x's orbit and the
+least point of the Stab(r)-orbit of u_x^-1(y).
 
 Orbits of vertex sets are closed on sorted-id keys (`vertex_set_key`): a
 string holding ``chr(v)`` for each vertex v, in ascending order, so keys
@@ -131,29 +131,6 @@ class PermutationGroup:
         keys: the character at position v is ``chr(p(v))``."""
         return tuple("\0" + "".join(map(chr, p)) for p in self.generators)
 
-    def stabilizer_generators(self, r: int) -> tuple[Permutation, ...]:
-        """Schreier generators of the stabilizer of r, deduplicated and
-        without the identity. They come from the generators and their
-        transversal for r only, never from the chain."""
-        reps = _transversal(self.n, r, self.generators)
-        back = {x: inverse(u) for x, u in reps.items()}
-        return _schreier_generators(self.n, self.generators, reps, back)
-
-
-def _schreier_generators(
-    n: int,
-    gens: Sequence[Permutation],
-    reps: dict[int, Permutation],
-    back: dict[int, Permutation],
-) -> tuple[Permutation, ...]:
-    """The elements u_{p(x)}^-1 p u_x over the transversal ``reps`` of r
-    (``back`` holds their inverses), deduplicated, identity dropped."""
-    schreier = dict.fromkeys(
-        compose(back[p[x - 1]], compose(p, u)) for x, u in reps.items() for p in gens
-    )
-    schreier.pop(identity(n), None)
-    return tuple(schreier)
-
 
 @dataclass(frozen=True)
 class PairOrbits:
@@ -205,9 +182,13 @@ def pair_orbits(n: int, gens: Sequence[Permutation]) -> PairOrbits:
                 rep[x - 1] = r
                 if x != r:
                     to_rep[x - 1] = back[x]
-            schreier = _schreier_generators(n, gens, reps, back)
+            # the Schreier generators u_{p(x)}^-1 p u_x, deduplicated
+            schreier = dict.fromkeys(
+                compose(back[p[x - 1]], compose(p, u)) for x, u in reps.items() for p in gens
+            )
+            schreier.pop(identity(n), None)
             if schreier:
-                least = orbit_labels(n, schreier, lambda p, x: p[x] - 1)
+                least = orbit_labels(n, tuple(schreier), lambda p, x: p[x] - 1)
                 stab[r] = tuple(v + 1 for v in least)
     return PairOrbits(tuple(rep), tuple(to_rep), stab)
 

@@ -27,6 +27,13 @@ toward the lower (1) and the higher (2) end of the edge, joined by one
 corner that stands for every face through the edge.  Its only pair cuts
 that corner, and exists when at least two faces meet at the edge.
 
+Local direction d at a walkway vertex v is v's d-th neighbour in the
+subdivided 1-skeleton: the midpoint of the d-th incident edge at a complex
+vertex (link vertex d), the lower or higher end of the edge at a midpoint.
+A trace is locally geodesic at v when its traced elements there, as a
+cutset of the local graph, pass ``cutset.is_sigma_separated`` at pi (the
+traced directions at an edge midpoint are always exactly pi apart).
+
 Seeds and segment order use *atoms*, the cutset in local coordinates:
 
 * vertex kind: the trace walks the 1-skeleton; atoms are link vertex ids
@@ -60,10 +67,9 @@ from .cutset import (
     CutsetPartition,
     Partition,
     canonical_partition,
+    complement_labels,
     induced_partition,
-    is_cutset,
     is_sigma_separated,
-    midpoint_distance,
 )
 from .errors import ComplexError
 from .graph import (
@@ -72,7 +78,6 @@ from .graph import (
     Graph,
     Metric,
     component_labels,
-    distances,
     edge_key,
     girth,
     shortest_cycle,
@@ -420,7 +425,7 @@ class AntipodalGraph:
     f's subdivided boundary cycle.
     """
 
-    __slots__ = ("n_primary", "n_total", "mid_of", "edges", "boundaries", "_at", "_through")
+    __slots__ = ("n_primary", "n_total", "mid_of", "edges", "boundaries", "_through")
 
     def __init__(self, x: PolygonalComplex):
         self.n_primary = x.n
@@ -439,18 +444,7 @@ class AntipodalGraph:
                 records.append(Segment(cycle[i], cycle[i + k], idx))
         self.boundaries = tuple(boundaries)
         self.edges = tuple(sorted(records, key=Segment.key))
-        at: dict[int, list[Segment]] = {}
-        through: dict[tuple[int, int], Segment] = {}
-        for seg in self.edges:
-            for end in seg.ends():
-                at.setdefault(end, []).append(seg)
-                through[(end, seg.face)] = seg
-        self._at = {v: tuple(segs) for v, segs in at.items()}
-        self._through = through
-
-    def at(self, v: int) -> tuple[Segment, ...]:
-        """Antipodal edges incident to a subdivided vertex."""
-        return self._at.get(v, ())
+        self._through = {(end, seg.face): seg for seg in self.edges for end in seg.ends()}
 
     def through(self, v: int, face: int) -> Segment:
         """The unique antipodal edge at v crossing the given face."""
@@ -573,8 +567,9 @@ def _pairs_at(x: PolygonalComplex, kind: str, u: int) -> tuple[CutsetPartition, 
     found: list[CutsetPartition] = []
     for r in range(2, len(universe) + 1):
         for sel in combinations(universe, r):
-            c = Cutset.of_vertices(sel) if kind == "vertex" else Cutset.of_edges(sel)
-            if is_cutset(lk.graph, c).ok and is_sigma_separated(lk.graph, lk.metric, c, PI).ok:
+            c = Cutset(kind, frozenset(sel))
+            cuts = complement_labels(lk.graph, c)[1] >= 2
+            if cuts and is_sigma_separated(lk.graph, lk.metric, c, PI).ok:
                 found.append(CutsetPartition(c, canonical_partition(lk.graph, c)))
     out = tuple(sorted(found, key=lambda cp: _atoms(x, kind, u, cp)))
     x._cache[key] = out
@@ -614,7 +609,7 @@ def _validated_pair(
             if f not in lk.corner_of_face:
                 raise ComplexError(f"seed pair invalid: face {f} has no corner at vertex {v0}")
         c = Cutset.of_edges(lk.corner_of_face[f] for f in atoms)
-    if not is_cutset(lk.graph, c).ok:
+    if complement_labels(lk.graph, c)[1] < 2:
         raise ComplexError(f"seed pair invalid: atoms do not cut the link of {v0}")
     sep = is_sigma_separated(lk.graph, lk.metric, c, PI)
     if not sep.ok:
@@ -668,12 +663,8 @@ def _germ_keys(x: PolygonalComplex, kind: str, seg: Segment, v: int) -> dict[int
             return arc_two
         raise ComplexError(f"node {node} not on the boundary arcs of face {seg.face}")
 
-    if v <= x.n:
-        lk = link(x, v)
-        corner = lk.corner_of_face[seg.face]
-        return {d: arc_of(antip.mid_of[lk.edges_at[d - 1]]) for d in corner}
-    a, b = _midpoint_edge(x, v)
-    return {1: arc_of(a), 2: arc_of(b)}
+    nodes = _subdivided_skeleton(x)[0].neighbors(v)
+    return {d: arc_of(nodes[d - 1]) for d in _element_at(x, kind, seg, v)}
 
 
 def _equatable(x: PolygonalComplex, kind: str, seg: Segment, pairs: dict[int, CutsetPartition]) -> bool:
@@ -778,21 +769,10 @@ def _geodesy_at(x: PolygonalComplex, h: Hypergraph, v: int) -> tuple[bool, dict]
         # all corners of a cage have midpoint distance exactly pi
         return True, {"segments": len(segs), "min_distance_pi_units": PI}
     lk = link(x, v)
-    worst = None
-    if h.kind == "vertex":
-        table = distances(lk.graph, lk.metric)
-        ids = [lk.vertex_id((s.a, s.b)) for s in segs]
-        for p, q in combinations(ids, 2):
-            d = table.get(p, q)
-            if worst is None or d < worst:
-                worst = d
-    else:
-        corners = [lk.corner_of_face[s.face] for s in segs]
-        for p, q in combinations(corners, 2):
-            d = midpoint_distance(lk.graph, lk.metric, p, q)
-            if worst is None or d < worst:
-                worst = d
-    return worst >= PI, {"segments": len(segs), "min_distance_pi_units": worst}
+    traced = Cutset(h.kind, frozenset(_element_at(x, h.kind, s, v) for s in segs))
+    sep = is_sigma_separated(lk.graph, lk.metric, traced, PI)
+    worst = sep.witness["min_distance" if sep.ok else "distance"]
+    return sep.ok, {"segments": len(segs), "min_distance_pi_units": worst}
 
 
 def hypergraph_checks(x: PolygonalComplex, h: Hypergraph) -> Certificate:
@@ -900,11 +880,7 @@ def wall_cut(x: PolygonalComplex, h: Hypergraph) -> WallCut:
     merges = []
     for v, pair in h.pairs:
         # the subdivided node each surviving local direction at v points at
-        if h.kind == "edge" and v > x.n:
-            nodes = dict(zip((1, 2), _midpoint_edge(x, v)))
-        else:
-            edges = link(x, v).edges_at
-            nodes = {d: mid[e] for d, e in enumerate(edges, start=1) if d not in pair.cutset}
+        nodes = {d: w for d, w in enumerate(g2.neighbors(v), start=1) if d not in pair.cutset}
         for blk in induced_partition(_local_graph(x, h.kind, v), pair, nodes):
             touched = [labels[node - 1] for node in sorted(blk) if labels[node - 1] is not None]
             merges.extend((touched[0], lab) for lab in touched[1:])
@@ -926,7 +902,6 @@ def separation_check(x: PolygonalComplex, h: Hypergraph, p, q) -> bool:
     hypergraph itself is an error.
     """
     cut = wall_cut(x, h)
-    _, mid = _subdivided_skeleton(x)
     nodes = []
     for pt in (p, q):
         if isinstance(pt, int):
@@ -934,10 +909,7 @@ def separation_check(x: PolygonalComplex, h: Hypergraph, p, q) -> bool:
                 raise ComplexError(f"point {pt} outside the subdivided range")
             node = pt
         else:
-            key = edge_key(*pt)
-            if key not in mid:
-                raise ComplexError(f"{key} is not an edge of the complex")
-            node = mid[key]
+            node = edge_midpoint_id(x, pt)
         if node in cut.removed:
             raise ComplexError(f"point {pt} lies on the hypergraph")
         nodes.append(node)

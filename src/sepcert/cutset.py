@@ -320,12 +320,6 @@ def is_proper(g: Graph, c: Cutset) -> Verdict:
     return _passed()
 
 
-def midpoint_distance(g: Graph, metric: Metric, a, b):
-    """Exact distance between m(a) and m(b) in the ambient graph."""
-    table = _subdivision_distances(g, metric)
-    return table.get(point_node(g, a), point_node(g, b))
-
-
 def is_sigma_separated(g: Graph, metric: Metric, c: Cutset, sigma) -> Verdict:
     """Are all distinct element midpoints pairwise at distance >= sigma,
     measured in the ambient graph? Witness reports the closest pair (the

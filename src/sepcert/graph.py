@@ -381,14 +381,10 @@ def shortest_cycle(g: Graph, metric: Metric | None = None):
     return _exact_length(found[0], metric, denom), found[1]
 
 
-def components(
-    g: Graph,
-    removed_vertices: Iterable[int] = (),
-    removed_edges: Iterable[Edge] = (),
-) -> tuple[tuple[int, ...], ...]:
+def components(g: Graph, removed_vertices: Iterable[int] = ()) -> tuple[tuple[int, ...], ...]:
     """Connected components after deleting vertices (with their incident
-    edges) and/or edges. Components and their members are sorted."""
-    labels, count = component_labels(g, removed_vertices, removed_edges)
+    edges). Components and their members are sorted."""
+    labels, count = component_labels(g, removed_vertices)
     comps: list[list[int]] = [[] for _ in range(count)]
     for v in g.vertices():
         c = labels[v - 1]
@@ -397,21 +393,14 @@ def components(
     return tuple(tuple(c) for c in comps)
 
 
-def component_labels(
-    g: Graph,
-    removed_vertices: Iterable[int] = (),
-    removed_edges: Iterable[Edge] = (),
-) -> tuple[tuple, int]:
-    """Per-vertex component index (None for removed vertices) and the
-    component count. Components are numbered by least surviving vertex."""
+def component_labels(g: Graph, removed_vertices: Iterable[int] = ()) -> tuple[tuple, int]:
+    """Per-vertex component index once the removed vertices and their
+    edges are deleted (None on removed ones), and the component count.
+    Components are numbered by least surviving vertex."""
     gone_v = set(removed_vertices)
-    gone_e = {edge_key(*e) for e in removed_edges}
     for v in gone_v:
         if not 1 <= v <= g.n:
             raise GraphFormatError(f"removed vertex {v} out of range")
-    for e in gone_e:
-        if not g.has_edge(*e):
-            raise GraphFormatError(f"removed edge {e} not in graph")
     labels: list = [None] * g.n
     count = 0
     for s in g.vertices():
@@ -423,8 +412,6 @@ def component_labels(
             u = stack.pop()
             for w in g.neighbors(u):
                 if w in gone_v or labels[w - 1] is not None:
-                    continue
-                if gone_e and edge_key(u, w) in gone_e:
                     continue
                 labels[w - 1] = count
                 stack.append(w)

@@ -24,9 +24,9 @@ neighbors are never cut. A star cutset C meets some first orbit i, at a
 vertex u; an automorphism maps u to r, and the image of C still avoids
 orbits 1..i-1.
 
-The second level follows the orbits of the stabilizer Stab(r), with
-Schreier generators built from the generators of Aut(g)
-(``PermutationGroup.stabilizer_generators``). It takes only the orbits
+The second level follows the orbits of the stabilizer Stab(r), read from
+``PermutationGroup.pair_orbits`` (built from Schreier generators of
+Stab(r), from the generators of Aut(g)). It takes only the orbits
 O_1, O_2, ... of two or more vertices that lie outside the 2-ball of r and
 outside orbits 1..i-1, in order of least vertex: a star cutset through r
 cuts nothing in the 2-ball or in those orbits, and a one-vertex orbit
@@ -73,7 +73,6 @@ from .aut import (
     PermutationGroup,
     automorphism_group,
     is_automorphism,
-    orbits_under,
     vertex_set_closure,
     vertex_set_key,
 )
@@ -290,9 +289,12 @@ def _orbit_roots(g: Graph, grp: PermutationGroup, ball2) -> list[_Root]:
     for orbit in grp.vertex_orbits():
         r = orbit[0]
         seeds = ((r, CUT), (g.neighbors(r)[0], SIDE_A))
+        stab_orbits: dict[int, list[int]] = {}  # by least vertex, ascending
+        for v, least in enumerate(grp.pair_orbits.stab.get(r, ()), start=1):
+            stab_orbits.setdefault(least, []).append(v)
         subs = [
             sub
-            for sub in orbits_under(g.n, grp.stabilizer_generators(r))
+            for sub in stab_orbits.values()
             if len(sub) > 1 and sub[0] not in ball2[r] and sub[0] not in done
         ]
         not_cut = tuple(earlier)

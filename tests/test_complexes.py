@@ -180,7 +180,6 @@ def test_fan_of_six_triangles_is_flat():
 def test_square_antipodes(grid):
     antip = antipodal_graph(grid)
     face0 = grid.faces[0]  # vertices 1, 2, 7, 6
-    segs = antip.at(1)
     diag = antip.through(1, 0)
     assert diag.face == 0
     assert {diag.a, diag.b} == {1, 7}  # vertex-to-vertex diagonal
@@ -316,6 +315,21 @@ def test_midline_wall_splits_grid(grid):
     assert not separation_check(grid, h, 1, 6)
     with pytest.raises(ComplexError, match="lies on the hypergraph"):
         separation_check(grid, h, (7, 8), 1)
+
+
+def test_separation_check_rejects_bad_points(grid):
+    mid = edge_midpoint_id(grid, (7, 8))
+    h = trace_hypergraph(grid, mid, grid.edge_faces[(7, 8)], kind="edge")
+    last = grid.n + grid.m  # 25 vertices, then 40 edge midpoints
+    assert separation_check(grid, h, 1, last) is True
+    for p, message in (
+        (0, "point 0 outside the subdivided range"),
+        (last + 1, "point 66 outside the subdivided range"),
+        ((7, 1), r"\(1, 7\) is not an edge of the complex"),
+        (mid, f"point {mid} lies on the hypergraph"),
+    ):
+        with pytest.raises(ComplexError, match=message):
+            separation_check(grid, h, 1, p)
 
 
 def test_wall_cut_repeats_on_one_subdivision(monkeypatch):

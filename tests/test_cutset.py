@@ -22,7 +22,6 @@ from sepcert.cutset import (
     is_proper,
     is_sigma_separated,
     is_star_cutset,
-    midpoint_distance,
     parse_family,
     point_node,
 )
@@ -156,10 +155,11 @@ def test_point_node_and_midpoint_distance(q3):
     e = q3.edges()[0]
     assert point_node(q3, e) == q3.n + 1
     assert point_node(q3, 3) == 3
-    assert midpoint_distance(q3, Metric.combinatorial(), e, e) == 0
-    # two edges sharing a vertex: half + half
+    # two edges sharing a vertex: their midpoints are half + half apart
     share = next(f for f in q3.edges()[1:] if set(f) & set(e))
-    assert midpoint_distance(q3, Metric.combinatorial(), e, share) == 1
+    both = Cutset.of_edges([e, share])
+    assert is_sigma_separated(q3, Metric.combinatorial(), both, 1).witness == {"min_distance": 1}
+    assert is_sigma_separated(q3, Metric.combinatorial(), both, 2).witness["distance"] == 1
 
 
 # ------------------------------------------------------------ predicates --
@@ -215,7 +215,8 @@ def test_sigma_witness_is_a_fraction_on_the_combinatorial_metric(c8):
     # midpoints live on the subdivision, whose half-edges are angular lengths
     v = is_sigma_separated(c8, Metric.combinatorial(), Cutset.of_vertices([1, 5]), 3)
     assert v.ok and type(v.witness["min_distance"]) is Fraction and v.witness["min_distance"] == 4
-    assert type(midpoint_distance(c8, Metric.combinatorial(), 1, 2)) is Fraction
+    v = is_sigma_separated(c8, Metric.combinatorial(), Cutset.of_vertices([1, 2]), 3)
+    assert not v.ok and type(v.witness["distance"]) is Fraction and v.witness["distance"] == 1
 
 
 @pytest.mark.parametrize("kind", ["vertex", "edge"])
