@@ -1,13 +1,13 @@
 """Automorphism groups and orbits.
 
 Permutations are tuples of images: ``p[v-1]`` is the image of vertex v.
-``automorphism_group`` finds a Sims stabilizer chain: one automorphism per
-point of each basic orbit, not one search leaf per group element. The
-group keeps that chain, so its order and point stabilizers come from the
-transversals; orbit closures only ever need the generators, and the element
-list is built only on request. `PairOrbits` takes generators of the
+A `PermutationGroup` is a stabilizer chain that Schreier–Sims has checked
+complete (Seress, *Permutation Group Algorithms*, ch. 4): one element per
+point of each basic orbit, not one per group element. Order, point
+stabilizers and orbits of vertex sets come from the transversals; the
+element list is built only on request. `PairOrbits` takes generators of the
 stabilizer of each orbit representative r by Schreier's lemma, from the
-generators alone (Seress, *Permutation Group Algorithms*, ch. 4): with
+generators alone: with
 ``u_x`` mapping r to x, the elements ``u_{p(x)}^-1 p u_x`` over orbit
 points x and generators p generate Stab(r). It labels the orbits on
 ordered vertex pairs with them: the representative r of x's orbit and the
@@ -15,9 +15,10 @@ least point of the Stab(r)-orbit of u_x^-1(y).
 
 Orbits of vertex sets are closed on sorted-id keys (`vertex_set_key`): a
 string holding ``chr(v)`` for each vertex v, in ascending order, so keys
-compare as the sorted vertex lists do. Each generator is kept as a
-``str.translate`` table, so the image of a set is one ``translate`` and a
-sort, and a key hashes and compares faster than a frozenset of ints.
+compare as the sorted vertex lists do. The inverse of each transversal
+element is kept as a ``str.translate`` table, so the image of a set is one
+``translate`` and a sort, and a key hashes and compares faster than a
+frozenset of ints.
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ def identity(n: int) -> Permutation:
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """Apply q first, then p."""
-    return tuple(p[x - 1] for x in q)
+    return tuple([p[x - 1] for x in q])
 
 
 def inverse(p: Permutation) -> Permutation:
@@ -79,13 +80,74 @@ class PermutationGroup:
     ``transversals[i]`` holds one element for each point of the orbit of
     ``base[i]`` under the pointwise stabilizer of ``base[:i]``, so every
     element is uniquely a product ``u_0 u_1 ... u_k`` with ``u_i`` from
-    ``transversals[i]``. Base points with a trivial basic orbit are left out.
+    ``transversals[i]``, whose first element is the identity. Base points
+    with a trivial basic orbit are left out. `generated_by` builds it.
     """
 
     n: int
     generators: tuple[Permutation, ...]
     base: tuple[int, ...]
     transversals: tuple[tuple[Permutation, ...], ...]
+
+    @classmethod
+    def generated_by(cls, n: int, gens: Sequence[Permutation], base: Sequence[int] = ()) -> PermutationGroup:
+        """The group on 1..n generated by ``gens``, by deterministic
+        Schreier–Sims from ``base``. Level i's transversal is the orbit of
+        ``base[i]`` under the strong generators that fix ``base[:i]``.
+        Levels are checked from the deepest up: every Schreier generator
+        u_{s(x)}^-1 s u_x of a level is sifted through the levels below,
+        and a non-identity residue becomes a strong generator (with a new
+        base point, its least moved point, if it fixes every base point so
+        far); the levels it joins are rebuilt and checked again. The
+        residues only feed the transversals: ``generators`` stays ``gens``.
+        """
+        one = identity(n)
+        strong = [p for p in gens if p != one]
+        base = list(base)
+
+        def extend_base(p: Permutation) -> None:
+            if all(p[b - 1] == b for b in base):
+                base.append(next(x for x, y in enumerate(p, 1) if x != y))
+
+        def level(k: int) -> tuple[list[Permutation], dict[int, Permutation], dict[int, Permutation]]:
+            fixing = [p for p in strong if all(p[b - 1] == b for b in base[:k])]
+            reps = _transversal(n, base[k], fixing)
+            return fixing, reps, {x: inverse(u) for x, u in reps.items()}
+
+        def residue(i: int) -> tuple[Permutation, int] | None:
+            """The first Schreier generator of level i that does not sift
+            to the identity, and the level where its sift stopped."""
+            fixing, reps, backs = levels[i]
+            for u in reps.values():
+                for s in fixing:
+                    back = backs[s[u[base[i] - 1] - 1]]
+                    h = tuple([back[s[x - 1] - 1] for x in u])  # u_{s(x)}^-1 s u_x in one pass
+                    for k in range(i + 1, len(base)):
+                        x = h[base[k] - 1]
+                        if x != base[k]:
+                            if x not in levels[k][2]:
+                                return h, k
+                            h = compose(levels[k][2][x], h)
+                    if h != one:
+                        return h, len(base)
+            return None
+
+        for p in strong:
+            extend_base(p)
+        levels = [level(k) for k in range(len(base))]
+        i = len(base) - 1
+        while i >= 0:
+            found = residue(i)
+            if found is None:
+                i -= 1
+                continue
+            h, j = found
+            strong.append(h)
+            extend_base(h)
+            levels[i + 1:j + 1] = [level(k) for k in range(i + 1, j + 1)]
+            i = j
+        kept = [(b, tuple(reps.values())) for b, (_, reps, _) in zip(base, levels) if len(reps) > 1]
+        return cls(n, tuple(gens), tuple(b for b, _ in kept), tuple(reps for _, reps in kept))
 
     @property
     def order(self) -> int:
@@ -126,10 +188,11 @@ class PermutationGroup:
         return pair_orbits(self.n, self.generators)
 
     @cached_property
-    def translation_tables(self) -> tuple[str, ...]:
-        """Each generator p as a ``str.translate`` table for sorted-id
-        keys: the character at position v is ``chr(p(v))``."""
-        return tuple("\0" + "".join(map(chr, p)) for p in self.generators)
+    def inverse_tables(self) -> tuple[tuple[str, ...], ...]:
+        """The inverse of each transversal element but the identity, level
+        by level, as a ``str.translate`` table for sorted-id keys: the
+        character at position v is ``chr(p^-1(v))``."""
+        return tuple(tuple("\0" + "".join(map(chr, inverse(p))) for p in reps[1:]) for reps in self.transversals)
 
 
 @dataclass(frozen=True)
@@ -267,12 +330,11 @@ def automorphism_group(g: Graph) -> PermutationGroup:
     generators found so far gets one search for its first leaf. A hit is a
     strong generator; a miss exhausts the subtree, proving that no
     automorphism fixing b_0..b_{i-1} maps b_i there. So the generators
-    always generate the whole group, and the transversals of the basic
-    orbits are the chain that ``PermutationGroup`` keeps.
+    always generate the whole group, and the basic orbits are those of
+    the chain: `PermutationGroup.generated_by` on the search's base rebuilds
+    the transversals from the generators, and its sift only verifies them.
     """
     n = g.n
-    if n == 0:
-        return PermutationGroup(0, (), (), ())
     colors = refinement_colors(g)
     order = _search_order(g, colors)
     pos = {v: k for k, v in enumerate(order)}
@@ -336,7 +398,6 @@ def automorphism_group(g: Graph) -> PermutationGroup:
 
     gens: list[Permutation] = []
     base: list[int] = []
-    transversals: list[tuple[Permutation, ...]] = []
     for v in order:
         assign(v, v)
     for k in reversed(range(n)):
@@ -354,8 +415,7 @@ def automorphism_group(g: Graph) -> PermutationGroup:
                 reps = _transversal(n, b, gens)
         if len(reps) > 1:
             base.append(b)
-            transversals.append(tuple(reps.values()))
-    return PermutationGroup(n, tuple(gens), tuple(reversed(base)), tuple(reversed(transversals)))
+    return PermutationGroup.generated_by(n, gens, base[::-1])
 
 
 def _transversal(n: int, b: int, gens: Sequence[Permutation]) -> dict[int, Permutation]:
@@ -378,18 +438,17 @@ def vertex_set_key(s: Iterable[int]) -> str:
 
 
 def vertex_set_closure(grp: PermutationGroup, key: str) -> set[str]:
-    """Every image of a vertex set under the group, found by search over
-    the generators. The set and its images are sorted-id keys."""
-    seen = {key}
-    queue = [key]
-    tables = grp.translation_tables
-    for cur in queue:
-        for table in tables:
-            nxt = "".join(sorted(cur.translate(table)))
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return seen
+    """Every image of a vertex set under the group, as sorted-id keys.
+    Every element is one product u_0 u_1 ... u_k of transversal elements,
+    so its inverse is u_k^-1 ... u_0^-1 and the orbit is
+    U_k^-1(...U_1^-1(U_0^-1({key}))): the inverse transversals are applied
+    from level 0 down, the keys deduplicated after each, so the largest
+    transversal moves one key only. No key is moved by an element outside
+    the chain."""
+    keys = {key}
+    for tables in grp.inverse_tables:
+        keys |= {"".join(sorted(k.translate(t))) for k in keys for t in tables}
+    return keys
 
 
 def orbit_of_vertex_set(grp: PermutationGroup, s: Iterable[int]) -> tuple[frozenset[int], ...]:

@@ -613,7 +613,8 @@ def _validated_pair(
         raise ComplexError(f"seed pair invalid: atoms do not cut the link of {v0}")
     sep = is_sigma_separated(lk.graph, lk.metric, c, PI)
     if not sep.ok:
-        raise ComplexError(f"seed pair invalid: not pi-separated ({sep.witness})")
+        (a, b), d = sep.witness["pair"], sep.witness["distance"]
+        raise ComplexError(f"seed pair invalid: not pi-separated: pair {a}-{b} at distance {d} pi")
     return CutsetPartition(c, canonical_partition(lk.graph, c))
 
 

@@ -13,8 +13,8 @@ checked automorphism.
 A neighbor-split goal is searched from one root: v is cut, and its i-th
 and j-th neighbors in ascending order go to sides A and B. Enumerating every
 star cutset instead roots the search at orbits, two levels deep, and then
-closes the validated leaves under the generators of Aut(g), once each
-generator is checked to map the edge set onto itself.
+closes the validated leaves under Aut(g), once each generator is checked
+to map the edge set onto itself.
 
 The first level follows the orbits of Aut(g) on vertices, in the order of
 ``vertex_orbits()``. Under orbit i, the least vertex r is cut, every vertex
@@ -45,10 +45,14 @@ cutset. With a trivial group every vertex is its own orbit, and each
 cutset is found once, from its least vertex.
 
 An orbit is closed as soon as its first leaf passes the star conjunction,
-on sorted-id keys (``aut.vertex_set_key``). A later leaf whose cut is
-already in the family is admitted without deciding it again: it is the
-image of a validated leaf under a product of checked generators, so by
-the same invariance it passes, and the family already holds it, so its
+on sorted-id keys (``aut.vertex_set_key``), through the stabilizer chain
+of Aut(g) that Schreier–Sims has checked complete
+(``aut.vertex_set_closure``): the leaf is moved by the inverses of the
+transversal elements, level by level, and each of those is the inverse of
+a product of checked generators, so an automorphism too. A later leaf
+whose cut is already in the family is admitted without deciding it again:
+it is the image of a validated leaf under such an automorphism, so by the
+same invariance it passes, and the family already holds it, so its
 verdict could not change the output. A neighbor-split goal has no group,
 and every one of its leaves is decided.
 

@@ -12,6 +12,7 @@ from sympy.combinatorics import PermutationGroup as SympyGroup
 
 from _oracles import brute_automorphisms, distance_transitivity, frozenset_closure, natural_order_aut_count
 from sepcert.aut import (
+    PermutationGroup,
     automorphism_group,
     cycle_notation,
     identity,
@@ -26,8 +27,12 @@ from sepcert.graph import Graph
 from test_search import RANDOM_CUBIC, _random_cubic
 
 
+def _sympy_group(n, gens):
+    return SympyGroup([SympyPermutation(list(range(n)))] + [SympyPermutation([x - 1 for x in p]) for p in gens])
+
+
 def _sympy_order(grp):
-    return SympyGroup([SympyPermutation([x - 1 for x in p]) for p in grp.generators]).order()
+    return _sympy_group(grp.n, grp.generators).order()
 
 
 def _k8():
@@ -102,13 +107,58 @@ def test_stabilizer_generators_generate_the_point_stabilizer(name, r):
         assert stab.order() == 48
 
 
-def test_transversals_fix_the_earlier_base_points(f090a_group):
-    grp = f090a_group
+def assert_chain_is_sound(grp) -> None:
+    """Each transversal starts with the identity, maps its base point to
+    distinct points, and fixes the earlier base points."""
     assert len(grp.base) == len(grp.transversals)
     for i, reps in enumerate(grp.transversals):
+        assert reps[0] == identity(grp.n)
         assert len({u[grp.base[i] - 1] for u in reps}) == len(reps) > 1
         for u in reps:
             assert all(u[b - 1] == b for b in grp.base[:i])
+
+
+def test_transversals_fix_the_earlier_base_points(f090a_group):
+    assert_chain_is_sound(f090a_group)
+
+
+def assert_chain_matches_sympy(n, gens) -> None:
+    """Schreier–Sims from the generators alone, with no base given: the
+    order and every point stabilizer's order agree with sympy's, and the
+    generators come back as they were given."""
+    grp = PermutationGroup.generated_by(n, gens)
+    assert grp.generators == tuple(gens)
+    assert_chain_is_sound(grp)
+    sym = _sympy_group(n, gens)
+    assert grp.order == sym.order()
+    # point stabilizers are conjugate along an orbit, so one point per orbit
+    reps = [min(orbit) for orbit in sym.orbits()]
+    assert [grp.stabilizer_order(v + 1) for v in reps] == [sym.stabilizer(v).order() for v in reps]
+
+
+def test_generated_by_matches_sympy_on_subsets_of_the_f090a_generators(f090a_group):
+    gens = f090a_group.generators
+    rng = random.Random(0)
+    subsets = [[p] for p in gens] + [rng.sample(gens, k) for k in (2, 2, 3, 3, 4, 5)] + [list(gens)]
+    for subset in subsets:
+        assert_chain_matches_sympy(f090a_group.n, subset)
+
+
+def test_generated_by_matches_sympy_on_the_c8_half_turn():
+    assert_chain_matches_sympy(8, [(5, 6, 7, 8, 1, 2, 3, 4)])
+
+
+@pytest.mark.parametrize("n,seed", RANDOM_CUBIC)
+def test_generated_by_matches_sympy_on_random_cubic_groups(n, seed):
+    assert_chain_matches_sympy(n, automorphism_group(_random_cubic(n, seed)).generators)
+
+
+def test_automorphism_group_keeps_its_search_base(f090a_group):
+    # the search's chain needs no residue, so Schreier–Sims on its base
+    # returns the same base and transversals
+    again = PermutationGroup.generated_by(f090a_group.n, f090a_group.generators, f090a_group.base)
+    assert again == f090a_group
+    assert [len(reps) for reps in f090a_group.transversals] == [90, 3, 2, 2, 2, 2]
 
 
 def test_orbit_of_vertex_out_of_range():
@@ -142,6 +192,18 @@ def test_vertex_set_orbits_match_the_frozenset_search(g):
     sets += [rng.sample(range(1, g.n + 1), k) for k in range(1, min(g.n, 6) + 1)]
     for s in [()] + sets:
         assert_orbit_matches_the_frozenset_search(grp, s)
+
+
+def test_census_orbits_close_through_the_chain(f090a, f090a_group, census_orbits):
+    # every census orbit in the bundled labelling, from its least member,
+    # and in the seed-2 relabelling (7 generators), from its greatest
+    perm = list(range(1, f090a.n + 1))
+    random.Random(2).shuffle(perm)
+    relabelled = automorphism_group(f090a.relabel(perm))
+    assert len(relabelled.generators) == 7
+    for orbit in census_orbits:
+        assert_orbit_matches_the_frozenset_search(f090a_group, orbit[0])
+        assert_orbit_matches_the_frozenset_search(relabelled, [perm[v - 1] for v in orbit[-1]])
 
 
 @pytest.mark.parametrize("name,expected", [("q3", True), ("petersen", True), ("heawood", True), ("prism", False)])

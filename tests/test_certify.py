@@ -323,7 +323,7 @@ def test_failing_certificates_agree_with_and_without_a_cyclic_group(f090a, f090a
     # the orbit of one census cutset under one generator of Aut(F090A):
     # a small family, with many vertex orbits, whose counts vary and whose
     # neighbour and distant pairs are not all split
-    cyclic = PermutationGroup(f090a.n, f090a_group.generators[:1], (), ())
+    cyclic = PermutationGroup.generated_by(f090a.n, f090a_group.generators[:1])
     orbit = orbit_of_vertex_set(cyclic, census_orbits[0][0])
     fam = SeparatedFamily.from_cutsets(f090a, 3, orbit, group=cyclic)
     assert 1 < len(fam.symmetry.reps()) < f090a.n
@@ -337,8 +337,9 @@ def test_failing_certificates_agree_with_and_without_a_cyclic_group(f090a, f090a
 
 
 def test_cyclic_group_orbits_match_the_frozenset_search(f090a, f090a_group, census_orbits):
-    # one generator and an empty chain: the closure reads the generators only
-    cyclic = PermutationGroup(f090a.n, f090a_group.generators[:1], (), ())
+    # one generator: the closure runs through the chain that Schreier–Sims
+    # builds from it
+    cyclic = PermutationGroup.generated_by(f090a.n, f090a_group.generators[:1])
     for census_orbit in census_orbits:
         assert_orbit_matches_the_frozenset_search(cyclic, census_orbit[0])
 
@@ -357,7 +358,7 @@ def test_hexagonal_prism_counts_differ_between_slots_of_one_vertex():
 
 def test_c8_family_under_a_half_turn_fails_alike_with_and_without_it():
     c8 = named_graph("c8")
-    half_turn = PermutationGroup(8, ((5, 6, 7, 8, 1, 2, 3, 4),), (), ())
+    half_turn = PermutationGroup.generated_by(8, [(5, 6, 7, 8, 1, 2, 3, 4)])
     fam = SeparatedFamily.from_cutsets(c8, 2, [Cutset.of_vertices((1, 5))], group=half_turn)
     got = [certify_vertex_separated(c8, 2, f) for f in (fam, replace(fam, group=None))]
     assert dumps(got[0].doc()) == dumps(got[1].doc())
@@ -421,7 +422,7 @@ def test_family_with_one_member_repeated_is_refused(q3, q3_neighborhood_family):
 
 def test_family_refuses_a_generator_that_is_not_an_automorphism(q3, q3_neighborhood_family):
     swap = (2, 1, *range(3, 9))  # 1 and 2 are adjacent with different neighbourhoods
-    bogus = PermutationGroup(8, (swap,), (), ())
+    bogus = PermutationGroup.generated_by(8, [swap])
     with pytest.raises(CertifyError, match="not an automorphism"):
         replace(q3_neighborhood_family, group=bogus)
     with pytest.raises(CertifyError, match="group degree"):

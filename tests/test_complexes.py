@@ -275,8 +275,11 @@ def test_trace_rejects_bad_seeds(grid):
     boundary_mid = edge_midpoint_id(grid, (1, 2))
     with pytest.raises(ComplexError, match="seed pair invalid"):
         trace_hypergraph(grid, boundary_mid, (0, 1), kind="edge")
-    with pytest.raises(ComplexError, match="seed pair invalid"):
-        trace_hypergraph(grid, 13, (1, 2), kind="vertex")  # perpendicular, not pi apart
+    # perpendicular, not pi apart; the witness distance is in units of pi
+    with pytest.raises(ComplexError, match=r"^seed pair invalid: not pi-separated: pair 1-2 at distance 1/2 pi$"):
+        trace_hypergraph(grid, 13, (1, 2), kind="vertex")
+    with pytest.raises(ComplexError, match=r"pair \(1, 2\)-\(1, 3\) at distance 1/2 pi$"):
+        trace_hypergraph(grid, 13, (5, 6), kind="edge")
     with pytest.raises(ComplexError, match="seed pair invalid"):
         trace_hypergraph(grid, 13, (8, 18), kind="vertex")  # ambient ids, not link ids
     with pytest.raises(ComplexError, match="seed pair invalid"):

@@ -91,7 +91,7 @@ def test_closure_refuses_a_generator_that_is_not_an_automorphism(monkeypatch):
     # a transposition is an automorphism only of vertices with equal
     # neighbourhoods, and no two Petersen vertices have them
     swap = (2, 1, *range(3, g.n + 1))
-    bogus = PermutationGroup(g.n, (swap,), (), ())
+    bogus = PermutationGroup.generated_by(g.n, [swap])
     monkeypatch.setattr(search, "automorphism_group", lambda g: bogus)
     with pytest.raises(SearchError, match="edge set"):
         search_star_cutsets(SearchTask(g, node_budget=10**18))
