@@ -5,13 +5,11 @@ A `PermutationGroup` is a stabilizer chain that Schreier–Sims has checked
 complete (Seress, *Permutation Group Algorithms*, ch. 4): one element per
 point of each basic orbit, not one per group element. Order, point
 stabilizers and orbits of vertex sets come from the transversals; the
-element list is built only on request. `PairOrbits` takes generators of the
-stabilizer of each orbit representative r by Schreier's lemma, from the
-generators alone: with
-``u_x`` mapping r to x, the elements ``u_{p(x)}^-1 p u_x`` over orbit
-points x and generators p generate Stab(r). It labels the orbits on
-ordered vertex pairs with them: the representative r of x's orbit and the
-least point of the Stab(r)-orbit of u_x^-1(y).
+element list is built only on request. `PairOrbits` reads the same chain:
+re-based when needed so that its first base point is an orbit
+representative r, the level-0 transversal maps r to each point of its
+orbit, and the transversal elements of the levels below generate Stab(r),
+whose orbits label the ordered vertex pairs.
 
 Orbits of vertex sets are closed on sorted-id keys (`vertex_set_key`): a
 string holding ``chr(v)`` for each vertex v, in ascending order, so keys
@@ -25,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import GroupError
 from .graph import Graph, distances, edge_key, union_labels
@@ -161,7 +159,11 @@ class PermutationGroup:
         return tuple(sorted(elements))
 
     def vertex_orbits(self) -> tuple[tuple[int, ...], ...]:
-        return orbits_under(self.n, self.generators)
+        """Orbits of the vertices, each sorted, in order of least vertex."""
+        orbits: dict[int, list[int]] = {}
+        for v, r in enumerate(_least_points(self.n, self.generators), 1):
+            orbits.setdefault(r, []).append(v)
+        return tuple(map(tuple, orbits.values()))
 
     def orbit_of_vertex(self, v: int) -> tuple[int, ...]:
         for orb in self.vertex_orbits():
@@ -184,15 +186,37 @@ class PermutationGroup:
 
     @cached_property
     def pair_orbits(self) -> "PairOrbits":
-        """`PairOrbits` of the group, computed once."""
-        return pair_orbits(self.n, self.generators)
+        """`PairOrbits` of the group. Each orbit representative r that is
+        not fixed is read from a chain with first base point r: this one,
+        or the one `generated_by` builds on the base (r,). The levels below
+        r generate Stab(r)."""
+        n = self.n
+        rep = list(range(1, n + 1))
+        to_rep: list[Permutation | None] = [None] * n
+        stab: dict[int, tuple[int, ...]] = {}
+        for orbit in self.vertex_orbits():
+            r = orbit[0]
+            below = self.transversals
+            if len(orbit) > 1:
+                chain = self if self.base[0] == r else PermutationGroup.generated_by(n, self.generators, (r,))
+                below = chain.transversals[1:]
+                for u, back in zip(chain.transversals[0][1:], chain.inverses[0][1:]):
+                    rep[u[r - 1] - 1], to_rep[u[r - 1] - 1] = r, back
+            if below:
+                stab[r] = tuple(_least_points(n, [u for reps in below for u in reps[1:]]))
+        return PairOrbits(tuple(rep), tuple(to_rep), stab)
+
+    @cached_property
+    def inverses(self) -> tuple[tuple[Permutation, ...], ...]:
+        """The inverse of each transversal element, level by level."""
+        return tuple(tuple(map(inverse, reps)) for reps in self.transversals)
 
     @cached_property
     def inverse_tables(self) -> tuple[tuple[str, ...], ...]:
         """The inverse of each transversal element but the identity, level
         by level, as a ``str.translate`` table for sorted-id keys: the
         character at position v is ``chr(p^-1(v))``."""
-        return tuple(tuple("\0" + "".join(map(chr, inverse(p))) for p in reps[1:]) for reps in self.transversals)
+        return tuple(tuple("\0" + "".join(map(chr, p)) for p in backs[1:]) for backs in self.inverses)
 
 
 @dataclass(frozen=True)
@@ -205,8 +229,8 @@ class PairOrbits:
     labelled by r and the least vertex of the Stab(r)-orbit of u_x^-1(y);
     two pairs share an orbit exactly when they share a label. ``stab[r]``
     gives that least vertex for every vertex, and is missing when Stab(r)
-    is trivial. Built from no generators, every vertex and every pair is
-    its own orbit."""
+    is trivial. Under the trivial group every vertex and every pair is its
+    own orbit."""
 
     rep: tuple[int, ...]
     to_rep: tuple[Permutation | None, ...]
@@ -229,50 +253,9 @@ class PairOrbits:
         return r, y if least is None else least[y - 1]
 
 
-def pair_orbits(n: int, gens: Sequence[Permutation]) -> PairOrbits:
-    """`PairOrbits` of the group generated by ``gens`` on 1..n: one
-    transversal per vertex orbit, and the Stab(r)-orbits from the Schreier
-    generators of each representative r."""
-    rep = list(range(1, n + 1))
-    to_rep: list[Permutation | None] = [None] * n
-    stab: dict[int, tuple[int, ...]] = {}
-    if gens:
-        for orbit in orbits_under(n, gens):
-            r = orbit[0]
-            reps = _transversal(n, r, gens)
-            back = {x: inverse(u) for x, u in reps.items()}
-            for x in orbit:
-                rep[x - 1] = r
-                if x != r:
-                    to_rep[x - 1] = back[x]
-            # the Schreier generators u_{p(x)}^-1 p u_x, deduplicated
-            schreier = dict.fromkeys(
-                compose(back[p[x - 1]], compose(p, u)) for x, u in reps.items() for p in gens
-            )
-            schreier.pop(identity(n), None)
-            if schreier:
-                least = orbit_labels(n, tuple(schreier), lambda p, x: p[x] - 1)
-                stab[r] = tuple(v + 1 for v in least)
-    return PairOrbits(tuple(rep), tuple(to_rep), stab)
-
-
-def orbits_under(n: int, gens: Sequence[Permutation]) -> tuple[tuple[int, ...], ...]:
-    """Orbits of the vertices 1..n under the generators, each sorted,
-    in order of least vertex."""
-    label = orbit_labels(n, gens, lambda p, x: p[x] - 1)
-    buckets: dict[int, list[int]] = {}
-    for v in range(1, n + 1):
-        buckets.setdefault(label[v - 1], []).append(v)
-    return tuple(tuple(b) for _, b in sorted(buckets.items()))
-
-
-def orbit_labels(
-    size: int, gens: Sequence[Permutation], image: Callable[[Permutation, int], int]
-) -> list[int]:
-    """Orbits of the points 0..size-1 under the generator images
-    ``image(p, x)``, each point moved once by each generator, in point
-    order: entry x is the least point of x's orbit."""
-    return union_labels(size, ((x, image(p, x)) for x in range(size) for p in gens))
+def _least_points(n: int, perms: Sequence[Permutation]) -> list[int]:
+    """Entry v - 1 is the least point of v's orbit under the permutations."""
+    return [x + 1 for x in union_labels(n, ((x, p[x] - 1) for p in perms for x in range(n)))]
 
 
 def _refinement_signature(g: Graph, colors: Sequence[int]) -> list:
@@ -461,8 +444,8 @@ def is_distance_transitive(g: Graph, grp: PermutationGroup):
     distance d. Returns (flag, witness): the witness names two unmatched
     pairs when the check fails.
 
-    Orbits on ordered pairs are the `PairOrbits` labels, from the
-    generators alone, with no element list. This is transitivity on pairs,
+    Orbits on ordered pairs are the `PairOrbits` labels, read from the
+    stabilizer chain, with no element list. This is transitivity on pairs,
     which is strictly stronger than the counting form of
     distance-regularity.
     """

@@ -10,8 +10,8 @@ partition, one block per component. A family may carry a group of
 automorphisms of its graph. Construction checks three preconditions on
 every generator p: p is an automorphism of the graph, p preserves the
 metric (each edge keeps its length), and p maps the member multiset onto
-itself. It moves each member once by each generator; the same moves
-label the member orbits, and each canonical partition, so each component
+itself. The first member of each orbit is closed through the group's
+stabilizer chain, and each canonical partition, so each component
 count, is found once per orbit. Then p maps the complement components of
 a member's cutset onto those of its image, and distances onto distances,
 so every fact stated in terms of components, distances and family
@@ -44,9 +44,7 @@ from .aut import (
     automorphism_group,
     cycle_notation,
     is_automorphism,
-    orbit_labels,
     orbit_of_vertex_set,
-    pair_orbits,
 )
 from .cutset import (
     Cutset,
@@ -62,6 +60,7 @@ from .cutset import (
 )
 from .errors import CertifyError, SepcertError
 from .graph import (
+    INF,
     Graph,
     Metric,
     bipartition,
@@ -100,12 +99,12 @@ class SeparatedFamily:
     name.
 
     With a ``group``, construction also checks that every generator is an
-    automorphism of the graph that preserves the metric and maps the member
-    multiset onto itself, moving each member once by each generator, and
-    validates one member per orbit (see the module docstring); a canonical
-    partition, and so a component count, is found once per orbit.
-    ``orbit_of[i]`` is the index of the first member of member i's orbit;
-    without a group it is i.
+    automorphism of the graph that preserves the metric, closes the first
+    member of each orbit through the group's transversals, and validates
+    one member per orbit (see the module docstring). The closure relies on
+    a group built by `PermutationGroup.generated_by`, whose chain is
+    complete. ``orbit_of[i]`` is the index of the first member of member
+    i's orbit; without a group it is i.
 
     The family indexes its members by element once, on the first
     `pairs_at`; every later lookup, such as the class sums of each
@@ -163,23 +162,27 @@ class SeparatedFamily:
             )
 
     def _member_orbits(self) -> tuple[int, ...]:
-        """Check the group's generators against the graph, the metric and
-        the member multiset, and label each member by its orbit."""
+        """Check the group's generators against the graph and the metric,
+        and label each member by its orbit: the first member of an orbit
+        is closed as `aut.vertex_set_closure` closes a vertex set, and
+        every image must be a member of the same multiplicity."""
         _check_group(self.graph, self.metric, self.group, self.name)
         keys = self._keys
         times = Counter(keys)
-        repeated = len(times) < len(keys)
-
-        def image(p, i: int) -> int:
-            j = self.image(p, i)
-            if repeated and times[keys[j]] != times[keys[i]]:
-                raise CertifyError(
-                    f"family of link {self.name!r} is not closed under its group: "
-                    f"image {tuple(sorted(keys[j][0]))} has another multiplicity"
-                )
-            return j
-
-        return tuple(orbit_labels(len(keys), self.group.generators, image))
+        label: dict[int, int] = {}  # by the index of the last equal member
+        for i, key in enumerate(keys):
+            if self._index[key] not in label:
+                orbit = {self._index[key]}
+                for backs in self.group.inverses:
+                    orbit |= {self.image(p, j) for j in orbit for p in backs[1:]}
+                for j in orbit:
+                    if times[keys[j]] != times[key]:
+                        raise CertifyError(
+                            f"family of link {self.name!r} is not closed under its group: "
+                            f"image {tuple(sorted(keys[j][0]))} has another multiplicity"
+                        )
+                    label[j] = i
+        return tuple(label[self._index[key]] for key in keys)
 
     @cached_property
     def _keys(self) -> list[tuple]:
@@ -227,7 +230,7 @@ class SeparatedFamily:
     @cached_property
     def symmetry(self) -> PairOrbits:
         """Orbits of the family's group on vertices and vertex pairs."""
-        return self.group.pair_orbits if self.group else pair_orbits(self.graph.n, ())
+        return (self.group or PermutationGroup.generated_by(self.graph.n, ())).pair_orbits
 
     @classmethod
     def from_cutsets(
@@ -242,9 +245,9 @@ class SeparatedFamily:
     ) -> "SeparatedFamily":
         """Family of the cutsets, given as `Cutset`s or as collections of
         vertices or edges of ``kind``, each standing for its canonical
-        partition (one block per component). The constructor moves each
-        cutset once by each generator of ``group``, and finds each
-        partition, so each component count, once per orbit."""
+        partition (one block per component). The constructor closes one
+        cutset per orbit of ``group`` and finds each partition, so each
+        component count, once per orbit."""
         cuts = tuple(
             c if isinstance(c, Cutset) else Cutset.of_vertices(c) if kind == "vertex" else Cutset.of_edges(c)
             for c in cutsets
@@ -593,7 +596,7 @@ def certify_triangle_link(
     cert.add(
         "link-girth-six",
         girth_val >= 6,
-        {"girth": girth_val, "angular_girth_pi_units": Fraction(girth_val, 3)},
+        {"girth": girth_val, "angular_girth_pi_units": girth_val if girth_val is INF else Fraction(girth_val, 3)},
     )
 
     bootstrap = None

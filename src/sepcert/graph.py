@@ -279,8 +279,12 @@ def _dijkstra(
 
 def distances(g: Graph, metric: Metric | None = None) -> DistanceTable:
     """All-pairs exact distances: BFS per vertex when every edge has the same
-    length, integer Dijkstra otherwise."""
-    metric = metric or Metric.combinatorial()
+    length, integer Dijkstra otherwise; memoised per graph and metric."""
+    return _distance_table(g, metric or Metric.combinatorial())
+
+
+@lru_cache(maxsize=16)
+def _distance_table(g: Graph, metric: Metric) -> DistanceTable:
     metric.validate_for(g)
     denom, lengths = _scaled_lengths(g, metric)
     step = _uniform_step(lengths)
@@ -352,8 +356,13 @@ def girth(g: Graph, metric: Metric | None = None):
 
     When every edge has the same length: the fewest edges on a cycle (BFS)
     times that length. Otherwise the length of ``shortest_cycle``.
+    Memoised per graph and metric.
     """
-    metric = metric or Metric.combinatorial()
+    return _girth(g, metric or Metric.combinatorial())
+
+
+@lru_cache(maxsize=16)
+def _girth(g: Graph, metric: Metric):
     metric.validate_for(g)
     denom, lengths = _scaled_lengths(g, metric)
     step = _uniform_step(lengths)

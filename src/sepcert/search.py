@@ -25,8 +25,9 @@ vertex u; an automorphism maps u to r, and the image of C still avoids
 orbits 1..i-1.
 
 The second level follows the orbits of the stabilizer Stab(r), read from
-``PermutationGroup.pair_orbits`` (built from Schreier generators of
-Stab(r), from the generators of Aut(g)). It takes only the orbits
+``PermutationGroup.pair_orbits``: the transversal elements below the
+first level of a checked stabilizer chain whose first base point is r
+generate Stab(r). It takes only the orbits
 O_1, O_2, ... of two or more vertices that lie outside the 2-ball of r and
 outside orbits 1..i-1, in order of least vertex: a star cutset through r
 cuts nothing in the 2-ball or in those orbits, and a one-vertex orbit

@@ -208,6 +208,80 @@ def set_orbits(perms, sets) -> set[frozenset[frozenset[int]]]:
     return orbits
 
 
+def _least_labels(n: int, perms) -> list[int]:
+    """Entry x - 1 is the least point of x's orbit under the permutations
+    of 1..n, by repeated relabelling to the least neighbour."""
+    label = list(range(1, n + 1))
+    changed = True
+    while changed:
+        changed = False
+        for p in perms:
+            for x in range(1, n + 1):
+                a, b = label[x - 1], label[p[x - 1] - 1]
+                if a != b:
+                    label[x - 1] = label[p[x - 1] - 1] = min(a, b)
+                    changed = True
+    return label
+
+
+def schreier_pair_orbits(n: int, gens) -> tuple[tuple, tuple, dict]:
+    """The fields (rep, to_rep, stab) of ``aut.PairOrbits`` from the
+    generators alone: for each vertex orbit, a breadth-first transversal
+    u_x of its least vertex r (generators tried in order, u_y = p u_x for
+    the first p with p(x) = y), to_rep the inverse of u_x, and the
+    Stab(r)-orbits under the Schreier generators u_{p(x)}^-1 p u_x over
+    every orbit point x and generator p."""
+    one = tuple(range(1, n + 1))
+
+    def compose(p, q):
+        return tuple(p[x - 1] for x in q)
+
+    def inverse(p):
+        out = [0] * n
+        for v, w in enumerate(p, 1):
+            out[w - 1] = v
+        return tuple(out)
+
+    rep, to_rep, stab = list(one), [None] * n, {}
+    for x0 in one:
+        if rep[x0 - 1] != x0 or not gens:
+            continue
+        reps = {x0: one}
+        queue = [x0]
+        for x in queue:
+            for p in gens:
+                if p[x - 1] not in reps:
+                    reps[p[x - 1]] = compose(p, reps[x])
+                    queue.append(p[x - 1])
+        for x, u in reps.items():
+            rep[x - 1] = x0
+            to_rep[x - 1] = None if x == x0 else inverse(u)
+        schreier = {
+            compose(inverse(reps[p[x - 1]]), compose(p, u)) for x, u in reps.items() for p in gens
+        } - {one}
+        if schreier:
+            stab[x0] = tuple(_least_labels(n, schreier))
+    return tuple(rep), tuple(to_rep), stab
+
+
+def generator_member_orbits(fam) -> tuple[int, ...]:
+    """``orbit_of`` of a family with a group, by union-find over every
+    member and its image under every generator (``fam.image``): entry i is
+    the first member of member i's orbit."""
+    parent = list(range(len(fam.members)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i in range(len(fam.members)):
+        for p in fam.group.generators:
+            a, b = find(i), find(fam.image(p, i))
+            parent[max(a, b)] = min(a, b)
+    return tuple(find(i) for i in range(len(fam.members)))
+
+
 def brute_split_counts(g: Graph, cutsets) -> dict[tuple[int, int, int], int]:
     """Same-side counts with multiplicity, from the components of G - C.
 

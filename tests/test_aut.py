@@ -10,7 +10,13 @@ import pytest
 from sympy.combinatorics import Permutation as SympyPermutation
 from sympy.combinatorics import PermutationGroup as SympyGroup
 
-from _oracles import brute_automorphisms, distance_transitivity, frozenset_closure, natural_order_aut_count
+from _oracles import (
+    brute_automorphisms,
+    distance_transitivity,
+    frozenset_closure,
+    natural_order_aut_count,
+    schreier_pair_orbits,
+)
 from sepcert.aut import (
     PermutationGroup,
     automorphism_group,
@@ -92,8 +98,9 @@ def test_stabilizer_order_matches_element_count(name):
 
 @pytest.mark.parametrize("name,r", [("petersen", 1), ("petersen", 7), ("heawood", 1), ("heawood", 14), ("f090a", 1)])
 def test_stabilizer_generators_generate_the_point_stabilizer(name, r):
-    # PairOrbits builds Stab(r) from the Schreier generators: two vertices
-    # share a Stab(r)-orbit exactly when their pairs with r share a label
+    # PairOrbits reads Stab(r) from the levels below r in the chain: two
+    # vertices share a Stab(r)-orbit exactly when their pairs with r share
+    # a label
     g = named_graph(name)
     grp = automorphism_group(g)
     orbits = grp.pair_orbits
@@ -105,6 +112,39 @@ def test_stabilizer_generators_generate_the_point_stabilizer(name, r):
     assert {frozenset(o) for o in by_label.values()} == {frozenset(y + 1 for y in o) for o in stab.orbits()}
     if name == "f090a":
         assert stab.order() == 48
+
+
+def assert_pair_orbits_match_the_schreier_generators(grp) -> None:
+    """All three fields: gluing moves members by ``to_rep``."""
+    orbits = grp.pair_orbits
+    assert (orbits.rep, orbits.to_rep, orbits.stab) == schreier_pair_orbits(grp.n, grp.generators)
+
+
+@pytest.mark.parametrize(
+    "g", [named_graph(name) for name in builtin_names()] + [_random_cubic(n, seed) for n, seed in RANDOM_CUBIC]
+)
+def test_pair_orbits_match_the_schreier_generators(g):
+    assert_pair_orbits_match_the_schreier_generators(automorphism_group(g))
+
+
+def test_pair_orbits_of_subgroups_and_relabellings_of_aut_f090a(f090a, f090a_group):
+    # subgroups have several vertex orbits, so most representatives are
+    # not the first base point and their chains are re-based
+    rng = random.Random(1)
+    for k in (1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 5):
+        sub = PermutationGroup.generated_by(f090a.n, rng.sample(f090a_group.generators, k))
+        assert_pair_orbits_match_the_schreier_generators(sub)
+    for seed in range(1, 7):
+        perm = list(range(1, f090a.n + 1))
+        random.Random(seed).shuffle(perm)
+        assert_pair_orbits_match_the_schreier_generators(automorphism_group(f090a.relabel(perm)))
+
+
+def test_pair_orbits_of_the_trivial_group():
+    trivial = PermutationGroup.generated_by(6, ())
+    assert_pair_orbits_match_the_schreier_generators(trivial)
+    assert trivial.pair_orbits.reps() == tuple(range(1, 7))
+    assert trivial.pair_orbits.label(2, 5) == (2, 5)
 
 
 def assert_chain_is_sound(grp) -> None:

@@ -298,6 +298,8 @@ def contract_files(tmp_path_factory):
         "c8-one": "C: 1-2 5-6\n",
         "tetrahedron": json.dumps({"vertices": 4, "faces": [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]}),
         "torus": json.dumps(_torus(4)),
+        "path": "p 4 3\n1 2\n2 3\n3 4\n",
+        "forest": "p 6 4\n1 2\n2 3\n4 5\n5 6\n",
     }
     for name, text in written.items():
         (d / name).write_text(text)
@@ -337,6 +339,14 @@ _CONTRACT_MALFORMED = {
 }
 
 
+#: Acyclic links, each exit 1: the girth is infinite, and the family
+#: bootstrap fails on a graph that is not cubic and connected.
+_CONTRACT_ACYCLIC = {
+    "certify-link-path": ["certify", "link", "{path}"],
+    "certify-link-forest": ["certify", "link", "{forest}"],
+}
+
+
 @pytest.mark.parametrize(
     "args,status",
     [
@@ -344,7 +354,8 @@ _CONTRACT_MALFORMED = {
         for command, cases in _CONTRACT.items()
         for status, argv in cases.items()
     ]
-    + [pytest.param(argv, 2, id=name) for name, argv in _CONTRACT_MALFORMED.items()],
+    + [pytest.param(argv, 2, id=name) for name, argv in _CONTRACT_MALFORMED.items()]
+    + [pytest.param(argv, 1, id=name) for name, argv in _CONTRACT_ACYCLIC.items()],
 )
 def test_exit_code_contract(args, status, contract_files, capsys):
     argv = [contract_files[arg[1:-1]] if arg.startswith("{") else arg for arg in args]
@@ -353,3 +364,14 @@ def test_exit_code_contract(args, status, contract_files, capsys):
     assert "Traceback" not in err
     if status == 2:
         assert "error: " in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("name", ["path", "forest"])
+def test_certify_link_on_an_acyclic_graph_reports_infinite_girth(name, contract_files, tmp_path, capsys):
+    out = tmp_path / "link.json"
+    assert main(["certify", "link", contract_files[name], "--out", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "  PASS link-girth-six"
+    assert lines[1].startswith('  FAIL star-separated  {"error": ')
+    girth = json.loads(out.read_text())["certificates"][0]["checks"][0]["witness"]
+    assert girth == {"angular_girth_pi_units": "inf", "girth": "inf"}

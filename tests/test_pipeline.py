@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from sepcert import certify, cutset, gluing, pipeline
+from sepcert import certify, cutset, gluing, graph, pipeline
 from sepcert.cutset import complement_labels
 from sepcert.datasets import f090a_star_cutsets
 from sepcert.errors import CertifyError
@@ -24,6 +24,31 @@ def test_pinned_pairs_lie_at_their_distance(f090a):
 def test_vertices_at_distance_8_from_16(f090a):
     table = distances(f090a)
     assert [v for v in f090a.vertices() if table.get(16, v) == 8] == [46, 76]
+
+
+def test_one_run_builds_one_distance_table_and_one_girth(monkeypatch, f090a):
+    """The structure stage, the distance-transitivity check, the vertex
+    separation certificate and the pair separations read one distance
+    table of F090A; the structure stage and two certificates read one
+    girth."""
+    built = {"tables": 0, "girths": 0}
+    bfs_row, bfs_girth = graph._bfs_row, graph._bfs_girth
+
+    def counted_row(g, source):
+        # a table searches from every vertex, `is_connected` from vertex 1
+        built["tables"] += g == f090a and source == g.n
+        return bfs_row(g, source)
+
+    def counted_girth(g):
+        built["girths"] += g == f090a
+        return bfs_girth(g)
+
+    monkeypatch.setattr(graph, "_bfs_row", counted_row)
+    monkeypatch.setattr(graph, "_bfs_girth", counted_girth)
+    graph._distance_table.cache_clear()
+    graph._girth.cache_clear()
+    run_f090a()
+    assert built == {"tables": 1, "girths": 1}
 
 
 def test_pinned_pairs_are_separated_by_the_seed_closure(f090a, orbit_closure):
