@@ -160,6 +160,10 @@ class PermutationGroup:
 
     def vertex_orbits(self) -> tuple[tuple[int, ...], ...]:
         """Orbits of the vertices, each sorted, in order of least vertex."""
+        return self._vertex_orbits
+
+    @cached_property
+    def _vertex_orbits(self) -> tuple[tuple[int, ...], ...]:
         orbits: dict[int, list[int]] = {}
         for v, r in enumerate(_least_points(self.n, self.generators), 1):
             orbits.setdefault(r, []).append(v)

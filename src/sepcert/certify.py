@@ -5,15 +5,14 @@ whose overall verdict is their conjunction; failing checks carry concrete
 witnesses (the offending vertex, pair, or cutset) so a verdict can be
 replayed against the base predicates.
 
-A family member given as a bare cutset stands for its canonical
-partition, one block per component. A family may carry a group of
-automorphisms of its graph. Construction checks three preconditions on
-every generator p: p is an automorphism of the graph, p preserves the
-metric (each edge keeps its length), and p maps the member multiset onto
-itself. The first member of each orbit is closed through the group's
-stabilizer chain, and each canonical partition, so each component
-count, is found once per orbit. Then p maps the complement components of
-a member's cutset onto those of its image, and distances onto distances,
+A family member is a cutset, whose sides are the components of its
+complement. A family may carry a group of automorphisms of its graph.
+Construction checks three preconditions on every generator p: p is an
+automorphism of the graph, p preserves the metric (each edge keeps its
+length), and p maps the member multiset onto itself. The first member of
+each orbit is closed through the group's stabilizer chain, and each
+component count is found once per orbit. Then p maps the complement
+components of a member onto those of its image, and distances onto distances,
 so every fact stated in terms of components, distances and family
 membership holds at a member, vertex or vertex pair exactly when it holds
 at each of its images: the component count, sigma-separation, minimality,
@@ -48,12 +47,9 @@ from .aut import (
 )
 from .cutset import (
     Cutset,
-    CutsetPartition,
-    act_on_pair,
-    canonical_partition,
+    _require_cutset,
     complement_labels,
     image_elements,
-    is_discrete,
     is_proper,
     is_sigma_separated,
     is_star_cutset,
@@ -91,20 +87,21 @@ def _check_group(g: Graph, metric: Metric, grp: PermutationGroup, name: str) -> 
 
 @dataclass(frozen=True)
 class SeparatedFamily:
-    """A named family of separated cutsets of one link with their
-    partitions, validated on construction: sigma must be positive, and
-    every member must be a cutset and sigma-separated. A member given as a
-    bare `Cutset` stands for, and is stored with, its canonical partition
-    (one block per component). Gluing structures tell their links apart by
-    name.
+    """A named family of separated cutsets of one link, validated on
+    construction: sigma must be positive, every member must have the
+    family's kind and lie in the graph, and then each member checked must
+    be a cutset and be sigma-separated, in that order, with or without a
+    group. Each member is one local pair, whose sides are the components
+    of its complement. Gluing structures tell their links apart by name.
 
-    With a ``group``, construction also checks that every generator is an
-    automorphism of the graph that preserves the metric, closes the first
-    member of each orbit through the group's transversals, and validates
-    one member per orbit (see the module docstring). The closure relies on
-    a group built by `PermutationGroup.generated_by`, whose chain is
-    complete. ``orbit_of[i]`` is the index of the first member of member
-    i's orbit; without a group it is i.
+    Without a group every member is checked. With a ``group``,
+    construction also checks that every generator is an automorphism of
+    the graph that preserves the metric, closes the first member of each
+    orbit through the group's transversals, and checks that member only
+    (see the module docstring). The closure relies on a group built by
+    `PermutationGroup.generated_by`, whose chain is complete.
+    ``orbit_of[i]`` is the index of the first member of member i's orbit;
+    without a group it is i.
 
     The family indexes its members by element once, on the first
     `pairs_at`; every later lookup, such as the class sums of each
@@ -113,7 +110,7 @@ class SeparatedFamily:
     graph: Graph
     sigma: Fraction
     kind: str
-    members: tuple[CutsetPartition, ...]
+    members: tuple[Cutset, ...]
     metric: Metric = None
     name: str = "link"
     group: PermutationGroup | None = None
@@ -128,38 +125,23 @@ class SeparatedFamily:
         self.metric.validate_for(self.graph)
         if self.kind not in ("vertex", "edge"):
             raise CertifyError(f"unknown cutset kind {self.kind!r}")
-        orbit_of = tuple(range(len(self.members)))
-        if self.group is not None:
-            for m in self.members:
-                self._check_kind(m if isinstance(m, Cutset) else m.cutset)
-                m.validate_for(self.graph)  # image() moves valid pairs only
-            orbit_of = self._member_orbits()
+        for c in self.members:
+            if c.kind != self.kind:
+                raise CertifyError(
+                    f"member {c.sorted_elements()} has kind {c.kind!r}, family is {self.kind!r}"
+                )
+            c.validate_for(self.graph)  # image() moves valid cutsets only
+        orbit_of = tuple(range(len(self.members))) if self.group is None else self._member_orbits()
         object.__setattr__(self, "orbit_of", orbit_of)
-        canonical = {}
-        members = []
-        for m, o in zip(self.members, orbit_of):
-            if isinstance(m, Cutset):
-                if o not in canonical:
-                    canonical[o] = canonical_partition(self.graph, m)
-                m = CutsetPartition(m, canonical[o])
-            members.append(m)
-        object.__setattr__(self, "members", tuple(members))
         for i in self.representatives():
-            cp = self.members[i]
-            self._check_kind(cp.cutset)
-            cp.validate_for(self.graph)
-            sep = is_sigma_separated(self.graph, self.metric, cp.cutset, self.sigma)
+            c = self.members[i]
+            _require_cutset(self.graph, c)
+            sep = is_sigma_separated(self.graph, self.metric, c, self.sigma)
             if not sep.ok:
                 raise CertifyError(
-                    f"family member {cp.cutset.sorted_elements()} is not "
+                    f"family member {c.sorted_elements()} is not "
                     f"{self.sigma}-separated: {sep.witness}"
                 )
-
-    def _check_kind(self, c: Cutset) -> None:
-        if c.kind != self.kind:
-            raise CertifyError(
-                f"member {c.sorted_elements()} has kind {c.kind!r}, family is {self.kind!r}"
-            )
 
     def _member_orbits(self) -> tuple[int, ...]:
         """Check the group's generators against the graph and the metric,
@@ -167,54 +149,35 @@ class SeparatedFamily:
         is closed as `aut.vertex_set_closure` closes a vertex set, and
         every image must be a member of the same multiplicity."""
         _check_group(self.graph, self.metric, self.group, self.name)
-        keys = self._keys
-        times = Counter(keys)
+        times = Counter(c.elements for c in self.members)
         label: dict[int, int] = {}  # by the index of the last equal member
-        for i, key in enumerate(keys):
-            if self._index[key] not in label:
-                orbit = {self._index[key]}
+        for i, c in enumerate(self.members):
+            if self._index[c.elements] not in label:
+                orbit = {self._index[c.elements]}
                 for backs in self.group.inverses:
                     orbit |= {self.image(p, j) for j in orbit for p in backs[1:]}
                 for j in orbit:
-                    if times[keys[j]] != times[key]:
+                    if times[self.members[j].elements] != times[c.elements]:
                         raise CertifyError(
                             f"family of link {self.name!r} is not closed under its group: "
-                            f"image {tuple(sorted(keys[j][0]))} has another multiplicity"
+                            f"image {self.members[j].sorted_elements()} has another multiplicity"
                         )
                     label[j] = i
-        return tuple(label[self._index[key]] for key in keys)
+        return tuple(label[self._index[c.elements]] for c in self.members)
 
     @cached_property
-    def _keys(self) -> list[tuple]:
-        # (elements, partition key) tells pairs apart as pair_key does,
-        # without sorting the cutset. The elements alone fix a valid discrete
-        # partition, such as a bare cutset's canonical one: its key is None.
-        return [
-            (m.elements, None)
-            if isinstance(m, Cutset)
-            else (m.cutset.elements, None if is_discrete(m.partition) else m.partition.key())
-            for m in self.members
-        ]
-
-    @cached_property
-    def _index(self) -> dict[tuple, int]:
-        return {key: i for i, key in enumerate(self._keys)}
+    def _index(self) -> dict[frozenset, int]:
+        return {c.elements: i for i, c in enumerate(self.members)}
 
     def image(self, perm, i: int) -> int:
         """The index of a member equal to the image of member i under the
-        automorphism perm. Only the cutset of a member with one component
-        per block is moved: its image has one component per block too."""
-        elements, key = self._keys[i]
-        if key is None:
-            key = (image_elements(self.kind, perm, elements), None)
-        else:
-            img = act_on_pair(self.graph, perm, self.members[i])
-            key = (img.cutset.elements, img.partition.key())
-        j = self._index.get(key)
+        automorphism perm."""
+        elements = image_elements(self.kind, perm, self.members[i].elements)
+        j = self._index.get(elements)
         if j is None:
             raise CertifyError(
                 f"family of link {self.name!r} is not closed under its group: "
-                f"image {tuple(sorted(key[0]))} missing"
+                f"image {tuple(sorted(elements))} missing"
             )
         return j
 
@@ -244,10 +207,9 @@ class SeparatedFamily:
         group: PermutationGroup | None = None,
     ) -> "SeparatedFamily":
         """Family of the cutsets, given as `Cutset`s or as collections of
-        vertices or edges of ``kind``, each standing for its canonical
-        partition (one block per component). The constructor closes one
-        cutset per orbit of ``group`` and finds each partition, so each
-        component count, once per orbit."""
+        vertices or edges of ``kind``. The constructor closes one cutset
+        per orbit of ``group`` and finds each component count once per
+        orbit."""
         cuts = tuple(
             c if isinstance(c, Cutset) else Cutset.of_vertices(c) if kind == "vertex" else Cutset.of_edges(c)
             for c in cutsets
@@ -255,14 +217,14 @@ class SeparatedFamily:
         return cls(g, sigma, kind, cuts, metric, name, group)
 
     @cached_property
-    def _members_at(self) -> dict[object, tuple[CutsetPartition, ...]]:
-        index: dict[object, list[CutsetPartition]] = {}
-        for cp in self.members:
-            for x in cp.cutset.elements:
-                index.setdefault(x, []).append(cp)
-        return {x: tuple(cps) for x, cps in index.items()}
+    def _members_at(self) -> dict[object, tuple[Cutset, ...]]:
+        index: dict[object, list[Cutset]] = {}
+        for c in self.members:
+            for x in c.elements:
+                index.setdefault(x, []).append(c)
+        return {x: tuple(cs) for x, cs in index.items()}
 
-    def pairs_at(self, x) -> tuple[CutsetPartition, ...]:
+    def pairs_at(self, x) -> tuple[Cutset, ...]:
         """The members whose cutset contains the element x, in member
         order; an edge may be given with its ends in either order."""
         if self.kind == "edge" and isinstance(x, tuple):
@@ -270,10 +232,7 @@ class SeparatedFamily:
         return self._members_at.get(x, ())
 
     def distinct_cutsets(self) -> tuple[Cutset, ...]:
-        seen = {}
-        for cp in self.members:
-            seen.setdefault(cp.cutset.elements, cp.cutset)
-        return tuple(sorted(seen.values(), key=Cutset.key))
+        return tuple(sorted(set(self.members), key=Cutset.key))
 
 
 def _require_shape(g: Graph, what: str) -> None:
@@ -289,9 +248,9 @@ def _separated_by(labels, u: int, v: int) -> bool:
     return lu is not None and lv is not None and lu != lv
 
 
-def _splits(g: Graph, cps, u: int, v: int) -> bool:
-    """Does some member among cps separate u and v?"""
-    return any(_separated_by(complement_labels(g, cp.cutset)[0], u, v) for cp in cps)
+def _splits(g: Graph, cutsets, u: int, v: int) -> bool:
+    """Does some member among the cutsets separate u and v?"""
+    return any(_separated_by(complement_labels(g, c)[0], u, v) for c in cutsets)
 
 
 def certify_vertex_separated(g: Graph, n: int, fam: SeparatedFamily) -> Certificate:
@@ -313,21 +272,21 @@ def certify_vertex_separated(g: Graph, n: int, fam: SeparatedFamily) -> Certific
     cert = Certificate(f"vertex-{n}-separated")
     reps = fam.representatives()
 
-    failed = {i for i in reps if complement_labels(g, fam.members[i].cutset)[1] < 2}
-    bad_valid = [fam.members[i].cutset.sorted_elements() for i in fam.members_of_failed(failed)]
+    failed = {i for i in reps if complement_labels(g, fam.members[i])[1] < 2}
+    bad_valid = [fam.members[i].sorted_elements() for i in fam.members_of_failed(failed)]
     cert.add("members-valid", not bad_valid, {"members": len(fam.members), "violations": bad_valid[:8]})
 
-    failed = {i for i in reps if not is_sigma_separated(g, fam.metric, fam.members[i].cutset, Fraction(n)).ok}
+    failed = {i for i in reps if not is_sigma_separated(g, fam.metric, fam.members[i], Fraction(n)).ok}
     bad_sep = []
     for i in fam.members_of_failed(failed)[:8]:
-        c = fam.members[i].cutset
+        c = fam.members[i]
         bad_sep.append({"cutset": c.sorted_elements(), **is_sigma_separated(g, fam.metric, c, Fraction(n)).witness})
     cert.add("members-separated", not bad_sep, {"sigma": Fraction(n), "violations": bad_sep})
 
     girth_val = girth(g)
     cert.add("girth", girth_val >= 2 * n, {"girth": girth_val, "required": 2 * n})
 
-    covered = frozenset().union(*(cp.cutset.elements for cp in fam.members)) if fam.members else frozenset()
+    covered = frozenset().union(*(c.elements for c in fam.members)) if fam.members else frozenset()
     missing = sorted(set(g.vertices()) - covered)
     cert.add(
         "covering",
@@ -335,7 +294,7 @@ def certify_vertex_separated(g: Graph, n: int, fam: SeparatedFamily) -> Certific
         {"covered": len(covered), "vertices": g.n, "missing": missing[:16]},
     )
 
-    small = [cp.cutset.sorted_elements() for cp in fam.members if len(cp.cutset) < 2]
+    small = [c.sorted_elements() for c in fam.members if len(c) < 2]
     cert.add("member-size", not small, {"violations": small[:8]})
 
     # A member splits two neighbors of r only if it contains r: otherwise
@@ -373,10 +332,10 @@ def certify_vertex_separated(g: Graph, n: int, fam: SeparatedFamily) -> Certific
     # each orbit of distant pairs is decided at its labelling pair (r, y)
     labels = [sym.label(u, v) for u, v in distant]
     unsplit_labels = set(labels)
-    for cp in fam.members:
+    for c in fam.members:
         if not unsplit_labels:
             break
-        lab = complement_labels(g, cp.cutset)[0]
+        lab = complement_labels(g, c)[0]
         unsplit_labels = {p for p in unsplit_labels if not _separated_by(lab, *p)}
     remaining = [p for p, lab in zip(distant, labels) if lab in unsplit_labels]
     cert.add(
@@ -403,23 +362,23 @@ def certify_edge_separated(
     cert = Certificate(f"edge-{sigma}-separated")
 
     bad_proper = []
-    for cp in fam.members:
-        verdict = is_proper(g, cp.cutset)
+    for c in fam.members:
+        verdict = is_proper(g, c)
         if not verdict.ok:
-            bad_proper.append({"cutset": cp.cutset.sorted_elements(), **verdict.witness})
+            bad_proper.append({"cutset": c.sorted_elements(), **verdict.witness})
     cert.add("members-proper", not bad_proper, {"members": len(fam.members), "violations": bad_proper[:8]})
 
     bad_sep = []
-    for cp in fam.members:
-        sep = is_sigma_separated(g, metric, cp.cutset, sigma)
+    for c in fam.members:
+        sep = is_sigma_separated(g, metric, c, sigma)
         if not sep.ok:
-            bad_sep.append({"cutset": cp.cutset.sorted_elements(), **sep.witness})
+            bad_sep.append({"cutset": c.sorted_elements(), **sep.witness})
     cert.add("members-separated", not bad_sep, {"sigma": sigma, "violations": bad_sep[:8]})
 
-    small = [cp.cutset.sorted_elements() for cp in fam.members if len(cp.cutset) < 2]
+    small = [c.sorted_elements() for c in fam.members if len(c) < 2]
     cert.add("member-size", not small, {"violations": small[:8]})
 
-    covered = frozenset().union(*(cp.cutset.elements for cp in fam.members)) if fam.members else frozenset()
+    covered = frozenset().union(*(c.elements for c in fam.members)) if fam.members else frozenset()
     missing = sorted(set(g.edges()) - covered)
     cert.add(
         "edge-cover",
@@ -511,12 +470,12 @@ def certify_star_separated(g: Graph, fam: SeparatedFamily) -> Certificate:
     verdicts = {}
     failed = set()
     for i in fam.representatives():
-        c = fam.members[i].cutset
+        c = fam.members[i]
         if c not in verdicts:
             verdicts[c] = is_star_cutset(g, c)
         if not verdicts[c].ok:
             failed.add(i)
-    bad = sorted({fam.members[i].cutset for i in fam.members_of_failed(failed)}, key=Cutset.sorted_elements)
+    bad = sorted({fam.members[i] for i in fam.members_of_failed(failed)}, key=Cutset.sorted_elements)
     bad_star = [
         {"cutset": c.sorted_elements(), **(verdicts.get(c) or is_star_cutset(g, c)).witness}
         for c in bad[:8]
@@ -529,7 +488,7 @@ def certify_star_separated(g: Graph, fam: SeparatedFamily) -> Certificate:
 
     cert.add("vertex-3-separated", certify_vertex_separated(g, 3, fam))
 
-    counts = _split_counts(g, [cp.cutset for cp in fam.members], fam.symmetry.reps())
+    counts = _split_counts(g, fam.members, fam.symmetry.reps())
     set_values = sorted({x for once, _ in counts.values() for x in once})
     multi_values = sorted({x for _, many in counts.values() for x in many})
     set_constant = len(set_values) == 1 and set_values[0] >= 1
@@ -584,9 +543,10 @@ def certify_triangle_link(
     """Certificate that complexes built from unit equilateral triangles with
     every vertex link isomorphic to g are non-positively curved and evenly
     pi-separated: link girth at least six (angular girth 2*pi at edge length
-    pi/3), star-separation, partitions covering every separation, and the
-    all-ones weights solving the gluing equations on the fully symmetric
-    self-gluing. ``star`` is the ``certify_star_separated`` certificate of
+    pi/3), star-separation, and the all-ones weights solving the gluing
+    equations on the fully symmetric self-gluing. Each cutset's sides are
+    the components of its complement, so every separation it makes is
+    covered. ``star`` is the ``certify_star_separated`` certificate of
     ``fam``, when the caller has already computed it.
     Facts are decided once per orbit of the family's group, if it has one."""
     from .gluing import GluingStructure, WeightAssignment, verify_gluing
@@ -610,35 +570,6 @@ def certify_triangle_link(
     if star is None:
         star = certify_star_separated(g, fam)
     cert.add("star-separated", star, {"family-bootstrap": bootstrap} if bootstrap else None)
-
-    by_cutset: dict = {}
-    for cp in fam.members:
-        by_cutset.setdefault(cp.cutset, []).append(cp.partition)
-
-    def uncovered(c: Cutset) -> list:
-        _, count = complement_labels(g, c)
-        return [
-            {"cutset": c.sorted_elements(), "components": (a, b)}
-            for a, b in combinations(range(count), 2)
-            if not any(p.block_of(a) != p.block_of(b) for p in by_cutset[c])
-        ]
-
-    failed = {i for i in fam.representatives() if uncovered(fam.members[i].cutset)}
-    bad = {fam.members[i].cutset for i in fam.members_of_failed(failed)}
-    violations = []
-    for c in sorted(bad, key=Cutset.key):
-        if len(violations) >= 8:
-            break
-        violations.extend(uncovered(c))
-    cert.add(
-        "partitions-cover-separations",
-        not violations,
-        {
-            "cutsets": len(by_cutset),
-            "violations": violations[:8],
-            "justification": "canonical partitions keep components in distinct blocks",
-        },
-    )
 
     structure = GluingStructure.homogeneous(fam)
     cert.add("gluing-all-ones", verify_gluing(structure, WeightAssignment.all_ones(structure)))

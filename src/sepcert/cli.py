@@ -335,8 +335,8 @@ def _load_weights(structure: GluingStructure, path: str) -> WeightAssignment:
             raise _UsageError(f"weights line {lineno}: bad integer {value!r}") from None
         li, orbit = by_id[oid]
         keys = structure.pair_keys(li)
-        for cp in orbit:
-            weights[(li.name, keys[cp])] = val
+        for c in orbit:
+            weights[(li.name, keys[c])] = val
     missing = [oid for oid in by_id if oid not in seen]
     if missing:
         raise _UsageError(f"weights file misses orbits: {', '.join(missing)}")

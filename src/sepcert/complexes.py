@@ -6,7 +6,7 @@ sides, so a k-gon contributes corners of angle (k-2)/k in units of pi.  On
 top of that the module builds vertex links with their angular metrics, checks
 the curvature condition (every link has angular girth at least 2 pi),
 constructs the antipodal graph, traces separating hypergraphs outward from a
-seeded cutset-partition, and computes the two-sided cut such a hypergraph
+seeded cutset, and computes the two-sided cut such a hypergraph
 induces on the subdivided 1-skeleton.
 
 Each complex builds its vertex -> faces and vertex -> edges incidence in one
@@ -18,8 +18,8 @@ Local pairs and tracing conventions
 -----------------------------------
 
 A traced hypergraph assigns to each visited vertex v a *local pair*: a
-``CutsetPartition`` of the graph local to v, whose cutset is pi-separated
-and whose partition groups the complement components.  At a complex vertex
+pi-separated ``Cutset`` of the graph local to v, whose sides are the
+components of its complement, one side per component.  At a complex vertex
 that graph is the link; the cutset is a set of link vertices in vertex kind
 and a set of corners (link edges) in edge kind.  An edge midpoint, visited
 by edge-kind traces only, has a fixed *cage*: two vertices, the directions
@@ -62,15 +62,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .cutset import (
-    Cutset,
-    CutsetPartition,
-    Partition,
-    canonical_partition,
-    complement_labels,
-    induced_partition,
-    is_sigma_separated,
-)
+from .cutset import Cutset, complement_labels, induced_partition, is_sigma_separated
 from .errors import ComplexError
 from .graph import (
     INF,
@@ -120,7 +112,7 @@ _ENUM_LIMIT = 16
 #: edge, joined by one corner that stands for every face through the edge.
 _CAGE = Graph(2, [(1, 2)])
 _CAGE_CUT = (1, 2)
-_CAGE_PAIR = CutsetPartition(Cutset.of_edges([_CAGE_CUT]), Partition(({0}, {1})))
+_CAGE_PAIR = Cutset.of_edges([_CAGE_CUT])
 
 
 class PolygonalComplex:
@@ -485,7 +477,7 @@ class Hypergraph:
     kind: str
     seed_vertex: int
     segments: tuple[Segment, ...]
-    pairs: tuple[tuple[int, CutsetPartition], ...]
+    pairs: tuple[tuple[int, Cutset], ...]
     frontier: tuple[tuple[int, str], ...]
     conflicts: tuple[tuple[Segment, int, str], ...] = ()
 
@@ -494,7 +486,7 @@ class Hypergraph:
         object.__setattr__(self, "pairs", tuple(sorted(self.pairs)))
         object.__setattr__(self, "frontier", tuple(sorted(self.frontier)))
 
-    def pair_at(self, v: int) -> CutsetPartition | None:
+    def pair_at(self, v: int) -> Cutset | None:
         return dict(self.pairs).get(v)
 
     def vertices(self) -> tuple[int, ...]:
@@ -528,24 +520,24 @@ def _local_graph(x: PolygonalComplex, kind: str, v: int) -> Graph:
     return link(x, v).graph
 
 
-def _atoms(x: PolygonalComplex, kind: str, v: int, pair: CutsetPartition) -> tuple[int, ...]:
+def _atoms(x: PolygonalComplex, kind: str, v: int, pair: Cutset) -> tuple[int, ...]:
     """A pair's cutset in local coordinates, ascending: link vertex ids in
     vertex kind, the faces of the cut corners in edge kind (every face
     through the edge at a midpoint)."""
     if kind == "vertex":
-        return pair.cutset.sorted_elements()
+        return pair.sorted_elements()
     if v > x.n:
         return tuple(sorted(x.edge_faces[_midpoint_edge(x, v)]))
     face_of = link(x, v).face_of_corner
-    return tuple(sorted(face_of[c] for c in pair.cutset.elements))
+    return tuple(sorted(face_of[c] for c in pair.elements))
 
 
-def _pairs_at(x: PolygonalComplex, kind: str, u: int) -> tuple[CutsetPartition, ...]:
+def _pairs_at(x: PolygonalComplex, kind: str, u: int) -> tuple[Cutset, ...]:
     """All local pairs at a walkway vertex, sorted by their atoms.
 
     Cutsets are enumerated exhaustively over the link (pi-separated, at
-    least two elements, with the canonical partition); an edge midpoint has
-    the cage pair when at least two faces meet there.
+    least two elements); an edge midpoint has the cage pair when at least
+    two faces meet there.
     """
     key = ("pairs", kind, u)
     if key in x._cache:
@@ -564,14 +556,14 @@ def _pairs_at(x: PolygonalComplex, kind: str, u: int) -> tuple[CutsetPartition, 
             f"link of vertex {u} has {len(universe)} {kind} elements;"
             f" refusing to enumerate cutsets beyond {_ENUM_LIMIT}"
         )
-    found: list[CutsetPartition] = []
+    found: list[Cutset] = []
     for r in range(2, len(universe) + 1):
         for sel in combinations(universe, r):
             c = Cutset(kind, frozenset(sel))
             cuts = complement_labels(lk.graph, c)[1] >= 2
             if cuts and is_sigma_separated(lk.graph, lk.metric, c, PI).ok:
-                found.append(CutsetPartition(c, canonical_partition(lk.graph, c)))
-    out = tuple(sorted(found, key=lambda cp: _atoms(x, kind, u, cp)))
+                found.append(c)
+    out = tuple(sorted(found, key=lambda c: _atoms(x, kind, u, c)))
     x._cache[key] = out
     return out
 
@@ -581,9 +573,9 @@ def _validated_pair(
     kind: str,
     v0: int,
     atoms: Iterable[int],
-) -> CutsetPartition:
-    """Check a seed against the local graph at v0 and turn it into a pair
-    with the canonical partition of its cutset."""
+) -> Cutset:
+    """Check a seed against the local graph at v0 and return its cutset,
+    the seed pair."""
     atoms = tuple(sorted(set(int(a) for a in atoms)))
     if len(atoms) < 2:
         raise ComplexError(f"seed pair invalid: needs at least two atoms, got {atoms}")
@@ -615,7 +607,7 @@ def _validated_pair(
     if not sep.ok:
         (a, b), d = sep.witness["pair"], sep.witness["distance"]
         raise ComplexError(f"seed pair invalid: not pi-separated: pair {a}-{b} at distance {d} pi")
-    return CutsetPartition(c, canonical_partition(lk.graph, c))
+    return c
 
 
 def _element_at(x: PolygonalComplex, kind: str, seg: Segment, v: int):
@@ -629,7 +621,7 @@ def _element_at(x: PolygonalComplex, kind: str, seg: Segment, v: int):
     return link(x, v).corner_of_face[seg.face]
 
 
-def _segments_for(x: PolygonalComplex, kind: str, v: int, pair: CutsetPartition) -> list[Segment]:
+def _segments_for(x: PolygonalComplex, kind: str, v: int, pair: Cutset) -> list[Segment]:
     """Walkway edges named by a pair's atoms at v, in atom order."""
     if kind == "vertex":
         lk = link(x, v)
@@ -668,7 +660,7 @@ def _germ_keys(x: PolygonalComplex, kind: str, seg: Segment, v: int) -> dict[int
     return {d: arc_of(nodes[d - 1]) for d in _element_at(x, kind, seg, v)}
 
 
-def _equatable(x: PolygonalComplex, kind: str, seg: Segment, pairs: dict[int, CutsetPartition]) -> bool:
+def _equatable(x: PolygonalComplex, kind: str, seg: Segment, pairs: dict[int, Cutset]) -> bool:
     """Do the pairs at the two ends of seg induce the same partition of the
     directions around it?"""
     a, b = (
@@ -696,7 +688,7 @@ def trace_hypergraph(
     if kind not in ("vertex", "edge"):
         raise ComplexError(f"unknown hypergraph kind {kind!r}")
     seed = _validated_pair(x, kind, v0, atoms)
-    pairs: dict[int, CutsetPartition] = {v0: seed}
+    pairs: dict[int, Cutset] = {v0: seed}
     frontier: dict[int, str] = {}
     traced: dict[tuple, Segment] = {}
     conflicts: list[tuple[Segment, int, str]] = []
@@ -713,14 +705,14 @@ def trace_hypergraph(
         element = _element_at(x, kind, seg, dst)
         standing = pairs.get(dst)
         if standing is not None:
-            if element not in standing.cutset:
+            if element not in standing:
                 conflicts.append((seg, dst, "element-missing"))
             elif not _equatable(x, kind, seg, {src: arriving, dst: standing}):
                 conflicts.append((seg, dst, "not-equatable"))
             continue
         if dst in frontier:
             continue
-        candidates = [p for p in _pairs_at(x, kind, dst) if element in p.cutset]
+        candidates = [p for p in _pairs_at(x, kind, dst) if element in p]
         if not candidates:
             frontier[dst] = "no-pair"
             continue
@@ -828,7 +820,7 @@ def hypergraph_checks(x: PolygonalComplex, h: Hypergraph) -> Certificate:
                 if end not in frontier_set:
                     bad.append({"segment": seg.key(), "vertex": end, "reason": "unvisited-end"})
                 continue
-            if _element_at(x, h.kind, seg, end) not in pair.cutset:
+            if _element_at(x, h.kind, seg, end) not in pair:
                 bad.append({"segment": seg.key(), "vertex": end, "reason": "element-missing"})
         a_pair, b_pair = h.pair_at(seg.a), h.pair_at(seg.b)
         if a_pair is not None and b_pair is not None:
@@ -844,7 +836,7 @@ def hypergraph_checks(x: PolygonalComplex, h: Hypergraph) -> Certificate:
 class WallCut:
     """The two-sided (or many-sided) cut a hypergraph makes in the
     subdivided 1-skeleton: removed nodes and the surviving node blocks,
-    with components merged when a local partition block joins them."""
+    with components merged when one side of a local pair joins them."""
 
     n_primary: int
     removed: tuple[int, ...]
@@ -867,7 +859,8 @@ def wall_cut(x: PolygonalComplex, h: Hypergraph) -> WallCut:
     Vertex hypergraphs remove their closed edges (both endpoints and the
     midpoint); edge hypergraphs remove the crossed subdivided vertices.
     Components are then grouped: at every visited vertex, components touched
-    by directions in one partition block belong to the same side.
+    by directions that enter one side of the local pair belong to the same
+    side.
     """
     g2, mid = _subdivided_skeleton(x)
     removed: set[int] = set()
@@ -881,7 +874,7 @@ def wall_cut(x: PolygonalComplex, h: Hypergraph) -> WallCut:
     merges = []
     for v, pair in h.pairs:
         # the subdivided node each surviving local direction at v points at
-        nodes = {d: w for d, w in enumerate(g2.neighbors(v), start=1) if d not in pair.cutset}
+        nodes = {d: w for d, w in enumerate(g2.neighbors(v), start=1) if d not in pair}
         for blk in induced_partition(_local_graph(x, h.kind, v), pair, nodes):
             touched = [labels[node - 1] for node in sorted(blk) if labels[node - 1] is not None]
             merges.extend((touched[0], lab) for lab in touched[1:])

@@ -7,6 +7,11 @@ an edge deletes the open edge, midpoint included, while its endpoints stay.
 Both cases reduce to vertex deletion on the barycentric subdivision: the
 cutset's own vertices in the vertex case, the midpoint vertices in the edge
 case. All component bookkeeping below works on that subdivision.
+
+A cutset is also the local pair of the gluing checks and of traced
+hypergraphs: its sides are the components of its complement, one side per
+component, read from `complement_labels`, so no grouping of sides is
+stored.
 """
 from __future__ import annotations
 
@@ -100,62 +105,6 @@ class Cutset:
         return item in self.elements
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Grouping of the component indices of a cut-open graph."""
-
-    blocks: tuple[frozenset[int], ...]
-
-    def __post_init__(self):
-        blocks = tuple(frozenset(b) for b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        if len(blocks) < 2:
-            raise CutsetError("a partition needs at least two blocks")
-        if any(not b for b in blocks):
-            raise CutsetError("empty partition block")
-        seen: set[int] = set()
-        for b in blocks:
-            if seen & b:
-                raise CutsetError("partition blocks overlap")
-            seen |= b
-
-    def validate_for_count(self, count: int) -> None:
-        covered = frozenset().union(*self.blocks)
-        if covered != frozenset(range(count)):
-            raise CutsetError(
-                f"partition covers {sorted(covered)}, expected all of 0..{count - 1}"
-            )
-
-    def block_of(self, comp: int) -> int:
-        for i, b in enumerate(self.blocks):
-            if comp in b:
-                return i
-        raise CutsetError(f"component {comp} in no block")
-
-    def key(self) -> tuple:
-        return tuple(sorted(tuple(sorted(b)) for b in self.blocks))
-
-
-@dataclass(frozen=True)
-class CutsetPartition:
-    cutset: Cutset
-    partition: Partition
-
-    def __hash__(self) -> int:
-        # Pairs key the class and weight tables of the gluing checks, one
-        # lookup per pair and element; cache the hash so those stay cheap.
-        h = self.__dict__.get("_cached_hash")
-        if h is None:
-            h = hash((self.cutset, self.partition))
-            object.__setattr__(self, "_cached_hash", h)
-        return h
-
-    def validate_for(self, g: Graph) -> None:
-        self.cutset.validate_for(g)
-        _, count = complement_labels(g, self.cutset)
-        self.partition.validate_for_count(count)
-
-
 @lru_cache(maxsize=16)
 def _subdivision(g: Graph, metric: Metric):
     return subdivide(g, metric)
@@ -188,17 +137,18 @@ def complement_labels(g: Graph, c: Cutset):
     return _complement_labels_cached(g, c.kind, c.elements)
 
 
-def induced_partition(g: Graph, cp: CutsetPartition, keys: Mapping[int, object]) -> frozenset:
-    """Partition of a set of directions induced by cp, such as the
-    neighbours of a cut element.
+def induced_partition(g: Graph, c: Cutset, keys: Mapping[int, object]) -> frozenset:
+    """The partition of a set of directions induced by the cutset c, such as
+    the neighbours of a cut element.
 
-    ``keys`` maps each direction, a vertex of g outside the cutset, to its
-    key. Directions are grouped by the partition block of the component
-    they enter, and each group is returned as the set of its keys."""
-    labels, _ = complement_labels(g, cp.cutset)
+    ``keys`` maps each direction, a vertex of g outside c, to its key.
+    Directions are grouped by the component of the complement of c that
+    they enter, one side per component, and each group is returned as the
+    set of its keys."""
+    labels, _ = complement_labels(g, c)
     grouped: dict[int, set] = {}
     for d, key in keys.items():
-        grouped.setdefault(cp.partition.block_of(labels[d - 1]), set()).add(key)
+        grouped.setdefault(labels[d - 1], set()).add(key)
     return frozenset(frozenset(b) for b in grouped.values())
 
 
@@ -207,31 +157,6 @@ def image_elements(kind: str, perm: tuple[int, ...], elements) -> frozenset:
     if kind == "vertex":
         return frozenset([perm[v - 1] for v in elements])
     return frozenset([edge_key(perm[u - 1], perm[v - 1]) for u, v in elements])
-
-
-def is_discrete(p: Partition) -> bool:
-    """Is every block of p a single component? A graph automorphism maps
-    such a partition to one of the image with the same `Partition.key`."""
-    return all(len(b) == 1 for b in p.blocks)
-
-
-def act_on_pair(g: Graph, perm: tuple[int, ...], cp: CutsetPartition) -> CutsetPartition:
-    """Image of a (cutset, partition) pair under a graph automorphism; the
-    partition's component indices are rebased to the image components."""
-    c = cp.cutset
-    c2 = Cutset(c.kind, image_elements(c.kind, perm, c.elements))
-    labels2, _ = complement_labels(g, c2)
-    image_label = []
-    for p in component_points(g, c):
-        if isinstance(p, int):
-            image_label.append(labels2[perm[p - 1] - 1])
-        else:  # a midpoint: locate its image edge's midpoint label
-            e2 = edge_key(perm[p[0] - 1], perm[p[1] - 1])
-            image_label.append(labels2[point_node(g, e2) - 1])
-    blocks = sorted(
-        (frozenset(image_label[i] for i in blk) for blk in cp.partition.blocks), key=sorted
-    )
-    return CutsetPartition(c2, Partition(tuple(blocks)))
 
 
 def components_of_complement(g: Graph, c: Cutset) -> tuple[tuple, ...]:
@@ -252,34 +177,6 @@ def components_of_complement(g: Graph, c: Cutset) -> tuple[tuple, ...]:
     return tuple(tuple(comp) for comp in comps)
 
 
-def component_points(g: Graph, c: Cutset) -> tuple:
-    """One point in each component of the complement of c, in label order:
-    the least subdivision vertex of the component, given as a vertex or as
-    the edge whose midpoint it is."""
-    labels, count = complement_labels(g, c)
-    nodes: list[int] = []
-    for node, label in enumerate(labels, start=1):
-        if label == len(nodes):  # labels first appear in increasing order
-            nodes.append(node)
-            if len(nodes) == count:
-                break
-    g2, _, _ = _subdivision(g, Metric.combinatorial())
-    return tuple(node if node <= g.n else g2.neighbors(node) for node in nodes)
-
-
-def point_node(g: Graph, p) -> int:
-    """Subdivision vertex standing for a point: m(v)=v, m(e)=its midpoint."""
-    _, _, mid = _subdivision(g, Metric.combinatorial())
-    if isinstance(p, int):
-        if not 1 <= p <= g.n:
-            raise CutsetError(f"vertex {p} not in graph")
-        return p
-    e = edge_key(*p)
-    if e not in mid:
-        raise CutsetError(f"edge {e} not in graph")
-    return mid[e]
-
-
 def is_cutset(g: Graph, c: Cutset) -> Verdict:
     """Does deleting c disconnect the space? Witness carries the component
     count and the canonically ordered components."""
@@ -292,12 +189,6 @@ def _require_cutset(g: Graph, c: Cutset) -> tuple:
     if count < 2:
         raise CutsetError(f"not a cutset: complement has {count} component(s)")
     return labels, count
-
-
-def canonical_partition(g: Graph, c: Cutset) -> Partition:
-    """Finest admissible partition: one block per component."""
-    _, count = _require_cutset(g, c)
-    return Partition(tuple(frozenset([i]) for i in range(count)))
 
 
 def is_proper(g: Graph, c: Cutset) -> Verdict:

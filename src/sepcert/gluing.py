@@ -2,9 +2,11 @@
 
 A structure is a finite quotient picture of a complex whose links are all
 drawn from a fixed list: each named `SeparatedFamily` is one link with its
-(cutset, partition) pairs, and each `EdgeGerm` identifies an element of one
+cutsets, the local pairs, and each `EdgeGerm` identifies an element of one
 link with an element of another, together with a bijection of the local
-directions around them. A weight assignment gives every pair a strictly
+directions around them. A pair's class at one of its elements groups the
+directions there by the component of the cutset's complement they enter.
+A weight assignment gives every pair, keyed by `Cutset.key`, a strictly
 positive integer; it verifies when equivalence-class sums balance across
 every germ and across the elements of every cutset, and (when link
 families carry automorphism groups) when weights are constant on orbits.
@@ -31,11 +33,7 @@ from functools import cached_property
 from typing import Mapping
 
 from .certify import SeparatedFamily
-from .cutset import (
-    CutsetPartition,
-    complement_labels,
-    induced_partition,
-)
+from .cutset import Cutset, complement_labels, induced_partition
 from .errors import GluingError
 from .graph import Graph, edge_key
 from .report import Certificate
@@ -56,40 +54,36 @@ def directions_at(g: Graph, kind: str, x) -> tuple[int, ...]:
     return e
 
 
-def pair_key(cp: CutsetPartition) -> tuple:
-    return (cp.cutset.key(), cp.partition.key())
-
-
-def _require_components(cp: CutsetPartition, x, directions) -> None:
+def _require_components(c: Cutset, x, directions) -> None:
     """Every direction at a cut vertex x must enter a component."""
-    if cp.cutset.kind == "vertex":
+    if c.kind == "vertex":
         for d in directions:
-            if d in cp.cutset.elements:
+            if d in c.elements:
                 raise GluingError(
                     f"direction from {x} toward {d} enters no component: "
                     "both are cut elements"
                 )
 
 
-def _classes_at(li: SeparatedFamily, x) -> dict[CutsetPartition, frozenset]:
+def _classes_at(li: SeparatedFamily, x) -> dict[Cutset, frozenset]:
     """The class at x of each pair of li whose cutset contains x: the
-    partition of the directions at x that the pair induces, each direction
-    joining the block of the component it enters. The class is computed
-    once for all pairs with equal partitions whose components the
-    directions enter alike, and equal classes share one object."""
+    partition of the directions at x that the cutset induces, one block
+    per component entered. The class is computed once for all pairs whose
+    components the directions enter alike, and equal classes share one
+    object."""
     g = li.graph
     directions = directions_at(g, li.kind, x)
     by_entered: dict[tuple, frozenset] = {}
     shared: dict[frozenset, frozenset] = {}  # keep one object per class
-    class_of: dict[CutsetPartition, frozenset] = {}
-    for cp in li.pairs_at(x):
-        _require_components(cp, x, directions)
-        labels, _ = complement_labels(g, cp.cutset)
-        entered = (cp.partition.blocks, tuple([labels[d - 1] for d in directions]))
+    class_of: dict[Cutset, frozenset] = {}
+    for c in li.pairs_at(x):
+        _require_components(c, x, directions)
+        labels, _ = complement_labels(g, c)
+        entered = tuple([labels[d - 1] for d in directions])
         if entered not in by_entered:
-            cls = induced_partition(g, cp, {d: d for d in directions})
+            cls = induced_partition(g, c, {d: d for d in directions})
             by_entered[entered] = shared.setdefault(cls, cls)
-        class_of[cp] = by_entered[entered]
+        class_of[c] = by_entered[entered]
     return class_of
 
 
@@ -164,10 +158,10 @@ class GluingStructure:
         if len(set(names)) != len(names):
             raise GluingError(f"duplicate link instance names: {names}")
         for li in self.instances:
-            for cp in li.members:
-                if len(cp.cutset) < 2:
+            for c in li.members:
+                if len(c) < 2:
                     raise GluingError(
-                        f"cutset {cp.cutset.sorted_elements()} in link {li.name!r} "
+                        f"cutset {c.sorted_elements()} in link {li.name!r} "
                         "has fewer than two elements"
                     )
         by_id = {id(li) for li in self.instances}
@@ -192,28 +186,29 @@ class GluingStructure:
         return {}
 
     @cached_property
-    def _keys(self) -> dict[str, dict[CutsetPartition, tuple]]:
+    def _keys(self) -> dict[str, dict[Cutset, tuple]]:
         return {}
 
-    def pair_keys(self, li: SeparatedFamily) -> dict[CutsetPartition, tuple]:
-        """The `pair_key` of each pair of li, in member order, computed once."""
+    def pair_keys(self, li: SeparatedFamily) -> dict[Cutset, tuple]:
+        """The `Cutset.key` of each pair of li, in member order, computed
+        once."""
         if li.name not in self._keys:
-            self._keys[li.name] = {cp: pair_key(cp) for cp in li.members}
+            self._keys[li.name] = {c: c.key() for c in li.members}
         return self._keys[li.name]
 
-    def orbits(self, li: SeparatedFamily) -> tuple[tuple[CutsetPartition, ...], ...]:
+    def orbits(self, li: SeparatedFamily) -> tuple[tuple[Cutset, ...], ...]:
         """The orbits of li's pairs under its group (one per pair without a
-        group), each sorted by `pair_key`, in order of their first pairs."""
+        group), each sorted by `Cutset.key`, in order of their first pairs."""
         if li.name not in self._orbits:
             key = self.pair_keys(li).__getitem__
-            buckets: dict[int, list[CutsetPartition]] = {}
-            for cp, o in zip(li.members, li.orbit_of):
-                buckets.setdefault(o, []).append(cp)
+            buckets: dict[int, list[Cutset]] = {}
+            for c, o in zip(li.members, li.orbit_of):
+                buckets.setdefault(o, []).append(c)
             orbits = [tuple(sorted(ms, key=key)) for ms in buckets.values()]
             self._orbits[li.name] = tuple(sorted(orbits, key=lambda ms: key(ms[0])))
         return self._orbits[li.name]
 
-    def unknowns(self) -> tuple[tuple[str, SeparatedFamily, tuple[CutsetPartition, ...]], ...]:
+    def unknowns(self) -> tuple[tuple[str, SeparatedFamily, tuple[Cutset, ...]], ...]:
         """One weight unknown per orbit of pairs, as (id, family, orbit)
         with the id '<link>:<index>', family by family in `orbits` order:
         the solver's w0, w1, ... and the ids of a weights file."""
@@ -221,7 +216,7 @@ class GluingStructure:
             (f"{li.name}:{i}", li, orbit) for li in self.instances for i, orbit in enumerate(self.orbits(li))
         )
 
-    def classes_at(self, li: SeparatedFamily, x) -> dict[CutsetPartition, frozenset]:
+    def classes_at(self, li: SeparatedFamily, x) -> dict[Cutset, frozenset]:
         """The class at the element x of each pair of li that contains it."""
         key = (li.name, x)
         if key not in self._classes:
@@ -244,14 +239,14 @@ class WeightAssignment:
             {(li.name, key): 1 for li in structure.instances for key in structure.pair_keys(li).values()}
         )
 
-    def get(self, li: SeparatedFamily, cp: CutsetPartition, key: tuple | None = None) -> int:
-        """The weight of the pair cp of li; ``key`` is its `pair_key`, when
+    def get(self, li: SeparatedFamily, c: Cutset, key: tuple | None = None) -> int:
+        """The weight of the pair c of li; ``key`` is its `Cutset.key`, when
         the caller already holds it."""
         try:
-            return self.weights[(li.name, pair_key(cp) if key is None else key)]
+            return self.weights[(li.name, c.key() if key is None else key)]
         except KeyError:
             raise GluingError(
-                f"no weight for cutset {cp.cutset.sorted_elements()} in link {li.name!r}"
+                f"no weight for cutset {c.sorted_elements()} in link {li.name!r}"
             ) from None
 
 
@@ -278,8 +273,8 @@ class _Balance:
         """The weight sum of each class at the element x, computed once."""
         if (li.name, x) not in self._sums:
             class_of, sums = self.structure.classes_at(li, x), {}
-            for cp in li.pairs_at(x):
-                sums[class_of[cp]] = sums.get(class_of[cp], self.zero) + self.weight[li.name][cp]
+            for c in li.pairs_at(x):
+                sums[class_of[c]] = sums.get(class_of[c], self.zero) + self.weight[li.name][c]
             self._sums[li.name, x] = sums
         return self._sums[li.name, x]
 
@@ -304,7 +299,7 @@ class _Balance:
                 j, x = li.image(li.symmetry.to_rep[x - 1], i), r
             return self.sums_at(li, x)[self.structure.classes_at(li, x)[li.members[j]]]
 
-        first, *rest = li.members[i].cutset.sorted_elements()
+        first, *rest = li.members[i].sorted_elements()
         base = value(first)
         return [(first, x, base, val) for x in rest if (val := value(x)) != base]
 
@@ -329,14 +324,14 @@ def verify_gluing(structure: GluingStructure, w: WeightAssignment) -> Certificat
     cert = Certificate("gluing")
     keys = {li.name: structure.pair_keys(li) for li in structure.instances}
     weight = {
-        li.name: {cp: w.get(li, cp, key) for cp, key in keys[li.name].items()} for li in structure.instances
+        li.name: {c: w.get(li, c, key) for c, key in keys[li.name].items()} for li in structure.instances
     }
     bad_positive = []
     for li in structure.instances:
-        for cp in li.members:
-            value = weight[li.name][cp]
+        for c in li.members:
+            value = weight[li.name][c]
             if not (isinstance(value, int) and value >= 1):
-                bad_positive.append((li.name, keys[li.name][cp], value))
+                bad_positive.append((li.name, keys[li.name][c], value))
     cert.add(
         "weights-positive",
         not bad_positive,
@@ -351,7 +346,7 @@ def verify_gluing(structure: GluingStructure, w: WeightAssignment) -> Certificat
             before = len(bad_orbit)
             for orbit in structure.orbits(li):
                 orbit_count += 1
-                vals = {weight[li.name][cp] for cp in orbit}
+                vals = {weight[li.name][c] for c in orbit}
                 if len(vals) > 1:
                     bad_orbit.append((li.name, keys[li.name][orbit[0]], sorted(vals)))
             if li.group is not None and len(bad_orbit) == before:
@@ -384,12 +379,12 @@ def verify_gluing(structure: GluingStructure, w: WeightAssignment) -> Certificat
     cross_eqs = 0
     cross_bad = []
     for li in structure.instances:
-        cross_eqs += sum(len(cp.cutset) - 1 for cp in li.members)
+        cross_eqs += sum(len(c) - 1 for c in li.members)
         reduce = li.name in invariant and li.kind == "vertex"
         orbit_of = li.orbit_of if reduce else range(len(li.members))
         failed = {i for i, o in enumerate(orbit_of) if i == o and balance.unequal(li, i, reduce)}
         for i in (i for i, o in enumerate(orbit_of) if o in failed):
-            cutset = li.members[i].cutset.sorted_elements()
+            cutset = li.members[i].sorted_elements()
             for first, x, base, val in balance.unequal(li, i, reduce)[: 8 - len(cross_bad)]:
                 cross_bad.append(
                     {"link": li.name, "cutset": cutset, "elements": (first, x), "sums": (base, val)}
@@ -510,9 +505,9 @@ def solve_gluing(structure: GluingStructure) -> WeightAssignment | GluingInfeasi
     if k == 0:
         raise GluingError("structure has no pairs to weight")
     keys = {li.name: structure.pair_keys(li) for li in structure.instances}
-    # pairs with one pair_key share one unknown, as they share one weight
+    # equal pairs share one key, so one unknown, as they share one weight
     var_of_key = {
-        (li.name, keys[li.name][cp]): j for j, (_, li, orbit) in enumerate(unknowns) for cp in orbit
+        (li.name, keys[li.name][c]): j for j, (_, li, orbit) in enumerate(unknowns) for c in orbit
     }
 
     def assignment_from(values: list[int]) -> WeightAssignment:
@@ -523,7 +518,7 @@ def solve_gluing(structure: GluingStructure) -> WeightAssignment | GluingInfeasi
         return ones
 
     unit = {
-        li.name: {cp: Counter({var_of_key[li.name, key]: 1}) for cp, key in keys[li.name].items()}
+        li.name: {c: Counter({var_of_key[li.name, key]: 1}) for c, key in keys[li.name].items()}
         for li in structure.instances
     }
     balance = _Balance(structure, unit, Counter())

@@ -354,8 +354,8 @@ def balance_rows(structure) -> set[tuple[int, ...]]:
     k = len(unknowns)
     column = {}
     for j, (_, li, orbit) in enumerate(unknowns):
-        for cp in orbit:
-            column[li.name, cp.cutset.key(), cp.partition.key()] = j
+        for c in orbit:
+            column[li.name, c.key()] = j
     seen = {}
 
     def at(li, x) -> tuple[dict, dict[frozenset, list[int]]]:
@@ -364,10 +364,10 @@ def balance_rows(structure) -> set[tuple[int, ...]]:
         if (li.name, x) not in seen:
             directions = li.graph.neighbors(x) if li.kind == "vertex" else x
             class_of, sums = {}, {}
-            for cp in li.members:
-                if x in cp.cutset.elements:
-                    cls = class_of[cp] = induced_partition(li.graph, cp, {d: d for d in directions})
-                    sums.setdefault(cls, [0] * k)[column[li.name, cp.cutset.key(), cp.partition.key()]] += 1
+            for c in li.members:
+                if x in c.elements:
+                    cls = class_of[c] = induced_partition(li.graph, c, {d: d for d in directions})
+                    sums.setdefault(cls, [0] * k)[column[li.name, c.key()]] += 1
             seen[li.name, x] = class_of, sums
         return seen[li.name, x]
 
@@ -389,10 +389,10 @@ def balance_rows(structure) -> set[tuple[int, ...]]:
                 image = frozenset(frozenset(m[d] for d in block) for block in cls)
                 add(lhs, there.get(image, [0] * k))
     for li in structure.instances:
-        for cp in li.members:
-            first, *rest = sorted(cp.cutset.elements)
+        for c in li.members:
+            first, *rest = sorted(c.elements)
             class_of, sums = at(li, first)
             for x in rest:
                 class_x, sums_x = at(li, x)
-                add(sums[class_of[cp]], sums_x[class_x[cp]])
+                add(sums[class_of[c]], sums_x[class_x[c]])
     return rows

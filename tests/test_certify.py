@@ -24,14 +24,14 @@ from sepcert.certify import (
     split_pattern,
 )
 from sepcert.aut import PermutationGroup, automorphism_group, orbit_of_vertex_set
-from sepcert.cutset import Cutset, CutsetPartition, Partition, complement_labels
+from sepcert.cutset import Cutset, complement_labels
 from sepcert.datasets import named_graph
 from sepcert.errors import CertifyError, CutsetError
 from sepcert.gluing import GluingStructure, WeightAssignment, verify_gluing
 from sepcert.graph import Graph, Metric
 from sepcert.report import dumps
 from test_aut import assert_orbit_matches_the_frozenset_search
-from test_gluing import c6_coarse_family
+from test_gluing import c6_three_sided_family
 
 
 @pytest.fixture(scope="module")
@@ -62,20 +62,35 @@ def test_family_validates_members(q3):
         with pytest.raises(CertifyError, match="is not 3-separated"):
             # neighbors sit at distance 2, so sigma=3 must be rejected
             SeparatedFamily.from_cutsets(q3, 3, balls, group=group)
+        with pytest.raises(CutsetError, match=r"^not a cutset: complement has 1 component\(s\)$"):
+            # two neighbours of 1 sit at distance 2, so they are not
+            # 3-separated either: the cutset check comes first
+            pairs = orbit_of_vertex_set(automorphism_group(q3), q3.neighbors(1)[:2])
+            SeparatedFamily.from_cutsets(q3, 3, pairs, group=group)
     c8 = named_graph("c8")
     for group in (None, automorphism_group(c8)):
         with pytest.raises(CertifyError, match="has kind 'edge'"):
             # a genuine edge cutset cannot join a vertex-kind family
             SeparatedFamily.from_cutsets(c8, 2, [Cutset.of_edges([(1, 2), (5, 6)])], kind="vertex", group=group)
-    # an explicit partition of a set that is not a cutset covers a component
-    # that is not there
-    lone = CutsetPartition(Cutset.of_vertices([1]), Partition((frozenset({0}), frozenset({1}))))
-    with pytest.raises(CutsetError, match="expected all of 0..0"):
-        SeparatedFamily(q3, 2, "vertex", (lone,))
+    # one edge of the Petersen graph is neither of the family's kind nor a
+    # cutset: the kind is checked first, with or without the group
+    petersen = named_graph("petersen")
+    for group in (None, automorphism_group(petersen)):
+        with pytest.raises(CertifyError, match=r"^member \(\(1, 2\),\) has kind 'edge', family is 'vertex'$"):
+            SeparatedFamily.from_cutsets(petersen, 3, [Cutset.of_edges([(1, 2)])], group=group)
     # every set is 0-separated, but no separation is of order 0 or less
     for sigma in (0, -1):
         with pytest.raises(CertifyError, match="sigma must be positive"):
             SeparatedFamily.from_cutsets(c8, sigma, [Cutset.of_edges([(1, 2), (5, 6)])], kind="edge")
+
+
+def test_family_image_moves_a_member_by_its_elements():
+    # the diameter {1, 4} of C6 goes to every diameter under Aut(C6)
+    c6 = named_graph("c6")
+    grp = automorphism_group(c6)
+    fam = SeparatedFamily.from_cutsets(c6, 3, [(1, 4), (2, 5), (3, 6)], group=grp)
+    assert {fam.members[fam.image(p, 0)].sorted_elements() for p in grp.elements()} == {(1, 4), (2, 5), (3, 6)}
+    assert fam.orbit_of == (0, 0, 0)
 
 
 def test_family_distinct_cutsets(q3, q3_neighborhood_family):
@@ -197,9 +212,9 @@ def test_star_split_counts_with_a_duplicated_member(q3, q3_neighborhood_family):
     fam = SeparatedFamily(
         q3, 2, "vertex", q3_neighborhood_family.members + q3_neighborhood_family.members[:1]
     )
-    cutsets = [cp.cutset.elements for cp in fam.members]
+    cutsets = [c.elements for c in fam.members]
     brute = brute_split_counts(q3, cutsets)
-    counts, with_multiplicity = _split_counts_by_slot(q3, [cp.cutset for cp in fam.members])
+    counts, with_multiplicity = _split_counts_by_slot(q3, fam.members)
     assert with_multiplicity == brute
     assert counts == brute_split_counts(q3, set(cutsets))
     star = certify_star_separated(q3, fam).check("split-counts-constant")
@@ -372,10 +387,9 @@ def test_c8_family_under_a_half_turn_fails_alike_with_and_without_it():
 def test_family_closes_each_orbit_through_the_chain(monkeypatch, f090a, f090a_group, f090a_census, orbit_closure):
     """A family built with a group moves the first member of each orbit
     through the chain's inverse transversals, fewer moves than one per
-    member and generator, and finds one canonical partition per member
-    orbit."""
+    member and generator, and checks one member per orbit as a cutset."""
     calls = Counter()
-    for name in ("image_elements", "canonical_partition"):
+    for name in ("image_elements", "_require_cutset"):
 
         def counted(*args, _name=name, _call=getattr(certify, name)):
             calls[_name] += 1
@@ -388,7 +402,7 @@ def test_family_closes_each_orbit_through_the_chain(monkeypatch, f090a, f090a_gr
         fam = SeparatedFamily.from_cutsets(f090a, 3, cutsets, group=f090a_group)
         assert moves < len(fam.members) * 6
         assert len(fam.representatives()) == orbits
-        assert calls == {"image_elements": moves, "canonical_partition": orbits}
+        assert calls == {"image_elements": moves, "_require_cutset": orbits}
 
 
 def assert_orbits_match_the_generator_union_find(fam) -> None:
@@ -406,7 +420,7 @@ def test_member_orbits_match_the_generator_union_find(q3, q3_neighborhood_family
     cyclic_fam = SeparatedFamily.from_cutsets(
         f090a, 3, [c for orbit in census_orbits[:3] for c in orbit], group=cyclic
     )
-    for fam in (doubled, c6_coarse_family(), c8_edges, cyclic_fam):
+    for fam in (doubled, c6_three_sided_family(), c8_edges, cyclic_fam):
         assert_orbits_match_the_generator_union_find(fam)
     assert c8_edges.orbit_of == (0, 0, 2, 3)
     assert len(cyclic_fam.representatives()) > 3
@@ -428,19 +442,6 @@ def test_f090a_member_orbits_match_the_generator_union_find(f090a, f090a_group, 
     assert_orbits_match_the_generator_union_find(fam)
 
 
-def test_family_with_a_group_validates_partitions_before_moving_them(q3, q3_neighborhood_family):
-    # two blocks, one naming a component that N(1) does not leave
-    bad = CutsetPartition(Cutset.of_vertices(q3.neighbors(1)), Partition((frozenset({0, 5}), frozenset({1}))))
-    with pytest.raises(CutsetError):
-        SeparatedFamily(q3, 2, "vertex", (bad,), group=automorphism_group(q3))
-    # a discrete partition moves with its elements alone, so one with a
-    # block too many is refused even where it is not the first of its orbit
-    members = list(q3_neighborhood_family.members)
-    members[1] = CutsetPartition(members[1].cutset, Partition(tuple(frozenset({k}) for k in range(3))))
-    with pytest.raises(CutsetError, match="expected all of 0..1"):
-        SeparatedFamily(q3, 2, "vertex", members, group=automorphism_group(q3))
-
-
 def test_family_missing_one_orbit_member_is_refused(f090a, f090a_group, orbit_closure, closure_family):
     short = closure_family.members[:100] + closure_family.members[101:]
     with pytest.raises(CertifyError, match="not closed under its group: image .* missing"):
@@ -451,7 +452,7 @@ def test_family_missing_one_orbit_member_is_refused(f090a, f090a_group, orbit_cl
 
 def test_family_with_one_member_repeated_is_refused(q3, q3_neighborhood_family):
     members = q3_neighborhood_family.members
-    cutsets = [cp.cutset for cp in members]
+    cutsets = [c.elements for c in members]
     with pytest.raises(CertifyError, match="another multiplicity"):
         SeparatedFamily(q3, 2, "vertex", members + members[:1], group=automorphism_group(q3))
     with pytest.raises(CertifyError, match="another multiplicity"):

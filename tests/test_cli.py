@@ -215,6 +215,17 @@ def test_cutset_check_rejects_edges_outside_the_graph(tmp_path, capsys):
     assert capsys.readouterr().err == "error: CutsetError: cutset edge (7, 8) not in graph\n"
 
 
+def test_certify_link_checks_a_member_kind_before_its_cutset(tmp_path, capsys):
+    # the edge 1-2 is neither a vertex cutset nor a cutset at all: the
+    # family refuses its kind, as it does under Aut(petersen)
+    family = tmp_path / "family.txt"
+    family.write_text("C: 1-2\n")
+    assert main(["certify", "link", "--builtin", "petersen", "--family", str(family)]) == 2
+    assert capsys.readouterr().err == (
+        "error: CertifyError: member ((1, 2),) has kind 'edge', family is 'vertex'\n"
+    )
+
+
 def test_weights_file_rejects_duplicate_orbit_ids(tmp_path, capsys):
     weights = tmp_path / "weights.txt"
     weights.write_text("L:0 1\nL:0 0\n")

@@ -13,17 +13,16 @@ from _oracles import nx_angular_distances
 from sepcert.aut import vertex_set_key
 from sepcert.cutset import (
     Cutset,
-    canonical_partition,
     complement_labels,
     components_of_complement,
     format_family,
+    induced_partition,
     is_cutset,
     is_minimal_cutset,
     is_proper,
     is_sigma_separated,
     is_star_cutset,
     parse_family,
-    point_node,
 )
 from sepcert.datasets import named_graph
 from sepcert.errors import CutsetError
@@ -111,6 +110,16 @@ def test_edge_complement_components(c8):
     assert components_of_complement(c8, c) == ((1, 6, 7, 8), (2, 3, 4, 5))
 
 
+def test_induced_partition_has_one_side_per_component(c8):
+    # {1, 4, 6} leaves {2, 3}, {5} and {7, 8}: directions are grouped by
+    # the component they enter, and each group is the set of its keys
+    c = Cutset.of_vertices([1, 4, 6])
+    assert components_of_complement(c8, c) == ((2, 3), (5,), (7, 8))
+    keys = {2: "a", 3: "b", 5: "c", 7: "d", 8: "d"}
+    assert induced_partition(c8, c, keys) == {frozenset("ab"), frozenset("c"), frozenset("d")}
+    assert induced_partition(c8, c, {3: 3, 7: 7}) == {frozenset({3}), frozenset({7})}
+
+
 def test_free_arc_component():
     g = named_graph("theta")  # two degree-3 hubs joined by three paths
     hubs = [v for v in g.vertices() if g.degree(v) == 3]
@@ -151,17 +160,6 @@ def test_complement_labels_cover_midpoints(q3):
     assert len(labels) == q3.n + q3.m
 
 
-def test_point_node_and_midpoint_distance(q3):
-    e = q3.edges()[0]
-    assert point_node(q3, e) == q3.n + 1
-    assert point_node(q3, 3) == 3
-    # two edges sharing a vertex: their midpoints are half + half apart
-    share = next(f for f in q3.edges()[1:] if set(f) & set(e))
-    both = Cutset.of_edges([e, share])
-    assert is_sigma_separated(q3, Metric.combinatorial(), both, 1).witness == {"min_distance": 1}
-    assert is_sigma_separated(q3, Metric.combinatorial(), both, 2).witness["distance"] == 1
-
-
 # ------------------------------------------------------------ predicates --
 
 
@@ -176,11 +174,17 @@ def test_sigma_separated_vertex_kind(c8):
     assert not v.ok and v.witness["pair"] == (1, 3) and v.witness["distance"] == 2
 
 
-def test_sigma_separated_edge_kind(c8):
+def test_sigma_separated_edge_kind(c8, q3):
     metric = Metric.combinatorial()
     c = Cutset.of_edges([(1, 2), (5, 6)])
     assert is_sigma_separated(c8, metric, c, 4).ok
     assert not is_sigma_separated(c8, metric, c, 5).ok
+    # two edges sharing a vertex: their midpoints are half + half apart
+    e = q3.edges()[0]
+    share = next(f for f in q3.edges()[1:] if set(f) & set(e))
+    both = Cutset.of_edges([e, share])
+    assert is_sigma_separated(q3, metric, both, 1).witness == {"min_distance": 1}
+    assert is_sigma_separated(q3, metric, both, 2).witness["distance"] == 1
 
 
 def _square_1_to_3_at(d13: Fraction) -> tuple[Graph, Metric]:
@@ -266,13 +270,6 @@ def test_minimal_cutset(c8):
 def test_minimal_requires_cutset(q3):
     with pytest.raises(CutsetError):
         is_minimal_cutset(q3, Cutset.of_vertices([1]))
-
-
-def test_canonical_partition_is_finest(c8):
-    p = canonical_partition(c8, Cutset.of_vertices([1, 5]))
-    assert p.blocks == (frozenset([0]), frozenset([1]))
-    with pytest.raises(CutsetError):
-        canonical_partition(c8, Cutset.of_vertices([1]))
 
 
 def test_star_cutset_requires_cubic_vertex_kind(c8, q3):

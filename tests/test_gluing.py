@@ -15,7 +15,7 @@ from _oracles import balance_rows, set_orbits
 from sepcert import gluing
 from sepcert.aut import automorphism_group
 from sepcert.certify import SeparatedFamily
-from sepcert.cutset import Cutset, CutsetPartition, Partition, act_on_pair
+from sepcert.cutset import Cutset
 from sepcert.datasets import named_graph
 from sepcert.errors import CertifyError, GluingError
 from sepcert.gluing import (
@@ -25,7 +25,6 @@ from sepcert.gluing import (
     WeightAssignment,
     _positive_kernel,
     directions_at,
-    pair_key,
     solve_gluing,
     verify_gluing,
 )
@@ -45,9 +44,9 @@ def symmetric(li):
     return replace(li, group=automorphism_group(li.graph))
 
 
-def class_at(li, cp, x):
-    """The partition of the directions at x that cp induces."""
-    return GluingStructure((li,), ()).classes_at(li, x)[cp]
+def class_at(li, c, x):
+    """The partition of the directions at x that the cutset c induces."""
+    return GluingStructure((li,), ()).classes_at(li, x)[c]
 
 
 def germ_matches(germ, a, b):
@@ -81,12 +80,12 @@ def test_link_instance_validates_pairs():
 def test_pairs_at(c6_diameters):
     li = c6_diameters
     assert len(li.pairs_at(1)) == 1
-    assert li.pairs_at(1)[0].cutset.sorted_elements() == (1, 4)
+    assert li.pairs_at(1)[0].sorted_elements() == (1, 4)
     assert li.pairs_at(1) == li.pairs_at(4)
 
 
 def _scanned_pairs_at(fam, x):
-    return tuple(cp for cp in fam.members if x in cp.cutset)
+    return tuple(c for c in fam.members if x in c)
 
 
 def test_pairs_at_index_matches_a_scan_on_vertex_families():
@@ -117,9 +116,9 @@ def test_orbits_of_the_seed_closure_match_all_group_elements(symmetric_closure_f
     perms = f090a_group.elements()
     assert len(perms) == 4320
     fam = symmetric_closure_family
-    oracle = set_orbits(perms, (cp.cutset.elements for cp in fam.members))
+    oracle = set_orbits(perms, (c.elements for c in fam.members))
     got = GluingStructure.homogeneous(fam).orbits(fam)
-    assert {frozenset(cp.cutset.elements for cp in orbit) for orbit in got} == oracle
+    assert {frozenset(c.elements for c in orbit) for orbit in got} == oracle
     assert sorted(len(orbit) for orbit in got) == [720]
 
 
@@ -133,8 +132,8 @@ def test_directions_at():
 
 def test_induced_star_partition(c6_diameters):
     li = c6_diameters
-    cp = li.pairs_at(1)[0]
-    assert class_at(li, cp, 1) == frozenset({frozenset({2}), frozenset({6})})
+    c = li.pairs_at(1)[0]
+    assert class_at(li, c, 1) == frozenset({frozenset({2}), frozenset({6})})
 
 
 # ---------------------------------------------------------------- germs --
@@ -145,8 +144,8 @@ def test_identity_germ_and_reversal(c6_diameters):
     germ = EdgeGerm.identity(li, li, 1)
     assert germ.bijection == ((2, 2), (6, 6))
     assert germ.reversed().bijection == germ.bijection
-    cp = li.pairs_at(1)[0]
-    assert germ_matches(germ, cp, cp)
+    c = li.pairs_at(1)[0]
+    assert germ_matches(germ, c, c)
 
 
 def test_germ_bijection_must_cover_directions(c6_diameters):
@@ -160,8 +159,8 @@ def test_germ_bijection_must_cover_directions(c6_diameters):
 def test_swapping_germ_still_equates_symmetric_pairs(c6_diameters):
     li = c6_diameters
     swap = EdgeGerm(li, 1, li, 1, ((2, 6), (6, 2)))
-    cp = li.pairs_at(1)[0]
-    assert germ_matches(swap, cp, cp)
+    c = li.pairs_at(1)[0]
+    assert germ_matches(swap, c, c)
 
 
 def test_equivalence_classes_group_by_direction_partition():
@@ -206,45 +205,37 @@ def test_orbits_under_full_symmetry(c6_diameters):
     assert len(orbits) == 1 and len(orbits[0]) == 3
 
 
-def test_act_on_pair_rotates_cutsets(c6_diameters):
-    grp = automorphism_group(named_graph("c6"))
-    cp = c6_diameters.pairs_at(1)[0]
-    images = {act_on_pair(c6_diameters.graph, p, cp).cutset.sorted_elements() for p in grp.elements()}
-    assert images == {(1, 4), (2, 5), (3, 6)}
-
-
 def test_orbits_require_closed_family():
     li = link_of("L", "c6", 3, [(1, 4)])  # orbit of (1,4) also holds (2,5)
     with pytest.raises(CertifyError, match="not closed under its group: image"):
         symmetric(li)
 
 
-def c6_coarse_family():
-    """{1, 3, 5} and {2, 4, 6} of C6 leave three components each; the six
-    pairs with a two-block partition are one orbit of Aut(C6), whose images
-    need their components relabelled."""
+def c6_three_sided_family():
+    """{1, 3, 5} and {2, 4, 6} of C6 leave three components each, one side
+    per component; a rotation by one swaps them, so they are one orbit of
+    Aut(C6)."""
     g = named_graph("c6")
-    coarse = [((0, 1), (2,)), ((0,), (1, 2)), ((0, 2), (1,))]
-    members = [
-        CutsetPartition(Cutset.of_vertices(c), Partition(tuple(frozenset(b) for b in p)))
-        for c in [(1, 3, 5), (2, 4, 6)]
-        for p in coarse
-    ]
-    return SeparatedFamily(g, 2, "vertex", members, name="L", group=automorphism_group(g))
+    cutsets = [Cutset.of_vertices(c) for c in [(1, 3, 5), (2, 4, 6)]]
+    return SeparatedFamily(g, 2, "vertex", cutsets, name="L", group=automorphism_group(g))
 
 
-def test_coarse_partitions_verify_alike_with_and_without_the_group():
-    fam = c6_coarse_family()
+def test_three_sided_pairs_verify_alike_with_and_without_the_group():
+    fam = c6_three_sided_family()
     assert fam.representatives() == [0]
+    # at each element the two directions enter two of the three sides
+    assert class_at(fam, fam.members[0], 3) == {frozenset({2}), frozenset({4})}
     certs = []
     for li in (fam, replace(fam, group=None)):
         s = GluingStructure.homogeneous(li)
-        uneven = WeightAssignment({("L", pair_key(cp)): i + 1 for i, cp in enumerate(li.members)})
+        uneven = WeightAssignment({("L", c.key()): i + 1 for i, c in enumerate(li.members)})
         certs.append([verify_gluing(s, w) for w in (WeightAssignment.all_ones(s), uneven)])
     for reduced, plain in zip(*certs):
         docs = [dumps(c.doc()) for c in reduced.checks if c.name != "weights-invariant"]
         assert docs == [dumps(c.doc()) for c in plain.checks]
-        assert not reduced.check("cross-edge-balance").ok
+        assert reduced.check("cross-edge-balance").witness["equations"] == 4
+    # each cutset's class sums agree at its three elements, under any weights
+    assert [c.ok for c in certs[1]] == [True, True]
     assert [c.check("weights-invariant").ok for c in certs[0]] == [True, False]
 
 
@@ -266,14 +257,14 @@ def test_all_ones_verifies_on_homogeneous_c6(c6_diameters):
 
 def test_nonpositive_weights_fail(c6_diameters):
     s = GluingStructure.homogeneous(c6_diameters)
-    zero = WeightAssignment({(c6_diameters.name, pair_key(cp)): 0 for cp in c6_diameters.members})
+    zero = WeightAssignment({(c6_diameters.name, c.key()): 0 for c in c6_diameters.members})
     cert = verify_gluing(s, zero)
     assert not cert.check("weights-positive").ok
 
 
 def test_uneven_weights_fail_invariance(c6_diameters):
     s = GluingStructure.homogeneous(symmetric(c6_diameters))
-    keys = [pair_key(cp) for cp in c6_diameters.members]
+    keys = [c.key() for c in c6_diameters.members]
     w = WeightAssignment({("L", k): 1 + i for i, k in enumerate(keys)})
     cert = verify_gluing(s, w)
     assert not cert.check("weights-invariant").ok
@@ -286,7 +277,7 @@ def test_uneven_weights_fail_balance_across_elements(c6_diameters):
     # a germ joining element 1 to element 2 compares different diameters
     germ = EdgeGerm(c6_diameters, 1, c6_diameters, 2, ((2, 1), (6, 3)))
     s = GluingStructure((c6_diameters,), (germ,))
-    keys = [pair_key(cp) for cp in sorted(c6_diameters.members, key=pair_key)]
+    keys = sorted(c.key() for c in c6_diameters.members)
     w = WeightAssignment({("L", k): 1 + i for i, k in enumerate(keys)})
     cert = verify_gluing(s, w)
     assert not cert.check("edge-balance").ok
@@ -299,7 +290,7 @@ def test_balance_keeps_instances_apart():
     b = link_of("B", "c6", 3, [(1, 4), (2, 5), (3, 6)])
     s = GluingStructure((a, b), (EdgeGerm.identity(a, b, 1),))
     w = WeightAssignment(
-        {(li.name, pair_key(cp)): weight for li, weight in ((a, 1), (b, 2)) for cp in li.members}
+        {(li.name, c.key()): weight for li, weight in ((a, 1), (b, 2)) for c in li.members}
     )
     cert = verify_gluing(s, w)
     edge = cert.check("edge-balance")
@@ -311,7 +302,7 @@ def test_solve_finds_all_ones_on_c6(c6_diameters):
     s = GluingStructure.homogeneous(symmetric(c6_diameters))
     got = solve_gluing(s)
     assert isinstance(got, WeightAssignment)
-    assert all(got.get(c6_diameters, cp) == 1 for cp in c6_diameters.members)
+    assert all(got.get(c6_diameters, c) == 1 for c in c6_diameters.members)
 
 
 def cross_infeasible():
@@ -356,7 +347,7 @@ def test_solve_finds_weights_beyond_all_ones():
     assert not verify_gluing(s, WeightAssignment.all_ones(s)).ok
     got = solve_gluing(s)
     assert isinstance(got, WeightAssignment) and verify_gluing(s, got).ok
-    heavy = ("A", pair_key(a.pairs_at(5)[0]))
+    heavy = ("A", a.pairs_at(5)[0].key())
     assert got.weights[heavy] == 3
     assert all(v == 1 for key, v in got.weights.items() if key != heavy)
 
@@ -397,12 +388,12 @@ def census_pair(census_orbits, f090a, f090a_group):
 
 
 #: Structure name -> builder from fixture values: every structure solved
-#: above, the coarse C6 family with Aut(C6), and two F090A families.
+#: above, the three-sided C6 family with Aut(C6), and two F090A families.
 SOLVED = {
     "c6-diameters-aut": lambda fx: GluingStructure.homogeneous(symmetric(fx("c6_diameters"))),
     "c8-cross-infeasible": lambda fx: cross_infeasible(),
     "c8-beyond-all-ones": lambda fx: beyond_all_ones(),
-    "c6-coarse-aut": lambda fx: GluingStructure.homogeneous(c6_coarse_family()),
+    "c6-three-sided-aut": lambda fx: GluingStructure.homogeneous(c6_three_sided_family()),
     "f090a-seed-closure": lambda fx: GluingStructure.homogeneous(fx("symmetric_closure_family")),
     "f090a-census-180-216": lambda fx: census_pair(fx("census_orbits"), fx("f090a"), fx("f090a_group")),
 }
