@@ -160,6 +160,20 @@ def test_complement_labels_cover_midpoints(q3):
     assert len(labels) == q3.n + q3.m
 
 
+def test_point_node_and_midpoint_distance(q3):
+    # an edge's point is its midpoint in the subdivision, numbered after
+    # the vertices; a vertex is its own point
+    e = q3.edges()[0]
+    g2, _, mid = subdivide(q3)
+    assert mid[e] == q3.n + 1
+    assert set(g2.neighbors(3)) == {mid[f] for f in q3.edges() if 3 in f}
+    # two edges sharing a vertex: their midpoints are half + half apart
+    share = next(f for f in q3.edges()[1:] if set(f) & set(e))
+    both = Cutset.of_edges([e, share])
+    assert is_sigma_separated(q3, Metric.combinatorial(), both, 1).witness == {"min_distance": 1}
+    assert is_sigma_separated(q3, Metric.combinatorial(), both, 2).witness["distance"] == 1
+
+
 # ------------------------------------------------------------ predicates --
 
 
@@ -174,17 +188,11 @@ def test_sigma_separated_vertex_kind(c8):
     assert not v.ok and v.witness["pair"] == (1, 3) and v.witness["distance"] == 2
 
 
-def test_sigma_separated_edge_kind(c8, q3):
+def test_sigma_separated_edge_kind(c8):
     metric = Metric.combinatorial()
     c = Cutset.of_edges([(1, 2), (5, 6)])
     assert is_sigma_separated(c8, metric, c, 4).ok
     assert not is_sigma_separated(c8, metric, c, 5).ok
-    # two edges sharing a vertex: their midpoints are half + half apart
-    e = q3.edges()[0]
-    share = next(f for f in q3.edges()[1:] if set(f) & set(e))
-    both = Cutset.of_edges([e, share])
-    assert is_sigma_separated(q3, metric, both, 1).witness == {"min_distance": 1}
-    assert is_sigma_separated(q3, metric, both, 2).witness["distance"] == 1
 
 
 def _square_1_to_3_at(d13: Fraction) -> tuple[Graph, Metric]:
