@@ -6,9 +6,9 @@ The package certifies, with exact rational arithmetic throughout:
 * star cutsets (3-separated, two-component, minimal) in trivalent graphs
   and the per-vertex split-count constant they induce,
 * solvability of the gluing balance equations attached to a family of
-  link cutset/partition pairs,
-* non-positively curved polygonal complexes: link conditions, antipodal
-  graphs, traced wall hypergraphs and the separations they witness.
+  link cutsets, each paired with the components of its complement,
+* non-positively curved polygonal complexes: link conditions, traced wall
+  hypergraphs and the separations they witness.
 
 Everything is deterministic: re-running any operation on the same input
 produces the same certificate (timing fields aside).

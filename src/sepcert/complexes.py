@@ -1,13 +1,12 @@
-"""Finite polygonal complexes: links, curvature, antipodal graph, hypergraphs.
+"""Finite polygonal complexes: links, curvature, hypergraphs.
 
 A complex is a vertex count plus a list of faces, each face a cyclic sequence
 of distinct vertices.  Every face is treated as a regular polygon with unit
 sides, so a k-gon contributes corners of angle (k-2)/k in units of pi.  On
 top of that the module builds vertex links with their angular metrics, checks
 the curvature condition (every link has angular girth at least 2 pi),
-constructs the antipodal graph, traces separating hypergraphs outward from a
-seeded cutset, and computes the two-sided cut such a hypergraph
-induces on the subdivided 1-skeleton.
+traces separating hypergraphs outward from a seeded cutset, and computes
+the two-sided cut such a hypergraph induces on the subdivided 1-skeleton.
 
 Each complex builds its vertex -> faces and vertex -> edges incidence in one
 pass, and its subdivided 1-skeleton once, both on first use and kept with
@@ -38,9 +37,10 @@ Seeds and segment order use *atoms*, the cutset in local coordinates:
 
 * vertex kind: the trace walks the 1-skeleton; atoms are link vertex ids
   (one per incident edge, in sorted edge order);
-* edge kind: the trace walks the antipodal graph; atoms are face indices
-  (each face names its corner at v and the unique antipodal edge through
-  it at v; at a midpoint, the atoms are all faces through the edge).
+* edge kind: the trace walks antipodal segments, each from a point of a
+  face's subdivided boundary across the face to the point opposite it;
+  atoms are face indices (each face names its corner at v and the segment
+  across it from v; at a midpoint, the atoms are all faces through the edge).
 
 Two pairs at the ends of a segment are compared by the partitions they
 induce (``cutset.induced_partition``) on the directions around the
@@ -82,7 +82,6 @@ __all__ = [
     "PI",
     "PolygonalComplex",
     "Link",
-    "AntipodalGraph",
     "Segment",
     "Hypergraph",
     "WallCut",
@@ -92,7 +91,6 @@ __all__ = [
     "cone_complex",
     "link",
     "check_gromov",
-    "antipodal_graph",
     "edge_midpoint_id",
     "opposite_pair_seeds",
     "trace_hypergraph",
@@ -230,10 +228,11 @@ def parse_complex(text: str) -> PolygonalComplex:
         raise ComplexError('"faces" must be a list of lists of integer vertex ids')
     x = PolygonalComplex(n, faces)
     if "edges" in doc:
-        try:
-            declared = {edge_key(int(u), int(v)) for u, v in doc["edges"]}
-        except (TypeError, ValueError) as exc:
-            raise ComplexError(f"bad edge list: {exc}") from None
+        edges = doc["edges"] if isinstance(doc["edges"], list) else [doc["edges"]]
+        for e in edges:
+            if not (isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e) and e[0] != e[1]):
+                raise ComplexError(f"bad edge list: {e!r} is not two distinct integer vertex ids")
+        declared = {edge_key(*e) for e in edges}
         derived = set(x.edges)
         for e in sorted(declared - derived):
             raise ComplexError(f"declared edge {e} bounds no face")
@@ -370,7 +369,7 @@ class Segment(object):
     """One traced 1-cell: an edge of the walkway graph.
 
     Vertex hypergraphs walk the 1-skeleton, so ``face`` is None and (a, b)
-    is an edge of the complex.  Edge hypergraphs walk the antipodal graph,
+    is an edge of the complex.  Edge hypergraphs walk antipodal segments,
     so (a, b) are subdivided ids and ``face`` names the face the segment
     crosses (the canonical map sends it to the geodesic inside that face).
     """
@@ -408,52 +407,24 @@ def _subdivided_skeleton(x: PolygonalComplex) -> tuple[Graph, dict[Edge, int]]:
     return x._cache["subdivision"]
 
 
-class AntipodalGraph:
-    """Antipodal graph of a complex: subdivided vertices, one edge per
-    antipodal boundary pair of each face, labelled by the face.
-
-    Vertices 1..n are the complex's own (primary); n+1.. are edge midpoints
-    (secondary), numbered in sorted edge order.  ``boundaries[f]`` is face
-    f's subdivided boundary cycle.
-    """
-
-    __slots__ = ("n_primary", "n_total", "mid_of", "edges", "boundaries", "_through")
-
-    def __init__(self, x: PolygonalComplex):
-        self.n_primary = x.n
-        self.mid_of = _subdivided_skeleton(x)[1]
-        self.n_total = x.n + len(x.edges)
-        boundaries = []
-        records: list[Segment] = []
-        for idx, walk in enumerate(x.faces):
-            k = len(walk)
-            cycle: list[int] = []
-            for i, u in enumerate(walk):
-                cycle.append(u)
-                cycle.append(self.mid_of[edge_key(u, walk[(i + 1) % k])])
-            boundaries.append(tuple(cycle))
-            for i in range(k):
-                records.append(Segment(cycle[i], cycle[i + k], idx))
-        self.boundaries = tuple(boundaries)
-        self.edges = tuple(sorted(records, key=Segment.key))
-        self._through = {(end, seg.face): seg for seg in self.edges for end in seg.ends()}
-
-    def through(self, v: int, face: int) -> Segment:
-        """The unique antipodal edge at v crossing the given face."""
-        try:
-            return self._through[(v, face)]
-        except KeyError:
-            raise ComplexError(f"face {face} has no antipodal edge at vertex {v}") from None
-
-    def __repr__(self) -> str:
-        return f"AntipodalGraph(n={self.n_total}, m={len(self.edges)})"
+def _face_boundary(x: PolygonalComplex, face: int) -> tuple[int, ...]:
+    """The subdivided boundary cycle of a face: each corner followed by the
+    midpoint of the side after it."""
+    walk = x.faces[face]
+    mid = _subdivided_skeleton(x)[1]
+    cycle: list[int] = []
+    for u, w in zip(walk, walk[1:] + walk[:1]):
+        cycle += (u, mid[edge_key(u, w)])
+    return tuple(cycle)
 
 
-def antipodal_graph(x: PolygonalComplex) -> AntipodalGraph:
-    """Build (and cache) the antipodal graph of a complex."""
-    if "antipodal" not in x._cache:
-        x._cache["antipodal"] = AntipodalGraph(x)
-    return x._cache["antipodal"]
+def _antipode(x: PolygonalComplex, v: int, face: int) -> Segment:
+    """The segment from v across a face to the point opposite v on its
+    subdivided boundary."""
+    cycle = _face_boundary(x, face) if 0 <= face < len(x.faces) else ()
+    if v not in cycle:
+        raise ComplexError(f"face {face} has no antipodal edge at vertex {v}")
+    return Segment(v, cycle[(cycle.index(v) + len(cycle) // 2) % len(cycle)], face)
 
 
 def edge_midpoint_id(x: PolygonalComplex, e: Edge) -> int:
@@ -626,8 +597,7 @@ def _segments_for(x: PolygonalComplex, kind: str, v: int, pair: Cutset) -> list[
     if kind == "vertex":
         lk = link(x, v)
         return [Segment(*lk.edges_at[a - 1]) for a in _atoms(x, kind, v, pair)]
-    antip = antipodal_graph(x)
-    return [antip.through(v, f) for f in _atoms(x, kind, v, pair)]
+    return [_antipode(x, v, f) for f in _atoms(x, kind, v, pair)]
 
 
 def _germ_keys(x: PolygonalComplex, kind: str, seg: Segment, v: int) -> dict[int, object]:
@@ -642,8 +612,7 @@ def _germ_keys(x: PolygonalComplex, kind: str, seg: Segment, v: int) -> dict[int
         lk = link(x, v)
         c = lk.vertex_id((seg.a, seg.b))
         return {n: lk.face_of_corner[edge_key(c, n)] for n in lk.graph.neighbors(c)}
-    antip = antipodal_graph(x)
-    cycle = antip.boundaries[seg.face]
+    cycle = _face_boundary(x, seg.face)
     k = len(cycle) // 2
     pos = cycle.index(v)
     arc_one = frozenset(cycle[(pos + i) % (2 * k)] for i in range(1, k))
@@ -679,7 +648,7 @@ def trace_hypergraph(
     """Trace a hypergraph outward from a seeded local pair.
 
     Vertex hypergraphs walk the 1-skeleton (atoms are link vertex ids of
-    Lk(v0)); edge hypergraphs walk the antipodal graph (atoms are face
+    Lk(v0)); edge hypergraphs walk antipodal segments (atoms are face
     indices, v0 may be a primary vertex or an edge midpoint id).  Extension
     is breadth-first: at every newly reached vertex the lexicographically
     least equatable pair containing the arriving element continues the

@@ -8,7 +8,8 @@ understood as that multiple of pi.
 Distances are integers over one common denominator D, the least common
 multiple of the edge-length denominators (1 for the combinatorial metric, 2
 for a subdivided one): BFS when every scaled length is the same, integer
-Dijkstra otherwise. Values are exact at the API: an ``int`` for the
+Dijkstra otherwise. Girth and a shortest cycle are read from that one
+distance table. Values are exact at the API: an ``int`` for the
 combinatorial metric, a ``Fraction`` for angular ones, and ``INF`` for
 disconnected pairs, the only non-rational value that can appear.
 """
@@ -215,15 +216,6 @@ def _scaled_lengths(g: Graph, metric: Metric) -> tuple[int, dict[Edge, int]]:
     return denom, {e: table[e].numerator * (denom // table[e].denominator) for e in g.edges()}
 
 
-def _uniform_step(lengths: Mapping[Edge, int]) -> int | None:
-    """The common scaled length when all edges have the same one (1 when
-    there are no edges), else None."""
-    steps = set(lengths.values())
-    if len(steps) > 1:
-        return None
-    return steps.pop() if steps else 1
-
-
 def _bfs_row(g: Graph, source: int) -> list:
     adj = g._adj
     dist = [INF] * (g.n + 1)
@@ -242,39 +234,21 @@ def _bfs_row(g: Graph, source: int) -> list:
     return dist[1:]
 
 
-def _dijkstra(
-    g: Graph,
-    lengths: Mapping[Edge, int],
-    source: int,
-    skip_edge: Edge | None = None,
-    target: int | None = None,
-) -> tuple[list, list[int]]:
-    """Integer Dijkstra over scaled edge lengths, optionally avoiding one edge
-    and stopping once ``target`` is settled. Returns (dist, parent), both
-    indexed by vertex (slot 0 unused); heap ties break on (distance, vertex)
-    and a parent changes only on a strict improvement."""
+def _dijkstra(g: Graph, lengths: Mapping[Edge, int], source: int) -> list:
+    """Integer Dijkstra over scaled edge lengths: the row of ``source``."""
     dist: list = [INF] * (g.n + 1)
-    parent = [0] * (g.n + 1)
     dist[source] = 0
     heap = [(0, source)]
-    done = [False] * (g.n + 1)
     while heap:
         d, u = heapq.heappop(heap)
-        if done[u]:
+        if d > dist[u]:
             continue
-        if u == target:
-            break
-        done[u] = True
         for w in g.neighbors(u):
-            e = (u, w) if u < w else (w, u)
-            if e == skip_edge:
-                continue
-            nd = d + lengths[e]
+            nd = d + lengths[(u, w) if u < w else (w, u)]
             if nd < dist[w]:
                 dist[w] = nd
-                parent[w] = u
                 heapq.heappush(heap, (nd, w))
-    return dist, parent
+    return dist[1:]
 
 
 def distances(g: Graph, metric: Metric | None = None) -> DistanceTable:
@@ -287,107 +261,91 @@ def distances(g: Graph, metric: Metric | None = None) -> DistanceTable:
 def _distance_table(g: Graph, metric: Metric) -> DistanceTable:
     metric.validate_for(g)
     denom, lengths = _scaled_lengths(g, metric)
-    step = _uniform_step(lengths)
-    if step is None:
-        rows = [_dijkstra(g, lengths, s)[0][1:] for s in g.vertices()]
+    steps = set(lengths.values())
+    if len(steps) > 1:
+        rows = [_dijkstra(g, lengths, s) for s in g.vertices()]
     else:
+        step = steps.pop() if steps else 1
         rows = [_bfs_row(g, s) for s in g.vertices()]
         if step != 1:
             rows = [[d if d is INF else d * step for d in row] for row in rows]
     return DistanceTable(metric.units, denom, rows)
 
 
-def _bfs_girth(g: Graph):
-    """Fewest edges on a cycle: one BFS per root, taking the best cycle
-    closed by a non-tree edge."""
-    best = INF
-    for r in g.vertices():
-        dist = [INF] * (g.n + 1)
-        parent = [0] * (g.n + 1)
-        dist[r] = 0
-        frontier = [r]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in g.neighbors(u):
-                    if dist[w] is INF:
-                        dist[w] = dist[u] + 1
-                        parent[w] = u
-                        nxt.append(w)
-                    elif w != parent[u] and dist[w] >= dist[u]:
-                        cand = dist[u] + dist[w] + 1
-                        if cand < best:
-                            best = cand
-            if best is not INF and nxt and 2 * dist[nxt[0]] >= best:
-                break
-            frontier = nxt
-    return best
-
-
-def _shortest_cycle(g: Graph, lengths: Mapping[Edge, int]):
-    """(scaled length, vertex path) of a shortest cycle, None for forests.
-
-    Each edge (u, v), in sorted order, closes a shortest u-v path avoiding
-    it; the first edge giving a strictly shorter cycle wins, and the path
-    runs from u to v.
-    """
-    best = None
-    for u, v in g.edges():
-        dist, parent = _dijkstra(g, lengths, u, skip_edge=(u, v), target=v)
-        if dist[v] is INF:
-            continue
-        total = dist[v] + lengths[(u, v)]
-        if best is None or total < best[0]:
-            path = [v]
-            while path[-1] != u:
-                path.append(parent[path[-1]])
-            best = (total, tuple(reversed(path)))
-    return best
-
-
-def _exact_length(d, metric: Metric, denom: int):
-    if d is INF or metric.kind == "combinatorial":
-        return d
-    return Fraction(d, denom)
-
-
 def girth(g: Graph, metric: Metric | None = None):
-    """Length of a shortest cycle; ``INF`` for forests.
-
-    When every edge has the same length: the fewest edges on a cycle (BFS)
-    times that length. Otherwise the length of ``shortest_cycle``.
-    Memoised per graph and metric.
-    """
-    return _girth(g, metric or Metric.combinatorial())
-
-
-@lru_cache(maxsize=16)
-def _girth(g: Graph, metric: Metric):
-    metric.validate_for(g)
-    denom, lengths = _scaled_lengths(g, metric)
-    step = _uniform_step(lengths)
-    if step is not None:
-        best = _bfs_girth(g)
-        if best is not INF:
-            best *= step
-    else:
-        found = _shortest_cycle(g, lengths)
-        best = INF if found is None else found[0]
-    return _exact_length(best, metric, denom)
+    """Length of a shortest cycle; ``INF`` for forests. Read, with
+    ``shortest_cycle``, from one memoised scan of ``distances(g, metric)``."""
+    found = _shortest_cycle(g, metric or Metric.combinatorial())
+    return INF if found is None else found[0]
 
 
 def shortest_cycle(g: Graph, metric: Metric | None = None):
-    """A shortest cycle as (length, vertex path), None for forests: for each
-    edge in sorted order, its length plus a shortest path between its ends
-    that avoids it. The path lists the cycle's vertices from the smaller end
-    of its closing edge to the larger one."""
-    metric = metric or Metric.combinatorial()
-    metric.validate_for(g)
-    denom, lengths = _scaled_lengths(g, metric)
-    found = _shortest_cycle(g, lengths)
+    """A shortest cycle as (length, vertex path), None for forests. The path
+    starts at the least vertex on any shortest cycle and ends at the smaller
+    of that vertex's two neighbours on the cycle."""
+    return _shortest_cycle(g, metric or Metric.combinatorial())
+
+
+@lru_cache(maxsize=16)
+def _shortest_cycle(g: Graph, metric: Metric):
+    """One scan of the distance table, after Itai and Rodeh, "Finding a
+    minimum circuit in a graph", SIAM J. Comput. 7 (1978).
+
+    For each root r, ascending, and each edge uw in sorted order: an edge on
+    no shortest path from r closes a walk of length d(r,u) + |uw| + d(r,w),
+    and a vertex w that a second shortest-path edge enters closes a walk of
+    length 2 d(r,w). The least of these candidates is the girth:
+
+    * Each candidate walk runs out from r and back along shortest paths and
+      uses one edge (the closing edge, or the second edge into w) once, so
+      it holds a cycle and is no shorter than the girth.
+    * A shortest cycle C is isometric. From any r on C, the point of C
+      opposite r lies inside an edge on no shortest path from r, or is a
+      vertex that both arcs of C enter along shortest-path edges; either
+      way some candidate equals |C|.
+    * At the minimum the walk is C itself, because every length is positive.
+
+    So the girth is first reached at the least vertex r on any shortest
+    cycle, and walking back to r along shortest-path edges (least
+    predecessor first) gives that cycle.
+    """
+    table = distances(g, metric)
+    _, lengths = _scaled_lengths(g, metric)
+    best, found = INF, None
+    for r in g.vertices():
+        row = table.scaled_row(r)
+        entered = [0] * (g.n + 1)  # vertex -> tail of its first shortest-path edge
+        for (u, w), step in lengths.items():
+            du, dw = row[u - 1], row[w - 1]
+            if dw - du == step:
+                tail, head, d = u, w, dw
+            elif du - dw == step:
+                tail, head, d = w, u, du
+            else:  # uw is on no shortest path from r; outside r's component, INF never wins
+                if du + step + dw < best:
+                    best, found = du + step + dw, (r, u, (), w)
+                continue
+            if not entered[head]:
+                entered[head] = tail
+            elif 2 * d < best:
+                best, found = 2 * d, (r, entered[head], (head,), tail)
     if found is None:
         return None
-    return _exact_length(found[0], metric, denom), found[1]
+    r, a, middle, b = found
+    row = table.scaled_row(r)
+
+    def back_to_root(x: int) -> list[int]:
+        path = []
+        while x != r:
+            path.append(x)
+            d = row[x - 1]
+            x = next(p for p in g.neighbors(x) if row[p - 1] + lengths[edge_key(p, x)] == d)
+        return path
+
+    cycle = [r, *reversed(back_to_root(a)), *middle, *back_to_root(b)]
+    if cycle[1] < cycle[-1]:
+        cycle[1:] = reversed(cycle[1:])
+    return table._exact(best), tuple(cycle)
 
 
 def components(g: Graph, removed_vertices: Iterable[int] = ()) -> tuple[tuple[int, ...], ...]:

@@ -134,6 +134,21 @@ def brute_angular_girth(g: Graph, metric: Metric) -> Fraction | float:
     return best
 
 
+def simple_cycle_girth(g: Graph, metric: Metric) -> tuple[Fraction | int | float, list[list[int]]]:
+    """Girth by listing every simple cycle (``networkx.simple_cycles``): the
+    least cycle length (``math.inf`` for forests) and the cycles of that
+    length, as vertex lists. Exponential; small graphs only."""
+    best: Fraction | int | float = math.inf
+    shortest: list[list[int]] = []
+    for cycle in nx.simple_cycles(nx_graph(g)):
+        length = sum(metric.edge_length((u, v)) for u, v in zip(cycle, cycle[1:] + cycle[:1]))
+        if length < best:
+            best, shortest = length, []
+        if length == best:
+            shortest.append(cycle)
+    return best, shortest
+
+
 def brute_star_cutsets(g: Graph) -> set[frozenset[int]]:
     """All cutsets that are pairwise at distance >= 3, leave exactly two
     components, and have no proper subset that disconnects. Exponential in

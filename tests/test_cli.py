@@ -89,6 +89,7 @@ def test_star_search_rejects_goal_vertices_outside_the_graph(v, capsys):
     [
         {"vertices": 3, "faces": [["a", 2, 3]]},
         {"vertices": "3", "faces": [[1, 2, 3]]},
+        {"vertices": 3, "faces": [[1, 2, 3]], "edges": [[1.9, 2], "23", [True, 3]]},
     ],
 )
 def test_complex_check_rejects_malformed_input(doc, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Polygonal complexes: parsing, links, curvature checks, antipodal graphs,
+"""Polygonal complexes: parsing, links, curvature checks, antipodes,
 hypergraph tracing, and walls, mostly on the 5x5 square grid."""
 
 from __future__ import annotations
@@ -11,8 +11,9 @@ import pytest
 import sepcert.complexes as complexes
 from sepcert.complexes import (
     PI,
+    _antipode,
+    _face_boundary,
     _pairs_at,
-    antipodal_graph,
     check_gromov,
     cone_complex,
     edge_midpoint_id,
@@ -82,6 +83,15 @@ def test_parse_validates_edges_key(grid):
 )
 def test_parse_rejects_bad_complexes(doc):
     with pytest.raises(ComplexError):
+        parse_complex(json.dumps(doc))
+
+
+@pytest.mark.parametrize("bad", [[1.9, 2], "23", [True, 3], [2, 2], [1, 2, 3]])
+def test_parse_rejects_malformed_declared_edges(bad):
+    """Declared edges are two distinct integer vertex ids, as face vertices
+    are integers: no truncating 1.9, reading "23" as 2-3 or true as 1."""
+    doc = {"vertices": 3, "faces": [[1, 2, 3]], "edges": [[1, 3], [2, 3], bad]}
+    with pytest.raises(ComplexError, match="bad edge list"):
         parse_complex(json.dumps(doc))
 
 
@@ -174,27 +184,25 @@ def test_fan_of_six_triangles_is_flat():
     assert not check_gromov(fan(5)).ok
 
 
-# ------------------------------------------------------- antipodal graph --
+# ------------------------------------------------------------- antipodes --
 
 
 def test_square_antipodes(grid):
-    antip = antipodal_graph(grid)
     face0 = grid.faces[0]  # vertices 1, 2, 7, 6
-    diag = antip.through(1, 0)
+    diag = _antipode(grid, 1, 0)
     assert diag.face == 0
     assert {diag.a, diag.b} == {1, 7}  # vertex-to-vertex diagonal
     mid12 = edge_midpoint_id(grid, (1, 2))
     mid16 = edge_midpoint_id(grid, (1, 6))
-    opposite = antip.through(mid12, 0)
+    opposite = _antipode(grid, mid12, 0)
     assert {opposite.a, opposite.b} == {mid12, edge_midpoint_id(grid, (6, 7))}
     assert mid16 != mid12
-    assert len([s for s in antip.boundaries[0] if s <= grid.n]) == 4
+    assert len([s for s in _face_boundary(grid, 0) if s <= grid.n]) == 4
 
 
 def test_triangle_antipodes():
     cone = cone_complex(named_graph("c4"))
-    antip = antipodal_graph(cone)
-    seg = antip.through(5, 0)
+    seg = _antipode(cone, 5, 0)
     a, b = sorted((seg.a, seg.b))
     assert a == 5 and b > cone.n  # apex pairs with the opposite edge midpoint
 
@@ -224,9 +232,8 @@ def test_incidence_index_matches_scans(make):
         assert link(x, v).edges_at == incident
     assert x.faces_at(0) == x.faces_at(x.n + 1) == ()
     assert x.edges_at(0) == x.edges_at(x.n + 1) == ()
-    mid_of = antipodal_graph(x).mid_of
     for e in x.edges:
-        assert edge_midpoint_id(x, e) == x.n + 1 + x.edges.index(e) == mid_of[e]
+        assert edge_midpoint_id(x, e) == x.n + 1 + x.edges.index(e)
         assert edge_midpoint_id(x, e[::-1]) == edge_midpoint_id(x, e)
     non_edge = next(
         (u, v) for u in range(1, x.n + 1) for v in range(u + 1, x.n + 1) if (u, v) not in x.edge_faces

@@ -9,7 +9,13 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import brute_angular_girth, brute_girth, numpy_distances, nx_angular_distances
+from _oracles import (
+    brute_angular_girth,
+    brute_girth,
+    numpy_distances,
+    nx_angular_distances,
+    simple_cycle_girth,
+)
 from sepcert.complexes import check_gromov, cone_complex, grid_complex
 from sepcert.datasets import named_graph
 from sepcert.errors import GraphFormatError, MetricError
@@ -256,9 +262,51 @@ def test_shortest_cycle_is_a_cycle_of_girth_length(case):
 
 
 def test_shortest_cycle_on_the_combinatorial_metric():
-    # the first edge, (1, 2), closes the outer 5-cycle, walked from 1 to 2
+    # root 1 first reaches girth 5 at edge (3, 4), opposite it on the outer
+    # 5-cycle, which is walked to end at 2, the smaller of 1's two neighbours
     assert shortest_cycle(named_graph("petersen")) == (5, (1, 5, 4, 3, 2))
     assert shortest_cycle(_TREE) is None
+
+
+def _assert_girth_rule(g: Graph, metric: Metric) -> None:
+    """``girth`` is the least simple-cycle length; ``shortest_cycle`` is a
+    simple closed cycle of that length that starts at the least vertex on
+    any shortest cycle and ends at the smaller of its neighbours there."""
+    expected, shortest = simple_cycle_girth(g, metric)
+    assert girth(g, metric) == expected
+    found = shortest_cycle(g, metric)
+    if not shortest:
+        assert expected is math.inf and found is None
+        return
+    length, cycle = found
+    assert length == expected
+    assert len(set(cycle)) == len(cycle) >= 3
+    closed = list(zip(cycle, cycle[1:])) + [(cycle[-1], cycle[0])]
+    assert all(g.has_edge(u, v) for u, v in closed)
+    assert sum(metric.edge_length(e) for e in closed) == length
+    assert cycle[0] == min(min(c) for c in shortest)
+    assert cycle[0] < cycle[-1] < cycle[1]
+
+
+def test_girth_rule_on_every_graph_on_five_vertices():
+    pairs = [(u, v) for u in range(1, 6) for v in range(u + 1, 6)]
+    for mask in range(1 << len(pairs)):
+        g = Graph(5, [e for i, e in enumerate(pairs) if mask >> i & 1])
+        _assert_girth_rule(g, Metric.combinatorial())
+
+
+_TIED = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1))
+
+
+@pytest.mark.parametrize("seed", range(0, 300, 50))
+def test_girth_rule_on_tied_lengths(seed):
+    for s in range(seed, seed + 50):
+        rng = random.Random(s)
+        n = rng.randint(3, 8)
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        g = Graph(n, [e for e in pairs if rng.random() < 0.45])
+        metric = Metric.angular({e: rng.choice(_TIED) for e in g.edges()})
+        _assert_girth_rule(g, metric)
 
 
 def test_length_table_cache_is_bounded():

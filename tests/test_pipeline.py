@@ -3,6 +3,7 @@ repeatability of the whole run."""
 
 from __future__ import annotations
 
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -30,23 +31,22 @@ def test_one_run_builds_one_distance_table_and_one_girth(monkeypatch, f090a):
     """The structure stage, the distance-transitivity check, the vertex
     separation certificate and the pair separations read one distance
     table of F090A; the structure stage and two certificates read one
-    girth."""
+    girth, counted as scans of the memoised shortest-cycle search."""
     built = {"tables": 0, "girths": 0}
-    bfs_row, bfs_girth = graph._bfs_row, graph._bfs_girth
+    bfs_row, scan = graph._bfs_row, graph._shortest_cycle.__wrapped__
 
     def counted_row(g, source):
         # a table searches from every vertex, `is_connected` from vertex 1
         built["tables"] += g == f090a and source == g.n
         return bfs_row(g, source)
 
-    def counted_girth(g):
+    def counted_scan(g, metric):
         built["girths"] += g == f090a
-        return bfs_girth(g)
+        return scan(g, metric)
 
     monkeypatch.setattr(graph, "_bfs_row", counted_row)
-    monkeypatch.setattr(graph, "_bfs_girth", counted_girth)
+    monkeypatch.setattr(graph, "_shortest_cycle", lru_cache(maxsize=16)(counted_scan))
     graph._distance_table.cache_clear()
-    graph._girth.cache_clear()
     run_f090a()
     assert built == {"tables": 1, "girths": 1}
 
