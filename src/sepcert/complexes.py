@@ -17,11 +17,14 @@ Local pairs and tracing conventions
 -----------------------------------
 
 A traced hypergraph assigns to each visited vertex v a *local pair*: a
-pi-separated ``Cutset`` of the graph local to v, whose sides are the
-components of its complement, one side per component.  At a complex vertex
-that graph is the link; the cutset is a set of link vertices in vertex kind
-and a set of corners (link edges) in edge kind.  An edge midpoint, visited
-by edge-kind traces only, has a fixed *cage*: two vertices, the directions
+``Cutset`` of the graph local to v whose two sides are the two components
+of its complement.  At a complex vertex that graph is the link; the cutset
+is a set of link vertices in vertex kind and a set of corners (link edges)
+in edge kind, of at least two elements, pi-separated, with exactly two
+components, and minimal: the star conjunction at pi, which
+``search.two_sided_cutsets`` lists.  A seed pair need only be pi-separated
+and cut the link, into any number of sides.  An edge midpoint, visited by
+edge-kind traces only, has a fixed *cage*: two vertices, the directions
 toward the lower (1) and the higher (2) end of the edge, joined by one
 corner that stands for every face through the edge.  Its only pair cuts
 that corner, and exists when at least two faces meet at the edge.
@@ -59,7 +62,6 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .cutset import Cutset, complement_labels, induced_partition, is_sigma_separated
@@ -101,9 +103,6 @@ __all__ = [
 
 #: Separation threshold on links, in units of pi.
 PI = Fraction(1)
-
-#: Largest link (elements of the relevant kind) we will enumerate cutsets on.
-_ENUM_LIMIT = 16
 
 #: The local graph at an edge midpoint, its one cut element and its one
 #: pair: two directions, toward the lower (1) and the higher (2) end of the
@@ -504,37 +503,22 @@ def _atoms(x: PolygonalComplex, kind: str, v: int, pair: Cutset) -> tuple[int, .
 
 
 def _pairs_at(x: PolygonalComplex, kind: str, u: int) -> tuple[Cutset, ...]:
-    """All local pairs at a walkway vertex, sorted by their atoms.
-
-    Cutsets are enumerated exhaustively over the link (pi-separated, at
-    least two elements); an edge midpoint has the cage pair when at least
-    two faces meet there.
-    """
+    """All local pairs at a walkway vertex, sorted by their atoms: the
+    cutsets of the link with at least two elements that are pi-separated,
+    have exactly two components and are minimal, from the star search
+    (``search.two_sided_cutsets``); at an edge midpoint, the cage pair when
+    at least two faces meet there."""
     key = ("pairs", kind, u)
     if key in x._cache:
         return x._cache[key]
     if kind == "edge" and u > x.n:
         out = (_CAGE_PAIR,) if len(x.edge_faces[_midpoint_edge(x, u)]) >= 2 else ()
-        x._cache[key] = out
-        return out
-    lk = link(x, u)
-    if kind == "vertex":
-        universe: list = list(lk.graph.vertices())
     else:
-        universe = sorted(lk.face_of_corner)
-    if len(universe) > _ENUM_LIMIT:
-        raise ComplexError(
-            f"link of vertex {u} has {len(universe)} {kind} elements;"
-            f" refusing to enumerate cutsets beyond {_ENUM_LIMIT}"
-        )
-    found: list[Cutset] = []
-    for r in range(2, len(universe) + 1):
-        for sel in combinations(universe, r):
-            c = Cutset(kind, frozenset(sel))
-            cuts = complement_labels(lk.graph, c)[1] >= 2
-            if cuts and is_sigma_separated(lk.graph, lk.metric, c, PI).ok:
-                found.append(c)
-    out = tuple(sorted(found, key=lambda c: _atoms(x, kind, u, c)))
+        from .search import two_sided_cutsets
+
+        lk = link(x, u)
+        found = [c for c in two_sided_cutsets(lk.graph, lk.metric, kind, PI) if len(c) >= 2]
+        out = tuple(sorted(found, key=lambda c: _atoms(x, kind, u, c)))
     x._cache[key] = out
     return out
 

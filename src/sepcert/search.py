@@ -1,78 +1,83 @@
-"""Backtracking search for star cutsets: vertex cutsets of a trivalent
-graph, 3-separated, with two components, minimal (``cutset.is_star_cutset``).
+"""Backtracking search for two-sided cutsets: sigma-separated, with exactly
+two components, minimal. On the vertices of a trivalent graph at distance
+3 they are the star cutsets (``cutset.is_star_cutset``) that
+``search_star_cutsets`` enumerates; ``two_sided_cutsets`` lists them at any
+degree, metric, kind and sigma, as for the local pairs on a link at pi.
 
-The star search colors vertices side-A / side-B / cut, growing outward from
-a root's seed assignments. Propagation enforces what can be decided
-locally: cut vertices pairwise at distance >= 3 (their closed 1-balls are
-disjoint), no A-B edge, and every cut vertex's neighborhood meeting both
-sides. Connectivity of the sides cannot be decided locally, so candidate
-leaves are validated through the cutset predicates before emission; every
-reported cutset has passed them, or is the image of one that has under a
-checked automorphism.
+The search colors nodes side-A / side-B / cut from a root's seeds. In
+vertex kind the nodes are the vertices; in edge kind they are the nodes of
+the subdivision, and only midpoints may be cut. Propagation enforces what
+can be decided locally: no cut node in the ball of another (the cuttable
+nodes closer than sigma, read from the distance table that
+``cutset.is_sigma_separated`` measures with), no A-B edge, and every cut
+node's neighborhood meeting both sides. Connectivity of the sides cannot
+be decided locally, so candidate leaves are validated through the cutset
+predicates before emission; every reported cutset has passed them, or is
+the image of one that has under a checked automorphism.
+
+The search is exact when no neighbor of a cut node can be cut: in vertex
+kind when every edge is shorter than sigma, so that a node's neighbors lie
+in its ball, and in edge kind always, since a midpoint's neighbors are
+vertices. Trivalent graphs at distance 3 meet it, and so do links at pi,
+whose corner angles (k-2)/k pi are below pi. Let C be sigma-separated, with
+exactly two complement components X and Y, and minimal. Restoring a node of
+C that touches only one of them would leave two components, so every node
+of C touches both, and coloring C cut, X one side and Y the other breaks no
+rule: a root that admits C reaches it as a leaf. Conversely, at a leaf no
+two cut nodes are closer than sigma, no edge joins A to B and every cut
+node touches both sides; if the complement has exactly two components,
+they are A and B, and the cut is minimal.
 
 A neighbor-split goal is searched from one root: v is cut, and its i-th
-and j-th neighbors in ascending order go to sides A and B. Enumerating every
-star cutset instead roots the search at orbits, two levels deep, and then
-closes the validated leaves under Aut(g), once each generator is checked
-to map the edge set onto itself.
+and j-th neighbors in ascending order go to sides A and B. Enumerating
+every cutset instead roots the search at orbits, two levels deep, and
+closes the validated leaves under a group: Aut(g) for the star census,
+once each generator is checked to map the edge set onto itself, and the
+trivial group in ``two_sided_cutsets``.
 
-The first level follows the orbits of Aut(g) on vertices, in the order of
-``vertex_orbits()``. Under orbit i, the least vertex r is cut, every vertex
-of orbits 1..i-1 is kept out of the cut, and the least neighbor of r is put
-on side A: swapping the sides keeps the cut set, and a cut vertex's
-neighbors are never cut. A star cutset C meets some first orbit i, at a
-vertex u; an automorphism maps u to r, and the image of C still avoids
-orbits 1..i-1.
+The first level follows the orbits of the group, in the order of
+``vertex_orbits()``. Under orbit i, the least node r is cut, every node of
+orbits 1..i-1 is kept out of the cut, and the least neighbor of r is put
+on side A: swapping the sides keeps the cut set, and a cut node's
+neighbors are never cut. A cutset C meets some first orbit i, at a node u;
+an automorphism maps u to r, and the image of C still avoids orbits
+1..i-1. Nothing here depends on sigma or on the degree.
 
 The second level follows the orbits of the stabilizer Stab(r), read from
 ``PermutationGroup.pair_orbits``: the transversal elements below the
 first level of a checked stabilizer chain whose first base point is r
-generate Stab(r). It takes only the orbits
-O_1, O_2, ... of two or more vertices that lie outside the 2-ball of r and
-outside orbits 1..i-1, in order of least vertex: a star cutset through r
-cuts nothing in the 2-ball or in those orbits, and a one-vertex orbit
-removes no symmetry. Sub-root j also cuts s_j = min O_j and keeps
-O_1..O_{j-1} out of the cut; a last sub-root keeps every O_j out of it.
-Take a star cutset C' through r that avoids orbits 1..i-1. If it meets no
-O_j, the last sub-root finds it. Otherwise let O_j be the first it meets,
-at w, and let h in Stab(r) map w to s_j. Then h(C') contains r and s_j,
-avoids O_1..O_{j-1} and still avoids orbits 1..i-1, so sub-root j finds it.
-When Stab(r) is trivial there is no O_j, and r is searched from one root,
-as at the first level alone.
-
-So closing the leaves under the group recovers every star cutset. The star
-conjunction is Aut-invariant, so every image of a validated leaf is a star
-cutset. With a trivial group every vertex is its own orbit, and each
-cutset is found once, from its least vertex.
+generate Stab(r). It takes only the orbits O_1, O_2, ... of two or more
+vertices that lie outside the ball of r and outside orbits 1..i-1, in
+order of least vertex: a cutset through r cuts nothing in the ball or in
+those orbits, and a one-vertex orbit removes no symmetry. Sub-root j also
+cuts s_j = min O_j and keeps O_1..O_{j-1} out of the cut; a last sub-root
+keeps every O_j out of it. Take a cutset C' through r that avoids orbits
+1..i-1. If it meets no O_j, the last sub-root finds it. Otherwise let O_j
+be the first it meets, at w, and let h in Stab(r) map w to s_j. Then h(C')
+contains r and s_j, avoids O_1..O_{j-1} and still avoids orbits 1..i-1, so
+sub-root j finds it. When Stab(r) is trivial there is no O_j, and r is
+searched from one root, as at the first level alone. So closing the leaves
+under the group recovers every cutset; under the trivial group each one is
+found once, from its least node.
 
 An orbit is closed as soon as its first leaf passes the star conjunction,
 on sorted-id keys (``aut.vertex_set_key``), through the stabilizer chain
 of Aut(g) that Schreier–Sims has checked complete
 (``aut.vertex_set_closure``): the leaf is moved by the inverses of the
 transversal elements, level by level, and each of those is the inverse of
-a product of checked generators, so an automorphism too. A later leaf
-whose cut is already in the family is admitted without deciding it again:
-it is the image of a validated leaf under such an automorphism, so by the
-same invariance it passes, and the family already holds it, so its
-verdict could not change the output. A neighbor-split goal has no group,
-and every one of its leaves is decided.
-
-The roots are searched depth-first in order, every child of a branching is
-charged to one node budget that the search never overruns, and
-``exhausted`` holds exactly when no child was left unexplored, so a verdict
-does not depend on machine speed.
-
-The result is the family's sorted-id keys, in ascending order, which is
-the order of the members' sorted vertex lists. A ``Cutset`` is built only
-for a leaf that is decided; ``SearchResult.cutsets`` builds one per member
-on first use, and ``cutset.format_family`` writes the family file from the
-keys alone.
+a product of checked generators, so an automorphism too. The star
+conjunction is Aut-invariant, so a later leaf whose cut is already in the
+family is admitted without deciding it again: it is the image of a
+validated leaf under such an automorphism, so it passes, and the family
+already holds it, so its verdict could not change the output. Without a
+group every leaf is decided.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from math import inf
+from typing import Callable
 
 from .aut import (
     PermutationGroup,
@@ -81,15 +86,20 @@ from .aut import (
     vertex_set_closure,
     vertex_set_key,
 )
-from .cutset import Cutset, is_star_cutset, require_cubic
+from .cutset import Cutset, complement_labels, is_star_cutset, require_cubic
+from .cutset import _subdivision, _subdivision_distances
 from .errors import SearchError
-from .graph import Graph
+from .graph import Graph, Metric
 
 UNDECIDED, SIDE_A, SIDE_B, CUT = 0, 1, 2, 3
 _BIT = {SIDE_A: 1, SIDE_B: 2, CUT: 4}
 _ALL = 7
 _COLOR_ORDER = (CUT, SIDE_A, SIDE_B)
 _OTHER_SIDE = {SIDE_A: SIDE_B, SIDE_B: SIDE_A}
+_COUNTERS = (
+    "nodes", "prune_ball", "prune_edge", "prune_mask_empty", "prune_conflict",
+    "prune_cut_neighborhood", "leaves", "rejected_at_emission",
+)
 
 
 @dataclass(frozen=True)
@@ -117,8 +127,9 @@ class SearchTask:
 @dataclass(frozen=True)
 class SearchResult:
     """The cutsets found, as ascending sorted-id keys
-    (``aut.vertex_set_key``); ``cutsets`` holds them as vertex cutsets, in
-    the same order, and is built on first use."""
+    (``aut.vertex_set_key``), the order of their sorted vertex lists, from
+    which ``cutset.format_family`` writes the family file; ``cutsets``
+    holds them as vertex cutsets, in the same order, built on first use."""
 
     keys: tuple[str, ...]
     exhausted: bool
@@ -132,36 +143,39 @@ class SearchResult:
 @dataclass(frozen=True)
 class _Root:
     """Where one subtree of the search starts: seed assignments, and the
-    vertices kept out of the cut."""
+    nodes kept out of the cut."""
 
     seeds: tuple[tuple[int, int], ...]
     not_cut: tuple[int, ...] = ()
 
 
-def _ball2(g: Graph) -> list[frozenset[int]]:
-    out: list[frozenset[int]] = [frozenset()]
-    for v in g.vertices():
-        near = set()
-        for w in g.neighbors(v):
-            near.add(w)
-            near.update(g.neighbors(w))
-        near.discard(v)
-        out.append(frozenset(near))
-    return out
-
-
 class _Coloring:
-    """Mutable search state with an undo trail."""
+    """Mutable search state with an undo trail. In vertex kind the nodes
+    are the vertices of g; in edge kind they are the nodes of its
+    subdivision, and only midpoints may be cut. ``element`` maps each
+    cuttable node, ascending, to the cutset element it stands for, and
+    ``ball[v]`` holds the cuttable nodes closer than sigma to a cuttable v,
+    read from the subdivision's distance table in ascending node order."""
 
-    __slots__ = ("g", "ball2", "color", "mask", "trail", "stats")
+    __slots__ = ("g", "element", "ball", "color", "mask", "trail", "stats")
 
-    def __init__(self, g: Graph, ball2: Sequence[frozenset[int]], stats: dict):
-        self.g = g
-        self.ball2 = ball2
-        self.color = [UNDECIDED] * (g.n + 1)
-        self.mask = [_ALL] * (g.n + 1)
+    def __init__(self, g: Graph, metric: Metric, kind: str, sigma):
+        g2, _, mid = _subdivision(g, metric)
+        table = _subdivision_distances(g, metric)
+        if kind == "vertex":
+            self.g, self.element = g, {v: v for v in g.vertices()}
+        else:
+            self.g, self.element = g2, {m: e for e, m in mid.items()}
+        bound = sigma * table.denominator
+        self.mask = [_ALL ^ _BIT[CUT]] * (self.g.n + 1)
+        self.ball = [frozenset()] * (self.g.n + 1)
+        for v in self.element:
+            row = table.scaled_row(v)
+            self.mask[v] = _ALL
+            self.ball[v] = frozenset([u for u in self.element if u != v and row[u - 1] < bound])
+        self.color = [UNDECIDED] * (self.g.n + 1)
         self.trail: list[tuple] = []
-        self.stats = stats
+        self.stats = dict.fromkeys(_COUNTERS, 0)
 
     def mark(self) -> int:
         return len(self.trail)
@@ -208,7 +222,7 @@ class _Coloring:
             self.trail.append((0, v, UNDECIDED))
             self.color[v] = c
             if c == CUT:
-                for u in self.ball2[v]:
+                for u in self.ball[v]:
                     if self.color[u] == CUT:
                         self.stats["prune_ball"] += 1
                         return False
@@ -225,7 +239,7 @@ class _Coloring:
                         return False
                     if not self._restrict(u, _ALL ^ _BIT[other], queue):
                         return False
-                # a cut neighbor with two same-side neighbors forces the third
+                # a cut neighbor left with one open neighbor may force it
                 for u in self.g.neighbors(v):
                     if self.color[u] == CUT and not self._force_split(u, queue):
                         self.stats["prune_cut_neighborhood"] += 1
@@ -233,39 +247,26 @@ class _Coloring:
         return True
 
     def _force_split(self, u: int, queue: list) -> bool:
-        """Cut vertex u needs both sides around it: three neighbors on one
-        side fail, and two on one side push an undecided third to the
-        other."""
-        on_a = on_b = 0
-        third = None
+        """Cut node u needs both sides around it: a side it cannot reach
+        fails, and one undecided neighbor left to reach a missing side is
+        pushed to it."""
+        on_a = on_b = False
+        free = None
         for w in self.g.neighbors(u):
             c = self.color[w]
             if c == SIDE_A:
-                on_a += 1
+                on_a = True
             elif c == SIDE_B:
-                on_b += 1
+                on_b = True
             elif c == UNDECIDED:
-                third = w
-        if on_a == 3 or on_b == 3:
+                if free is not None:
+                    return True  # two undecided neighbors can still reach both sides
+                free = w
+        if on_a and on_b:
+            return True
+        if free is None or not (on_a or on_b):
             return False
-        if third is not None and on_a == 2:
-            return self._restrict(third, _BIT[SIDE_B], queue)
-        if third is not None and on_b == 2:
-            return self._restrict(third, _BIT[SIDE_A], queue)
-        return True
-
-
-def _fresh_stats() -> dict:
-    return {
-        "nodes": 0,
-        "prune_ball": 0,
-        "prune_edge": 0,
-        "prune_mask_empty": 0,
-        "prune_conflict": 0,
-        "prune_cut_neighborhood": 0,
-        "leaves": 0,
-        "rejected_at_emission": 0,
-    }
+        return self._restrict(free, _BIT[SIDE_A] if on_b else _BIT[SIDE_B], queue)
 
 
 def _goal_root(task: SearchTask) -> _Root:
@@ -281,26 +282,22 @@ def _goal_root(task: SearchTask) -> _Root:
     return _Root(((goal.v, CUT), (triple[goal.i - 1], SIDE_A), (triple[goal.j - 1], SIDE_B)))
 
 
-def _orbit_roots(g: Graph, grp: PermutationGroup, ball2) -> list[_Root]:
-    """Roots for every star cutset, two levels deep. Under each vertex
-    orbit's least vertex r, cut with its least neighbor on side A and the
-    earlier orbits kept out of the cut, one root per eligible orbit of
-    Stab(r) with two or more vertices also cuts that orbit's least vertex
-    and keeps the earlier such orbits out of the cut; a last root keeps
-    all of them out of it."""
+def _orbit_roots(state: _Coloring, grp: PermutationGroup | None) -> list[_Root]:
+    """Roots for every cutset, two levels deep, as the module docstring
+    sets out; no group stands for the trivial one on the cuttable nodes."""
     roots = []
     earlier: list[int] = []
-    done: set[int] = set()
-    for orbit in grp.vertex_orbits():
+    orbits = [(v,) for v in state.element] if grp is None else grp.vertex_orbits()
+    for orbit in orbits:
         r = orbit[0]
-        seeds = ((r, CUT), (g.neighbors(r)[0], SIDE_A))
+        seeds = ((r, CUT), (state.g.neighbors(r)[0], SIDE_A))
         stab_orbits: dict[int, list[int]] = {}  # by least vertex, ascending
-        for v, least in enumerate(grp.pair_orbits.stab.get(r, ()), start=1):
+        for v, least in enumerate(grp.pair_orbits.stab.get(r, ()) if grp is not None else (), start=1):
             stab_orbits.setdefault(least, []).append(v)
         subs = [
             sub
             for sub in stab_orbits.values()
-            if len(sub) > 1 and sub[0] not in ball2[r] and sub[0] not in done
+            if len(sub) > 1 and sub[0] not in state.ball[r] and sub[0] not in earlier
         ]
         not_cut = tuple(earlier)
         for sub in subs:
@@ -308,22 +305,21 @@ def _orbit_roots(g: Graph, grp: PermutationGroup, ball2) -> list[_Root]:
             not_cut += tuple(sub)
         roots.append(_Root(seeds, not_cut))
         earlier.extend(orbit)
-        done.update(orbit)
     return roots
 
 
 def _branch_vertex(state: _Coloring) -> int | None:
-    """The least undecided vertex next to a decided one, else the least
-    undecided vertex; None at a leaf. The graph is cubic."""
+    """The least undecided node next to a decided one, else the least
+    undecided node; None at a leaf."""
     g = state.g
     color = state.color
     best = None
     for v in g.vertices():
         if color[v] != UNDECIDED:
             continue
-        x, y, z = g.neighbors(v)
-        if color[x] != UNDECIDED or color[y] != UNDECIDED or color[z] != UNDECIDED:
-            return v
+        for w in g.neighbors(v):
+            if color[w] != UNDECIDED:
+                return v
         if best is None:
             best = v
     return best
@@ -332,44 +328,60 @@ def _branch_vertex(state: _Coloring) -> int | None:
 def search_star_cutsets(task: SearchTask) -> SearchResult:
     g = task.graph
     require_cubic(g)
-    ball2 = _ball2(g)
+    state = _Coloring(g, Metric.combinatorial(), "vertex", 3)
     if isinstance(task.goal, CoverAllGoal):
         grp = automorphism_group(g)
         for p in grp.generators:
             if not is_automorphism(g, p):
                 raise SearchError("a group generator does not map the edge set onto itself")
-        roots = _orbit_roots(g, grp, ball2)
+        roots = _orbit_roots(state, grp)
     else:
         grp, roots = None, [_goal_root(task)]
 
-    stats = _fresh_stats()
-    family = _Family(grp)
+    family = _Family(grp, lambda cut: is_star_cutset(g, Cutset.of_vertices(cut)).ok)
     exhausted = True
     for root in roots:
-        exhausted &= _search_root(g, ball2, root, task.node_budget, family, stats)
+        exhausted &= _search_root(state, root, task.node_budget, family)
     if grp is not None:
-        stats["orbits"] = family.orbits
-    return SearchResult(tuple(sorted(family.keys)), exhausted, stats)
+        state.stats["orbits"] = family.orbits
+    return SearchResult(tuple(sorted(family.keys)), exhausted, state.stats)
+
+
+def two_sided_cutsets(g: Graph, metric: Metric, kind: str, sigma) -> tuple[Cutset, ...]:
+    """Every cutset of g of the given kind that is sigma-separated, leaves
+    exactly two components and is minimal, in the order of their sorted
+    search nodes. Exact when every edge of g is shorter than sigma, as on
+    a link at sigma = pi."""
+    state = _Coloring(g, metric, kind, sigma)
+
+    def cutset_of(nodes) -> Cutset:
+        return Cutset(kind, frozenset([state.element[v] for v in nodes]))
+
+    family = _Family(None, lambda cut: complement_labels(g, cutset_of(cut))[1] == 2)
+    for root in _orbit_roots(state, None):
+        _search_root(state, root, inf, family)
+    return tuple(cutset_of(map(ord, key)) for key in sorted(family.keys))
 
 
 class _Family:
-    """The cutsets found so far, as sorted-id keys (``aut.vertex_set_key``).
-    With a group, a leaf that passes the star conjunction brings in its
-    whole orbit, and a later leaf already in the family is admitted
-    without being decided again."""
+    """The cutsets found so far, as sorted-id keys (``aut.vertex_set_key``)
+    of their nodes, each admitted when ``accept`` passes its cut nodes.
+    With a group, an accepted leaf brings in its whole orbit, and a later
+    leaf already in the family is admitted without being decided again."""
 
-    __slots__ = ("grp", "keys", "orbits")
+    __slots__ = ("grp", "accept", "keys", "orbits")
 
-    def __init__(self, grp: PermutationGroup | None):
+    def __init__(self, grp: PermutationGroup | None, accept: Callable[[list[int]], bool]):
         self.grp = grp
+        self.accept = accept
         self.keys: set[str] = set()
         self.orbits = 0
 
-    def admit(self, g: Graph, cut: list[int]) -> bool:
+    def admit(self, cut: list[int]) -> bool:
         key = vertex_set_key(cut)
         if self.grp is not None and key in self.keys:
             return True
-        if not is_star_cutset(g, Cutset.of_vertices(cut)).ok:
+        if not self.accept(cut):
             return False
         if self.grp is None:
             self.keys.add(key)
@@ -379,7 +391,8 @@ class _Family:
         return True
 
 
-def _emit_leaf(g: Graph, state: _Coloring, family: _Family, stats: dict) -> None:
+def _emit_leaf(state: _Coloring, family: _Family) -> None:
+    stats = state.stats
     stats["leaves"] += 1
     cut = []
     seen = 0
@@ -388,25 +401,21 @@ def _emit_leaf(g: Graph, state: _Coloring, family: _Family, stats: dict) -> None
             cut.append(v)
         else:
             seen |= color
-    if not (cut and seen == SIDE_A | SIDE_B and family.admit(g, cut)):
+    if not (cut and seen == SIDE_A | SIDE_B and family.admit(cut)):
         stats["rejected_at_emission"] += 1
 
 
-def _search_root(g, ball2, root: _Root, node_budget: int, family, stats) -> bool:
-    """Depth-first search below one root. Every child of a branching is
-    charged to ``stats["nodes"]``, which never passes ``node_budget``;
-    True when no child was left unexplored."""
-    state = _Coloring(g, ball2, stats)
-    for v in root.not_cut:
-        state.mask[v] &= _ALL ^ _BIT[CUT]
-    for v, c in root.seeds:
-        if not state.assign(v, c):
-            return True
+def _search_root(state: _Coloring, root: _Root, node_budget, family: _Family) -> bool:
+    """Depth-first search below one root, leaving the state as it found
+    it. Every child of a branching is charged to ``stats["nodes"]``, which
+    never passes ``node_budget``; True when no child was left unexplored,
+    so that whether a search is exhausted does not depend on machine speed."""
+    stats = state.stats
 
     def rec() -> bool:
         v = _branch_vertex(state)
         if v is None:
-            _emit_leaf(g, state, family, stats)
+            _emit_leaf(state, family)
             return True
         for c in _COLOR_ORDER:
             if not _BIT[c] & state.mask[v]:
@@ -421,4 +430,9 @@ def _search_root(g, ball2, root: _Root, node_budget: int, family, stats) -> bool
                 return False
         return True
 
-    return rec()
+    mark = state.mark()
+    for v in root.not_cut:
+        state._restrict(v, _ALL ^ _BIT[CUT], [])
+    complete = not all(state.assign(v, c) for v, c in root.seeds) or rec()
+    state.undo(mark)
+    return complete

@@ -2,7 +2,8 @@
 
 Everything here favors obviousness over speed and shares no code paths with
 the package: distances come from matrix powers, automorphisms from filtered
-permutations or natural-order backtracking, cutsets from subset enumeration.
+permutations or natural-order backtracking, cutsets and local pairs from
+subset enumeration.
 Gluing balance rows are written at every germ, member and element; only the
 class of one pair at one element comes from the package.
 """
@@ -182,6 +183,36 @@ def brute_star_cutsets(g: Graph) -> set[frozenset[int]]:
             ):
                 continue
             found.add(c)
+    return found
+
+
+def brute_link_cutsets(g: Graph, metric: Metric, kind: str, most: int | None = None) -> dict:
+    """Every set of at least two and at most ``most`` vertices (vertex kind)
+    or edges (edge kind) of g that is pi-separated and cuts g, mapped to its
+    component count and whether it is minimal. Removal and distances are
+    taken on the subdivision, whose half-edges carry half the length; a
+    cut-open edge is a component of its own. Exponential in the size of g."""
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices())
+    for u, v in g.edges():
+        half = Fraction(metric.edge_length((u, v)), 2)
+        h.add_edge(u, (u, v), w=half)
+        h.add_edge(v, (u, v), w=half)
+    universe = list(g.vertices()) if kind == "vertex" else list(g.edges())
+    dist = {x: nx.single_source_dijkstra_path_length(h, x, weight="w") for x in universe}
+
+    def count(removed) -> int:
+        return nx.number_connected_components(h.subgraph(x for x in h if x not in removed))
+
+    found = {}
+    for r in range(2, min(len(universe), most or len(universe)) + 1):
+        for combo in itertools.combinations(universe, r):
+            if any(dist[a].get(b, math.inf) < 1 for a, b in itertools.combinations(combo, 2)):
+                continue
+            k = count(combo)
+            if k >= 2:
+                minimal = all(count(set(combo) - {x}) < 2 for x in combo)
+                found[frozenset(combo)] = (k, minimal)
     return found
 
 

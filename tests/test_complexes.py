@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import sepcert.complexes as complexes
+from _oracles import brute_link_cutsets
 from sepcert.complexes import (
     PI,
     _antipode,
@@ -30,6 +31,8 @@ from sepcert.complexes import (
 from sepcert.datasets import named_graph
 from sepcert.errors import ComplexError
 from sepcert.graph import edge_key, girth
+from test_search import F090A_STAR_CUTSETS, F090A_STAR_SHA256, _family_sha256
+from test_trace_corpus import COMPLEXES
 
 
 @pytest.fixture(scope="module")
@@ -295,21 +298,89 @@ def test_trace_rejects_bad_seeds(grid):
         trace_hypergraph(grid, 13, (1, 4), kind="diagonal")
 
 
+def squares_around_one():
+    """Six squares around vertex 1: its link is a hexagon of right angles."""
+    faces = [(1, 2 + i, 8 + i, 2 + (i + 1) % 6) for i in range(6)]
+    return parse_complex(json.dumps({"vertices": 13, "faces": faces}))
+
+
 def test_seed_blocks_group_link_components():
-    # six squares around vertex 1: its link is a hexagon of right angles,
-    # and every second link vertex cuts it into three components
-    x = parse_complex(
-        json.dumps({"vertices": 13, "faces": [(1, 2 + i, 8 + i, 2 + (i + 1) % 6) for i in range(6)]})
-    )
+    # every second link vertex cuts the hexagon into three components
+    x = squares_around_one()
     assert len(wall_cut(x, trace_hypergraph(x, 1, (1, 3, 5))).blocks) == 3
 
 
-def test_local_pair_enumeration_guard():
-    big = fan(17)  # hub link is a 17-cycle, past the enumeration limit
-    with pytest.raises(ComplexError, match="refusing to enumerate"):
-        _pairs_at(big, "vertex", 1)
-    ring = link(big, 2)
-    assert ring.graph.n <= 3  # ring vertices stay well under the limit
+def _two_sided(lk, kind, most=None):
+    """The oracle's pi-separated cutsets of a link with exactly two
+    components that are minimal."""
+    found = brute_link_cutsets(lk.graph, lk.metric, kind, most)
+    return {c for c, (count, minimal) in found.items() if count == 2 and minimal}
+
+
+def test_local_pairs_have_exactly_two_sides():
+    # (1, 3, 5) and (2, 4, 6) are pi-separated but cut the hexagon three
+    # ways, as faces (0, 2, 4) and (1, 3, 5) do in edge kind: a local pair
+    # has exactly two sides, so these are no local pairs, though they
+    # still seed a trace (test_seed_blocks_group_link_components)
+    x = squares_around_one()
+    pinned = {
+        "vertex": [(1, 3), (1, 4), (1, 5), (2, 4), (2, 5), (2, 6), (3, 5), (3, 6), (4, 6)],
+        "edge": [(0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (1, 5), (2, 4), (2, 5), (3, 5)],
+    }
+    three_way = {"vertex": [(1, 3, 5), (2, 4, 6)], "edge": [(0, 2, 4), (1, 3, 5)]}
+    lk = link(x, 1)
+    for kind in ("vertex", "edge"):
+        assert [complexes._atoms(x, kind, 1, c) for c in _pairs_at(x, kind, 1)] == pinned[kind]
+        cutting = brute_link_cutsets(lk.graph, lk.metric, kind)
+        assert len(cutting) == 11
+        for atoms in three_way[kind]:
+            assert cutting[complexes._validated_pair(x, kind, 1, atoms).elements][0] == 3
+
+
+def test_local_pairs_past_sixteen_link_vertices():
+    # the hub's link is a 17-cycle of pi/3 corners: its local pairs are the
+    # two link vertices at least three steps apart around it
+    big = fan(17)
+    hub = [c.sorted_elements() for c in _pairs_at(big, "vertex", 1)]
+    assert hub == [(i, j) for i in range(1, 18) for j in range(i + 3, i + 15) if j <= 17]
+    assert {frozenset(p) for p in hub} == _two_sided(link(big, 1), "vertex", most=5)
+
+
+def hexagons_around_one():
+    """Three hexagons in a row around vertex 1: its link is a path of three
+    corners of 2/3 pi, where cutting an end and the vertex after next
+    leaves two components but is not minimal."""
+    faces = [(1, 2, 3, 4, 5, 6), (1, 6, 7, 8, 9, 10), (1, 10, 11, 12, 13, 14)]
+    return parse_complex(json.dumps({"vertices": 14, "faces": faces}))
+
+
+ORACLE_COMPLEXES = {
+    **COMPLEXES,
+    "squares-around-1": squares_around_one,
+    "hexagons-around-1": hexagons_around_one,
+    "fan-17": lambda: fan(17),
+}
+
+
+@pytest.mark.parametrize("kind", ["vertex", "edge"])
+@pytest.mark.parametrize("name", sorted(ORACLE_COMPLEXES))
+def test_local_pairs_match_the_subset_oracle(name, kind):
+    x = ORACLE_COMPLEXES[name]()
+    # a 17-cycle of pi/3 corners holds no pi-separated set of more than 5
+    most = 5 if name == "fan-17" else None
+    for v in range(1, x.n + 1):
+        got = [c.elements for c in _pairs_at(x, kind, v)]
+        assert len(set(got)) == len(got)
+        assert set(got) == _two_sided(link(x, v), kind, most), v
+
+
+@pytest.mark.slow
+def test_apex_pairs_of_the_f090a_cone_are_its_star_census():
+    # link vertex i of the apex is F090A vertex i, and pi-separation at
+    # pi/3 corners is combinatorial distance at least 3
+    pairs = _pairs_at(cone_complex(named_graph("f090a")), "vertex", 91)
+    assert len(pairs) == F090A_STAR_CUTSETS
+    assert _family_sha256(pairs, range(1, 91)) == F090A_STAR_SHA256
 
 
 # ------------------------------------------------------------------ walls --

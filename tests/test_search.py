@@ -16,7 +16,7 @@ from sepcert.aut import PermutationGroup, automorphism_group, orbit_of_vertex_se
 from sepcert.cutset import Cutset, format_family, is_star_cutset
 from sepcert.datasets import named_graph
 from sepcert.errors import CutsetError, SearchError
-from sepcert.graph import Graph, is_connected
+from sepcert.graph import Graph, Metric, is_connected
 from sepcert.search import (
     CoverAllGoal,
     NeighborSplitGoal,
@@ -204,7 +204,8 @@ def test_trivial_group_keeps_one_root_per_vertex():
     g = _random_cubic(60, 0)
     grp = automorphism_group(g)
     assert grp.order == 1
-    roots = search._orbit_roots(g, grp, search._ball2(g))
+    state = search._Coloring(g, Metric.combinatorial(), "vertex", 3)
+    roots = search._orbit_roots(state, grp)
     assert [(root.seeds[0], root.not_cut) for root in roots] == [
         ((r, search.CUT), tuple(range(1, r))) for r in g.vertices()
     ]
