@@ -10,8 +10,10 @@ complement. A family may carry a group of automorphisms of its graph.
 Construction checks three preconditions on every generator p: p is an
 automorphism of the graph, p preserves the metric (each edge keeps its
 length), and p maps the member multiset onto itself. The first member of
-each orbit is closed through the group's stabilizer chain, and each
-component count is found once per orbit. Then p maps the complement
+each orbit is closed once through the group's stabilizer chain, by the
+search's kernel (`aut.orbit_of_vertex_set`; an edge set on its midpoint
+ids); `SeparatedFamily.from_orbits` takes its members from those closures.
+Each component count is found once per orbit. Then p maps the complement
 components of a member onto those of its image, and distances onto distances,
 so every fact stated in terms of components, distances and family
 membership holds at a member, vertex or vertex pair exactly when it holds
@@ -32,7 +34,7 @@ same code decides each of them.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -48,6 +50,7 @@ from .aut import (
 from .cutset import (
     Cutset,
     _require_cutset,
+    _subdivision,
     complement_labels,
     image_elements,
     is_proper,
@@ -85,6 +88,23 @@ def _check_group(g: Graph, metric: Metric, grp: PermutationGroup, name: str) -> 
             )
 
 
+def _orbit_closure(g: Graph, kind: str, grp: PermutationGroup):
+    """The orbit kernel of the families: the elements of a cutset of
+    ``kind`` -> those of each image under ``grp``, sorted as by `Cutset.key`,
+    from `aut.orbit_of_vertex_set`. Edge sets are moved as their midpoint
+    ids in `graph.subdivide`, in sorted edge order, by the group extended
+    to the midpoints; its generators must be automorphisms."""
+    if kind == "vertex":
+        return lambda elements: orbit_of_vertex_set(grp, elements)
+    _, _, mid = _subdivision(g, Metric.combinatorial())
+    edge_of = {m: e for e, m in mid.items()}
+    gens = [p + tuple(mid[edge_key(p[u - 1], p[v - 1])] for u, v in mid) for p in grp.generators]
+    on_midpoints = PermutationGroup.generated_by(g.n + g.m, gens, grp.base)
+    return lambda elements: tuple(
+        frozenset([edge_of[m] for m in s]) for s in orbit_of_vertex_set(on_midpoints, [mid[e] for e in elements])
+    )
+
+
 @dataclass(frozen=True)
 class SeparatedFamily:
     """A named family of separated cutsets of one link, validated on
@@ -97,15 +117,15 @@ class SeparatedFamily:
     Without a group every member is checked. With a ``group``,
     construction also checks that every generator is an automorphism of
     the graph that preserves the metric, closes the first member of each
-    orbit through the group's transversals, and checks that member only
-    (see the module docstring). The closure relies on a group built by
-    `PermutationGroup.generated_by`, whose chain is complete.
-    ``orbit_of[i]`` is the index of the first member of member i's orbit;
-    without a group it is i.
+    orbit once by `_orbit_closure`, and checks that member only (see the
+    module docstring); the members given must be closed under the group.
+    With ``reps``, as `from_orbits` passes it, they are orbit
+    representatives instead, and the members are their images, sorted by
+    `Cutset.key`. ``orbit_of[i]`` is the index of the first member of
+    member i's orbit; without a group it is i.
 
-    The family indexes its members by element once, on the first
-    `pairs_at`; every later lookup, such as the class sums of each
-    gluing check, reads that index."""
+    The family computes its index of members by element, their keys and
+    their orbits once, for every gluing check that reads them."""
 
     graph: Graph
     sigma: Fraction
@@ -114,12 +134,16 @@ class SeparatedFamily:
     metric: Metric = None
     name: str = "link"
     group: PermutationGroup | None = None
+    reps: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, reps: bool):
         object.__setattr__(self, "sigma", Fraction(self.sigma))
         if self.sigma <= 0:
             raise CertifyError(f"separation sigma must be positive, got {self.sigma}")
-        object.__setattr__(self, "members", tuple(self.members))
+        object.__setattr__(self, "members", tuple(
+            c if isinstance(c, Cutset) else Cutset.of_vertices(c) if self.kind == "vertex" else Cutset.of_edges(c)
+            for c in self.members
+        ))
         if self.metric is None:
             object.__setattr__(self, "metric", Metric.combinatorial())
         self.metric.validate_for(self.graph)
@@ -130,8 +154,8 @@ class SeparatedFamily:
                 raise CertifyError(
                     f"member {c.sorted_elements()} has kind {c.kind!r}, family is {self.kind!r}"
                 )
-            c.validate_for(self.graph)  # image() moves valid cutsets only
-        orbit_of = tuple(range(len(self.members))) if self.group is None else self._member_orbits()
+            c.validate_for(self.graph)  # images of valid cutsets are valid
+        orbit_of = tuple(range(len(self.members))) if self.group is None else self._label_orbits(reps)
         object.__setattr__(self, "orbit_of", orbit_of)
         for i in self.representatives():
             c = self.members[i]
@@ -143,27 +167,34 @@ class SeparatedFamily:
                     f"{self.sigma}-separated: {sep.witness}"
                 )
 
-    def _member_orbits(self) -> tuple[int, ...]:
-        """Check the group's generators against the graph and the metric,
-        and label each member by its orbit: the first member of an orbit
-        is closed as `aut.vertex_set_closure` closes a vertex set, and
-        every image must be a member of the same multiplicity."""
+    def _label_orbits(self, reps: bool) -> tuple[int, ...]:
+        """Check the group's generators, close the first member of each
+        orbit not yet labelled, and label each member by the first member
+        of its orbit. Unless the members are ``reps``, every image must be
+        a member of the same multiplicity; the least missing one is named."""
         _check_group(self.graph, self.metric, self.group, self.name)
+        close = _orbit_closure(self.graph, self.kind, self.group)
         times = Counter(c.elements for c in self.members)
-        label: dict[int, int] = {}  # by the index of the last equal member
-        for i, c in enumerate(self.members):
-            if self._index[c.elements] not in label:
-                orbit = {self._index[c.elements]}
-                for backs in self.group.inverses:
-                    orbit |= {self.image(p, j) for j in orbit for p in backs[1:]}
-                for j in orbit:
-                    if times[self.members[j].elements] != times[c.elements]:
-                        raise CertifyError(
-                            f"family of link {self.name!r} is not closed under its group: "
-                            f"image {self.members[j].sorted_elements()} has another multiplicity"
-                        )
-                    label[j] = i
-        return tuple(label[self._index[c.elements]] for c in self.members)
+        least: dict[frozenset, frozenset] = {}  # each image -> the least image of its orbit
+        for c in self.members:
+            if c.elements in least:
+                continue
+            orbit = close(c.elements)
+            if not reps:
+                missing = next((s for s in orbit if s not in times), None)
+                if missing is not None:
+                    self._not_closed(f"image {tuple(sorted(missing))} missing")
+                other = next((s for s in orbit if times[s] != times[c.elements]), None)
+                if other is not None:
+                    self._not_closed(f"image {tuple(sorted(other))} has another multiplicity")
+            least.update(dict.fromkeys(orbit, orbit[0]))
+        if reps:
+            object.__setattr__(self, "members", tuple(Cutset(self.kind, s) for s in sorted(least, key=sorted)))
+        first: dict[frozenset, int] = {}
+        return tuple(first.setdefault(least[c.elements], i) for i, c in enumerate(self.members))
+
+    def _not_closed(self, what: str):
+        raise CertifyError(f"family of link {self.name!r} is not closed under its group: {what}")
 
     @cached_property
     def _index(self) -> dict[frozenset, int]:
@@ -175,10 +206,7 @@ class SeparatedFamily:
         elements = image_elements(self.kind, perm, self.members[i].elements)
         j = self._index.get(elements)
         if j is None:
-            raise CertifyError(
-                f"family of link {self.name!r} is not closed under its group: "
-                f"image {tuple(sorted(elements))} missing"
-            )
+            self._not_closed(f"image {tuple(sorted(elements))} missing")
         return j
 
     def representatives(self) -> list[int]:
@@ -191,30 +219,39 @@ class SeparatedFamily:
         return [i for i, o in enumerate(self.orbit_of) if o in failed]
 
     @cached_property
+    def member_keys(self) -> dict[Cutset, tuple]:
+        """The `Cutset.key` of each member, in member order."""
+        return {c: c.key() for c in self.members}
+
+    @cached_property
+    def member_orbits(self) -> tuple[tuple[Cutset, ...], ...]:
+        """The orbits of the members (one per member without a group), each
+        sorted by `Cutset.key`, in order of their least members."""
+        buckets: dict[int, list[Cutset]] = {}
+        for c, o in sorted(zip(self.members, self.orbit_of), key=lambda co: self.member_keys[co[0]]):
+            buckets.setdefault(o, []).append(c)
+        return tuple(map(tuple, buckets.values()))
+
+    @cached_property
     def symmetry(self) -> PairOrbits:
         """Orbits of the family's group on vertices and vertex pairs."""
         return (self.group or PermutationGroup.generated_by(self.graph.n, ())).pair_orbits
 
     @classmethod
-    def from_cutsets(
-        cls,
-        g: Graph,
-        sigma,
-        cutsets,
-        kind: str = "vertex",
-        metric: Metric | None = None,
-        name: str = "link",
-        group: PermutationGroup | None = None,
-    ) -> "SeparatedFamily":
+    def from_cutsets(cls, g: Graph, sigma, cutsets, kind="vertex", metric=None, name="link", group=None):
         """Family of the cutsets, given as `Cutset`s or as collections of
-        vertices or edges of ``kind``. The constructor closes one cutset
-        per orbit of ``group`` and finds each component count once per
-        orbit."""
-        cuts = tuple(
-            c if isinstance(c, Cutset) else Cutset.of_vertices(c) if kind == "vertex" else Cutset.of_edges(c)
-            for c in cutsets
-        )
-        return cls(g, sigma, kind, cuts, metric, name, group)
+        vertices or edges of ``kind``. With a ``group`` they must be closed
+        under it; the constructor closes one cutset per orbit and finds
+        each component count once per orbit."""
+        return cls(g, sigma, kind, cutsets, metric, name, group)
+
+    @classmethod
+    def from_orbits(cls, g: Graph, sigma, reps, group: PermutationGroup, kind="vertex", metric=None, name="link"):
+        """Family of the orbits of ``reps`` under ``group``, given as for
+        `from_cutsets`: every image of a rep, once, sorted by `Cutset.key`.
+        Each orbit is closed once, by the closure that labels it, and reps
+        in one orbit give it once."""
+        return cls(g, sigma, kind, reps, metric, name, group, True)
 
     @cached_property
     def _members_at(self) -> dict[object, tuple[Cutset, ...]]:
@@ -230,9 +267,6 @@ class SeparatedFamily:
         if self.kind == "edge" and isinstance(x, tuple):
             x = edge_key(*x)
         return self._members_at.get(x, ())
-
-    def distinct_cutsets(self) -> tuple[Cutset, ...]:
-        return tuple(sorted(set(self.members), key=Cutset.key))
 
 
 def _require_shape(g: Graph, what: str) -> None:
@@ -495,7 +529,7 @@ def certify_star_separated(g: Graph, fam: SeparatedFamily) -> Certificate:
     multi_constant = len(multi_values) == 1 and multi_values[0] >= 1
     witness = {
         "slots": len(_SLOTS) * g.n,
-        "distinct_cutsets": len(fam.distinct_cutsets()),
+        "distinct_cutsets": len(set(fam.members)),
         "set_values": set_values[:8],
         "multiset_values": multi_values[:8],
         "constant": set_values[0] if set_constant else None,
@@ -512,8 +546,8 @@ def certify_star_separated(g: Graph, fam: SeparatedFamily) -> Certificate:
 
 def _triangle_family(g: Graph, node_budget: int) -> tuple[SeparatedFamily, dict]:
     """Bootstrap a star-cutset family: search a neighbor-split goal at
-    vertex 1, close the first find under the automorphism group, which the
-    family keeps."""
+    vertex 1, and take the orbit of the first find under the automorphism
+    group, which the family keeps."""
     from .search import NeighborSplitGoal, SearchTask, search_star_cutsets
 
     res = search_star_cutsets(SearchTask(g, NeighborSplitGoal(1, 1, 2), node_budget=node_budget))
@@ -521,15 +555,13 @@ def _triangle_family(g: Graph, node_budget: int) -> tuple[SeparatedFamily, dict]
         raise CertifyError(
             "no star cutsets found within the search budget; supply a family"
         )
-    grp = automorphism_group(g)
-    seed = frozenset(map(ord, res.keys[0]))
-    closure = orbit_of_vertex_set(grp, seed)
-    fam = SeparatedFamily.from_cutsets(g, 3, closure, group=grp)
+    seed = frozenset(map(ord, res.orbits[0]))
+    fam = SeparatedFamily.from_orbits(g, 3, [seed], automorphism_group(g))
     info = {
         "searched_nodes": res.stats["nodes"],
         "search_exhausted": res.exhausted,
         "seed": tuple(sorted(seed)),
-        "orbit_size": len(closure),
+        "orbit_size": len(fam.members),
     }
     return fam, info
 

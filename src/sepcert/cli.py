@@ -334,9 +334,8 @@ def _load_weights(structure: GluingStructure, path: str) -> WeightAssignment:
         except ValueError:
             raise _UsageError(f"weights line {lineno}: bad integer {value!r}") from None
         li, orbit = by_id[oid]
-        keys = structure.pair_keys(li)
         for c in orbit:
-            weights[(li.name, keys[c])] = val
+            weights[(li.name, li.member_keys[c])] = val
     missing = [oid for oid in by_id if oid not in seen]
     if missing:
         raise _UsageError(f"weights file misses orbits: {', '.join(missing)}")

@@ -142,9 +142,9 @@ class EdgeGerm:
 @dataclass(frozen=True)
 class GluingStructure:
     """Named link families glued along germs; each family may carry its
-    link automorphism group. The structure computes the orbits of each
-    family's pairs, and each element's classes, once, for every check and
-    solve made on it."""
+    link automorphism group. Each element's classes are computed once for
+    every check and solve made on the structure; the orbits and keys of
+    each family's pairs are cached on the family."""
 
     instances: tuple[SeparatedFamily, ...]
     germs: tuple[EdgeGerm, ...]
@@ -178,42 +178,16 @@ class GluingStructure:
         return cls((li,), tuple(EdgeGerm.identity(li, li, x) for x in elements))
 
     @cached_property
-    def _orbits(self) -> dict[str, tuple]:
-        return {}
-
-    @cached_property
     def _classes(self) -> dict[tuple[str, object], dict]:
         return {}
 
-    @cached_property
-    def _keys(self) -> dict[str, dict[Cutset, tuple]]:
-        return {}
-
-    def pair_keys(self, li: SeparatedFamily) -> dict[Cutset, tuple]:
-        """The `Cutset.key` of each pair of li, in member order, computed
-        once."""
-        if li.name not in self._keys:
-            self._keys[li.name] = {c: c.key() for c in li.members}
-        return self._keys[li.name]
-
-    def orbits(self, li: SeparatedFamily) -> tuple[tuple[Cutset, ...], ...]:
-        """The orbits of li's pairs under its group (one per pair without a
-        group), each sorted by `Cutset.key`, in order of their first pairs."""
-        if li.name not in self._orbits:
-            key = self.pair_keys(li).__getitem__
-            buckets: dict[int, list[Cutset]] = {}
-            for c, o in zip(li.members, li.orbit_of):
-                buckets.setdefault(o, []).append(c)
-            orbits = [tuple(sorted(ms, key=key)) for ms in buckets.values()]
-            self._orbits[li.name] = tuple(sorted(orbits, key=lambda ms: key(ms[0])))
-        return self._orbits[li.name]
-
     def unknowns(self) -> tuple[tuple[str, SeparatedFamily, tuple[Cutset, ...]], ...]:
         """One weight unknown per orbit of pairs, as (id, family, orbit)
-        with the id '<link>:<index>', family by family in `orbits` order:
+        with the id '<link>:<index>', family by family in the order of
+        `SeparatedFamily.member_orbits`:
         the solver's w0, w1, ... and the ids of a weights file."""
         return tuple(
-            (f"{li.name}:{i}", li, orbit) for li in self.instances for i, orbit in enumerate(self.orbits(li))
+            (f"{li.name}:{i}", li, orbit) for li in self.instances for i, orbit in enumerate(li.member_orbits)
         )
 
     def classes_at(self, li: SeparatedFamily, x) -> dict[Cutset, frozenset]:
@@ -236,7 +210,7 @@ class WeightAssignment:
     @classmethod
     def all_ones(cls, structure: GluingStructure) -> "WeightAssignment":
         return cls(
-            {(li.name, key): 1 for li in structure.instances for key in structure.pair_keys(li).values()}
+            {(li.name, key): 1 for li in structure.instances for key in li.member_keys.values()}
         )
 
     def get(self, li: SeparatedFamily, c: Cutset, key: tuple | None = None) -> int:
@@ -322,16 +296,13 @@ def verify_gluing(structure: GluingStructure, w: WeightAssignment) -> Certificat
     there by the element taking x to r; otherwise every member is decided
     with the class sums at every element."""
     cert = Certificate("gluing")
-    keys = {li.name: structure.pair_keys(li) for li in structure.instances}
-    weight = {
-        li.name: {c: w.get(li, c, key) for c, key in keys[li.name].items()} for li in structure.instances
-    }
+    weight = {li.name: {c: w.get(li, c, key) for c, key in li.member_keys.items()} for li in structure.instances}
     bad_positive = []
     for li in structure.instances:
         for c in li.members:
             value = weight[li.name][c]
             if not (isinstance(value, int) and value >= 1):
-                bad_positive.append((li.name, keys[li.name][c], value))
+                bad_positive.append((li.name, li.member_keys[c], value))
     cert.add(
         "weights-positive",
         not bad_positive,
@@ -344,11 +315,11 @@ def verify_gluing(structure: GluingStructure, w: WeightAssignment) -> Certificat
         orbit_count = 0
         for li in structure.instances:
             before = len(bad_orbit)
-            for orbit in structure.orbits(li):
+            for orbit in li.member_orbits:
                 orbit_count += 1
                 vals = {weight[li.name][c] for c in orbit}
                 if len(vals) > 1:
-                    bad_orbit.append((li.name, keys[li.name][orbit[0]], sorted(vals)))
+                    bad_orbit.append((li.name, li.member_keys[orbit[0]], sorted(vals)))
             if li.group is not None and len(bad_orbit) == before:
                 invariant.add(li.name)
         cert.add(
@@ -504,11 +475,8 @@ def solve_gluing(structure: GluingStructure) -> WeightAssignment | GluingInfeasi
     k = len(unknowns)
     if k == 0:
         raise GluingError("structure has no pairs to weight")
-    keys = {li.name: structure.pair_keys(li) for li in structure.instances}
     # equal pairs share one key, so one unknown, as they share one weight
-    var_of_key = {
-        (li.name, keys[li.name][c]): j for j, (_, li, orbit) in enumerate(unknowns) for c in orbit
-    }
+    var_of_key = {(li.name, li.member_keys[c]): j for j, (_, li, orbit) in enumerate(unknowns) for c in orbit}
 
     def assignment_from(values: list[int]) -> WeightAssignment:
         return WeightAssignment({key: values[j] for key, j in var_of_key.items()})
@@ -518,7 +486,7 @@ def solve_gluing(structure: GluingStructure) -> WeightAssignment | GluingInfeasi
         return ones
 
     unit = {
-        li.name: {c: Counter({var_of_key[li.name, key]: 1}) for c, key in keys[li.name].items()}
+        li.name: {c: Counter({var_of_key[li.name, key]: 1}) for c, key in li.member_keys.items()}
         for li in structure.instances
     }
     balance = _Balance(structure, unit, Counter())

@@ -12,8 +12,9 @@ predicate or certifier that decides it. The stages and their checks:
   ``cutset.is_star_cutset`` with the seed's elements and every clause;
 * ``neighbor-splits-at-v1``: ``v1-neighbors`` and ``c{k}-splits-v{t}``,
   seed k splitting neighbor t off the other two (``split_pattern``);
-* ``orbit-closure``: ``closure`` (orbit sizes, timed with the family's
-  construction) and ``members-minimal``;
+* ``orbit-closure``: ``closure`` (orbit sizes, read from the family,
+  whose construction closes the orbits and is timed) and
+  ``members-minimal``;
 * ``star-separated``, which includes vertex 3-separation of the closure,
   whose ``covering`` decides that the members cover every vertex;
 * ``pair-separations``: ``p{d}-distance`` and ``p{d}-separated`` for the
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .aut import automorphism_group, is_automorphism, is_distance_transitive, orbit_of_vertex_set
+from .aut import automorphism_group, is_automorphism, is_distance_transitive
 from .certify import SeparatedFamily, certify_star_separated, certify_triangle_link, split_pattern
 from .cutset import Cutset, complement_labels, is_minimal_cutset, is_star_cutset
 from .datasets import f090a, f090a_star_cutsets
@@ -129,22 +130,16 @@ def _split_stage(report: RunReport, g, seeds) -> None:
 
 
 def _closure_stage(report: RunReport, g, grp, seeds) -> SeparatedFamily:
-    """The orbit closure of the seeds as one family that keeps the group.
-    One closure is taken per distinct seed orbit, and minimality is
+    """The orbits of the seeds as one family that keeps the group, built by
+    `SeparatedFamily.from_orbits`, which closes each distinct seed orbit
+    once; each seed's orbit size is read from the family. Minimality is
     decided at the first member of each member orbit."""
     cert = report.new_certificate("orbit-closure")
-    orbits = {}
-    found: list[set] = []
-    for k, c in enumerate(seeds, start=1):
-        orb = next((o for o in found if c in o), None)
-        if orb is None:
-            orb = set(orbit_of_vertex_set(grp, c))
-            found.append(orb)
-        orbits[f"c{k}"] = len(orb)
-    members = tuple(sorted(set().union(*found), key=sorted))
     with Stopwatch() as sw:
-        fam = SeparatedFamily.from_cutsets(g, 3, members, group=grp)
-    cert.add("closure", True, {"per_seed_orbit": orbits, "distinct": len(members)}, sw.millis)
+        fam = SeparatedFamily.from_orbits(g, 3, seeds, grp)
+    size = {c: len(orbit) for orbit in fam.member_orbits for c in orbit}
+    orbits = {f"c{k}": size[Cutset.of_vertices(c)] for k, c in enumerate(seeds, start=1)}
+    cert.add("closure", True, {"per_seed_orbit": orbits, "distinct": len(fam.members)}, sw.millis)
     bad = {i for i in fam.representatives() if not is_minimal_cutset(g, fam.members[i]).ok}
     cert.add("members-minimal", not bad, {"violating_members": len(fam.members_of_failed(bad))})
     return fam

@@ -70,7 +70,9 @@ conjunction is Aut-invariant, so a later leaf whose cut is already in the
 family is admitted without deciding it again: it is the image of a
 validated leaf under such an automorphism, so it passes, and the family
 already holds it, so its verdict could not change the output. Without a
-group every leaf is decided.
+group every leaf is decided. The least key of each closure represents its
+orbit (``SearchResult.orbits``): ``certify.SeparatedFamily.from_orbits``
+rebuilds the family from them, through the same kernel.
 """
 from __future__ import annotations
 
@@ -86,10 +88,10 @@ from .aut import (
     vertex_set_closure,
     vertex_set_key,
 )
-from .cutset import Cutset, complement_labels, is_star_cutset, require_cubic
+from .cutset import Cutset, is_star_cutset, require_cubic
 from .cutset import _subdivision, _subdivision_distances
 from .errors import SearchError
-from .graph import Graph, Metric
+from .graph import Graph, Metric, component_labels
 
 UNDECIDED, SIDE_A, SIDE_B, CUT = 0, 1, 2, 3
 _BIT = {SIDE_A: 1, SIDE_B: 2, CUT: 4}
@@ -129,9 +131,13 @@ class SearchResult:
     """The cutsets found, as ascending sorted-id keys
     (``aut.vertex_set_key``), the order of their sorted vertex lists, from
     which ``cutset.format_family`` writes the family file; ``cutsets``
-    holds them as vertex cutsets, in the same order, built on first use."""
+    holds them as vertex cutsets, in the same order, built on first use.
+    ``orbits`` holds the least key of each orbit, ascending, from which
+    ``certify.SeparatedFamily.from_orbits`` rebuilds the family; without a
+    group every key is its own orbit."""
 
     keys: tuple[str, ...]
+    orbits: tuple[str, ...]
     exhausted: bool
     stats: dict
 
@@ -343,8 +349,8 @@ def search_star_cutsets(task: SearchTask) -> SearchResult:
     for root in roots:
         exhausted &= _search_root(state, root, task.node_budget, family)
     if grp is not None:
-        state.stats["orbits"] = family.orbits
-    return SearchResult(tuple(sorted(family.keys)), exhausted, state.stats)
+        state.stats["orbits"] = len(family.orbits)
+    return SearchResult(tuple(sorted(family.keys)), tuple(sorted(family.orbits)), exhausted, state.stats)
 
 
 def two_sided_cutsets(g: Graph, metric: Metric, kind: str, sigma) -> tuple[Cutset, ...]:
@@ -353,21 +359,20 @@ def two_sided_cutsets(g: Graph, metric: Metric, kind: str, sigma) -> tuple[Cutse
     search nodes. Exact when every edge of g is shorter than sigma, as on
     a link at sigma = pi."""
     state = _Coloring(g, metric, kind, sigma)
-
-    def cutset_of(nodes) -> Cutset:
-        return Cutset(kind, frozenset([state.element[v] for v in nodes]))
-
-    family = _Family(None, lambda cut: complement_labels(g, cutset_of(cut))[1] == 2)
+    # a leaf's cut nodes keep their ids in the subdivision; no cache is filled
+    g2 = _subdivision(g, metric)[0]
+    family = _Family(None, lambda cut: component_labels(g2, removed_vertices=cut)[1] == 2)
     for root in _orbit_roots(state, None):
         _search_root(state, root, inf, family)
-    return tuple(cutset_of(map(ord, key)) for key in sorted(family.keys))
+    return tuple(Cutset(kind, frozenset([state.element[ord(v)] for v in key])) for key in sorted(family.keys))
 
 
 class _Family:
     """The cutsets found so far, as sorted-id keys (``aut.vertex_set_key``)
-    of their nodes, each admitted when ``accept`` passes its cut nodes.
-    With a group, an accepted leaf brings in its whole orbit, and a later
-    leaf already in the family is admitted without being decided again."""
+    of their nodes, each admitted when ``accept`` passes its cut nodes, and
+    the least key of each orbit. With a group, an accepted leaf brings in
+    its whole orbit, and a later leaf already in the family is admitted
+    without being decided again; without one, each key is its own orbit."""
 
     __slots__ = ("grp", "accept", "keys", "orbits")
 
@@ -375,7 +380,7 @@ class _Family:
         self.grp = grp
         self.accept = accept
         self.keys: set[str] = set()
-        self.orbits = 0
+        self.orbits: set[str] = set()
 
     def admit(self, cut: list[int]) -> bool:
         key = vertex_set_key(cut)
@@ -383,11 +388,9 @@ class _Family:
             return True
         if not self.accept(cut):
             return False
-        if self.grp is None:
-            self.keys.add(key)
-        else:
-            self.keys |= vertex_set_closure(self.grp, key)
-            self.orbits += 1
+        orbit = {key} if self.grp is None else vertex_set_closure(self.grp, key)
+        self.keys |= orbit
+        self.orbits.add(min(orbit))
         return True
 
 

@@ -95,9 +95,9 @@ def test_family_image_moves_a_member_by_its_elements():
 
 def test_family_distinct_cutsets(q3, q3_neighborhood_family):
     fam = q3_neighborhood_family
-    assert len(fam.distinct_cutsets()) == 8
+    assert len(set(fam.members)) == 8
     doubled = SeparatedFamily(q3, fam.sigma, "vertex", fam.members + fam.members)
-    assert doubled.distinct_cutsets() == fam.distinct_cutsets()
+    assert set(doubled.members) == set(fam.members)
 
 
 # ------------------------------------------------------ vertex-separated --
@@ -384,25 +384,84 @@ def test_c8_family_under_a_half_turn_fails_alike_with_and_without_it():
     assert not got[0].check("distant-pairs-split").ok
 
 
-def test_family_closes_each_orbit_through_the_chain(monkeypatch, f090a, f090a_group, f090a_census, orbit_closure):
-    """A family built with a group moves the first member of each orbit
-    through the chain's inverse transversals, fewer moves than one per
-    member and generator, and checks one member per orbit as a cutset."""
+def test_family_closes_each_orbit_through_the_chain(
+    monkeypatch, f090a, f090a_group, f090a_census, seed_cutsets, orbit_closure
+):
+    """A family built with a group closes each orbit once, through
+    `aut.orbit_of_vertex_set`, moves no member with `image_elements`, and
+    checks one member per orbit as a cutset: built from the census's orbit
+    representatives or from all of its members, and from the three seeds,
+    which share one orbit, or from that orbit."""
     calls = Counter()
-    for name in ("image_elements", "_require_cutset"):
+    for name in ("orbit_of_vertex_set", "image_elements", "_require_cutset"):
 
         def counted(*args, _name=name, _call=getattr(certify, name)):
             calls[_name] += 1
             return _call(*args)
 
         monkeypatch.setattr(certify, name, counted)
-    assert len(f090a_group.generators) == 6
-    for cutsets, moves, orbits in ((f090a_census.cutsets, 36_816, 15), (orbit_closure, 2_062, 1)):
+    reps = [frozenset(map(ord, key)) for key in f090a_census.orbits]
+    builds = (
+        (lambda: SeparatedFamily.from_orbits(f090a, 3, reps, f090a_group), 15),
+        (lambda: SeparatedFamily.from_cutsets(f090a, 3, f090a_census.cutsets, group=f090a_group), 15),
+        (lambda: SeparatedFamily.from_orbits(f090a, 3, seed_cutsets, f090a_group), 1),
+        (lambda: SeparatedFamily.from_cutsets(f090a, 3, orbit_closure, group=f090a_group), 1),
+    )
+    for build, orbits in builds:
         calls.clear()
-        fam = SeparatedFamily.from_cutsets(f090a, 3, cutsets, group=f090a_group)
-        assert moves < len(fam.members) * 6
+        fam = build()
         assert len(fam.representatives()) == orbits
-        assert calls == {"image_elements": moves, "_require_cutset": orbits}
+        assert calls == Counter(orbit_of_vertex_set=orbits, image_elements=0, _require_cutset=orbits)
+
+
+def assert_from_orbits_is_from_cutsets(g, sigma, reps, group, kind="vertex") -> SeparatedFamily:
+    """The family of the orbits of ``reps`` equals the family of every
+    image, given sorted by `Cutset.key`, with the same orbit labels."""
+    fam = SeparatedFamily.from_orbits(g, sigma, reps, group, kind)
+    closed = SeparatedFamily.from_cutsets(g, sigma, sorted(fam.members, key=Cutset.key), kind, group=group)
+    assert fam == closed and fam.orbit_of == closed.orbit_of
+    return fam
+
+
+def test_family_from_orbits_is_the_family_of_every_image(q3, f090a, f090a_group, f090a_census, census_orbits):
+    q3_group = automorphism_group(q3)
+    fam = assert_from_orbits_is_from_cutsets(q3, 2, [q3.neighbors(1)], q3_group)
+    assert len(fam.members) == 8 and fam.representatives() == [0]
+    c6 = named_graph("c6")
+    c6_group = automorphism_group(c6)
+    assert assert_from_orbits_is_from_cutsets(c6, 3, [(2, 5)], c6_group).orbit_of == (0, 0, 0)
+    # reps in one orbit give it once
+    three_sided = assert_from_orbits_is_from_cutsets(c6, 2, [(2, 4, 6), (1, 3, 5)], c6_group)
+    assert three_sided.orbit_of == (0, 0)
+    # edge kind: the half-turn of C8 swaps the first two cutsets and fixes
+    # the others
+    c8 = named_graph("c8")
+    half_turn = PermutationGroup.generated_by(8, [(5, 6, 7, 8, 1, 2, 3, 4)])
+    edges = [((1, 2), (4, 5)), ((1, 2), (5, 6)), ((3, 4), (7, 8))]
+    c8_edges = assert_from_orbits_is_from_cutsets(c8, 3, edges, half_turn, "edge")
+    assert [c.sorted_elements() for c in c8_edges.members] == [
+        ((1, 2), (4, 5)), ((1, 2), (5, 6)), ((1, 8), (5, 6)), ((3, 4), (7, 8))
+    ]
+    assert c8_edges.orbit_of == (0, 1, 0, 3)
+    cyclic = PermutationGroup.generated_by(f090a.n, f090a_group.generators[:1])
+    members = [c for orbit in census_orbits[:3] for c in orbit]
+    cyclic_fam = assert_from_orbits_is_from_cutsets(f090a, 3, members, cyclic)
+    assert len(cyclic_fam.members) == len(members) and len(cyclic_fam.representatives()) > 3
+    reps = [frozenset(map(ord, key)) for key in f090a_census.orbits]
+    census = assert_from_orbits_is_from_cutsets(f090a, 3, reps, f090a_group)
+    assert census.members == f090a_census.cutsets and len(census.representatives()) == 15
+
+
+def test_edge_family_missing_one_image_is_refused():
+    # the four cutsets of C8 through opposite edges are one orbit of
+    # Aut(C8); the least missing image is named
+    c8 = named_graph("c8")
+    cutsets = [[(1, 2), (5, 6)], [(2, 3), (6, 7)], [(3, 4), (7, 8)], [(4, 5), (8, 1)]]
+    group = automorphism_group(c8)
+    fam = SeparatedFamily.from_cutsets(c8, 4, cutsets, "edge", group=group)
+    assert fam.orbit_of == (0, 0, 0, 0)
+    with pytest.raises(CertifyError, match=r"not closed under its group: image \(\(2, 3\), \(6, 7\)\) missing$"):
+        SeparatedFamily.from_cutsets(c8, 4, cutsets[:1] + cutsets[3:], "edge", group=group)
 
 
 def assert_orbits_match_the_generator_union_find(fam) -> None:
@@ -469,6 +528,11 @@ def test_family_refuses_a_generator_that_is_not_an_automorphism(q3, q3_neighborh
         replace(q3_neighborhood_family, group=bogus)
     with pytest.raises(CertifyError, match="group degree"):
         replace(q3_neighborhood_family, group=automorphism_group(named_graph("c6")))
+    # an edge-kind family is checked before its edges are moved
+    c8 = named_graph("c8")
+    reflection = PermutationGroup.generated_by(8, [(2, 1, *range(3, 9))])
+    with pytest.raises(CertifyError, match="not an automorphism"):
+        SeparatedFamily.from_orbits(c8, 2, [[(1, 2), (5, 6)]], reflection, "edge")
 
 
 def test_family_refuses_a_group_that_moves_the_metric():

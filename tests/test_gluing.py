@@ -117,7 +117,7 @@ def test_orbits_of_the_seed_closure_match_all_group_elements(symmetric_closure_f
     assert len(perms) == 4320
     fam = symmetric_closure_family
     oracle = set_orbits(perms, (c.elements for c in fam.members))
-    got = GluingStructure.homogeneous(fam).orbits(fam)
+    got = fam.member_orbits
     assert {frozenset(c.elements for c in orbit) for orbit in got} == oracle
     assert sorted(len(orbit) for orbit in got) == [720]
 
@@ -195,13 +195,13 @@ def test_homogeneous_structure_has_one_germ_per_element(c6_diameters):
 
 
 def test_orbits_without_group_are_singletons(c6_diameters):
-    orbits = GluingStructure.homogeneous(c6_diameters).orbits(c6_diameters)
+    orbits = c6_diameters.member_orbits
     assert len(orbits) == 3 and all(len(o) == 1 for o in orbits)
 
 
 def test_orbits_under_full_symmetry(c6_diameters):
     li = symmetric(c6_diameters)
-    orbits = GluingStructure.homogeneous(li).orbits(li)
+    orbits = li.member_orbits
     assert len(orbits) == 1 and len(orbits[0]) == 3
 
 

@@ -13,7 +13,7 @@ import pytest
 from _oracles import brute_star_cutsets, separates
 from sepcert import search
 from sepcert.aut import PermutationGroup, automorphism_group, orbit_of_vertex_set
-from sepcert.cutset import Cutset, format_family, is_star_cutset
+from sepcert.cutset import Cutset, _complement_labels_cached, format_family, is_star_cutset
 from sepcert.datasets import named_graph
 from sepcert.errors import CutsetError, SearchError
 from sepcert.graph import Graph, Metric, is_connected
@@ -22,6 +22,7 @@ from sepcert.search import (
     NeighborSplitGoal,
     SearchTask,
     search_star_cutsets,
+    two_sided_cutsets,
 )
 
 #: Star cutsets of F090A found by the exhaustive search of the seed commit,
@@ -109,6 +110,27 @@ def test_f090a_census_in_the_bundled_labelling(f090a_census):
     assert len(f090a_census.cutsets) == F090A_STAR_CUTSETS
     assert _family_sha256(f090a_census.cutsets, range(1, 91)) == F090A_STAR_SHA256
     assert f090a_census.stats["orbits"] == 15
+
+
+def test_census_orbits_are_the_least_member_of_each_orbit(census_orbits, f090a_census):
+    assert [frozenset(map(ord, key)) for key in f090a_census.orbits] == [orbit[0] for orbit in census_orbits]
+    _, bridge10 = exhaustive("bridge10")
+    assert len(bridge10.keys) == 2 and bridge10.orbits == bridge10.keys[:1]
+    # without a group every cutset is its own orbit
+    goal = search_star_cutsets(SearchTask(named_graph("f090a"), NeighborSplitGoal(1, 1, 2), node_budget=5000))
+    assert goal.orbits == goal.keys and "orbits" not in goal.stats
+
+
+def test_two_sided_cutsets_leave_the_complement_label_cache_alone():
+    c8 = named_graph("c8")
+    before = _complement_labels_cached.cache_info().currsize
+    vertex = two_sided_cutsets(c8, Metric.combinatorial(), "vertex", 4)
+    edge = two_sided_cutsets(c8, Metric.combinatorial(), "edge", 4)
+    assert _complement_labels_cached.cache_info().currsize == before
+    assert [c.sorted_elements() for c in vertex] == [(1, 5), (2, 6), (3, 7), (4, 8)]
+    assert [c.sorted_elements() for c in edge] == [
+        ((1, 2), (5, 6)), ((1, 8), (4, 5)), ((2, 3), (6, 7)), ((3, 4), (7, 8))
+    ]
 
 
 def _count_star_predicate(monkeypatch) -> list[int]:
