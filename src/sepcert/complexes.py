@@ -11,7 +11,11 @@ the two-sided cut such a hypergraph induces on the subdivided 1-skeleton.
 Each complex builds its vertex -> faces and vertex -> edges incidence in one
 pass, and its subdivided 1-skeleton once, both on first use and kept with
 the complex; links, midpoint ids and wall cuts read them from there, so a
-pass over every vertex stays linear in the size of the complex.
+pass over every vertex stays linear in the size of the complex.  Links
+share shapes: a link's graph and angular metric are interned per complex
+under its labelled shape (degree, corners with their angles), so girth is
+decided once per shape (``check_gromov`` keeps no link), and local pairs
+are listed once per shape and kind, then sorted by each vertex's atoms.
 
 Local pairs and tracing conventions
 -----------------------------------
@@ -61,7 +65,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .cutset import Cutset, complement_labels, induced_partition, is_sigma_separated
@@ -307,13 +311,11 @@ def _corner_angle(k: int) -> Fraction:
     return Fraction(k - 2, k)
 
 
-def link(x: PolygonalComplex, v: int) -> Link:
-    """Build the link of vertex v with corner angles as edge lengths."""
-    if not 1 <= v <= x.n:
-        raise ComplexError(f"vertex {v} outside 1..{x.n}")
-    key = ("link", v)
-    if key in x._cache:
-        return x._cache[key]
+def _link_shape(x: PolygonalComplex, v: int) -> tuple[tuple[Graph, Metric], dict[Edge, int]]:
+    """The link of v as its shape (graph, angular metric) and the face of
+    each corner.  The corner loop runs at every call; the shape is interned
+    per complex under (degree, corners with their angles), so vertices with
+    equal links share one graph and one metric."""
     incident = x.edges_at(v)
     ids = {e: i + 1 for i, e in enumerate(incident)}
     lengths: dict[Edge, Fraction] = {}
@@ -332,17 +334,31 @@ def link(x: PolygonalComplex, v: int) -> Link:
             )
         lengths[le] = _corner_angle(k)
         face_of[le] = idx
-    lk = Link(v, Graph(len(incident), lengths), Metric.angular(lengths), incident, face_of)
-    x._cache[key] = lk
-    return lk
+    shapes = x._cache.setdefault("shapes", {})
+    key = (len(incident), tuple(sorted(lengths.items())))
+    if key not in shapes:
+        shapes[key] = (Graph(len(incident), lengths), Metric.angular(lengths))
+    return shapes[key], face_of
+
+
+def link(x: PolygonalComplex, v: int) -> Link:
+    """Build the link of vertex v with corner angles as edge lengths."""
+    if not 1 <= v <= x.n:
+        raise ComplexError(f"vertex {v} outside 1..{x.n}")
+    key = ("link", v)
+    if key not in x._cache:
+        (graph, metric), face_of = _link_shape(x, v)
+        x._cache[key] = Link(v, graph, metric, x.edges_at(v), face_of)
+    return x._cache[key]
 
 
 def check_gromov(x: PolygonalComplex) -> Certificate:
     """Certify the link condition: every link has angular girth >= 2 pi.
 
     One check per vertex; failures carry a shortest offending cycle.  The
-    leading shapes check records the side counts and the maximal face
-    circumference for scale.
+    girth is decided once per link shape and no link is kept.  The leading
+    shapes check records the side counts and the maximal face circumference
+    for scale.
     """
     cert = Certificate("gromov-link-condition")
     cert.add(
@@ -350,16 +366,19 @@ def check_gromov(x: PolygonalComplex) -> Certificate:
         True,
         {"side_counts": x.shapes(), "max_circumference": x.max_circumference()},
     )
+    decided: dict[tuple[Graph, Metric], tuple[bool, dict]] = {}
     for v in range(1, x.n + 1):
-        lk = link(x, v)
-        got = girth(lk.graph, lk.metric)
-        ok = got is INF or got >= 2
-        witness = {"girth_pi_units": got, "required": 2}
-        if not ok:
-            found = shortest_cycle(lk.graph, lk.metric)
-            if found is not None:
-                witness["cycle"] = found[1]
-        cert.add(f"link-girth-{v}", ok, witness)
+        shape = _link_shape(x, v)[0]
+        if shape not in decided:
+            got = girth(*shape)
+            ok = got is INF or got >= 2
+            witness = {"girth_pi_units": got, "required": 2}
+            if not ok:
+                found = shortest_cycle(*shape)
+                if found is not None:
+                    witness["cycle"] = found[1]
+            decided[shape] = (ok, witness)
+        cert.add(f"link-girth-{v}", *decided[shape])
     return cert
 
 
@@ -456,18 +475,27 @@ class Hypergraph:
         object.__setattr__(self, "pairs", tuple(sorted(self.pairs)))
         object.__setattr__(self, "frontier", tuple(sorted(self.frontier)))
 
+    @cached_property
+    def _pair_index(self) -> dict[int, Cutset]:
+        return dict(self.pairs)
+
+    @cached_property
+    def _segment_index(self) -> dict[int, tuple[Segment, ...]]:
+        index: dict[int, list[Segment]] = {}
+        for seg in self.segments:
+            for v in seg.ends():
+                index.setdefault(v, []).append(seg)
+        return {v: tuple(segs) for v, segs in index.items()}
+
     def pair_at(self, v: int) -> Cutset | None:
-        return dict(self.pairs).get(v)
+        return self._pair_index.get(v)
 
     def vertices(self) -> tuple[int, ...]:
         """All segment endpoints, ascending."""
-        out: set[int] = set()
-        for seg in self.segments:
-            out.update(seg.ends())
-        return tuple(sorted(out))
+        return tuple(sorted(self._segment_index))
 
     def segments_at(self, v: int) -> tuple[Segment, ...]:
-        return tuple(s for s in self.segments if v in s.ends())
+        return self._segment_index.get(v, ())
 
     def degree(self, v: int) -> int:
         return len(self.segments_at(v))
@@ -506,21 +534,18 @@ def _pairs_at(x: PolygonalComplex, kind: str, u: int) -> tuple[Cutset, ...]:
     """All local pairs at a walkway vertex, sorted by their atoms: the
     cutsets of the link with at least two elements that are pi-separated,
     have exactly two components and are minimal, from the star search
-    (``search.two_sided_cutsets``); at an edge midpoint, the cage pair when
-    at least two faces meet there."""
-    key = ("pairs", kind, u)
-    if key in x._cache:
-        return x._cache[key]
+    (``search.two_sided_cutsets``), run once per link shape and kind; at an
+    edge midpoint, the cage pair when at least two faces meet there."""
     if kind == "edge" and u > x.n:
-        out = (_CAGE_PAIR,) if len(x.edge_faces[_midpoint_edge(x, u)]) >= 2 else ()
-    else:
+        return (_CAGE_PAIR,) if len(x.edge_faces[_midpoint_edge(x, u)]) >= 2 else ()
+    lk = link(x, u)
+    key = ("pairs", kind, lk.graph, lk.metric)
+    if key not in x._cache:
         from .search import two_sided_cutsets
 
-        lk = link(x, u)
-        found = [c for c in two_sided_cutsets(lk.graph, lk.metric, kind, PI) if len(c) >= 2]
-        out = tuple(sorted(found, key=lambda c: _atoms(x, kind, u, c)))
-    x._cache[key] = out
-    return out
+        found = two_sided_cutsets(lk.graph, lk.metric, kind, PI)
+        x._cache[key] = tuple(c for c in found if len(c) >= 2)
+    return tuple(sorted(x._cache[key], key=lambda c: _atoms(x, kind, u, c)))
 
 
 def _validated_pair(
@@ -813,8 +838,12 @@ def wall_cut(x: PolygonalComplex, h: Hypergraph) -> WallCut:
     midpoint); edge hypergraphs remove the crossed subdivided vertices.
     Components are then grouped: at every visited vertex, components touched
     by directions that enter one side of the local pair belong to the same
-    side.
+    side.  The complex keeps the last hypergraph and its cut, so a
+    separation query after the cut does not cut again.
     """
+    last = x._cache.get("wall")
+    if last is not None and last[0] is h:
+        return last[1]
     g2, mid = _subdivided_skeleton(x)
     removed: set[int] = set()
     if h.kind == "vertex":
@@ -839,7 +868,9 @@ def wall_cut(x: PolygonalComplex, h: Hypergraph) -> WallCut:
             continue
         sides.setdefault(side[lab], []).append(node)
     blocks = tuple(sorted(tuple(nodes) for nodes in sides.values()))
-    return WallCut(x.n, tuple(sorted(removed)), blocks)
+    cut = WallCut(x.n, tuple(sorted(removed)), blocks)
+    x._cache["wall"] = (h, cut)
+    return cut
 
 
 def separation_check(x: PolygonalComplex, h: Hypergraph, p, q) -> bool:

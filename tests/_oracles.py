@@ -150,6 +150,26 @@ def simple_cycle_girth(g: Graph, metric: Metric) -> tuple[Fraction | int | float
     return best, shortest
 
 
+def fresh_link(x, v: int) -> tuple[Graph, Metric, dict[tuple[int, int], int]]:
+    """The link of vertex v of a polygonal complex, built afresh from the
+    face walks at every call: link vertex i is the i-th smallest edge at v,
+    and each face through v adds the edge between its two sides at v, of
+    length (k-2)/k pi, labelled by the face index."""
+    corners = []
+    for idx, walk in enumerate(x.faces):
+        if v in walk:
+            p, k = walk.index(v), len(walk)
+            sides = [tuple(sorted((v, w))) for w in (walk[p - 1], walk[(p + 1) % k])]
+            corners.append((idx, k, sides))
+    ids = {e: i for i, e in enumerate(sorted({e for _, _, sides in corners for e in sides}), start=1)}
+    lengths, face_of = {}, {}
+    for idx, k, sides in corners:
+        corner = tuple(sorted(ids[e] for e in sides))
+        lengths[corner] = Fraction(k - 2, k)
+        face_of[corner] = idx
+    return Graph(len(ids), lengths), Metric.angular(lengths), face_of
+
+
 def brute_star_cutsets(g: Graph) -> set[frozenset[int]]:
     """All cutsets that are pairwise at distance >= 3, leave exactly two
     components, and have no proper subset that disconnects. Exponential in

@@ -310,6 +310,7 @@ def contract_files(tmp_path_factory):
         "c8-one": "C: 1-2 5-6\n",
         "tetrahedron": json.dumps({"vertices": 4, "faces": [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]}),
         "torus": json.dumps(_torus(4)),
+        "parallel-corners": json.dumps({"vertices": 5, "faces": [[1, 2, 3, 4], [5, 2, 3, 4]]}),
         "path": "p 4 3\n1 2\n2 3\n3 4\n",
         "forest": "p 6 4\n1 2\n2 3\n4 5\n5 6\n",
     }
@@ -330,9 +331,10 @@ def test_contract_names_every_leaf_subcommand():
 
 
 #: More malformed inputs, each exit 2: a node budget is a non-negative
-#: integer, a search is either exhaustive or under a node budget, and a
-#: separation order sigma is positive.
+#: integer, a search is either exhaustive or under a node budget, a
+#: separation order sigma is positive, and a link is a simple graph.
 _CONTRACT_MALFORMED = {
+    "complex-check-parallel-corners": ["complex", "check", "{parallel-corners}"],
     "cutset-search-exhaust-with-budget": [
         "cutset", "search", "--builtin", "f090a", "--star", "--exhaust", "--budget", "5"
     ],
@@ -376,6 +378,13 @@ def test_exit_code_contract(args, status, contract_files, capsys):
     assert "Traceback" not in err
     if status == 2:
         assert "error: " in err.splitlines()[-1]
+
+
+def test_complex_check_names_parallel_corners(contract_files, capsys):
+    # both squares turn from edge 2-3 to edge 3-4 at vertex 3
+    assert main(["complex", "check", contract_files["parallel-corners"]]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: ComplexError: faces 0 and 1 form parallel corners at vertex 3; links must be simple\n"
 
 
 @pytest.mark.parametrize("name", ["path", "forest"])

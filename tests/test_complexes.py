@@ -9,9 +9,10 @@ from fractions import Fraction
 import pytest
 
 import sepcert.complexes as complexes
-from _oracles import brute_link_cutsets
+from _oracles import brute_link_cutsets, fresh_link
 from sepcert.complexes import (
     PI,
+    PolygonalComplex,
     _antipode,
     _face_boundary,
     _pairs_at,
@@ -30,7 +31,7 @@ from sepcert.complexes import (
 )
 from sepcert.datasets import named_graph
 from sepcert.errors import ComplexError
-from sepcert.graph import edge_key, girth
+from sepcert.graph import INF, edge_key, girth, shortest_cycle
 from test_search import F090A_STAR_CUTSETS, F090A_STAR_SHA256, _family_sha256
 from test_trace_corpus import COMPLEXES
 
@@ -136,6 +137,17 @@ def test_link_rejects_parallel_corners():
         link(parse_complex(json.dumps(doc)), 1)
 
 
+def test_equal_link_shapes_share_one_graph():
+    # corner, top, bottom, side and interior vertices: five labelled shapes
+    x = grid_complex(6, 6)
+    shared = {}
+    for v in range(1, x.n + 1):
+        lk = link(x, v)
+        graph, metric = shared.setdefault((lk.graph, lk.metric), (lk.graph, lk.metric))
+        assert graph is lk.graph and metric is lk.metric
+    assert len(shared) == 5
+
+
 def test_vertex_id_round_trip(grid):
     lk = link(grid, 13)
     for e in ((8, 13), (12, 13), (13, 14), (13, 18)):
@@ -180,6 +192,90 @@ def test_gromov_failure_witness_is_a_shortest_cycle(make, check, cycle):
     closed = list(zip(cycle, cycle[1:])) + [(cycle[-1], cycle[0])]
     assert all(lk.graph.has_edge(u, v) for u, v in closed)
     assert sum(lk.metric.edge_length(e) for e in closed) == failing.witness["girth_pi_units"]
+
+
+def test_gromov_decides_each_shape_once_and_keeps_no_links(monkeypatch):
+    x = grid_complex(6, 6)
+    decided = []
+    monkeypatch.setattr(complexes, "girth", lambda g, m: decided.append((g, m)) or girth(g, m))
+    assert check_gromov(x).ok
+    assert len(decided) == len(set(decided)) == 5
+    assert not [key for key in x._cache if key[0] == "link"]
+    assert not [val for val in x._cache.values() if isinstance(val, complexes.Link)]
+    assert len(x._cache["shapes"]) == 5
+
+
+def test_gromov_reaches_parallel_corners_past_vertex_one():
+    # both squares turn from edge 2-3 to edge 3-4 at vertex 3
+    x = parse_complex(json.dumps({"vertices": 5, "faces": [[1, 2, 3, 4], [5, 2, 3, 4]]}))
+    with pytest.raises(ComplexError, match="^faces 0 and 1 form parallel corners at vertex 3; links must be simple$"):
+        check_gromov(x)
+
+
+def per_vertex_gromov(x):
+    """check_gromov's link checks, from a fresh link at every vertex."""
+    out = []
+    for v in range(1, x.n + 1):
+        g, metric, _ = fresh_link(x, v)
+        got = girth(g, metric)
+        witness = {"girth_pi_units": got, "required": 2}
+        if got is not INF and got < 2:
+            witness["cycle"] = shortest_cycle(g, metric)[1]
+        out.append((f"link-girth-{v}", got is INF or got >= 2, witness))
+    return out
+
+
+def per_vertex_pairs(x, kind, v):
+    """_pairs_at from a fresh link: the star search's two-sided cutsets of
+    at least two elements, sorted by their atoms at v."""
+    from sepcert.search import two_sided_cutsets
+
+    g, metric, face_of = fresh_link(x, v)
+    found = [c for c in two_sided_cutsets(g, metric, kind, PI) if len(c) >= 2]
+    if kind == "vertex":
+        return sorted(found, key=lambda c: c.sorted_elements())
+    return sorted(found, key=lambda c: sorted(face_of[e] for e in c.elements))
+
+
+def cone_c4_beside_four_squares():
+    """The cone over C4 beside four squares around vertex 10: both centres
+    have the labelled link 1-2-3-4-1, of pi/3 corners at the apex 5 and of
+    right angles at 10, so only the angles tell their shapes apart."""
+    squares = [(10, 6 + i, 11 + i, 6 + (i + 1) % 4) for i in range(4)]
+    return PolygonalComplex(14, [*cone_complex(named_graph("c4")).faces, *squares])
+
+
+SHAPE_COMPLEXES = {
+    **COMPLEXES,
+    "cone-c4": lambda: cone_complex(named_graph("c4")),
+    "cone-k4": lambda: cone_complex(named_graph("k4")),
+    "fan-6": lambda: fan(6),
+    "cone-c4-beside-squares": cone_c4_beside_four_squares,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPE_COMPLEXES))
+def test_shared_shapes_match_a_fresh_link_per_vertex(name):
+    x = SHAPE_COMPLEXES[name]()
+    cert = check_gromov(x)
+    assert [(c.name, c.ok, c.witness) for c in cert.checks[1:]] == per_vertex_gromov(x)
+    for kind in ("vertex", "edge"):
+        for v in range(1, x.n + 1):
+            assert list(_pairs_at(x, kind, v)) == per_vertex_pairs(x, kind, v), (kind, v)
+
+
+def test_fresh_links_reach_failing_witnesses():
+    failing = {
+        name: [check[0] for check in per_vertex_gromov(SHAPE_COMPLEXES[name]()) if not check[1]]
+        for name in ("cone-c4", "cone-k4", "fan-5", "fan-6", "cone-c4-beside-squares")
+    }
+    assert failing == {
+        "cone-c4": ["link-girth-5"],
+        "cone-k4": ["link-girth-5"],
+        "fan-5": ["link-girth-1"],
+        "fan-6": [],
+        "cone-c4-beside-squares": ["link-girth-5"],
+    }
 
 
 def test_fan_of_six_triangles_is_flat():
@@ -374,6 +470,22 @@ def test_local_pairs_match_the_subset_oracle(name, kind):
         assert set(got) == _two_sided(link(x, v), kind, most), v
 
 
+def test_local_pairs_are_searched_once_per_shape_and_kind(monkeypatch):
+    import sepcert.search as search
+
+    x = grid_complex(6, 6)
+    searched = []
+    real = search.two_sided_cutsets
+    monkeypatch.setattr(
+        search, "two_sided_cutsets", lambda g, m, kind, s: searched.append((g, m, kind)) or real(g, m, kind, s)
+    )
+    for kind in ("vertex", "edge"):
+        for v in range(1, x.n + 1):
+            _pairs_at(x, kind, v)
+    assert len(searched) == 10
+    assert len(set(searched)) == 10
+
+
 @pytest.mark.slow
 def test_apex_pairs_of_the_f090a_cone_are_its_star_census():
     # link vertex i of the apex is F090A vertex i, and pi-separation at
@@ -415,15 +527,21 @@ def test_separation_check_rejects_bad_points(grid):
 
 def test_wall_cut_repeats_on_one_subdivision(monkeypatch):
     x = grid_complex(5, 5)  # a fresh complex, so nothing is cached yet
-    built = []
+    built, cut = [], []
     real = complexes.subdivision_graph
     monkeypatch.setattr(complexes, "subdivision_graph", lambda g: built.append(g) or real(g))
+    real_labels = complexes.component_labels
+    monkeypatch.setattr(complexes, "component_labels", lambda g, **kw: cut.append(g) or real_labels(g, **kw))
     for kind, v0, atoms in (
         ("edge", edge_midpoint_id(x, (7, 8)), x.edge_faces[(7, 8)]),
         ("vertex", 13, vertical_atoms_at(x, 13, 8, 18)),
     ):
         h = trace_hypergraph(x, v0, atoms, kind=kind)
+        cut.clear()
         first = wall_cut(x, h)
+        assert separation_check(x, h, 1, 5) is True
+        assert separation_check(x, h, 1, 6) is False
+        assert cut == [complexes._subdivided_skeleton(x)[0]]
         assert wall_cut(x, h) == first
         assert separation_check(x, h, 1, 5) is separation_check(x, h, 1, 5) is True
         assert separation_check(x, h, 1, 6) is separation_check(x, h, 1, 6) is False
