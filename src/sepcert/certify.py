@@ -30,6 +30,8 @@ orbit's witnesses are the first of its items in the order the unreduced
 check lists them, with their details computed for those items only.
 Without a group every member, vertex and pair is its own orbit, and the
 same code decides each of them.
+This module imports `gluing` at its top; the import is one-way, as
+`gluing` names `SeparatedFamily` only in annotations.
 """
 from __future__ import annotations
 
@@ -58,6 +60,7 @@ from .cutset import (
     is_star_cutset,
 )
 from .errors import CertifyError, SepcertError
+from .gluing import GluingStructure, WeightAssignment, verify_gluing
 from .graph import (
     INF,
     Graph,
@@ -581,8 +584,6 @@ def certify_triangle_link(
     covered. ``star`` is the ``certify_star_separated`` certificate of
     ``fam``, when the caller has already computed it.
     Facts are decided once per orbit of the family's group, if it has one."""
-    from .gluing import GluingStructure, WeightAssignment, verify_gluing
-
     cert = Certificate("triangle-link")
     girth_val = girth(g)
     cert.add(

@@ -9,6 +9,10 @@ check passes, 1 when a certificate fails, 2 on usage or input errors, and
 141 (as for SIGPIPE) when the reader closes stdout early.
 ``--out`` writes the full report as JSON (its format is described in
 ``sepcert.report``).
+
+Module level imports only the standard library, ``errors``, ``graph`` and
+``report``; each handler imports the modules it runs in its first lines,
+so a command compiles and loads no others, and loads them before its work.
 """
 
 from __future__ import annotations
@@ -19,44 +23,15 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .aut import automorphism_group, cycle_notation
-from .certify import (
-    SeparatedFamily,
-    certify_edge_separated,
-    certify_triangle_link,
-    certify_vertex_separated,
-)
-from .complexes import (
-    check_gromov,
-    edge_midpoint_id,
-    hypergraph_checks,
-    link,
-    parse_complex,
-    trace_hypergraph,
-    wall_cut,
-)
-from .cutset import (
-    is_cutset,
-    is_sigma_separated,
-    is_star_cutset,
-    parse_family,
-    format_family,
-)
-from .datasets import named_graph
 from .errors import SepcertError
-from .gluing import (
-    EdgeGerm,
-    GluingInfeasible,
-    GluingStructure,
-    WeightAssignment,
-    solve_gluing,
-    verify_gluing,
-)
 from .graph import Graph, Metric, edge_key, parse_graph, parse_rational, structural_report
-from .pipeline import run_f090a
 from .report import Certificate, RunReport, dumps, jsonable
+
+if TYPE_CHECKING:
+    from .gluing import GluingStructure, WeightAssignment
 
 
 class _UsageError(SepcertError):
@@ -74,6 +49,7 @@ def _load_graph(args) -> tuple[Graph, Metric]:
     if getattr(args, "builtin", None):
         if getattr(args, "graph", None):
             raise _UsageError("give either a graph file or --builtin, not both")
+        from .datasets import named_graph
         return named_graph(args.builtin), Metric.combinatorial()
     if not getattr(args, "graph", None):
         raise _UsageError("a graph file or --builtin name is required")
@@ -125,6 +101,7 @@ def _cmd_graph_info(args) -> int:
 
 
 def _cmd_aut(args) -> int:
+    from .aut import automorphism_group, cycle_notation
     g, _ = _load_graph(args)
     grp = automorphism_group(g)
     print(f"order: {grp.order}")
@@ -147,6 +124,7 @@ def _cmd_aut(args) -> int:
 
 
 def _cmd_cutset_check(args) -> int:
+    from .cutset import is_cutset, is_sigma_separated, is_star_cutset, parse_family
     g, metric = _load_graph(args)
     family = parse_family(_read(args.family))
     if not family:
@@ -164,8 +142,8 @@ def _cmd_cutset_check(args) -> int:
 
 
 def _cmd_cutset_search(args) -> int:
+    from .cutset import format_family
     from .search import CoverAllGoal, NeighborSplitGoal, SearchTask, search_star_cutsets
-
     g, _ = _load_graph(args)
     if (args.at is None) != (args.split is None):
         raise _UsageError("--at and --split go together")
@@ -190,6 +168,8 @@ def _cmd_cutset_search(args) -> int:
 
 
 def _cmd_certify_link(args) -> int:
+    from .certify import SeparatedFamily, certify_triangle_link
+    from .cutset import parse_family
     g, _ = _load_graph(args)
     fam = None
     if args.family:
@@ -201,6 +181,8 @@ def _cmd_certify_link(args) -> int:
 
 
 def _cmd_certify_vertex(args) -> int:
+    from .certify import SeparatedFamily, certify_vertex_separated
+    from .cutset import parse_family
     g, _ = _load_graph(args)
     cutsets = parse_family(_read(args.family))
     fam = SeparatedFamily.from_cutsets(g, args.n, cutsets)
@@ -210,6 +192,8 @@ def _cmd_certify_vertex(args) -> int:
 
 
 def _cmd_certify_edge(args) -> int:
+    from .certify import SeparatedFamily, certify_edge_separated
+    from .cutset import parse_family
     g, metric = _load_graph(args)
     cutsets = parse_family(_read(args.family))
     fam = SeparatedFamily.from_cutsets(g, args.sigma, cutsets, kind="edge", metric=metric)
@@ -234,6 +218,10 @@ def _load_structure(path: str) -> GluingStructure:
     Elements are vertex ids, or [u, v] for edge-kind links; relative paths
     resolve against the structure file's directory.
     """
+    from .aut import automorphism_group
+    from .certify import SeparatedFamily
+    from .cutset import parse_family
+    from .gluing import EdgeGerm, GluingStructure
     base = Path(path).parent
     try:
         doc = json.loads(_read(path))
@@ -313,6 +301,7 @@ def _load_structure(path: str) -> GluingStructure:
 
 
 def _load_weights(structure: GluingStructure, path: str) -> WeightAssignment:
+    from .gluing import WeightAssignment
     by_id = {oid: (li, orbit) for oid, li, orbit in structure.unknowns()}
     weights: dict[tuple[str, tuple], int] = {}
     seen: set[str] = set()
@@ -343,6 +332,7 @@ def _load_weights(structure: GluingStructure, path: str) -> WeightAssignment:
 
 
 def _cmd_gluing_verify(args) -> int:
+    from .gluing import WeightAssignment, verify_gluing
     structure = _load_structure(args.structure)
     if args.weights:
         w = _load_weights(structure, args.weights)
@@ -354,6 +344,7 @@ def _cmd_gluing_verify(args) -> int:
 
 
 def _cmd_gluing_solve(args) -> int:
+    from .gluing import GluingInfeasible, solve_gluing
     structure = _load_structure(args.structure)
     solution = solve_gluing(structure)
     if isinstance(solution, GluingInfeasible):
@@ -390,6 +381,7 @@ def _cmd_gluing_solve(args) -> int:
 
 
 def _cmd_complex_check(args) -> int:
+    from .complexes import check_gromov, parse_complex
     x = parse_complex(_read(args.file))
     cert = check_gromov(x)
     shapes = cert.check("shapes").witness
@@ -404,6 +396,7 @@ def _cmd_complex_check(args) -> int:
 def _parse_seed_vertex(x, raw: str, kind: str) -> int:
     """A vertex id, or the midpoint ``u-v`` of an edge; only two positive
     integers joined by one dash name a midpoint, so ``-2`` is a vertex id."""
+    from .complexes import edge_midpoint_id
     u, dash, v = raw.partition("-")
     if dash and u.isdecimal() and v.isdecimal() and int(u) > 0 and int(v) > 0:
         if kind != "edge":
@@ -423,6 +416,8 @@ def _seed_atoms(x, v0: int, kind: str, family_path: str | None):
     the file lists face indices; an edge-midpoint seed may omit the file,
     meaning all faces through the edge.
     """
+    from .complexes import link
+    from .cutset import parse_family
     if family_path is None:
         if kind == "edge" and v0 > x.n:
             if v0 > x.n + x.m:
@@ -446,6 +441,7 @@ def _seed_atoms(x, v0: int, kind: str, family_path: str | None):
 
 
 def _cmd_complex_trace(args) -> int:
+    from .complexes import hypergraph_checks, parse_complex, trace_hypergraph, wall_cut
     x = parse_complex(_read(args.file))
     v0 = _parse_seed_vertex(x, args.seed_vertex, args.kind)
     atoms = _seed_atoms(x, v0, args.kind, args.cutset)
@@ -476,6 +472,7 @@ def _cmd_complex_trace(args) -> int:
 
 
 def _cmd_f090a(args) -> int:
+    from .pipeline import run_f090a
     rep = run_f090a()
     for cert in rep.certificates:
         _print_cert(cert, verbose_pass=False)
@@ -519,7 +516,8 @@ def _add_graph_source(p: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="sepcert", description=__doc__)
+    # the docstring's last paragraph, on imports, is not for --help
+    top = argparse.ArgumentParser(prog="sepcert", description=__doc__.rsplit("\n\n", 1)[0])
     top.add_argument("--version", action="version", version=f"sepcert {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
 

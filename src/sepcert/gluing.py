@@ -22,6 +22,8 @@ with yᵀB >= 0 and yᵀB != 0, which by Stiemke's theorem proves that no
 w > 0 solves Bw = 0 (`GluingInfeasible.check` replays it in integers).
 Every row of B is a row of the full per-element system, so y padded with
 zeros certifies that system too.
+`certify` imports this module, never the reverse: `SeparatedFamily` is
+imported for annotations only, under `typing.TYPE_CHECKING`.
 """
 from __future__ import annotations
 
@@ -30,13 +32,15 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from .certify import SeparatedFamily
 from .cutset import Cutset, complement_labels, induced_partition
 from .errors import GluingError
 from .graph import Graph, edge_key
 from .report import Certificate
+
+if TYPE_CHECKING:
+    from .certify import SeparatedFamily
 
 
 def directions_at(g: Graph, kind: str, x) -> tuple[int, ...]:

@@ -1,11 +1,14 @@
 """The command line: exact group orders from ``sepcert aut``, the exit-code
 contract of every subcommand (0 pass, 1 failing certificate, 2 with an
 ``error:`` line on bad options, malformed input and unwritable output
-paths), and a quiet exit 141 when the reader closes stdout early."""
+paths), a quiet exit 141 when the reader closes stdout early, and the
+``sepcert`` modules that a command imports in a fresh interpreter."""
 
 from __future__ import annotations
 
 import argparse
+import ast
+import importlib
 import json
 import os
 import random
@@ -18,6 +21,7 @@ import pytest
 
 import sepcert
 from sepcert.cli import _build_parser, main
+from sepcert.datasets import named_graph
 from sepcert.graph import Graph, format_graph
 
 
@@ -158,6 +162,68 @@ def test_closed_stdout_exits_141_without_traceback():
     assert proc.wait(timeout=120) == 141
     assert head[0] == b"order: 4320\n"
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+_PACKAGE = Path(sepcert.__file__).parent
+#: What every command loads: ``report`` brings in ``cutset``.
+_CORE = {"errors", "graph", "cutset", "report"}
+
+
+def _modules_loaded(*args: str) -> tuple[int, set[str]]:
+    """Exit status of ``python ARGS`` in a fresh interpreter, and the
+    ``sepcert`` modules it imported, as ``-X importtime`` lists them (a
+    module run with ``-m`` is not among them)."""
+    env = dict(os.environ, PYTHONPATH=str(_PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args], capture_output=True, text=True, env=env, timeout=120
+    )
+    names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    return proc.returncode, {p.stem for p in _PACKAGE.glob("*.py") if f"sepcert.{p.stem}" in names}
+
+
+@pytest.mark.parametrize(
+    "argv,status,loads",
+    [
+        pytest.param(
+            ["cutset", "search", "{bridge10}", "--star", "--exhaust"], 0, _CORE | {"aut", "search"}, id="cutset-search"
+        ),
+        pytest.param(["graph", "info", "{theta.txt}"], 0, _CORE, id="graph-info"),
+        pytest.param(["complex", "check", "{grid4.json}"], 0, _CORE | {"complexes"}, id="complex-check"),
+        pytest.param(["f090a"], 1, _CORE | {"aut", "certify", "gluing", "datasets", "pipeline"}, id="f090a"),
+    ],
+)
+def test_a_command_loads_only_the_modules_it_runs(argv, status, loads, contract_files, tmp_path):
+    """A graph file spares ``datasets`` (and its ``hashlib``); the star
+    search needs no certificate, gluing or complex; the pipeline no complex
+    and no search, since its family is bundled."""
+    files = {**contract_files, "bridge10": _graph_file(tmp_path, named_graph("bridge10"))}
+    argv = [files[arg[1:-1]] if arg.startswith("{") else arg for arg in argv]
+    assert _modules_loaded("-m", "sepcert.cli", *argv) == (status, loads)
+
+
+@pytest.mark.parametrize(
+    "module,loads",
+    [
+        # certify imports gluing at its top, so the pipeline loads gluing
+        ("pipeline", _CORE | {"aut", "certify", "gluing", "datasets", "pipeline"}),
+        # and gluing names certify's SeparatedFamily in annotations only
+        ("gluing", _CORE | {"gluing"}),
+    ],
+)
+def test_certify_imports_gluing_one_way(module, loads):
+    assert _modules_loaded("-c", f"import sepcert.{module}") == (0, loads)
+
+
+def test_every_relative_import_in_the_cli_exists():
+    """The handlers import what they run in their first lines; a handler
+    that no test runs still cannot name a module or attribute that is gone."""
+    tree = ast.parse((_PACKAGE / "cli.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert len(imports) > 10
+    for node in imports:
+        module = importlib.import_module(f"sepcert.{node.module}" if node.module else "sepcert")
+        for alias in node.names:
+            assert hasattr(module, alias.name), f"line {node.lineno}: sepcert.{node.module} has no {alias.name}"
 
 
 _LINK = {"name": "L", "graph": str(INPUTS / "c6.txt"), "family": str(INPUTS / "c6-diameters.txt")}

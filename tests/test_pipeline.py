@@ -88,6 +88,7 @@ def test_rerun_in_process_repeats_report_and_equation_count(monkeypatch):
         return star(*args, **kw)
 
     monkeypatch.setattr(gluing, "verify_gluing", counting)
+    monkeypatch.setattr(certify, "verify_gluing", counting)
     monkeypatch.setattr(certify, "certify_star_separated", counting_star)
     monkeypatch.setattr(pipeline, "certify_star_separated", counting_star)
     misses = []
