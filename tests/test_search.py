@@ -133,6 +133,37 @@ def test_two_sided_cutsets_leave_the_complement_label_cache_alone():
     ]
 
 
+def _check_roots_undone(monkeypatch) -> list[bool]:
+    """Wrap ``search._search_root`` to record, per root, whether the
+    coloring's colors and masks after the call equal those before it."""
+    undone = []
+    real = search._search_root
+
+    def checked(state, root, node_budget, family):
+        before = (list(state.color), list(state.mask))
+        complete = real(state, root, node_budget, family)
+        undone.append((state.color, state.mask) == before)
+        return complete
+
+    monkeypatch.setattr(search, "_search_root", checked)
+    return undone
+
+
+def test_search_root_leaves_the_coloring_as_it_found_it(f090a, monkeypatch):
+    """Every root shares one coloring, so each must hand it back unchanged:
+    every root of the F090A census, and every root of an edge-kind search,
+    whose nodes are the subdivision's."""
+    state = search._Coloring(f090a, Metric.combinatorial(), "vertex", 3)
+    roots = search._orbit_roots(state, automorphism_group(f090a))
+    undone = _check_roots_undone(monkeypatch)
+    search_star_cutsets(SearchTask(f090a, node_budget=10**18))
+    assert len(undone) == len(roots) and all(undone)
+    undone.clear()
+    heawood = named_graph("heawood")
+    assert len(two_sided_cutsets(heawood, Metric.combinatorial(), "edge", 2)) == 28
+    assert len(undone) == len(heawood.edges()) and all(undone)
+
+
 def _count_star_predicate(monkeypatch) -> list[int]:
     """Count the search's calls of ``is_star_cutset`` in calls[0]."""
     calls = [0]
@@ -146,17 +177,16 @@ def _count_star_predicate(monkeypatch) -> list[int]:
 
 
 def test_f090a_census_counters_in_the_bundled_labelling(f090a, f090a_census, monkeypatch):
-    """Work counters of the two-level rooted search. They depend only on
+    """Work counters of the two-level rooted search, every prune counter
+    included, so that the whole search tree is pinned. They depend only on
     the graph and its labelling, so a second run repeats them exactly.
     The star conjunction is decided once per orbit and once per rejected
     leaf: 15 + 53 calls for 762 leaves."""
     stats = f090a_census.stats
-    assert {k: stats[k] for k in ("nodes", "leaves", "rejected_at_emission", "orbits")} == {
-        "nodes": 7716,
-        "leaves": 762,
-        "rejected_at_emission": 53,
-        "orbits": 15,
-    }
+    assert stats == _counters(
+        nodes=7716, prune_mask_empty=2572, prune_cut_neighborhood=928,
+        leaves=762, rejected_at_emission=53, orbits=15,
+    )
     calls = _count_star_predicate(monkeypatch)
     built = _count_cutsets_built(monkeypatch)
     again = search_star_cutsets(SearchTask(f090a, node_budget=10**18))
@@ -165,6 +195,17 @@ def test_f090a_census_counters_in_the_bundled_labelling(f090a, f090a_census, mon
     assert again.stats == stats
     assert again.keys == f090a_census.keys
     assert again.cutsets == f090a_census.cutsets
+
+
+def _counters(**nonzero) -> dict:
+    """A search's whole stats dict: the given counters, every other one 0."""
+    names = (
+        "nodes", "prune_ball", "prune_edge", "prune_mask_empty", "prune_conflict",
+        "prune_cut_neighborhood", "leaves", "rejected_at_emission", "orbits",
+    )
+    stats = dict.fromkeys(names, 0)
+    stats.update(nonzero)
+    return stats
 
 
 def _count_cutsets_built(monkeypatch) -> list[int]:
@@ -196,7 +237,8 @@ def test_census_keeps_sorted_keys_until_asked_for_cutsets(f090a_census):
 def test_written_census_is_the_pinned_family(f090a, f090a_census):
     """The family file from the keys is, byte for byte, one ``C: v1 v2 ...``
     line per member in sorted order: the pinned digest in the bundled
-    labelling, and the same text in the seed-1 relabelling."""
+    labelling, and the same text in the seed-1 relabelling, whose search
+    tree is pinned by its counters."""
     text = format_family(f090a_census.keys)
     assert text == _reference_family_text(f090a_census.cutsets)
     assert hashlib.sha256(text.encode()).hexdigest() == F090A_STAR_SHA256
@@ -205,6 +247,10 @@ def test_written_census_is_the_pinned_family(f090a, f090a_census):
     result = search_star_cutsets(SearchTask(f090a.relabel(perm), node_budget=10**18))
     assert format_family(result.keys) == _reference_family_text(result.cutsets)
     assert _family_sha256(result.cutsets, perm) == F090A_STAR_SHA256
+    assert result.stats == _counters(
+        nodes=6414, prune_mask_empty=1924, prune_cut_neighborhood=894,
+        leaves=638, rejected_at_emission=53, orbits=15,
+    )
 
 
 def test_written_empty_census_is_one_empty_line():
@@ -234,13 +280,10 @@ def test_trivial_group_keeps_one_root_per_vertex():
     result = search_star_cutsets(SearchTask(g, node_budget=10**18))
     assert result.exhausted
     assert len(result.cutsets) == 84
-    stats = result.stats
-    assert {k: stats[k] for k in ("nodes", "leaves", "rejected_at_emission", "orbits")} == {
-        "nodes": 2334,
-        "leaves": 92,
-        "rejected_at_emission": 8,
-        "orbits": 84,
-    }
+    assert result.stats == _counters(
+        nodes=2334, prune_mask_empty=933, prune_cut_neighborhood=368,
+        leaves=92, rejected_at_emission=8, orbits=84,
+    )
 
 
 def test_f090a_census_in_a_relabelling(f090a, monkeypatch):
@@ -251,13 +294,10 @@ def test_f090a_census_in_a_relabelling(f090a, monkeypatch):
     assert result.exhausted
     assert len(result.cutsets) == F090A_STAR_CUTSETS
     assert _family_sha256(result.cutsets, perm) == F090A_STAR_SHA256
-    stats = result.stats
-    assert {k: stats[k] for k in ("nodes", "leaves", "rejected_at_emission", "orbits")} == {
-        "nodes": 4388,
-        "leaves": 486,
-        "rejected_at_emission": 35,
-        "orbits": 15,
-    }
+    assert result.stats == _counters(
+        nodes=4388, prune_mask_empty=1287, prune_cut_neighborhood=521,
+        leaves=486, rejected_at_emission=35, orbits=15,
+    )
     assert calls[0] == 15 + 35
 
 
@@ -323,12 +363,18 @@ def test_node_budget_limits_work():
 
 def test_neighbor_split_goal_exhausts_its_exact_budget():
     """The one node budget: the split search needs exactly 23,000 nodes,
-    and one node fewer leaves a child unexplored."""
+    and one node fewer leaves a child unexplored. Without a group there is
+    no ``orbits`` counter."""
     g = named_graph("f090a")
     exact = search_star_cutsets(SearchTask(g, NeighborSplitGoal(1, 1, 2), node_budget=23000))
     assert exact.exhausted
     assert len(exact.cutsets) == 1880
-    assert exact.stats["nodes"] == 23000
+    expected = _counters(
+        nodes=23000, prune_mask_empty=8194, prune_cut_neighborhood=2316,
+        leaves=1984, rejected_at_emission=104,
+    )
+    del expected["orbits"]
+    assert exact.stats == expected
     short = search_star_cutsets(SearchTask(g, NeighborSplitGoal(1, 1, 2), node_budget=22999))
     assert not short.exhausted
     assert short.stats["nodes"] == 22999
