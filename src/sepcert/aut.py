@@ -427,14 +427,36 @@ def vertex_set_key(s: Iterable[int]) -> str:
 def vertex_set_closure(grp: PermutationGroup, key: str) -> set[str]:
     """Every image of a vertex set under the group, as sorted-id keys.
     Every element is one product u_0 u_1 ... u_k of transversal elements,
-    so its inverse is u_k^-1 ... u_0^-1 and the orbit is
-    U_k^-1(...U_1^-1(U_0^-1({key}))): the inverse transversals are applied
-    from level 0 down, the keys deduplicated after each, so the largest
-    transversal moves one key only. No key is moved by an element outside
-    the chain."""
+    so its inverse is u_k^-1 ... u_0^-1, and the orbit of a key under
+    G^(i), the stabilizer of the first i base points, is the union of the
+    G^(j+1)-orbits of the key and of its images under level j's inverse
+    transversal, for j from the deepest level up to i. The closure walks
+    that depth first: a walk moves its key by those levels, deepest first,
+    and walks from each new image found at level j, from level j + 1, before
+    it builds the next image. Whenever level j moves a key, the set is a
+    union of G^(j+1)-orbits: it was one without the key when the key was
+    found (empty for the first), and since then the key's walk has added
+    its G^(j+1)-orbit and one for each new image of level j. So an image
+    already in the set is not walked from. Each walk under way starts
+    deeper than the one that found it: at most base length + 1 are under
+    way. No key is moved by an element outside the chain."""
+    levels = grp.inverse_tables
     keys = {key}
-    for tables in grp.inverse_tables:
-        keys |= {"".join(sorted(k.translate(t))) for k in keys for t in tables}
+
+    def images(k: str, i: int):
+        for j in range(len(levels) - 1, i - 1, -1):
+            for t in levels[j]:
+                yield "".join(sorted(k.translate(t))), j + 1
+
+    stack = [images(key, 0)]
+    while stack:
+        for image, i in stack[-1]:
+            if image not in keys:
+                keys.add(image)
+                stack.append(images(image, i))
+                break
+        else:
+            stack.pop()
     return keys
 
 

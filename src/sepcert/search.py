@@ -10,8 +10,13 @@ the subdivision, and only midpoints may be cut. Propagation enforces what
 can be decided locally: no cut node in the ball of another (the cuttable
 nodes closer than sigma, read from the distance table that
 ``cutset.is_sigma_separated`` measures with), no A-B edge, and every cut
-node's neighborhood meeting both sides. Connectivity of the sides cannot
-be decided locally, so candidate leaves are validated through the cutset
+node's neighborhood meeting both sides. Each color is one bit, and each
+undecided node keeps a mask of the colors still open to it: coloring a
+node clears a bit in the masks of its ball or of its neighbors, a mask
+left with one bit queues that color for its node, and an empty one is a
+contradiction. The colors and masks are copied before each branching and
+written back after each child. Connectivity of the sides cannot be
+decided locally, so candidate leaves are validated through the cutset
 predicates before emission; every reported cutset has passed them, or is
 the image of one that has under a checked automorphism.
 
@@ -64,15 +69,16 @@ An orbit is closed as soon as its first leaf passes the star conjunction,
 on sorted-id keys (``aut.vertex_set_key``), through the stabilizer chain
 of Aut(g) that Schreier–Sims has checked complete
 (``aut.vertex_set_closure``): the leaf is moved by the inverses of the
-transversal elements, level by level, and each of those is the inverse of
-a product of checked generators, so an automorphism too. The star
-conjunction is Aut-invariant, so a later leaf whose cut is already in the
-family is admitted without deciding it again: it is the image of a
-validated leaf under such an automorphism, so it passes, and the family
-already holds it, so its verdict could not change the output. Without a
-group every leaf is decided. The least key of each closure represents its
-orbit (``SearchResult.orbits``): ``certify.SeparatedFamily.from_orbits``
-rebuilds the family from them, through the same kernel.
+transversal elements, depth first through the levels, and each of those
+is the inverse of a product of checked generators, so an automorphism
+too. The star conjunction is Aut-invariant, so a later leaf whose cut is
+already in the family is admitted without deciding it again: it is the
+image of a validated leaf under such an automorphism, so it passes, and
+the family already holds it, so its verdict could not change the output.
+Without a group every leaf is decided. The least key of each closure
+represents its orbit (``SearchResult.orbits``):
+``certify.SeparatedFamily.from_orbits`` rebuilds the family from them,
+through the same kernel.
 """
 from __future__ import annotations
 
@@ -93,11 +99,8 @@ from .cutset import _subdivision, _subdivision_distances
 from .errors import SearchError
 from .graph import Graph, Metric, component_labels
 
-UNDECIDED, SIDE_A, SIDE_B, CUT = 0, 1, 2, 3
-_BIT = {SIDE_A: 1, SIDE_B: 2, CUT: 4}
-_ALL = 7
+UNDECIDED, SIDE_A, SIDE_B, CUT = 0, 1, 2, 4
 _COLOR_ORDER = (CUT, SIDE_A, SIDE_B)
-_OTHER_SIDE = {SIDE_A: SIDE_B, SIDE_B: SIDE_A}
 _COUNTERS = (
     "nodes", "prune_ball", "prune_edge", "prune_mask_empty", "prune_conflict",
     "prune_cut_neighborhood", "leaves", "rejected_at_emission",
@@ -156,99 +159,89 @@ class _Root:
 
 
 class _Coloring:
-    """Mutable search state with an undo trail. In vertex kind the nodes
-    are the vertices of g; in edge kind they are the nodes of its
-    subdivision, and only midpoints may be cut. ``element`` maps each
-    cuttable node, ascending, to the cutset element it stands for, and
-    ``ball[v]`` holds the cuttable nodes closer than sigma to a cuttable v,
-    read from the subdivision's distance table in ascending node order."""
+    """Mutable search state. In vertex kind the nodes are the vertices of
+    g; in edge kind they are the nodes of its subdivision, and only
+    midpoints may be cut. Each color is its own bit, SIDE_A 1, SIDE_B 2 and
+    CUT 4, and ``mask[v]`` holds the bits of the colors still open to an
+    undecided v; a decided node's mask is no longer read. ``element`` maps
+    each cuttable node, ascending, to the cutset element it stands for,
+    ``nbrs[v]`` holds v's neighbors, and ``ball[v]`` the cuttable nodes
+    closer than sigma to a cuttable v, read from the subdivision's distance
+    table in ascending node order. ``mark`` copies ``color`` and ``mask``,
+    and ``undo`` writes such a copy back."""
 
-    __slots__ = ("g", "element", "ball", "color", "mask", "trail", "stats")
+    __slots__ = ("element", "nbrs", "ball", "color", "mask", "stats")
 
     def __init__(self, g: Graph, metric: Metric, kind: str, sigma):
         g2, _, mid = _subdivision(g, metric)
         table = _subdivision_distances(g, metric)
         if kind == "vertex":
-            self.g, self.element = g, {v: v for v in g.vertices()}
+            self.element = {v: v for v in g.vertices()}
         else:
-            self.g, self.element = g2, {m: e for e, m in mid.items()}
+            g, self.element = g2, {m: e for e, m in mid.items()}
         bound = sigma * table.denominator
-        self.mask = [_ALL ^ _BIT[CUT]] * (self.g.n + 1)
-        self.ball = [frozenset()] * (self.g.n + 1)
+        self.nbrs = [()] + [g.neighbors(v) for v in g.vertices()]
+        self.mask = [SIDE_A | SIDE_B] * (g.n + 1)
+        self.ball = [()] * (g.n + 1)
         for v in self.element:
             row = table.scaled_row(v)
-            self.mask[v] = _ALL
-            self.ball[v] = frozenset([u for u in self.element if u != v and row[u - 1] < bound])
-        self.color = [UNDECIDED] * (self.g.n + 1)
-        self.trail: list[tuple] = []
+            self.mask[v] = SIDE_A | SIDE_B | CUT
+            self.ball[v] = tuple(frozenset([u for u in self.element if u != v and row[u - 1] < bound]))
+        self.color = [UNDECIDED] * (g.n + 1)
         self.stats = dict.fromkeys(_COUNTERS, 0)
 
-    def mark(self) -> int:
-        return len(self.trail)
+    def mark(self) -> tuple[list[int], list[int]]:
+        return self.color[:], self.mask[:]
 
-    def undo(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            kind, v, old = self.trail.pop()
-            if kind == 0:
-                self.color[v] = UNDECIDED
-            else:
-                self.mask[v] = old
-
-    def _restrict(self, v: int, bits: int, queue: list) -> bool:
-        old = self.mask[v]
-        new = old & bits
-        if new == old:
-            return True
-        self.trail.append((1, v, old))
-        self.mask[v] = new
-        if self.color[v] != UNDECIDED:
-            return _BIT[self.color[v]] & new != 0
-        if new == 0:
-            self.stats["prune_mask_empty"] += 1
-            return False
-        if new in (1, 2, 4):
-            queue.append((v, {1: SIDE_A, 2: SIDE_B, 4: CUT}[new]))
-        return True
+    def undo(self, mark: tuple[list[int], list[int]]) -> None:
+        self.color[:], self.mask[:] = mark
 
     def assign(self, v: int, c: int) -> bool:
         """Set v to c and propagate; False on contradiction (state is then
-        partially updated and must be rolled back via undo)."""
+        partially updated and must be rolled back via undo). A color bit
+        taken from an undecided node's mask that leaves it one color
+        queues that color for it."""
+        color, mask, nbrs, ball, stats = self.color, self.mask, self.nbrs, self.ball, self.stats
         queue = [(v, c)]
         while queue:
             v, c = queue.pop()
-            cur = self.color[v]
-            if cur != UNDECIDED:
+            cur = color[v]
+            if cur:
                 if cur != c:
-                    self.stats["prune_conflict"] += 1
+                    stats["prune_conflict"] += 1
                     return False
                 continue
-            if not _BIT[c] & self.mask[v]:
-                self.stats["prune_mask_empty"] += 1
+            if not c & mask[v]:
+                stats["prune_mask_empty"] += 1
                 return False
-            self.trail.append((0, v, UNDECIDED))
-            self.color[v] = c
+            color[v] = c
+            # a cut node bars cuts from its ball, a side the other side
+            # from its neighbors: the barred color is the bit cleared
             if c == CUT:
-                for u in self.ball[v]:
-                    if self.color[u] == CUT:
-                        self.stats["prune_ball"] += 1
+                row, bit, clash = ball[v], CUT, "prune_ball"
+            else:
+                row, bit, clash = nbrs[v], c ^ (SIDE_A | SIDE_B), "prune_edge"
+            for u in row:
+                cu = color[u]
+                if cu == bit:
+                    stats[clash] += 1
+                    return False
+                if not cu and mask[u] & bit:
+                    m = mask[u] = mask[u] ^ bit
+                    if not m:
+                        stats["prune_mask_empty"] += 1
                         return False
-                    if not self._restrict(u, _ALL ^ _BIT[CUT], queue):
-                        return False
+                    if m & (m - 1) == 0:
+                        queue.append((u, m))
+            if c == CUT:
                 if not self._force_split(v, queue):
-                    self.stats["prune_cut_neighborhood"] += 1
+                    stats["prune_cut_neighborhood"] += 1
                     return False
             else:
-                other = _OTHER_SIDE[c]
-                for u in self.g.neighbors(v):
-                    if self.color[u] == other:
-                        self.stats["prune_edge"] += 1
-                        return False
-                    if not self._restrict(u, _ALL ^ _BIT[other], queue):
-                        return False
                 # a cut neighbor left with one open neighbor may force it
-                for u in self.g.neighbors(v):
-                    if self.color[u] == CUT and not self._force_split(u, queue):
-                        self.stats["prune_cut_neighborhood"] += 1
+                for u in row:
+                    if color[u] == CUT and not self._force_split(u, queue):
+                        stats["prune_cut_neighborhood"] += 1
                         return False
         return True
 
@@ -256,23 +249,30 @@ class _Coloring:
         """Cut node u needs both sides around it: a side it cannot reach
         fails, and one undecided neighbor left to reach a missing side is
         pushed to it."""
-        on_a = on_b = False
+        color = self.color
+        sides = 0
         free = None
-        for w in self.g.neighbors(u):
-            c = self.color[w]
-            if c == SIDE_A:
-                on_a = True
-            elif c == SIDE_B:
-                on_b = True
-            elif c == UNDECIDED:
+        for w in self.nbrs[u]:
+            c = color[w]
+            if not c:
                 if free is not None:
                     return True  # two undecided neighbors can still reach both sides
                 free = w
-        if on_a and on_b:
+            elif c != CUT:
+                sides |= c
+        if sides == SIDE_A | SIDE_B:
             return True
-        if free is None or not (on_a or on_b):
+        if free is None or not sides:
             return False
-        return self._restrict(free, _BIT[SIDE_A] if on_b else _BIT[SIDE_B], queue)
+        missing = sides ^ (SIDE_A | SIDE_B)
+        m = self.mask[free]
+        if m & missing != m:
+            m = self.mask[free] = m & missing
+            if not m:
+                self.stats["prune_mask_empty"] += 1
+                return False
+            queue.append((free, m))
+        return True
 
 
 def _goal_root(task: SearchTask) -> _Root:
@@ -296,7 +296,7 @@ def _orbit_roots(state: _Coloring, grp: PermutationGroup | None) -> list[_Root]:
     orbits = [(v,) for v in state.element] if grp is None else grp.vertex_orbits()
     for orbit in orbits:
         r = orbit[0]
-        seeds = ((r, CUT), (state.g.neighbors(r)[0], SIDE_A))
+        seeds = ((r, CUT), (state.nbrs[r][0], SIDE_A))
         stab_orbits: dict[int, list[int]] = {}  # by least vertex, ascending
         for v, least in enumerate(grp.pair_orbits.stab.get(r, ()) if grp is not None else (), start=1):
             stab_orbits.setdefault(least, []).append(v)
@@ -317,14 +317,13 @@ def _orbit_roots(state: _Coloring, grp: PermutationGroup | None) -> list[_Root]:
 def _branch_vertex(state: _Coloring) -> int | None:
     """The least undecided node next to a decided one, else the least
     undecided node; None at a leaf."""
-    g = state.g
-    color = state.color
+    color, nbrs = state.color, state.nbrs
     best = None
-    for v in g.vertices():
-        if color[v] != UNDECIDED:
+    for v in range(1, len(color)):
+        if color[v]:
             continue
-        for w in g.neighbors(v):
-            if color[w] != UNDECIDED:
+        for w in nbrs[v]:
+            if color[w]:
                 return v
         if best is None:
             best = v
@@ -420,13 +419,13 @@ def _search_root(state: _Coloring, root: _Root, node_budget, family: _Family) ->
         if v is None:
             _emit_leaf(state, family)
             return True
+        mark = state.mark()
         for c in _COLOR_ORDER:
-            if not _BIT[c] & state.mask[v]:
+            if not c & state.mask[v]:
                 continue
             if stats["nodes"] >= node_budget:
                 return False
             stats["nodes"] += 1
-            mark = state.mark()
             complete = not state.assign(v, c) or rec()
             state.undo(mark)
             if not complete:
@@ -435,7 +434,7 @@ def _search_root(state: _Coloring, root: _Root, node_budget, family: _Family) ->
 
     mark = state.mark()
     for v in root.not_cut:
-        state._restrict(v, _ALL ^ _BIT[CUT], [])
+        state.mask[v] &= SIDE_A | SIDE_B
     complete = not all(state.assign(v, c) for v, c in root.seeds) or rec()
     state.undo(mark)
     return complete
