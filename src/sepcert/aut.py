@@ -432,14 +432,14 @@ def vertex_set_closure(grp: PermutationGroup, key: str) -> set[str]:
     G^(j+1)-orbits of the key and of its images under level j's inverse
     transversal, for j from the deepest level up to i. The closure walks
     that depth first: a walk moves its key by those levels, deepest first,
-    and walks from each new image found at level j, from level j + 1, before
-    it builds the next image. Whenever level j moves a key, the set is a
-    union of G^(j+1)-orbits: it was one without the key when the key was
-    found (empty for the first), and since then the key's walk has added
-    its G^(j+1)-orbit and one for each new image of level j. So an image
-    already in the set is not walked from. Each walk under way starts
-    deeper than the one that found it: at most base length + 1 are under
-    way. No key is moved by an element outside the chain."""
+    and finishes a walk from each new image of level j, which starts at
+    level j + 1, before it builds the next image. Whenever level j moves a
+    key, the set is a union of G^(j+1)-orbits: it was one without the key
+    when the key was found (empty for the first), and since then the key's
+    walk has added its G^(j+1)-orbit and one for each new image of level
+    j. So an image already in the set is not walked from. Each walk under
+    way starts deeper than the one that found it: at most base length + 1
+    are under way. No key is moved by an element outside the chain."""
     levels = grp.inverse_tables
     keys = {key}
 

@@ -320,6 +320,30 @@ def test_vertex_set_orbits_match_the_frozenset_search(g):
         assert_orbit_matches_the_frozenset_search(grp, s)
 
 
+def _swaps(n: int, pairs) -> tuple[int, ...]:
+    p = list(range(1, n + 1))
+    for a, b in pairs:
+        p[a - 1], p[b - 1] = b, a
+    return tuple(p)
+
+
+@pytest.mark.parametrize(
+    "gens, base_length",
+    [
+        # (Z2)^5 swapping 1-2, 3-4, ...: walks from {1, 3, 5, 7, 9} stack
+        # six deep, one more than the base is long
+        ([_swaps(10, [(2 * i + 1, 2 * i + 2)]) for i in range(5)], 5),
+        ([_swaps(8, [(1, 2)]), (2, 3, 4, 5, 6, 7, 8, 1)], 7),  # S8
+    ],
+)
+def test_vertex_set_orbits_of_long_chains_match_the_frozenset_search(gens, base_length):
+    grp = PermutationGroup.generated_by(len(gens[0]), gens)
+    assert len(grp.base) == base_length
+    n = grp.n
+    for s in [range(1, k + 1) for k in range(n + 1)] + [range(1, 2 * k, 2) for k in range(1, n // 2 + 1)]:
+        assert_orbit_matches_the_frozenset_search(grp, s)
+
+
 def test_census_orbits_close_through_the_chain(f090a, f090a_group, census_orbits):
     # every census orbit in the bundled labelling, from its least member,
     # and in the seed-2 relabelling (7 generators), from its greatest
