@@ -2,7 +2,7 @@
 two components, minimal. On the vertices of a trivalent graph at distance
 3 they are the star cutsets (``cutset.is_star_cutset``) that
 ``search_star_cutsets`` enumerates; ``two_sided_cutsets`` lists them at any
-degree, metric, kind and sigma, as for the local pairs on a link at pi.
+degree, metric and kind, as for the local pairs on a link at pi.
 
 The search colors nodes side-A / side-B / cut from a root's seeds. In
 vertex kind the nodes are the vertices; in edge kind they are the nodes of
@@ -16,9 +16,10 @@ node clears a bit in the masks of its ball or of its neighbors, a mask
 left with one bit queues that color for its node, and an empty one is a
 contradiction. The colors and masks are copied before each branching and
 written back after each child. Connectivity of the sides cannot be
-decided locally, so candidate leaves are validated through the cutset
-predicates before emission; every reported cutset has passed them, or is
-the image of one that has under a checked automorphism.
+decided locally, so a leaf is decided in one place, ``_Family.admit``: its
+complement in the colored graph must have exactly two components. Every
+reported cutset has passed that count, or is the image of one that has
+under a checked automorphism.
 
 The search is exact when no neighbor of a cut node can be cut: in vertex
 kind when every edge is shorter than sigma, so that a node's neighbors lie
@@ -30,8 +31,13 @@ C that touches only one of them would leave two components, so every node
 of C touches both, and coloring C cut, X one side and Y the other breaks no
 rule: a root that admits C reaches it as a leaf. Conversely, at a leaf no
 two cut nodes are closer than sigma, no edge joins A to B and every cut
-node touches both sides; if the complement has exactly two components,
-they are A and B, and the cut is minimal.
+node touches both sides, so neither side is empty. Two components are then
+A and B, and restoring any cut node joins them, so C is minimal. In vertex
+kind this counts on g, and ``cutset`` on the subdivision; they agree as no
+edge joins two cut vertices. Without the precondition they do not: on q3
+at sigma = 1 an edge between cut vertices is a free arc that g does not
+see, and the count on g gives 16 sets where 8 are two-sided. So
+``two_sided_cutsets`` refuses vertex kind there.
 
 A neighbor-split goal is searched from one root: v is cut, and its i-th
 and j-th neighbors in ascending order go to sides A and B. Enumerating
@@ -85,7 +91,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import inf
-from typing import Callable
 
 from .aut import (
     PermutationGroup,
@@ -94,7 +99,7 @@ from .aut import (
     vertex_set_closure,
     vertex_set_key,
 )
-from .cutset import Cutset, is_star_cutset, require_cubic
+from .cutset import Cutset, require_cubic
 from .cutset import _subdivision, _subdivision_distances
 from .errors import SearchError
 from .graph import Graph, Metric, component_labels
@@ -167,10 +172,11 @@ class _Coloring:
     each cuttable node, ascending, to the cutset element it stands for,
     ``nbrs[v]`` holds v's neighbors, and ``ball[v]`` the cuttable nodes
     closer than sigma to a cuttable v, read from the subdivision's distance
-    table in ascending node order. ``mark`` copies ``color`` and ``mask``,
-    and ``undo`` writes such a copy back."""
+    table in ascending node order; ``graph`` is the graph colored, g or its
+    subdivision. ``mark`` copies ``color`` and ``mask``, and ``undo`` writes
+    such a copy back."""
 
-    __slots__ = ("element", "nbrs", "ball", "color", "mask", "stats")
+    __slots__ = ("graph", "element", "nbrs", "ball", "color", "mask", "stats")
 
     def __init__(self, g: Graph, metric: Metric, kind: str, sigma):
         g2, _, mid = _subdivision(g, metric)
@@ -179,6 +185,7 @@ class _Coloring:
             self.element = {v: v for v in g.vertices()}
         else:
             g, self.element = g2, {m: e for e, m in mid.items()}
+        self.graph = g
         bound = sigma * table.denominator
         self.nbrs = [()] + [g.neighbors(v) for v in g.vertices()]
         self.mask = [SIDE_A | SIDE_B] * (g.n + 1)
@@ -343,7 +350,7 @@ def search_star_cutsets(task: SearchTask) -> SearchResult:
     else:
         grp, roots = None, [_goal_root(task)]
 
-    family = _Family(grp, lambda cut: is_star_cutset(g, Cutset.of_vertices(cut)).ok)
+    family = _Family(grp)
     exhausted = True
     for root in roots:
         exhausted &= _search_root(state, root, task.node_budget, family)
@@ -355,12 +362,12 @@ def search_star_cutsets(task: SearchTask) -> SearchResult:
 def two_sided_cutsets(g: Graph, metric: Metric, kind: str, sigma) -> tuple[Cutset, ...]:
     """Every cutset of g of the given kind that is sigma-separated, leaves
     exactly two components and is minimal, in the order of their sorted
-    search nodes. Exact when every edge of g is shorter than sigma, as on
-    a link at sigma = pi."""
+    search nodes. Vertex kind needs every edge of g shorter than sigma, as
+    on a link at sigma = pi, and raises SearchError otherwise."""
+    if kind == "vertex" and any(metric.edge_length(e) >= sigma for e in g.edges()):
+        raise SearchError(f"vertex-kind search needs every edge shorter than sigma = {sigma}")
     state = _Coloring(g, metric, kind, sigma)
-    # a leaf's cut nodes keep their ids in the subdivision; no cache is filled
-    g2 = _subdivision(g, metric)[0]
-    family = _Family(None, lambda cut: component_labels(g2, removed_vertices=cut)[1] == 2)
+    family = _Family(None)
     for root in _orbit_roots(state, None):
         _search_root(state, root, inf, family)
     return tuple(Cutset(kind, frozenset([state.element[ord(v)] for v in key])) for key in sorted(family.keys))
@@ -368,43 +375,29 @@ def two_sided_cutsets(g: Graph, metric: Metric, kind: str, sigma) -> tuple[Cutse
 
 class _Family:
     """The cutsets found so far, as sorted-id keys (``aut.vertex_set_key``)
-    of their nodes, each admitted when ``accept`` passes its cut nodes, and
-    the least key of each orbit. With a group, an accepted leaf brings in
-    its whole orbit, and a later leaf already in the family is admitted
-    without being decided again; without one, each key is its own orbit."""
+    of their nodes, each admitted when its complement in the colored graph
+    has two components, and the least key of each orbit. With a group, an
+    admitted leaf brings in its whole orbit, and a later leaf already in the
+    family is admitted without being decided again; without one, each key
+    is its own orbit."""
 
-    __slots__ = ("grp", "accept", "keys", "orbits")
+    __slots__ = ("grp", "keys", "orbits")
 
-    def __init__(self, grp: PermutationGroup | None, accept: Callable[[list[int]], bool]):
+    def __init__(self, grp: PermutationGroup | None):
         self.grp = grp
-        self.accept = accept
         self.keys: set[str] = set()
         self.orbits: set[str] = set()
 
-    def admit(self, cut: list[int]) -> bool:
+    def admit(self, colored: Graph, cut: list[int]) -> bool:
         key = vertex_set_key(cut)
         if self.grp is not None and key in self.keys:
             return True
-        if not self.accept(cut):
+        if component_labels(colored, removed_vertices=cut)[1] != 2:
             return False
         orbit = {key} if self.grp is None else vertex_set_closure(self.grp, key)
         self.keys |= orbit
         self.orbits.add(min(orbit))
         return True
-
-
-def _emit_leaf(state: _Coloring, family: _Family) -> None:
-    stats = state.stats
-    stats["leaves"] += 1
-    cut = []
-    seen = 0
-    for v, color in enumerate(state.color):  # color[0] is padding, UNDECIDED
-        if color == CUT:
-            cut.append(v)
-        else:
-            seen |= color
-    if not (cut and seen == SIDE_A | SIDE_B and family.admit(cut)):
-        stats["rejected_at_emission"] += 1
 
 
 def _search_root(state: _Coloring, root: _Root, node_budget, family: _Family) -> bool:
@@ -416,8 +409,10 @@ def _search_root(state: _Coloring, root: _Root, node_budget, family: _Family) ->
 
     def rec() -> bool:
         v = _branch_vertex(state)
-        if v is None:
-            _emit_leaf(state, family)
+        if v is None:  # a leaf: color[0] is padding, never CUT
+            stats["leaves"] += 1
+            if not family.admit(state.graph, [u for u, c in enumerate(state.color) if c == CUT]):
+                stats["rejected_at_emission"] += 1
             return True
         mark = state.mark()
         for c in _COLOR_ORDER:

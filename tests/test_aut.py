@@ -91,73 +91,13 @@ def test_vertex_orbits_partition():
 
 def test_vertex_orbits_are_found_once_per_group(monkeypatch):
     # bridge10 has three vertex orbits; the union-find over the generators
-    # runs once, on the first call of any method that needs the orbits
+    # runs once per group, on the first call of whichever method asks first:
+    # orbit_of_vertex for every vertex in one group, vertex_orbits in another
     found = automorphism_group(named_graph("bridge10"))
     expected = found.vertex_orbits()
-    grp = PermutationGroup.generated_by(found.n, found.generators)
-    on_generators = []
-
-    def counted(n, perms, _call=aut._least_points):
-        on_generators.append(perms is grp.generators)
-        return _call(n, perms)
-
-    monkeypatch.setattr(aut, "_least_points", counted)
-    vertices = range(1, grp.n + 1)
-    assert [grp.orbit_of_vertex(v) for v in vertices] == [next(o for o in expected if v in o) for v in vertices]
-    assert grp.vertex_orbits() == grp.vertex_orbits() == expected and len(expected) == 3
-    grp.pair_orbits
-    assert on_generators.count(True) == 1
-
-
-@pytest.mark.parametrize("name", ["k4", "c5", "p4", "q3", "theta"])
-def test_elements_match_factorial_filter(name):
-    g = named_graph(name)
-    grp = automorphism_group(g)
-    elements = grp.elements()
-    assert set(elements) == set(brute_automorphisms(g))
-    assert grp.order == len(elements)
-
-
-@pytest.mark.parametrize(
-    "name,order",
-    [("k4", 24), ("k33", 72), ("prism", 12), ("petersen", 120), ("heawood", 336)],
-)
-def test_order_matches_backtracking_oracle(name, order):
-    g = named_graph(name)
-    grp = automorphism_group(g)
-    assert grp.order == order
-    assert natural_order_aut_count(g) == order
-
-
-def test_every_element_is_an_automorphism():
-    g = named_graph("petersen")
-    edges = set(g.edges())
-    for p in automorphism_group(g).elements():
-        mapped = {tuple(sorted((p[u - 1], p[v - 1]))) for u, v in edges}
-        assert mapped == edges
-
-
-def test_orbit_stabilizer_identity():
-    g = named_graph("prism")
-    grp = automorphism_group(g)
-    for v in g.vertices():
-        assert len(grp.orbit_of_vertex(v)) * grp.stabilizer_order(v) == grp.order
-
-
-def test_vertex_orbits_partition():
-    g = Graph(4, [(1, 2), (2, 3)])  # path plus isolated vertex
-    grp = automorphism_group(g)
-    orbits = grp.vertex_orbits()
-    assert sorted(v for orb in orbits for v in orb) == [1, 2, 3, 4]
-    assert (1, 3) in orbits and (2,) in orbits and (4,) in orbits
-
-
-def test_vertex_orbits_are_found_once_per_group(monkeypatch):
-    # bridge10 has three vertex orbits; the union-find over the generators
-    # runs on the first call only, whichever method asks first
-    found = automorphism_group(named_graph("bridge10"))
-    expected = found.vertex_orbits()
-    grp = PermutationGroup.generated_by(found.n, found.generators)
+    assert len(expected) == 3
+    by_vertex, by_orbits = (PermutationGroup.generated_by(found.n, found.generators) for _ in range(2))
+    grp = by_vertex
     calls = []
 
     def counted(n, perms, _call=aut._least_points):
@@ -166,8 +106,16 @@ def test_vertex_orbits_are_found_once_per_group(monkeypatch):
         return _call(n, perms)
 
     monkeypatch.setattr(aut, "_least_points", counted)
+    vertices = range(1, grp.n + 1)
+    assert [grp.orbit_of_vertex(v) for v in vertices] == [next(o for o in expected if v in o) for v in vertices]
+    assert grp.vertex_orbits() == grp.vertex_orbits() == expected
+    grp.pair_orbits
+    assert calls == [grp.n]
+
+    grp = by_orbits
+    calls.clear()
     orbits = [grp.orbit_of_vertex(v) for v in grp.vertex_orbits()[-1]]
-    assert grp.vertex_orbits() == expected and len(expected) == 3
+    assert grp.vertex_orbits() == expected
     assert orbits == [grp.vertex_orbits()[-1]] * len(orbits)
     assert [grp.orbit_of_vertex(v) for v in (1, grp.n)] == [grp.vertex_orbits()[0], grp.orbit_of_vertex(grp.n)]
     grp.pair_orbits

@@ -133,6 +133,34 @@ def test_two_sided_cutsets_leave_the_complement_label_cache_alone():
     ]
 
 
+def test_two_sided_cutsets_refuse_vertex_kind_with_an_edge_not_shorter_than_sigma():
+    """At sigma = 1 two adjacent vertices of q3 may both be cut, and the
+    count on q3 itself would miss the free arc between them."""
+    with pytest.raises(SearchError, match="shorter than sigma"):
+        two_sided_cutsets(named_graph("q3"), Metric.combinatorial(), "vertex", 1)
+
+
+@pytest.mark.parametrize(
+    "name,kind,sigma,count", [("petersen", "vertex", 2, 10), ("c8", "vertex", 4, 4), ("heawood", "edge", 2, 28)]
+)
+def test_two_sided_cutsets_in_relabellings(name, kind, sigma, count):
+    """Under three seeded vertex shuffles, the pairs mapped back to the
+    original labels are the pairs of the original graph."""
+    g = named_graph(name)
+    pairs = sorted(c.sorted_elements() for c in two_sided_cutsets(g, Metric.combinatorial(), kind, sigma))
+    assert len(pairs) == count
+    for seed in range(3):
+        perm = list(range(1, g.n + 1))
+        random.Random(seed).shuffle(perm)
+        back = {v: i + 1 for i, v in enumerate(perm)}
+        moved = two_sided_cutsets(g.relabel(perm), Metric.combinatorial(), kind, sigma)
+        if kind == "vertex":
+            mapped = [Cutset.of_vertices(back[v] for v in c.elements) for c in moved]
+        else:
+            mapped = [Cutset.of_edges((back[u], back[v]) for u, v in c.elements) for c in moved]
+        assert sorted(c.sorted_elements() for c in mapped) == pairs, seed
+
+
 def _check_roots_undone(monkeypatch) -> list[bool]:
     """Wrap ``search._search_root`` to record, per root, whether the
     coloring's colors and masks after the call equal those before it."""
@@ -164,15 +192,17 @@ def test_search_root_leaves_the_coloring_as_it_found_it(f090a, monkeypatch):
     assert len(undone) == len(heawood.edges()) and all(undone)
 
 
-def _count_star_predicate(monkeypatch) -> list[int]:
-    """Count the search's calls of ``is_star_cutset`` in calls[0]."""
+def _count_leaf_decisions(monkeypatch) -> list[int]:
+    """Count the search's leaf decisions, its calls of
+    ``component_labels`` on the colored graph, in calls[0]."""
     calls = [0]
+    real = search.component_labels
 
-    def counted(g, c):
+    def counted(g, removed_vertices):
         calls[0] += 1
-        return is_star_cutset(g, c)
+        return real(g, removed_vertices=removed_vertices)
 
-    monkeypatch.setattr(search, "is_star_cutset", counted)
+    monkeypatch.setattr(search, "component_labels", counted)
     return calls
 
 
@@ -180,18 +210,21 @@ def test_f090a_census_counters_in_the_bundled_labelling(f090a, f090a_census, mon
     """Work counters of the two-level rooted search, every prune counter
     included, so that the whole search tree is pinned. They depend only on
     the graph and its labelling, so a second run repeats them exactly.
-    The star conjunction is decided once per orbit and once per rejected
-    leaf: 15 + 53 calls for 762 leaves."""
+    A leaf is decided once per orbit and once per rejected leaf: 15 + 53
+    decisions for 762 leaves, each on the graph itself, so the search
+    builds no ``Cutset`` and leaves the complement-label cache alone."""
     stats = f090a_census.stats
     assert stats == _counters(
         nodes=7716, prune_mask_empty=2572, prune_cut_neighborhood=928,
         leaves=762, rejected_at_emission=53, orbits=15,
     )
-    calls = _count_star_predicate(monkeypatch)
+    calls = _count_leaf_decisions(monkeypatch)
     built = _count_cutsets_built(monkeypatch)
+    cached = _complement_labels_cached.cache_info().currsize
     again = search_star_cutsets(SearchTask(f090a, node_budget=10**18))
     assert calls[0] == 68
-    assert built[0] == 68
+    assert built[0] == 0
+    assert _complement_labels_cached.cache_info().currsize == cached
     assert again.stats == stats
     assert again.keys == f090a_census.keys
     assert again.cutsets == f090a_census.cutsets
@@ -289,7 +322,7 @@ def test_trivial_group_keeps_one_root_per_vertex():
 def test_f090a_census_in_a_relabelling(f090a, monkeypatch):
     perm = list(range(1, f090a.n + 1))
     random.Random(2).shuffle(perm)
-    calls = _count_star_predicate(monkeypatch)
+    calls = _count_leaf_decisions(monkeypatch)
     result = search_star_cutsets(SearchTask(f090a.relabel(perm), node_budget=10**18))
     assert result.exhausted
     assert len(result.cutsets) == F090A_STAR_CUTSETS
@@ -326,11 +359,22 @@ def test_f090a_census_orbit_sizes(f090a_group, f090a_census):
     ]
 
 
-def test_every_emission_passes_the_star_conjunction():
-    g, result = exhaustive("heawood")
-    assert result.exhausted
-    for c in result.cutsets:
-        assert is_star_cutset(g, c).ok
+def test_every_emission_passes_the_star_conjunction(f090a, f090a_census):
+    """The census decides its leaves by a component count alone; here its
+    output meets ``is_star_cutset``: every member of bridge10's census and
+    of four random cubic censuses, and each F090A orbit representative
+    (the other members are its images under checked automorphisms)."""
+    censuses = [exhaustive("bridge10")]
+    for n, seed in [(12, 27), (14, 10), (14, 23), (12, 60)]:
+        g = _random_cubic(n, seed)
+        censuses.append((g, search_star_cutsets(SearchTask(g, node_budget=10**18))))
+    for g, result in censuses:
+        assert result.exhausted and result.cutsets
+        for c in result.cutsets:
+            assert is_star_cutset(g, c).ok, c
+    assert len(f090a_census.orbits) == 15
+    for key in f090a_census.orbits:
+        assert is_star_cutset(f090a, Cutset.of_vertices(map(ord, key))).ok, key
 
 
 def test_neighbor_split_goal_members_split_the_pair():
@@ -347,7 +391,7 @@ def test_neighbor_split_goal_members_split_the_pair():
 def test_neighbor_split_goal_decides_every_leaf(monkeypatch):
     """Without a group no leaf is admitted on another's verdict: every
     leaf, each with its cut vertex and both sides seeded, is decided."""
-    calls = _count_star_predicate(monkeypatch)
+    calls = _count_leaf_decisions(monkeypatch)
     g = named_graph("f090a")
     result = search_star_cutsets(SearchTask(g, NeighborSplitGoal(1, 1, 2), node_budget=5000))
     assert calls[0] == result.stats["leaves"] == 444
