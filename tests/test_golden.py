@@ -35,6 +35,10 @@ CASES = {
         ["cutset", "check", "--builtin", "c8", "--family", "c8-edges.txt", "--sigma", "4"],
         "out.json",
     ),
+    "cutset-check-theta": (
+        ["cutset", "check", "theta.txt", "--family", "theta-family.txt", "--sigma", "1/2"],
+        "out.json",
+    ),
     "cutset-search-bridge10": (["cutset", "search", "--builtin", "bridge10", "--star", "--exhaust"], "out.txt"),
     "certify-link-heawood": (["certify", "link", "--builtin", "heawood"], "out.json"),
     "certify-vertex-q3": (
