@@ -95,11 +95,11 @@ def _orbit_closure(g: Graph, kind: str, grp: PermutationGroup):
     """The orbit kernel of the families: the elements of a cutset of
     ``kind`` -> those of each image under ``grp``, sorted as by `Cutset.key`,
     from `aut.orbit_of_vertex_set`. Edge sets are moved as their midpoint
-    ids in `graph.subdivide`, in sorted edge order, by the group extended
-    to the midpoints; its generators must be automorphisms."""
+    ids in `graph.subdivision_graph`, in sorted edge order, by the group
+    extended to the midpoints; its generators must be automorphisms."""
     if kind == "vertex":
         return lambda elements: orbit_of_vertex_set(grp, elements)
-    _, _, mid = _subdivision(g, Metric.combinatorial())
+    _, mid = _subdivision(g)
     edge_of = {m: e for e, m in mid.items()}
     gens = [p + tuple(mid[edge_key(p[u - 1], p[v - 1])] for u, v in mid) for p in grp.generators]
     on_midpoints = PermutationGroup.generated_by(g.n + g.m, gens, grp.base)

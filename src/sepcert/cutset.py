@@ -6,7 +6,8 @@ so an edge joining two deleted vertices survives as a free open arc; deleting
 an edge deletes the open edge, midpoint included, while its endpoints stay.
 Both cases reduce to vertex deletion on the barycentric subdivision: the
 cutset's own vertices in the vertex case, the midpoint vertices in the edge
-case. All component bookkeeping below works on that subdivision.
+case. All component bookkeeping below works on that subdivision; distances
+between the elements' points are read from the graph's own table.
 
 A cutset is also the local pair of the gluing checks and of traced
 hypergraphs: its sides are the components of its complement, one side per
@@ -16,6 +17,7 @@ stored.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, repeat
 from typing import Iterable, Mapping, Sequence
@@ -30,7 +32,7 @@ from .graph import (
     distances,
     edge_key,
     is_connected,
-    subdivide,
+    subdivision_graph,
 )
 
 @dataclass(frozen=True)
@@ -106,20 +108,36 @@ class Cutset:
 
 
 @lru_cache(maxsize=16)
-def _subdivision(g: Graph, metric: Metric):
-    return subdivide(g, metric)
+def _subdivision(g: Graph):
+    return subdivision_graph(g)
 
 
-@lru_cache(maxsize=16)
-def _subdivision_distances(g: Graph, metric: Metric):
-    g2, m2, _ = _subdivision(g, metric)
-    return distances(g2, m2)
+def _point_distances(g: Graph, metric: Metric, kind: str):
+    """Distances between the points of elements of ``kind``, read from
+    ``distances(g, metric)``: a denominator, and a function giving the
+    distances from one element to each of a list of others as integers over
+    it. A vertex is its own point, over the table's denominator. An edge's
+    point is its midpoint, over twice it: a path between the midpoints of e
+    and f leaves each through one end of its edge, so they are |e|/2 + |f|/2
+    plus the least d(x, y) over x in e, y in f apart. An unreachable pair is
+    ``INF`` itself, never a sum with it, which would be a new float."""
+    table = distances(g, metric)
+    if kind == "vertex":
+        return table.denominator, lambda x, ys: [row[y - 1] for row in [table.scaled_row(x)] for y in ys]
+    half = {e: int(metric.edge_length(e) * table.denominator) for e in g.edges()}
+
+    def from_point(e: Edge, fs) -> list:
+        rows = [table.scaled_row(x) for x in e]
+        ds = [min([row[y - 1] for row in rows for y in f]) for f in fs]
+        return [d if d is INF else half[e] + half[f] + 2 * d for d, f in zip(ds, fs)]
+
+    return 2 * table.denominator, from_point
 
 
 @lru_cache(maxsize=65536)
 def _complement_labels_cached(g: Graph, kind: str, elements: frozenset):
     Cutset(kind, elements).validate_for(g)
-    g2, _, mid = _subdivision(g, Metric.combinatorial())
+    g2, mid = _subdivision(g)
     if kind == "vertex":
         removed = elements
     else:
@@ -166,7 +184,7 @@ def components_of_complement(g: Graph, c: Cutset) -> tuple[tuple, ...]:
     endpoints were deleted) has no vertices and is listed as its edge.
     """
     labels, count = complement_labels(g, c)
-    _, _, mid = _subdivision(g, Metric.combinatorial())
+    _, mid = _subdivision(g)
     comps: list[list] = [[] for _ in range(count)]
     for v in g.vertices():
         if labels[v - 1] is not None:
@@ -214,29 +232,23 @@ def is_proper(g: Graph, c: Cutset) -> Verdict:
 def is_sigma_separated(g: Graph, metric: Metric, c: Cutset, sigma) -> Verdict:
     """Are all distinct element midpoints pairwise at distance >= sigma,
     measured in the ambient graph? Witness reports the closest pair (the
-    first one in sorted element order) with its exact distance."""
+    first one in sorted element order) with its exact distance, a
+    ``Fraction`` on every metric."""
     c.validate_for(g)
-    table = _subdivision_distances(g, metric)
+    den, from_point = _point_distances(g, metric, c.kind)
     elems = c.sorted_elements()
-    if c.kind == "vertex":
-        nodes = elems
-    else:
-        _, _, mid = _subdivision(g, Metric.combinatorial())
-        nodes = [mid[e] for e in elems]
-    cols = [x - 1 for x in nodes]
     closest = None
     best = INF
-    for i in range(len(cols) - 1):
-        row = table.scaled_row(nodes[i])
-        ds = [row[k] for k in cols[i + 1 :]]
+    for i in range(len(elems) - 1):
+        ds = from_point(elems[i], elems[i + 1 :])
         d = min(ds)
         if d < best or closest is None:
             closest, best = (i, i + 1 + ds.index(d)), d
     if closest is None:
         return _passed(pairs=0)
     i, j = closest
-    d = table.get(nodes[i], nodes[j])
-    if best < sigma * table.denominator:
+    d = best if best is INF else Fraction(best, den)
+    if best < sigma * den:
         return _failed(pair=(elems[i], elems[j]), distance=d)
     return _passed(min_distance=d)
 
@@ -251,7 +263,7 @@ def is_minimal_cutset(g: Graph, c: Cutset) -> Verdict:
     components around w.
     """
     labels, count = _require_cutset(g, c)
-    g2, _, mid = _subdivision(g, Metric.combinatorial())
+    g2, mid = _subdivision(g)
     for e in c.sorted_elements():
         node = e if c.kind == "vertex" else mid[e]
         around = {labels[x - 1] for x in g2.neighbors(node)}

@@ -6,12 +6,13 @@ and angular metrics, where each edge carries a positive rational length
 understood as that multiple of pi.
 
 Distances are integers over one common denominator D, the least common
-multiple of the edge-length denominators (1 for the combinatorial metric, 2
-for a subdivided one): BFS when every scaled length is the same, integer
-Dijkstra otherwise. Girth and a shortest cycle are read from that one
-distance table. Values are exact at the API: an ``int`` for the
-combinatorial metric, a ``Fraction`` for angular ones, and ``INF`` for
-disconnected pairs, the only non-rational value that can appear.
+multiple of the edge-length denominators (1 for the combinatorial metric):
+BFS when every scaled length is the same, integer Dijkstra otherwise.
+Girth and a shortest cycle are read from that one distance table, and so
+are the distances between edge midpoints that ``cutset`` measures. Values
+are exact at the API: an ``int`` for the combinatorial metric, a
+``Fraction`` for angular ones, and ``INF`` for disconnected pairs, the only
+non-rational value that can appear.
 """
 from __future__ import annotations
 
@@ -453,7 +454,9 @@ def structural_report(g: Graph, metric: Metric | None = None) -> dict:
 
 
 def subdivision_graph(g: Graph) -> tuple[Graph, dict[Edge, int]]:
-    """The graph and edge -> midpoint map of ``subdivide``, without a metric."""
+    """Barycentric subdivision of the 1-skeleton: one new vertex per edge
+    midpoint. Returns (graph, edge -> midpoint id), midpoints numbered
+    n+1.. in sorted edge order."""
     mid: dict[Edge, int] = {}
     edges2: list[Edge] = []
     for m, e in enumerate(g.edges(), start=g.n + 1):
@@ -462,21 +465,6 @@ def subdivision_graph(g: Graph) -> tuple[Graph, dict[Edge, int]]:
         edges2.append((u, m))
         edges2.append((v, m))
     return Graph(g.n + len(mid), edges2), mid
-
-
-def subdivide(g: Graph, metric: Metric | None = None) -> tuple[Graph, Metric, dict[Edge, int]]:
-    """Barycentric subdivision of the 1-skeleton: one new vertex per edge
-    midpoint. Returns (graph, metric, edge -> midpoint id). Midpoints are
-    numbered n+1.. in sorted edge order; half-edges carry half the length."""
-    metric = metric or Metric.combinatorial()
-    metric.validate_for(g)
-    g2, mid = subdivision_graph(g)
-    lengths2: dict[Edge, Fraction] = {}
-    for e, m in mid.items():
-        half = Fraction(metric.edge_length(e), 2)
-        for end in e:
-            lengths2[(end, m)] = half
-    return g2, Metric.angular(lengths2), mid
 
 
 def parse_rational(text: str) -> Fraction:

@@ -36,6 +36,7 @@ from typing import Iterable
 
 from .aut import automorphism_group, is_automorphism, is_distance_transitive
 from .certify import SeparatedFamily, certify_star_separated, certify_triangle_link, split_pattern
+from .certify import _separated_by
 from .cutset import Cutset, complement_labels, is_minimal_cutset, is_star_cutset
 from .datasets import f090a, f090a_star_cutsets
 from .errors import CertifyError
@@ -151,13 +152,10 @@ def _pairs_stage(report: RunReport, g, fam: SeparatedFamily) -> None:
     for d, (x, y) in sorted(_PAIRS.items()):
         got = table.get(x, y)
         cert.add(f"p{d}-distance", got == d, {"pair": (x, y), "got": got})
-        found = None
-        for c in fam.members:
-            labels, _ = complement_labels(g, c)
-            lx, ly = labels[x - 1], labels[y - 1]
-            if lx is not None and ly is not None and lx != ly:
-                found = c.sorted_elements()
-                break
+        found = next(
+            (c.sorted_elements() for c in fam.members if _separated_by(complement_labels(g, c)[0], x, y)),
+            None,
+        )
         cert.add(f"p{d}-separated", found is not None, {"pair": (x, y), "by": found})
 
 

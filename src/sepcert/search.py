@@ -8,8 +8,8 @@ The search colors nodes side-A / side-B / cut from a root's seeds. In
 vertex kind the nodes are the vertices; in edge kind they are the nodes of
 the subdivision, and only midpoints may be cut. Propagation enforces what
 can be decided locally: no cut node in the ball of another (the cuttable
-nodes closer than sigma, read from the distance table that
-``cutset.is_sigma_separated`` measures with), no A-B edge, and every cut
+nodes closer than sigma, measured as ``cutset.is_sigma_separated``
+measures, from the distance table of g), no A-B edge, and every cut
 node's neighborhood meeting both sides. Each color is one bit, and each
 undecided node keeps a mask of the colors still open to it: coloring a
 node clears a bit in the masks of its ball or of its neighbors, a mask
@@ -100,7 +100,7 @@ from .aut import (
     vertex_set_key,
 )
 from .cutset import Cutset, require_cubic
-from .cutset import _subdivision, _subdivision_distances
+from .cutset import _point_distances, _subdivision
 from .errors import SearchError
 from .graph import Graph, Metric, component_labels
 
@@ -171,29 +171,30 @@ class _Coloring:
     undecided v; a decided node's mask is no longer read. ``element`` maps
     each cuttable node, ascending, to the cutset element it stands for,
     ``nbrs[v]`` holds v's neighbors, and ``ball[v]`` the cuttable nodes
-    closer than sigma to a cuttable v, read from the subdivision's distance
-    table in ascending node order; ``graph`` is the graph colored, g or its
+    closer than sigma to a cuttable v, in ascending node order, measured
+    between their elements' points from the distance table of g
+    (``cutset._point_distances``); ``graph`` is the graph colored, g or its
     subdivision. ``mark`` copies ``color`` and ``mask``, and ``undo`` writes
     such a copy back."""
 
     __slots__ = ("graph", "element", "nbrs", "ball", "color", "mask", "stats")
 
     def __init__(self, g: Graph, metric: Metric, kind: str, sigma):
-        g2, _, mid = _subdivision(g, metric)
-        table = _subdivision_distances(g, metric)
+        den, from_point = _point_distances(g, metric, kind)
         if kind == "vertex":
             self.element = {v: v for v in g.vertices()}
         else:
-            g, self.element = g2, {m: e for e, m in mid.items()}
+            g, mid = _subdivision(g)
+            self.element = {m: e for e, m in mid.items()}
         self.graph = g
-        bound = sigma * table.denominator
+        bound = sigma * den
         self.nbrs = [()] + [g.neighbors(v) for v in g.vertices()]
         self.mask = [SIDE_A | SIDE_B] * (g.n + 1)
         self.ball = [()] * (g.n + 1)
-        for v in self.element:
-            row = table.scaled_row(v)
+        for v, x in self.element.items():
             self.mask[v] = SIDE_A | SIDE_B | CUT
-            self.ball[v] = tuple(frozenset([u for u in self.element if u != v and row[u - 1] < bound]))
+            ds = from_point(x, self.element.values())
+            self.ball[v] = tuple(frozenset([u for u, d in zip(self.element, ds) if u != v and d < bound]))
         self.color = [UNDECIDED] * (g.n + 1)
         self.stats = dict.fromkeys(_COUNTERS, 0)
 

@@ -104,6 +104,15 @@ def nx_angular_distances(g: Graph, metric: Metric) -> dict[tuple[int, int], Frac
     }
 
 
+def half_length_subdivision(g: Graph, metric: Metric) -> tuple[Graph, Metric, dict]:
+    """The barycentric subdivision of g whose half-edges carry half their
+    edge's length, for ``nx_angular_distances``: (graph, metric, edge ->
+    midpoint id), midpoints numbered n+1.. in sorted edge order."""
+    mid = {e: m for m, e in enumerate(sorted(g.edges()), start=g.n + 1)}
+    halves = {(x, m): Fraction(metric.edge_length(e), 2) for e, m in mid.items() for x in e}
+    return Graph(g.n + g.m, halves), Metric.angular(halves), mid
+
+
 def brute_girth(g: Graph) -> float:
     """Shortest cycle length: for each edge, shortest path between its ends
     avoiding the edge, plus one."""

@@ -9,7 +9,7 @@ from itertools import combinations
 
 import pytest
 
-from _oracles import nx_angular_distances
+from _oracles import half_length_subdivision, nx_angular_distances
 from sepcert.aut import vertex_set_key
 from sepcert.cutset import (
     Cutset,
@@ -26,7 +26,7 @@ from sepcert.cutset import (
 )
 from sepcert.datasets import named_graph
 from sepcert.errors import CutsetError
-from sepcert.graph import Graph, Metric, subdivide
+from sepcert.graph import INF, Graph, Metric, subdivision_graph
 
 
 @pytest.fixture(scope="module")
@@ -164,7 +164,7 @@ def test_point_node_and_midpoint_distance(q3):
     # an edge's point is its midpoint in the subdivision, numbered after
     # the vertices; a vertex is its own point
     e = q3.edges()[0]
-    g2, _, mid = subdivide(q3)
+    g2, mid = subdivision_graph(q3)
     assert mid[e] == q3.n + 1
     assert set(g2.neighbors(3)) == {mid[f] for f in q3.edges() if 3 in f}
     # two edges sharing a vertex: their midpoints are half + half apart
@@ -224,11 +224,24 @@ def test_sigma_separated_fails_just_below_sigma():
 
 
 def test_sigma_witness_is_a_fraction_on_the_combinatorial_metric(c8):
-    # midpoints live on the subdivision, whose half-edges are angular lengths
+    # a midpoint lies half an edge from its ends, so every distance is a
+    # Fraction, vertex pairs included
     v = is_sigma_separated(c8, Metric.combinatorial(), Cutset.of_vertices([1, 5]), 3)
     assert v.ok and type(v.witness["min_distance"]) is Fraction and v.witness["min_distance"] == 4
     v = is_sigma_separated(c8, Metric.combinatorial(), Cutset.of_vertices([1, 2]), 3)
     assert not v.ok and type(v.witness["distance"]) is Fraction and v.witness["distance"] == 1
+
+
+@pytest.mark.parametrize("angular", [False, True])
+def test_sigma_separation_across_components_is_unreachable(angular):
+    # two triangles: a pair in different components is INF apart, and INF
+    # itself, not a sum with it, which Fraction would refuse
+    g = Graph(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
+    metric = Metric.angular(dict.fromkeys(g.edges(), Fraction(1, 3))) if angular else Metric.combinatorial()
+    for c in (Cutset.of_vertices([1, 4]), Cutset.of_edges([(1, 2), (4, 5)])):
+        v = is_sigma_separated(g, metric, c, 1)
+        assert v.ok and v.witness == {"min_distance": INF}
+        assert v.witness["min_distance"] is INF
 
 
 @pytest.mark.parametrize("kind", ["vertex", "edge"])
@@ -236,7 +249,7 @@ def test_sigma_closest_pair_matches_fraction_oracle(kind):
     g = named_graph("petersen")
     lengths = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 5))
     metric = Metric.angular({e: lengths[i % 3] for i, e in enumerate(g.edges())})
-    g2, m2, mid = subdivide(g, metric)
+    g2, m2, mid = half_length_subdivision(g, metric)
     oracle = nx_angular_distances(g2, m2)
     node = (lambda x: x) if kind == "vertex" else mid.__getitem__
     pool = list(g.vertices()) if kind == "vertex" else list(g.edges())

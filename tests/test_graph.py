@@ -35,7 +35,6 @@ from sepcert.graph import (
     parse_rational,
     shortest_cycle,
     structural_report,
-    subdivide,
     subdivision_graph,
     union_labels,
 )
@@ -387,12 +386,11 @@ def test_union_labels_name_each_class_by_its_least_point():
 
 def test_subdivide_counts_and_midpoints():
     g = named_graph("k4")
-    g2, m2, mid = subdivide(g)
+    g2, mid = subdivision_graph(g)
     assert g2.n == g.n + g.m
     assert g2.m == 2 * g.m
-    assert sorted(mid.values()) == list(range(g.n + 1, g.n + g.m + 1))
+    assert list(mid) == list(g.edges())
+    assert list(mid.values()) == list(range(g.n + 1, g.n + g.m + 1))
     for e, node in mid.items():
         u, v = e
-        assert g2.has_edge(u, node) and g2.has_edge(v, node)
-        assert m2.edge_length((u, node)) == Fraction(1, 2)
-    assert subdivision_graph(g) == (g2, mid)
+        assert g2.neighbors(node) == (u, v)

@@ -29,15 +29,16 @@ def test_vertices_at_distance_8_from_16(f090a):
 
 def test_one_run_builds_one_distance_table_and_one_girth(monkeypatch, f090a):
     """The structure stage, the distance-transitivity check, the vertex
-    separation certificate and the pair separations read one distance
-    table of F090A; the structure stage and two certificates read one
-    girth, counted as scans of the memoised shortest-cycle search."""
+    separation certificate, the sigma-separation checks and the pair
+    separations read one distance table of F090A, and no table of any
+    other graph is built; the structure stage and two certificates read
+    one girth, counted as scans of the memoised shortest-cycle search."""
     built = {"tables": 0, "girths": 0}
     bfs_row, scan = graph._bfs_row, graph._shortest_cycle.__wrapped__
 
     def counted_row(g, source):
         # a table searches from every vertex, `is_connected` from vertex 1
-        built["tables"] += g == f090a and source == g.n
+        built["tables"] += source == g.n
         return bfs_row(g, source)
 
     def counted_scan(g, metric):

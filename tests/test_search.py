@@ -11,7 +11,7 @@ import networkx as nx
 import pytest
 
 from _oracles import brute_star_cutsets, separates
-from sepcert import search
+from sepcert import cutset, graph, search
 from sepcert.aut import PermutationGroup, automorphism_group, orbit_of_vertex_set
 from sepcert.cutset import Cutset, _complement_labels_cached, format_family, is_star_cutset
 from sepcert.datasets import named_graph
@@ -228,6 +228,20 @@ def test_f090a_census_counters_in_the_bundled_labelling(f090a, f090a_census, mon
     assert again.stats == stats
     assert again.keys == f090a_census.keys
     assert again.cutsets == f090a_census.cutsets
+
+
+def test_f090a_census_builds_distance_rows_of_the_graph_only(f090a, monkeypatch):
+    """The balls read F090A's own distance table, 90 BFS rows, and the
+    connectivity check one more; no row of any other graph is built, the
+    225-node subdivision's included."""
+    rows = []
+    real = graph._bfs_row
+    monkeypatch.setattr(graph, "_bfs_row", lambda g, source: rows.append(g) or real(g, source))
+    graph._distance_table.cache_clear()
+    cutset._cubic_problem.cache_clear()
+    search_star_cutsets(SearchTask(f090a, node_budget=10**18))
+    assert len(rows) == 91
+    assert set(rows) == {f090a}
 
 
 def _counters(**nonzero) -> dict:
