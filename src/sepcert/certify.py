@@ -222,16 +222,11 @@ class SeparatedFamily:
         return [i for i, o in enumerate(self.orbit_of) if o in failed]
 
     @cached_property
-    def member_keys(self) -> dict[Cutset, tuple]:
-        """The `Cutset.key` of each member, in member order."""
-        return {c: c.key() for c in self.members}
-
-    @cached_property
     def member_orbits(self) -> tuple[tuple[Cutset, ...], ...]:
         """The orbits of the members (one per member without a group), each
         sorted by `Cutset.key`, in order of their least members."""
         buckets: dict[int, list[Cutset]] = {}
-        for c, o in sorted(zip(self.members, self.orbit_of), key=lambda co: self.member_keys[co[0]]):
+        for c, o in sorted(zip(self.members, self.orbit_of), key=lambda co: co[0].key()):
             buckets.setdefault(o, []).append(c)
         return tuple(map(tuple, buckets.values()))
 
@@ -290,19 +285,21 @@ def _splits(g: Graph, cutsets, u: int, v: int) -> bool:
     return any(_separated_by(complement_labels(g, c)[0], u, v) for c in cutsets)
 
 
-def certify_vertex_separated(g: Graph, n: int, fam: SeparatedFamily) -> Certificate:
-    """Whole-graph vertex n-separation from a family of n-separated cutsets:
-    girth at least 2n, the members cover the vertices, each has at least two
+def certify_vertex_separated(fam: SeparatedFamily, n: int) -> Certificate:
+    """Vertex n-separation of the family's graph from its members, for an
+    integer order n >= 2: girth at least 2n, the members are n-separated in
+    the family's metric, they cover the vertices, each has at least two
     elements, every pair of neighbors of every vertex is split by a member,
     and every vertex pair at distance >= n is split by a member.
 
     Member facts are decided once per member orbit, and the pair facts at
     the vertex-orbit representatives (see the module docstring)."""
+    g = fam.graph
     _require_shape(g, "vertex separation certificate")
     if fam.kind != "vertex":
         raise CertifyError("vertex certification needs a vertex-kind family")
-    if fam.graph != g:
-        raise CertifyError("family was built for a different graph")
+    if Fraction(n).denominator != 1:
+        raise CertifyError(f"separation order must be an integer, got {n}")
     n = int(n)
     if n < 2:
         raise CertifyError("separation order must be at least 2")
@@ -383,19 +380,14 @@ def certify_vertex_separated(g: Graph, n: int, fam: SeparatedFamily) -> Certific
     return cert
 
 
-def certify_edge_separated(
-    g: Graph, metric: Metric, sigma, fam: SeparatedFamily
-) -> Certificate:
-    """Edge sigma-separation: proper sigma-separated members of size >= 2
-    whose union is the whole edge set."""
+def certify_edge_separated(fam: SeparatedFamily) -> Certificate:
+    """Edge sigma-separation of the family's graph, at the family's sigma
+    and in its metric: proper sigma-separated members of size >= 2 whose
+    union is the whole edge set."""
+    g, metric, sigma = fam.graph, fam.metric, fam.sigma
     _require_shape(g, "edge separation certificate")
     if fam.kind != "edge":
         raise CertifyError("edge certification needs an edge-kind family")
-    if fam.graph != g:
-        raise CertifyError("family was built for a different graph")
-    metric = metric or Metric.combinatorial()
-    metric.validate_for(g)
-    sigma = Fraction(sigma)
     cert = Certificate(f"edge-{sigma}-separated")
 
     bad_proper = []
@@ -473,8 +465,8 @@ def _split_counts(g: Graph, cutsets, vertices) -> dict:
     return counts
 
 
-def certify_star_separated(g: Graph, fam: SeparatedFamily) -> Certificate:
-    """Star-separation of a trivalent graph: the graph is connected,
+def certify_star_separated(fam: SeparatedFamily) -> Certificate:
+    """Star-separation of the family's graph: the graph is connected,
     bipartite and trivalent; the family members are star cutsets
     (3-separated, two components, minimal); the family certifies vertex
     3-separation; and the same-side counts |C(v,i,j)| over the distinct
@@ -486,6 +478,7 @@ def certify_star_separated(g: Graph, fam: SeparatedFamily) -> Certificate:
     clause is decided once per member orbit, and the counts at the
     vertex-orbit representatives: the count of a slot names two neighbors,
     so every vertex has the counts of its representative."""
+    g = fam.graph
     cert = Certificate("star-separated")
     parts = bipartition(g)
     trivalent = all(g.degree(v) == 3 for v in g.vertices())
@@ -501,8 +494,8 @@ def certify_star_separated(g: Graph, fam: SeparatedFamily) -> Certificate:
     )
     if not shape_ok:
         return cert
-    if fam.kind != "vertex" or fam.graph != g:
-        raise CertifyError("star certification needs a vertex-kind family on this graph")
+    if fam.kind != "vertex":
+        raise CertifyError("star certification needs a vertex-kind family")
 
     verdicts = {}
     failed = set()
@@ -523,7 +516,7 @@ def certify_star_separated(g: Graph, fam: SeparatedFamily) -> Certificate:
         {"members": len(fam.members), "violations": bad_star},
     )
 
-    cert.add("vertex-3-separated", certify_vertex_separated(g, 3, fam))
+    cert.add("vertex-3-separated", certify_vertex_separated(fam, 3))
 
     counts = _split_counts(g, fam.members, fam.symmetry.reps())
     set_values = sorted({x for once, _ in counts.values() for x in once})
@@ -547,13 +540,17 @@ def certify_star_separated(g: Graph, fam: SeparatedFamily) -> Certificate:
     return cert
 
 
-def _triangle_family(g: Graph, node_budget: int) -> tuple[SeparatedFamily, dict]:
-    """Bootstrap a star-cutset family: search a neighbor-split goal at
-    vertex 1, and take the orbit of the first find under the automorphism
-    group, which the family keeps."""
-    from .search import NeighborSplitGoal, SearchTask, search_star_cutsets
+#: Search nodes the bootstrap of `certify_triangle_link` may spend.
+_BOOTSTRAP_NODE_BUDGET = 5000
 
-    res = search_star_cutsets(SearchTask(g, NeighborSplitGoal(1, 1, 2), node_budget=node_budget))
+
+def _triangle_family(g: Graph) -> tuple[SeparatedFamily, dict]:
+    """Bootstrap a star-cutset family: search the split (1, 1, 2) at vertex
+    1 under `_BOOTSTRAP_NODE_BUDGET`, and take the orbit of the first find
+    under the automorphism group, which the family keeps."""
+    from .search import search_star_cutsets
+
+    res = search_star_cutsets(g, (1, 1, 2), _BOOTSTRAP_NODE_BUDGET)
     if not res.keys:
         raise CertifyError(
             "no star cutsets found within the search budget; supply a family"
@@ -570,10 +567,7 @@ def _triangle_family(g: Graph, node_budget: int) -> tuple[SeparatedFamily, dict]
 
 
 def certify_triangle_link(
-    g: Graph,
-    fam: SeparatedFamily | None = None,
-    node_budget: int = 5000,
-    star: Certificate | None = None,
+    g: Graph, fam: SeparatedFamily | None = None, star: Certificate | None = None
 ) -> Certificate:
     """Certificate that complexes built from unit equilateral triangles with
     every vertex link isomorphic to g are non-positively curved and evenly
@@ -581,9 +575,12 @@ def certify_triangle_link(
     pi/3), star-separation, and the all-ones weights solving the gluing
     equations on the fully symmetric self-gluing. Each cutset's sides are
     the components of its complement, so every separation it makes is
-    covered. ``star`` is the ``certify_star_separated`` certificate of
-    ``fam``, when the caller has already computed it.
+    covered. ``fam`` must be built on g, and `_triangle_family` bootstraps
+    one without it. ``star`` is the ``certify_star_separated`` certificate
+    of ``fam``, when the caller has already computed it.
     Facts are decided once per orbit of the family's group, if it has one."""
+    if fam is not None and fam.graph != g:
+        raise CertifyError("family was built for a different graph")
     cert = Certificate("triangle-link")
     girth_val = girth(g)
     cert.add(
@@ -595,13 +592,13 @@ def certify_triangle_link(
     bootstrap = None
     if fam is None:
         try:
-            fam, bootstrap = _triangle_family(g, node_budget)
+            fam, bootstrap = _triangle_family(g)
         except SepcertError as err:
             cert.add("star-separated", False, {"error": str(err)})
             return cert
 
     if star is None:
-        star = certify_star_separated(g, fam)
+        star = certify_star_separated(fam)
     cert.add("star-separated", star, {"family-bootstrap": bootstrap} if bootstrap else None)
 
     structure = GluingStructure.homogeneous(fam)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -143,16 +144,12 @@ def _cmd_cutset_check(args) -> int:
 
 def _cmd_cutset_search(args) -> int:
     from .cutset import format_family
-    from .search import CoverAllGoal, NeighborSplitGoal, SearchTask, search_star_cutsets
+    from .search import search_star_cutsets
     g, _ = _load_graph(args)
     if (args.at is None) != (args.split is None):
         raise _UsageError("--at and --split go together")
-    if args.at is not None:
-        i, j = args.split
-        goal = NeighborSplitGoal(args.at, i, j)
-    else:
-        goal = CoverAllGoal()
-    result = search_star_cutsets(SearchTask(g, goal, node_budget=10**18 if args.exhaust else args.budget))
+    split = None if args.at is None else (args.at, *args.split)
+    result = search_star_cutsets(g, split, math.inf if args.exhaust else args.budget)
     stats = {"found": len(result.keys), "exhausted": result.exhausted, **result.stats}
     body = format_family(result.keys)
     if args.out:
@@ -175,7 +172,7 @@ def _cmd_certify_link(args) -> int:
     if args.family:
         cutsets = parse_family(_read(args.family))
         fam = SeparatedFamily.from_cutsets(g, 3, cutsets)
-    cert = certify_triangle_link(g, fam, node_budget=args.budget)
+    cert = certify_triangle_link(g, fam)
     _print_cert(cert)
     return _finish(args, cert, {"family": args.family or "searched"})
 
@@ -186,7 +183,7 @@ def _cmd_certify_vertex(args) -> int:
     g, _ = _load_graph(args)
     cutsets = parse_family(_read(args.family))
     fam = SeparatedFamily.from_cutsets(g, args.n, cutsets)
-    cert = certify_vertex_separated(g, args.n, fam)
+    cert = certify_vertex_separated(fam, args.n)
     _print_cert(cert)
     return _finish(args, cert, {"family": args.family, "n": str(args.n)})
 
@@ -197,7 +194,7 @@ def _cmd_certify_edge(args) -> int:
     g, metric = _load_graph(args)
     cutsets = parse_family(_read(args.family))
     fam = SeparatedFamily.from_cutsets(g, args.sigma, cutsets, kind="edge", metric=metric)
-    cert = certify_edge_separated(g, metric, args.sigma, fam)
+    cert = certify_edge_separated(fam)
     _print_cert(cert)
     return _finish(args, cert, {"family": args.family, "sigma": str(args.sigma)})
 
@@ -303,7 +300,7 @@ def _load_structure(path: str) -> GluingStructure:
 def _load_weights(structure: GluingStructure, path: str) -> WeightAssignment:
     from .gluing import WeightAssignment
     by_id = {oid: (li, orbit) for oid, li, orbit in structure.unknowns()}
-    weights: dict[tuple[str, tuple], int] = {}
+    weights = {}
     seen: set[str] = set()
     for lineno, raw in enumerate(_read(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -324,7 +321,7 @@ def _load_weights(structure: GluingStructure, path: str) -> WeightAssignment:
             raise _UsageError(f"weights line {lineno}: bad integer {value!r}") from None
         li, orbit = by_id[oid]
         for c in orbit:
-            weights[(li.name, li.member_keys[c])] = val
+            weights[(li.name, c)] = val
     missing = [oid for oid in by_id if oid not in seen]
     if missing:
         raise _UsageError(f"weights file misses orbits: {', '.join(missing)}")
@@ -565,7 +562,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cl = certify.add_parser("link", help="triangle-link certificate")
     _add_graph_source(cl)
     cl.add_argument("--family")
-    cl.add_argument("--budget", type=_node_budget, default=5000)
     cl.add_argument("--out")
     cl.set_defaults(fn=_cmd_certify_link, command="certify link")
 

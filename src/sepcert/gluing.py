@@ -6,10 +6,10 @@ cutsets, the local pairs, and each `EdgeGerm` identifies an element of one
 link with an element of another, together with a bijection of the local
 directions around them. A pair's class at one of its elements groups the
 directions there by the component of the cutset's complement they enter.
-A weight assignment gives every pair, keyed by `Cutset.key`, a strictly
-positive integer; it verifies when equivalence-class sums balance across
-every germ and across the elements of every cutset, and (when link
-families carry automorphism groups) when weights are constant on orbits.
+A weight assignment gives every pair, keyed by its link's name and its
+`Cutset`, a strictly positive integer; it verifies when equivalence-class
+sums balance across every germ and across the elements of every cutset,
+and (when link families carry groups) when weights are constant on orbits.
 
 `verify_gluing` and `solve_gluing` read one enumeration of these
 equations. The solver has one unknown per orbit of pairs and tries
@@ -107,7 +107,10 @@ class EdgeGerm:
         eb = self._norm(self.end, self.element_b)
         object.__setattr__(self, "element_a", ea)
         object.__setattr__(self, "element_b", eb)
-        bij = tuple(sorted((int(a), int(b)) for a, b in dict(self.bijection).items()))
+        bij = tuple(sorted((int(a), int(b)) for a, b in self.bijection))
+        for a, times in Counter(a for a, _ in bij).items():
+            if times > 1:
+                raise GluingError(f"germ bijection maps direction {a} more than once")
         object.__setattr__(self, "bijection", bij)
         da = directions_at(self.start.graph, self.start.kind, ea)
         db = directions_at(self.end.graph, self.end.kind, eb)
@@ -147,8 +150,8 @@ class EdgeGerm:
 class GluingStructure:
     """Named link families glued along germs; each family may carry its
     link automorphism group. Each element's classes are computed once for
-    every check and solve made on the structure; the orbits and keys of
-    each family's pairs are cached on the family."""
+    every check and solve made on the structure; the orbits of each
+    family's pairs are cached on the family."""
 
     instances: tuple[SeparatedFamily, ...]
     germs: tuple[EdgeGerm, ...]
@@ -204,24 +207,22 @@ class GluingStructure:
 
 @dataclass(frozen=True)
 class WeightAssignment:
-    """Strictly positive integer weight for every pair of every link."""
+    """Strictly positive integer weight for every pair of every link, keyed
+    by (link name, cutset)."""
 
-    weights: Mapping[tuple[str, tuple], int]
+    weights: Mapping[tuple[str, Cutset], int]
 
     def __post_init__(self):
         object.__setattr__(self, "weights", dict(self.weights))
 
     @classmethod
     def all_ones(cls, structure: GluingStructure) -> "WeightAssignment":
-        return cls(
-            {(li.name, key): 1 for li in structure.instances for key in li.member_keys.values()}
-        )
+        return cls({(li.name, c): 1 for li in structure.instances for c in li.members})
 
-    def get(self, li: SeparatedFamily, c: Cutset, key: tuple | None = None) -> int:
-        """The weight of the pair c of li; ``key`` is its `Cutset.key`, when
-        the caller already holds it."""
+    def get(self, li: SeparatedFamily, c: Cutset) -> int:
+        """The weight of the pair c of li."""
         try:
-            return self.weights[(li.name, c.key() if key is None else key)]
+            return self.weights[(li.name, c)]
         except KeyError:
             raise GluingError(
                 f"no weight for cutset {c.sorted_elements()} in link {li.name!r}"
@@ -300,13 +301,13 @@ def verify_gluing(structure: GluingStructure, w: WeightAssignment) -> Certificat
     there by the element taking x to r; otherwise every member is decided
     with the class sums at every element."""
     cert = Certificate("gluing")
-    weight = {li.name: {c: w.get(li, c, key) for c, key in li.member_keys.items()} for li in structure.instances}
+    weight = {li.name: {c: w.get(li, c) for c in li.members} for li in structure.instances}
     bad_positive = []
     for li in structure.instances:
         for c in li.members:
             value = weight[li.name][c]
             if not (isinstance(value, int) and value >= 1):
-                bad_positive.append((li.name, li.member_keys[c], value))
+                bad_positive.append((li.name, c.key(), value))
     cert.add(
         "weights-positive",
         not bad_positive,
@@ -323,7 +324,7 @@ def verify_gluing(structure: GluingStructure, w: WeightAssignment) -> Certificat
                 orbit_count += 1
                 vals = {weight[li.name][c] for c in orbit}
                 if len(vals) > 1:
-                    bad_orbit.append((li.name, li.member_keys[orbit[0]], sorted(vals)))
+                    bad_orbit.append((li.name, orbit[0].key(), sorted(vals)))
             if li.group is not None and len(bad_orbit) == before:
                 invariant.add(li.name)
         cert.add(
@@ -479,18 +480,18 @@ def solve_gluing(structure: GluingStructure) -> WeightAssignment | GluingInfeasi
     k = len(unknowns)
     if k == 0:
         raise GluingError("structure has no pairs to weight")
-    # equal pairs share one key, so one unknown, as they share one weight
-    var_of_key = {(li.name, li.member_keys[c]): j for j, (_, li, orbit) in enumerate(unknowns) for c in orbit}
+    # equal pairs share one unknown, as they share one weight
+    var_of = {(li.name, c): j for j, (_, li, orbit) in enumerate(unknowns) for c in orbit}
 
     def assignment_from(values: list[int]) -> WeightAssignment:
-        return WeightAssignment({key: values[j] for key, j in var_of_key.items()})
+        return WeightAssignment({pair: values[j] for pair, j in var_of.items()})
 
     ones = assignment_from([1] * k)
     if verify_gluing(structure, ones).ok:
         return ones
 
     unit = {
-        li.name: {c: Counter({var_of_key[li.name, key]: 1}) for c, key in li.member_keys.items()}
+        li.name: {c: Counter({var_of[li.name, c]: 1}) for c in li.members}
         for li in structure.instances
     }
     balance = _Balance(structure, unit, Counter())

@@ -39,12 +39,12 @@ at sigma = 1 an edge between cut vertices is a free arc that g does not
 see, and the count on g gives 16 sets where 8 are two-sided. So
 ``two_sided_cutsets`` refuses vertex kind there.
 
-A neighbor-split goal is searched from one root: v is cut, and its i-th
-and j-th neighbors in ascending order go to sides A and B. Enumerating
-every cutset instead roots the search at orbits, two levels deep, and
-closes the validated leaves under a group: Aut(g) for the star census,
-once each generator is checked to map the edge set onto itself, and the
-trivial group in ``two_sided_cutsets``.
+``search_star_cutsets`` with a ``split`` (v, i, j) searches one root: v
+is cut, and its i-th and j-th neighbors in ascending order go to sides A
+and B. Without one it enumerates every cutset: it roots the search at
+orbits, two levels deep, and closes the validated leaves under a group:
+Aut(g) for the star census, once each generator is checked to map the edge
+set onto itself, and the trivial group in ``two_sided_cutsets``.
 
 The first level follows the orbits of the group, in the order of
 ``vertex_orbits()``. Under orbit i, the least node r is cut, every node of
@@ -113,36 +113,15 @@ _COUNTERS = (
 
 
 @dataclass(frozen=True)
-class NeighborSplitGoal:
-    """Find cutsets through v putting its i-th and j-th neighbors, in
-    ascending order (positions 1..3), in different components."""
-
-    v: int
-    i: int
-    j: int
-
-
-@dataclass(frozen=True)
-class CoverAllGoal:
-    """Enumerate every star cutset of the graph."""
-
-
-@dataclass(frozen=True)
-class SearchTask:
-    graph: Graph
-    goal: object = CoverAllGoal()
-    node_budget: int = 10_000_000
-
-
-@dataclass(frozen=True)
 class SearchResult:
     """The cutsets found, as ascending sorted-id keys
     (``aut.vertex_set_key``), the order of their sorted vertex lists, from
     which ``cutset.format_family`` writes the family file; ``cutsets``
     holds them as vertex cutsets, in the same order, built on first use.
     ``orbits`` holds the least key of each orbit, ascending, from which
-    ``certify.SeparatedFamily.from_orbits`` rebuilds the family; without a
-    group every key is its own orbit."""
+    ``certify.SeparatedFamily.from_orbits`` rebuilds the family; a split
+    search has no group, so every key is its own orbit. ``exhausted`` is
+    True when no node was left unexplored; ``stats`` holds the counters."""
 
     keys: tuple[str, ...]
     orbits: tuple[str, ...]
@@ -283,17 +262,13 @@ class _Coloring:
         return True
 
 
-def _goal_root(task: SearchTask) -> _Root:
-    g = task.graph
-    goal = task.goal
-    if not isinstance(goal, NeighborSplitGoal):
-        raise SearchError(f"unknown goal {goal!r}")
-    if not 1 <= goal.v <= g.n:
-        raise SearchError(f"goal vertex {goal.v} not in graph")
-    if goal.i == goal.j or not {goal.i, goal.j} <= {1, 2, 3}:
-        raise SearchError(f"bad neighbor positions {goal.i},{goal.j}")
-    triple = g.neighbors(goal.v)
-    return _Root(((goal.v, CUT), (triple[goal.i - 1], SIDE_A), (triple[goal.j - 1], SIDE_B)))
+def _split_root(g: Graph, v: int, i: int, j: int) -> _Root:
+    if not 1 <= v <= g.n:
+        raise SearchError(f"goal vertex {v} not in graph")
+    if i == j or not {i, j} <= {1, 2, 3}:
+        raise SearchError(f"bad neighbor positions {i},{j}")
+    triple = g.neighbors(v)
+    return _Root(((v, CUT), (triple[i - 1], SIDE_A), (triple[j - 1], SIDE_B)))
 
 
 def _orbit_roots(state: _Coloring, grp: PermutationGroup | None) -> list[_Root]:
@@ -338,23 +313,26 @@ def _branch_vertex(state: _Coloring) -> int | None:
     return best
 
 
-def search_star_cutsets(task: SearchTask) -> SearchResult:
-    g = task.graph
+def search_star_cutsets(g: Graph, split: tuple[int, int, int] | None = None, node_budget=inf) -> SearchResult:
+    """The star cutsets of the trivalent graph g, closed under Aut(g); with
+    ``split`` = (v, i, j) those through v that put its i-th and j-th
+    neighbors in ascending order (positions 1..3) in different components.
+    At most ``node_budget`` nodes are charged; ``math.inf`` is no budget."""
     require_cubic(g)
     state = _Coloring(g, Metric.combinatorial(), "vertex", 3)
-    if isinstance(task.goal, CoverAllGoal):
+    if split is None:
         grp = automorphism_group(g)
         for p in grp.generators:
             if not is_automorphism(g, p):
                 raise SearchError("a group generator does not map the edge set onto itself")
         roots = _orbit_roots(state, grp)
     else:
-        grp, roots = None, [_goal_root(task)]
+        grp, roots = None, [_split_root(g, *split)]
 
     family = _Family(grp)
     exhausted = True
     for root in roots:
-        exhausted &= _search_root(state, root, task.node_budget, family)
+        exhausted &= _search_root(state, root, node_budget, family)
     if grp is not None:
         state.stats["orbits"] = len(family.orbits)
     return SearchResult(tuple(sorted(family.keys)), tuple(sorted(family.orbits)), exhausted, state.stats)

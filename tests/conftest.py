@@ -13,7 +13,7 @@ from sepcert.aut import automorphism_group, orbit_of_vertex_set
 from sepcert.certify import SeparatedFamily
 from sepcert.cutset import Cutset
 from sepcert.datasets import f090a_star_cutsets, named_graph
-from sepcert.search import SearchTask, search_star_cutsets
+from sepcert.search import search_star_cutsets
 
 # Generated inputs repeat from run to run, and no example database is
 # written, so the fuzz tests are as deterministic as the rest of tier 1.
@@ -63,7 +63,7 @@ def symmetric_closure_family(closure_family, f090a_group):
 @pytest.fixture(scope="session")
 def f090a_census(f090a):
     """The exhaustive star-cutset search of F090A in its bundled labelling."""
-    return search_star_cutsets(SearchTask(f090a, node_budget=10**18))
+    return search_star_cutsets(f090a)
 
 
 @pytest.fixture(scope="session")

@@ -103,8 +103,8 @@ def test_family_distinct_cutsets(q3, q3_neighborhood_family):
 # ------------------------------------------------------ vertex-separated --
 
 
-def test_q3_is_vertex_2_separated(q3, q3_neighborhood_family):
-    cert = certify_vertex_separated(q3, 2, q3_neighborhood_family)
+def test_q3_is_vertex_2_separated(q3_neighborhood_family):
+    cert = certify_vertex_separated(q3_neighborhood_family, 2)
     assert cert.ok
     names = [c.name for c in cert.checks]
     assert names == [
@@ -121,27 +121,32 @@ def test_q3_is_vertex_2_separated(q3, q3_neighborhood_family):
 def test_vertex_separation_girth_clause(q3, q3_neighborhood_family):
     # girth 4 < 2*3, so asking for 3-separation must fail the girth clause
     fam3 = SeparatedFamily(q3, 2, "vertex", q3_neighborhood_family.members)
-    cert = certify_vertex_separated(q3, 3, fam3)
+    cert = certify_vertex_separated(fam3, 3)
     assert not cert.check("girth").ok
     assert cert.check("girth").witness == {"girth": 4, "required": 6}
 
 
 def test_vertex_separation_covering_clause(q3):
     fam = SeparatedFamily.from_cutsets(q3, 2, [Cutset.of_vertices(q3.neighbors(1))])
-    cert = certify_vertex_separated(q3, 2, fam)
+    cert = certify_vertex_separated(fam, 2)
     assert not cert.ok
     assert not cert.check("covering").ok
     assert 1 in cert.check("covering").witness["missing"]
 
 
-def test_vertex_separation_rejects_shape_problems(q3, q3_neighborhood_family):
-    with pytest.raises(CertifyError):
-        certify_vertex_separated(named_graph("p4"), 2, q3_neighborhood_family)
-    with pytest.raises(CertifyError):
-        certify_vertex_separated(q3, 1, q3_neighborhood_family)
-    other = named_graph("petersen")
-    with pytest.raises(CertifyError):
-        certify_vertex_separated(other, 2, q3_neighborhood_family)
+def test_vertex_separation_rejects_shape_problems(q3_neighborhood_family):
+    p4 = named_graph("p4")
+    with pytest.raises(CertifyError, match="degree-1"):
+        certify_vertex_separated(SeparatedFamily.from_cutsets(p4, 2, [Cutset.of_vertices([2])]), 2)
+    with pytest.raises(CertifyError, match="at least 2"):
+        certify_vertex_separated(q3_neighborhood_family, 1)
+
+
+@pytest.mark.parametrize("n", [Fraction(5, 2), 2.9], ids=["5/2", "2.9"])
+def test_vertex_separation_refuses_a_fractional_order(q3_neighborhood_family, n):
+    # an order is not rounded down to one the family passes
+    with pytest.raises(CertifyError, match="must be an integer"):
+        certify_vertex_separated(q3_neighborhood_family, n)
 
 
 # -------------------------------------------------------- edge-separated --
@@ -156,22 +161,22 @@ def c8_opposite_edges():
 
 
 def test_c8_is_edge_4_separated(c8_opposite_edges):
-    c8, fam = c8_opposite_edges
-    cert = certify_edge_separated(c8, Metric.combinatorial(), 4, fam)
+    _, fam = c8_opposite_edges
+    cert = certify_edge_separated(fam)
     assert cert.ok
 
 
 def test_edge_separation_cover_clause(c8_opposite_edges):
     c8, fam = c8_opposite_edges
     partial = SeparatedFamily(c8, 4, "edge", fam.members[:2])
-    cert = certify_edge_separated(c8, Metric.combinatorial(), 4, partial)
+    cert = certify_edge_separated(partial)
     assert not cert.ok
     assert not cert.check("edge-cover").ok
 
 
-def test_edge_separation_kind_mismatch(q3, q3_neighborhood_family):
+def test_edge_separation_kind_mismatch(q3_neighborhood_family):
     with pytest.raises(CertifyError):
-        certify_edge_separated(q3, Metric.combinatorial(), 2, q3_neighborhood_family)
+        certify_edge_separated(q3_neighborhood_family)
 
 
 # ------------------------------------------------- star-separated pieces --
@@ -217,7 +222,7 @@ def test_star_split_counts_with_a_duplicated_member(q3, q3_neighborhood_family):
     counts, with_multiplicity = _split_counts_by_slot(q3, fam.members)
     assert with_multiplicity == brute
     assert counts == brute_split_counts(q3, set(cutsets))
-    star = certify_star_separated(q3, fam).check("split-counts-constant")
+    star = certify_star_separated(fam).check("split-counts-constant")
     assert star.ok
     assert star.witness["distinct_cutsets"] == 8
     assert star.witness["set_values"] == sorted(set(brute_split_counts(q3, set(cutsets)).values()))
@@ -229,7 +234,7 @@ def test_star_split_counts_with_a_duplicated_member(q3, q3_neighborhood_family):
 def test_certify_star_separated_reports_noncubic():
     c8 = named_graph("c8")
     fam = SeparatedFamily.from_cutsets(c8, 3, [Cutset.of_vertices([1, 5])])
-    cert = certify_star_separated(c8, fam)
+    cert = certify_star_separated(fam)
     assert not cert.ok
     assert not cert.check("cubic").ok
 
@@ -237,7 +242,7 @@ def test_certify_star_separated_reports_noncubic():
 def test_certify_star_separated_empty_family_fails_loudly():
     heawood = named_graph("heawood")
     fam = SeparatedFamily(heawood, 3, "vertex", ())
-    cert = certify_star_separated(heawood, fam)
+    cert = certify_star_separated(fam)
     assert not cert.ok
     assert not cert.check("vertex-3-separated").ok
     assert not cert.check("split-counts-constant").ok
@@ -250,6 +255,11 @@ def test_triangle_link_rejects_low_girth():
     cert = certify_triangle_link(named_graph("k4"))
     assert not cert.ok
     assert not cert.check("link-girth-six").ok
+
+
+def test_triangle_link_refuses_a_family_of_another_graph(q3_neighborhood_family):
+    with pytest.raises(CertifyError, match="different graph"):
+        certify_triangle_link(named_graph("petersen"), q3_neighborhood_family)
 
 
 def test_triangle_link_heawood_fails_star_stage():
@@ -283,11 +293,11 @@ def _certify_alike_with_and_without_the_group(g, fam):
     adds. Returns the certificates made with the group."""
     got = []
     for f in (fam, replace(fam, group=None)):
-        star = certify_star_separated(g, f)
+        star = certify_star_separated(f)
         structure = GluingStructure.homogeneous(f)
         got.append(
             (
-                certify_vertex_separated(g, 3, f),
+                certify_vertex_separated(f, 3),
                 star,
                 verify_gluing(structure, WeightAssignment.all_ones(structure)),
                 certify_triangle_link(g, f, star=star),
@@ -347,7 +357,7 @@ def test_failing_certificates_agree_with_and_without_a_cyclic_group(f090a, f090a
     _, star, _, link = _certify_alike_with_and_without_the_group(f090a, fam)
     split = star.check("split-counts-constant").witness
     assert len(split["set_values"]) > 1
-    vertex = certify_vertex_separated(f090a, 3, fam)
+    vertex = certify_vertex_separated(fam, 3)
     assert not vertex.check("neighbor-pairs-split").ok
     assert not vertex.check("distant-pairs-split").ok
     assert not link.ok
@@ -377,7 +387,7 @@ def test_c8_family_under_a_half_turn_fails_alike_with_and_without_it():
     c8 = named_graph("c8")
     half_turn = PermutationGroup.generated_by(8, [(5, 6, 7, 8, 1, 2, 3, 4)])
     fam = SeparatedFamily.from_cutsets(c8, 2, [Cutset.of_vertices((1, 5))], group=half_turn)
-    got = [certify_vertex_separated(c8, 2, f) for f in (fam, replace(fam, group=None))]
+    got = [certify_vertex_separated(f, 2) for f in (fam, replace(fam, group=None))]
     assert dumps(got[0].doc()) == dumps(got[1].doc())
     # 6 and its neighbours 5, 7 are decided at 2 with 1, 3
     assert (6, 5, 7) in got[0].check("neighbor-pairs-split").witness["violations"]

@@ -62,6 +62,11 @@ def test_aut_has_no_budget_option(capsys):
     assert "unrecognized arguments: --budget" in capsys.readouterr().err
 
 
+def test_certify_link_has_no_budget_option(capsys):
+    assert main(["certify", "link", "--builtin", "heawood", "--budget", "5"]) == 2
+    assert "unrecognized arguments: --budget" in capsys.readouterr().err
+
+
 def test_star_search_has_no_time_budget_option(capsys):
     argv = ["cutset", "search", "--builtin", "k33", "--star", "--time-budget", "5"]
     assert main(argv) == 2
@@ -379,6 +384,14 @@ def contract_files(tmp_path_factory):
         "parallel-corners": json.dumps({"vertices": 5, "faces": [[1, 2, 3, 4], [5, 2, 3, 4]]}),
         "path": "p 4 3\n1 2\n2 3\n3 4\n",
         "forest": "p 6 4\n1 2\n2 3\n4 5\n5 6\n",
+        "germ-twice": json.dumps(
+            {
+                "links": [
+                    {"name": "L", "graph": str(INPUTS / "c8.txt"), "sigma": "2", "family": str(INPUTS / "c8-cross.txt")}
+                ],
+                "germs": [{"start": "L", "element": 1, "end": "L", "bijection": [[2, 8], [2, 2], [8, 8]]}],
+            }
+        ),
     }
     for name, text in written.items():
         (d / name).write_text(text)
@@ -397,8 +410,9 @@ def test_contract_names_every_leaf_subcommand():
 
 
 #: More malformed inputs, each exit 2: a node budget is a non-negative
-#: integer, a search is either exhaustive or under a node budget, a
-#: separation order sigma is positive, and a link is a simple graph.
+#: integer, a search is either exhaustive or under a node budget,
+#: ``certify link`` takes no budget, a separation order sigma is positive,
+#: a link is a simple graph, and a germ maps each direction once.
 _CONTRACT_MALFORMED = {
     "complex-check-parallel-corners": ["complex", "check", "{parallel-corners}"],
     "cutset-search-exhaust-with-budget": [
@@ -416,6 +430,7 @@ _CONTRACT_MALFORMED = {
     "cutset-check-sigma-negative": [
         "cutset", "check", "--builtin", "c8", "--family", "{c8-edges.txt}", "--sigma=-1"
     ],
+    "gluing-verify-germ-maps-a-direction-twice": ["gluing", "verify", "{germ-twice}"],
 }
 
 

@@ -1,6 +1,6 @@
 """Fuzzing the input parsers, the structure-file loader, the solver, the
-seeds of ``complex trace``, the goals of ``cutset search`` and the node
-budgets of ``cutset search`` and ``certify link``.
+seeds of ``complex trace``, and the goals and node budget of ``cutset
+search``.
 
 Malformed input must end in a ``SepcertError`` from the library, and in
 exit 2 with an ``error:`` line from the CLI; any other exception escapes
@@ -301,7 +301,7 @@ def test_star_search_goals_exit_cleanly(at, split):
     _assert_clean_exit(["cutset", "search", "--builtin", "q3", "--star", f"--at={at}", "--split", str(i), str(j)])
 
 
-_BUDGETED = [["cutset", "search", "--builtin", "q3", "--star"], ["certify", "link", "--builtin", "heawood"]]
+_BUDGETED = [["cutset", "search", "--builtin", "q3", "--star"]]
 _BUDGET_TEXT = st.integers().map(str) | st.text(st.sampled_from("0123456789-+_x. "), max_size=6)
 
 

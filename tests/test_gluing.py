@@ -156,6 +156,13 @@ def test_germ_bijection_must_cover_directions(c6_diameters):
         EdgeGerm(li, 1, li, 2, ((2, 2), (6, 6)))  # directions at 2 are 1,3
 
 
+def test_germ_bijection_maps_each_direction_once(c6_diameters):
+    # the pairs are checked as given, not after a dict keeps the last one
+    li = c6_diameters
+    with pytest.raises(GluingError, match="maps direction 2 more than once"):
+        EdgeGerm(li, 1, li, 1, ((2, 6), (2, 2), (6, 6)))
+
+
 def test_swapping_germ_still_equates_symmetric_pairs(c6_diameters):
     li = c6_diameters
     swap = EdgeGerm(li, 1, li, 1, ((2, 6), (6, 2)))
@@ -228,7 +235,7 @@ def test_three_sided_pairs_verify_alike_with_and_without_the_group():
     certs = []
     for li in (fam, replace(fam, group=None)):
         s = GluingStructure.homogeneous(li)
-        uneven = WeightAssignment({("L", c.key()): i + 1 for i, c in enumerate(li.members)})
+        uneven = WeightAssignment({("L", c): i + 1 for i, c in enumerate(li.members)})
         certs.append([verify_gluing(s, w) for w in (WeightAssignment.all_ones(s), uneven)])
     for reduced, plain in zip(*certs):
         docs = [dumps(c.doc()) for c in reduced.checks if c.name != "weights-invariant"]
@@ -257,15 +264,14 @@ def test_all_ones_verifies_on_homogeneous_c6(c6_diameters):
 
 def test_nonpositive_weights_fail(c6_diameters):
     s = GluingStructure.homogeneous(c6_diameters)
-    zero = WeightAssignment({(c6_diameters.name, c.key()): 0 for c in c6_diameters.members})
+    zero = WeightAssignment({(c6_diameters.name, c): 0 for c in c6_diameters.members})
     cert = verify_gluing(s, zero)
     assert not cert.check("weights-positive").ok
 
 
 def test_uneven_weights_fail_invariance(c6_diameters):
     s = GluingStructure.homogeneous(symmetric(c6_diameters))
-    keys = [c.key() for c in c6_diameters.members]
-    w = WeightAssignment({("L", k): 1 + i for i, k in enumerate(keys)})
+    w = WeightAssignment({("L", c): 1 + i for i, c in enumerate(c6_diameters.members)})
     cert = verify_gluing(s, w)
     assert not cert.check("weights-invariant").ok
     # identity self-germs keep both sides of every edge equation equal
@@ -277,8 +283,8 @@ def test_uneven_weights_fail_balance_across_elements(c6_diameters):
     # a germ joining element 1 to element 2 compares different diameters
     germ = EdgeGerm(c6_diameters, 1, c6_diameters, 2, ((2, 1), (6, 3)))
     s = GluingStructure((c6_diameters,), (germ,))
-    keys = sorted(c.key() for c in c6_diameters.members)
-    w = WeightAssignment({("L", k): 1 + i for i, k in enumerate(keys)})
+    cutsets = sorted(c6_diameters.members, key=Cutset.key)
+    w = WeightAssignment({("L", c): 1 + i for i, c in enumerate(cutsets)})
     cert = verify_gluing(s, w)
     assert not cert.check("edge-balance").ok
     assert verify_gluing(s, WeightAssignment.all_ones(s)).ok
@@ -290,7 +296,7 @@ def test_balance_keeps_instances_apart():
     b = link_of("B", "c6", 3, [(1, 4), (2, 5), (3, 6)])
     s = GluingStructure((a, b), (EdgeGerm.identity(a, b, 1),))
     w = WeightAssignment(
-        {(li.name, c.key()): weight for li, weight in ((a, 1), (b, 2)) for c in li.members}
+        {(li.name, c): weight for li, weight in ((a, 1), (b, 2)) for c in li.members}
     )
     cert = verify_gluing(s, w)
     edge = cert.check("edge-balance")
@@ -347,7 +353,7 @@ def test_solve_finds_weights_beyond_all_ones():
     assert not verify_gluing(s, WeightAssignment.all_ones(s)).ok
     got = solve_gluing(s)
     assert isinstance(got, WeightAssignment) and verify_gluing(s, got).ok
-    heavy = ("A", a.pairs_at(5)[0].key())
+    heavy = ("A", a.pairs_at(5)[0])
     assert got.weights[heavy] == 3
     assert all(v == 1 for key, v in got.weights.items() if key != heavy)
 

@@ -40,6 +40,7 @@ CASES = {
         "out.json",
     ),
     "cutset-search-bridge10": (["cutset", "search", "--builtin", "bridge10", "--star", "--exhaust"], "out.txt"),
+    "certify-link-f090a": (["certify", "link", "--builtin", "f090a"], "out.json"),
     "certify-link-heawood": (["certify", "link", "--builtin", "heawood"], "out.json"),
     "certify-vertex-q3": (
         ["certify", "vertex-separated", "--builtin", "q3", "--n", "2", "--family", "q3-neighborhoods.txt"],

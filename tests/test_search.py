@@ -1,4 +1,4 @@
-"""Star-cutset search: soundness of emissions, goal satisfaction,
+"""Star-cutset search: soundness of emissions, neighbor-split searches,
 exhaustiveness of the rooted search and its closure under Aut(g) against
 the subset-enumeration oracle, the F090A census, and budgets."""
 
@@ -17,13 +17,7 @@ from sepcert.cutset import Cutset, _complement_labels_cached, format_family, is_
 from sepcert.datasets import named_graph
 from sepcert.errors import CutsetError, SearchError
 from sepcert.graph import Graph, Metric, is_connected
-from sepcert.search import (
-    CoverAllGoal,
-    NeighborSplitGoal,
-    SearchTask,
-    search_star_cutsets,
-    two_sided_cutsets,
-)
+from sepcert.search import search_star_cutsets, two_sided_cutsets
 
 #: Star cutsets of F090A found by the exhaustive search of the seed commit,
 #: and the sha256 of that family in the bundled labelling, one
@@ -33,10 +27,9 @@ F090A_STAR_CUTSETS = 16416
 F090A_STAR_SHA256 = "e1f43a053ead89f7d34378a21393cbad4095de3254f893e69f80e70735f5cfef"
 
 
-def exhaustive(name, **kw):
+def exhaustive(name):
     g = named_graph(name)
-    task = SearchTask(g, node_budget=10**18, **kw)
-    return g, search_star_cutsets(task)
+    return g, search_star_cutsets(g)
 
 
 def test_q3_has_no_star_cutsets():
@@ -82,7 +75,7 @@ def test_random_cubic_groups_vary():
 def test_rooted_search_matches_oracle_on_random_cubic_graphs(n, seed):
     g = _random_cubic(n, seed)
     assert is_connected(g)
-    result = search_star_cutsets(SearchTask(g, node_budget=10**18))
+    result = search_star_cutsets(g)
     assert result.exhausted
     assert {c.elements for c in result.cutsets} == brute_star_cutsets(g)
 
@@ -95,7 +88,7 @@ def test_closure_refuses_a_generator_that_is_not_an_automorphism(monkeypatch):
     bogus = PermutationGroup.generated_by(g.n, [swap])
     monkeypatch.setattr(search, "automorphism_group", lambda g: bogus)
     with pytest.raises(SearchError, match="edge set"):
-        search_star_cutsets(SearchTask(g, node_budget=10**18))
+        search_star_cutsets(g)
 
 
 def _family_sha256(cutsets, perm) -> str:
@@ -117,8 +110,8 @@ def test_census_orbits_are_the_least_member_of_each_orbit(census_orbits, f090a_c
     _, bridge10 = exhaustive("bridge10")
     assert len(bridge10.keys) == 2 and bridge10.orbits == bridge10.keys[:1]
     # without a group every cutset is its own orbit
-    goal = search_star_cutsets(SearchTask(named_graph("f090a"), NeighborSplitGoal(1, 1, 2), node_budget=5000))
-    assert goal.orbits == goal.keys and "orbits" not in goal.stats
+    split = search_star_cutsets(named_graph("f090a"), (1, 1, 2), node_budget=5000)
+    assert split.orbits == split.keys and "orbits" not in split.stats
 
 
 def test_two_sided_cutsets_leave_the_complement_label_cache_alone():
@@ -184,7 +177,7 @@ def test_search_root_leaves_the_coloring_as_it_found_it(f090a, monkeypatch):
     state = search._Coloring(f090a, Metric.combinatorial(), "vertex", 3)
     roots = search._orbit_roots(state, automorphism_group(f090a))
     undone = _check_roots_undone(monkeypatch)
-    search_star_cutsets(SearchTask(f090a, node_budget=10**18))
+    search_star_cutsets(f090a)
     assert len(undone) == len(roots) and all(undone)
     undone.clear()
     heawood = named_graph("heawood")
@@ -221,7 +214,7 @@ def test_f090a_census_counters_in_the_bundled_labelling(f090a, f090a_census, mon
     calls = _count_leaf_decisions(monkeypatch)
     built = _count_cutsets_built(monkeypatch)
     cached = _complement_labels_cached.cache_info().currsize
-    again = search_star_cutsets(SearchTask(f090a, node_budget=10**18))
+    again = search_star_cutsets(f090a)
     assert calls[0] == 68
     assert built[0] == 0
     assert _complement_labels_cached.cache_info().currsize == cached
@@ -239,7 +232,7 @@ def test_f090a_census_builds_distance_rows_of_the_graph_only(f090a, monkeypatch)
     monkeypatch.setattr(graph, "_bfs_row", lambda g, source: rows.append(g) or real(g, source))
     graph._distance_table.cache_clear()
     cutset._cubic_problem.cache_clear()
-    search_star_cutsets(SearchTask(f090a, node_budget=10**18))
+    search_star_cutsets(f090a)
     assert len(rows) == 91
     assert set(rows) == {f090a}
 
@@ -291,7 +284,7 @@ def test_written_census_is_the_pinned_family(f090a, f090a_census):
     assert hashlib.sha256(text.encode()).hexdigest() == F090A_STAR_SHA256
     perm = list(range(1, f090a.n + 1))
     random.Random(1).shuffle(perm)
-    result = search_star_cutsets(SearchTask(f090a.relabel(perm), node_budget=10**18))
+    result = search_star_cutsets(f090a.relabel(perm))
     assert format_family(result.keys) == _reference_family_text(result.cutsets)
     assert _family_sha256(result.cutsets, perm) == F090A_STAR_SHA256
     assert result.stats == _counters(
@@ -324,7 +317,7 @@ def test_trivial_group_keeps_one_root_per_vertex():
     assert [(root.seeds[0], root.not_cut) for root in roots] == [
         ((r, search.CUT), tuple(range(1, r))) for r in g.vertices()
     ]
-    result = search_star_cutsets(SearchTask(g, node_budget=10**18))
+    result = search_star_cutsets(g)
     assert result.exhausted
     assert len(result.cutsets) == 84
     assert result.stats == _counters(
@@ -337,7 +330,7 @@ def test_f090a_census_in_a_relabelling(f090a, monkeypatch):
     perm = list(range(1, f090a.n + 1))
     random.Random(2).shuffle(perm)
     calls = _count_leaf_decisions(monkeypatch)
-    result = search_star_cutsets(SearchTask(f090a.relabel(perm), node_budget=10**18))
+    result = search_star_cutsets(f090a.relabel(perm))
     assert result.exhausted
     assert len(result.cutsets) == F090A_STAR_CUTSETS
     assert _family_sha256(result.cutsets, perm) == F090A_STAR_SHA256
@@ -381,7 +374,7 @@ def test_every_emission_passes_the_star_conjunction(f090a, f090a_census):
     censuses = [exhaustive("bridge10")]
     for n, seed in [(12, 27), (14, 10), (14, 23), (12, 60)]:
         g = _random_cubic(n, seed)
-        censuses.append((g, search_star_cutsets(SearchTask(g, node_budget=10**18))))
+        censuses.append((g, search_star_cutsets(g)))
     for g, result in censuses:
         assert result.exhausted and result.cutsets
         for c in result.cutsets:
@@ -393,8 +386,7 @@ def test_every_emission_passes_the_star_conjunction(f090a, f090a_census):
 
 def test_neighbor_split_goal_members_split_the_pair():
     g = named_graph("f090a")
-    task = SearchTask(g, NeighborSplitGoal(1, 1, 2), node_budget=5000)
-    result = search_star_cutsets(task)
+    result = search_star_cutsets(g, (1, 1, 2), node_budget=5000)
     assert result.cutsets
     wi, wj, _ = g.neighbors(1)
     for c in result.cutsets:
@@ -407,14 +399,14 @@ def test_neighbor_split_goal_decides_every_leaf(monkeypatch):
     leaf, each with its cut vertex and both sides seeded, is decided."""
     calls = _count_leaf_decisions(monkeypatch)
     g = named_graph("f090a")
-    result = search_star_cutsets(SearchTask(g, NeighborSplitGoal(1, 1, 2), node_budget=5000))
+    result = search_star_cutsets(g, (1, 1, 2), node_budget=5000)
     assert calls[0] == result.stats["leaves"] == 444
     assert len(result.cutsets) == calls[0] - result.stats["rejected_at_emission"] == 408
 
 
 def test_node_budget_limits_work():
     g = named_graph("f090a")
-    small = search_star_cutsets(SearchTask(g, node_budget=5))
+    small = search_star_cutsets(g, node_budget=5)
     assert not small.exhausted
     assert small.stats["nodes"] <= 5
 
@@ -424,7 +416,7 @@ def test_neighbor_split_goal_exhausts_its_exact_budget():
     and one node fewer leaves a child unexplored. Without a group there is
     no ``orbits`` counter."""
     g = named_graph("f090a")
-    exact = search_star_cutsets(SearchTask(g, NeighborSplitGoal(1, 1, 2), node_budget=23000))
+    exact = search_star_cutsets(g, (1, 1, 2), node_budget=23000)
     assert exact.exhausted
     assert len(exact.cutsets) == 1880
     expected = _counters(
@@ -433,30 +425,30 @@ def test_neighbor_split_goal_exhausts_its_exact_budget():
     )
     del expected["orbits"]
     assert exact.stats == expected
-    short = search_star_cutsets(SearchTask(g, NeighborSplitGoal(1, 1, 2), node_budget=22999))
+    short = search_star_cutsets(g, (1, 1, 2), node_budget=22999)
     assert not short.exhausted
     assert short.stats["nodes"] == 22999
 
 
 def test_census_exhausts_its_exact_budget(f090a):
-    result = search_star_cutsets(SearchTask(f090a, node_budget=7716))
+    result = search_star_cutsets(f090a, node_budget=7716)
     assert result.exhausted
     assert _family_sha256(result.cutsets, range(1, 91)) == F090A_STAR_SHA256
-    assert not search_star_cutsets(SearchTask(f090a, node_budget=7715)).exhausted
+    assert not search_star_cutsets(f090a, node_budget=7715).exhausted
 
 
 def test_search_requires_cubic():
     with pytest.raises(CutsetError):
-        search_star_cutsets(SearchTask(named_graph("c8")))
+        search_star_cutsets(named_graph("c8"))
 
 
 def test_goal_validates_positions():
     g = named_graph("q3")
     with pytest.raises(SearchError, match="bad neighbor positions"):
-        search_star_cutsets(SearchTask(g, NeighborSplitGoal(1, 2, 2)))
+        search_star_cutsets(g, (1, 2, 2))
     for v in (0, g.n + 1):
         with pytest.raises(SearchError, match=f"goal vertex {v} not in graph"):
-            search_star_cutsets(SearchTask(g, NeighborSplitGoal(v, 1, 2)))
+            search_star_cutsets(g, (v, 1, 2))
 
 
 def test_stats_are_reported():
