@@ -244,15 +244,11 @@ class PairOrbits:
         """The representatives, in increasing order."""
         return tuple(x for x, r in enumerate(self.rep, 1) if x == r)
 
-    def to_rep_image(self, x: int, y: int) -> int:
-        """u_x^-1(y): the image of y under the element taking x to its
-        representative."""
-        back = self.to_rep[x - 1]
-        return y if back is None else back[y - 1]
-
     def label(self, x: int, y: int) -> tuple[int, int]:
-        r = self.rep[x - 1]
-        y = self.to_rep_image(x, y)
+        """The label of the orbit of (x, y), itself a pair of that orbit."""
+        r, back = self.rep[x - 1], self.to_rep[x - 1]
+        if back is not None:
+            y = back[y - 1]
         least = self.stab.get(r)
         return r, y if least is None else least[y - 1]
 

@@ -6,7 +6,10 @@ witnesses (the offending vertex, pair, or cutset) so a verdict can be
 replayed against the base predicates.
 
 A family member is a cutset, whose sides are the components of its
-complement. A family may carry a group of automorphisms of its graph.
+complement. Constructing a `SeparatedFamily` is the one place where member
+facts are decided (kind, in the graph, a cutset, sigma-separated); the
+certifiers decide facts of the graph and of the members taken together.
+A family may carry a group of automorphisms of its graph.
 Construction checks three preconditions on every generator p: p is an
 automorphism of the graph, p preserves the metric (each edge keeps its
 length), and p maps the member multiset onto itself. The first member of
@@ -35,6 +38,7 @@ This module imports `gluing` at its top; the import is one-way, as
 """
 from __future__ import annotations
 
+import json
 from collections import Counter
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
@@ -71,7 +75,7 @@ from .graph import (
     girth,
     is_connected,
 )
-from .report import Certificate
+from .report import Certificate, jsonable
 
 
 def _check_group(g: Graph, metric: Metric, grp: PermutationGroup, name: str) -> None:
@@ -111,11 +115,13 @@ def _orbit_closure(g: Graph, kind: str, grp: PermutationGroup):
 @dataclass(frozen=True)
 class SeparatedFamily:
     """A named family of separated cutsets of one link, validated on
-    construction: sigma must be positive, every member must have the
-    family's kind and lie in the graph, and then each member checked must
-    be a cutset and be sigma-separated, in that order, with or without a
-    group. Each member is one local pair, whose sides are the components
-    of its complement. Gluing structures tell their links apart by name.
+    construction, the one place where member facts are decided: sigma must
+    be positive, every member must have the family's kind and lie in the
+    graph, and then each member checked must be a cutset and be
+    sigma-separated, in that order, with or without a group; a refusal
+    names the member. Each member is one local pair, whose sides are the
+    components of its complement. Gluing structures tell their links apart
+    by name.
 
     Without a group every member is checked. With a ``group``,
     construction also checks that every generator is an automorphism of
@@ -167,7 +173,7 @@ class SeparatedFamily:
             if not sep.ok:
                 raise CertifyError(
                     f"family member {c.sorted_elements()} is not "
-                    f"{self.sigma}-separated: {sep.witness}"
+                    f"{self.sigma}-separated: {json.dumps(jsonable(sep.witness), sort_keys=True)}"
                 )
 
     def _label_orbits(self, reps: bool) -> tuple[int, ...]:
@@ -280,42 +286,46 @@ def _separated_by(labels, u: int, v: int) -> bool:
     return lu is not None and lv is not None and lu != lv
 
 
-def _splits(g: Graph, cutsets, u: int, v: int) -> bool:
-    """Does some member among the cutsets separate u and v?"""
-    return any(_separated_by(complement_labels(g, c)[0], u, v) for c in cutsets)
+def _pair_splits(fam: SeparatedFamily) -> dict[str, tuple[list, list]]:
+    """Check name -> (pairs, the pairs no member separates), for the
+    neighbor pairs (w, w2) of each vertex v, as (v, w, w2), and the vertex
+    pairs u < v at distance >= sigma, in vertex order. Whether some member
+    separates a pair holds at each of its images, so one scan over the
+    members decides every pair at its orbit label."""
+    g, sym = fam.graph, fam.symmetry
+    table = distances(g)
+    neighbor = [(v, w, w2) for v in g.vertices() for w, w2 in combinations(g.neighbors(v), 2)]
+    distant = [(u, v) for u, v in combinations(g.vertices(), 2) if table.get(u, v) >= fam.sigma]
+    labels = {t: sym.label(*t[-2:]) for t in neighbor + distant}
+    unsplit = set(labels.values())
+    for c in fam.members:
+        if not unsplit:
+            break
+        lab = complement_labels(g, c)[0]
+        unsplit = {p for p in unsplit if not _separated_by(lab, *p)}
+    return {
+        "neighbor-pairs-split": (neighbor, [t for t in neighbor if labels[t] in unsplit]),
+        "distant-pairs-split": (distant, [p for p in distant if labels[p] in unsplit]),
+    }
 
 
-def certify_vertex_separated(fam: SeparatedFamily, n: int) -> Certificate:
-    """Vertex n-separation of the family's graph from its members, for an
-    integer order n >= 2: girth at least 2n, the members are n-separated in
-    the family's metric, they cover the vertices, each has at least two
-    elements, every pair of neighbors of every vertex is split by a member,
-    and every vertex pair at distance >= n is split by a member.
-
-    Member facts are decided once per member orbit, and the pair facts at
-    the vertex-orbit representatives (see the module docstring)."""
+def certify_vertex_separated(fam: SeparatedFamily) -> Certificate:
+    """Vertex n-separation of the family's graph from its members, whose
+    sigma is the order n, an integer n >= 2: girth at least 2n, the members
+    cover the vertices, each has at least two elements, every pair of
+    neighbors of every vertex is split by a member, and every vertex pair
+    at distance >= n is split by a member. The members are n-separated
+    cutsets, as the family's construction decided."""
     g = fam.graph
     _require_shape(g, "vertex separation certificate")
     if fam.kind != "vertex":
         raise CertifyError("vertex certification needs a vertex-kind family")
-    if Fraction(n).denominator != 1:
-        raise CertifyError(f"separation order must be an integer, got {n}")
-    n = int(n)
+    if fam.sigma.denominator != 1:
+        raise CertifyError(f"separation order must be an integer, got {fam.sigma}")
+    n = int(fam.sigma)
     if n < 2:
         raise CertifyError("separation order must be at least 2")
     cert = Certificate(f"vertex-{n}-separated")
-    reps = fam.representatives()
-
-    failed = {i for i in reps if complement_labels(g, fam.members[i])[1] < 2}
-    bad_valid = [fam.members[i].sorted_elements() for i in fam.members_of_failed(failed)]
-    cert.add("members-valid", not bad_valid, {"members": len(fam.members), "violations": bad_valid[:8]})
-
-    failed = {i for i in reps if not is_sigma_separated(g, fam.metric, fam.members[i], Fraction(n)).ok}
-    bad_sep = []
-    for i in fam.members_of_failed(failed)[:8]:
-        c = fam.members[i]
-        bad_sep.append({"cutset": c.sorted_elements(), **is_sigma_separated(g, fam.metric, c, Fraction(n)).witness})
-    cert.add("members-separated", not bad_sep, {"sigma": Fraction(n), "violations": bad_sep})
 
     girth_val = girth(g)
     cert.add("girth", girth_val >= 2 * n, {"girth": girth_val, "required": 2 * n})
@@ -331,64 +341,21 @@ def certify_vertex_separated(fam: SeparatedFamily, n: int) -> Certificate:
     small = [c.sorted_elements() for c in fam.members if len(c) < 2]
     cert.add("member-size", not small, {"violations": small[:8]})
 
-    # A member splits two neighbors of r only if it contains r: otherwise
-    # the path through r joins them.
-    sym = fam.symmetry
-    unsplit_at = {
-        r: {
-            frozenset((a, b))
-            for a, b in combinations(g.neighbors(r), 2)
-            if not _splits(g, fam.pairs_at(r), a, b)
-        }
-        for r in sym.reps()
-    }
-    pair_count = sum(g.degree(v) * (g.degree(v) - 1) // 2 for v in g.vertices())
-    unsplit = []
-    if any(unsplit_at.values()):
-        for v in g.vertices():
-            bad = unsplit_at[sym.rep[v - 1]]
-            for w, w2 in combinations(g.neighbors(v), 2):
-                if frozenset((sym.to_rep_image(v, w), sym.to_rep_image(v, w2))) in bad:
-                    unsplit.append((v, w, w2))
-    cert.add(
-        "neighbor-pairs-split",
-        not unsplit,
-        {"pairs": pair_count, "violations": unsplit[:8]},
-    )
-
-    table = distances(g)
-    distant = [
-        (u, v)
-        for u in g.vertices()
-        for v in g.vertices()
-        if u < v and table.get(u, v) >= n
-    ]
-    # each orbit of distant pairs is decided at its labelling pair (r, y)
-    labels = [sym.label(u, v) for u, v in distant]
-    unsplit_labels = set(labels)
-    for c in fam.members:
-        if not unsplit_labels:
-            break
-        lab = complement_labels(g, c)[0]
-        unsplit_labels = {p for p in unsplit_labels if not _separated_by(lab, *p)}
-    remaining = [p for p, lab in zip(distant, labels) if lab in unsplit_labels]
-    cert.add(
-        "distant-pairs-split",
-        not remaining,
-        {"pairs": len(distant), "violations": remaining[:8]},
-    )
+    for name, (pairs, unsplit) in _pair_splits(fam).items():
+        cert.add(name, not unsplit, {"pairs": len(pairs), "violations": unsplit[:8]})
     return cert
 
 
 def certify_edge_separated(fam: SeparatedFamily) -> Certificate:
     """Edge sigma-separation of the family's graph, at the family's sigma
-    and in its metric: proper sigma-separated members of size >= 2 whose
-    union is the whole edge set."""
-    g, metric, sigma = fam.graph, fam.metric, fam.sigma
+    and in its metric: proper members of size >= 2 whose union is the whole
+    edge set. The members are sigma-separated cutsets, as the family's
+    construction decided."""
+    g = fam.graph
     _require_shape(g, "edge separation certificate")
     if fam.kind != "edge":
         raise CertifyError("edge certification needs an edge-kind family")
-    cert = Certificate(f"edge-{sigma}-separated")
+    cert = Certificate(f"edge-{fam.sigma}-separated")
 
     bad_proper = []
     for c in fam.members:
@@ -396,13 +363,6 @@ def certify_edge_separated(fam: SeparatedFamily) -> Certificate:
         if not verdict.ok:
             bad_proper.append({"cutset": c.sorted_elements(), **verdict.witness})
     cert.add("members-proper", not bad_proper, {"members": len(fam.members), "violations": bad_proper[:8]})
-
-    bad_sep = []
-    for c in fam.members:
-        sep = is_sigma_separated(g, metric, c, sigma)
-        if not sep.ok:
-            bad_sep.append({"cutset": c.sorted_elements(), **sep.witness})
-    cert.add("members-separated", not bad_sep, {"sigma": sigma, "violations": bad_sep[:8]})
 
     small = [c.sorted_elements() for c in fam.members if len(c) < 2]
     cert.add("member-size", not small, {"violations": small[:8]})
@@ -466,10 +426,10 @@ def _split_counts(g: Graph, cutsets, vertices) -> dict:
 
 
 def certify_star_separated(fam: SeparatedFamily) -> Certificate:
-    """Star-separation of the family's graph: the graph is connected,
-    bipartite and trivalent; the family members are star cutsets
-    (3-separated, two components, minimal); the family certifies vertex
-    3-separation; and the same-side counts |C(v,i,j)| over the distinct
+    """Star-separation of the family's graph, for a family at sigma 3: the
+    graph is connected, bipartite and trivalent; the family members are
+    star cutsets (3-separated, two components, minimal); the family
+    certifies vertex 3-separation; and the same-side counts |C(v,i,j)| over the distinct
     cutsets agree on one constant M/3 across every vertex and neighbor pair.
 
     The constant is computed on the set of distinct cutsets; the counts with
@@ -494,8 +454,8 @@ def certify_star_separated(fam: SeparatedFamily) -> Certificate:
     )
     if not shape_ok:
         return cert
-    if fam.kind != "vertex":
-        raise CertifyError("star certification needs a vertex-kind family")
+    if fam.kind != "vertex" or fam.sigma != 3:
+        raise CertifyError(f"star certification needs a vertex-kind family at sigma 3, got {fam.kind} at {fam.sigma}")
 
     verdicts = {}
     failed = set()
@@ -516,7 +476,7 @@ def certify_star_separated(fam: SeparatedFamily) -> Certificate:
         {"members": len(fam.members), "violations": bad_star},
     )
 
-    cert.add("vertex-3-separated", certify_vertex_separated(fam, 3))
+    cert.add("vertex-3-separated", certify_vertex_separated(fam))
 
     counts = _split_counts(g, fam.members, fam.symmetry.reps())
     set_values = sorted({x for once, _ in counts.values() for x in once})

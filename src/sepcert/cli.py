@@ -183,7 +183,7 @@ def _cmd_certify_vertex(args) -> int:
     g, _ = _load_graph(args)
     cutsets = parse_family(_read(args.family))
     fam = SeparatedFamily.from_cutsets(g, args.n, cutsets)
-    cert = certify_vertex_separated(fam, args.n)
+    cert = certify_vertex_separated(fam)
     _print_cert(cert)
     return _finish(args, cert, {"family": args.family, "n": str(args.n)})
 
@@ -567,7 +567,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cv = certify.add_parser("vertex-separated", help="vertex n-separation")
     _add_graph_source(cv)
-    cv.add_argument("--n", type=int, required=True)
+    cv.add_argument(
+        "--n", type=int, required=True, help="separation order; the family must consist of n-separated cutsets"
+    )
     cv.add_argument("--family", required=True)
     cv.add_argument("--out")
     cv.set_defaults(fn=_cmd_certify_vertex, command="certify vertex-separated")

@@ -205,7 +205,7 @@ def is_cutset(g: Graph, c: Cutset) -> Verdict:
 def _require_cutset(g: Graph, c: Cutset) -> tuple:
     labels, count = complement_labels(g, c)
     if count < 2:
-        raise CutsetError(f"not a cutset: complement has {count} component(s)")
+        raise CutsetError(f"{c.sorted_elements()} is not a cutset: complement has {count} component(s)")
     return labels, count
 
 

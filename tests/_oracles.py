@@ -254,6 +254,35 @@ def separates(g: Graph, c: frozenset[int], x: int, y: int) -> bool:
     return y not in nx.node_connected_component(rest, x)
 
 
+
+def brute_unsplit_pairs(g: Graph, cutsets, n: int) -> tuple[list, list]:
+    """The pairs that no cutset separates, from the components of G - C
+    for every cutset and every pair: each neighbour pair w < w2 of each
+    vertex v as (v, w, w2), and each pair u < v at distance >= n as
+    (u, v), in vertex order."""
+    h = nx_graph(g)
+    sides = []
+    for c in cutsets:
+        rest = h.subgraph(v for v in g.vertices() if v not in c)
+        sides.append({v: k for k, part in enumerate(nx.connected_components(rest)) for v in part})
+
+    def split(x: int, y: int) -> bool:
+        return any(x in side and y in side and side[x] != side[y] for side in sides)
+
+    dist = dict(nx.all_pairs_shortest_path_length(h))
+    neighbour = [
+        (v, w, w2)
+        for v in g.vertices()
+        for w, w2 in itertools.combinations(sorted(g.neighbors(v)), 2)
+        if not split(w, w2)
+    ]
+    distant = [
+        (u, v)
+        for u, v in itertools.combinations(g.vertices(), 2)
+        if dist[u].get(v, math.inf) >= n and not split(u, v)
+    ]
+    return neighbour, distant
+
 def frozenset_closure(generators, s) -> set[frozenset[int]]:
     """Every image of a vertex set under the group the generators make:
     a search over frozensets, each image built vertex by vertex."""

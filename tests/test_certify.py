@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from _oracles import brute_split_counts, generator_member_orbits
+from _oracles import brute_split_counts, brute_unsplit_pairs, generator_member_orbits
 from sepcert import certify
 from sepcert.certify import (
     _SLOTS,
@@ -62,9 +62,10 @@ def test_family_validates_members(q3):
         with pytest.raises(CertifyError, match="is not 3-separated"):
             # neighbors sit at distance 2, so sigma=3 must be rejected
             SeparatedFamily.from_cutsets(q3, 3, balls, group=group)
-        with pytest.raises(CutsetError, match=r"^not a cutset: complement has 1 component\(s\)$"):
+        with pytest.raises(CutsetError, match=r"^\(1, 4\) is not a cutset: complement has 1 component\(s\)$"):
             # two neighbours of 1 sit at distance 2, so they are not
-            # 3-separated either: the cutset check comes first
+            # 3-separated either: the cutset check comes first, and names
+            # the first member of the orbit
             pairs = orbit_of_vertex_set(automorphism_group(q3), q3.neighbors(1)[:2])
             SeparatedFamily.from_cutsets(q3, 3, pairs, group=group)
     c8 = named_graph("c8")
@@ -104,12 +105,10 @@ def test_family_distinct_cutsets(q3, q3_neighborhood_family):
 
 
 def test_q3_is_vertex_2_separated(q3_neighborhood_family):
-    cert = certify_vertex_separated(q3_neighborhood_family, 2)
+    cert = certify_vertex_separated(q3_neighborhood_family)
     assert cert.ok
     names = [c.name for c in cert.checks]
     assert names == [
-        "members-valid",
-        "members-separated",
         "girth",
         "covering",
         "member-size",
@@ -118,35 +117,42 @@ def test_q3_is_vertex_2_separated(q3_neighborhood_family):
     ]
 
 
-def test_vertex_separation_girth_clause(q3, q3_neighborhood_family):
-    # girth 4 < 2*3, so asking for 3-separation must fail the girth clause
-    fam3 = SeparatedFamily(q3, 2, "vertex", q3_neighborhood_family.members)
-    cert = certify_vertex_separated(fam3, 3)
+def test_vertex_separation_girth_clause():
+    # C8 with a 4-cycle 1-2-9-10 through its edge 1-2 has girth 4 < 2*3,
+    # while {3, 7} is a 3-separated cutset: 3-separation fails the girth
+    # clause
+    g = Graph(10, [(i, i % 8 + 1) for i in range(1, 9)] + [(2, 9), (9, 10), (10, 1)])
+    fam3 = SeparatedFamily.from_cutsets(g, 3, [Cutset.of_vertices([3, 7])])
+    cert = certify_vertex_separated(fam3)
+    assert cert.target == "vertex-3-separated"
     assert not cert.check("girth").ok
     assert cert.check("girth").witness == {"girth": 4, "required": 6}
 
 
 def test_vertex_separation_covering_clause(q3):
     fam = SeparatedFamily.from_cutsets(q3, 2, [Cutset.of_vertices(q3.neighbors(1))])
-    cert = certify_vertex_separated(fam, 2)
+    cert = certify_vertex_separated(fam)
     assert not cert.ok
     assert not cert.check("covering").ok
     assert 1 in cert.check("covering").witness["missing"]
 
 
-def test_vertex_separation_rejects_shape_problems(q3_neighborhood_family):
+def test_vertex_separation_rejects_shape_problems(q3, q3_neighborhood_family):
     p4 = named_graph("p4")
     with pytest.raises(CertifyError, match="degree-1"):
-        certify_vertex_separated(SeparatedFamily.from_cutsets(p4, 2, [Cutset.of_vertices([2])]), 2)
+        certify_vertex_separated(SeparatedFamily.from_cutsets(p4, 2, [Cutset.of_vertices([2])]))
     with pytest.raises(CertifyError, match="at least 2"):
-        certify_vertex_separated(q3_neighborhood_family, 1)
+        certify_vertex_separated(SeparatedFamily(q3, 1, "vertex", q3_neighborhood_family.members))
 
 
 @pytest.mark.parametrize("n", [Fraction(5, 2), 2.9], ids=["5/2", "2.9"])
-def test_vertex_separation_refuses_a_fractional_order(q3_neighborhood_family, n):
-    # an order is not rounded down to one the family passes
+def test_vertex_separation_refuses_a_fractional_order(n):
+    # the diameters of C6 sit at distance 3, so they are a family at a
+    # fractional sigma below it; the order is not rounded down to one the
+    # family passes
+    fam = SeparatedFamily.from_cutsets(named_graph("c6"), n, [(1, 4), (2, 5), (3, 6)])
     with pytest.raises(CertifyError, match="must be an integer"):
-        certify_vertex_separated(q3_neighborhood_family, n)
+        certify_vertex_separated(fam)
 
 
 # -------------------------------------------------------- edge-separated --
@@ -211,23 +217,23 @@ def test_star_split_counts_sum(f090a, seed_cutsets):
     assert counts[(1, 1, 2)] == 1 and counts[(1, 1, 3)] == 1 and counts[(1, 2, 3)] == 1
 
 
-def test_star_split_counts_with_a_duplicated_member(q3, q3_neighborhood_family):
-    # N(1) twice: the set counts stay 1 on every slot, the multiset counts
-    # rise to 2 on the slots N(1) fills
-    fam = SeparatedFamily(
-        q3, 2, "vertex", q3_neighborhood_family.members + q3_neighborhood_family.members[:1]
-    )
+def test_star_split_counts_with_a_duplicated_member(f090a, census_orbits):
+    # the least member of the smallest census orbit twice, without a
+    # group: the set counts stay 10 on every slot, the multiset counts rise
+    # to 11 on the slots that member fills
+    orbit = min(census_orbits, key=len)
+    fam = SeparatedFamily(f090a, 3, "vertex", orbit + orbit[:1])
     cutsets = [c.elements for c in fam.members]
-    brute = brute_split_counts(q3, cutsets)
-    counts, with_multiplicity = _split_counts_by_slot(q3, fam.members)
+    brute = brute_split_counts(f090a, cutsets)
+    counts, with_multiplicity = _split_counts_by_slot(f090a, fam.members)
     assert with_multiplicity == brute
-    assert counts == brute_split_counts(q3, set(cutsets))
+    assert counts == brute_split_counts(f090a, set(cutsets))
     star = certify_star_separated(fam).check("split-counts-constant")
     assert star.ok
-    assert star.witness["distinct_cutsets"] == 8
-    assert star.witness["set_values"] == sorted(set(brute_split_counts(q3, set(cutsets)).values()))
-    assert star.witness["set_values"] == [1]
-    assert star.witness["multiset_values"] == sorted(set(brute.values())) == [1, 2]
+    assert star.witness["distinct_cutsets"] == len(orbit) == 180
+    assert star.witness["set_values"] == sorted(set(brute_split_counts(f090a, set(cutsets)).values()))
+    assert star.witness["set_values"] == [10]
+    assert star.witness["multiset_values"] == sorted(set(brute.values())) == [10, 11]
     assert "note" not in star.witness
 
 
@@ -297,7 +303,7 @@ def _certify_alike_with_and_without_the_group(g, fam):
         structure = GluingStructure.homogeneous(f)
         got.append(
             (
-                certify_vertex_separated(f, 3),
+                certify_vertex_separated(f),
                 star,
                 verify_gluing(structure, WeightAssignment.all_ones(structure)),
                 certify_triangle_link(g, f, star=star),
@@ -357,7 +363,7 @@ def test_failing_certificates_agree_with_and_without_a_cyclic_group(f090a, f090a
     _, star, _, link = _certify_alike_with_and_without_the_group(f090a, fam)
     split = star.check("split-counts-constant").witness
     assert len(split["set_values"]) > 1
-    vertex = certify_vertex_separated(fam, 3)
+    vertex = certify_vertex_separated(fam)
     assert not vertex.check("neighbor-pairs-split").ok
     assert not vertex.check("distant-pairs-split").ok
     assert not link.ok
@@ -379,19 +385,58 @@ def test_hexagonal_prism_counts_differ_between_slots_of_one_vertex():
     grp = automorphism_group(g)
     fam = SeparatedFamily.from_cutsets(g, 2, orbit_of_vertex_set(grp, {1, 3, 8, 10}), group=grp)
     assert fam.symmetry.reps() == (1,)
-    _, star, _, _ = _certify_alike_with_and_without_the_group(g, fam)
-    assert star.check("split-counts-constant").witness["set_values"] == [0, 1]
+    at_reps = _split_counts(g, fam.members, fam.symmetry.reps())
+    assert sorted(at_reps[1][0]) == [0, 1, 1]
+    # every vertex counts, slot by slot up to order, what its
+    # representative counts
+    counts, with_multiplicity = _split_counts_by_slot(g, fam.members)
+    assert counts == with_multiplicity == brute_split_counts(g, [c.elements for c in fam.members])
+    for v in g.vertices():
+        assert sorted(counts[(v, i, j)] for i, j in _SLOTS) == sorted(at_reps[1][0]), v
 
 
 def test_c8_family_under_a_half_turn_fails_alike_with_and_without_it():
     c8 = named_graph("c8")
     half_turn = PermutationGroup.generated_by(8, [(5, 6, 7, 8, 1, 2, 3, 4)])
     fam = SeparatedFamily.from_cutsets(c8, 2, [Cutset.of_vertices((1, 5))], group=half_turn)
-    got = [certify_vertex_separated(f, 2) for f in (fam, replace(fam, group=None))]
+    got = [certify_vertex_separated(f) for f in (fam, replace(fam, group=None))]
     assert dumps(got[0].doc()) == dumps(got[1].doc())
     # 6 and its neighbours 5, 7 are decided at 2 with 1, 3
     assert (6, 5, 7) in got[0].check("neighbor-pairs-split").witness["violations"]
     assert not got[0].check("distant-pairs-split").ok
+
+
+def assert_pair_checks_match_the_oracle(fam) -> tuple[list, list]:
+    """The unsplit neighbour and distant pairs of the one pair scan, and
+    both checks' verdicts and violations, are the oracle's, with the
+    family's group and without it. Returns the oracle's pairs."""
+    neighbour, distant = brute_unsplit_pairs(fam.graph, [c.elements for c in fam.members], fam.sigma)
+    for f in (fam, replace(fam, group=None)):
+        splits = certify._pair_splits(f)
+        assert splits["neighbor-pairs-split"][1] == neighbour
+        assert splits["distant-pairs-split"][1] == distant
+        cert = certify_vertex_separated(f)
+        for name, unsplit in (("neighbor-pairs-split", neighbour), ("distant-pairs-split", distant)):
+            assert cert.check(name).ok == (not unsplit)
+            assert cert.check(name).witness["violations"] == unsplit[:8]
+    return neighbour, distant
+
+
+def test_pair_checks_match_the_oracle(q3, q3_neighborhood_family, f090a, f090a_group, census_orbits):
+    q3_fam = replace(q3_neighborhood_family, group=automorphism_group(q3))
+    assert assert_pair_checks_match_the_oracle(q3_fam) == ([], [])
+    c8 = named_graph("c8")
+    half_turn = PermutationGroup.generated_by(8, [(5, 6, 7, 8, 1, 2, 3, 4)])
+    neighbour, distant = assert_pair_checks_match_the_oracle(
+        SeparatedFamily.from_cutsets(c8, 2, [(1, 5)], group=half_turn)
+    )
+    assert (6, 5, 7) in neighbour and distant
+    cyclic = PermutationGroup.generated_by(f090a.n, f090a_group.generators[:1])
+    orbit = orbit_of_vertex_set(cyclic, census_orbits[0][0])
+    neighbour, distant = assert_pair_checks_match_the_oracle(
+        SeparatedFamily.from_cutsets(f090a, 3, orbit, group=cyclic)
+    )
+    assert len(neighbour) > 8 and len(distant) > 8
 
 
 def test_family_closes_each_orbit_through_the_chain(

@@ -477,3 +477,101 @@ def test_certify_link_on_an_acyclic_graph_reports_infinite_girth(name, contract_
     assert lines[1].startswith('  FAIL star-separated  {"error": ')
     girth = json.loads(out.read_text())["certificates"][0]["checks"][0]["witness"]
     assert girth == {"angular_girth_pi_units": "inf", "girth": "inf"}
+
+
+
+@pytest.mark.parametrize(
+    "argv,family,err",
+    [
+        (
+            ["vertex-separated", "--builtin", "q3", "--n", "3"],
+            (Path(__file__).parent / "golden" / "inputs" / "q3-neighborhoods.txt").read_text(),
+            'CertifyError: family member (2, 3, 5) is not 3-separated: {"distance": "2", "pair": [2, 3]}',
+        ),
+        (
+            ["vertex-separated", "--builtin", "q3", "--n", "2"],
+            "C: 1\n",
+            "CutsetError: (1,) is not a cutset: complement has 1 component(s)",
+        ),
+        (
+            ["edge-separated", "--builtin", "c8", "--sigma", "4"],
+            "C: 1-2 3-4\n",
+            "CertifyError: family member ((1, 2), (3, 4)) is not 4-separated: "
+            '{"distance": "2", "pair": [[1, 2], [3, 4]]}',
+        ),
+        (
+            ["edge-separated", "--builtin", "c8", "--sigma", "4"],
+            "C: 1-2\n",
+            "CutsetError: ((1, 2),) is not a cutset: complement has 1 component(s)",
+        ),
+    ],
+    ids=["vertex-not-separated", "vertex-not-a-cutset", "edge-not-separated", "edge-not-a-cutset"],
+)
+def test_certify_refuses_a_family_naming_the_member(argv, family, err, tmp_path, capsys):
+    # the family decides its member facts on construction, so a member that
+    # is not a sigma-separated cutset exits 2 naming the member, with its
+    # component count or its closest pair as sorted JSON
+    path = tmp_path / "family.txt"
+    path.write_text(family)
+    assert main(["certify", *argv, "--family", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+def _family_text(family, perm) -> str:
+    """A family file of vertex tuples or edge lists, each vertex v written
+    as perm[v - 1]."""
+    def element(x) -> str:
+        return "-".join(str(perm[v - 1]) for v in x) if isinstance(x, tuple) else str(perm[x - 1])
+
+    return "".join("C: " + " ".join(map(element, c)) + "\n" for c in family)
+
+
+_Q3_BALLS = [named_graph("q3").neighbors(v) for v in range(1, 9)]
+_Q3_CLASSES = [[(1, 2), (3, 4), (5, 6), (7, 8)], [(1, 3), (2, 4), (5, 7), (6, 8)], [(1, 5), (2, 6), (3, 7), (4, 8)]]
+_C8_DIAMETERS = [(1, 5), (2, 6), (3, 7), (4, 8)]
+_C8_OPPOSITE = [[(1, 2), (5, 6)], [(2, 3), (6, 7)], [(3, 4), (7, 8)], [(4, 5), (1, 8)]]
+
+
+@pytest.mark.parametrize(
+    "command,builtin,family,status",
+    [
+        (["vertex-separated", "--n", "2"], "q3", _Q3_BALLS, 0),
+        (["vertex-separated", "--n", "2"], "q3", _Q3_BALLS[:4], 1),
+        (["vertex-separated", "--n", "2"], "c8", _C8_DIAMETERS, 0),
+        (["vertex-separated", "--n", "2"], "c8", _C8_DIAMETERS[:1], 1),
+        (["edge-separated", "--sigma", "2"], "q3", _Q3_CLASSES, 0),
+        (["edge-separated", "--sigma", "2"], "q3", _Q3_CLASSES[:2], 1),
+        (["edge-separated", "--sigma", "4"], "c8", _C8_OPPOSITE, 0),
+        (["edge-separated", "--sigma", "4"], "c8", _C8_OPPOSITE[:2], 1),
+    ],
+    ids=[
+        f"{kind}-{g}-{verdict}"
+        for kind in ("vertex", "edge")
+        for g in ("q3", "c8")
+        for verdict in ("pass", "fail")
+    ],
+)
+def test_certify_separation_in_relabellings(command, builtin, family, status, tmp_path, capsys):
+    """Under three seeded shuffles of the graph and the family together,
+    the verdict, the check names, each pass flag and each count of
+    violations are those of the original labels."""
+    g = named_graph(builtin)
+    graph, fam, out = tmp_path / "graph.txt", tmp_path / "family.txt", tmp_path / "out.json"
+
+    def run(perm) -> tuple:
+        graph.write_text(format_graph(g.relabel(perm)))
+        fam.write_text(_family_text(family, perm))
+        got = main(["certify", command[0], str(graph), *command[1:], "--family", str(fam), "--out", str(out)])
+        capsys.readouterr()
+        checks = json.loads(out.read_text())["certificates"][0]["checks"]
+        return got, [
+            (c["name"], c["pass"], len(c["witness"].get("violations", c["witness"].get("missing", ()))))
+            for c in checks
+        ]
+
+    original = run(range(1, g.n + 1))
+    assert original[0] == status
+    for seed in range(3):
+        perm = list(range(1, g.n + 1))
+        random.Random(seed).shuffle(perm)
+        assert run(perm) == original, seed
