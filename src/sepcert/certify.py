@@ -59,6 +59,7 @@ from .cutset import (
     _subdivision,
     complement_labels,
     image_elements,
+    is_minimal_cutset,
     is_proper,
     is_sigma_separated,
     is_star_cutset,
@@ -435,9 +436,11 @@ def certify_star_separated(fam: SeparatedFamily) -> Certificate:
     The constant is computed on the set of distinct cutsets; the counts with
     multiplicity over the family as given are reported alongside, and the
     check fails loudly when the two disagree about constancy. The star
-    clause is decided once per member orbit, and the counts at the
-    vertex-orbit representatives: the count of a slot names two neighbors,
-    so every vertex has the counts of its representative."""
+    clause is decided once per member orbit, from the component count and
+    minimality, since the family's construction decided 3-separation; the
+    counts are taken at the vertex-orbit representatives: the count of a
+    slot names two neighbors, so every vertex has the counts of its
+    representative. A family of another kind, sigma or metric is refused."""
     g = fam.graph
     cert = Certificate("star-separated")
     parts = bipartition(g)
@@ -454,22 +457,22 @@ def certify_star_separated(fam: SeparatedFamily) -> Certificate:
     )
     if not shape_ok:
         return cert
-    if fam.kind != "vertex" or fam.sigma != 3:
-        raise CertifyError(f"star certification needs a vertex-kind family at sigma 3, got {fam.kind} at {fam.sigma}")
+    if fam.kind != "vertex" or fam.sigma != 3 or fam.metric.kind != "combinatorial":
+        raise CertifyError(
+            "star certification needs a vertex-kind family at sigma 3 on the combinatorial metric,"
+            f" got {fam.kind} at {fam.sigma} on the {fam.metric.kind} metric"
+        )
 
-    verdicts = {}
-    failed = set()
-    for i in fam.representatives():
-        c = fam.members[i]
-        if c not in verdicts:
-            verdicts[c] = is_star_cutset(g, c)
-        if not verdicts[c].ok:
-            failed.add(i)
+    # construction decided that each member is a 3-separated cutset, so a
+    # member is a star cutset when it leaves exactly two components and
+    # is minimal; the star conjunction is run only for the listed witnesses
+    failed = {
+        i
+        for i in fam.representatives()
+        if complement_labels(g, fam.members[i])[1] != 2 or not is_minimal_cutset(g, fam.members[i]).ok
+    }
     bad = sorted({fam.members[i] for i in fam.members_of_failed(failed)}, key=Cutset.sorted_elements)
-    bad_star = [
-        {"cutset": c.sorted_elements(), **(verdicts.get(c) or is_star_cutset(g, c)).witness}
-        for c in bad[:8]
-    ]
+    bad_star = [{"cutset": c.sorted_elements(), **is_star_cutset(g, c).witness} for c in bad[:8]]
     cert.add(
         "members-star",
         not bad_star,

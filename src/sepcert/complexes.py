@@ -13,8 +13,9 @@ pass, and its subdivided 1-skeleton once, both on first use and kept with
 the complex; links, midpoint ids and wall cuts read them from there, so a
 pass over every vertex stays linear in the size of the complex.  Links
 share shapes: a link's graph and angular metric are interned per complex
-under its labelled shape (degree, corners with their angles), so girth is
-decided once per shape (``check_gromov`` keeps no link), and local pairs
+under its labelled shape, the degree and the corners with their face sizes,
+all integers, and the angles and the graph are built once per new shape, so
+girth is decided once per shape (``check_gromov`` keeps no link), and local pairs
 are listed once per shape and kind, then sorted by each vertex's atoms.
 
 Local pairs and tracing conventions
@@ -154,7 +155,13 @@ class PolygonalComplex:
         self.faces = tuple(walks)
         self.edges = tuple(sorted(edge_faces))
         self.edge_faces = {e: tuple(fs) for e, fs in edge_faces.items()}
-        self.skeleton = Graph(n, self.edges)
+        # the face sides are in range and distinct, and the sorted edges
+        # give ascending rows, so the skeleton skips Graph's checks
+        rows: list[list[int]] = [[] for _ in range(n)]
+        for u, v in self.edges:
+            rows[u - 1].append(v)
+            rows[v - 1].append(u)
+        self.skeleton = Graph._derived([tuple(row) for row in rows], self.edges)
         self._cache: dict = {}
 
     @property
@@ -314,31 +321,33 @@ def _corner_angle(k: int) -> Fraction:
 def _link_shape(x: PolygonalComplex, v: int) -> tuple[tuple[Graph, Metric], dict[Edge, int]]:
     """The link of v as its shape (graph, angular metric) and the face of
     each corner.  The corner loop runs at every call; the shape is interned
-    per complex under (degree, corners with their angles), so vertices with
-    equal links share one graph and one metric."""
+    per complex under (degree, corners with their face sizes k), integers
+    all, so vertices with equal links share one graph and one metric, and
+    the angles (k-2)/k and the graph are built once per new shape."""
     incident = x.edges_at(v)
-    ids = {e: i + 1 for i, e in enumerate(incident)}
-    lengths: dict[Edge, Fraction] = {}
+    ids = {a + b - v: i for i, (a, b) in enumerate(incident, start=1)}  # neighbour -> link vertex
+    corners: list[tuple[int, int, int]] = []
     face_of: dict[Edge, int] = {}
     for idx in x.faces_at(v):
         walk = x.faces[idx]
         k = len(walk)
         p = walk.index(v)
-        before = edge_key(v, walk[p - 1])
-        after = edge_key(v, walk[(p + 1) % k])
-        le = edge_key(ids[before], ids[after])
-        if le in lengths:
+        a, b = ids[walk[p - 1]], ids[walk[(p + 1) % k]]
+        le = (a, b) if a < b else (b, a)
+        if le in face_of:
             raise ComplexError(
                 f"faces {face_of[le]} and {idx} form parallel corners at vertex {v};"
                 f" links must be simple"
             )
-        lengths[le] = _corner_angle(k)
         face_of[le] = idx
+        corners.append((*le, k))
     shapes = x._cache.setdefault("shapes", {})
-    key = (len(incident), tuple(sorted(lengths.items())))
-    if key not in shapes:
-        shapes[key] = (Graph(len(incident), lengths), Metric.angular(lengths))
-    return shapes[key], face_of
+    key = (len(incident), tuple(sorted(corners)))
+    shape = shapes.get(key)
+    if shape is None:
+        lengths = {(a, b): _corner_angle(k) for a, b, k in key[1]}
+        shape = shapes[key] = (Graph(len(incident), lengths), Metric.angular(lengths))
+    return shape, face_of
 
 
 def link(x: PolygonalComplex, v: int) -> Link:

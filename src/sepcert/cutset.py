@@ -348,9 +348,17 @@ def parse_family(text: str) -> list[Cutset]:
     return out
 
 
+def vertex_set_key(s: Iterable[int]) -> str:
+    """The sorted-id key of a vertex set: ``chr(v)`` for each vertex v, in
+    ascending order, so keys compare as the sorted vertex lists do. Search
+    results and orbit closures keep vertex sets as these keys, and
+    ``format_family`` writes them out."""
+    return "".join(map(chr, sorted(s)))
+
+
 def format_family(keys: Sequence[str]) -> str:
     """Family file of vertex cutsets given as sorted-id keys
-    (``aut.vertex_set_key``), one ``C: v1 v2 ...`` line per key in the
+    (``vertex_set_key``), one ``C: v1 v2 ...`` line per key in the
     given order; a family with no members is one empty line. A key is
     already sorted, so its line is one ``str.translate`` through a table
     writing ``chr(v)`` as ``" v"``; ``parse_family`` reads the file back."""

@@ -60,6 +60,18 @@ class Graph:
         self._hash: int | None = None
 
     @classmethod
+    def _derived(cls, rows: Sequence[tuple[int, ...]], edges: tuple[Edge, ...]) -> "Graph":
+        """A graph derived from one already validated, from its ascending
+        neighbour rows (row v - 1 for vertex v) and its sorted edge tuple.
+        Nothing is checked: its builder made every edge in range, simple
+        and once, so ``__init__``'s per-edge checks and sorts would only
+        repeat work. Outside input (parsed files, builtins, link shapes)
+        always goes through ``__init__``."""
+        g = cls.__new__(cls)
+        g.n, g._adj, g._edges, g._hash = len(rows), tuple(rows), edges, None
+        return g
+
+    @classmethod
     def from_adjacency(cls, rows: Mapping[int, Iterable[int]]) -> "Graph":
         """Build from vertex -> neighbors rows; rows must be symmetric."""
         n = max(rows) if rows else 0
@@ -456,15 +468,17 @@ def structural_report(g: Graph, metric: Metric | None = None) -> dict:
 def subdivision_graph(g: Graph) -> tuple[Graph, dict[Edge, int]]:
     """Barycentric subdivision of the 1-skeleton: one new vertex per edge
     midpoint. Returns (graph, edge -> midpoint id), midpoints numbered
-    n+1.. in sorted edge order."""
-    mid: dict[Edge, int] = {}
-    edges2: list[Edge] = []
-    for m, e in enumerate(g.edges(), start=g.n + 1):
-        mid[e] = m
-        u, v = e
-        edges2.append((u, m))
-        edges2.append((v, m))
-    return Graph(g.n + len(mid), edges2), mid
+    n+1.. in sorted edge order. The graph is derived from g, which was
+    validated when it was built, so it skips ``Graph.__init__``'s checks
+    (``Graph._derived``): a vertex row is its midpoints, ascending as its
+    edges are, and a midpoint row is the ends (u, v) of its edge."""
+    mid = {e: m for m, e in enumerate(g.edges(), start=g.n + 1)}
+    rows: list[list[int]] = [[] for _ in g.vertices()]
+    for (u, v), m in mid.items():
+        rows[u - 1].append(m)
+        rows[v - 1].append(m)
+    edges = tuple((v, m) for v, row in enumerate(rows, start=1) for m in row)
+    return Graph._derived([*map(tuple, rows), *mid], edges), mid
 
 
 def parse_rational(text: str) -> Fraction:

@@ -44,7 +44,9 @@ is cut, and its i-th and j-th neighbors in ascending order go to sides A
 and B. Without one it enumerates every cutset: it roots the search at
 orbits, two levels deep, and closes the validated leaves under a group:
 Aut(g) for the star census, once each generator is checked to map the edge
-set onto itself, and the trivial group in ``two_sided_cutsets``.
+set onto itself, and the trivial group in ``two_sided_cutsets``. Only the
+census uses ``aut``, so only the census path imports it: a split search and
+``two_sided_cutsets``, as ``complex trace`` runs them, load no group code.
 
 The first level follows the orbits of the group, in the order of
 ``vertex_orbits()``. Under orbit i, the least node r is cut, every node of
@@ -72,7 +74,7 @@ under the group recovers every cutset; under the trivial group each one is
 found once, from its least node.
 
 An orbit is closed as soon as its first leaf passes the star conjunction,
-on sorted-id keys (``aut.vertex_set_key``), through the stabilizer chain
+on sorted-id keys (``cutset.vertex_set_key``), through the stabilizer chain
 of Aut(g) that Schreier–Sims has checked complete
 (``aut.vertex_set_closure``): the leaf is moved by the inverses of the
 transversal elements, depth first through the levels, and each of those
@@ -91,18 +93,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import inf
+from typing import TYPE_CHECKING
 
-from .aut import (
-    PermutationGroup,
-    automorphism_group,
-    is_automorphism,
-    vertex_set_closure,
-    vertex_set_key,
-)
-from .cutset import Cutset, require_cubic
+from .cutset import Cutset, require_cubic, vertex_set_key
 from .cutset import _point_distances, _subdivision
 from .errors import SearchError
 from .graph import Graph, Metric, component_labels
+
+if TYPE_CHECKING:
+    from .aut import PermutationGroup
 
 UNDECIDED, SIDE_A, SIDE_B, CUT = 0, 1, 2, 4
 _COLOR_ORDER = (CUT, SIDE_A, SIDE_B)
@@ -115,7 +114,7 @@ _COUNTERS = (
 @dataclass(frozen=True)
 class SearchResult:
     """The cutsets found, as ascending sorted-id keys
-    (``aut.vertex_set_key``), the order of their sorted vertex lists, from
+    (``cutset.vertex_set_key``), the order of their sorted vertex lists, from
     which ``cutset.format_family`` writes the family file; ``cutsets``
     holds them as vertex cutsets, in the same order, built on first use.
     ``orbits`` holds the least key of each orbit, ascending, from which
@@ -321,6 +320,8 @@ def search_star_cutsets(g: Graph, split: tuple[int, int, int] | None = None, nod
     require_cubic(g)
     state = _Coloring(g, Metric.combinatorial(), "vertex", 3)
     if split is None:
+        from .aut import automorphism_group, is_automorphism
+
         grp = automorphism_group(g)
         for p in grp.generators:
             if not is_automorphism(g, p):
@@ -353,7 +354,7 @@ def two_sided_cutsets(g: Graph, metric: Metric, kind: str, sigma) -> tuple[Cutse
 
 
 class _Family:
-    """The cutsets found so far, as sorted-id keys (``aut.vertex_set_key``)
+    """The cutsets found so far, as sorted-id keys (``cutset.vertex_set_key``)
     of their nodes, each admitted when its complement in the colored graph
     has two components, and the least key of each orbit. With a group, an
     admitted leaf brings in its whole orbit, and a later leaf already in the
@@ -373,7 +374,12 @@ class _Family:
             return True
         if component_labels(colored, removed_vertices=cut)[1] != 2:
             return False
-        orbit = {key} if self.grp is None else vertex_set_closure(self.grp, key)
+        if self.grp is None:
+            orbit = {key}
+        else:
+            from .aut import vertex_set_closure
+
+            orbit = vertex_set_closure(self.grp, key)
         self.keys |= orbit
         self.orbits.add(min(orbit))
         return True

@@ -26,8 +26,8 @@ from sepcert.aut import (
     is_distance_transitive,
     orbit_of_vertex_set,
     vertex_set_closure,
-    vertex_set_key,
 )
+from sepcert.cutset import vertex_set_key
 from sepcert.datasets import _lcf, builtin_names, named_graph
 from sepcert.errors import GroupError
 from sepcert.graph import Graph

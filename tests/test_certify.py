@@ -12,7 +12,7 @@ import random
 import pytest
 
 from _oracles import brute_split_counts, brute_unsplit_pairs, generator_member_orbits
-from sepcert import certify
+from sepcert import certify, cutset
 from sepcert.certify import (
     _SLOTS,
     SeparatedFamily,
@@ -252,6 +252,44 @@ def test_certify_star_separated_empty_family_fails_loudly():
     assert not cert.ok
     assert not cert.check("vertex-3-separated").ok
     assert not cert.check("split-counts-constant").ok
+
+
+@pytest.mark.parametrize(
+    "kind,sigma,metric",
+    [
+        ("edge", 3, None),
+        ("vertex", 2, None),
+        ("vertex", 4, None),
+        # every edge pi long: distances are those of the combinatorial
+        # metric in units of pi, yet the family is refused
+        ("vertex", 3, Metric.angular(dict.fromkeys(named_graph("heawood").edges(), 1))),
+    ],
+    ids=["edge-kind", "sigma-2", "sigma-4", "angular"],
+)
+def test_star_certification_refuses_another_kind_sigma_or_metric(kind, sigma, metric):
+    fam = SeparatedFamily(named_graph("heawood"), sigma, kind, (), metric)
+    with pytest.raises(CertifyError, match="^star certification needs a vertex-kind family at sigma 3 on the combinatorial"):
+        certify_star_separated(fam)
+
+
+def test_census_star_certificate_decides_separation_once_per_orbit(monkeypatch, f090a, f090a_group, f090a_census):
+    """Building the census from its 15 orbit representatives checks one
+    member per orbit for 3-separation, and certifying it checks none
+    again: 15 calls to ``is_sigma_separated``, where deciding each orbit
+    by the star conjunction made 30."""
+    calls = Counter()
+
+    def counted(*args, _call=cutset.is_sigma_separated):
+        calls["is_sigma_separated"] += 1
+        return _call(*args)
+
+    for module in (cutset, certify):
+        monkeypatch.setattr(module, "is_sigma_separated", counted)
+    reps = [frozenset(map(ord, key)) for key in f090a_census.orbits]
+    cert = certify_star_separated(SeparatedFamily.from_orbits(f090a, 3, reps, f090a_group))
+    assert cert.ok
+    assert cert.check("members-star").witness == {"members": 16416, "violations": []}
+    assert calls == Counter(is_sigma_separated=15)
 
 
 # ---------------------------------------------------------- triangle-link --

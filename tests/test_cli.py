@@ -194,13 +194,20 @@ def _modules_loaded(*args: str) -> tuple[int, set[str]]:
         ),
         pytest.param(["graph", "info", "{theta.txt}"], 0, _CORE, id="graph-info"),
         pytest.param(["complex", "check", "{grid4.json}"], 0, _CORE | {"complexes"}, id="complex-check"),
+        pytest.param(
+            ["complex", "trace", "{grid4.json}", "--seed-vertex", "6", "--kind", "vertex", "--cutset", "{grid4-line}"],
+            0,
+            _CORE | {"complexes", "search"},
+            id="complex-trace",
+        ),
         pytest.param(["f090a"], 1, _CORE | {"aut", "certify", "gluing", "datasets", "pipeline"}, id="f090a"),
     ],
 )
 def test_a_command_loads_only_the_modules_it_runs(argv, status, loads, contract_files, tmp_path):
     """A graph file spares ``datasets`` (and its ``hashlib``); the star
-    search needs no certificate, gluing or complex; the pipeline no complex
-    and no search, since its family is bundled."""
+    search needs no certificate, gluing or complex; a trace lists its
+    local pairs by search, with no group, so it loads no ``aut``; the
+    pipeline no complex and no search, since its family is bundled."""
     files = {**contract_files, "bridge10": _graph_file(tmp_path, named_graph("bridge10"))}
     argv = [files[arg[1:-1]] if arg.startswith("{") else arg for arg in argv]
     assert _modules_loaded("-m", "sepcert.cli", *argv) == (status, loads)
@@ -379,6 +386,7 @@ def contract_files(tmp_path_factory):
         "bad-complex": '{"vertices": "3", "faces": [[1, 2, 3]]}',
         "q3-one": "C: 2 3 5\n",
         "c8-one": "C: 1-2 5-6\n",
+        "grid4-line": "C: 2 10\n",
         "tetrahedron": json.dumps({"vertices": 4, "faces": [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]}),
         "torus": json.dumps(_torus(4)),
         "parallel-corners": json.dumps({"vertices": 5, "faces": [[1, 2, 3, 4], [5, 2, 3, 4]]}),

@@ -31,7 +31,7 @@ from sepcert.complexes import (
 )
 from sepcert.datasets import named_graph
 from sepcert.errors import ComplexError
-from sepcert.graph import INF, edge_key, girth, shortest_cycle
+from sepcert.graph import INF, Graph, edge_key, girth, shortest_cycle, subdivision_graph
 from test_search import F090A_STAR_CUTSETS, F090A_STAR_SHA256, _family_sha256
 from test_trace_corpus import COMPLEXES
 
@@ -563,3 +563,36 @@ def test_vertex_line_wall_removes_the_line(grid):
     for block in cut.primary_blocks():
         assert not (set(block) & line)
     assert sorted(len(b) for b in cut.primary_blocks()) == [10, 10]
+
+
+def _assert_same_graph(derived, n, edges):
+    """A derived graph equals the one ``Graph.__init__`` builds from the
+    same edges: order, edges, every neighbour row and hash."""
+    built = Graph(n, edges)
+    assert derived == built and derived.n == built.n and derived.edges() == built.edges()
+    assert [derived.neighbors(v) for v in built.vertices()] == [built.neighbors(v) for v in built.vertices()]
+    assert hash(derived) == hash(built)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [grid_complex(48, 48), cone_complex(named_graph("f090a")), *(make() for make in COMPLEXES.values())],
+    ids=["grid48", "cone-f090a", *COMPLEXES],
+)
+def test_derived_skeleton_and_subdivision_equal_validated_graphs(x):
+    _assert_same_graph(x.skeleton, x.n, x.edges)
+    sub, mid = subdivision_graph(x.skeleton)
+    halves = [(e[i], m) for e, m in mid.items() for i in (0, 1)]
+    _assert_same_graph(sub, x.n + len(mid), halves)
+
+
+def test_equal_corner_patterns_of_other_face_sizes_get_their_own_shapes():
+    # vertex 1 has two triangles, vertex 5 two squares, both at degree 3
+    # with corners on link edges (1, 2) and (2, 3)
+    x = PolygonalComplex(8, [(1, 2, 3), (1, 3, 4), (5, 6, 7, 8), (5, 3, 2, 6)])
+    (tri_graph, tri_metric), _ = complexes._link_shape(x, 1)
+    (sq_graph, sq_metric), _ = complexes._link_shape(x, 5)
+    assert tri_graph == sq_graph
+    assert set(tri_metric.lengths().values()) == {Fraction(1, 3)}
+    assert set(sq_metric.lengths().values()) == {Fraction(1, 2)}
+    assert len(x._cache["shapes"]) == 2

@@ -10,7 +10,6 @@ from itertools import combinations
 import pytest
 
 from _oracles import half_length_subdivision, nx_angular_distances
-from sepcert.aut import vertex_set_key
 from sepcert.cutset import (
     Cutset,
     complement_labels,
@@ -23,6 +22,7 @@ from sepcert.cutset import (
     is_sigma_separated,
     is_star_cutset,
     parse_family,
+    vertex_set_key,
 )
 from sepcert.datasets import named_graph
 from sepcert.errors import CutsetError

@@ -11,7 +11,7 @@ import networkx as nx
 import pytest
 
 from _oracles import brute_star_cutsets, separates
-from sepcert import cutset, graph, search
+from sepcert import aut, cutset, graph, search
 from sepcert.aut import PermutationGroup, automorphism_group, orbit_of_vertex_set
 from sepcert.cutset import Cutset, _complement_labels_cached, format_family, is_star_cutset
 from sepcert.datasets import named_graph
@@ -86,7 +86,7 @@ def test_closure_refuses_a_generator_that_is_not_an_automorphism(monkeypatch):
     # neighbourhoods, and no two Petersen vertices have them
     swap = (2, 1, *range(3, g.n + 1))
     bogus = PermutationGroup.generated_by(g.n, [swap])
-    monkeypatch.setattr(search, "automorphism_group", lambda g: bogus)
+    monkeypatch.setattr(aut, "automorphism_group", lambda g: bogus)
     with pytest.raises(SearchError, match="edge set"):
         search_star_cutsets(g)
 
