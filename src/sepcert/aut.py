@@ -11,9 +11,9 @@ representative r, the level-0 transversal maps r to each point of its
 orbit, and the transversal elements of the levels below generate Stab(r),
 whose orbits label the ordered vertex pairs.
 
-Orbits of vertex sets are closed on sorted-id keys
-(`cutset.vertex_set_key`): a string holding ``chr(v)`` for each vertex v,
-in ascending order, so keys compare as the sorted vertex lists do. The inverse of each transversal
+Orbits of vertex sets are closed on sorted-id keys (`cutset.vertex_set_key`):
+a string holding ``chr(v)`` for each vertex v, in ascending order, so keys
+compare as the sorted vertex lists do. The inverse of each transversal
 element is kept as a ``str.translate`` table, so the image of a set is one
 ``translate`` and a sort, and a key hashes and compares faster than a
 frozenset of ints.
@@ -462,24 +462,12 @@ def is_distance_transitive(g: Graph, grp: PermutationGroup):
     pairs when the check fails.
 
     Orbits on ordered pairs are the `PairOrbits` labels, read from the
-    stabilizer chain, with no element list. The verdict is decided on the
-    pairs whose first vertex is an orbit representative; only a failure
-    scans every pair, to name its witness. This is transitivity on pairs,
+    stabilizer chain, with no element list. This is transitivity on pairs,
     which is strictly stronger than the counting form of
     distance-regularity.
     """
     orbits = grp.pair_orbits
     table = distances(g)
-    # label(x, y) is the label of a pair (r, y') at the same distance with r
-    # a representative, so the pairs from representatives decide the verdict
-    labels_at: dict = {}
-    for r in orbits.reps():
-        for y in g.vertices():
-            if y != r:
-                labels_at.setdefault(table.get(r, y), set()).add(orbits.label(r, y))
-    if all(len(labels) == 1 for labels in labels_at.values()):
-        return True, None
-    # a failure is named by the scan over every pair
     pairs_by_d: dict = {}
     for u in g.vertices():
         for v in g.vertices():

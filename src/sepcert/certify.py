@@ -437,10 +437,9 @@ def certify_star_separated(fam: SeparatedFamily) -> Certificate:
     multiplicity over the family as given are reported alongside, and the
     check fails loudly when the two disagree about constancy. The star
     clause is decided once per member orbit, from the component count and
-    minimality, since the family's construction decided 3-separation; the
-    counts are taken at the vertex-orbit representatives: the count of a
-    slot names two neighbors, so every vertex has the counts of its
-    representative. A family of another kind, sigma or metric is refused."""
+    minimality (construction decided 3-separation), and the counts at the
+    vertex-orbit representatives: the count of a slot names two neighbors,
+    so every vertex has the counts of its representative."""
     g = fam.graph
     cert = Certificate("star-separated")
     parts = bipartition(g)
@@ -458,14 +457,8 @@ def certify_star_separated(fam: SeparatedFamily) -> Certificate:
     if not shape_ok:
         return cert
     if fam.kind != "vertex" or fam.sigma != 3 or fam.metric.kind != "combinatorial":
-        raise CertifyError(
-            "star certification needs a vertex-kind family at sigma 3 on the combinatorial metric,"
-            f" got {fam.kind} at {fam.sigma} on the {fam.metric.kind} metric"
-        )
+        raise CertifyError(f"star certification needs a vertex-kind family at sigma 3 on the combinatorial metric, got {fam.kind} at {fam.sigma} on the {fam.metric.kind} metric")
 
-    # construction decided that each member is a 3-separated cutset, so a
-    # member is a star cutset when it leaves exactly two components and
-    # is minimal; the star conjunction is run only for the listed witnesses
     failed = {
         i
         for i in fam.representatives()

@@ -13,9 +13,7 @@ check passes, 1 when a certificate fails, 2 on usage or input errors, and
 Module level imports only the standard library, ``errors``, ``graph`` and
 ``report``; each handler imports the modules it runs in its first lines,
 so a command compiles and loads no others, and loads them before its work.
-The library keeps the same rule inside: ``complexes`` imports ``search``
-when a trace first lists local pairs, and ``search`` imports ``aut`` for
-the star census only, so ``complex trace`` loads no group code.
+Inside the library, ``search`` imports ``aut`` for the star census only.
 """
 
 from __future__ import annotations

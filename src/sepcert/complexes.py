@@ -13,10 +13,10 @@ pass, and its subdivided 1-skeleton once, both on first use and kept with
 the complex; links, midpoint ids and wall cuts read them from there, so a
 pass over every vertex stays linear in the size of the complex.  Links
 share shapes: a link's graph and angular metric are interned per complex
-under its labelled shape, the degree and the corners with their face sizes,
-all integers, and the angles and the graph are built once per new shape, so
-girth is decided once per shape (``check_gromov`` keeps no link), and local pairs
-are listed once per shape and kind, then sorted by each vertex's atoms.
+under its degree and corners with their face sizes, integers all, and built
+once per new shape, so girth is decided once per shape (``check_gromov``
+keeps no link), and local pairs are listed once per shape and kind, then
+sorted by each vertex's atoms.
 
 Local pairs and tracing conventions
 -----------------------------------
@@ -155,8 +155,6 @@ class PolygonalComplex:
         self.faces = tuple(walks)
         self.edges = tuple(sorted(edge_faces))
         self.edge_faces = {e: tuple(fs) for e, fs in edge_faces.items()}
-        # the face sides are in range and distinct, and the sorted edges
-        # give ascending rows, so the skeleton skips Graph's checks
         rows: list[list[int]] = [[] for _ in range(n)]
         for u, v in self.edges:
             rows[u - 1].append(v)
@@ -321,9 +319,8 @@ def _corner_angle(k: int) -> Fraction:
 def _link_shape(x: PolygonalComplex, v: int) -> tuple[tuple[Graph, Metric], dict[Edge, int]]:
     """The link of v as its shape (graph, angular metric) and the face of
     each corner.  The corner loop runs at every call; the shape is interned
-    per complex under (degree, corners with their face sizes k), integers
-    all, so vertices with equal links share one graph and one metric, and
-    the angles (k-2)/k and the graph are built once per new shape."""
+    per complex under (degree, corners with their face sizes), so vertices
+    with equal links share one graph and one metric, built once per shape."""
     incident = x.edges_at(v)
     ids = {a + b - v: i for i, (a, b) in enumerate(incident, start=1)}  # neighbour -> link vertex
     corners: list[tuple[int, int, int]] = []

@@ -350,9 +350,7 @@ def parse_family(text: str) -> list[Cutset]:
 
 def vertex_set_key(s: Iterable[int]) -> str:
     """The sorted-id key of a vertex set: ``chr(v)`` for each vertex v, in
-    ascending order, so keys compare as the sorted vertex lists do. Search
-    results and orbit closures keep vertex sets as these keys, and
-    ``format_family`` writes them out."""
+    ascending order, as ``format_family`` reads it."""
     return "".join(map(chr, sorted(s)))
 
 

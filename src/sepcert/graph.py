@@ -62,10 +62,9 @@ class Graph:
     @classmethod
     def _derived(cls, rows: Sequence[tuple[int, ...]], edges: tuple[Edge, ...]) -> "Graph":
         """A graph derived from one already validated, from its ascending
-        neighbour rows (row v - 1 for vertex v) and its sorted edge tuple.
-        Nothing is checked: its builder made every edge in range, simple
-        and once, so ``__init__``'s per-edge checks and sorts would only
-        repeat work. Outside input (parsed files, builtins, link shapes)
+        neighbour rows (row v - 1 for vertex v) and its sorted edges, with
+        none of ``__init__``'s checks: its builder made every edge in range,
+        simple and once. Outside input (parsed files, builtins, link shapes)
         always goes through ``__init__``."""
         g = cls.__new__(cls)
         g.n, g._adj, g._edges, g._hash = len(rows), tuple(rows), edges, None
@@ -468,10 +467,8 @@ def structural_report(g: Graph, metric: Metric | None = None) -> dict:
 def subdivision_graph(g: Graph) -> tuple[Graph, dict[Edge, int]]:
     """Barycentric subdivision of the 1-skeleton: one new vertex per edge
     midpoint. Returns (graph, edge -> midpoint id), midpoints numbered
-    n+1.. in sorted edge order. The graph is derived from g, which was
-    validated when it was built, so it skips ``Graph.__init__``'s checks
-    (``Graph._derived``): a vertex row is its midpoints, ascending as its
-    edges are, and a midpoint row is the ends (u, v) of its edge."""
+    n+1.. in sorted edge order, built by ``Graph._derived``: a vertex row is
+    its ascending midpoints, a midpoint row the ends (u, v) of its edge."""
     mid = {e: m for m, e in enumerate(g.edges(), start=g.n + 1)}
     rows: list[list[int]] = [[] for _ in g.vertices()]
     for (u, v), m in mid.items():

@@ -45,8 +45,7 @@ and B. Without one it enumerates every cutset: it roots the search at
 orbits, two levels deep, and closes the validated leaves under a group:
 Aut(g) for the star census, once each generator is checked to map the edge
 set onto itself, and the trivial group in ``two_sided_cutsets``. Only the
-census uses ``aut``, so only the census path imports it: a split search and
-``two_sided_cutsets``, as ``complex trace`` runs them, load no group code.
+census imports ``aut``, so ``complex trace`` loads no group code.
 
 The first level follows the orbits of the group, in the order of
 ``vertex_orbits()``. Under orbit i, the least node r is cut, every node of
@@ -91,9 +90,9 @@ through the same kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from math import inf
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .cutset import Cutset, require_cubic, vertex_set_key
 from .cutset import _point_distances, _subdivision
@@ -320,21 +319,21 @@ def search_star_cutsets(g: Graph, split: tuple[int, int, int] | None = None, nod
     require_cubic(g)
     state = _Coloring(g, Metric.combinatorial(), "vertex", 3)
     if split is None:
-        from .aut import automorphism_group, is_automorphism
+        from .aut import automorphism_group, is_automorphism, vertex_set_closure
 
         grp = automorphism_group(g)
         for p in grp.generators:
             if not is_automorphism(g, p):
                 raise SearchError("a group generator does not map the edge set onto itself")
-        roots = _orbit_roots(state, grp)
+        roots, close = _orbit_roots(state, grp), partial(vertex_set_closure, grp)
     else:
-        grp, roots = None, [_split_root(g, *split)]
+        roots, close = [_split_root(g, *split)], None
 
-    family = _Family(grp)
+    family = _Family(close)
     exhausted = True
     for root in roots:
         exhausted &= _search_root(state, root, node_budget, family)
-    if grp is not None:
+    if split is None:
         state.stats["orbits"] = len(family.orbits)
     return SearchResult(tuple(sorted(family.keys)), tuple(sorted(family.orbits)), exhausted, state.stats)
 
@@ -356,30 +355,25 @@ def two_sided_cutsets(g: Graph, metric: Metric, kind: str, sigma) -> tuple[Cutse
 class _Family:
     """The cutsets found so far, as sorted-id keys (``cutset.vertex_set_key``)
     of their nodes, each admitted when its complement in the colored graph
-    has two components, and the least key of each orbit. With a group, an
-    admitted leaf brings in its whole orbit, and a later leaf already in the
-    family is admitted without being decided again; without one, each key
-    is its own orbit."""
+    has two components, and the least key of each orbit. With a closure
+    (a key's orbit under a group), an admitted leaf brings in its whole
+    orbit, and a later leaf already in the family is admitted without being
+    decided again; without one, each key is its own orbit."""
 
-    __slots__ = ("grp", "keys", "orbits")
+    __slots__ = ("close", "keys", "orbits")
 
-    def __init__(self, grp: PermutationGroup | None):
-        self.grp = grp
+    def __init__(self, close: Callable[[str], set[str]] | None):
+        self.close = close
         self.keys: set[str] = set()
         self.orbits: set[str] = set()
 
     def admit(self, colored: Graph, cut: list[int]) -> bool:
         key = vertex_set_key(cut)
-        if self.grp is not None and key in self.keys:
+        if self.close is not None and key in self.keys:
             return True
         if component_labels(colored, removed_vertices=cut)[1] != 2:
             return False
-        if self.grp is None:
-            orbit = {key}
-        else:
-            from .aut import vertex_set_closure
-
-            orbit = vertex_set_closure(self.grp, key)
+        orbit = {key} if self.close is None else self.close(key)
         self.keys |= orbit
         self.orbits.add(min(orbit))
         return True

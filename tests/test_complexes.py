@@ -4,6 +4,7 @@ hypergraph tracing, and walls, mostly on the 5x5 square grid."""
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -596,3 +597,41 @@ def test_equal_corner_patterns_of_other_face_sizes_get_their_own_shapes():
     assert set(tri_metric.lengths().values()) == {Fraction(1, 3)}
     assert set(sq_metric.lengths().values()) == {Fraction(1, 2)}
     assert len(x._cache["shapes"]) == 2
+
+
+def _link_cycle_in_complex(x, v, cycle, name=int):
+    """A link cycle at v as the named neighbours of v it visits (link vertex
+    i is the i-th smallest edge at v), up to rotation and direction."""
+    around = [name(a + b - v) for a, b in x.edges_at(v)]
+    walk = [around[i - 1] for i in cycle]
+    turns = [walk[i:] + walk[:i] for i in range(len(walk))]
+    return min(turns + [t[::-1] for t in turns])
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: grid_complex(6, 6), lambda: cone_complex(named_graph("c4"))], ids=["grid6", "cone-c4"]
+)
+def test_gromov_verdict_and_witnesses_survive_relabelling(make):
+    x = make()
+    cert = check_gromov(x)
+    for seed in (0, 1, 2):
+        perm = list(range(1, x.n + 1))
+        random.Random(seed).shuffle(perm)
+        to = dict(zip(range(1, x.n + 1), perm))
+        back = {w: v for v, w in to.items()}
+        y = PolygonalComplex(x.n, [tuple(to[v] for v in face) for face in x.faces])
+        moved = check_gromov(y)
+        assert moved.ok == cert.ok
+        for v in range(1, x.n + 1):
+            was, now = cert.check(f"link-girth-{v}"), moved.check(f"link-girth-{to[v]}")
+            assert now.ok == was.ok
+            assert (now.witness["girth_pi_units"], now.witness["required"]) == (was.witness["girth_pi_units"], 2)
+            assert ("cycle" in now.witness) == ("cycle" in was.witness)
+            if "cycle" in was.witness:
+                assert _link_cycle_in_complex(x, v, was.witness["cycle"]) == _link_cycle_in_complex(
+                    y, to[v], now.witness["cycle"], back.get
+                )
+        # shapes are labelled links, so their count follows the labelling
+        # (the 6x6 grid's 5 become 7 under these shuffles); it is always the
+        # number of distinct fresh labelled links
+        assert len(y._cache["shapes"]) == len({fresh_link(y, v)[:2] for v in range(1, y.n + 1)})
